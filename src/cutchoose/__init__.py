@@ -102,7 +102,6 @@ from .combs import (
     diamond_distance_unitaries,
     general_tradeoff_check,
     linear_gap_check,
-    overall_acceptance_general,
     plug,
     general_test_acceptance,
     random_comb_draw,

@@ -28,13 +28,20 @@ import numpy as np
 from .errors import ContractViolationError, OutOfDomainError
 from .linalg import (
     DensityOperator,
+    dagger,
     fidelity,
     psd_sqrt,
     fidelity_psd,
     trace_norm,
 )
 from .optimize import scan_unit_interval
-from .protocol import ProtocolSpec, client_output_state, overall_acceptance
+from .protocol import (
+    ProtocolSpec,
+    RoundOutcomeTable,
+    client_output_state,
+    round_outcome_table,
+    weighted_acceptance,
+)
 from .states import AbortExtendedState, embedded_target, mix_with_abort, plus_state
 from .strategies import (
     HONEST,
@@ -44,6 +51,7 @@ from .strategies import (
     SecurityModel,
     ServerStrategy,
     optimal_alpha,
+    transform_round,
 )
 
 GRID_STEP = 1e-4
@@ -197,6 +205,8 @@ class TradeoffReport:
     satisfied: bool
     proof_steps: tuple[ProofStep, ...]
     trivial_attack: bool
+    honest_rounds: RoundOutcomeTable
+    attacked_rounds: RoundOutcomeTable
 
     @property
     def applicable(self) -> bool:
@@ -212,17 +222,43 @@ def acceptance_gap_bound(variant: ProtocolVariant, alpha: float, n_expected: flo
     return n_expected * abs(s)
 
 
-def build_tradeoff_report(
+def certify_tradeoff(
     model: SecurityModel,
     variant: ProtocolVariant,
     n_expected: float,
-    alpha: float,
-    p_h: float,
-    p_d: float,
-    eps_h: float,
-    eps_d: float,
+    alpha_override: float | None,
+    placement: Placement,
+    source,
+    table,
 ) -> TradeoffReport:
-    """Assemble the per-step inequality checks and the final bound verdict."""
+    """Honest-vs-attacked certification shared by both protocol variants.
+
+    ``source`` carries ``omega``, ``output_round`` and ``k``; ``table(strategy)``
+    builds that strategy's (n, ell) outcome table, once per strategy. The
+    attacked run uses the bound-optimal angle for ``(model, variant)`` unless
+    ``alpha_override`` is given. The input is the uniform superposition and
+    the target computation the identity.
+    """
+    if alpha_override is None:
+        alpha = optimal_alpha(model, variant, n_expected)
+    else:
+        alpha = float(alpha_override) % (2.0 * math.pi)
+    attack = PhaseAttack(alpha, placement)
+    honest_rounds, attacked_rounds = table(HONEST), table(attack)
+    p_h = weighted_acceptance(source.omega, source.output_round, honest_rounds)
+    p_d = weighted_acceptance(source.omega, source.output_round, attacked_rounds)
+
+    k = source.k
+    psi = plus_state(k).density()
+    applied = transform_round(attack, np.eye(2**k, dtype=np.complex128), k)
+    payload = DensityOperator(applied @ psi.matrix @ dagger(applied))
+    eps_h = epsilon_h(mix_with_abort(psi, p_h), psi, model)
+    rho_d = mix_with_abort(payload, p_d)
+    if model is SecurityModel.STAND_ALONE:
+        eps_d = epsilon_d_standalone(rho_d, psi)
+    else:
+        eps_d = epsilon_d_composable(rho_d, psi)
+
     s = math.sin(alpha / 2.0)
     disturbance = s * s if model is SecurityModel.STAND_ALONE else abs(s)
     gap = abs(p_h - p_d)
@@ -254,6 +290,8 @@ def build_tradeoff_report(
         satisfied=total >= bound - _BOUND_TOL,
         proof_steps=steps,
         trivial_attack=trivial,
+        honest_rounds=honest_rounds,
+        attacked_rounds=attacked_rounds,
     )
 
 
@@ -264,40 +302,11 @@ def run_tradeoff_check(
     alpha_override: float | None = None,
     placement: Placement = Placement.POST,
 ) -> TradeoffReport:
-    """Full honest-vs-attacked evaluation on the uniform-superposition input.
-
-    The attacked run uses the bound-optimal angle for ``(model, variant)``
-    unless ``alpha_override`` is given. Target computation is the identity.
-    """
-    n_expected = spec.omega.mean
-    if alpha_override is None:
-        alpha = optimal_alpha(model, variant, n_expected)
-    else:
-        alpha = float(alpha_override) % (2.0 * math.pi)
-    attack = PhaseAttack(alpha, placement)
-    psi = plus_state(spec.k).density()
-    identity = np.eye(2**spec.k, dtype=np.complex128)
-
-    p_h = overall_acceptance(spec, HONEST)
-    p_d = overall_acceptance(spec, attack)
-    rho_h = client_output_state(spec, HONEST, psi, identity)
-    rho_d = client_output_state(spec, attack, psi, identity)
-    eps_h_val = epsilon_h(rho_h, psi, model)
-    if model is SecurityModel.STAND_ALONE:
-        eps_d_val = epsilon_d_standalone(rho_d, psi)
-    else:
-        eps_d_val = epsilon_d_composable(rho_d, psi)
-    return build_tradeoff_report(
-        model, variant, n_expected, alpha, p_h, p_d, eps_h_val, eps_d_val
+    """Full honest-vs-attacked evaluation of a per-round protocol instance."""
+    return certify_tradeoff(
+        model, variant, spec.omega.mean, alpha_override, placement,
+        spec, lambda strategy: round_outcome_table(spec, strategy),
     )
-
-
-@dataclass(frozen=True)
-class Leakage:
-    """Information the ideal functionality may hand to a dishonest server."""
-
-    register_size: int
-    circuit_length_bound: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,22 +314,16 @@ class IdealVDQC:
     """Minimal executable model of the ideal verified-delegation resource.
 
     Applies the requested unitary when the control bit is 0 and rejects when
-    it is 1. The honest-side filter forces the control bit to 0 and discards
-    the leakage; the leakage is carried for completeness but plays no role
-    in any bound.
+    it is 1. The honest-side filter forces the control bit to 0.
     """
 
     input_state: DensityOperator
     unitary: np.ndarray
     control_bit: int = 0
-    leakage: Leakage | None = None
 
     def __post_init__(self):
         if self.control_bit not in (0, 1):
             raise ContractViolationError(f"control bit must be 0 or 1, got {self.control_bit}")
-        if self.leakage is None:
-            k = int(round(math.log2(self.input_state.dim)))
-            object.__setattr__(self, "leakage", Leakage(k, 1))
 
     def ideal_output(self) -> DensityOperator:
         u = np.asarray(self.unitary)

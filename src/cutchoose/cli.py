@@ -17,15 +17,6 @@ from .errors import ConfigError
 from .report import emit, run_scenario
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
 def _add_run_flags(sub):
     sub.add_argument("--config", required=True, help="path to a scenario JSON file")
     sub.add_argument("--out", default=None, help="report output path")
@@ -33,8 +24,6 @@ def _add_run_flags(sub):
                      help="report format (default: config output.format or csv)")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the Monte-Carlo base seed")
-    sub.add_argument("--parallel", type=_parse_bool, default=False,
-                     help="evaluate sweep entries in parallel (true/false)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +71,7 @@ def _run_command(args) -> int:
         return 2
 
     try:
-        bundle = run_scenario(config, seed_override=args.seed, parallel=args.parallel)
+        bundle = run_scenario(config, seed_override=args.seed)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,18 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.optimize
 
-from .bounds import (
-    build_tradeoff_report,
-    epsilon_d_composable,
-    epsilon_d_standalone,
-    epsilon_h,
-    TradeoffReport,
-)
+from .bounds import TradeoffReport, certify_tradeoff
+from .config import CustomComb
 from .errors import (
     ContractViolationError,
     DimensionCapError,
@@ -39,13 +34,16 @@ from .errors import (
 from .linalg import DensityOperator, as_square_matrix, dagger, is_unitary
 from .protocol import (
     GlobalAcceptance,
+    OutputRound,
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
     RoundOutcomeTable,
+    outcome_table,
+    weighted_acceptance,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
-from .states import PovmElement, bell_pair, mix_with_abort, plus_state
+from .states import PovmElement, bell_pair, computational_basis_state, plus_state
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -53,7 +51,6 @@ from .strategies import (
     ProtocolVariant,
     SecurityModel,
     ServerStrategy,
-    optimal_alpha,
     require_supported,
     transform_round,
 )
@@ -301,73 +298,40 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
     return min(1.0, max(0.0, p))
 
 
-def overall_acceptance_general(
-    omega: RoundDistribution,
-    omega_n_for: Callable[[int], Sequence[float]] | None,
-    test_for: Callable[[int], GeneralTest],
-    comb_for: Callable[[int, int], Comb],
-    strategy: ServerStrategy,
-) -> float:
-    """Weighted sum of general-test acceptance over n and the output round."""
-    total = 0.0
-    for n, wn in omega.support:
-        if wn == 0.0:
-            continue
-        if n == 0:
-            total += wn  # no tests, empty product accepts
-            continue
-        weights = (
-            np.full(n + 1, 1.0 / (n + 1))
-            if omega_n_for is None
-            else np.asarray(omega_n_for(n), dtype=float)
-        )
-        if weights.shape != (n + 1,) or weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
-            raise ContractViolationError(f"output-round distribution for n={n} invalid")
-        test = test_for(n)
-        for ell in range(1, n + 2):
-            w = float(weights[ell - 1])
-            if w == 0.0:
-                continue
-            total += wn * w * general_test_acceptance(test, comb_for(n, ell), strategy)
-    return min(1.0, max(0.0, total))
-
-
 @dataclass(frozen=True, eq=False)
 class GeneralSetup:
-    """Bundle of everything the general engine needs for one scenario."""
+    """Bundle of everything the general engine needs for one scenario.
+
+    ``output_round`` takes the same values as in :class:`ProtocolSpec`.
+    """
 
     omega: RoundDistribution
     k: int
     tests: Mapping[int, GeneralTest]
     combs: Mapping[tuple[int, int], Comb]
-    omega_n: Mapping[int, tuple[float, ...]] | None = None
-
-    def overall(self, strategy: ServerStrategy) -> float:
-        omega_n_for = None if self.omega_n is None else lambda n: self.omega_n[n]
-        return overall_acceptance_general(
-            self.omega,
-            omega_n_for,
-            self.tests.__getitem__,
-            lambda n, ell: self.combs[(n, ell)],
-            strategy,
-        )
+    output_round: OutputRound = "uniform"
 
     def outcome_table(self, strategy: ServerStrategy) -> RoundOutcomeTable:
-        rows = []
-        for n, _ in self.omega.support:
-            for ell in range(1, n + 2):
-                p = (
-                    1.0
-                    if n == 0
-                    else general_test_acceptance(self.tests[n], self.combs[(n, ell)], strategy)
-                )
-                rows.append((n, ell, p))
-        return RoundOutcomeTable(tuple(rows))
+        return outcome_table(self.omega, lambda n: [
+            general_test_acceptance(self.tests[n], self.combs[(n, ell)], strategy)
+            for ell in range(1, n + 2)
+        ])
+
+    def overall(self, strategy: ServerStrategy) -> float:
+        return weighted_acceptance(self.omega, self.output_round, self.outcome_table(strategy))
 
 
-def _permute_qubit_axes(vec: np.ndarray, src_axes: Sequence[int]) -> np.ndarray:
-    m = len(src_axes)
-    return vec.reshape((2,) * m).transpose(src_axes).reshape(-1)
+def _bell_pairs_register_major(pairs: int) -> np.ndarray:
+    """``pairs`` Bell pairs with all first halves before all second halves.
+
+    The pair order (X1, Y1, X2, Y2, ...) is permuted to register-major order
+    (X1, X2, ..., Y1, Y2, ...): test registers first, kept auxiliary qubits last.
+    """
+    vec = np.ones(1, dtype=np.complex128)
+    for _ in range(pairs):
+        vec = np.kron(vec, bell_pair().amplitudes)
+    src = [2 * j for j in range(pairs)] + [2 * j + 1 for j in range(pairs)]
+    return vec.reshape((2,) * (2 * pairs)).transpose(src).reshape(-1)
 
 
 def bell_test_setup(n_tests: int) -> GeneralSetup:
@@ -378,13 +342,7 @@ def bell_test_setup(n_tests: int) -> GeneralSetup:
     """
     if n_tests < 1:
         raise ContractViolationError(f"need at least one test round, got {n_tests}")
-    # pair order (X1, Y1, X2, Y2, ...) -> register-major order (X..., Y...)
-    interleaved = bell_pair().amplitudes
-    vec = np.ones(1, dtype=np.complex128)
-    for _ in range(n_tests):
-        vec = np.kron(vec, interleaved)
-    src = [2 * j for j in range(n_tests)] + [2 * j + 1 for j in range(n_tests)]
-    vec = _permute_qubit_axes(vec, src)
+    vec = _bell_pairs_register_major(n_tests)
     chi = DensityOperator(np.outer(vec, vec.conj()))
     measurement = PovmElement(np.outer(vec, vec.conj()))
     eye2 = np.eye(2, dtype=np.complex128)
@@ -402,6 +360,69 @@ def bell_test_setup(n_tests: int) -> GeneralSetup:
         k=1,
         tests={n_tests: test},
         combs={(n_tests, ell): comb for ell in range(1, n_tests + 2)},
+    )
+
+
+def custom_test_setup(custom: CustomComb, n: int) -> GeneralSetup:
+    """General setup for a ``custom`` comb descriptor with ``n`` holes (k = 1)."""
+    k = 1
+    width, y_dim = custom.width, 2**custom.y_qubits
+
+    def build_tooth(descr):
+        if descr is None:
+            return None
+        d = dict(descr)
+        chan = None
+        if "permute" in d:
+            perm0 = tuple(p - 1 for p in d["permute"])
+            chan = Channel.from_unitary(register_permutation_unitary(perm0, width, k))
+        if "channel" in d:
+            maker = dephasing_channel if d["channel"] == "dephasing" else depolarizing_channel
+            noise = maker(float(d.get("strength", 0.5)),
+                          qubit=int(d.get("register", 1)) - 1,
+                          total_qubits=width * k)
+            chan = noise if chan is None else noise.compose(chan)
+        return chan
+
+    comb = Comb(
+        n_holes=n,
+        k=k,
+        width=width,
+        y_dim=y_dim,
+        hole_registers=tuple(h - 1 for h in custom.hole_registers),
+        teeth=tuple(build_tooth(t) for t in custom.teeth),
+    )
+    full_dim = comb.register_dim * y_dim
+    if custom.state == "plus":
+        chi_vec = plus_state(width * k + custom.y_qubits).amplitudes
+    elif custom.state == "zero":
+        chi_vec = computational_basis_state(width * k + custom.y_qubits).amplitudes
+    else:  # bell-pairs, validated y_qubits == width
+        chi_vec = _bell_pairs_register_major(width)
+    chi = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
+
+    if custom.unitaries == "identity":
+        unitaries = tuple(np.eye(2**k, dtype=np.complex128) for _ in range(n))
+    else:
+        rng = np.random.default_rng(custom.unitary_seed)
+        unitaries = tuple(random_unitary(2**k, rng) for _ in range(n))
+
+    if custom.measurement == "identity":
+        mu = PovmElement(np.eye(full_dim, dtype=np.complex128))
+    else:
+        # accept on the honest output: the honest-evolved test state is a valid
+        # effect (all eigenvalues <= 1), a projector when the network is unitary
+        honest = plug(comb, [Channel.from_unitary(u) for u in unitaries])
+        if y_dim > 1:
+            honest = honest.tensor_identity(y_dim)
+        mu = PovmElement(honest.apply(chi.matrix))
+
+    test = GeneralTest(chi, unitaries, mu)
+    return GeneralSetup(
+        omega=RoundDistribution.point_mass(n),
+        k=k,
+        tests={n: test},
+        combs={(n, ell): comb for ell in range(1, n + 2)},
     )
 
 
@@ -435,18 +456,11 @@ def spec_round_as_general(spec: ProtocolSpec, n: int, ell: int) -> tuple[General
 
 def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
     """Per-round protocol evaluated through the general engine (consistency path)."""
-    total = 0.0
-    for n, wn in spec.omega.support:
-        if wn == 0.0:
-            continue
-        if n == 0:
-            total += wn
-            continue
-        weights = spec.output_round_probs(n)
-        for ell in range(1, n + 2):
-            test, comb = spec_round_as_general(spec, n, ell)
-            total += wn * float(weights[ell - 1]) * general_test_acceptance(test, comb, strategy)
-    return min(1.0, max(0.0, total))
+    table = outcome_table(spec.omega, lambda n: [
+        general_test_acceptance(*spec_round_as_general(spec, n, ell), strategy)
+        for ell in range(1, n + 2)
+    ])
+    return weighted_acceptance(spec.omega, spec.output_round, table)
 
 
 def diamond_distance_unitaries(u, v) -> float:
@@ -526,33 +540,9 @@ def general_tradeoff_check(
         raise ContractViolationError(
             f"setup mean {setup.omega.mean} does not match N={n_expected}"
         )
-    if alpha_override is None:
-        alpha = optimal_alpha(model, ProtocolVariant.GENERAL_TESTS, n_expected)
-    else:
-        alpha = float(alpha_override) % (2.0 * math.pi)
-    attack = PhaseAttack(alpha, placement)
-    p_h = setup.overall(HONEST)
-    p_d = setup.overall(attack)
-    psi = plus_state(setup.k).density()
-    eye = np.eye(2**setup.k, dtype=np.complex128)
-    applied = transform_round(attack, eye, setup.k)
-    payload = DensityOperator(applied @ psi.matrix @ dagger(applied))
-    rho_h = mix_with_abort(psi, p_h)
-    rho_d = mix_with_abort(payload, p_d)
-    eps_h_val = epsilon_h(rho_h, psi, model)
-    if model is SecurityModel.STAND_ALONE:
-        eps_d_val = epsilon_d_standalone(rho_d, psi)
-    else:
-        eps_d_val = epsilon_d_composable(rho_d, psi)
-    return build_tradeoff_report(
-        model,
-        ProtocolVariant.GENERAL_TESTS,
-        n_expected,
-        alpha,
-        p_h,
-        p_d,
-        eps_h_val,
-        eps_d_val,
+    return certify_tradeoff(
+        model, ProtocolVariant.GENERAL_TESTS, n_expected, alpha_override, placement,
+        setup, setup.outcome_table,
     )
 
 
@@ -573,7 +563,7 @@ def random_comb_draw(seed: int, max_rounds: int = 3, k: int = 1) -> RandomCombDr
         ns = sorted(set(ns) | {int(rng.integers(1, max_rounds + 1))})
     probs = rng.dirichlet(np.ones(len(ns)))
     omega = RoundDistribution.from_pairs(zip(ns, probs))
-    omega_n: dict[int, tuple[float, ...]] = {}
+    output_round: dict[int, tuple[float, ...]] = {}
     tests: dict[int, GeneralTest] = {}
     combs: dict[tuple[int, int], Comb] = {}
     d = 2**k
@@ -594,7 +584,7 @@ def random_comb_draw(seed: int, max_rounds: int = 3, k: int = 1) -> RandomCombDr
     for n in ns:
         if n == 0:
             continue
-        omega_n[n] = tuple(rng.dirichlet(np.ones(n + 1)))
+        output_round[n] = tuple(rng.dirichlet(np.ones(n + 1)))
         width = int(rng.integers(1, min(n, 2) + 1))
         y_dim = int(2 ** rng.integers(0, 2))
         full_dim = d**width * y_dim
@@ -612,7 +602,7 @@ def random_comb_draw(seed: int, max_rounds: int = 3, k: int = 1) -> RandomCombDr
                 hole_registers=hole_regs,
                 teeth=tuple(random_tooth(width) for _ in range(n + 1)),
             )
-    setup = GeneralSetup(omega=omega, k=k, tests=tests, combs=combs, omega_n=omega_n)
+    setup = GeneralSetup(omega=omega, k=k, tests=tests, combs=combs, output_round=output_round)
     alpha = float(rng.uniform(0.0, 2.0 * math.pi))
     placement = Placement.POST if rng.integers(0, 2) == 0 else Placement.PRE
     return RandomCombDraw(setup, alpha, placement)

@@ -48,6 +48,18 @@ class _Validator:
             raise ConfigError(self.errors)
 
 
+def _non_finite_paths(obj, path: str):
+    """JSON paths of NaN and infinite numbers, including literals like 1e400."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield path or "$"
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for idx, value in enumerate(obj):
+            yield from _non_finite_paths(value, f"{path}[{idx}]")
+
+
 def _check_probability_pairs(raw, path: str, v: _Validator):
     """Validate a [[n, prob], ...] list; returns a normalized tuple or None."""
     if not isinstance(raw, list) or not raw:
@@ -361,11 +373,12 @@ def _parse_custom_comb(setup, path, v: _Validator) -> CustomComb | None:
                        f"unknown channel {tooth['channel']!r} (palette: dephasing, depolarizing)")
                 return None
             reg = tooth.get("register", 1)
-            if not isinstance(reg, int) or not 1 <= reg <= width:
+            if not isinstance(reg, int) or isinstance(reg, bool) or not 1 <= reg <= width:
                 v.fail(f"{path}.teeth[{j}].register", f"must be in 1..{width}")
                 return None
             strength = tooth.get("strength", 0.5)
-            if not isinstance(strength, (int, float)) or not 0 <= strength <= 1:
+            if (not isinstance(strength, (int, float)) or isinstance(strength, bool)
+                    or not 0 <= strength <= 1):
                 v.fail(f"{path}.teeth[{j}].strength", "must be in [0, 1]")
                 return None
         teeth.append(tuple(sorted(tooth.items())))
@@ -465,6 +478,9 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         raise ConfigError([f"document is not valid JSON: {exc}"]) from exc
 
     v = _Validator()
+    for path in _non_finite_paths(raw, ""):
+        v.fail(path, "numbers must be finite")
+    v.raise_if_failed()
     if not v.require_dict(
         raw, "$",
         {"protocol": 0, "strategy": 0, "models": 0, "variant": 0},

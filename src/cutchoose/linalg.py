@@ -52,11 +52,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
-    m = np.asarray(a)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
-
-
 def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
     m = np.asarray(u)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -74,14 +69,6 @@ def kron(a, b, cap: int = DIM_CAP) -> np.ndarray:
             f"kron would produce a {rows}x{cols} matrix, beyond the cap {cap}"
         )
     return np.kron(am, bm)
-
-
-def kron_all(mats, cap: int = DIM_CAP) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of matrices."""
-    out = np.eye(1, dtype=np.complex128)
-    for m in mats:
-        out = kron(out, m, cap=cap)
-    return out
 
 
 def hermitian_eig(h, tol: float = VALIDATION_TOL):

@@ -8,9 +8,12 @@ position of the output round does not affect any probability, so tests and
 output are evaluated independently; the test suite checks this against a
 literal sequential simulator on small instances.
 
-Acceptance probabilities are computed exactly (double sum over the finite
-support of the round distribution) and, as a stochastic cross-check, by a
-seeded round-by-round Monte-Carlo sampler.
+Acceptance probabilities are computed exactly and, as a stochastic
+cross-check, by a seeded round-by-round Monte-Carlo sampler. Every exact
+figure goes through one engine: ``outcome_table`` builds the per-(n, output
+round) acceptance table over the finite support of the round distribution,
+and ``weighted_acceptance`` averages it over n and the output round. The
+general-test engine in ``combs`` uses the same two functions.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ class RoundDistribution:
             raise ContractViolationError("round counts must be non-negative integers")
         if ns != sorted(ns) or len(set(ns)) != len(ns):
             raise ContractViolationError("support must be sorted by n with unique entries")
-        if any(p < 0.0 for p in ps):
-            raise ContractViolationError("probabilities must be non-negative")
+        if any(not (math.isfinite(p) and p >= 0.0) for p in ps):
+            raise ContractViolationError("probabilities must be finite and non-negative")
         total = math.fsum(ps)
         if abs(total - 1.0) > 1e-12:
             raise ContractViolationError(
@@ -126,6 +129,9 @@ class GlobalAcceptance:
 
 AcceptanceRule = PerRoundAcceptance | GlobalAcceptance
 
+# "uniform" over the n + 1 rounds, or an explicit distribution per n
+OutputRound = str | Mapping[int, Sequence[float]]
+
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -140,7 +146,7 @@ class ProtocolSpec:
     k: int
     traps: TrapGenerator
     acceptance: AcceptanceRule
-    output_round: str | Mapping[int, Sequence[float]] = "uniform"
+    output_round: OutputRound = "uniform"
 
     def __post_init__(self):
         if self.k < 1:
@@ -151,21 +157,6 @@ class ProtocolSpec:
             raise ContractViolationError(
                 f"output_round must be 'uniform' or a per-n mapping, got {self.output_round!r}"
             )
-
-    def output_round_probs(self, n: int) -> np.ndarray:
-        """Distribution of the output-round position for a given n."""
-        if isinstance(self.output_round, str):
-            return np.full(n + 1, 1.0 / (n + 1))
-        probs = np.asarray(self.output_round[n], dtype=float)
-        if probs.shape != (n + 1,):
-            raise ContractViolationError(
-                f"output-round distribution for n={n} has length {probs.size}, expected {n + 1}"
-            )
-        if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ContractViolationError(
-                f"output-round distribution for n={n} is not a probability vector"
-            )
-        return probs
 
 
 @dataclass(frozen=True)
@@ -212,6 +203,73 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
     return vals
 
 
+def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
+    """Distribution of the output-round position over {1, ..., n+1}."""
+    if isinstance(output_round, str):
+        return np.full(n + 1, 1.0 / (n + 1))
+    probs = np.asarray(output_round[n], dtype=float)
+    if probs.shape != (n + 1,):
+        raise ContractViolationError(
+            f"output-round distribution for n={n} has length {probs.size}, expected {n + 1}"
+        )
+    if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-12:
+        raise ContractViolationError(
+            f"output-round distribution for n={n} is not a probability vector"
+        )
+    return probs
+
+
+def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
+    """Acceptance probability for each output round ell = 1..n+1, for n >= 1."""
+    if isinstance(spec.acceptance, GlobalAcceptance):
+        return np.array([_global_acceptance(spec, strategy, n, ell) for ell in range(1, n + 2)])
+    factors = _round_factors(spec, strategy, n)
+    m = factors.size
+    pre = np.ones(m + 1)
+    pre[1:] = np.cumprod(factors)
+    suf = np.ones(m + 1)
+    suf[:-1] = np.cumprod(factors[::-1])[::-1]
+    # entry ell-1: product over i < ell times product over i > ell
+    return pre[:m] * suf[1:]
+
+
+def outcome_table(
+    omega: RoundDistribution, per_ell: Callable[[int], Sequence[float]]
+) -> RoundOutcomeTable:
+    """The (n, ell) acceptance table over the support of ``omega``.
+
+    ``per_ell(n)`` gives the n + 1 acceptance probabilities for n >= 1; with
+    no test rounds the empty product accepts.
+    """
+    rows = []
+    for n, _ in omega.support:
+        values = per_ell(n) if n else (1.0,)
+        rows += [
+            (n, ell, _snap_probability(float(p), f"p(n={n}, ell={ell})"))
+            for ell, p in enumerate(values, start=1)
+        ]
+    return RoundOutcomeTable(tuple(rows))
+
+
+def weighted_acceptance(
+    omega: RoundDistribution, output_round: OutputRound, table: RoundOutcomeTable
+) -> float:
+    """Acceptance averaged over n ~ omega and the output-round distribution."""
+    per_n: dict[int, list[float]] = {}
+    for n, _, p in table.entries:
+        per_n.setdefault(n, []).append(p)
+    total = 0.0
+    for n, wn in omega.support:
+        if wn == 0.0:
+            continue
+        if n == 0:
+            total += wn
+            continue
+        weights = output_round_weights(output_round, n)
+        total += wn * float(weights @ np.array(per_n[n]))
+    return _snap_probability(total, "overall acceptance")
+
+
 def acceptance_probability(
     spec: ProtocolSpec, strategy: ServerStrategy, n: int, ell: int
 ) -> float:
@@ -221,12 +279,9 @@ def acceptance_probability(
         raise OutOfDomainError(f"output round {ell} outside {{1, ..., {n + 1}}}")
     if n == 0:
         return 1.0  # no tests: the empty product accepts
-    if isinstance(spec.acceptance, PerRoundAcceptance):
-        factors = _round_factors(spec, strategy, n)
-        return _snap_probability(
-            float(np.prod(np.delete(factors, ell - 1))), f"p(n={n}, ell={ell})"
-        )
-    return _global_acceptance(spec, strategy, n, ell)
+    if isinstance(spec.acceptance, GlobalAcceptance):
+        return _global_acceptance(spec, strategy, n, ell)
+    return _snap_probability(float(_per_ell(spec, strategy, n)[ell - 1]), f"p(n={n}, ell={ell})")
 
 
 def _global_acceptance(spec, strategy, n: int, ell: int) -> float:
@@ -253,54 +308,15 @@ def _global_acceptance(spec, strategy, n: int, ell: int) -> float:
     )
 
 
-def _per_ell_products(factors: np.ndarray) -> np.ndarray:
-    """prod_{i != ell} factors[i-1] for every ell, via prefix/suffix products."""
-    m = factors.size
-    pre = np.ones(m + 1)
-    pre[1:] = np.cumprod(factors)
-    suf = np.ones(m + 1)
-    suf[:-1] = np.cumprod(factors[::-1])[::-1]
-    # entry ell-1: product over i < ell times product over i > ell
-    return pre[:m] * suf[1:]
+def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:
+    """Acceptance probability per (n, output round) over the support of omega."""
+    require_supported(strategy)
+    return outcome_table(spec.omega, lambda n: _per_ell(spec, strategy, n))
 
 
 def overall_acceptance(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
     """Exact acceptance probability, averaged over n and the output round."""
-    require_supported(strategy)
-    total = 0.0
-    for n, wn in spec.omega.support:
-        if wn == 0.0:
-            continue
-        weights = spec.output_round_probs(n)
-        if n == 0:
-            total += wn
-            continue
-        if isinstance(spec.acceptance, PerRoundAcceptance):
-            per_ell = _per_ell_products(_round_factors(spec, strategy, n))
-        else:
-            per_ell = np.array(
-                [_global_acceptance(spec, strategy, n, ell) for ell in range(1, n + 2)]
-            )
-        total += wn * float(weights @ per_ell)
-    return _snap_probability(total, "overall acceptance")
-
-
-def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:
-    require_supported(strategy)
-    rows = []
-    for n, _ in spec.omega.support:
-        if n == 0:
-            rows.append((0, 1, 1.0))
-            continue
-        if isinstance(spec.acceptance, PerRoundAcceptance):
-            per_ell = _per_ell_products(_round_factors(spec, strategy, n))
-        else:
-            per_ell = [_global_acceptance(spec, strategy, n, ell) for ell in range(1, n + 2)]
-        for ell in range(1, n + 2):
-            rows.append(
-                (n, ell, _snap_probability(float(per_ell[ell - 1]), f"p(n={n}, ell={ell})"))
-            )
-    return RoundOutcomeTable(tuple(rows))
+    return weighted_acceptance(spec.omega, spec.output_round, round_outcome_table(spec, strategy))
 
 
 def client_output_state(
@@ -358,7 +374,7 @@ def monte_carlo_run(
         m = int(np.count_nonzero(draws == j))
         if m == 0:
             continue
-        ells = rng.choice(n + 1, size=m, p=spec.output_round_probs(n))
+        ells = rng.choice(n + 1, size=m, p=output_round_weights(spec.output_round, n))
         if n == 0:
             accepted += m
             continue
@@ -369,9 +385,7 @@ def monte_carlo_run(
             ok[np.arange(m), ells] = True  # the output round is not a test
             accepted += int(np.count_nonzero(ok.all(axis=1)))
         else:
-            per_ell = np.array(
-                [_global_acceptance(spec, strategy, n, ell) for ell in range(1, n + 2)]
-            )
+            per_ell = _per_ell(spec, strategy, n)
             accepted += int(np.count_nonzero(rng.random(m) < per_ell[ells]))
     rate = accepted / trials
     return MonteCarloResult(rate, 1.0 - rate)

@@ -13,14 +13,13 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .bounds import TradeoffReport, run_tradeoff_check
-from .combs import GeneralSetup, bell_test_setup, general_tradeoff_check
+from .combs import GeneralSetup, bell_test_setup, custom_test_setup, general_tradeoff_check
 from .config import ConfigError, ScenarioConfig
 from .errors import OutOfDomainError
 from .families import build_acceptance, build_trap_family
@@ -28,9 +27,7 @@ from .protocol import (
     MonteCarloResult,
     ProtocolSpec,
     RoundDistribution,
-    RoundOutcomeTable,
     monte_carlo_run,
-    round_outcome_table,
 )
 from .states import plus_state
 from .strategies import (
@@ -67,8 +64,6 @@ class McComparison:
 class RunRecord:
     sweep_index: int
     report: TradeoffReport
-    honest_rounds: RoundOutcomeTable | None
-    attacked_rounds: RoundOutcomeTable | None
     mc: McComparison | None
 
 
@@ -123,88 +118,7 @@ def _general_setup_for(config: ScenarioConfig, omega_pairs) -> GeneralSetup:
         if n < 1:
             raise ConfigError(["protocol.omega: bell setup needs at least one test round"])
         return bell_test_setup(n)
-    return _custom_setup(config.variant.custom, n)
-
-
-def _custom_setup(custom, n: int) -> GeneralSetup:
-    from .combs import (
-        Channel,
-        Comb,
-        GeneralTest,
-        dephasing_channel,
-        depolarizing_channel,
-        plug,
-        register_permutation_unitary,
-    )
-    from .linalg import DensityOperator
-    from .sampling import random_unitary
-    from .states import PovmElement, bell_pair, computational_basis_state
-
-    k = 1
-    width, y_dim = custom.width, 2**custom.y_qubits
-
-    def build_tooth(descr):
-        if descr is None:
-            return None
-        d = dict(descr)
-        chan = None
-        if "permute" in d:
-            perm0 = tuple(p - 1 for p in d["permute"])
-            chan = Channel.from_unitary(register_permutation_unitary(perm0, width, k))
-        if "channel" in d:
-            maker = dephasing_channel if d["channel"] == "dephasing" else depolarizing_channel
-            noise = maker(float(d.get("strength", 0.5)),
-                          qubit=int(d.get("register", 1)) - 1,
-                          total_qubits=width * k)
-            chan = noise if chan is None else noise.compose(chan)
-        return chan
-
-    comb = Comb(
-        n_holes=n,
-        k=k,
-        width=width,
-        y_dim=y_dim,
-        hole_registers=tuple(h - 1 for h in custom.hole_registers),
-        teeth=tuple(build_tooth(t) for t in custom.teeth),
-    )
-    full_dim = comb.register_dim * y_dim
-    if custom.state == "plus":
-        chi_vec = plus_state(width * k + custom.y_qubits).amplitudes
-    elif custom.state == "zero":
-        chi_vec = computational_basis_state(width * k + custom.y_qubits).amplitudes
-    else:  # bell-pairs, validated y_qubits == width
-        from .combs import _permute_qubit_axes
-
-        vec = np.ones(1, dtype=np.complex128)
-        for _ in range(width):
-            vec = np.kron(vec, bell_pair().amplitudes)
-        src = [2 * j for j in range(width)] + [2 * j + 1 for j in range(width)]
-        chi_vec = _permute_qubit_axes(vec, src)
-    chi = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
-
-    if custom.unitaries == "identity":
-        unitaries = tuple(np.eye(2**k, dtype=np.complex128) for _ in range(n))
-    else:
-        rng = np.random.default_rng(custom.unitary_seed)
-        unitaries = tuple(random_unitary(2**k, rng) for _ in range(n))
-
-    if custom.measurement == "identity":
-        mu = PovmElement(np.eye(full_dim, dtype=np.complex128))
-    else:
-        # accept on the honest output: the honest-evolved test state is a valid
-        # effect (all eigenvalues <= 1), a projector when the network is unitary
-        honest = plug(comb, [Channel.from_unitary(u) for u in unitaries])
-        if y_dim > 1:
-            honest = honest.tensor_identity(y_dim)
-        mu = PovmElement(honest.apply(chi.matrix))
-
-    test = GeneralTest(chi, unitaries, mu)
-    return GeneralSetup(
-        omega=RoundDistribution.point_mass(n),
-        k=k,
-        tests={n: test},
-        combs={(n, ell): comb for ell in range(1, n + 2)},
-    )
+    return custom_test_setup(config.variant.custom, n)
 
 
 def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
@@ -226,12 +140,10 @@ def _run_one(config, sweep_index, omega_pairs, model, mc_seed) -> RunRecord:
         report = run_tradeoff_check(
             spec, model, variant, alpha_override=alpha_override, placement=placement
         )
-        attack = PhaseAttack(report.alpha, placement)
-        honest_rounds = round_outcome_table(spec, HONEST)
-        attacked_rounds = round_outcome_table(spec, attack)
         mc = None
         if config.monte_carlo is not None:
             seed = mc_seed + sweep_index
+            attack = PhaseAttack(report.alpha, placement)
             psi = plus_state(spec.k).density()
             eye = np.eye(2**spec.k, dtype=np.complex128)
             mc = McComparison(
@@ -240,52 +152,29 @@ def _run_one(config, sweep_index, omega_pairs, model, mc_seed) -> RunRecord:
                 honest=monte_carlo_run(spec, HONEST, psi, eye, config.monte_carlo.trials, seed),
                 attacked=monte_carlo_run(spec, attack, psi, eye, config.monte_carlo.trials, seed),
             )
-        return RunRecord(sweep_index, report, honest_rounds, attacked_rounds, mc)
+        return RunRecord(sweep_index, report, mc)
     setup = _general_setup_for(config, omega_pairs)
-    n_expected = setup.omega.mean
     report = general_tradeoff_check(
-        model, setup, n_expected, alpha_override=alpha_override, placement=placement
+        model, setup, setup.omega.mean, alpha_override=alpha_override, placement=placement
     )
-    attack = PhaseAttack(report.alpha, placement)
-    return RunRecord(
-        sweep_index,
-        report,
-        setup.outcome_table(HONEST),
-        setup.outcome_table(attack),
-        None,
-    )
+    return RunRecord(sweep_index, report, None)
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    seed_override: int | None = None,
-    parallel: bool = False,
-) -> ReportBundle:
+def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> ReportBundle:
     """Evaluate every (sweep entry, security model) pair of a scenario.
 
-    Deterministic given the config and seed; sweep entries may run in
-    parallel, and the output order follows the sweep index regardless of
-    completion order.
+    Deterministic given the config and seed; runs follow the sweep index,
+    with the models in config order within each entry.
     """
     t0 = time.perf_counter()
     mc_seed = seed_override
     if mc_seed is None:
         mc_seed = config.monte_carlo.seed if config.monte_carlo is not None else 0
-    jobs = [
-        (idx, omega, model)
+    runs = tuple(
+        _run_one(config, idx, omega, model, mc_seed)
         for idx, omega in enumerate(_sweep_omegas(config))
         for model in config.models
-    ]
-
-    def work(job):
-        idx, omega, model = job
-        return _run_one(config, idx, omega, model, mc_seed)
-
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor() as pool:
-            runs = tuple(pool.map(work, jobs))
-    else:
-        runs = tuple(work(job) for job in jobs)
+    )
     meta = BundleMetadata(
         config_hash=config.config_hash(),
         seed=mc_seed if config.monte_carlo is not None else None,
@@ -364,12 +253,11 @@ def _json_run(record: RunRecord) -> dict:
             {"name": s.name, "lhs": s.lhs, "rhs": s.rhs, "holds": s.holds}
             for s in r.proof_steps
         ],
+        "rounds": {
+            "honest": [list(e) for e in r.honest_rounds.entries],
+            "attacked": [list(e) for e in r.attacked_rounds.entries],
+        },
     }
-    if record.honest_rounds is not None:
-        doc["rounds"] = {
-            "honest": [list(e) for e in record.honest_rounds.entries],
-            "attacked": [list(e) for e in record.attacked_rounds.entries],
-        }
     if record.mc is not None:
         doc["monte_carlo"] = {
             "trials": record.mc.trials,

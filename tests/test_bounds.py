@@ -241,7 +241,6 @@ class TestIdealResource:
         ideal = IdealVDQC(psi, np.eye(2))
         assert ideal.output(0).accept_weight == pytest.approx(1.0)
         assert ideal.output(1).accept_weight == pytest.approx(0.0)
-        assert ideal.leakage.register_size == 1
 
     def test_rejects_bad_control_bit(self):
         with pytest.raises(ContractViolationError):

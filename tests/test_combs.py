@@ -6,6 +6,7 @@ import pytest
 from cutchoose.combs import (
     Channel,
     Comb,
+    GeneralSetup,
     GeneralTest,
     bell_test_setup,
     dephasing_channel,
@@ -14,7 +15,6 @@ from cutchoose.combs import (
     diamond_distance_unitaries,
     general_tradeoff_check,
     linear_gap_check,
-    overall_acceptance_general,
     overall_acceptance_via_combs,
     plug,
     general_test_acceptance,
@@ -35,7 +35,9 @@ from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
     acceptance_probability,
+    output_round_weights,
     overall_acceptance,
+    weighted_acceptance,
 )
 from cutchoose.sampling import random_density, random_unitary
 from cutchoose.states import PovmElement, bell_pair, phase_gate
@@ -178,17 +180,31 @@ class TestGeneralTestAcceptance:
 
 class TestOverallGeneral:
     def test_point_mass_zero_accepts(self):
-        got = overall_acceptance_general(
-            RoundDistribution.point_mass(0), None,
-            lambda n: None, lambda n, ell: None, HONEST,
-        )
-        assert got == 1.0
+        setup = GeneralSetup(omega=RoundDistribution.point_mass(0), k=1, tests={}, combs={})
+        assert setup.overall(HONEST) == 1.0
 
     def test_bell_two_rounds_attack(self):
         setup = bell_test_setup(2)
         for alpha in (0.7, 2.1):
             got = setup.overall(PhaseAttack(alpha))
             assert got == pytest.approx(math.cos(alpha / 2) ** 4, abs=1e-12)
+
+    def test_overall_is_weighted_table(self):
+        setups = [bell_test_setup(1), bell_test_setup(3)]
+        setups += [random_comb_draw(seed, max_rounds=3).setup for seed in (0, 2, 3, 5)]
+        for setup in setups:
+            for strategy in (HONEST, PhaseAttack(1.3), PhaseAttack(2.2, Placement.PRE)):
+                rounds = setup.outcome_table(strategy)
+                got = setup.overall(strategy)
+                assert got == weighted_acceptance(setup.omega, setup.output_round, rounds)
+                # sequential reference: one general-test evaluation per (n, ell)
+                expected = sum(
+                    wn * w * general_test_acceptance(setup.tests[n], setup.combs[(n, ell)],
+                                                     strategy)
+                    for n, wn in setup.omega.support if n > 0
+                    for ell, w in enumerate(output_round_weights(setup.output_round, n), 1)
+                ) + setup.omega.prob(0)
+                assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_main_engine_uniform(self):
         spec = ProtocolSpec(
@@ -314,8 +330,6 @@ class TestGeneralTradeoff:
 
     def test_small_n_out_of_domain(self):
         # expected round count 0.1 puts the angle choice outside the arcsin domain
-        from cutchoose.combs import GeneralSetup
-
         base = bell_test_setup(1)
         setup = GeneralSetup(
             omega=RoundDistribution.from_pairs([(0, 0.9), (1, 0.1)]),

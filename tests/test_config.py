@@ -133,6 +133,52 @@ class TestParsing:
         assert any("point mass" in e for e in err.value.errors)
 
 
+def custom_tooth_doc(tooth):
+    doc = minimal_doc()
+    doc["variant"] = {
+        "kind": "general-tests",
+        "setup": {"family": "custom", "width": 2, "hole_registers": [1, 1],
+                  "teeth": [None, tooth, None]},
+    }
+    return doc
+
+
+def with_literal(doc, literal):
+    """Serialize ``doc`` with the placeholder string replaced by a raw JSON literal."""
+    return json.dumps(doc).replace('"__X__"', literal).encode("utf-8")
+
+
+def omega_pair_doc():
+    doc = minimal_doc()
+    doc["protocol"]["omega"] = [[1, "__X__"], [2, 0.5]]
+    return doc
+
+
+class TestRejectsBadNumbers:
+    @pytest.mark.parametrize(
+        "doc, literal, path",
+        [
+            (omega_pair_doc(), "NaN", "protocol.omega[0][1]"),
+            (minimal_doc(strategy={"kind": "phase-attack", "alpha": "__X__"}),
+             "NaN", "strategy.alpha"),
+            (minimal_doc(strategy={"kind": "phase-attack", "alpha": "__X__"}),
+             "1e400", "strategy.alpha"),
+            (minimal_doc(strategy={"kind": "phase-attack", "alpha": "__X__"}),
+             "-Infinity", "strategy.alpha"),
+            (custom_tooth_doc({"channel": "dephasing", "strength": "__X__"}),
+             "Infinity", "variant.setup.teeth[1].strength"),
+            (custom_tooth_doc({"channel": "dephasing", "strength": "__X__"}),
+             "true", "variant.setup.teeth[1].strength"),
+            (custom_tooth_doc({"channel": "dephasing", "register": "__X__"}),
+             "true", "variant.setup.teeth[1].register"),
+        ],
+    )
+    def test_error_names_path(self, doc, literal, path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_literal(doc, literal))
+        assert any(e.startswith(f"{path}:") for e in err.value.errors), err.value.errors
+
+
 class TestCanonicalization:
     def test_hash_ignores_key_order(self):
         doc = minimal_doc()

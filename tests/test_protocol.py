@@ -21,8 +21,10 @@ from cutchoose.protocol import (
     client_output_state,
     jensen_gap_check,
     monte_carlo_run,
+    output_round_weights,
     overall_acceptance,
     round_outcome_table,
+    weighted_acceptance,
 )
 from cutchoose.states import attack_operator, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
@@ -54,6 +56,13 @@ class TestRoundDistribution:
     def test_rejects_unsorted(self):
         with pytest.raises(ContractViolationError):
             RoundDistribution(((2, 0.5), (1, 0.5)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ContractViolationError):
+            RoundDistribution(((1, bad),))
+        with pytest.raises(ContractViolationError):
+            RoundDistribution(((0, 0.5), (1, bad)))
 
     def test_from_pairs_sorts(self):
         om = RoundDistribution.from_pairs([(2, 0.5), (1, 0.5)])
@@ -135,18 +144,39 @@ class TestOverallAcceptance:
     def test_convex_combination_of_table(self):
         rng = np.random.default_rng(17)
         traps = RandomTraps(seed=5)
-        spec = ProtocolSpec(
-            omega=RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (3, 0.5)]),
-            k=1, traps=traps, acceptance=matched_acceptance(traps),
-        )
-        strategy = PhaseAttack(float(rng.uniform(0, 2 * math.pi)))
-        table = {(n, ell): p for n, ell, p in round_outcome_table(spec, strategy).entries}
-        expected = sum(
-            wn * sum(table[(n, ell)] / (n + 1) for ell in range(1, n + 2))
-            for n, wn in spec.omega.support
-        )
-        assert overall_acceptance(spec, strategy) == pytest.approx(expected, abs=1e-12)
-        assert all(0.0 <= p <= 1.0 for p in table.values())
+        matched = matched_acceptance(traps)
+        cases = [
+            # (omega pairs, acceptance, output_round)
+            ([(0, 0.2), (2, 0.3), (3, 0.5)], matched, "uniform"),
+            ([(1, 0.0), (2, 0.4), (3, 0.6)], matched, "uniform"),  # zero-weight n
+            ([(0, 0.2), (2, 0.8)], matched, {0: (1.0,), 2: (0.6, 0.3, 0.1)}),
+            ([(1, 0.5), (2, 0.5)], global_power_acceptance(matched), "uniform"),
+            ([(1, 0.5), (2, 0.5)], global_power_acceptance(matched),
+             {1: (0.25, 0.75), 2: (0.2, 0.3, 0.5)}),
+        ]
+        for pairs, acceptance, output_round in cases:
+            spec = ProtocolSpec(
+                omega=RoundDistribution.from_pairs(pairs), k=1, traps=traps,
+                acceptance=acceptance, output_round=output_round,
+            )
+            strategy = PhaseAttack(float(rng.uniform(0, 2 * math.pi)))
+            rounds = round_outcome_table(spec, strategy)
+            table = {(n, ell): p for n, ell, p in rounds.entries}
+            expected = sum(
+                wn * sum(
+                    w * table[(n, ell)]
+                    for ell, w in enumerate(output_round_weights(output_round, n), start=1)
+                )
+                for n, wn in spec.omega.support
+            )
+            got = overall_acceptance(spec, strategy)
+            assert got == pytest.approx(expected, abs=1e-12)
+            # one engine: overall acceptance is exactly the weighted table
+            assert got == weighted_acceptance(spec.omega, spec.output_round, rounds)
+            assert all(0.0 <= p <= 1.0 for p in table.values())
+            assert sorted(table) == [
+                (n, ell) for n, _ in spec.omega.support for ell in range(1, n + 2)
+            ]
 
     def test_explicit_output_round_weights(self):
         traps = RandomTraps(seed=2)

@@ -6,8 +6,17 @@ import math
 import pytest
 
 from cutchoose.cli import main
+from cutchoose.combs import bell_test_setup
 from cutchoose.config import parse_config
+from cutchoose.families import RandomTraps, matched_acceptance
+from cutchoose.protocol import (
+    ProtocolSpec,
+    RoundDistribution,
+    round_outcome_table,
+    weighted_acceptance,
+)
 from cutchoose.report import csv_columns, emit, emit_bytes, run_scenario
+from cutchoose.strategies import HONEST, PhaseAttack, Placement
 
 
 def make_config(**overrides):
@@ -69,11 +78,35 @@ class TestRunScenario:
         assert all(r.report.trivial_attack for r in bundle.runs)
         assert bundle.all_satisfied  # trivial rows are not applicable
 
-    def test_parallel_matches_serial(self):
-        cfg = make_config(sweep={"n_values": [1, 3, 6, 9]})
-        serial = emit_bytes(run_scenario(cfg), "csv")
-        parallel = emit_bytes(run_scenario(cfg, parallel=True), "csv")
-        assert serial == parallel
+    def test_rows_are_the_engine_tables(self):
+        omega = [[1, 0.0], [2, 0.5], [3, 0.5]]  # includes a zero-weight n
+        per_round = make_config(protocol={
+            "omega": omega, "k": 1, "traps": {"family": "random", "seed": 4},
+            "acceptance": {"family": "matched"},
+        })
+        traps = RandomTraps(seed=4)
+        spec = ProtocolSpec(omega=RoundDistribution.from_pairs(omega), k=1,
+                            traps=traps, acceptance=matched_acceptance(traps))
+        bell = bell_test_setup(2)
+        general = make_config(variant={"kind": "general-tests", "setup": {"family": "bell"}})
+        cases = [
+            (per_round, spec, lambda strategy: round_outcome_table(spec, strategy)),
+            (general, bell, bell.outcome_table),
+        ]
+        for config, source, table in cases:
+            bundle = run_scenario(config)
+            rows = json.loads(emit_bytes(bundle, "json"))["runs"]
+            assert len(rows) == len(bundle.runs) == 2
+            for record, row in zip(bundle.runs, rows):
+                r = record.report
+                honest = table(HONEST)
+                attacked = table(PhaseAttack(r.alpha, Placement.POST))
+                assert r.p_h == weighted_acceptance(source.omega, source.output_round, honest)
+                assert r.p_d == weighted_acceptance(source.omega, source.output_round, attacked)
+                assert row["rounds"] == {
+                    "honest": [list(e) for e in honest.entries],
+                    "attacked": [list(e) for e in attacked.entries],
+                }
 
     def test_monte_carlo_columns(self):
         cfg = make_config(monte_carlo={"trials": 5000, "seed": 11})
@@ -216,10 +249,6 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
-
-    def test_sweep_parallel_flag(self, tmp_path):
-        path = write_config(tmp_path, sweep={"n_values": [1, 2]})
-        assert main(["sweep", "--config", str(path), "--parallel", "true"]) == 0
 
     def test_mc_requires_monte_carlo(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,0 +1,59 @@
+"""The benchmark's outside-in tracer (perfbench/spans.py) against the package.
+
+The tracer replaces the package functions it names with wrappers, so a
+rename or signature change here would break the benchmark's per-layer
+metrics. These tests install it around small scenarios and check that it
+installs, counts one outcome-table build per strategy per report row, and
+leaves report bytes unchanged.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import cutchoose
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def scenario(variant, n):
+    return cutchoose.parse_config(json.dumps({
+        "protocol": {"omega": {"point_mass": n}, "k": 1,
+                     "traps": {"family": "plus"}, "acceptance": {"family": "plus"}},
+        "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
+        "models": ["stand-alone", "composable"],
+        "variant": variant,
+    }))
+
+
+def report_bytes(config):
+    # through the package namespace, which the tracer rebinds
+    bundle = cutchoose.run_scenario(config)
+    return cutchoose.emit_bytes(bundle, "csv") + cutchoose.emit_bytes(bundle, "json")
+
+
+def test_traced_reports_match_untraced():
+    per_round = scenario({"kind": "per-round"}, 2)
+    bell = scenario({"kind": "general-tests", "setup": {"family": "bell"}}, 1)
+    untraced = [report_bytes(per_round), report_bytes(bell)]
+    original = cutchoose.run_scenario
+
+    tracer = load_tracer_class()()
+    with tracer:
+        assert cutchoose.run_scenario is not original
+        traced_per_round = report_bytes(per_round)
+        # 2 rows x {honest, attacked} x one trap per round (n + 1 = 3)
+        assert tracer.counts["families.trap_calls"] == 2 * 2 * 3
+        assert tracer.span_count("protocol.round_outcome_table") == 2 * 2
+        traced_bell = report_bytes(bell)
+        # 2 rows x {honest, attacked} x one plugged network per output round (2)
+        assert tracer.span_count("combs.plug") == 2 * 2 * 2
+    assert cutchoose.run_scenario is original
+    assert [traced_per_round, traced_bell] == untraced
