@@ -8,9 +8,10 @@ abort-extended space:
 * security error: residual distance of a dishonest output from the best
   mixture of ideal output and rejection.
 
-For the security error both a closed form (block structure plus the
-``max_p (sqrt(p) a + sqrt(1-p) b)^2 = a^2 + b^2`` identity) and an
-independent grid search over the mixing weight are provided; tests require
+Both security errors are computed in closed form from the block structure
+(plus the ``max_p (sqrt(p) a + sqrt(1-p) b)^2 = a^2 + b^2`` identity for
+fidelity and the triangle inequality for trace distance). An independent
+grid search over the mixing weight is kept as the reference; tests require
 agreement to 1e-6. Trade-off checks run the honest and attacked protocol,
 evaluate every intermediate inequality of the bound derivation, and report
 pass/fail per step. The composable conditions are checked against a minimal
@@ -126,25 +127,25 @@ def epsilon_d_standalone_grid(
 
 
 def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> float:
-    """Security error min_p (1/2)||rho_d - (p*target ⊕ (1-p)*reject)||_1.
+    """Security error min_p (1/2)||rho_d - (p*target ⊕ (1-p)*reject)||_1, closed form.
 
-    For pure payload and target the minimum sits at p = accept weight and
-    equals that weight times the payload/target trace distance; otherwise
-    the grid search is used.
+    With accept weight w and payload rho the blocks split the trace norm into
+    ``||w*rho - p*target||_1 + |p - w|``, which the triangle inequality bounds
+    below by ``w*||rho - target||_1`` with equality at p = w. So the minimum
+    is w times the payload/target trace distance, for mixed states too.
     """
     _check_dims(rho_d, target)
     p_acc = rho_d.accept_weight
     payload = rho_d.payload()
     if payload is None:
         return 0.0
-    if payload.is_pure() and target.is_pure():
-        return p_acc * 0.5 * trace_norm(payload.matrix - target.matrix)
-    return epsilon_d_composable_grid(rho_d, target)
+    return p_acc * 0.5 * trace_norm(payload.matrix - target.matrix)
 
 
 def epsilon_d_composable_grid(
     rho_d: AbortExtendedState, target: DensityOperator, step: float = GRID_STEP
 ) -> float:
+    """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
     rho = rho_d.matrix
     m1 = rho - _sigma_p(target, 1.0)
@@ -334,10 +335,6 @@ class IdealVDQC:
         if c not in (0, 1):
             raise ContractViolationError(f"control bit must be 0 or 1, got {c}")
         return mix_with_abort(self.ideal_output(), 1.0 if c == 0 else 0.0)
-
-    def output_mixture(self, p: float) -> AbortExtendedState:
-        """Best the ideal-side attacker can do: input c = 0 with probability p."""
-        return mix_with_abort(self.ideal_output(), p)
 
 
 def ideal_vs_real_distinguishability(

@@ -10,9 +10,8 @@ yields a channel on the register stack; the client may additionally keep an
 auxiliary space that the network never touches.
 
 Channels are stored as Kraus-operator lists, which keeps memory proportional
-to rank; the Choi matrix is available on demand. Everything is capped at a
-total dimension of 256: the bounds being certified are dimension-independent,
-so small witnesses suffice.
+to rank. Everything is capped at a total dimension of 256: the bounds being
+certified are dimension-independent, so small witnesses suffice.
 """
 
 from __future__ import annotations
@@ -111,14 +110,6 @@ class Channel:
         eye = np.eye(dim_right, dtype=np.complex128)
         return Channel(tuple(np.kron(k, eye) for k in self.kraus), check=False)
 
-    def choi(self) -> np.ndarray:
-        """Choi matrix sum_k vec(K_k) vec(K_k)† (column-stacking convention)."""
-        out = np.zeros((self.dim**2, self.dim**2), dtype=np.complex128)
-        for k in self.kraus:
-            v = k.reshape(-1, order="F")
-            out += np.outer(v, v.conj())
-        return out
-
 
 def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.ndarray:
     """Permutation of k-qubit registers: output slot j holds input register perm[j]."""
@@ -207,10 +198,6 @@ class Comb:
     @property
     def register_dim(self) -> int:
         return (2**self.k) ** self.width
-
-    @property
-    def memory_dim(self) -> int:
-        return (2**self.k) ** (self.width - 1)
 
     @property
     def hole_dim(self) -> int:
@@ -312,10 +299,16 @@ class GeneralSetup:
     output_round: OutputRound = "uniform"
 
     def outcome_table(self, strategy: ServerStrategy) -> RoundOutcomeTable:
-        return outcome_table(self.omega, lambda n: [
-            general_test_acceptance(self.tests[n], self.combs[(n, ell)], strategy)
-            for ell in range(1, n + 2)
-        ])
+        def per_ell(n):
+            # combs compare by identity, so a comb shared across ell is evaluated once
+            combs = [self.combs[(n, ell)] for ell in range(1, n + 2)]
+            values = {
+                comb: general_test_acceptance(self.tests[n], comb, strategy)
+                for comb in dict.fromkeys(combs)
+            }
+            return [values[comb] for comb in combs]
+
+        return outcome_table(self.omega, per_ell)
 
     def overall(self, strategy: ServerStrategy) -> float:
         return weighted_acceptance(self.omega, self.output_round, self.outcome_table(strategy))

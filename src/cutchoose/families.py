@@ -8,6 +8,7 @@ per-round randomness from ``(seed, k, n, i)`` only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,9 @@ class RandomTraps(TrapGenerator):
     """Seeded Haar-random unitary and input per round."""
 
     seed: int = 0
-    round_dependent: bool = True
 
     def trap(self, k, n, i):
-        key = [self.seed, k, n, i] if self.round_dependent else [self.seed, k, n]
-        rng = np.random.default_rng(key)
+        rng = np.random.default_rng([self.seed, k, n, i])
         return random_unitary(2**k, rng), random_pure_state(2**k, rng)
 
 
@@ -56,15 +55,19 @@ def _projector_effect(state: PureState) -> PovmElement:
     return PovmElement(state.projector())
 
 
+def _constant_acceptance(state_of_k) -> PerRoundAcceptance:
+    """The projector onto ``state_of_k(k)`` in every round, built once per k."""
+    effect = functools.cache(lambda k: _projector_effect(state_of_k(k)))
+    return PerRoundAcceptance(lambda k, n, i: effect(k))
+
+
 def plus_acceptance() -> PerRoundAcceptance:
     """Accept a round iff its output projects onto the uniform superposition."""
-    return PerRoundAcceptance(lambda k, n, i: _projector_effect(plus_state(k)))
+    return _constant_acceptance(plus_state)
 
 
 def computational_acceptance() -> PerRoundAcceptance:
-    return PerRoundAcceptance(
-        lambda k, n, i: _projector_effect(computational_basis_state(k))
-    )
+    return _constant_acceptance(computational_basis_state)
 
 
 def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
@@ -121,7 +124,7 @@ def build_acceptance(name: str, mode: str, traps: TrapGenerator):
     if mode == "per-round":
         return rule
     if mode == "global":
-        if name == "matched" and getattr(traps, "round_dependent", False):
+        if name == "matched" and isinstance(traps, RandomTraps):
             raise ConfigError(
                 ["global acceptance requires a round-independent element; "
                  "'matched' with round-dependent traps is not"]

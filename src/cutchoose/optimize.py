@@ -36,26 +36,22 @@ def golden_section(f, a: float, b: float, tol: float = 1e-12, minimize: bool = T
 
 def scan_unit_interval(
     f,
+    vector_f,
     step: float = 1e-4,
     minimize: bool = True,
-    refine: bool = True,
     tol: float = 1e-12,
-    vector_f=None,
 ):
-    """Grid scan of [0, 1] (endpoints included) with optional local refinement.
+    """Grid scan of [0, 1] (endpoints included) refined by golden-section search.
 
-    ``vector_f``, when given, evaluates the objective on a whole grid at once
-    and must agree with ``f`` pointwise. Returns ``(x, f(x))``.
+    ``vector_f`` evaluates the objective on the whole grid at once and must
+    agree with ``f`` pointwise; ``f`` drives the refinement. Returns
+    ``(x, f(x))``.
     """
     count = int(round(1.0 / step)) + 1
     xs = np.linspace(0.0, 1.0, count)
-    vals = np.asarray(vector_f(xs), dtype=float) if vector_f is not None else np.array(
-        [f(x) for x in xs], dtype=float
-    )
+    vals = np.asarray(vector_f(xs), dtype=float)
     i = int(np.argmin(vals) if minimize else np.argmax(vals))
     x_best, v_best = float(xs[i]), float(vals[i])
-    if not refine:
-        return x_best, v_best
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, count - 1)])
     x_ref, v_ref = golden_section(f, lo, hi, tol=tol, minimize=minimize)

@@ -36,12 +36,13 @@ from .linalg import (
     PureState,
     as_square_matrix,
     dagger,
-    is_unitary,
 )
 from .states import AbortExtendedState, PovmElement, mix_with_abort
 from .strategies import ServerStrategy, require_supported, transform_round
 
 _PROB_SNAP = 1e-12
+# uniforms per block of the Monte-Carlo sampler's per-round draws
+_MC_BLOCK_UNIFORMS = 2**20
 
 
 def _snap_probability(p: float, what: str) -> float:
@@ -171,6 +172,21 @@ class RoundOutcomeTable:
                 raise ContractViolationError(f"p(n={n}, ell={ell}) = {p!r} outside [0, 1]")
 
 
+def _trap_outputs(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
+    """Transformed trap outputs ``transform_round(strategy, T_i, k) @ chi_i``
+    for i = 1..n+1, one row per round."""
+    k = spec.k
+    outs = np.empty((n + 1, 2**k), dtype=np.complex128)
+    for i in range(1, n + 2):
+        t, chi = spec.traps.trap(k, n, i)
+        if chi.dim != 2**k:
+            raise ContractViolationError(
+                f"trap state for round {i} has dim {chi.dim}, expected {2**k}"
+            )
+        outs[i - 1] = transform_round(strategy, t, k) @ chi.amplitudes
+    return outs
+
+
 def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Per-round acceptance factors <e_i, (transformed T_i)(chi_i)> for i = 1..n+1.
 
@@ -181,17 +197,7 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
     assert isinstance(rule, PerRoundAcceptance)
     k = spec.k
     vals = np.empty(n + 1)
-    for i in range(1, n + 2):
-        t, chi = spec.traps.trap(k, n, i)
-        t = as_square_matrix(t)
-        if not is_unitary(t):
-            raise ContractViolationError(f"trap unitary for round {i} is not unitary")
-        if chi.dim != 2**k:
-            raise ContractViolationError(
-                f"trap state for round {i} has dim {chi.dim}, expected {2**k}"
-            )
-        u = transform_round(strategy, t, k)
-        out = u @ chi.amplitudes
+    for i, out in enumerate(_trap_outputs(spec, strategy, n), start=1):
         e = rule.element(k, n, i)
         if e.dim != 2**k:
             raise ContractViolationError(
@@ -222,7 +228,28 @@ def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
 def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Acceptance probability for each output round ell = 1..n+1, for n >= 1."""
     if isinstance(spec.acceptance, GlobalAcceptance):
-        return np.array([_global_acceptance(spec, strategy, n, ell) for ell in range(1, n + 2)])
+        k = spec.k
+        dim = 2 ** (k * n)
+        if dim > DIM_CAP:
+            raise DimensionCapError(
+                f"joint measurement needs dim 2**{k * n}, beyond the cap {DIM_CAP}"
+            )
+        mu = spec.acceptance.element(k, n)
+        if mu.dim != dim:
+            raise ContractViolationError(
+                f"joint acceptance element has dim {mu.dim}, expected {dim}"
+            )
+        outs = _trap_outputs(spec, strategy, n)
+        vals = np.empty(n + 1)
+        for ell in range(1, n + 2):
+            joint = np.ones(1, dtype=np.complex128)
+            for i, out in enumerate(outs, start=1):
+                if i != ell:
+                    joint = np.kron(joint, out)
+            vals[ell - 1] = _snap_probability(
+                float(np.vdot(joint, mu.matrix @ joint).real), f"p(n={n}, ell={ell})"
+            )
+        return vals
     factors = _round_factors(spec, strategy, n)
     m = factors.size
     pre = np.ones(m + 1)
@@ -279,33 +306,7 @@ def acceptance_probability(
         raise OutOfDomainError(f"output round {ell} outside {{1, ..., {n + 1}}}")
     if n == 0:
         return 1.0  # no tests: the empty product accepts
-    if isinstance(spec.acceptance, GlobalAcceptance):
-        return _global_acceptance(spec, strategy, n, ell)
     return _snap_probability(float(_per_ell(spec, strategy, n)[ell - 1]), f"p(n={n}, ell={ell})")
-
-
-def _global_acceptance(spec, strategy, n: int, ell: int) -> float:
-    k = spec.k
-    dim = 2 ** (k * n)
-    if dim > DIM_CAP:
-        raise DimensionCapError(
-            f"joint measurement needs dim 2**{k * n}, beyond the cap {DIM_CAP}"
-        )
-    mu = spec.acceptance.element(k, n)
-    if mu.dim != dim:
-        raise ContractViolationError(
-            f"joint acceptance element has dim {mu.dim}, expected {dim}"
-        )
-    joint = np.ones(1, dtype=np.complex128)
-    for i in range(1, n + 2):
-        if i == ell:
-            continue
-        t, chi = spec.traps.trap(k, n, i)
-        u = transform_round(strategy, as_square_matrix(t), k)
-        joint = np.kron(joint, u @ chi.amplitudes)
-    return _snap_probability(
-        float(np.vdot(joint, mu.matrix @ joint).real), f"p(n={n}, ell={ell})"
-    )
 
 
 def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:
@@ -380,10 +381,13 @@ def monte_carlo_run(
             continue
         if isinstance(spec.acceptance, PerRoundAcceptance):
             factors = _round_factors(spec, strategy, n)
-            uniforms = rng.random((m, n + 1))
-            ok = uniforms < factors[None, :]
-            ok[np.arange(m), ells] = True  # the output round is not a test
-            accepted += int(np.count_nonzero(ok.all(axis=1)))
+            # consecutive row blocks consume the stream exactly as one draw would
+            rows = max(1, _MC_BLOCK_UNIFORMS // (n + 1))
+            for start in range(0, m, rows):
+                block = ells[start:start + rows]
+                ok = rng.random((block.size, n + 1)) < factors[None, :]
+                ok[np.arange(block.size), block] = True  # the output round is not a test
+                accepted += int(np.count_nonzero(ok.all(axis=1)))
         else:
             per_ell = _per_ell(spec, strategy, n)
             accepted += int(np.count_nonzero(rng.random(m) < per_ell[ells]))

@@ -126,7 +126,7 @@ class TestEpsilonDComposable:
                 0.0, abs=1e-12
             )
 
-    def test_mixed_payload_falls_back_to_grid(self):
+    def test_mixed_payload_closed_form(self):
         rng = np.random.default_rng(19)
         payload = random_density(2, rng, rank=2)
         assert not payload.is_pure()
@@ -141,9 +141,15 @@ class TestEpsilonDComposable:
 
     def test_grid_agreement_pure(self):
         rng = np.random.default_rng(23)
-        for _ in range(8):
-            payload = random_pure_state(2, rng).density()
-            target = random_pure_state(2, rng).density()
+        cases = [
+            (random_pure_state(2, rng).density(), random_pure_state(2, rng).density())
+            for _ in range(8)
+        ]
+        # the closed form holds for mixed payloads and targets as well
+        cases += [
+            (random_density(d, rng), random_density(d, rng)) for d in (2, 4) for _ in range(10)
+        ]
+        for payload, target in cases:
             rho = mix_with_abort(payload, float(rng.uniform(0, 1)))
             assert abs(
                 epsilon_d_composable(rho, target) - epsilon_d_composable_grid(rho, target)

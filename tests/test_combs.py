@@ -68,10 +68,6 @@ class TestChannel:
             a.compose(b).apply(rho), a.apply(b.apply(rho)), atol=1e-12
         )
 
-    def test_choi_trace(self):
-        chan = depolarizing_channel(0.4)
-        assert np.trace(chan.choi()).real == pytest.approx(2.0, abs=1e-12)
-
 
 class TestPlug:
     def test_single_hole_identity_comb(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cutchoose import protocol
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import (
     ComputationalTraps,
@@ -15,6 +16,7 @@ from cutchoose.families import (
 )
 from cutchoose.linalg import dagger
 from cutchoose.protocol import (
+    GlobalAcceptance,
     ProtocolSpec,
     RoundDistribution,
     acceptance_probability,
@@ -401,6 +403,15 @@ class TestMonteCarlo:
         res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), psi, np.eye(2), 50_000, seed=4)
         assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 50_000)
 
+    def test_blocked_draws_match_one_draw(self, monkeypatch):
+        spec = plus_spec(RoundDistribution.from_pairs([(0, 0.1), (3, 0.4), (7, 0.5)]))
+        psi = plus_state(1).density()
+        args = (spec, PhaseAttack(1.2), psi, np.eye(2), 5_000)
+        whole = monte_carlo_run(*args, seed=6)
+        # blocks of one or two rows: the sample spans thousands of blocks
+        monkeypatch.setattr(protocol, "_MC_BLOCK_UNIFORMS", 8)
+        assert repr(monte_carlo_run(*args, seed=6)) == repr(whole)
+
     def test_rejects_zero_trials(self):
         spec = plus_spec(RoundDistribution.point_mass(1))
         with pytest.raises(OutOfDomainError):
@@ -426,6 +437,30 @@ class TestPerRoundVsGlobal:
                     ) == pytest.approx(
                         acceptance_probability(spec_gl, strategy, n, ell), abs=1e-10
                     )
+
+
+class TestOneWalkPerN:
+    def test_global_element_fetched_once_per_n(self):
+        joint = global_power_acceptance(plus_acceptance())
+        calls = []
+
+        def element(k, n):
+            calls.append(n)
+            return joint.element(k, n)
+
+        spec = ProtocolSpec(
+            omega=RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (3, 0.5)]), k=1,
+            traps=PlusTraps(), acceptance=GlobalAcceptance(element),
+        )
+        for strategy in (HONEST, PhaseAttack(1.3)):
+            calls.clear()
+            round_outcome_table(spec, strategy)
+            assert calls == [2, 3]
+
+    def test_constant_effects_built_once(self):
+        for rule in (plus_acceptance(), computational_acceptance()):
+            first = rule.element(2, 3, 1)
+            assert all(rule.element(2, n, i) is first for n in (3, 5) for i in range(1, n + 2))
 
 
 class TestJensen:

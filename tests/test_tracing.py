@@ -53,7 +53,8 @@ def test_traced_reports_match_untraced():
         assert tracer.counts["families.trap_calls"] == 2 * 2 * 3
         assert tracer.span_count("protocol.round_outcome_table") == 2 * 2
         traced_bell = report_bytes(bell)
-        # 2 rows x {honest, attacked} x one plugged network per output round (2)
-        assert tracer.span_count("combs.plug") == 2 * 2 * 2
+        # 2 rows x {honest, attacked} x one plugged network: the bell comb is
+        # shared by both output rounds and evaluated once
+        assert tracer.span_count("combs.plug") == 2 * 2 * 1
     assert cutchoose.run_scenario is original
     assert [traced_per_round, traced_bell] == untraced
