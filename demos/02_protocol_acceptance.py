@@ -7,8 +7,6 @@ sampler replays the protocol round by round as a cross-check.
 
 import math
 
-import numpy as np
-
 from cutchoose import (
     HONEST,
     ComputationalTraps,
@@ -20,7 +18,6 @@ from cutchoose import (
     monte_carlo_run,
     overall_acceptance,
     plus_acceptance,
-    plus_state,
     round_outcome_table,
 )
 
@@ -30,8 +27,6 @@ spec = ProtocolSpec(
     traps=PlusTraps(),
     acceptance=plus_acceptance(),
 )
-psi = plus_state(1).density()
-eye = np.eye(2)
 
 print("round distribution:", spec.omega.support, " expected tests N =", spec.omega.mean)
 print(f"honest acceptance: {overall_acceptance(spec, HONEST):.6f}")
@@ -41,7 +36,7 @@ print(f"{'alpha':>8} {'exact':>10} {'sampled':>10} {'cos^2N(a/2)':>12}")
 for alpha in (0.4, 0.8, 1.2, 1.6, 2.4):
     attack = PhaseAttack(alpha)
     exact = overall_acceptance(spec, attack)
-    sampled = monte_carlo_run(spec, attack, psi, eye, trials=100_000, seed=7)
+    sampled = monte_carlo_run(spec, attack, trials=100_000, seed=7)
     print(f"{alpha:8.2f} {exact:10.6f} {sampled.accept_rate:10.6f}"
           f" {math.cos(alpha / 2) ** (2 * spec.omega.mean):12.6f}")
 

@@ -52,7 +52,7 @@ from .protocol import (
     overall_acceptance,
 )
 from .sampling import random_psd, random_pure_state
-from .states import numerical_range_min_overlap, phase_gate, plus_state
+from .states import numerical_range_min_overlap, phase_gate
 from .strategies import HONEST, PhaseAttack, Placement
 
 
@@ -329,11 +329,9 @@ def criterion_monte_carlo() -> CriterionResult:
     failures = []
     trials = 100_000
     for idx, (spec, strategy) in enumerate(_mc_configs()):
-        psi = plus_state(spec.k).density()
-        eye = np.eye(2**spec.k, dtype=np.complex128)
         exact = overall_acceptance(spec, strategy)
-        first = monte_carlo_run(spec, strategy, psi, eye, trials, seed=1000 + idx)
-        again = monte_carlo_run(spec, strategy, psi, eye, trials, seed=1000 + idx)
+        first = monte_carlo_run(spec, strategy, trials, seed=1000 + idx)
+        again = monte_carlo_run(spec, strategy, trials, seed=1000 + idx)
         if repr(first) != repr(again):
             failures.append(f"config {idx}: two runs with one seed differ")
         tolerance = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)

@@ -9,9 +9,10 @@ Kraus sets cover the shipped families). Plugging n channels into the holes
 yields a channel on the register stack; the client may additionally keep an
 auxiliary space that the network never touches.
 
-Channels are stored as Kraus-operator lists, which keeps memory proportional
-to rank. Everything is capped at a total dimension of 256: the bounds being
-certified are dimension-independent, so small witnesses suffice.
+Channels are stored as Kraus-operator lists. A test state is pushed through
+the network step by step, so cost grows linearly in the hole count; :func:`plug`
+composes the whole network and is the reference. Everything is capped at a
+total dimension of 256: the bounds being certified are dimension-independent.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     DimensionCapError,
     LayoutError,
 )
-from .linalg import DensityOperator, as_square_matrix, dagger, is_unitary
+from .linalg import COMB_DIM_CAP, DensityOperator, as_square_matrix, dagger, is_unitary
 from .protocol import (
     GlobalAcceptance,
     OutputRound,
@@ -54,9 +55,6 @@ from .strategies import (
     transform_round,
 )
 
-COMB_DIM_CAP = 256
-_PRUNE_TOL = 1e-14
-
 
 class Channel:
     """Completely positive trace-preserving map given by Kraus operators."""
@@ -71,8 +69,7 @@ class Channel:
         for op in ops:
             if op.ndim != 2 or op.shape != (d, d):
                 raise ContractViolationError("Kraus operators must be square and same-shaped")
-        kept = tuple(op for op in ops if np.linalg.norm(op) > _PRUNE_TOL) or ops[:1]
-        self.kraus = kept
+        self.kraus = ops
         self.dim = d
         if check and not self.is_trace_preserving():
             raise ContractViolationError("Kraus operators do not sum to the identity within 1e-9")
@@ -83,10 +80,6 @@ class Channel:
         if not is_unitary(m):
             raise ContractViolationError("matrix is not unitary within 1e-10")
         return cls((m,), check=False)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Channel":
-        return cls((np.eye(dim, dtype=np.complex128),), check=False)
 
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
         acc = sum(dagger(k) @ k for k in self.kraus)
@@ -106,10 +99,6 @@ class Channel:
             tuple(a @ b for a in self.kraus for b in inner.kraus), check=False
         )
 
-    def tensor_identity(self, dim_right: int) -> "Channel":
-        eye = np.eye(dim_right, dtype=np.complex128)
-        return Channel(tuple(np.kron(k, eye) for k in self.kraus), check=False)
-
 
 def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.ndarray:
     """Permutation of k-qubit registers: output slot j holds input register perm[j]."""
@@ -127,10 +116,12 @@ def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.
     return mat
 
 
-def _embed_single_qubit(kraus_ops, qubit: int, total_qubits: int):
-    left = np.eye(2**qubit, dtype=np.complex128)
-    right = np.eye(2 ** (total_qubits - qubit - 1), dtype=np.complex128)
-    return tuple(np.kron(np.kron(left, k), right) for k in kraus_ops)
+def _embed(op: np.ndarray, slot: int, slots: int) -> np.ndarray:
+    """``op`` on subsystem ``slot`` of ``slots`` equal-sized ones, identity elsewhere."""
+    d = op.shape[0]
+    left = np.eye(d**slot, dtype=np.complex128)
+    right = np.eye(d ** (slots - slot - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, op), right)
 
 
 def dephasing_channel(strength: float, qubit: int = 0, total_qubits: int = 1) -> Channel:
@@ -138,7 +129,7 @@ def dephasing_channel(strength: float, qubit: int = 0, total_qubits: int = 1) ->
         raise ContractViolationError(f"dephasing strength {strength!r} outside [0, 1]")
     z = np.diag([1.0, -1.0]).astype(np.complex128)
     ops = (math.sqrt(1.0 - strength) * np.eye(2), math.sqrt(strength) * z)
-    return Channel(_embed_single_qubit(ops, qubit, total_qubits))
+    return Channel([_embed(op, qubit, total_qubits) for op in ops])
 
 
 def depolarizing_channel(strength: float, qubit: int = 0, total_qubits: int = 1) -> Channel:
@@ -153,7 +144,7 @@ def depolarizing_channel(strength: float, qubit: int = 0, total_qubits: int = 1)
         math.sqrt(strength / 4.0) * y,
         math.sqrt(strength / 4.0) * z,
     )
-    return Channel(_embed_single_qubit(ops, qubit, total_qubits))
+    return Channel([_embed(op, qubit, total_qubits) for op in ops])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,36 +207,56 @@ def trivial_parallel_comb(n_holes: int, k: int = 1, y_dim: int = 1) -> Comb:
     )
 
 
-def _embed_hole(channel: Channel, register: int, width: int, k: int) -> Channel:
-    d = 2**k
-    left = np.eye(d**register, dtype=np.complex128)
-    right = np.eye(d ** (width - register - 1), dtype=np.complex128)
-    return Channel(
-        tuple(np.kron(np.kron(left, op), right) for op in channel.kraus), check=False
-    )
+def _walk(comb: Comb, hole_kraus):
+    """Kraus sets of the plugged network on the register stack, in time order:
+    tooth 0, hole 1, tooth 1, ..., hole n, tooth n (plain-wire teeth skipped).
+
+    ``hole_kraus[i]`` is the Kraus set plugged into hole ``i + 1``.
+    """
+    if len(hole_kraus) != comb.n_holes:
+        raise LayoutError(f"{len(hole_kraus)} channels plugged into {comb.n_holes} holes")
+    for i, ops in enumerate(hole_kraus):
+        if ops[0].shape != (comb.hole_dim, comb.hole_dim):
+            raise LayoutError(
+                f"channel {i + 1} has dim {ops[0].shape[0]}, hole expects {comb.hole_dim}"
+            )
+    if comb.teeth[0] is not None:
+        yield comb.teeth[0].kraus
+    for i, ops in enumerate(hole_kraus):
+        yield tuple(_embed(op, comb.hole_registers[i], comb.width) for op in ops)
+        if comb.teeth[i + 1] is not None:
+            yield comb.teeth[i + 1].kraus
 
 
 def plug(comb: Comb, round_channels) -> Channel:
-    """Compose teeth and plugged channels into one channel on the register stack."""
-    channels = []
-    for c in round_channels:
-        channels.append(c if isinstance(c, Channel) else Channel.from_unitary(c))
-    if len(channels) != comb.n_holes:
-        raise LayoutError(f"{len(channels)} channels plugged into {comb.n_holes} holes")
-    for i, c in enumerate(channels):
-        if c.dim != comb.hole_dim:
-            raise LayoutError(
-                f"channel {i + 1} has dim {c.dim}, hole expects {comb.hole_dim}"
-            )
-    result = comb.teeth[0] or Channel.identity(comb.register_dim)
-    for i, c in enumerate(channels):
-        result = _embed_hole(c, comb.hole_registers[i], comb.width, comb.k).compose(result)
-        tooth = comb.teeth[i + 1]
-        if tooth is not None:
-            result = tooth.compose(result)
+    """Compose teeth and plugged channels into one channel on the register stack.
+
+    Kraus counts multiply with every step: the reference for :func:`_evolve`."""
+    channels = [c if isinstance(c, Channel) else Channel.from_unitary(c) for c in round_channels]
+    result = Channel((np.eye(comb.register_dim, dtype=np.complex128),), check=False)
+    for kraus in _walk(comb, [c.kraus for c in channels]):
+        result = Channel(kraus, check=False).compose(result)
     if not result.is_trace_preserving():
         raise ContractViolationError("plugged network is not trace preserving within 1e-9")
     return result
+
+
+def _evolve(comb: Comb, hole_unitaries, rho: np.ndarray) -> np.ndarray:
+    """Push a state on (register stack x auxiliary space) through the network
+    with ``hole_unitaries`` plugged in, one :func:`_walk` step at a time. Each
+    Kraus operator multiplies the state reshaped to (register dim, rest), from
+    the left and, through the adjoint, from the right."""
+    d, full = comb.register_dim, comb.register_dim * comb.y_dim
+
+    def left(op, m):
+        return (op @ m.reshape(d, -1)).reshape(full, full)
+
+    for kraus in _walk(comb, [(u,) for u in hole_unitaries]):
+        rho = sum(dagger(left(op, dagger(left(op, rho)))) for op in kraus)
+    trace = float(np.trace(rho).real)
+    if abs(trace - 1.0) > 1e-9:
+        raise ContractViolationError(f"network output has trace {trace!r}, not 1 within 1e-9")
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,10 +272,6 @@ class GeneralTest:
 def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrategy) -> float:
     """Acceptance probability of the general test under a server strategy."""
     require_supported(strategy)
-    if len(test.unitaries) != comb.n_holes:
-        raise LayoutError(
-            f"test supplies {len(test.unitaries)} unitaries for {comb.n_holes} holes"
-        )
     full_dim = comb.register_dim * comb.y_dim
     if test.chi.dim != full_dim:
         raise LayoutError(f"test state has dim {test.chi.dim}, network expects {full_dim}")
@@ -272,13 +279,8 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
         raise LayoutError(
             f"measurement has dim {test.measurement.dim}, network expects {full_dim}"
         )
-    played = [
-        Channel.from_unitary(transform_round(strategy, u, comb.k)) for u in test.unitaries
-    ]
-    network = plug(comb, played)
-    if comb.y_dim > 1:
-        network = network.tensor_identity(comb.y_dim)
-    out = network.apply(test.chi.matrix)
+    played = [transform_round(strategy, u, comb.k) for u in test.unitaries]
+    out = _evolve(comb, played, test.chi.matrix)
     p = float(np.trace(test.measurement.matrix @ out).real)
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ContractViolationError(f"acceptance probability {p!r} outside [0, 1]")
@@ -362,20 +364,18 @@ def custom_test_setup(custom: CustomComb, n: int) -> GeneralSetup:
     width, y_dim = custom.width, 2**custom.y_qubits
 
     def build_tooth(descr):
-        if descr is None:
-            return None
-        d = dict(descr)
-        chan = None
+        d = dict(descr or ())
+        perm = None
         if "permute" in d:
-            perm0 = tuple(p - 1 for p in d["permute"])
-            chan = Channel.from_unitary(register_permutation_unitary(perm0, width, k))
-        if "channel" in d:
-            maker = dephasing_channel if d["channel"] == "dephasing" else depolarizing_channel
-            noise = maker(float(d.get("strength", 0.5)),
-                          qubit=int(d.get("register", 1)) - 1,
-                          total_qubits=width * k)
-            chan = noise if chan is None else noise.compose(chan)
-        return chan
+            perm = register_permutation_unitary(tuple(p - 1 for p in d["permute"]), width, k)
+        if "channel" not in d:
+            return None if perm is None else Channel((perm,), check=False)
+        maker = dephasing_channel if d["channel"] == "dephasing" else depolarizing_channel
+        noise = maker(float(d.get("strength", 0.5)),
+                      qubit=int(d.get("register", 1)) - 1,
+                      total_qubits=width * k)
+        # the noise acts after the wire permutation
+        return noise if perm is None else Channel([op @ perm for op in noise.kraus], check=False)
 
     comb = Comb(
         n_holes=n,
@@ -405,10 +405,7 @@ def custom_test_setup(custom: CustomComb, n: int) -> GeneralSetup:
     else:
         # accept on the honest output: the honest-evolved test state is a valid
         # effect (all eigenvalues <= 1), a projector when the network is unitary
-        honest = plug(comb, [Channel.from_unitary(u) for u in unitaries])
-        if y_dim > 1:
-            honest = honest.tensor_identity(y_dim)
-        mu = PovmElement(honest.apply(chi.matrix))
+        mu = PovmElement(_evolve(comb, unitaries, chi.matrix))
 
     test = GeneralTest(chi, unitaries, mu)
     return GeneralSetup(

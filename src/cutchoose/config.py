@@ -14,10 +14,20 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .linalg import COMB_DIM_CAP, DIM_CAP
 from .strategies import Placement, SecurityModel
 
 _MODEL_NAMES = {m.value: m for m in SecurityModel}
 _PLACEMENT_NAMES = {p.value: p for p in Placement}
+
+# dimension caps, checked before anything is allocated so that errors name a path
+_MAX_K = DIM_CAP.bit_length() - 1  # 2**k <= DIM_CAP
+_MAX_COMB_QUBITS = COMB_DIM_CAP.bit_length() - 1  # 2**qubits <= COMB_DIM_CAP
+
+
+def _is_int(x, lo: int, hi: float = math.inf) -> bool:
+    """True for a JSON integer (not a boolean) in ``lo..hi``."""
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
 
 
 class _Validator:
@@ -71,7 +81,7 @@ def _check_probability_pairs(raw, path: str, v: _Validator):
             v.fail(f"{path}[{idx}]", "expected a [n, probability] pair")
             return None
         n, p = item
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_int(n, 0):
             v.fail(f"{path}[{idx}]", f"round count must be a non-negative integer, got {n!r}")
             return None
         if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 0:
@@ -192,6 +202,15 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def sweep_rows(omega, sweep: SweepConfig | None) -> list[tuple[str, tuple]]:
+    """(JSON path, round distribution) of each sweep entry, in report order."""
+    if sweep is None:
+        return [("protocol.omega", omega)]
+    if sweep.n_values is not None:
+        return [(f"sweep.n_values[{i}]", ((n, 1.0),)) for i, n in enumerate(sweep.n_values)]
+    return [(f"sweep.omegas[{i}]", om) for i, om in enumerate(sweep.omegas)]
+
+
 def _variant_doc(variant: VariantConfig) -> dict:
     if variant.kind == "per-round":
         return {"kind": "per-round"}
@@ -223,7 +242,7 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
             omega = None
         else:
             n = omega_raw["point_mass"]
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            if not _is_int(n, 0):
                 v.fail(f"{path}.omega.point_mass", f"must be a non-negative integer, got {n!r}")
                 omega = None
             else:
@@ -232,8 +251,9 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
         omega = _check_probability_pairs(omega_raw, f"{path}.omega", v)
 
     k = raw.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        v.fail(f"{path}.k", f"must be a positive integer, got {k!r}")
+    if not _is_int(k, 1, _MAX_K):
+        v.fail(f"{path}.k", f"must be an integer in 1..{_MAX_K} (2**k within the cap {DIM_CAP}), "
+                            f"got {k!r}")
         k = None
 
     trap_family, trap_params = None, ()
@@ -246,8 +266,8 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
         if "seed" in traps_raw:
             if trap_family not in (None, "random"):
                 v.fail(f"{path}.traps.seed", "only the 'random' family takes a seed")
-            elif not isinstance(traps_raw["seed"], int):
-                v.fail(f"{path}.traps.seed", "must be an integer")
+            elif not _is_int(traps_raw["seed"], 0):
+                v.fail(f"{path}.traps.seed", "must be a non-negative integer")
             else:
                 trap_params = (("seed", traps_raw["seed"]),)
 
@@ -334,16 +354,18 @@ def _parse_variant(raw, v: _Validator) -> VariantConfig | None:
 
 def _parse_custom_comb(setup, path, v: _Validator) -> CustomComb | None:
     width = setup["width"]
-    if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-        v.fail(f"{path}.width", f"must be a positive integer, got {width!r}")
+    # 2**(width + y_qubits) is the network's total dimension
+    if not _is_int(width, 1, _MAX_COMB_QUBITS):
+        v.fail(f"{path}.width", f"must be an integer in 1..{_MAX_COMB_QUBITS}, got {width!r}")
         return None
     y_qubits = setup.get("y_qubits", 0)
-    if not isinstance(y_qubits, int) or isinstance(y_qubits, bool) or y_qubits < 0:
-        v.fail(f"{path}.y_qubits", f"must be a non-negative integer, got {y_qubits!r}")
+    if not _is_int(y_qubits, 0, _MAX_COMB_QUBITS - width):
+        v.fail(f"{path}.y_qubits", f"must be an integer in 0..{_MAX_COMB_QUBITS - width} "
+                                   f"(at most {_MAX_COMB_QUBITS} with width), got {y_qubits!r}")
         return None
     holes_raw = setup.get("hole_registers")
     if not isinstance(holes_raw, list) or not holes_raw or not all(
-        isinstance(h, int) and not isinstance(h, bool) and 1 <= h <= width for h in holes_raw
+        _is_int(h, 1, width) for h in holes_raw
     ):
         v.fail(f"{path}.hole_registers",
                f"expected a non-empty list of register indices in 1..{width}")
@@ -373,7 +395,7 @@ def _parse_custom_comb(setup, path, v: _Validator) -> CustomComb | None:
                        f"unknown channel {tooth['channel']!r} (palette: dephasing, depolarizing)")
                 return None
             reg = tooth.get("register", 1)
-            if not isinstance(reg, int) or isinstance(reg, bool) or not 1 <= reg <= width:
+            if not _is_int(reg, 1, width):
                 v.fail(f"{path}.teeth[{j}].register", f"must be in 1..{width}")
                 return None
             strength = tooth.get("strength", 0.5)
@@ -399,8 +421,8 @@ def _parse_custom_comb(setup, path, v: _Validator) -> CustomComb | None:
         v.fail(f"{path}.unitaries", f"must be 'identity' or 'random', got {unitaries!r}")
         return None
     unitary_seed = setup.get("unitary_seed", 0)
-    if not isinstance(unitary_seed, int) or isinstance(unitary_seed, bool):
-        v.fail(f"{path}.unitary_seed", "must be an integer")
+    if not _is_int(unitary_seed, 0):
+        v.fail(f"{path}.unitary_seed", "must be a non-negative integer")
         return None
     return CustomComb(width, y_qubits, tuple(holes_raw), tuple(teeth),
                       state, measurement, unitaries, unitary_seed)
@@ -418,8 +440,7 @@ def _parse_sweep(raw, v: _Validator) -> SweepConfig | None:
     if has_n:
         values = raw["n_values"]
         if (not isinstance(values, list) or not values
-                or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
-                           for x in values)):
+                or not all(_is_int(x, 1) for x in values)):
             v.fail(f"{path}.n_values", "expected a non-empty list of integers >= 1")
             return None
         return SweepConfig(tuple(values), None)
@@ -441,10 +462,10 @@ def _parse_monte_carlo(raw, v: _Validator) -> MonteCarloConfig | None:
     if not v.require_dict(raw, path, {"trials": 0, "seed": 0}, {}):
         return None
     trials, seed = raw["trials"], raw["seed"]
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not _is_int(trials, 1):
         v.fail(f"{path}.trials", f"must be a positive integer, got {trials!r}")
         return None
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed, 0):
         v.fail(f"{path}.seed", f"must be a non-negative integer, got {seed!r}")
         return None
     return MonteCarloConfig(trials, seed)
@@ -522,6 +543,12 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
             v.fail("protocol.k", "general-tests setups are built for k = 1")
         if monte_carlo is not None:
             v.fail("monte_carlo", "sampled runs are only available for the per-round variant")
+        rows_known = protocol is not None and (sweep is not None or "sweep" not in raw)
+        if variant.setup_family == "bell" and rows_known:
+            for path, omega in sweep_rows(protocol.omega, sweep):
+                if len(omega) != 1 or not 1 <= omega[0][0] <= _MAX_COMB_QUBITS // 2:
+                    v.fail(path, f"bell setups need a point mass at 1..{_MAX_COMB_QUBITS // 2} "
+                                 f"test rounds (4**n within the cap {COMB_DIM_CAP})")
         if variant.setup_family == "custom":
             if sweep is not None:
                 v.fail("sweep", "custom general-tests setups do not support sweeps")

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContractViolationError, DimensionCapError, NotPsdError
 
 DIM_CAP = 4096
+COMB_DIM_CAP = 256  # channel networks: register stack times kept auxiliary space
 VALIDATION_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 NORM_TOL = 1e-12

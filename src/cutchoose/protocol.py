@@ -349,23 +349,15 @@ class MonteCarloResult(NamedTuple):
 
 
 def monte_carlo_run(
-    spec: ProtocolSpec,
-    strategy: ServerStrategy,
-    input_state: DensityOperator,
-    target_unitary,
-    trials: int,
-    seed: int,
+    spec: ProtocolSpec, strategy: ServerStrategy, trials: int, seed: int
 ) -> MonteCarloResult:
     """Sampled protocol runs: n ~ omega, output round ~ rule, then one
-    Bernoulli draw per test round. Deterministic for a fixed seed."""
+    Bernoulli draw per test round. Deterministic for a fixed seed.
+
+    Only acceptance is sampled; the payload never enters the draws."""
     require_supported(strategy)
     if trials < 1:
         raise OutOfDomainError(f"trials must be >= 1, got {trials}")
-    if input_state.dim != 2**spec.k:
-        raise ContractViolationError(
-            f"input dimension must be 2**{spec.k}, got {input_state.dim}"
-        )
-    as_square_matrix(target_unitary)
     rng = np.random.default_rng(seed)
     ns = np.array([n for n, _ in spec.omega.support])
     probs = np.array([p for _, p in spec.omega.support])

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bounds import TradeoffReport, run_tradeoff_check
 from .combs import GeneralSetup, bell_test_setup, custom_test_setup, general_tradeoff_check
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig, sweep_rows
 from .errors import OutOfDomainError
 from .families import build_acceptance, build_trap_family
 from .protocol import (
@@ -29,7 +29,6 @@ from .protocol import (
     RoundDistribution,
     monte_carlo_run,
 )
-from .states import plus_state
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -87,14 +86,6 @@ class ReportBundle:
         return all(r.report.satisfied for r in self.runs if r.report.applicable)
 
 
-def _sweep_omegas(config: ScenarioConfig) -> list[tuple[tuple[int, float], ...]]:
-    if config.sweep is None:
-        return [config.protocol.omega]
-    if config.sweep.n_values is not None:
-        return [((n, 1.0),) for n in config.sweep.n_values]
-    return list(config.sweep.omegas)
-
-
 def _build_spec(config: ScenarioConfig, omega_pairs) -> ProtocolSpec:
     traps = build_trap_family(config.protocol.trap_family, dict(config.protocol.trap_params))
     acceptance = build_acceptance(
@@ -109,14 +100,8 @@ def _build_spec(config: ScenarioConfig, omega_pairs) -> ProtocolSpec:
 
 
 def _general_setup_for(config: ScenarioConfig, omega_pairs) -> GeneralSetup:
-    if len(omega_pairs) != 1:
-        raise ConfigError(
-            ["protocol.omega: general-tests setups need a point-mass round distribution"]
-        )
-    n = omega_pairs[0][0]
+    n = omega_pairs[0][0]  # a point mass, checked at parse time
     if config.variant.setup_family == "bell":
-        if n < 1:
-            raise ConfigError(["protocol.omega: bell setup needs at least one test round"])
         return bell_test_setup(n)
     return custom_test_setup(config.variant.custom, n)
 
@@ -144,13 +129,11 @@ def _run_one(config, sweep_index, omega_pairs, model, mc_seed) -> RunRecord:
         if config.monte_carlo is not None:
             seed = mc_seed + sweep_index
             attack = PhaseAttack(report.alpha, placement)
-            psi = plus_state(spec.k).density()
-            eye = np.eye(2**spec.k, dtype=np.complex128)
             mc = McComparison(
                 trials=config.monte_carlo.trials,
                 seed=seed,
-                honest=monte_carlo_run(spec, HONEST, psi, eye, config.monte_carlo.trials, seed),
-                attacked=monte_carlo_run(spec, attack, psi, eye, config.monte_carlo.trials, seed),
+                honest=monte_carlo_run(spec, HONEST, config.monte_carlo.trials, seed),
+                attacked=monte_carlo_run(spec, attack, config.monte_carlo.trials, seed),
             )
         return RunRecord(sweep_index, report, mc)
     setup = _general_setup_for(config, omega_pairs)
@@ -172,7 +155,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         mc_seed = config.monte_carlo.seed if config.monte_carlo is not None else 0
     runs = tuple(
         _run_one(config, idx, omega, model, mc_seed)
-        for idx, omega in enumerate(_sweep_omegas(config))
+        for idx, (_, omega) in enumerate(sweep_rows(config.protocol.omega, config.sweep))
         for model in config.models
     )
     meta = BundleMetadata(

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from cutchoose import combs as combs_module
 from cutchoose.combs import (
     Channel,
     Comb,
     GeneralSetup,
     GeneralTest,
+    _evolve,
     bell_test_setup,
     dephasing_channel,
     depolarizing_channel,
@@ -23,6 +26,7 @@ from cutchoose.combs import (
     spec_round_as_general,
     trivial_parallel_comb,
 )
+from cutchoose.config import parse_config
 from cutchoose.errors import (
     ContractViolationError,
     DimensionCapError,
@@ -39,9 +43,10 @@ from cutchoose.protocol import (
     overall_acceptance,
     weighted_acceptance,
 )
+from cutchoose.report import run_scenario
 from cutchoose.sampling import random_density, random_unitary
 from cutchoose.states import PovmElement, bell_pair, phase_gate
-from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel
+from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
 
 
 class TestChannel:
@@ -119,10 +124,11 @@ class TestPlug:
 
     def test_layout_errors(self):
         comb = trivial_parallel_comb(2)
-        with pytest.raises(LayoutError):
-            plug(comb, [np.eye(2)])
-        with pytest.raises(LayoutError):
-            plug(comb, [np.eye(4), np.eye(4)])
+        for evaluate in (plug, lambda c, us: _evolve(c, us, np.eye(4) / 4)):
+            with pytest.raises(LayoutError):
+                evaluate(comb, [np.eye(2)])
+            with pytest.raises(LayoutError):
+                evaluate(comb, [np.eye(4), np.eye(4)])
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -261,32 +267,91 @@ class TestCombContraction:
             for n, test in setup.tests.items():
                 for ell in range(1, n + 2):
                     comb = setup.combs[(n, ell)]
-                    honest = [Channel.from_unitary(u) for u in test.unitaries]
-                    played = [
-                        Channel.from_unitary(  # strategy-transformed round
-                            np.asarray(
-                                phase_gate(draw.alpha) @ u
-                                if draw.placement is Placement.POST
-                                else u @ phase_gate(draw.alpha)
-                            )
-                        )
-                        for u in test.unitaries
-                    ]
-                    net_h = plug(comb, honest).tensor_identity(comb.y_dim)
-                    net_d = plug(comb, played).tensor_identity(comb.y_dim)
-                    lhs = 0.5 * trace_norm(
-                        net_h.apply(test.chi.matrix) - net_d.apply(test.chi.matrix)
-                    )
+                    played = [transform_round(attack, u, comb.k) for u in test.unitaries]
+                    out_h = _evolve(comb, test.unitaries, test.chi.matrix)
+                    out_d = _evolve(comb, played, test.chi.matrix)
+                    lhs = 0.5 * trace_norm(out_h - out_d)
                     rhs = sum(
-                        diamond_distance_unitaries(
-                            u,
-                            phase_gate(draw.alpha) @ u
-                            if draw.placement is Placement.POST
-                            else u @ phase_gate(draw.alpha),
-                        )
-                        for u in test.unitaries
+                        diamond_distance_unitaries(u, v) for u, v in zip(test.unitaries, played)
                     )
                     assert lhs <= rhs + 1e-9
+
+
+def plugged_reference(comb, unitaries, rho):
+    """plug's composed channel, with the identity on the auxiliary space, applied to rho."""
+    eye = np.eye(comb.y_dim)
+    network = plug(comb, unitaries)
+    return Channel([np.kron(op, eye) for op in network.kraus], check=False).apply(rho)
+
+
+class TestStateEvolution:
+    def test_matches_plug_on_layouts(self):
+        rng = np.random.default_rng(11)
+        swap = Channel.from_unitary(register_permutation_unitary((1, 0), 2, 1))
+        combs = [
+            trivial_parallel_comb(1),
+            trivial_parallel_comb(2, y_dim=2),
+            Comb(n_holes=5, k=1, width=3, y_dim=1,
+                 hole_registers=(0, 0, 1, 2, 1), teeth=(None,) * 6),
+            Comb(n_holes=2, k=1, width=2, y_dim=1,
+                 hole_registers=(0, 0), teeth=(None, swap, None)),
+            Comb(n_holes=2, k=1, width=2, y_dim=4, hole_registers=(1, 0),
+                 teeth=(depolarizing_channel(0.4, 1, 2), swap, dephasing_channel(0.7, 0, 2))),
+        ]
+        for comb in combs:
+            us = [random_unitary(2, rng) for _ in range(comb.n_holes)]
+            rho = random_density(comb.register_dim * comb.y_dim, rng).matrix
+            np.testing.assert_allclose(
+                _evolve(comb, us, rho), plugged_reference(comb, us, rho), rtol=0, atol=1e-12
+            )
+
+    def test_matches_plug_on_random_networks(self):
+        for seed in range(20):
+            draw = random_comb_draw(seed, max_rounds=3)
+            attack = PhaseAttack(draw.alpha, draw.placement)
+            for (n, ell), comb in draw.setup.combs.items():
+                test = draw.setup.tests[n]
+                for strategy in (HONEST, attack):
+                    played = [transform_round(strategy, u, comb.k) for u in test.unitaries]
+                    np.testing.assert_allclose(
+                        _evolve(comb, played, test.chi.matrix),
+                        plugged_reference(comb, played, test.chi.matrix),
+                        rtol=0, atol=1e-12, err_msg=f"seed {seed}, n {n}, ell {ell}",
+                    )
+
+    def test_rejects_output_without_unit_trace(self):
+        rho = random_density(2, np.random.default_rng(12)).matrix
+        with pytest.raises(ContractViolationError):
+            _evolve(trivial_parallel_comb(1), [np.eye(2)], 2.0 * rho)
+
+    def test_production_never_composes(self, monkeypatch):
+        noisy = parse_config(json.dumps({
+            "protocol": {"omega": {"point_mass": 8}, "k": 1,
+                         "traps": {"family": "plus"}, "acceptance": {"family": "plus"}},
+            "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
+            "models": ["stand-alone", "composable"],
+            "variant": {"kind": "general-tests", "setup": {
+                "family": "custom", "width": 2, "y_qubits": 1,
+                "hole_registers": [1, 2, 1, 1, 2, 2, 1, 2],
+                "teeth": [{"channel": "depolarizing", "register": 1 + j % 2, "strength": 0.3,
+                           **({"permute": [2, 1]} if j % 3 == 0 else {})} for j in range(9)],
+                "unitaries": "random", "unitary_seed": 5,
+            }},
+        }))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("production path composed Kraus sets")
+
+        monkeypatch.setattr(combs_module, "plug", forbidden)
+        monkeypatch.setattr(Channel, "compose", forbidden)
+        assert bell_test_setup(2).overall(PhaseAttack(0.8)) == pytest.approx(
+            math.cos(0.4) ** 4, abs=1e-12)
+        draw = random_comb_draw(4, max_rounds=3)
+        assert linear_gap_check(draw.setup, draw.alpha, draw.placement).holds
+        # the custom setup: eight holes with a depolarizing tooth in every gap
+        # would plug 4**9 Kraus operators; by state evolution it takes milliseconds
+        bundle = run_scenario(noisy)
+        assert [r.report.satisfied for r in bundle.runs] == [True, True]
 
 
 class TestLinearGapBound:

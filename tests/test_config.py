@@ -179,6 +179,59 @@ class TestRejectsBadNumbers:
         assert any(e.startswith(f"{path}:") for e in err.value.errors), err.value.errors
 
 
+def protocol_doc(**protocol):
+    doc = minimal_doc()
+    doc["protocol"].update(protocol)
+    return doc
+
+
+def custom_doc(**setup):
+    doc = custom_tooth_doc(None)
+    doc["variant"]["setup"].update(setup)
+    return doc
+
+
+def bell_doc(**overrides):
+    return minimal_doc(variant={"kind": "general-tests", "setup": {"family": "bell"}},
+                       **overrides)
+
+
+class TestRejectsBeyondCaps:
+    """Inputs that used to parse and then fail at run time without a path."""
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (protocol_doc(k=13), "protocol.k"),
+            (protocol_doc(traps={"family": "random", "seed": -1}), "protocol.traps.seed"),
+            (protocol_doc(traps={"family": "random", "seed": True}), "protocol.traps.seed"),
+            (custom_doc(unitaries="random", unitary_seed=-3), "variant.setup.unitary_seed"),
+            (custom_doc(width=10), "variant.setup.width"),
+            (custom_doc(width=2, y_qubits=7), "variant.setup.y_qubits"),
+            (bell_doc(protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 5}}),
+             "protocol.omega"),
+            (bell_doc(sweep={"n_values": [2, 5]}), "sweep.n_values[1]"),
+            (bell_doc(sweep={"omegas": [[[5, 1.0]]]}), "sweep.omegas[0]"),
+            (bell_doc(sweep={"omegas": [[[1, 1.0]], [[1, 0.5], [2, 0.5]]]}), "sweep.omegas[1]"),
+            (bell_doc(protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 0}}),
+             "protocol.omega"),
+        ],
+    )
+    def test_error_names_path(self, doc, path):
+        with pytest.raises(ConfigError) as err:
+            parse(doc)
+        assert any(e.startswith(f"{path}:") for e in err.value.errors), err.value.errors
+
+    def test_limits_are_inclusive(self):
+        parse(protocol_doc(k=12))
+        parse(protocol_doc(traps={"family": "random", "seed": 0}))
+        parse(custom_doc(width=2, y_qubits=6, unitaries="random", unitary_seed=0))
+        parse(bell_doc(sweep={"n_values": [1, 4]}))
+        # with a sweep, the protocol's own omega gives no report row
+        parse(bell_doc(sweep={"n_values": [1]},
+                       protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 9}}))
+
+
 class TestCanonicalization:
     def test_hash_ignores_key_order(self):
         doc = minimal_doc()

@@ -358,38 +358,33 @@ class TestAgainstLiteralSimulator:
 class TestMonteCarlo:
     def test_perfect_traps_exact_one(self):
         spec = plus_spec(RoundDistribution.point_mass(3))
-        psi = plus_state(1).density()
-        res = monte_carlo_run(spec, HONEST, psi, np.eye(2), 10_000, seed=0)
+        res = monte_carlo_run(spec, HONEST, 10_000, seed=0)
         assert res.accept_rate == 1.0
         assert res.abort_rate == 0.0
 
     def test_attack_rate_within_three_sigma(self):
         spec = plus_spec(RoundDistribution.point_mass(2))
-        psi = plus_state(1).density()
-        res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), psi, np.eye(2), 100_000, seed=42)
+        res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), 100_000, seed=42)
         assert abs(res.accept_rate - 0.25) <= 0.005
 
     def test_mixed_distribution_honest(self):
         spec = plus_spec(RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)]))
-        psi = plus_state(1).density()
-        res = monte_carlo_run(spec, HONEST, psi, np.eye(2), 10_000, seed=3)
+        res = monte_carlo_run(spec, HONEST, 10_000, seed=3)
         assert res.accept_rate == 1.0
 
     def test_deterministic_per_seed(self):
         spec = plus_spec(RoundDistribution.from_pairs([(0, 0.25), (2, 0.75)]))
-        psi = plus_state(1).density()
-        a = monte_carlo_run(spec, PhaseAttack(1.1), psi, np.eye(2), 50_000, seed=9)
-        b = monte_carlo_run(spec, PhaseAttack(1.1), psi, np.eye(2), 50_000, seed=9)
+        a = monte_carlo_run(spec, PhaseAttack(1.1), 50_000, seed=9)
+        b = monte_carlo_run(spec, PhaseAttack(1.1), 50_000, seed=9)
         assert a == b
 
     def test_matches_exact_within_four_sigma(self):
         trials = 100_000
-        psi = plus_state(1).density()
         for seed, alpha in enumerate((0.4, 1.0, 2.5)):
             spec = plus_spec(RoundDistribution.from_pairs([(1, 0.3), (2, 0.4), (5, 0.3)]))
             strategy = PhaseAttack(alpha)
             exact = overall_acceptance(spec, strategy)
-            res = monte_carlo_run(spec, strategy, psi, np.eye(2), trials, seed=seed)
+            res = monte_carlo_run(spec, strategy, trials, seed=seed)
             bound = 4.0 * math.sqrt(exact * (1.0 - exact) / trials) + 1e-9
             assert abs(res.accept_rate - exact) <= bound
 
@@ -398,15 +393,13 @@ class TestMonteCarlo:
             omega=RoundDistribution.point_mass(2), k=1, traps=PlusTraps(),
             acceptance=global_power_acceptance(plus_acceptance()),
         )
-        psi = plus_state(1).density()
         exact = overall_acceptance(spec, PhaseAttack(math.pi / 2))
-        res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), psi, np.eye(2), 50_000, seed=4)
+        res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), 50_000, seed=4)
         assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 50_000)
 
     def test_blocked_draws_match_one_draw(self, monkeypatch):
         spec = plus_spec(RoundDistribution.from_pairs([(0, 0.1), (3, 0.4), (7, 0.5)]))
-        psi = plus_state(1).density()
-        args = (spec, PhaseAttack(1.2), psi, np.eye(2), 5_000)
+        args = (spec, PhaseAttack(1.2), 5_000)
         whole = monte_carlo_run(*args, seed=6)
         # blocks of one or two rows: the sample spans thousands of blocks
         monkeypatch.setattr(protocol, "_MC_BLOCK_UNIFORMS", 8)
@@ -415,7 +408,7 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         spec = plus_spec(RoundDistribution.point_mass(1))
         with pytest.raises(OutOfDomainError):
-            monte_carlo_run(spec, HONEST, plus_state(1).density(), np.eye(2), 0, seed=0)
+            monte_carlo_run(spec, HONEST, 0, seed=0)
 
 
 class TestPerRoundVsGlobal:

@@ -3,8 +3,9 @@
 The tracer replaces the package functions it names with wrappers, so a
 rename or signature change here would break the benchmark's per-layer
 metrics. These tests install it around small scenarios and check that it
-installs, counts one outcome-table build per strategy per report row, and
-leaves report bytes unchanged.
+installs, counts one outcome-table build per strategy per report row,
+records each Monte-Carlo sampler call's arguments, and leaves report bytes
+unchanged.
 """
 
 import importlib.util
@@ -23,13 +24,14 @@ def load_tracer_class():
     return module.Tracer
 
 
-def scenario(variant, n):
+def scenario(variant, n, **extra):
     return cutchoose.parse_config(json.dumps({
         "protocol": {"omega": {"point_mass": n}, "k": 1,
                      "traps": {"family": "plus"}, "acceptance": {"family": "plus"}},
         "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
         "models": ["stand-alone", "composable"],
         "variant": variant,
+        **extra,
     }))
 
 
@@ -42,7 +44,9 @@ def report_bytes(config):
 def test_traced_reports_match_untraced():
     per_round = scenario({"kind": "per-round"}, 2)
     bell = scenario({"kind": "general-tests", "setup": {"family": "bell"}}, 1)
-    untraced = [report_bytes(per_round), report_bytes(bell)]
+    sampled = scenario({"kind": "per-round"}, 2, monte_carlo={"trials": 500, "seed": 7},
+                       sweep={"n_values": [1, 3]})
+    untraced = [report_bytes(per_round), report_bytes(bell), report_bytes(sampled)]
     original = cutchoose.run_scenario
 
     tracer = load_tracer_class()()
@@ -53,8 +57,13 @@ def test_traced_reports_match_untraced():
         assert tracer.counts["families.trap_calls"] == 2 * 2 * 3
         assert tracer.span_count("protocol.round_outcome_table") == 2 * 2
         traced_bell = report_bytes(bell)
-        # 2 rows x {honest, attacked} x one plugged network: the bell comb is
-        # shared by both output rounds and evaluated once
-        assert tracer.span_count("combs.plug") == 2 * 2 * 1
+        # 2 rows x {honest, attacked} x one network evaluation: the bell comb
+        # is shared by both output rounds and evaluated once
+        assert tracer.span_count("combs.general_test_acceptance") == 2 * 2 * 1
+        traced_sampled = report_bytes(sampled)
+        # 2 sweep entries x 2 rows x {honest, attacked}; entry i is seeded 7 + i
+        assert tracer.mc_calls == [
+            (((n, 1.0),), 500, 7 + i) for i, n in enumerate((1, 3)) for _ in range(2 * 2)
+        ]
     assert cutchoose.run_scenario is original
-    assert [traced_per_round, traced_bell] == untraced
+    assert [traced_per_round, traced_bell, traced_sampled] == untraced
