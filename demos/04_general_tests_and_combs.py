@@ -56,7 +56,7 @@ for n in (1, 2, 3):
 # --- the per-round diamond distance caps the acceptance gap linearly in N
 print("\nacceptance gap vs N |sin(alpha/2)|:")
 for seed in (0, 1, 2, 3):
-    draw = random_comb_draw(seed, max_rounds=3)
+    draw = random_comb_draw(seed)
     chk = linear_gap_check(draw.setup, draw.alpha, draw.placement)
     print(f"  random network {seed}: gap = {chk.gap:.6f} <= {chk.bound:.6f} "
           f"({'ok' if chk.holds else 'VIOLATED'})")
@@ -71,7 +71,7 @@ for i, alpha in enumerate((0.5, math.pi / 3, math.pi, 5.0)):
 # --- the weaker linear gap bound still forces a trade-off
 print("\ngeneral-variant trade-off on the entangled-test family:")
 for n in (1, 2, 3, 4):
-    sa = general_tradeoff_check(SecurityModel.STAND_ALONE, bell_test_setup(n), n)
-    co = general_tradeoff_check(SecurityModel.COMPOSABLE, bell_test_setup(n), n)
+    sa = general_tradeoff_check(SecurityModel.STAND_ALONE, bell_test_setup(n))
+    co = general_tradeoff_check(SecurityModel.COMPOSABLE, bell_test_setup(n))
     print(f"  N = {n}: fidelity sum {sa.eps_h + sa.eps_d:.5f} >= {sa.bound:.5f};"
           f"  trace-distance sum {co.eps_h + co.eps_d:.5f} >= {co.bound:.5f}")

@@ -136,10 +136,10 @@ def criterion_general_test_bounds() -> CriterionResult:
     failures = []
     for n in (1, 2, 3, 4):
         setup = bell_test_setup(n)
-        sa = general_tradeoff_check(SecurityModel.STAND_ALONE, setup, n)
+        sa = general_tradeoff_check(SecurityModel.STAND_ALONE, setup)
         if sa.eps_h + sa.eps_d < 1.0 / (7.0 * n * n) - 1e-9:
             failures.append(f"N={n}: stand-alone sum {sa.eps_h + sa.eps_d!r} below 1/(7N^2)")
-        co = general_tradeoff_check(SecurityModel.COMPOSABLE, setup, n)
+        co = general_tradeoff_check(SecurityModel.COMPOSABLE, setup)
         if co.eps_h + co.eps_d < 1.0 / (4.0 * n) - 1e-9:
             failures.append(f"N={n}: composable sum {co.eps_h + co.eps_d!r} below 1/(4N)")
     elapsed = time.perf_counter() - t0
@@ -204,7 +204,7 @@ def criterion_closed_form_identities() -> CriterionResult:
             return (math.sqrt(p) * a + math.sqrt(1.0 - p) * b) ** 2
 
         _, best = scan_unit_interval(
-            f, step=1e-4, minimize=False,
+            f, minimize=False,
             vector_f=lambda ps: (np.sqrt(ps) * a + np.sqrt(1.0 - ps) * b) ** 2,
         )
         if abs(best - (a * a + b * b)) > 1e-6:
@@ -231,7 +231,7 @@ def criterion_gap_bound_random_networks() -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
     for seed in range(20):
-        draw = random_comb_draw(seed, max_rounds=3, k=1)
+        draw = random_comb_draw(seed)
         check = linear_gap_check(draw.setup, draw.alpha, draw.placement)
         if not check.holds or check.gap > check.bound + 1e-10:
             failures.append(f"seed {seed}: gap {check.gap!r} > bound {check.bound!r}")
@@ -255,7 +255,7 @@ def criterion_diamond_distance() -> CriterionResult:
         closed = diamond_distance_unitaries(eye, phase_gate(alpha))
         if abs(closed - expected) > 1e-9:
             failures.append(f"alpha={alpha:.4f}: closed form {closed!r} vs {expected!r}")
-        searched = diamond_distance_pure_search(eye, phase_gate(alpha), starts=8, seed=i)
+        searched = diamond_distance_pure_search(eye, phase_gate(alpha), seed=i)
         if abs(searched - expected) > 1e-5:
             failures.append(f"alpha={alpha:.4f}: search {searched!r} vs {expected!r}")
     return _result(

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ContractViolationError, OutOfDomainError
 from .linalg import (
     DensityOperator,
-    dagger,
     fidelity,
     psd_sqrt,
     fidelity_psd,
@@ -40,10 +39,11 @@ from .protocol import (
     ProtocolSpec,
     RoundOutcomeTable,
     client_output_state,
+    output_payload,
     round_outcome_table,
     weighted_acceptance,
 )
-from .states import AbortExtendedState, embedded_target, mix_with_abort, plus_state
+from .states import AbortExtendedState, mix_with_abort, plus_state
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -52,36 +52,26 @@ from .strategies import (
     SecurityModel,
     ServerStrategy,
     optimal_alpha,
-    transform_round,
 )
 
-GRID_STEP = 1e-4
 _STEP_TOL = 1e-10
 _BOUND_TOL = 1e-12
 
 
 def _check_dims(rho: AbortExtendedState, target: DensityOperator):
-    if rho.dim_payload != target.dim:
+    if rho.payload_state.dim != target.dim:
         raise ContractViolationError(
-            f"payload dim {rho.dim_payload} does not match target dim {target.dim}"
+            f"payload dim {rho.payload_state.dim} does not match target dim {target.dim}"
         )
 
 
 def epsilon_h(rho_h: AbortExtendedState, target: DensityOperator, model: SecurityModel) -> float:
     """Correctness error of an honest-run output against the ideal output."""
     _check_dims(rho_h, target)
-    ideal = embedded_target(target)
+    ideal = mix_with_abort(target, 1.0)
     if model is SecurityModel.STAND_ALONE:
-        return max(0.0, 1.0 - fidelity(rho_h.state, ideal.state))
+        return max(0.0, 1.0 - fidelity_psd(rho_h.matrix, ideal.matrix))
     return 0.5 * trace_norm(rho_h.matrix - ideal.matrix)
-
-
-def _sigma_p(target: DensityOperator, p: float) -> np.ndarray:
-    d = target.dim
-    m = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    m[:d, :d] = p * target.matrix
-    m[d, d] = 1.0 - p
-    return m
 
 
 def epsilon_d_standalone(rho_d: AbortExtendedState, target: DensityOperator) -> float:
@@ -99,17 +89,15 @@ def epsilon_d_standalone(rho_d: AbortExtendedState, target: DensityOperator) -> 
     return max(0.0, p_acc * (1.0 - fidelity(payload, target)))
 
 
-def epsilon_d_standalone_grid(
-    rho_d: AbortExtendedState, target: DensityOperator, step: float = GRID_STEP
-) -> float:
+def epsilon_d_standalone_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
     rho = rho_d.matrix
 
     def vector_fid(ps: np.ndarray) -> np.ndarray:
         s = psd_sqrt(rho)
-        ideal = _sigma_p(target, 1.0)
-        reject = _sigma_p(target, 0.0)
+        ideal = mix_with_abort(target, 1.0).matrix
+        reject = mix_with_abort(target, 0.0).matrix
         m1 = s @ ideal @ s
         m0 = s @ reject @ s
         stack = ps[:, None, None] * m1[None] + (1.0 - ps)[:, None, None] * m0[None]
@@ -118,8 +106,7 @@ def epsilon_d_standalone_grid(
         return np.sum(np.sqrt(w), axis=1) ** 2
 
     _, best = scan_unit_interval(
-        lambda p: fidelity_psd(rho, _sigma_p(target, p)),
-        step=step,
+        lambda p: fidelity_psd(rho, mix_with_abort(target, p).matrix),
         minimize=False,
         vector_f=vector_fid,
     )
@@ -142,14 +129,12 @@ def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> 
     return p_acc * 0.5 * trace_norm(payload.matrix - target.matrix)
 
 
-def epsilon_d_composable_grid(
-    rho_d: AbortExtendedState, target: DensityOperator, step: float = GRID_STEP
-) -> float:
+def epsilon_d_composable_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
     rho = rho_d.matrix
-    m1 = rho - _sigma_p(target, 1.0)
-    m0 = rho - _sigma_p(target, 0.0)
+    m1 = rho - mix_with_abort(target, 1.0).matrix
+    m0 = rho - mix_with_abort(target, 0.0).matrix
 
     def vector_dist(ps: np.ndarray) -> np.ndarray:
         stack = ps[:, None, None] * m1[None] + (1.0 - ps)[:, None, None] * m0[None]
@@ -157,8 +142,7 @@ def epsilon_d_composable_grid(
         return 0.5 * np.sum(np.abs(w), axis=1)
 
     _, best = scan_unit_interval(
-        lambda p: 0.5 * trace_norm(rho - _sigma_p(target, p)),
-        step=step,
+        lambda p: 0.5 * trace_norm(rho - mix_with_abort(target, p).matrix),
         minimize=True,
         vector_f=vector_dist,
     )
@@ -251,10 +235,8 @@ def certify_tradeoff(
 
     k = source.k
     psi = plus_state(k).density()
-    applied = transform_round(attack, np.eye(2**k, dtype=np.complex128), k)
-    payload = DensityOperator(applied @ psi.matrix @ dagger(applied))
     eps_h = epsilon_h(mix_with_abort(psi, p_h), psi, model)
-    rho_d = mix_with_abort(payload, p_d)
+    rho_d = mix_with_abort(output_payload(attack, psi, np.eye(2**k), k), p_d)
     if model is SecurityModel.STAND_ALONE:
         eps_d = epsilon_d_standalone(rho_d, psi)
     else:
@@ -299,13 +281,12 @@ def certify_tradeoff(
 def run_tradeoff_check(
     spec: ProtocolSpec,
     model: SecurityModel,
-    variant: ProtocolVariant = ProtocolVariant.PER_ROUND,
     alpha_override: float | None = None,
     placement: Placement = Placement.POST,
 ) -> TradeoffReport:
     """Full honest-vs-attacked evaluation of a per-round protocol instance."""
     return certify_tradeoff(
-        model, variant, spec.omega.mean, alpha_override, placement,
+        model, ProtocolVariant.PER_ROUND, spec.omega.mean, alpha_override, placement,
         spec, lambda strategy: round_outcome_table(spec, strategy),
     )
 

@@ -35,7 +35,6 @@ from .linalg import COMB_DIM_CAP, DensityOperator, as_square_matrix, dagger, is_
 from .protocol import (
     GlobalAcceptance,
     OutputRound,
-    PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
     RoundOutcomeTable,
@@ -281,7 +280,8 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
         )
     played = [transform_round(strategy, u, comb.k) for u in test.unitaries]
     out = _evolve(comb, played, test.chi.matrix)
-    p = float(np.trace(test.measurement.matrix @ out).real)
+    # the measurement is Hermitian, so Tr(M out) is the Frobenius product
+    p = float(np.vdot(test.measurement.matrix, out).real)
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ContractViolationError(f"acceptance probability {p!r} outside [0, 1]")
     return min(1.0, max(0.0, p))
@@ -416,41 +416,50 @@ def custom_test_setup(custom: CustomComb, n: int) -> GeneralSetup:
     )
 
 
-def spec_round_as_general(spec: ProtocolSpec, n: int, ell: int) -> tuple[GeneralTest, Comb]:
-    """Express one (n, output round) of the per-round protocol as a general test."""
+def _round_tests(spec: ProtocolSpec, n: int):
+    """Fetch n's traps and acceptance once; return ``ell -> (GeneralTest, Comb)``,
+    the per-round protocol at (n, output round ell) as a general test."""
     if n < 1:
         raise ContractViolationError("general view needs at least one test round")
     k = spec.k
-    chi_vec = np.ones(1, dtype=np.complex128)
-    unitaries = []
-    effects = []
-    for i in range(1, n + 2):
-        if i == ell:
-            continue
-        t, chi = spec.traps.trap(k, n, i)
-        unitaries.append(as_square_matrix(t))
-        chi_vec = np.kron(chi_vec, chi.amplitudes)
-        if isinstance(spec.acceptance, PerRoundAcceptance):
-            effects.append(spec.acceptance.element(k, n, i).matrix)
-    if isinstance(spec.acceptance, GlobalAcceptance):
-        mu = spec.acceptance.element(k, n)
+    traps = [spec.traps.trap(k, n, i) for i in range(1, n + 2)]
+    rule = spec.acceptance
+    if isinstance(rule, GlobalAcceptance):
+        joint_element = rule.element(k, n)
     else:
-        joint = np.eye(1, dtype=np.complex128)
-        for e in effects:
-            joint = np.kron(joint, e)
-        mu = PovmElement(joint)
-    chi_op = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
+        effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
     comb = trivial_parallel_comb(n, k=k, y_dim=1)
-    return GeneralTest(chi_op, tuple(unitaries), mu), comb
+
+    def build(ell: int) -> tuple[GeneralTest, Comb]:
+        tests = [i for i in range(n + 1) if i != ell - 1]
+        chi_vec = np.ones(1, dtype=np.complex128)
+        for i in tests:
+            chi_vec = np.kron(chi_vec, traps[i][1].amplitudes)
+        if isinstance(rule, GlobalAcceptance):
+            mu = joint_element
+        else:
+            joint = np.eye(1, dtype=np.complex128)
+            for i in tests:
+                joint = np.kron(joint, effects[i])
+            mu = PovmElement(joint)
+        chi_op = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
+        return GeneralTest(chi_op, tuple(as_square_matrix(traps[i][0]) for i in tests), mu), comb
+
+    return build
+
+
+def spec_round_as_general(spec: ProtocolSpec, n: int, ell: int) -> tuple[GeneralTest, Comb]:
+    """Express one (n, output round) of the per-round protocol as a general test."""
+    return _round_tests(spec, n)(ell)
 
 
 def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
     """Per-round protocol evaluated through the general engine (consistency path)."""
-    table = outcome_table(spec.omega, lambda n: [
-        general_test_acceptance(*spec_round_as_general(spec, n, ell), strategy)
-        for ell in range(1, n + 2)
-    ])
-    return weighted_acceptance(spec.omega, spec.output_round, table)
+    def per_ell(n):
+        build = _round_tests(spec, n)
+        return [general_test_acceptance(*build(ell), strategy) for ell in range(1, n + 2)]
+
+    return weighted_acceptance(spec.omega, spec.output_round, outcome_table(spec.omega, per_ell))
 
 
 def diamond_distance_unitaries(u, v) -> float:
@@ -478,9 +487,9 @@ def diamond_distance_unitaries(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-def diamond_distance_pure_search(u, v, starts: int = 8, seed: int = 0) -> float:
+def diamond_distance_pure_search(u, v, seed: int = 0) -> float:
     """Independent estimate: maximize the output trace distance over pure
-    inputs extended by a same-sized reference system."""
+    inputs extended by a same-sized reference system, from 8 random starts."""
     um, vm = as_square_matrix(u), as_square_matrix(v)
     d = um.shape[0]
     m = np.kron(dagger(um) @ vm, np.eye(d, dtype=np.complex128))
@@ -494,7 +503,7 @@ def diamond_distance_pure_search(u, v, starts: int = 8, seed: int = 0) -> float:
 
     rng = np.random.default_rng(seed)
     best = np.inf
-    for _ in range(starts):
+    for _ in range(8):
         x0 = rng.standard_normal(2 * dim)
         res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B")
         best = min(best, float(res.fun))
@@ -521,17 +530,12 @@ def linear_gap_check(
 def general_tradeoff_check(
     model: SecurityModel,
     setup: GeneralSetup,
-    n_expected: float,
     alpha_override: float | None = None,
     placement: Placement = Placement.POST,
 ) -> TradeoffReport:
-    """Trade-off certification for a general-test setup."""
-    if abs(setup.omega.mean - n_expected) > 1e-9:
-        raise ContractViolationError(
-            f"setup mean {setup.omega.mean} does not match N={n_expected}"
-        )
+    """Trade-off certification for a general-test setup, at N = the mean of its omega."""
     return certify_tradeoff(
-        model, ProtocolVariant.GENERAL_TESTS, n_expected, alpha_override, placement,
+        model, ProtocolVariant.GENERAL_TESTS, setup.omega.mean, alpha_override, placement,
         setup, setup.outcome_table,
     )
 
@@ -542,10 +546,12 @@ class RandomCombDraw(NamedTuple):
     placement: Placement
 
 
-def random_comb_draw(seed: int, max_rounds: int = 3, k: int = 1) -> RandomCombDraw:
-    """Seeded random general setup: round distribution, wiring, teeth (wire
-    permutations, dephasing, depolarizing), entangled test states, random
-    unitary sequences, and a random acceptance effect."""
+def random_comb_draw(seed: int) -> RandomCombDraw:
+    """Seeded random general setup with k = 1 and at most 3 test rounds: round
+    distribution, wiring, teeth (wire permutations, dephasing, depolarizing),
+    entangled test states, random unitary sequences, and a random acceptance
+    effect."""
+    max_rounds, k = 3, 1
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, max_rounds + 1))
     ns = sorted(int(x) for x in rng.choice(max_rounds + 1, size=size, replace=False))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 10_001  # [0, 1] at step 1e-4, endpoints included
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-12, minimize: bool = True):
@@ -34,27 +35,21 @@ def golden_section(f, a: float, b: float, tol: float = 1e-12, minimize: bool = T
     return best_x, sign * best_val
 
 
-def scan_unit_interval(
-    f,
-    vector_f,
-    step: float = 1e-4,
-    minimize: bool = True,
-    tol: float = 1e-12,
-):
-    """Grid scan of [0, 1] (endpoints included) refined by golden-section search.
+def scan_unit_interval(f, vector_f, minimize: bool = True):
+    """Grid scan of [0, 1] at step 1e-4 (endpoints included) refined by
+    golden-section search.
 
     ``vector_f`` evaluates the objective on the whole grid at once and must
     agree with ``f`` pointwise; ``f`` drives the refinement. Returns
     ``(x, f(x))``.
     """
-    count = int(round(1.0 / step)) + 1
-    xs = np.linspace(0.0, 1.0, count)
+    xs = np.linspace(0.0, 1.0, _GRID_POINTS)
     vals = np.asarray(vector_f(xs), dtype=float)
     i = int(np.argmin(vals) if minimize else np.argmax(vals))
     x_best, v_best = float(xs[i]), float(vals[i])
     lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, count - 1)])
-    x_ref, v_ref = golden_section(f, lo, hi, tol=tol, minimize=minimize)
+    hi = float(xs[min(i + 1, _GRID_POINTS - 1)])
+    x_ref, v_ref = golden_section(f, lo, hi, minimize=minimize)
     if (v_ref < v_best) == minimize or v_ref == v_best:
         return x_ref, v_ref
     return x_best, v_best

@@ -320,6 +320,20 @@ def overall_acceptance(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
     return weighted_acceptance(spec.omega, spec.output_round, round_outcome_table(spec, strategy))
 
 
+def output_payload(
+    strategy: ServerStrategy, input_state: DensityOperator, target_unitary, k: int
+) -> DensityOperator:
+    """The output round's payload: ``target_unitary`` as the strategy plays it,
+    applied to ``input_state``."""
+    u = as_square_matrix(target_unitary)
+    if input_state.dim != 2**k or u.shape[0] != 2**k:
+        raise ContractViolationError(
+            f"input/unitary dimension must be 2**{k}, got {input_state.dim} and {u.shape[0]}"
+        )
+    applied = transform_round(strategy, u, k)
+    return DensityOperator(applied @ input_state.matrix @ dagger(applied))
+
+
 def client_output_state(
     spec: ProtocolSpec,
     strategy: ServerStrategy,
@@ -332,14 +346,7 @@ def client_output_state(
     on every round: the output-round payload does not depend on (n, ell).
     """
     require_supported(strategy)
-    u = as_square_matrix(target_unitary)
-    if input_state.dim != 2**spec.k or u.shape[0] != 2**spec.k:
-        raise ContractViolationError(
-            f"input/unitary dimension must be 2**{spec.k}, got "
-            f"{input_state.dim} and {u.shape[0]}"
-        )
-    applied = transform_round(strategy, u, spec.k)
-    payload = DensityOperator(applied @ input_state.matrix @ dagger(applied))
+    payload = output_payload(strategy, input_state, target_unitary, spec.k)
     return mix_with_abort(payload, overall_acceptance(spec, strategy))
 
 

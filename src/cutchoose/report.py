@@ -29,12 +29,7 @@ from .protocol import (
     RoundDistribution,
     monte_carlo_run,
 )
-from .strategies import (
-    HONEST,
-    PhaseAttack,
-    Placement,
-    ProtocolVariant,
-)
+from .strategies import HONEST, PhaseAttack, Placement
 
 PROOF_STEP_NAMES = (
     "correctness_floor",
@@ -86,7 +81,14 @@ class ReportBundle:
         return all(r.report.satisfied for r in self.runs if r.report.applicable)
 
 
-def _build_spec(config: ScenarioConfig, omega_pairs) -> ProtocolSpec:
+def _row_source(config: ScenarioConfig, omega_pairs) -> ProtocolSpec | GeneralSetup:
+    """The per-round spec or the general setup of one sweep row, built once
+    and certified under every model."""
+    if config.variant.kind == "general-tests":
+        n = omega_pairs[0][0]  # a point mass, checked at parse time
+        if config.variant.setup_family == "bell":
+            return bell_test_setup(n)
+        return custom_test_setup(config.variant.custom, n)
     traps = build_trap_family(config.protocol.trap_family, dict(config.protocol.trap_params))
     acceptance = build_acceptance(
         config.protocol.acceptance_family, config.protocol.acceptance_mode, traps
@@ -99,13 +101,6 @@ def _build_spec(config: ScenarioConfig, omega_pairs) -> ProtocolSpec:
     )
 
 
-def _general_setup_for(config: ScenarioConfig, omega_pairs) -> GeneralSetup:
-    n = omega_pairs[0][0]  # a point mass, checked at parse time
-    if config.variant.setup_family == "bell":
-        return bell_test_setup(n)
-    return custom_test_setup(config.variant.custom, n)
-
-
 def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
     """None means 'theorem-optimal for each (model, variant, N)'."""
     s = config.strategy
@@ -116,31 +111,26 @@ def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
     return float(s.alpha)
 
 
-def _run_one(config, sweep_index, omega_pairs, model, mc_seed) -> RunRecord:
+def _run_one(config, sweep_index, source, model, mc_seed) -> RunRecord:
     placement = Placement(config.strategy.placement)
     alpha_override = _resolve_alpha_override(config)
-    variant = ProtocolVariant(config.variant.kind)
-    if variant is ProtocolVariant.PER_ROUND:
-        spec = _build_spec(config, omega_pairs)
-        report = run_tradeoff_check(
-            spec, model, variant, alpha_override=alpha_override, placement=placement
+    if isinstance(source, GeneralSetup):
+        report = general_tradeoff_check(
+            model, source, alpha_override=alpha_override, placement=placement
         )
-        mc = None
-        if config.monte_carlo is not None:
-            seed = mc_seed + sweep_index
-            attack = PhaseAttack(report.alpha, placement)
-            mc = McComparison(
-                trials=config.monte_carlo.trials,
-                seed=seed,
-                honest=monte_carlo_run(spec, HONEST, config.monte_carlo.trials, seed),
-                attacked=monte_carlo_run(spec, attack, config.monte_carlo.trials, seed),
-            )
-        return RunRecord(sweep_index, report, mc)
-    setup = _general_setup_for(config, omega_pairs)
-    report = general_tradeoff_check(
-        model, setup, setup.omega.mean, alpha_override=alpha_override, placement=placement
-    )
-    return RunRecord(sweep_index, report, None)
+        return RunRecord(sweep_index, report, None)
+    report = run_tradeoff_check(source, model, alpha_override=alpha_override, placement=placement)
+    mc = None
+    if config.monte_carlo is not None:
+        seed = mc_seed + sweep_index
+        attack = PhaseAttack(report.alpha, placement)
+        mc = McComparison(
+            trials=config.monte_carlo.trials,
+            seed=seed,
+            honest=monte_carlo_run(source, HONEST, config.monte_carlo.trials, seed),
+            attacked=monte_carlo_run(source, attack, config.monte_carlo.trials, seed),
+        )
+    return RunRecord(sweep_index, report, mc)
 
 
 def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> ReportBundle:
@@ -153,18 +143,17 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     mc_seed = seed_override
     if mc_seed is None:
         mc_seed = config.monte_carlo.seed if config.monte_carlo is not None else 0
-    runs = tuple(
-        _run_one(config, idx, omega, model, mc_seed)
-        for idx, (_, omega) in enumerate(sweep_rows(config.protocol.omega, config.sweep))
-        for model in config.models
-    )
+    runs = []
+    for idx, (_, omega) in enumerate(sweep_rows(config.protocol.omega, config.sweep)):
+        source = _row_source(config, omega)
+        runs += [_run_one(config, idx, source, model, mc_seed) for model in config.models]
     meta = BundleMetadata(
         config_hash=config.config_hash(),
         seed=mc_seed if config.monte_carlo is not None else None,
         versions={"cutchoose": __version__, "numpy": np.__version__},
         wall_time_s=time.perf_counter() - t0,
     )
-    return ReportBundle(config=config, runs=runs, metadata=meta)
+    return ReportBundle(config=config, runs=tuple(runs), metadata=meta)
 
 
 def _fmt(x) -> str:

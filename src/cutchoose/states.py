@@ -1,8 +1,10 @@
 """States, gates, measurement elements, and the abort-extended output space.
 
-The rejection symbol is realized as an explicit extra Hilbert-space
-dimension (``2**k + 1``, last basis direction) rather than a tagged union,
-so fidelity and trace-distance formulas apply verbatim to protocol outputs.
+A protocol output is an (acceptance weight, payload) pair. Its dense form
+realizes the rejection symbol as an explicit extra Hilbert-space dimension
+(``2**k + 1``, last basis direction), so fidelity and trace-distance formulas
+apply verbatim to protocol outputs; it is assembled only where a distance
+needs it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .linalg import (
     kron,
 )
 from .optimize import golden_section
-from .sampling import random_pure_state
 
 
 def phase_gate(alpha: float) -> np.ndarray:
@@ -94,66 +95,41 @@ class PovmElement:
 
 @dataclass(frozen=True, eq=False)
 class AbortExtendedState:
-    """Block-diagonal mixture of a payload block and the rejection direction.
+    """Protocol output: the payload with weight ``accept_weight``, the
+    rejection symbol with weight ``1 - accept_weight``.
 
-    The state lives on dimension ``dim_payload + 1``; the last basis vector
-    is the rejection symbol, orthogonal to every payload output. Off-diagonal
-    blocks coupling payload and rejection must vanish (within 1e-12): valid
-    protocol outputs are classical mixtures of the two.
+    The pair is the block-diagonal state on dimension ``payload_state.dim + 1``
+    whose last basis vector is the rejection symbol; :attr:`matrix` assembles
+    it. The pair cannot couple payload and rejection: the block structure
+    holds by construction.
     """
 
-    state: DensityOperator
-    dim_payload: int
+    accept_weight: float
+    payload_state: DensityOperator
 
     def __post_init__(self):
-        if self.state.dim != self.dim_payload + 1:
-            raise ContractViolationError(
-                f"state dim {self.state.dim} does not match payload dim {self.dim_payload} + 1"
-            )
-        m = self.state.matrix
-        coupling = max(
-            float(np.max(np.abs(m[:-1, -1]))), float(np.max(np.abs(m[-1, :-1])))
-        )
-        if coupling > 1e-12:
-            raise ContractViolationError(
-                f"payload/rejection coupling {coupling:.3e} exceeds 1e-12"
+        if not 0.0 <= self.accept_weight <= 1.0:
+            raise OutOfDomainError(
+                f"acceptance probability {self.accept_weight!r} outside [0, 1]"
             )
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.state.matrix
-
-    @property
-    def accept_weight(self) -> float:
-        """Probability mass on the payload block."""
-        return float(np.trace(self.matrix[:-1, :-1]).real)
-
-    def payload_block(self) -> np.ndarray:
-        """Unnormalized payload block (trace equals the accept weight)."""
-        return self.matrix[:-1, :-1]
+        """The dense (d + 1)-dim block matrix: p * payload, then 1 - p."""
+        d = self.payload_state.dim
+        m = np.zeros((d + 1, d + 1), dtype=np.complex128)
+        m[:d, :d] = self.accept_weight * self.payload_state.matrix
+        m[d, d] = 1.0 - self.accept_weight
+        return m
 
     def payload(self) -> DensityOperator | None:
         """Normalized payload state, or None if the accept weight vanishes."""
-        w = self.accept_weight
-        if w <= 1e-12:
-            return None
-        return DensityOperator(self.payload_block() / w)
+        return self.payload_state if self.accept_weight > 1e-12 else None
 
 
 def mix_with_abort(payload: DensityOperator, p_accept: float) -> AbortExtendedState:
     """p * payload on the payload block, 1-p on the rejection direction."""
-    if not 0.0 <= p_accept <= 1.0:
-        raise OutOfDomainError(f"acceptance probability {p_accept!r} outside [0, 1]")
-    d = payload.dim
-    m = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    m[:d, :d] = p_accept * payload.matrix
-    m[d, d] = 1.0 - p_accept
-    return AbortExtendedState(DensityOperator(m), d)
-
-
-def embedded_target(target: DensityOperator) -> AbortExtendedState:
-    """Target state carried on the abort-extended space with zero abort weight."""
-    return mix_with_abort(target, 1.0)
+    return AbortExtendedState(float(p_accept), payload)
 
 
 def segment_modulus_sq(lam, alpha: float):
@@ -173,17 +149,17 @@ def numerical_range_min_overlap(alpha: float, trials: int = 64, seed: int = 0) -
     """
     if trials < 1:
         raise OutOfDomainError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    op = kron(np.eye(2), phase_gate(alpha))
-    best = np.inf
-    best_lam = 0.5
-    for _ in range(trials):
-        u = random_pure_state(4, rng).amplitudes
-        val = abs(np.vdot(u, op @ u)) ** 2
-        if val < best:
-            best = val
-            # weight on the 1-eigenspace of 1 ⊗ P(alpha): even components
-            best_lam = float(np.sum(np.abs(u[::2]) ** 2))
+    # one draw in the order of per-state draws: real parts, then imaginary parts
+    g = np.random.default_rng(seed).standard_normal((trials, 2, 4))
+    # squared norms summed as np.linalg.norm sums one state's: real, then imaginary
+    norms = np.sqrt(np.einsum("tij,tij->ti", g, g).sum(axis=1))
+    weights = np.abs((g[:, 0] + 1j * g[:, 1]) / norms[:, None]) ** 2
+    # 1 ⊗ P(alpha) is diagonal: phase 1 on even components, e^{i alpha} on odd
+    vals = np.abs(weights @ np.array([1.0, np.exp(1j * alpha)] * 2)) ** 2
+    first = int(np.argmin(vals))
+    best = float(vals[first])
+    # weight on the 1-eigenspace of 1 ⊗ P(alpha): even components
+    best_lam = float(np.sum(weights[first, ::2]))
     lo, hi = max(0.0, best_lam - 0.5), min(1.0, best_lam + 0.5)
     _, refined = golden_section(lambda t: float(segment_modulus_sq(t, alpha)), lo, hi, tol=1e-9)
     return float(min(best, refined))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cutchoose import bounds
 from cutchoose.bounds import (
     IdealVDQC,
     epsilon_d_composable,
@@ -18,7 +19,12 @@ from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import PlusTraps, plus_acceptance, computational_acceptance, ComputationalTraps
 from cutchoose.linalg import DensityOperator
 from cutchoose.optimize import scan_unit_interval
-from cutchoose.protocol import ProtocolSpec, RoundDistribution, PerRoundAcceptance
+from cutchoose.protocol import (
+    PerRoundAcceptance,
+    ProtocolSpec,
+    RoundDistribution,
+    client_output_state,
+)
 from cutchoose.sampling import random_density, random_pure_state
 from cutchoose.states import (
     PovmElement,
@@ -30,6 +36,7 @@ from cutchoose.states import (
 from cutchoose.strategies import (
     HONEST,
     PhaseAttack,
+    Placement,
     ProtocolVariant,
     SecurityModel,
 )
@@ -163,7 +170,7 @@ class TestMaxIdentity:
             a, b = rng.uniform(0, 1, size=2)
             _, best = scan_unit_interval(
                 lambda p: (math.sqrt(p) * a + math.sqrt(1 - p) * b) ** 2,
-                step=1e-4, minimize=False,
+                minimize=False,
                 vector_f=lambda ps: (np.sqrt(ps) * a + np.sqrt(1 - ps) * b) ** 2,
             )
             assert abs(best - (a * a + b * b)) <= 1e-6
@@ -240,6 +247,24 @@ class TestRunTradeoffCheck:
         ]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_attacked_payload_is_client_output(self, monkeypatch):
+        mixed = []
+
+        def recording_mix(payload, p_accept):
+            mixed.append((payload, p_accept))
+            return mix_with_abort(payload, p_accept)
+
+        monkeypatch.setattr(bounds, "mix_with_abort", recording_mix)
+        spec = plus_spec(3, k=2)
+        psi = plus_state(2).density()
+        for placement in Placement:
+            mixed.clear()
+            report = run_tradeoff_check(spec, SecurityModel.COMPOSABLE, placement=placement)
+            payload, p_d = mixed[-1]  # the attacked output is mixed last
+            out = client_output_state(spec, PhaseAttack(report.alpha, placement), psi, np.eye(4))
+            np.testing.assert_array_equal(payload.matrix, out.payload().matrix)
+            assert p_d == out.accept_weight == report.p_d
+
 
 class TestIdealResource:
     def test_outputs(self):
@@ -296,8 +321,6 @@ class TestIdealResource:
         honest_gap, dishonest_gap = ideal_vs_real_distinguishability(
             spec, attack, psi, np.eye(2)
         )
-        from cutchoose.protocol import client_output_state
-
         rho_h = client_output_state(spec, HONEST, psi, np.eye(2))
         rho_d = client_output_state(spec, attack, psi, np.eye(2))
         assert abs(honest_gap - epsilon_h(rho_h, psi, SecurityModel.COMPOSABLE)) <= 1e-10

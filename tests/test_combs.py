@@ -33,9 +33,16 @@ from cutchoose.errors import (
     LayoutError,
     OutOfDomainError,
 )
-from cutchoose.families import PlusTraps, RandomTraps, matched_acceptance, plus_acceptance
+from cutchoose.families import (
+    PlusTraps,
+    RandomTraps,
+    global_power_acceptance,
+    matched_acceptance,
+    plus_acceptance,
+)
 from cutchoose.linalg import dagger, trace_norm
 from cutchoose.protocol import (
+    GlobalAcceptance,
     ProtocolSpec,
     RoundDistribution,
     acceptance_probability,
@@ -193,7 +200,7 @@ class TestOverallGeneral:
 
     def test_overall_is_weighted_table(self):
         setups = [bell_test_setup(1), bell_test_setup(3)]
-        setups += [random_comb_draw(seed, max_rounds=3).setup for seed in (0, 2, 3, 5)]
+        setups += [random_comb_draw(seed).setup for seed in (0, 2, 3, 5)]
         for setup in setups:
             for strategy in (HONEST, PhaseAttack(1.3), PhaseAttack(2.2, Placement.PRE)):
                 rounds = setup.outcome_table(strategy)
@@ -261,7 +268,7 @@ class TestCombContraction:
         # plugging rotated rounds moves the output by at most the sum of
         # the per-round diamond distances
         for seed in range(10):
-            draw = random_comb_draw(seed, max_rounds=3)
+            draw = random_comb_draw(seed)
             setup = draw.setup
             attack = PhaseAttack(draw.alpha, draw.placement)
             for n, test in setup.tests.items():
@@ -307,7 +314,7 @@ class TestStateEvolution:
 
     def test_matches_plug_on_random_networks(self):
         for seed in range(20):
-            draw = random_comb_draw(seed, max_rounds=3)
+            draw = random_comb_draw(seed)
             attack = PhaseAttack(draw.alpha, draw.placement)
             for (n, ell), comb in draw.setup.combs.items():
                 test = draw.setup.tests[n]
@@ -346,7 +353,7 @@ class TestStateEvolution:
         monkeypatch.setattr(Channel, "compose", forbidden)
         assert bell_test_setup(2).overall(PhaseAttack(0.8)) == pytest.approx(
             math.cos(0.4) ** 4, abs=1e-12)
-        draw = random_comb_draw(4, max_rounds=3)
+        draw = random_comb_draw(4)
         assert linear_gap_check(draw.setup, draw.alpha, draw.placement).holds
         # the custom setup: eight holes with a depolarizing tooth in every gap
         # would plug 4**9 Kraus operators; by state evolution it takes milliseconds
@@ -370,21 +377,21 @@ class TestLinearGapBound:
 
     def test_random_networks(self):
         for seed in range(20):
-            draw = random_comb_draw(seed, max_rounds=3)
+            draw = random_comb_draw(seed)
             check = linear_gap_check(draw.setup, draw.alpha, draw.placement)
             assert check.holds, f"seed {seed}: {check}"
 
 
 class TestGeneralTradeoff:
     def test_stand_alone_bell_two(self):
-        report = general_tradeoff_check(SecurityModel.STAND_ALONE, bell_test_setup(2), 2)
+        report = general_tradeoff_check(SecurityModel.STAND_ALONE, bell_test_setup(2))
         assert report.bound == pytest.approx(1.0 / 28.0)
         assert report.satisfied
         s = 2.0 / (3.0 * 2.0)
         assert report.eps_d == pytest.approx((1 - s * s) ** 2 * s * s, abs=1e-10)
 
     def test_composable_bell_two(self):
-        report = general_tradeoff_check(SecurityModel.COMPOSABLE, bell_test_setup(2), 2)
+        report = general_tradeoff_check(SecurityModel.COMPOSABLE, bell_test_setup(2))
         assert report.bound == pytest.approx(1.0 / 8.0)
         assert report.satisfied
         assert all(s.holds for s in report.proof_steps)
@@ -397,19 +404,49 @@ class TestGeneralTradeoff:
             k=1, tests=base.tests, combs=base.combs,
         )
         with pytest.raises(OutOfDomainError):
-            general_tradeoff_check(SecurityModel.STAND_ALONE, setup, 0.1)
-
-    def test_mismatched_n_rejected(self):
-        with pytest.raises(ContractViolationError):
-            general_tradeoff_check(SecurityModel.STAND_ALONE, bell_test_setup(1), 2.0)
+            general_tradeoff_check(SecurityModel.STAND_ALONE, setup)
 
     def test_full_sweep(self):
         for n in (1, 2, 3, 4):
             setup = bell_test_setup(n)
-            sa = general_tradeoff_check(SecurityModel.STAND_ALONE, setup, n)
+            sa = general_tradeoff_check(SecurityModel.STAND_ALONE, setup)
             assert sa.eps_h + sa.eps_d >= 1.0 / (7.0 * n * n) - 1e-12
-            co = general_tradeoff_check(SecurityModel.COMPOSABLE, setup, n)
+            co = general_tradeoff_check(SecurityModel.COMPOSABLE, setup)
             assert co.eps_h + co.eps_d >= 1.0 / (4.0 * n) - 1e-12
+
+
+class TestReferenceFetchesOncePerN:
+    def test_global_element_fetched_once_per_n(self):
+        joint = global_power_acceptance(plus_acceptance())
+        calls = []
+
+        def element(k, n):
+            calls.append(n)
+            return joint.element(k, n)
+
+        spec = ProtocolSpec(
+            omega=RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (4, 0.5)]), k=1,
+            traps=PlusTraps(), acceptance=GlobalAcceptance(element),
+        )
+        overall_acceptance_via_combs(spec, PhaseAttack(1.3))
+        assert calls == [2, 4]
+
+    def test_traps_fetched_once_per_n(self):
+        calls = []
+
+        class CountingTraps(RandomTraps):
+            def trap(self, k, n, i):
+                calls.append((n, i))
+                return super().trap(k, n, i)
+
+        traps = CountingTraps(seed=8)
+        spec = ProtocolSpec(
+            omega=RoundDistribution.point_mass(4), k=1,
+            traps=traps, acceptance=matched_acceptance(traps),
+        )
+        overall_acceptance_via_combs(spec, PhaseAttack(0.7))
+        # each round once for its trap and once for its matched effect
+        assert sorted(calls) == sorted([(4, i) for i in range(1, 6)] * 2)
 
 
 class TestCrossEngine:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cutchoose.errors import ContractViolationError, OutOfDomainError
-from cutchoose.linalg import DensityOperator, is_unitary
+from cutchoose.linalg import is_unitary
+from cutchoose.sampling import random_density
 from cutchoose.states import (
-    AbortExtendedState,
     PovmElement,
     attack_operator,
     bell_pair,
@@ -93,19 +93,35 @@ class TestAbortExtension:
 
     def test_quarter_weight(self):
         ext = mix_with_abort(plus_state(1).density(), 0.25)
-        assert np.trace(ext.payload_block()).real == pytest.approx(0.25, abs=1e-14)
+        assert np.trace(ext.matrix[:-1, :-1]).real == pytest.approx(0.25, abs=1e-14)
         assert ext.matrix[-1, -1].real == pytest.approx(0.75, abs=1e-14)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(OutOfDomainError):
             mix_with_abort(plus_state(1).density(), 1.5)
 
-    def test_rejects_coupling(self):
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 0] = m[2, 2] = 0.5
-        m[0, 2] = m[2, 0] = 0.1
-        with pytest.raises(ContractViolationError):
-            AbortExtendedState(DensityOperator(m), 2)
+    def test_matrix_is_block_diagonal(self):
+        rng = np.random.default_rng(3)
+        payload = random_density(4, rng)
+        p = 0.37
+        m = mix_with_abort(payload, p).matrix
+        assert m.shape == (5, 5)
+        assert np.all(m[:-1, -1] == 0) and np.all(m[-1, :-1] == 0)
+        np.testing.assert_array_equal(m[:-1, :-1], p * payload.matrix)
+        assert m[-1, -1] == 1.0 - p
+
+    def test_pair_runs_no_eigendecomposition(self, monkeypatch):
+        payload = plus_state(2).density()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for p in (0.0, 0.6, 1.0):
+            ext = mix_with_abort(payload, p)
+            assert ext.accept_weight == p
+            assert ext.payload() is (payload if p > 0 else None)
 
 
 class TestPovmElement:
