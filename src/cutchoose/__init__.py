@@ -80,7 +80,6 @@ from .families import (
     plus_acceptance,
 )
 from .bounds import (
-    IdealVDQC,
     ProofStep,
     TradeoffReport,
     epsilon_d_composable,
@@ -88,7 +87,6 @@ from .bounds import (
     epsilon_d_standalone,
     epsilon_d_standalone_grid,
     epsilon_h,
-    ideal_vs_real_distinguishability,
     run_tradeoff_check,
     theorem_bound,
 )

@@ -14,9 +14,7 @@ fidelity and the triangle inequality for trace distance). An independent
 grid search over the mixing weight is kept as the reference; tests require
 agreement to 1e-6. Trade-off checks run the honest and attacked protocol,
 evaluate every intermediate inequality of the bound derivation, and report
-pass/fail per step. The composable conditions are checked against a minimal
-executable model of the ideal functionality rather than any particular
-composability framework.
+pass/fail per step.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .optimize import scan_unit_interval
 from .protocol import (
     ProtocolSpec,
     RoundOutcomeTable,
-    client_output_state,
     output_payload,
     round_outcome_table,
     weighted_acceptance,
@@ -50,7 +47,6 @@ from .strategies import (
     Placement,
     ProtocolVariant,
     SecurityModel,
-    ServerStrategy,
     optimal_alpha,
 )
 
@@ -289,50 +285,3 @@ def run_tradeoff_check(
         model, ProtocolVariant.PER_ROUND, spec.omega.mean, alpha_override, placement,
         spec, lambda strategy: round_outcome_table(spec, strategy),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class IdealVDQC:
-    """Minimal executable model of the ideal verified-delegation resource.
-
-    Applies the requested unitary when the control bit is 0 and rejects when
-    it is 1. The honest-side filter forces the control bit to 0.
-    """
-
-    input_state: DensityOperator
-    unitary: np.ndarray
-    control_bit: int = 0
-
-    def __post_init__(self):
-        if self.control_bit not in (0, 1):
-            raise ContractViolationError(f"control bit must be 0 or 1, got {self.control_bit}")
-
-    def ideal_output(self) -> DensityOperator:
-        u = np.asarray(self.unitary)
-        return DensityOperator(u @ self.input_state.matrix @ u.conj().T)
-
-    def output(self, control_bit: int | None = None) -> AbortExtendedState:
-        c = self.control_bit if control_bit is None else control_bit
-        if c not in (0, 1):
-            raise ContractViolationError(f"control bit must be 0 or 1, got {c}")
-        return mix_with_abort(self.ideal_output(), 1.0 if c == 0 else 0.0)
-
-
-def ideal_vs_real_distinguishability(
-    spec: ProtocolSpec,
-    strategy: ServerStrategy,
-    input_state: DensityOperator,
-    target_unitary,
-) -> tuple[float, float]:
-    """Trace-distance gaps between protocol outputs and the ideal resource.
-
-    The honest gap compares the honest run against the filtered ideal
-    (control bit 0); the dishonest gap minimizes over the ideal-side attack's
-    acceptance probability. These match the two composable error measures.
-    """
-    ideal = IdealVDQC(input_state, np.asarray(target_unitary, dtype=np.complex128))
-    rho_h = client_output_state(spec, HONEST, input_state, target_unitary)
-    honest_gap = 0.5 * trace_norm(rho_h.matrix - ideal.output(0).matrix)
-    rho_d = client_output_state(spec, strategy, input_state, target_unitary)
-    dishonest_gap = epsilon_d_composable(rho_d, ideal.ideal_output())
-    return honest_gap, dishonest_gap

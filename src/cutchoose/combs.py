@@ -39,6 +39,7 @@ from .protocol import (
     RoundDistribution,
     RoundOutcomeTable,
     outcome_table,
+    snap_probability,
     weighted_acceptance,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
@@ -281,10 +282,9 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
     played = [transform_round(strategy, u, comb.k) for u in test.unitaries]
     out = _evolve(comb, played, test.chi.matrix)
     # the measurement is Hermitian, so Tr(M out) is the Frobenius product
-    p = float(np.vdot(test.measurement.matrix, out).real)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ContractViolationError(f"acceptance probability {p!r} outside [0, 1]")
-    return min(1.0, max(0.0, p))
+    return snap_probability(
+        float(np.vdot(test.measurement.matrix, out).real), "acceptance probability"
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -538,12 +538,23 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     output = _parse_output(raw["output"], v) if "output" in raw else None
 
     # cross-field constraints
+    rows_known = protocol is not None and (sweep is not None or "sweep" not in raw)
+    per_round = variant is not None and variant.kind == "per-round"
+    if per_round and protocol is not None and protocol.acceptance_mode == "global":
+        if protocol.acceptance_family == "matched" and protocol.trap_family == "random":
+            v.fail("protocol.acceptance.mode", "global acceptance needs a round-independent "
+                                              "element; 'matched' with 'random' traps is not")
+        if rows_known:
+            # the largest n of each support, zero-weight or not, is evaluated
+            for path, omega in sweep_rows(protocol.omega, sweep):
+                if protocol.k * omega[-1][0] > _MAX_K:
+                    v.fail(path, f"global acceptance needs k*n <= {_MAX_K} for every n "
+                                 f"(2**(k*n) within the cap {DIM_CAP})")
     if variant is not None and variant.kind == "general-tests":
         if protocol is not None and protocol.k != 1:
             v.fail("protocol.k", "general-tests setups are built for k = 1")
         if monte_carlo is not None:
             v.fail("monte_carlo", "sampled runs are only available for the per-round variant")
-        rows_known = protocol is not None and (sweep is not None or "sweep" not in raw)
         if variant.setup_family == "bell" and rows_known:
             for path, omega in sweep_rows(protocol.omega, sweep):
                 if len(omega) != 1 or not 1 <= omega[0][0] <= _MAX_COMB_QUBITS // 2:

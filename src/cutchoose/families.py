@@ -124,14 +124,5 @@ def build_acceptance(name: str, mode: str, traps: TrapGenerator):
     if mode == "per-round":
         return rule
     if mode == "global":
-        if name == "matched" and isinstance(traps, RandomTraps):
-            raise ConfigError(
-                ["global acceptance requires a round-independent element; "
-                 "'matched' with round-dependent traps is not"]
-            )
         return global_power_acceptance(rule)
     raise ConfigError([f"unknown acceptance mode {mode!r}"])
-
-
-TRAP_FAMILY_NAMES = ("plus", "computational", "random")
-ACCEPTANCE_FAMILY_NAMES = ("plus", "computational", "matched")

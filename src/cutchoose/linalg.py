@@ -22,7 +22,6 @@ from .errors import ContractViolationError, DimensionCapError, NotPsdError
 DIM_CAP = 4096
 COMB_DIM_CAP = 256  # channel networks: register stack times kept auxiliary space
 VALIDATION_TOL = 1e-10
-IDENTITY_TOL = 1e-9
 NORM_TOL = 1e-12
 
 # Eigenvalues in [PSD_FLOOR, 0) are treated as rounding noise and clamped
@@ -212,9 +211,3 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def is_pure(self, tol: float = IDENTITY_TOL) -> bool:
-        return self.purity() >= 1.0 - tol

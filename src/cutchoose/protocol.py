@@ -45,7 +45,7 @@ _PROB_SNAP = 1e-12
 _MC_BLOCK_UNIFORMS = 2**20
 
 
-def _snap_probability(p: float, what: str) -> float:
+def snap_probability(p: float, what: str) -> float:
     """Clamp rounding noise at the ends of [0, 1]; reject anything worse."""
     if -_PROB_SNAP <= p <= 1.0 + _PROB_SNAP:
         return min(1.0, max(0.0, p))
@@ -166,11 +166,6 @@ class RoundOutcomeTable:
 
     entries: tuple[tuple[int, int, float], ...]  # (n, ell, p)
 
-    def __post_init__(self):
-        for n, ell, p in self.entries:
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ContractViolationError(f"p(n={n}, ell={ell}) = {p!r} outside [0, 1]")
-
 
 def _trap_outputs(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Transformed trap outputs ``transform_round(strategy, T_i, k) @ chi_i``
@@ -203,7 +198,7 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
             raise ContractViolationError(
                 f"acceptance element for round {i} has dim {e.dim}, expected {2**k}"
             )
-        vals[i - 1] = _snap_probability(
+        vals[i - 1] = snap_probability(
             float(np.vdot(out, e.matrix @ out).real), f"round factor (n={n}, i={i})"
         )
     return vals
@@ -246,7 +241,7 @@ def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray
             for i, out in enumerate(outs, start=1):
                 if i != ell:
                     joint = np.kron(joint, out)
-            vals[ell - 1] = _snap_probability(
+            vals[ell - 1] = snap_probability(
                 float(np.vdot(joint, mu.matrix @ joint).real), f"p(n={n}, ell={ell})"
             )
         return vals
@@ -272,7 +267,7 @@ def outcome_table(
     for n, _ in omega.support:
         values = per_ell(n) if n else (1.0,)
         rows += [
-            (n, ell, _snap_probability(float(p), f"p(n={n}, ell={ell})"))
+            (n, ell, snap_probability(float(p), f"p(n={n}, ell={ell})"))
             for ell, p in enumerate(values, start=1)
         ]
     return RoundOutcomeTable(tuple(rows))
@@ -294,7 +289,7 @@ def weighted_acceptance(
             continue
         weights = output_round_weights(output_round, n)
         total += wn * float(weights @ np.array(per_n[n]))
-    return _snap_probability(total, "overall acceptance")
+    return snap_probability(total, "overall acceptance")
 
 
 def acceptance_probability(
@@ -306,7 +301,7 @@ def acceptance_probability(
         raise OutOfDomainError(f"output round {ell} outside {{1, ..., {n + 1}}}")
     if n == 0:
         return 1.0  # no tests: the empty product accepts
-    return _snap_probability(float(_per_ell(spec, strategy, n)[ell - 1]), f"p(n={n}, ell={ell})")
+    return float(_per_ell(spec, strategy, n)[ell - 1])
 
 
 def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:

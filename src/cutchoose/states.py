@@ -21,7 +21,6 @@ from .linalg import (
     PureState,
     as_square_matrix,
     dagger,
-    kron,
 )
 from .optimize import golden_section
 
@@ -38,7 +37,7 @@ def attack_operator(alpha: float, k: int) -> np.ndarray:
     dim = 2**k
     if dim > DIM_CAP:
         raise OutOfDomainError(f"2**{k} exceeds the dimension cap {DIM_CAP}")
-    return kron(np.eye(dim // 2), phase_gate(alpha))
+    return np.kron(np.eye(dim // 2), phase_gate(alpha))
 
 
 def plus_state(k: int) -> PureState:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,11 @@ def bell_doc(**overrides):
                        **overrides)
 
 
+GLOBAL_PLUS = {"family": "plus", "mode": "global"}
+GLOBAL_MATCHED = {"family": "matched", "mode": "global"}
+RANDOM_TRAPS = {"family": "random", "seed": 3}
+
+
 class TestRejectsBeyondCaps:
     """Inputs that used to parse and then fail at run time without a path."""
 
@@ -215,6 +222,19 @@ class TestRejectsBeyondCaps:
             (bell_doc(sweep={"omegas": [[[1, 1.0]], [[1, 0.5], [2, 0.5]]]}), "sweep.omegas[1]"),
             (bell_doc(protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 0}}),
              "protocol.omega"),
+            # the global rule needs one round-independent element on 2**(k*n) dims
+            (protocol_doc(traps=RANDOM_TRAPS, acceptance=GLOBAL_MATCHED),
+             "protocol.acceptance.mode"),
+            (protocol_doc(omega={"point_mass": 13}, acceptance=GLOBAL_PLUS), "protocol.omega"),
+            (protocol_doc(omega=[[1, 0.5], [7, 0.5]], k=2, acceptance=GLOBAL_PLUS),
+             "protocol.omega"),
+            (protocol_doc(omega=[[1, 1.0], [13, 0.0]], acceptance=GLOBAL_PLUS),
+             "protocol.omega"),
+            ({**protocol_doc(acceptance=GLOBAL_PLUS), "sweep": {"n_values": [2, 13]}},
+             "sweep.n_values[1]"),
+            ({**protocol_doc(k=2, acceptance=GLOBAL_PLUS),
+              "sweep": {"omegas": [[[2, 1.0]], [[1, 0.5], [7, 0.5]]]}},
+             "sweep.omegas[1]"),
         ],
     )
     def test_error_names_path(self, doc, path):
@@ -230,6 +250,15 @@ class TestRejectsBeyondCaps:
         # with a sweep, the protocol's own omega gives no report row
         parse(bell_doc(sweep={"n_values": [1]},
                        protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 9}}))
+        # 4096-dim joint element: parses (evaluating it takes seconds)
+        parse(protocol_doc(omega={"point_mass": 4}, k=3, acceptance=GLOBAL_PLUS))
+        parse(protocol_doc(traps=RANDOM_TRAPS, acceptance={"family": "matched"}))
+        parse(protocol_doc(acceptance=GLOBAL_MATCHED))
+        # general tests never build the acceptance rule
+        parse(bell_doc(protocol=protocol_doc(traps=RANDOM_TRAPS, acceptance=GLOBAL_MATCHED,
+                                             omega={"point_mass": 4})["protocol"]))
+        parse(bell_doc(protocol=protocol_doc(acceptance=GLOBAL_PLUS)["protocol"],
+                       sweep={"n_values": [1, 4]}))
 
 
 class TestCanonicalization:
@@ -259,3 +288,23 @@ class TestCanonicalization:
         cfg = parse(doc)
         again = parse(cfg.canonical())
         assert again == cfg
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def json_blocks(name):
+    return [json.loads(b) for b in
+            re.findall(r"```json\n(.*?)```", (ROOT / name).read_text("utf-8"), re.S)]
+
+
+class TestDocumentedConfigsParse:
+    def test_readme_config(self):
+        (doc,) = json_blocks("README.md")
+        parse(doc)
+
+    def test_schema_fragments(self):
+        protocol, strategy, variant = json_blocks("docs/scenario-schema.md")
+        parse(minimal_doc(protocol=protocol))
+        parse(minimal_doc(strategy=strategy))
+        parse(minimal_doc(variant=variant))

@@ -250,8 +250,3 @@ class TestCarriers:
     def test_density_rejects_negative(self):
         with pytest.raises(NotPsdError):
             DensityOperator(np.diag([1.5, -0.5]))
-
-    def test_purity(self):
-        assert plus_state(2).density().is_pure()
-        mixed = DensityOperator(np.eye(2) / 2)
-        assert not mixed.is_pure()

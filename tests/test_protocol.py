@@ -23,6 +23,7 @@ from cutchoose.protocol import (
     client_output_state,
     jensen_gap_check,
     monte_carlo_run,
+    outcome_table,
     output_round_weights,
     overall_acceptance,
     round_outcome_table,
@@ -203,6 +204,18 @@ class TestOverallAcceptance:
         )
         with pytest.raises(ContractViolationError):
             overall_acceptance(bad, HONEST)
+
+
+class TestOutcomeTable:
+    def test_snaps_rounding_noise_to_the_ends(self):
+        omega = RoundDistribution.point_mass(1)
+        table = outcome_table(omega, lambda n: (-1e-13, 1.0 + 1e-13))
+        assert table.entries == ((1, 1, 0.0), (1, 2, 1.0))
+
+    def test_rejects_values_beyond_rounding(self):
+        omega = RoundDistribution.point_mass(1)
+        with pytest.raises(ContractViolationError):
+            outcome_table(omega, lambda n: (0.5, 1.0 + 1e-11))
 
 
 class TestHolevoHelstromStep:
