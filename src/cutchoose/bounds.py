@@ -15,6 +15,12 @@ grid search over the mixing weight is kept as the reference; tests require
 agreement to 1e-6. Trade-off checks run the honest and attacked protocol,
 evaluate every intermediate inequality of the bound derivation, and report
 pass/fail per step.
+
+In a trade-off check every payload is pure, so :func:`certify_tradeoff`
+reads the errors off the acceptance probabilities and one overlap of
+``2**k`` vectors. The dense functions on :class:`AbortExtendedState`
+(:func:`epsilon_h`, :func:`epsilon_d_standalone`, :func:`epsilon_d_composable`
+and the grids) are the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -36,11 +42,10 @@ from .optimize import scan_unit_interval
 from .protocol import (
     ProtocolSpec,
     RoundOutcomeTable,
-    output_payload,
     round_outcome_table,
     weighted_acceptance,
 )
-from .states import AbortExtendedState, mix_with_abort, plus_state
+from .states import ACCEPT_FLOOR, AbortExtendedState, attack_phases, mix_with_abort, plus_state
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -219,6 +224,11 @@ def certify_tradeoff(
     attacked run uses the bound-optimal angle for ``(model, variant)`` unless
     ``alpha_override`` is given. The input is the uniform superposition and
     the target computation the identity.
+
+    The honest payload is the target, so ``eps_h = 1 - p_h`` under both
+    models. The attacked payload is the pure state ``A psi``; with
+    ``c = |<psi|A psi>|^2``, ``eps_d`` is ``p_d (1 - c)`` stand-alone and
+    ``p_d sqrt(1 - c)`` composable, and 0 when no payload is accepted.
     """
     if alpha_override is None:
         alpha = optimal_alpha(model, variant, n_expected)
@@ -229,14 +239,15 @@ def certify_tradeoff(
     p_h = weighted_acceptance(source.omega, source.output_round, honest_rounds)
     p_d = weighted_acceptance(source.omega, source.output_round, attacked_rounds)
 
-    k = source.k
-    psi = plus_state(k).density()
-    eps_h = epsilon_h(mix_with_abort(psi, p_h), psi, model)
-    rho_d = mix_with_abort(output_payload(attack, psi, np.eye(2**k), k), p_d)
-    if model is SecurityModel.STAND_ALONE:
-        eps_d = epsilon_d_standalone(rho_d, psi)
+    eps_h = 1.0 - p_h
+    psi = plus_state(source.k).amplitudes
+    c = min(1.0, float(abs(np.vdot(psi, attack_phases(alpha, source.k) * psi))) ** 2)
+    if p_d <= ACCEPT_FLOOR:
+        eps_d = 0.0
+    elif model is SecurityModel.STAND_ALONE:
+        eps_d = p_d * (1.0 - c)
     else:
-        eps_d = epsilon_d_composable(rho_d, psi)
+        eps_d = p_d * math.sqrt(1.0 - c)
 
     s = math.sin(alpha / 2.0)
     disturbance = s * s if model is SecurityModel.STAND_ALONE else abs(s)

@@ -39,6 +39,7 @@ from .protocol import (
     RoundDistribution,
     RoundOutcomeTable,
     outcome_table,
+    receive_trap,
     snap_probability,
     weighted_acceptance,
 )
@@ -422,19 +423,20 @@ def _round_tests(spec: ProtocolSpec, n: int):
     if n < 1:
         raise ContractViolationError("general view needs at least one test round")
     k = spec.k
-    traps = [spec.traps.trap(k, n, i) for i in range(1, n + 2)]
+    traps = [receive_trap(spec.traps, k, n, i) for i in range(1, n + 2)]
     rule = spec.acceptance
     if isinstance(rule, GlobalAcceptance):
         joint_element = rule.element(k, n)
     else:
         effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
     comb = trivial_parallel_comb(n, k=k, y_dim=1)
+    eye = np.eye(2**k, dtype=np.complex128)
 
     def build(ell: int) -> tuple[GeneralTest, Comb]:
         tests = [i for i in range(n + 1) if i != ell - 1]
         chi_vec = np.ones(1, dtype=np.complex128)
         for i in tests:
-            chi_vec = np.kron(chi_vec, traps[i][1].amplitudes)
+            chi_vec = np.kron(chi_vec, traps[i][1])
         if isinstance(rule, GlobalAcceptance):
             mu = joint_element
         else:
@@ -443,7 +445,8 @@ def _round_tests(spec: ProtocolSpec, n: int):
                 joint = np.kron(joint, effects[i])
             mu = PovmElement(joint)
         chi_op = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
-        return GeneralTest(chi_op, tuple(as_square_matrix(traps[i][0]) for i in tests), mu), comb
+        unitaries = tuple(eye if traps[i][0] is None else traps[i][0] for i in tests)
+        return GeneralTest(chi_op, unitaries, mu), comb
 
     return build
 

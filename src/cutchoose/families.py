@@ -4,6 +4,11 @@ Keeping these in a registry lets scenario configs stay declarative: a trap
 family is referenced by name plus parameters, and acceptance families pair
 with them. All families are deterministic; the seeded one derives its
 per-round randomness from ``(seed, k, n, i)`` only.
+
+Identity traps (``plus``, ``computational``) return no matrix, and every
+shipped per-round effect is a :class:`RankOneEffect`, read as an overlap of
+``2**k`` vectors. The tensor-power global rule builds its dense joint element
+only for the reference paths; the engine reads it through ``per_round``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .errors import ConfigError, DimensionCapError
 from .linalg import DIM_CAP, PureState
 from .protocol import GlobalAcceptance, PerRoundAcceptance, TrapGenerator
 from .sampling import random_pure_state, random_unitary
-from .states import PovmElement, computational_basis_state, plus_state
+from .states import PovmElement, RankOneEffect, computational_basis_state, plus_state
 
 
 @dataclass(frozen=True)
@@ -25,7 +30,7 @@ class PlusTraps(TrapGenerator):
     """Identity computation on the uniform-superposition input."""
 
     def trap(self, k, n, i):
-        return np.eye(2**k, dtype=np.complex128), plus_state(k)
+        return None, plus_state(k)
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class ComputationalTraps(TrapGenerator):
     """
 
     def trap(self, k, n, i):
-        return np.eye(2**k, dtype=np.complex128), computational_basis_state(k)
+        return None, computational_basis_state(k)
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,9 @@ class RandomTraps(TrapGenerator):
         return random_unitary(2**k, rng), random_pure_state(2**k, rng)
 
 
-def _projector_effect(state: PureState) -> PovmElement:
-    return PovmElement(state.projector())
-
-
 def _constant_acceptance(state_of_k) -> PerRoundAcceptance:
     """The projector onto ``state_of_k(k)`` in every round, built once per k."""
-    effect = functools.cache(lambda k: _projector_effect(state_of_k(k)))
+    effect = functools.cache(lambda k: RankOneEffect(state_of_k(k)))
     return PerRoundAcceptance(lambda k, n, i: effect(k))
 
 
@@ -75,9 +76,9 @@ def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
 
     def element(k, n, i):
         t, chi = traps.trap(k, n, i)
-        return _projector_effect(PureState(t @ chi.amplitudes))
+        return RankOneEffect(PureState(chi.amplitudes if t is None else t @ chi.amplitudes))
 
-    return PerRoundAcceptance(element)
+    return PerRoundAcceptance(element, traps=traps)
 
 
 def global_power_acceptance(per_round: PerRoundAcceptance) -> GlobalAcceptance:
@@ -99,7 +100,7 @@ def global_power_acceptance(per_round: PerRoundAcceptance) -> GlobalAcceptance:
             joint = np.kron(joint, single)
         return PovmElement(joint)
 
-    return GlobalAcceptance(element)
+    return GlobalAcceptance(element, per_round=per_round)
 
 
 def build_trap_family(name: str, params: dict) -> TrapGenerator:

@@ -14,13 +14,22 @@ figure goes through one engine: ``outcome_table`` builds the per-(n, output
 round) acceptance table over the finite support of the round distribution,
 and ``weighted_acceptance`` averages it over n and the output round. The
 general-test engine in ``combs`` uses the same two functions.
+
+The per-round engine works on ``2**k`` vectors only. A trap is a unitary (or
+None for the identity) and an input vector, checked once where the engine
+receives it; the attack is diagonal, so it is a phase vector; and a round
+factor is the overlap ``|<e|out>|^2`` for a rank-1 effect, or the quadratic
+form ``<out|M|out>`` for a general one. The dense path (``transform_round``,
+``PovmElement`` matrices, ``client_output_state`` and
+``combs.overall_acceptance_via_combs``) is the reference the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -36,9 +45,16 @@ from .linalg import (
     PureState,
     as_square_matrix,
     dagger,
+    is_unitary,
 )
-from .states import AbortExtendedState, PovmElement, mix_with_abort
-from .strategies import ServerStrategy, require_supported, transform_round
+from .states import AbortExtendedState, Effect, PovmElement, attack_phases, mix_with_abort
+from .strategies import (
+    Honest,
+    Placement,
+    ServerStrategy,
+    require_supported,
+    transform_round,
+)
 
 _PROB_SNAP = 1e-12
 # uniforms per block of the Monte-Carlo sampler's per-round draws
@@ -110,22 +126,36 @@ class TrapGenerator(abc.ABC):
     """
 
     @abc.abstractmethod
-    def trap(self, k: int, n: int, i: int) -> tuple[np.ndarray, PureState]:
-        """Return (unitary on 2**k, input state of dim 2**k) for round i."""
+    def trap(self, k: int, n: int, i: int) -> tuple[np.ndarray | None, PureState]:
+        """Return (unitary on 2**k, or None for the identity; input state of
+        dim 2**k) for round i."""
 
 
 @dataclass(frozen=True)
 class PerRoundAcceptance:
-    """One measurement element per test round; accept iff every round accepts."""
+    """One measurement element per test round; accept iff every round accepts.
 
-    element: Callable[[int, int, int], PovmElement]  # (k, n, i) -> effect on 2**k
+    ``traps``, when set, says each round's effect is the projector onto that
+    round's honest trap output under those traps; if they are the spec's
+    traps the engine reads that output from its own trap call instead of
+    calling ``element``.
+    """
+
+    element: Callable[[int, int, int], Effect]  # (k, n, i) -> effect on 2**k
+    traps: TrapGenerator | None = None
 
 
 @dataclass(frozen=True)
 class GlobalAcceptance:
-    """A single element on all test outputs jointly (dimension 2**(k*n))."""
+    """A single element on all test outputs jointly (dimension 2**(k*n)).
+
+    ``per_round``, when set, says the element is the tensor power of that
+    rule's round-1 effect; the engine then multiplies that effect's values
+    on the test outputs instead of building the joint element.
+    """
 
     element: Callable[[int, int], PovmElement]  # (k, n) -> effect on 2**(k*n)
+    per_round: PerRoundAcceptance | None = None
 
 
 AcceptanceRule = PerRoundAcceptance | GlobalAcceptance
@@ -167,40 +197,76 @@ class RoundOutcomeTable:
     entries: tuple[tuple[int, int, float], ...]  # (n, ell, p)
 
 
-def _trap_outputs(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
-    """Transformed trap outputs ``transform_round(strategy, T_i, k) @ chi_i``
-    for i = 1..n+1, one row per round."""
-    k = spec.k
-    outs = np.empty((n + 1, 2**k), dtype=np.complex128)
-    for i in range(1, n + 2):
-        t, chi = spec.traps.trap(k, n, i)
-        if chi.dim != 2**k:
+def receive_trap(
+    traps: TrapGenerator, k: int, n: int, i: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Round i's trap as (unitary or None for the identity, input vector).
+
+    The one check of a trap: its state has dim 2**k, and a given matrix is a
+    2**k unitary. Errors name the round.
+    """
+    u, chi = traps.trap(k, n, i)
+    d = 2**k
+    if chi.dim != d:
+        raise ContractViolationError(
+            f"trap state for round (n={n}, i={i}) has dim {chi.dim}, expected {d}"
+        )
+    if u is not None:
+        u = as_square_matrix(u)
+        if u.shape[0] != d:
             raise ContractViolationError(
-                f"trap state for round {i} has dim {chi.dim}, expected {2**k}"
+                f"trap unitary for round (n={n}, i={i}) has dim {u.shape[0]}, expected {d}"
             )
-        outs[i - 1] = transform_round(strategy, t, k) @ chi.amplitudes
-    return outs
+        if not is_unitary(u):
+            raise ContractViolationError(
+                f"trap unitary for round (n={n}, i={i}) is not unitary within 1e-10"
+            )
+    return u, chi.amplitudes
+
+
+def _round_outputs(spec: ProtocolSpec, strategy: ServerStrategy, n: int):
+    """Yield (honest output ``U chi``, played output) for rounds i = 1..n+1.
+
+    The attack is the diagonal ``1 ⊗ diag(1, e^{ia})``, applied as a phase
+    vector: after the trap unitary (POST) or before it (PRE).
+    """
+    k = spec.k
+    phases = None if isinstance(strategy, Honest) else attack_phases(strategy.alpha, k)
+    for i in range(1, n + 2):
+        u, chi = receive_trap(spec.traps, k, n, i)
+        honest = chi if u is None else u @ chi
+        if phases is None:
+            out = honest
+        elif u is None or strategy.placement is Placement.POST:
+            out = phases * honest
+        else:
+            out = u @ (phases * chi)
+        yield honest, out
 
 
 def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Per-round acceptance factors <e_i, (transformed T_i)(chi_i)> for i = 1..n+1.
 
-    Traps are pure and the transformed rounds unitary, so each factor reduces
-    to a quadratic form on the evolved state vector.
+    Traps are pure and the transformed rounds unitary, so each factor is the
+    effect's value on the played output vector; a matched effect is the
+    overlap with the honest output of the same trap call.
     """
     rule = spec.acceptance
     assert isinstance(rule, PerRoundAcceptance)
     k = spec.k
+    matched = rule.traps is spec.traps
     vals = np.empty(n + 1)
-    for i, out in enumerate(_trap_outputs(spec, strategy, n), start=1):
-        e = rule.element(k, n, i)
-        if e.dim != 2**k:
-            raise ContractViolationError(
-                f"acceptance element for round {i} has dim {e.dim}, expected {2**k}"
-            )
-        vals[i - 1] = snap_probability(
-            float(np.vdot(out, e.matrix @ out).real), f"round factor (n={n}, i={i})"
-        )
+    for i, (honest, out) in enumerate(_round_outputs(spec, strategy, n), start=1):
+        if matched:
+            value = float(abs(np.vdot(honest, out)) ** 2)
+        else:
+            e = rule.element(k, n, i)
+            if e.dim != 2**k:
+                raise ContractViolationError(
+                    f"acceptance element for round {i} has dim {e.dim}, expected {2**k}"
+                )
+            value = e.value(out)
+        vals[i - 1] = snap_probability(value, f"round factor (n={n}, i={i})")
     return vals
 
 
@@ -222,28 +288,31 @@ def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
 
 def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Acceptance probability for each output round ell = 1..n+1, for n >= 1."""
-    if isinstance(spec.acceptance, GlobalAcceptance):
-        k = spec.k
+    rule = spec.acceptance
+    k = spec.k
+    if isinstance(rule, GlobalAcceptance) and rule.per_round is not None:
+        # a tensor power on a product state is the product of the values
+        e = rule.per_round.element(k, n, 1)
+        spec = replace(spec, acceptance=PerRoundAcceptance(lambda *_: e))
+    elif isinstance(rule, GlobalAcceptance):
         dim = 2 ** (k * n)
         if dim > DIM_CAP:
             raise DimensionCapError(
                 f"joint measurement needs dim 2**{k * n}, beyond the cap {DIM_CAP}"
             )
-        mu = spec.acceptance.element(k, n)
+        mu = rule.element(k, n)
         if mu.dim != dim:
             raise ContractViolationError(
                 f"joint acceptance element has dim {mu.dim}, expected {dim}"
             )
-        outs = _trap_outputs(spec, strategy, n)
+        outs = [out for _, out in _round_outputs(spec, strategy, n)]
         vals = np.empty(n + 1)
         for ell in range(1, n + 2):
             joint = np.ones(1, dtype=np.complex128)
             for i, out in enumerate(outs, start=1):
                 if i != ell:
                     joint = np.kron(joint, out)
-            vals[ell - 1] = snap_probability(
-                float(np.vdot(joint, mu.matrix @ joint).real), f"p(n={n}, ell={ell})"
-            )
+            vals[ell - 1] = snap_probability(mu.value(joint), f"p(n={n}, ell={ell})")
         return vals
     factors = _round_factors(spec, strategy, n)
     m = factors.size
@@ -315,20 +384,6 @@ def overall_acceptance(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
     return weighted_acceptance(spec.omega, spec.output_round, round_outcome_table(spec, strategy))
 
 
-def output_payload(
-    strategy: ServerStrategy, input_state: DensityOperator, target_unitary, k: int
-) -> DensityOperator:
-    """The output round's payload: ``target_unitary`` as the strategy plays it,
-    applied to ``input_state``."""
-    u = as_square_matrix(target_unitary)
-    if input_state.dim != 2**k or u.shape[0] != 2**k:
-        raise ContractViolationError(
-            f"input/unitary dimension must be 2**{k}, got {input_state.dim} and {u.shape[0]}"
-        )
-    applied = transform_round(strategy, u, k)
-    return DensityOperator(applied @ input_state.matrix @ dagger(applied))
-
-
 def client_output_state(
     spec: ProtocolSpec,
     strategy: ServerStrategy,
@@ -341,7 +396,14 @@ def client_output_state(
     on every round: the output-round payload does not depend on (n, ell).
     """
     require_supported(strategy)
-    payload = output_payload(strategy, input_state, target_unitary, spec.k)
+    k = spec.k
+    u = as_square_matrix(target_unitary)
+    if input_state.dim != 2**k or u.shape[0] != 2**k:
+        raise ContractViolationError(
+            f"input/unitary dimension must be 2**{k}, got {input_state.dim} and {u.shape[0]}"
+        )
+    applied = transform_round(strategy, u, k)
+    payload = DensityOperator(applied @ input_state.matrix @ dagger(applied))
     return mix_with_abort(payload, overall_acceptance(spec, strategy))
 
 

@@ -1,5 +1,9 @@
 """States, gates, measurement elements, and the abort-extended output space.
 
+A measurement effect is either a general :class:`PovmElement` (a validated
+dense matrix, read as a quadratic form) or a :class:`RankOneEffect` (a
+projector kept as its unit vector, read as an overlap).
+
 A protocol output is an (acceptance weight, payload) pair. Its dense form
 realizes the rejection symbol as an explicit extra Hilbert-space dimension
 (``2**k + 1``, last basis direction), so fidelity and trace-distance formulas
@@ -31,13 +35,22 @@ def phase_gate(alpha: float) -> np.ndarray:
 
 
 def attack_operator(alpha: float, k: int) -> np.ndarray:
-    """Identity on the first k-1 qubits, phase rotation on the last one."""
+    """Identity on the first k-1 qubits, phase rotation on the last one
+    (dense; the engine uses its diagonal, :func:`attack_phases`)."""
     if k < 1:
         raise OutOfDomainError(f"k must be positive, got {k}")
     dim = 2**k
     if dim > DIM_CAP:
         raise OutOfDomainError(f"2**{k} exceeds the dimension cap {DIM_CAP}")
     return np.kron(np.eye(dim // 2), phase_gate(alpha))
+
+
+def attack_phases(alpha: float, k: int) -> np.ndarray:
+    """Diagonal of :func:`attack_operator`: 1 on basis states whose last qubit
+    is 0 (even indices), e^{i alpha} on the others."""
+    phases = np.ones(2**k, dtype=np.complex128)
+    phases[1::2] = np.exp(1j * alpha)
+    return phases
 
 
 def plus_state(k: int) -> PureState:
@@ -91,6 +104,40 @@ class PovmElement:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def value(self, out: np.ndarray) -> float:
+        """Acceptance probability <out|M|out> on a state vector."""
+        return float(np.vdot(out, self.matrix @ out).real)
+
+
+@dataclass(frozen=True, eq=False)
+class RankOneEffect:
+    """Projector onto a unit vector, kept as the vector.
+
+    A projector onto a unit vector is a valid effect by construction, so no
+    eigenvalue check runs and no matrix is stored; :attr:`matrix` builds the
+    dense projector for the reference paths.
+    """
+
+    vector: PureState
+
+    @property
+    def dim(self) -> int:
+        return self.vector.dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.vector.projector()
+
+    def value(self, out: np.ndarray) -> float:
+        """Acceptance probability |<e|out>|^2 on a state vector."""
+        return float(abs(np.vdot(self.vector.amplitudes, out)) ** 2)
+
+
+Effect = PovmElement | RankOneEffect
+
+# accept weights at or below this leave no payload (AbortExtendedState.payload)
+ACCEPT_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class AbortExtendedState:
@@ -123,7 +170,7 @@ class AbortExtendedState:
 
     def payload(self) -> DensityOperator | None:
         """Normalized payload state, or None if the accept weight vanishes."""
-        return self.payload_state if self.accept_weight > 1e-12 else None
+        return self.payload_state if self.accept_weight > ACCEPT_FLOOR else None
 
 
 def mix_with_abort(payload: DensityOperator, p_accept: float) -> AbortExtendedState:

@@ -66,7 +66,10 @@ def require_supported(strategy) -> None:
 
 
 def transform_round(strategy: ServerStrategy, delegated_unitary, k: int) -> np.ndarray:
-    """Unitary the server actually applies in place of the delegated one."""
+    """Unitary the server actually applies in place of the delegated one.
+
+    The dense reference: the protocol engine applies the same attack to
+    vectors, as the phase vector :func:`states.attack_phases`."""
     require_supported(strategy)
     u = as_square_matrix(delegated_unitary)
     if u.shape[0] != 2**k:

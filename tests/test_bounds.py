@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cutchoose import bounds
 from cutchoose.bounds import (
     epsilon_d_composable,
     epsilon_d_composable_grid,
@@ -246,23 +245,23 @@ class TestRunTradeoffCheck:
         ]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_attacked_payload_is_client_output(self, monkeypatch):
-        mixed = []
-
-        def recording_mix(payload, p_accept):
-            mixed.append((payload, p_accept))
-            return mix_with_abort(payload, p_accept)
-
-        monkeypatch.setattr(bounds, "mix_with_abort", recording_mix)
+    def test_attacked_payload_is_client_output(self):
+        # the report's overlap-based eps_d equals the dense error measure on the
+        # attacked client output, for both placements and both models
         spec = plus_spec(3, k=2)
         psi = plus_state(2).density()
+        dense = {
+            SecurityModel.STAND_ALONE: epsilon_d_standalone,
+            SecurityModel.COMPOSABLE: epsilon_d_composable,
+        }
         for placement in Placement:
-            mixed.clear()
-            report = run_tradeoff_check(spec, SecurityModel.COMPOSABLE, placement=placement)
-            payload, p_d = mixed[-1]  # the attacked output is mixed last
-            out = client_output_state(spec, PhaseAttack(report.alpha, placement), psi, np.eye(4))
-            np.testing.assert_array_equal(payload.matrix, out.payload().matrix)
-            assert p_d == out.accept_weight == report.p_d
+            for model, measure in dense.items():
+                report = run_tradeoff_check(spec, model, placement=placement)
+                out = client_output_state(
+                    spec, PhaseAttack(report.alpha, placement), psi, np.eye(4)
+                )
+                assert out.accept_weight == report.p_d
+                assert report.eps_d == pytest.approx(measure(out, psi), abs=1e-12)
 
     def test_lossy_traps_honest_gap(self):
         # acceptance element scaled to pass honest runs with probability 0.95:

@@ -3,9 +3,9 @@
 The tracer replaces the package functions it names with wrappers, so a
 rename or signature change here would break the benchmark's per-layer
 metrics. These tests install it around small scenarios and check that it
-installs, counts one outcome-table build per strategy per report row,
-records each Monte-Carlo sampler call's arguments, and leaves report bytes
-unchanged.
+installs, counts one outcome-table build per strategy per report row and
+one trap call per round, records each Monte-Carlo sampler call's arguments,
+and leaves report bytes unchanged.
 """
 
 import importlib.util
@@ -24,10 +24,11 @@ def load_tracer_class():
     return module.Tracer
 
 
-def scenario(variant, n, **extra):
+def scenario(variant, n, protocol=(), **extra):
     return cutchoose.parse_config(json.dumps({
         "protocol": {"omega": {"point_mass": n}, "k": 1,
-                     "traps": {"family": "plus"}, "acceptance": {"family": "plus"}},
+                     "traps": {"family": "plus"}, "acceptance": {"family": "plus"},
+                     **dict(protocol)},
         "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
         "models": ["stand-alone", "composable"],
         "variant": variant,
@@ -46,7 +47,11 @@ def test_traced_reports_match_untraced():
     bell = scenario({"kind": "general-tests", "setup": {"family": "bell"}}, 1)
     sampled = scenario({"kind": "per-round"}, 2, monte_carlo={"trials": 500, "seed": 7},
                        sweep={"n_values": [1, 3]})
-    untraced = [report_bytes(per_round), report_bytes(bell), report_bytes(sampled)]
+    # the matched effect is read from the round's own trap call
+    matched = scenario({"kind": "per-round"}, 2, protocol={
+        "traps": {"family": "random", "seed": 3}, "acceptance": {"family": "matched"}})
+    untraced = [report_bytes(per_round), report_bytes(bell), report_bytes(sampled),
+                report_bytes(matched)]
     original = cutchoose.run_scenario
 
     tracer = load_tracer_class()()
@@ -65,5 +70,9 @@ def test_traced_reports_match_untraced():
         assert tracer.mc_calls == [
             (((n, 1.0),), 500, 7 + i) for i, n in enumerate((1, 3)) for _ in range(2 * 2)
         ]
+        before = tracer.counts["families.trap_calls"]
+        traced_matched = report_bytes(matched)
+        # 2 rows x {honest, attacked} x one trap call per round (n + 1 = 3)
+        assert tracer.counts["families.trap_calls"] - before == 2 * 2 * 3
     assert cutchoose.run_scenario is original
-    assert [traced_per_round, traced_bell, traced_sampled] == untraced
+    assert [traced_per_round, traced_bell, traced_sampled, traced_matched] == untraced
