@@ -75,7 +75,6 @@ from .families import (
     PlusTraps,
     RandomTraps,
     computational_acceptance,
-    global_power_acceptance,
     matched_acceptance,
     plus_acceptance,
 )

@@ -44,7 +44,7 @@ from .protocol import (
     weighted_acceptance,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
-from .states import PovmElement, bell_pair, computational_basis_state, plus_state
+from .states import PovmElement, attack_phases, bell_pair, computational_basis_state, plus_state
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -53,7 +53,6 @@ from .strategies import (
     SecurityModel,
     ServerStrategy,
     require_supported,
-    transform_round,
 )
 
 
@@ -106,15 +105,11 @@ def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.
     perm = tuple(int(x) for x in perm)
     if sorted(perm) != list(range(width)):
         raise LayoutError(f"{perm} is not a permutation of 0..{width - 1}")
-    d = 2**k
-    dims = (d,) * width
-    full = d**width
-    mat = np.zeros((full, full), dtype=np.complex128)
-    for x in range(full):
-        digits = np.unravel_index(x, dims)
-        y = np.ravel_multi_index(tuple(digits[p] for p in perm), dims)
-        mat[y, x] = 1.0
-    return mat
+    full = (2**k) ** width
+    # row y is the basis vector of the input whose register perm[j] holds y's digit j
+    return np.eye(full, dtype=np.complex128)[
+        np.arange(full).reshape((2**k,) * width).transpose(perm).ravel()
+    ]
 
 
 def _embed(op: np.ndarray, slot: int, slots: int) -> np.ndarray:
@@ -208,19 +203,22 @@ def trivial_parallel_comb(n_holes: int, k: int = 1, y_dim: int = 1) -> Comb:
     )
 
 
+def _check_holes(comb: Comb, shapes) -> None:
+    """Layout check of the operators plugged into the holes, by their shapes."""
+    if len(shapes) != comb.n_holes:
+        raise LayoutError(f"{len(shapes)} channels plugged into {comb.n_holes} holes")
+    for i, shape in enumerate(shapes):
+        if shape != (comb.hole_dim, comb.hole_dim):
+            raise LayoutError(f"channel {i + 1} has dim {shape[0]}, hole expects {comb.hole_dim}")
+
+
 def _walk(comb: Comb, hole_kraus):
     """Kraus sets of the plugged network on the register stack, in time order:
     tooth 0, hole 1, tooth 1, ..., hole n, tooth n (plain-wire teeth skipped).
 
     ``hole_kraus[i]`` is the Kraus set plugged into hole ``i + 1``.
     """
-    if len(hole_kraus) != comb.n_holes:
-        raise LayoutError(f"{len(hole_kraus)} channels plugged into {comb.n_holes} holes")
-    for i, ops in enumerate(hole_kraus):
-        if ops[0].shape != (comb.hole_dim, comb.hole_dim):
-            raise LayoutError(
-                f"channel {i + 1} has dim {ops[0].shape[0]}, hole expects {comb.hole_dim}"
-            )
+    _check_holes(comb, [ops[0].shape for ops in hole_kraus])
     if comb.teeth[0] is not None:
         yield comb.teeth[0].kraus
     for i, ops in enumerate(hole_kraus):
@@ -263,15 +261,31 @@ def _evolve(comb: Comb, hole_unitaries, rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GeneralTest:
     """Test state (possibly entangled with the kept auxiliary register), the
-    delegated unitary sequence, and the joint acceptance element."""
+    delegated unitary sequence, and the joint acceptance element.
+
+    The unitaries are checked once, here: finite, square and unitary within
+    1e-10.
+    """
 
     chi: DensityOperator
     unitaries: tuple[np.ndarray, ...]
     measurement: PovmElement
 
+    def __post_init__(self):
+        unitaries = tuple(as_square_matrix(u) for u in self.unitaries)
+        for i, u in enumerate(unitaries, start=1):
+            if not is_unitary(u):
+                raise ContractViolationError(f"test unitary {i} is not unitary within 1e-10")
+        object.__setattr__(self, "unitaries", unitaries)
+
 
 def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrategy) -> float:
-    """Acceptance probability of the general test under a server strategy."""
+    """Acceptance probability of the general test under a server strategy.
+
+    The attack is the diagonal ``1 ⊗ diag(1, e^{ia})``, applied to each hole
+    unitary as a phase vector: on its rows after it (POST), on its columns
+    before it (PRE).
+    """
     require_supported(strategy)
     full_dim = comb.register_dim * comb.y_dim
     if test.chi.dim != full_dim:
@@ -280,7 +294,14 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
         raise LayoutError(
             f"measurement has dim {test.measurement.dim}, network expects {full_dim}"
         )
-    played = [transform_round(strategy, u, comb.k) for u in test.unitaries]
+    _check_holes(comb, [u.shape for u in test.unitaries])
+    played = test.unitaries
+    if isinstance(strategy, PhaseAttack):
+        phases = attack_phases(strategy.alpha, comb.k)
+        if strategy.placement is Placement.POST:
+            played = [phases[:, None] * u for u in played]
+        else:
+            played = [u * phases for u in played]
     out = _evolve(comb, played, test.chi.matrix)
     # the measurement is Hermitian, so Tr(M out) is the Frobenius product
     return snap_probability(
@@ -426,9 +447,8 @@ def _round_tests(spec: ProtocolSpec, n: int):
     traps = [receive_trap(spec.traps, k, n, i) for i in range(1, n + 2)]
     rule = spec.acceptance
     if isinstance(rule, GlobalAcceptance):
-        joint_element = rule.element(k, n)
-    else:
-        effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
+        rule = rule.per_round
+    effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
     comb = trivial_parallel_comb(n, k=k, y_dim=1)
     eye = np.eye(2**k, dtype=np.complex128)
 
@@ -437,16 +457,12 @@ def _round_tests(spec: ProtocolSpec, n: int):
         chi_vec = np.ones(1, dtype=np.complex128)
         for i in tests:
             chi_vec = np.kron(chi_vec, traps[i][1])
-        if isinstance(rule, GlobalAcceptance):
-            mu = joint_element
-        else:
-            joint = np.eye(1, dtype=np.complex128)
-            for i in tests:
-                joint = np.kron(joint, effects[i])
-            mu = PovmElement(joint)
+        joint = np.eye(1, dtype=np.complex128)
+        for i in tests:
+            joint = np.kron(joint, effects[i])
         chi_op = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
         unitaries = tuple(eye if traps[i][0] is None else traps[i][0] for i in tests)
-        return GeneralTest(chi_op, unitaries, mu), comb
+        return GeneralTest(chi_op, unitaries, PovmElement(joint)), comb
 
     return build
 

@@ -385,7 +385,8 @@ def _parse_custom_comb(setup, path, v: _Validator) -> CustomComb | None:
             return None
         if "permute" in tooth:
             perm = tooth["permute"]
-            if (not isinstance(perm, list) or sorted(perm) != list(range(1, width + 1))):
+            if (not isinstance(perm, list) or not all(_is_int(p, 1, width) for p in perm)
+                    or sorted(perm) != list(range(1, width + 1))):
                 v.fail(f"{path}.teeth[{j}].permute",
                        f"must be a permutation of 1..{width}")
                 return None
@@ -539,17 +540,6 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
 
     # cross-field constraints
     rows_known = protocol is not None and (sweep is not None or "sweep" not in raw)
-    per_round = variant is not None and variant.kind == "per-round"
-    if per_round and protocol is not None and protocol.acceptance_mode == "global":
-        if protocol.acceptance_family == "matched" and protocol.trap_family == "random":
-            v.fail("protocol.acceptance.mode", "global acceptance needs a round-independent "
-                                              "element; 'matched' with 'random' traps is not")
-        if rows_known:
-            # the largest n of each support, zero-weight or not, is evaluated
-            for path, omega in sweep_rows(protocol.omega, sweep):
-                if protocol.k * omega[-1][0] > _MAX_K:
-                    v.fail(path, f"global acceptance needs k*n <= {_MAX_K} for every n "
-                                 f"(2**(k*n) within the cap {DIM_CAP})")
     if variant is not None and variant.kind == "general-tests":
         if protocol is not None and protocol.k != 1:
             v.fail("protocol.k", "general-tests setups are built for k = 1")

@@ -7,8 +7,8 @@ per-round randomness from ``(seed, k, n, i)`` only.
 
 Identity traps (``plus``, ``computational``) return no matrix, and every
 shipped per-round effect is a :class:`RankOneEffect`, read as an overlap of
-``2**k`` vectors. The tensor-power global rule builds its dense joint element
-only for the reference paths; the engine reads it through ``per_round``.
+``2**k`` vectors. Global mode wraps the same per-round rule in
+:class:`GlobalAcceptance`, the tensor product of its effects.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionCapError
-from .linalg import DIM_CAP, PureState
+from .errors import ConfigError
+from .linalg import PureState
 from .protocol import GlobalAcceptance, PerRoundAcceptance, TrapGenerator
 from .sampling import random_pure_state, random_unitary
-from .states import PovmElement, RankOneEffect, computational_basis_state, plus_state
+from .states import RankOneEffect, computational_basis_state, plus_state
 
 
 @dataclass(frozen=True)
@@ -81,28 +81,6 @@ def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
     return PerRoundAcceptance(element, traps=traps)
 
 
-def global_power_acceptance(per_round: PerRoundAcceptance) -> GlobalAcceptance:
-    """Tensor a round-independent per-round element over all n test outputs.
-
-    Only meaningful when the per-round element does not depend on the round
-    index; the joint element is evaluated on the test outputs in order.
-    """
-
-    def element(k, n):
-        single = per_round.element(k, n, 1).matrix
-        dim = 2 ** (k * n)
-        if dim > DIM_CAP:
-            raise DimensionCapError(
-                f"joint element needs dim 2**{k * n}, beyond the cap {DIM_CAP}"
-            )
-        joint = np.eye(1, dtype=np.complex128)
-        for _ in range(n):
-            joint = np.kron(joint, single)
-        return PovmElement(joint)
-
-    return GlobalAcceptance(element, per_round=per_round)
-
-
 def build_trap_family(name: str, params: dict) -> TrapGenerator:
     if name == "plus":
         return PlusTraps()
@@ -125,5 +103,5 @@ def build_acceptance(name: str, mode: str, traps: TrapGenerator):
     if mode == "per-round":
         return rule
     if mode == "global":
-        return global_power_acceptance(rule)
+        return GlobalAcceptance(rule)
     raise ConfigError([f"unknown acceptance mode {mode!r}"])

@@ -19,17 +19,20 @@ The per-round engine works on ``2**k`` vectors only. A trap is a unitary (or
 None for the identity) and an input vector, checked once where the engine
 receives it; the attack is diagonal, so it is a phase vector; and a round
 factor is the overlap ``|<e|out>|^2`` for a rank-1 effect, or the quadratic
-form ``<out|M|out>`` for a general one. The dense path (``transform_round``,
-``PovmElement`` matrices, ``client_output_state`` and
-``combs.overall_acceptance_via_combs``) is the reference the tests compare
-against.
+form ``<out|M|out>`` for a general one. A global rule is the tensor product
+of its per-round effects, which on the product of the test outputs is the
+product of the round factors: its exact figures are those of per-round
+mode, and only the Monte-Carlo sampler, with one joint draw per run, tells
+the two apart. The dense path (``transform_round``, ``PovmElement``
+matrices, ``client_output_state`` and ``combs.overall_acceptance_via_combs``)
+is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +50,7 @@ from .linalg import (
     dagger,
     is_unitary,
 )
-from .states import AbortExtendedState, Effect, PovmElement, attack_phases, mix_with_abort
+from .states import AbortExtendedState, Effect, attack_phases, mix_with_abort
 from .strategies import (
     Honest,
     Placement,
@@ -147,15 +150,14 @@ class PerRoundAcceptance:
 
 @dataclass(frozen=True)
 class GlobalAcceptance:
-    """A single element on all test outputs jointly (dimension 2**(k*n)).
+    """One joint measurement on all test outputs: the tensor product of the
+    ``per_round`` rule's effects, so the client accepts iff every test passes.
 
-    ``per_round``, when set, says the element is the tensor power of that
-    rule's round-1 effect; the engine then multiplies that effect's values
-    on the test outputs instead of building the joint element.
+    The engine never builds the ``2**(k*n)``-dim element; it multiplies the
+    per-round values on the test outputs.
     """
 
-    element: Callable[[int, int], PovmElement]  # (k, n) -> effect on 2**(k*n)
-    per_round: PerRoundAcceptance | None = None
+    per_round: PerRoundAcceptance
 
 
 AcceptanceRule = PerRoundAcceptance | GlobalAcceptance
@@ -252,7 +254,8 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
     overlap with the honest output of the same trap call.
     """
     rule = spec.acceptance
-    assert isinstance(rule, PerRoundAcceptance)
+    if isinstance(rule, GlobalAcceptance):
+        rule = rule.per_round
     k = spec.k
     matched = rule.traps is spec.traps
     vals = np.empty(n + 1)
@@ -288,32 +291,6 @@ def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
 
 def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Acceptance probability for each output round ell = 1..n+1, for n >= 1."""
-    rule = spec.acceptance
-    k = spec.k
-    if isinstance(rule, GlobalAcceptance) and rule.per_round is not None:
-        # a tensor power on a product state is the product of the values
-        e = rule.per_round.element(k, n, 1)
-        spec = replace(spec, acceptance=PerRoundAcceptance(lambda *_: e))
-    elif isinstance(rule, GlobalAcceptance):
-        dim = 2 ** (k * n)
-        if dim > DIM_CAP:
-            raise DimensionCapError(
-                f"joint measurement needs dim 2**{k * n}, beyond the cap {DIM_CAP}"
-            )
-        mu = rule.element(k, n)
-        if mu.dim != dim:
-            raise ContractViolationError(
-                f"joint acceptance element has dim {mu.dim}, expected {dim}"
-            )
-        outs = [out for _, out in _round_outputs(spec, strategy, n)]
-        vals = np.empty(n + 1)
-        for ell in range(1, n + 2):
-            joint = np.ones(1, dtype=np.complex128)
-            for i, out in enumerate(outs, start=1):
-                if i != ell:
-                    joint = np.kron(joint, out)
-            vals[ell - 1] = snap_probability(mu.value(joint), f"p(n={n}, ell={ell})")
-        return vals
     factors = _round_factors(spec, strategy, n)
     m = factors.size
     pre = np.ones(m + 1)
@@ -444,7 +421,7 @@ def monte_carlo_run(
                 ok = rng.random((block.size, n + 1)) < factors[None, :]
                 ok[np.arange(block.size), block] = True  # the output round is not a test
                 accepted += int(np.count_nonzero(ok.all(axis=1)))
-        else:
+        else:  # global acceptance: one joint draw per run
             per_ell = _per_ell(spec, strategy, n)
             accepted += int(np.count_nonzero(rng.random(m) < per_ell[ells]))
     rate = accepted / trials

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -36,13 +37,11 @@ from cutchoose.errors import (
 from cutchoose.families import (
     PlusTraps,
     RandomTraps,
-    global_power_acceptance,
     matched_acceptance,
     plus_acceptance,
 )
 from cutchoose.linalg import dagger, trace_norm
 from cutchoose.protocol import (
-    GlobalAcceptance,
     ProtocolSpec,
     RoundDistribution,
     acceptance_probability,
@@ -137,6 +136,20 @@ class TestPlug:
             with pytest.raises(LayoutError):
                 evaluate(comb, [np.eye(4), np.eye(4)])
 
+    def test_register_permutation_matches_basis_loop(self):
+        for k in (1, 2):
+            for width in (1, 2, 3):
+                d = 2**k
+                dims, full = (d,) * width, d**width
+                for perm in itertools.permutations(range(width)):
+                    # output slot j holds input register perm[j], basis state by basis state
+                    ref = np.zeros((full, full), dtype=np.complex128)
+                    for x in range(full):
+                        digits = np.unravel_index(x, dims)
+                        ref[np.ravel_multi_index(tuple(digits[p] for p in perm), dims), x] = 1.0
+                    got = register_permutation_unitary(perm, width, k)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (k, perm)
+
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             Comb(n_holes=9, k=1, width=9, y_dim=1,
@@ -178,13 +191,31 @@ class TestGeneralTestAcceptance:
 
     def test_layout_mismatch(self):
         phi = bell_pair()
-        test = GeneralTest(
+        comb = trivial_parallel_comb(1, y_dim=2)
+        two_holes = GeneralTest(
             chi=phi.density(),
             unitaries=(np.eye(2, dtype=complex),) * 2,
             measurement=PovmElement(phi.projector()),
         )
-        with pytest.raises(LayoutError):
-            general_test_acceptance(test, trivial_parallel_comb(1, y_dim=2), HONEST)
+        # a 4-dim unitary in a 2-dim hole: named before the attack phases meet it
+        wide_hole = GeneralTest(
+            chi=phi.density(),
+            unitaries=(np.eye(4, dtype=complex),),
+            measurement=PovmElement(phi.projector()),
+        )
+        for test in (two_holes, wide_hole):
+            for strategy in (HONEST, PhaseAttack(0.8), PhaseAttack(0.8, Placement.PRE)):
+                with pytest.raises(LayoutError):
+                    general_test_acceptance(test, comb, strategy)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, 2.0]), np.ones((2, 3)), np.array([[1.0, 0.0], [0.0, np.nan]]),
+    ])
+    def test_rejects_bad_unitary(self, bad):
+        phi = bell_pair()
+        with pytest.raises(ContractViolationError):
+            GeneralTest(chi=phi.density(), unitaries=(np.eye(2), bad),
+                        measurement=PovmElement(phi.projector()))
 
 
 class TestOverallGeneral:
@@ -416,21 +447,6 @@ class TestGeneralTradeoff:
 
 
 class TestReferenceFetchesOncePerN:
-    def test_global_element_fetched_once_per_n(self):
-        joint = global_power_acceptance(plus_acceptance())
-        calls = []
-
-        def element(k, n):
-            calls.append(n)
-            return joint.element(k, n)
-
-        spec = ProtocolSpec(
-            omega=RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (4, 0.5)]), k=1,
-            traps=PlusTraps(), acceptance=GlobalAcceptance(element),
-        )
-        overall_acceptance_via_combs(spec, PhaseAttack(1.3))
-        assert calls == [2, 4]
-
     def test_traps_fetched_once_per_n(self):
         calls = []
 

@@ -222,19 +222,27 @@ class TestRejectsBeyondCaps:
             (bell_doc(sweep={"omegas": [[[1, 1.0]], [[1, 0.5], [2, 0.5]]]}), "sweep.omegas[1]"),
             (bell_doc(protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 0}}),
              "protocol.omega"),
-            # the global rule needs one round-independent element on 2**(k*n) dims
-            (protocol_doc(traps=RANDOM_TRAPS, acceptance=GLOBAL_MATCHED),
-             "protocol.acceptance.mode"),
-            (protocol_doc(omega={"point_mass": 13}, acceptance=GLOBAL_PLUS), "protocol.omega"),
-            (protocol_doc(omega=[[1, 0.5], [7, 0.5]], k=2, acceptance=GLOBAL_PLUS),
+            (bell_doc(protocol={**minimal_doc()["protocol"], "omega": [[1, 0.5], [2, 0.5]]}),
              "protocol.omega"),
-            (protocol_doc(omega=[[1, 1.0], [13, 0.0]], acceptance=GLOBAL_PLUS),
+            # global acceptance lifts no cap of the bell setups (4**n dims per comb)
+            (bell_doc(protocol=protocol_doc(omega={"point_mass": 5},
+                                            acceptance=GLOBAL_PLUS)["protocol"]),
              "protocol.omega"),
-            ({**protocol_doc(acceptance=GLOBAL_PLUS), "sweep": {"n_values": [2, 13]}},
+            (bell_doc(protocol=protocol_doc(omega=[[1, 0.5], [4, 0.5]],
+                                            acceptance=GLOBAL_PLUS)["protocol"]),
+             "protocol.omega"),
+            (bell_doc(protocol=protocol_doc(omega=[[1, 1.0], [5, 0.0]],
+                                            acceptance=GLOBAL_PLUS)["protocol"]),
+             "protocol.omega"),
+            (bell_doc(protocol=protocol_doc(acceptance=GLOBAL_PLUS)["protocol"],
+                      sweep={"n_values": [2, 5]}),
              "sweep.n_values[1]"),
-            ({**protocol_doc(k=2, acceptance=GLOBAL_PLUS),
-              "sweep": {"omegas": [[[2, 1.0]], [[1, 0.5], [7, 0.5]]]}},
+            (bell_doc(protocol=protocol_doc(acceptance=GLOBAL_PLUS)["protocol"],
+                      sweep={"omegas": [[[2, 1.0]], [[1, 0.5], [4, 0.5]]]}),
              "sweep.omegas[1]"),
+            # equal to [1, 2] as numbers, but not JSON integers
+            (custom_tooth_doc({"permute": [True, 2]}), "variant.setup.teeth[1].permute"),
+            (custom_tooth_doc({"permute": [1.0, 2]}), "variant.setup.teeth[1].permute"),
         ],
     )
     def test_error_names_path(self, doc, path):
@@ -250,10 +258,7 @@ class TestRejectsBeyondCaps:
         # with a sweep, the protocol's own omega gives no report row
         parse(bell_doc(sweep={"n_values": [1]},
                        protocol={**minimal_doc()["protocol"], "omega": {"point_mass": 9}}))
-        # 4096-dim joint element: parses (evaluating it takes seconds)
-        parse(protocol_doc(omega={"point_mass": 4}, k=3, acceptance=GLOBAL_PLUS))
         parse(protocol_doc(traps=RANDOM_TRAPS, acceptance={"family": "matched"}))
-        parse(protocol_doc(acceptance=GLOBAL_MATCHED))
         # general tests never build the acceptance rule
         parse(bell_doc(protocol=protocol_doc(traps=RANDOM_TRAPS, acceptance=GLOBAL_MATCHED,
                                              omega={"point_mass": 4})["protocol"]))

@@ -10,7 +10,6 @@ from cutchoose.families import (
     PlusTraps,
     RandomTraps,
     computational_acceptance,
-    global_power_acceptance,
     matched_acceptance,
     plus_acceptance,
 )
@@ -101,12 +100,19 @@ class TestAcceptanceProbability:
         spec = plus_spec(RoundDistribution.point_mass(2))
         joint = ProtocolSpec(
             omega=spec.omega, k=1, traps=PlusTraps(),
-            acceptance=global_power_acceptance(plus_acceptance()),
+            acceptance=GlobalAcceptance(plus_acceptance()),
         )
         attack = PhaseAttack(math.pi / 2)
+        out = attack_operator(math.pi / 2, 1) @ plus_state(1).amplitudes
+        two_outputs = np.kron(out, out)
+        projector = np.kron(plus_state(1).projector(), plus_state(1).projector())
+        oracle = float(np.vdot(two_outputs, projector @ two_outputs).real)
         for ell in (1, 2, 3):
             assert acceptance_probability(joint, attack, 2, ell) == pytest.approx(
-                acceptance_probability(spec, attack, 2, ell), abs=1e-12
+                oracle, abs=1e-12
+            )
+            assert acceptance_probability(spec, attack, 2, ell) == pytest.approx(
+                oracle, abs=1e-12
             )
 
     def test_computational_traps_blind_to_attack(self):
@@ -153,8 +159,8 @@ class TestOverallAcceptance:
             ([(0, 0.2), (2, 0.3), (3, 0.5)], matched, "uniform"),
             ([(1, 0.0), (2, 0.4), (3, 0.6)], matched, "uniform"),  # zero-weight n
             ([(0, 0.2), (2, 0.8)], matched, {0: (1.0,), 2: (0.6, 0.3, 0.1)}),
-            ([(1, 0.5), (2, 0.5)], global_power_acceptance(matched), "uniform"),
-            ([(1, 0.5), (2, 0.5)], global_power_acceptance(matched),
+            ([(1, 0.5), (2, 0.5)], GlobalAcceptance(matched), "uniform"),
+            ([(1, 0.5), (2, 0.5)], GlobalAcceptance(matched),
              {1: (0.25, 0.75), 2: (0.2, 0.3, 0.5)}),
         ]
         for pairs, acceptance, output_round in cases:
@@ -404,7 +410,7 @@ class TestMonteCarlo:
     def test_global_acceptance_mode(self):
         spec = ProtocolSpec(
             omega=RoundDistribution.point_mass(2), k=1, traps=PlusTraps(),
-            acceptance=global_power_acceptance(plus_acceptance()),
+            acceptance=GlobalAcceptance(plus_acceptance()),
         )
         exact = overall_acceptance(spec, PhaseAttack(math.pi / 2))
         res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), 50_000, seed=4)
@@ -428,7 +434,7 @@ class TestPerRoundVsGlobal:
     def test_consistency_small_instances(self):
         rng = np.random.default_rng(77)
         per_round = plus_acceptance()
-        joint = global_power_acceptance(per_round)
+        joint = GlobalAcceptance(per_round)
         for n in (1, 2, 3):
             spec_pr = plus_spec(RoundDistribution.point_mass(n))
             spec_gl = ProtocolSpec(
@@ -446,23 +452,6 @@ class TestPerRoundVsGlobal:
 
 
 class TestOneWalkPerN:
-    def test_global_element_fetched_once_per_n(self):
-        joint = global_power_acceptance(plus_acceptance())
-        calls = []
-
-        def element(k, n):
-            calls.append(n)
-            return joint.element(k, n)
-
-        spec = ProtocolSpec(
-            omega=RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (3, 0.5)]), k=1,
-            traps=PlusTraps(), acceptance=GlobalAcceptance(element),
-        )
-        for strategy in (HONEST, PhaseAttack(1.3)):
-            calls.clear()
-            round_outcome_table(spec, strategy)
-            assert calls == [2, 3]
-
     def test_constant_effects_built_once(self):
         for rule in (plus_acceptance(), computational_acceptance()):
             first = rule.element(2, 3, 1)

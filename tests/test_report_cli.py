@@ -2,13 +2,25 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
+from cutchoose import states, strategies
 from cutchoose.cli import main
-from cutchoose.combs import bell_test_setup
-from cutchoose.config import parse_config
-from cutchoose.families import RandomTraps, matched_acceptance
+from cutchoose.combs import (
+    bell_test_setup,
+    general_test_acceptance,
+    overall_acceptance_via_combs,
+    spec_round_as_general,
+)
+from cutchoose.config import parse_config, sweep_rows
+from cutchoose.families import (
+    RandomTraps,
+    build_acceptance,
+    build_trap_family,
+    matched_acceptance,
+)
 from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
@@ -153,6 +165,121 @@ class TestRunScenario:
         bundle = run_scenario(cfg)
         assert bundle.metadata.wall_time_s >= 0.0
         assert b"wall_time" not in emit_bytes(bundle, "json")
+
+
+def report_bytes(config):
+    bundle = run_scenario(config)
+    return emit_bytes(bundle, "csv") + emit_bytes(bundle, "json")
+
+
+TRAP_DOCS = {
+    "plus": {"family": "plus"},
+    "computational": {"family": "computational"},
+    "random": {"family": "random", "seed": 3},
+}
+
+# (k, protocol omega, sweep). The first shape keeps every k*n <= 8; each of the
+# others has a row with k*n > 12, where the joint element would pass 4096 dims.
+GLOBAL_SHAPES = (
+    (2, [[0, 0.2], [1, 0.3], [3, 0.5]], None),
+    (1, {"point_mass": 13}, None),
+    (2, [[1, 0.5], [7, 0.5]], None),
+    (1, [[1, 1.0], [13, 0.0]], None),
+    (1, {"point_mass": 2}, {"n_values": [2, 13]}),
+    (2, {"point_mass": 1}, {"omegas": [[[2, 1.0]], [[1, 0.5], [7, 0.5]]]}),
+)
+
+
+class TestGlobalMode:
+    """Global acceptance is the tensor product of the per-round effects: same
+    figures as per-round mode, whatever k*n."""
+
+    @pytest.mark.parametrize("trap", sorted(TRAP_DOCS))
+    @pytest.mark.parametrize("family", ["computational", "matched", "plus"])
+    def test_matches_per_round_twin_and_networks(self, family, trap):
+        for k, omega, sweep in GLOBAL_SHAPES:
+            for placement in Placement:
+                configs = {
+                    mode: make_config(
+                        protocol={"omega": omega, "k": k, "traps": TRAP_DOCS[trap],
+                                  "acceptance": {"family": family, "mode": mode}},
+                        strategy={"kind": "phase-attack", "alpha": "theorem-optimal",
+                                  "placement": placement.value},
+                        **({} if sweep is None else {"sweep": sweep}),
+                    )
+                    for mode in ("global", "per-round")
+                }
+                bundle = run_scenario(configs["global"])
+                twin = run_scenario(configs["per-round"])
+                assert emit_bytes(bundle, "csv") == emit_bytes(twin, "csv")
+                assert (json.loads(emit_bytes(bundle, "json"))["runs"]
+                        == json.loads(emit_bytes(twin, "json"))["runs"])
+                rows = sweep_rows(configs["global"].protocol.omega, configs["global"].sweep)
+                for record in bundle.runs:
+                    pairs = rows[record.sweep_index][1]
+                    if k * pairs[-1][0] > 8:
+                        continue
+                    traps = build_trap_family(trap, TRAP_DOCS[trap])
+                    spec = ProtocolSpec(
+                        omega=RoundDistribution.from_pairs(pairs), k=k, traps=traps,
+                        acceptance=build_acceptance(family, "global", traps),
+                    )
+                    r = record.report
+                    for strategy, p, table in (
+                        (HONEST, r.p_h, r.honest_rounds),
+                        (PhaseAttack(r.alpha, placement), r.p_d, r.attacked_rounds),
+                    ):
+                        assert p == pytest.approx(
+                            overall_acceptance_via_combs(spec, strategy), abs=1e-12)
+                        for n, ell, value in table.entries:
+                            if n:
+                                via = general_test_acceptance(
+                                    *spec_round_as_general(spec, n, ell), strategy)
+                                assert value == pytest.approx(via, abs=1e-12)
+
+
+def test_reports_never_use_the_dense_attack(monkeypatch):
+    noisy_teeth = [{"channel": "depolarizing", "register": 1 + j % 2, "strength": 0.3,
+                    **({"permute": [2, 1]} if j % 2 else {})} for j in range(5)]
+    configs = [
+        make_config(
+            protocol={"omega": [[0, 0.2], [2, 0.8]], "k": 2,
+                      "traps": {"family": "random", "seed": 5},
+                      "acceptance": {"family": "matched"}},
+            strategy={"kind": "phase-attack", "alpha": "theorem-optimal", "placement": "pre"},
+            monte_carlo={"trials": 2000, "seed": 1},
+        ),
+        make_config(
+            protocol={"omega": [[1, 0.5], [3, 0.5]], "k": 2,
+                      "traps": {"family": "random", "seed": 6},
+                      "acceptance": {"family": "matched", "mode": "global"}},
+            monte_carlo={"trials": 2000, "seed": 2},
+        ),
+        make_config(variant={"kind": "general-tests", "setup": {"family": "bell"}},
+                    sweep={"n_values": [1, 2, 3]}),
+        make_config(
+            protocol={"omega": {"point_mass": 4}, "k": 1, "traps": {"family": "plus"},
+                      "acceptance": {"family": "plus"}},
+            strategy={"kind": "phase-attack", "alpha": "theorem-optimal", "placement": "pre"},
+            variant={"kind": "general-tests", "setup": {
+                "family": "custom", "width": 2, "y_qubits": 1,
+                "hole_registers": [1, 2, 2, 1], "teeth": noisy_teeth,
+                "unitaries": "random", "unitary_seed": 7,
+            }},
+        ),
+    ]
+    expected = [report_bytes(config) for config in configs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a report used the dense attack")
+
+    dense = (strategies.transform_round, states.attack_operator)
+    for name, module in list(sys.modules.items()):
+        if name == "cutchoose" or name.startswith("cutchoose."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in dense):
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert [report_bytes(config) for config in configs] == expected
 
 
 class TestEmission:

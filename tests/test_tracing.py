@@ -4,7 +4,7 @@ The tracer replaces the package functions it names with wrappers, so a
 rename or signature change here would break the benchmark's per-layer
 metrics. These tests install it around small scenarios and check that it
 installs, counts one outcome-table build per strategy per report row and
-one trap call per round, records each Monte-Carlo sampler call's arguments,
+one trap call per round (per-round and global acceptance alike), records each Monte-Carlo sampler call's arguments,
 and leaves report bytes unchanged.
 """
 
@@ -50,8 +50,11 @@ def test_traced_reports_match_untraced():
     # the matched effect is read from the round's own trap call
     matched = scenario({"kind": "per-round"}, 2, protocol={
         "traps": {"family": "random", "seed": 3}, "acceptance": {"family": "matched"}})
+    global_matched = scenario({"kind": "per-round"}, 2, protocol={
+        "traps": {"family": "random", "seed": 3},
+        "acceptance": {"family": "matched", "mode": "global"}})
     untraced = [report_bytes(per_round), report_bytes(bell), report_bytes(sampled),
-                report_bytes(matched)]
+                report_bytes(matched), report_bytes(global_matched)]
     original = cutchoose.run_scenario
 
     tracer = load_tracer_class()()
@@ -74,5 +77,10 @@ def test_traced_reports_match_untraced():
         traced_matched = report_bytes(matched)
         # 2 rows x {honest, attacked} x one trap call per round (n + 1 = 3)
         assert tracer.counts["families.trap_calls"] - before == 2 * 2 * 3
+        before = tracer.counts["families.trap_calls"]
+        traced_global_matched = report_bytes(global_matched)
+        # the same: global acceptance reads each round's effect from its trap call
+        assert tracer.counts["families.trap_calls"] - before == 2 * 2 * 3
     assert cutchoose.run_scenario is original
-    assert [traced_per_round, traced_bell, traced_sampled, traced_matched] == untraced
+    assert [traced_per_round, traced_bell, traced_sampled, traced_matched,
+            traced_global_matched] == untraced

@@ -1,12 +1,12 @@
 """The per-round engine on 2**k vectors against the dense reference path.
 
 The engine reads round factors as overlaps of played trap outputs, applies
-the attack as a phase vector, multiplies a tensor-power global rule's
-per-round values, and takes the trade-off errors from acceptance
-probabilities and one overlap. Each is compared here with the dense
-computation it replaces: ``transform_round`` matrices, effect matrices as
-quadratic forms, joint elements, and ``epsilon_h``/``epsilon_d_*`` on
-``client_output_state``.
+the attack as a phase vector, multiplies a global rule's per-round values,
+and takes the trade-off errors from acceptance probabilities and one
+overlap. Each is compared here with the dense computation it replaces:
+``transform_round`` matrices, effect matrices as quadratic forms, the
+joint element (the tensor product of the per-round effects) on the joint
+output, and ``epsilon_h``/``epsilon_d_*`` on ``client_output_state``.
 """
 
 import math
@@ -29,7 +29,6 @@ from cutchoose.families import (
     PlusTraps,
     RandomTraps,
     computational_acceptance,
-    global_power_acceptance,
     matched_acceptance,
     plus_acceptance,
 )
@@ -118,20 +117,30 @@ def test_global_power_matches_dense_joint_element(trap_name, effect_name):
     for k in range(1, 9):
         for n in range(1, 8 // k + 1):
             traps = TRAPS[trap_name]()
-            rule = global_power_acceptance(EFFECTS[effect_name](traps))
-            omega = RoundDistribution.point_mass(n)
-            fast = ProtocolSpec(omega=omega, k=k, traps=traps, acceptance=rule)
-            dense = ProtocolSpec(
-                omega=omega, k=k, traps=traps, acceptance=GlobalAcceptance(rule.element)
+            rule = EFFECTS[effect_name](traps)
+            spec = ProtocolSpec(
+                omega=RoundDistribution.point_mass(n), k=k, traps=traps,
+                acceptance=GlobalAcceptance(rule),
             )
             for placement in Placement:
                 attack = PhaseAttack(1.1, placement)
-                got = round_outcome_table(fast, attack).entries
-                ref = round_outcome_table(dense, attack).entries
-                assert [e[:2] for e in got] == [e[:2] for e in ref]
-                np.testing.assert_allclose(
-                    [e[2] for e in got], [e[2] for e in ref], rtol=0, atol=TOL
-                )
+                outs, effects = [], []
+                for i in range(1, n + 2):
+                    t, chi = traps.trap(k, n, i)
+                    u = np.eye(2**k) if t is None else t
+                    outs.append(transform_round(attack, u, k) @ chi.amplitudes)
+                    effects.append(rule.element(k, n, i).matrix)
+                ref = []
+                for ell in range(1, n + 2):
+                    joint_out, joint_effect = np.ones(1), np.eye(1)
+                    for i in range(n + 1):
+                        if i != ell - 1:
+                            joint_out = np.kron(joint_out, outs[i])
+                            joint_effect = np.kron(joint_effect, effects[i])
+                    ref.append(float(np.vdot(joint_out, joint_effect @ joint_out).real))
+                got = round_outcome_table(spec, attack).entries
+                assert [e[:2] for e in got] == [(n, ell) for ell in range(1, n + 2)]
+                np.testing.assert_allclose([e[2] for e in got], ref, rtol=0, atol=TOL)
 
 
 class BrokenTraps(TrapGenerator):
