@@ -27,7 +27,6 @@ from .linalg import (
     fidelity,
     fidelity_psd,
     hermitian_eig,
-    kron,
     psd_sqrt,
     pure_trace_distance,
     trace_norm,

@@ -250,12 +250,12 @@ def criterion_diamond_distance() -> CriterionResult:
     failures = []
     eye = np.eye(2, dtype=np.complex128)
     alphas = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
-    for i, alpha in enumerate(alphas):
+    for alpha in alphas:
         expected = abs(math.sin(alpha / 2.0))
         closed = diamond_distance_unitaries(eye, phase_gate(alpha))
         if abs(closed - expected) > 1e-9:
             failures.append(f"alpha={alpha:.4f}: closed form {closed!r} vs {expected!r}")
-        searched = diamond_distance_pure_search(eye, phase_gate(alpha), seed=i)
+        searched = diamond_distance_pure_search(eye, phase_gate(alpha))
         if abs(searched - expected) > 1e-5:
             failures.append(f"alpha={alpha:.4f}: search {searched!r} vs {expected!r}")
     return _result(

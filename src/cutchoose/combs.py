@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .bounds import TradeoffReport, certify_tradeoff
 from .config import CustomComb
@@ -32,6 +31,7 @@ from .errors import (
     LayoutError,
 )
 from .linalg import COMB_DIM_CAP, DensityOperator, as_square_matrix, dagger, is_unitary
+from .optimize import scan_unit_interval
 from .protocol import (
     GlobalAcceptance,
     OutputRound,
@@ -481,6 +481,17 @@ def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -
     return weighted_acceptance(spec.omega, spec.output_round, outcome_table(spec.omega, per_ell))
 
 
+def _unitary_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as square, same-shape, finite matrices unitary within 1e-10."""
+    um, vm = as_square_matrix(u), as_square_matrix(v)
+    if um.shape != vm.shape:
+        raise ContractViolationError(f"dimension mismatch: {um.shape} vs {vm.shape}")
+    for name, m in (("first", um), ("second", vm)):
+        if not is_unitary(m):
+            raise ContractViolationError(f"{name} argument is not unitary within 1e-10")
+    return um, vm
+
+
 def diamond_distance_unitaries(u, v) -> float:
     """Half diamond distance between two unitary channels.
 
@@ -490,12 +501,7 @@ def diamond_distance_unitaries(u, v) -> float:
     otherwise the nearest hull point lies on the chord closing the largest
     gap, at distance cos(spread / 2) for spread = 2*pi - largest gap.
     """
-    um, vm = as_square_matrix(u), as_square_matrix(v)
-    if um.shape != vm.shape:
-        raise ContractViolationError(f"dimension mismatch: {um.shape} vs {vm.shape}")
-    for name, m in (("first", um), ("second", vm)):
-        if not is_unitary(m):
-            raise ContractViolationError(f"{name} argument is not unitary within 1e-10")
+    um, vm = _unitary_pair(u, v)
     eigs = np.linalg.eigvals(dagger(um) @ vm)
     angles = np.sort(np.angle(eigs))
     gaps = np.append(np.diff(angles), angles[0] + 2.0 * math.pi - angles[-1])
@@ -506,27 +512,29 @@ def diamond_distance_unitaries(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-def diamond_distance_pure_search(u, v, seed: int = 0) -> float:
-    """Independent estimate: maximize the output trace distance over pure
-    inputs extended by a same-sized reference system, from 8 random starts."""
-    um, vm = as_square_matrix(u), as_square_matrix(v)
+def diamond_distance_pure_search(u, v) -> float:
+    """Independent estimate: the smallest output overlap |<z|Mz>| over unit
+    inputs z, for M = u†v ⊗ 1 on the input extended by a same-sized reference.
+
+    That minimum is the distance nu from 0 to the numerical range of M, which
+    is convex (Toeplitz–Hausdorff), so nu = max(0, max_θ λ_min(Re(e^{-iθ} M))).
+    The maximum is found by a grid scan over θ refined by golden section.
+    The argument holds for any matrix and uses only Hermitian eigenvalues of
+    rotated parts, while :func:`diamond_distance_unitaries` reads the
+    spectrum of u†v and relies on it being normal: the two are independent.
+    """
+    um, vm = _unitary_pair(u, v)
     d = um.shape[0]
+    if d > 4:  # every caller passes 2x2; at 4x4 the grid below peaks near 80 MB
+        raise DimensionCapError(f"pure-state search takes at most 4x4, got {d}x{d}")
     m = np.kron(dagger(um) @ vm, np.eye(d, dtype=np.complex128))
-    dim = d * d
 
-    def objective(x):
-        z = x[:dim] + 1j * x[dim:]
-        nrm = np.linalg.norm(z)
-        z = z / nrm
-        return abs(np.vdot(z, m @ z)) ** 2
+    def lowest(ts):
+        phases = np.exp(-2j * math.pi * np.asarray(ts, dtype=float))[:, None, None]
+        return np.linalg.eigvalsh((phases * m + phases.conj() * dagger(m)) / 2.0)[:, 0]
 
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(8):
-        x0 = rng.standard_normal(2 * dim)
-        res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B")
-        best = min(best, float(res.fun))
-    return math.sqrt(max(0.0, 1.0 - best))
+    _, best = scan_unit_interval(lambda t: float(lowest([t])[0]), lowest, minimize=False)
+    return math.sqrt(max(0.0, 1.0 - max(0.0, best) ** 2))
 
 
 class GapCheck(NamedTuple):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionCapError, NotPsdError
+from .errors import ContractViolationError, NotPsdError
 
 DIM_CAP = 4096
 COMB_DIM_CAP = 256  # channel networks: register stack times kept auxiliary space
@@ -57,18 +57,6 @@ def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol
-
-
-def kron(a, b, cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a hard cap on the resulting dimension."""
-    am, bm = as_matrix(a), as_matrix(b)
-    rows = am.shape[0] * bm.shape[0]
-    cols = am.shape[1] * bm.shape[1]
-    if max(rows, cols) > cap:
-        raise DimensionCapError(
-            f"kron would produce a {rows}x{cols} matrix, beyond the cap {cap}"
-        )
-    return np.kron(am, bm)
 
 
 def hermitian_eig(h, tol: float = VALIDATION_TOL):

@@ -277,12 +277,15 @@ def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
     """Distribution of the output-round position over {1, ..., n+1}."""
     if isinstance(output_round, str):
         return np.full(n + 1, 1.0 / (n + 1))
+    if n not in output_round:
+        raise ContractViolationError(f"no output-round distribution for n={n}")
     probs = np.asarray(output_round[n], dtype=float)
     if probs.shape != (n + 1,):
         raise ContractViolationError(
             f"output-round distribution for n={n} has length {probs.size}, expected {n + 1}"
         )
-    if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-12:
+    # written so that NaN entries fail both comparisons
+    if not (np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= 1e-12):
         raise ContractViolationError(
             f"output-round distribution for n={n} is not a probability vector"
         )

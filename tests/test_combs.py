@@ -274,10 +274,18 @@ class TestDiamondDistance:
             assert got == pytest.approx(abs(math.sin(alpha / 2)), abs=1e-9)
 
     def test_search_agrees(self):
-        for i, alpha in enumerate((0.0, 0.6, 1.5, math.pi, 4.4)):
+        for alpha in (0.0, 0.6, 1.5, math.pi, 4.4):
             closed = diamond_distance_unitaries(np.eye(2), phase_gate(alpha))
-            searched = diamond_distance_pure_search(np.eye(2), phase_gate(alpha), seed=i)
+            searched = diamond_distance_pure_search(np.eye(2), phase_gate(alpha))
             assert abs(closed - searched) <= 1e-5
+        rng = np.random.default_rng(12)
+        for k, pairs in ((1, 10), (2, 3)):
+            for _ in range(pairs):
+                u, v = random_unitary(2**k, rng), random_unitary(2**k, rng)
+                searched = diamond_distance_pure_search(u, v)
+                assert searched == pytest.approx(diamond_distance_unitaries(u, v), abs=1e-9)
+        with pytest.raises(DimensionCapError):
+            diamond_distance_pure_search(np.eye(8), np.eye(8))
 
     def test_left_unitary_invariance(self):
         # ||T - T A|| equals ||I - A|| for any unitary T
@@ -292,6 +300,25 @@ class TestDiamondDistance:
     def test_rejects_non_unitary(self):
         with pytest.raises(ContractViolationError):
             diamond_distance_unitaries(np.diag([1.0, 2.0]), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "distance", [diamond_distance_unitaries, diamond_distance_pure_search],
+        ids=["closed-form", "search"],
+    )
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (np.eye(2), np.eye(4)),
+            (np.eye(2), np.diag([1.0, 2.0])),
+            (np.diag([1.0, 2.0]), np.eye(2)),
+            (np.eye(2), np.ones((2, 3))),
+            (np.eye(2), np.diag([1.0, np.nan])),
+        ],
+        ids=["shape-mismatch", "second-non-unitary", "first-non-unitary", "non-square", "nan"],
+    )
+    def test_rejects_bad_input(self, distance, u, v):
+        with pytest.raises(ContractViolationError):
+            distance(u, v)
 
 
 class TestCombContraction:

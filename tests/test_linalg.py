@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutchoose.errors import ContractViolationError, DimensionCapError, NotPsdError
+from cutchoose.errors import ContractViolationError, NotPsdError
 from cutchoose.linalg import (
     DensityOperator,
     PureState,
     fidelity,
     fidelity_psd,
     hermitian_eig,
-    kron,
     psd_sqrt,
     pure_trace_distance,
     trace_norm,
@@ -23,28 +22,6 @@ I2 = np.eye(2)
 def ket(*amps):
     v = np.asarray(amps, dtype=complex)
     return PureState(v / np.linalg.norm(v))
-
-
-class TestKron:
-    def test_identities(self):
-        np.testing.assert_allclose(kron(I2, I2), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            kron(phase_gate(np.pi), I2), np.diag([1, 1, -1, -1]), atol=1e-15
-        )
-
-    def test_basis_projectors(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        np.testing.assert_allclose(kron(p0, p1), expected)
-
-    def test_dimension_cap(self):
-        big = np.eye(128)
-        with pytest.raises(DimensionCapError):
-            kron(big, np.eye(64))
 
 
 class TestHermitianEig:

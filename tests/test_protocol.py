@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutchoose import protocol
+from cutchoose.combs import GeneralSetup, bell_test_setup
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import (
     ComputationalTraps,
@@ -210,6 +211,31 @@ class TestOverallAcceptance:
         )
         with pytest.raises(ContractViolationError):
             overall_acceptance(bad, HONEST)
+
+    @pytest.mark.parametrize(
+        "output_round, message",
+        [({1: (0.5, 0.5)}, "n=2"), ({1: (math.nan, 1.0), 2: (0.2, 0.3, 0.5)}, "n=1")],
+        ids=["missing-n", "nan-entry"],
+    )
+    def test_rejects_missing_or_nan_output_round(self, output_round, message):
+        omega = RoundDistribution.from_pairs([(1, 0.5), (2, 0.5)])
+        spec = ProtocolSpec(
+            omega=omega, k=1, traps=PlusTraps(), acceptance=plus_acceptance(),
+            output_round=output_round,
+        )
+        one, two = bell_test_setup(1), bell_test_setup(2)
+        setup = GeneralSetup(
+            omega=omega, k=1, tests={1: one.tests[1], 2: two.tests[2]},
+            combs={**one.combs, **two.combs}, output_round=output_round,
+        )
+        evaluations = (
+            lambda: overall_acceptance(spec, HONEST),
+            lambda: monte_carlo_run(spec, HONEST, trials=100, seed=0),
+            lambda: setup.overall(HONEST),
+        )
+        for evaluate in evaluations:
+            with pytest.raises(ContractViolationError, match=message):
+                evaluate()
 
 
 class TestOutcomeTable:
