@@ -17,6 +17,7 @@ total dimension of 256: the bounds being certified are dimension-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -24,7 +25,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import TradeoffReport, certify_tradeoff
-from .config import CustomComb
 from .errors import (
     ContractViolationError,
     DimensionCapError,
@@ -120,27 +120,50 @@ def _embed(op: np.ndarray, slot: int, slots: int) -> np.ndarray:
     return np.kron(np.kron(left, op), right)
 
 
-def dephasing_channel(strength: float, qubit: int = 0, total_qubits: int = 1) -> Channel:
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+
+
+def _pauli_channel(name, paulis, rate, strength, qubit=0, total_qubits=1) -> Channel:
+    """Each Pauli error with probability ``rate * strength``, else the identity."""
     if not 0.0 <= strength <= 1.0:
-        raise ContractViolationError(f"dephasing strength {strength!r} outside [0, 1]")
-    z = np.diag([1.0, -1.0]).astype(np.complex128)
-    ops = (math.sqrt(1.0 - strength) * np.eye(2), math.sqrt(strength) * z)
+        raise ContractViolationError(f"{name} strength {strength!r} outside [0, 1]")
+    w = rate * strength
+    ops = (math.sqrt(1.0 - len(paulis) * w) * np.eye(2), *(math.sqrt(w) * p for p in paulis))
     return Channel([_embed(op, qubit, total_qubits) for op in ops])
 
 
-def depolarizing_channel(strength: float, qubit: int = 0, total_qubits: int = 1) -> Channel:
-    if not 0.0 <= strength <= 1.0:
-        raise ContractViolationError(f"depolarizing strength {strength!r} outside [0, 1]")
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-    z = np.diag([1.0, -1.0]).astype(np.complex128)
-    ops = (
-        math.sqrt(1.0 - 0.75 * strength) * np.eye(2),
-        math.sqrt(strength / 4.0) * x,
-        math.sqrt(strength / 4.0) * y,
-        math.sqrt(strength / 4.0) * z,
-    )
-    return Channel([_embed(op, qubit, total_qubits) for op in ops])
+# (strength, qubit=0, total_qubits=1) -> channel on one qubit of total_qubits
+dephasing_channel = functools.partial(_pauli_channel, "dephasing", (_Z,), 1.0)
+depolarizing_channel = functools.partial(_pauli_channel, "depolarizing", (_X, _Y, _Z), 0.25)
+# the noise palette of teeth
+NOISE_CHANNELS = {"dephasing": dephasing_channel, "depolarizing": depolarizing_channel}
+
+
+class Tooth(NamedTuple):
+    """One gap of a network: a wire permutation (output slot j holds input
+    register ``permutation[j]``, 0-based), then a palette channel on qubit
+    ``qubit`` of the register stack; either may be None."""
+
+    permutation: tuple[int, ...] | None
+    channel: str | None
+    qubit: int | None
+    strength: float | None
+
+
+def build_tooth(tooth: Tooth | None, width: int, k: int) -> Channel | None:
+    """The channel of a tooth on ``width`` k-qubit registers; None for plain wires."""
+    if tooth is None:
+        return None
+    perm = None
+    if tooth.permutation is not None:
+        perm = register_permutation_unitary(tooth.permutation, width, k)
+    if tooth.channel is None:
+        return Channel((perm,), check=False)
+    noise = NOISE_CHANNELS[tooth.channel](tooth.strength, tooth.qubit, width * k)
+    # the noise acts after the wire permutation
+    return noise if perm is None else Channel([op @ perm for op in noise.kraus], check=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +239,9 @@ def _walk(comb: Comb, hole_kraus):
     """Kraus sets of the plugged network on the register stack, in time order:
     tooth 0, hole 1, tooth 1, ..., hole n, tooth n (plain-wire teeth skipped).
 
-    ``hole_kraus[i]`` is the Kraus set plugged into hole ``i + 1``.
+    ``hole_kraus[i]`` is the Kraus set plugged into hole ``i + 1``; the
+    entry points check their layout with :func:`_check_holes`.
     """
-    _check_holes(comb, [ops[0].shape for ops in hole_kraus])
     if comb.teeth[0] is not None:
         yield comb.teeth[0].kraus
     for i, ops in enumerate(hole_kraus):
@@ -232,6 +255,7 @@ def plug(comb: Comb, round_channels) -> Channel:
 
     Kraus counts multiply with every step: the reference for :func:`_evolve`."""
     channels = [c if isinstance(c, Channel) else Channel.from_unitary(c) for c in round_channels]
+    _check_holes(comb, [(c.dim, c.dim) for c in channels])
     result = Channel((np.eye(comb.register_dim, dtype=np.complex128),), check=False)
     for kraus in _walk(comb, [c.kraus for c in channels]):
         result = Channel(kraus, check=False).compose(result)
@@ -351,6 +375,13 @@ def _bell_pairs_register_major(pairs: int) -> np.ndarray:
     return vec.reshape((2,) * (2 * pairs)).transpose(src).reshape(-1)
 
 
+def _point_mass_setup(test: GeneralTest, comb: Comb) -> GeneralSetup:
+    """Exactly ``comb.n_holes`` test rounds, one network for every output round."""
+    n = comb.n_holes
+    return GeneralSetup(RoundDistribution.point_mass(n), comb.k, {n: test},
+                        {(n, ell): comb for ell in range(1, n + 2)})
+
+
 def bell_test_setup(n_tests: int) -> GeneralSetup:
     """Each test register is maximally entangled with a kept auxiliary qubit.
 
@@ -364,48 +395,22 @@ def bell_test_setup(n_tests: int) -> GeneralSetup:
     measurement = PovmElement(np.outer(vec, vec.conj()))
     eye2 = np.eye(2, dtype=np.complex128)
     test = GeneralTest(chi, (eye2,) * n_tests, measurement)
-    comb = Comb(
-        n_holes=n_tests,
-        k=1,
-        width=n_tests,
-        y_dim=2**n_tests,
-        hole_registers=tuple(range(n_tests)),
-        teeth=(None,) * (n_tests + 1),
-    )
-    return GeneralSetup(
-        omega=RoundDistribution.point_mass(n_tests),
-        k=1,
-        tests={n_tests: test},
-        combs={(n_tests, ell): comb for ell in range(1, n_tests + 2)},
-    )
+    return _point_mass_setup(test, trivial_parallel_comb(n_tests, k=1, y_dim=2**n_tests))
 
 
-def custom_test_setup(custom: CustomComb, n: int) -> GeneralSetup:
-    """General setup for a ``custom`` comb descriptor with ``n`` holes (k = 1)."""
+def custom_test_setup(custom, n: int) -> GeneralSetup:
+    """General setup for a parsed ``custom`` descriptor (its ``Tooth`` teeth,
+    1-based ``hole_registers``, state, measurement and unitaries) with ``n``
+    holes (k = 1)."""
     k = 1
     width, y_dim = custom.width, 2**custom.y_qubits
-
-    def build_tooth(descr):
-        d = dict(descr or ())
-        perm = None
-        if "permute" in d:
-            perm = register_permutation_unitary(tuple(p - 1 for p in d["permute"]), width, k)
-        if "channel" not in d:
-            return None if perm is None else Channel((perm,), check=False)
-        maker = dephasing_channel if d["channel"] == "dephasing" else depolarizing_channel
-        noise = maker(float(d.get("strength", 0.5)),
-                      qubit=int(d.get("register", 1)) - 1,
-                      total_qubits=width * k)
-        # the noise acts after the wire permutation
-        return noise if perm is None else Channel([op @ perm for op in noise.kraus], check=False)
-
     comb = Comb(
         n_holes=n,
         k=k,
         width=width,
         y_dim=y_dim,
         hole_registers=tuple(h - 1 for h in custom.hole_registers),
-        teeth=tuple(build_tooth(t) for t in custom.teeth),
+        teeth=tuple(build_tooth(t, width, k) for t in custom.teeth),
     )
     full_dim = comb.register_dim * y_dim
     if custom.state == "plus":
@@ -429,13 +434,7 @@ def custom_test_setup(custom: CustomComb, n: int) -> GeneralSetup:
         # effect (all eigenvalues <= 1), a projector when the network is unitary
         mu = PovmElement(_evolve(comb, unitaries, chi.matrix))
 
-    test = GeneralTest(chi, unitaries, mu)
-    return GeneralSetup(
-        omega=RoundDistribution.point_mass(n),
-        k=k,
-        tests={n: test},
-        combs={(n, ell): comb for ell in range(1, n + 2)},
-    )
+    return _point_mass_setup(GeneralTest(chi, unitaries, mu), comb)
 
 
 def _round_tests(spec: ProtocolSpec, n: int):
@@ -591,18 +590,16 @@ def random_comb_draw(seed: int) -> RandomCombDraw:
     combs: dict[tuple[int, int], Comb] = {}
     d = 2**k
 
-    def random_tooth(width: int) -> Channel | None:
+    def random_tooth(width: int) -> Tooth | None:
         kind = int(rng.integers(0, 4))
         if kind == 0:
             return None
         if kind == 1:
-            return Channel.from_unitary(
-                register_permutation_unitary(rng.permutation(width), width, k)
-            )
+            return Tooth(tuple(int(p) for p in rng.permutation(width)), None, None, None)
         qubit = int(rng.integers(0, width * k))
         strength = float(rng.uniform(0.0, 1.0))
-        maker = dephasing_channel if kind == 2 else depolarizing_channel
-        return maker(strength, qubit=qubit, total_qubits=width * k)
+        # kinds 2 and 3 are the palette in table order: dephasing, depolarizing
+        return Tooth(None, list(NOISE_CHANNELS)[kind - 2], qubit, strength)
 
     for n in ns:
         if n == 0:
@@ -623,7 +620,7 @@ def random_comb_draw(seed: int) -> RandomCombDraw:
                 width=width,
                 y_dim=y_dim,
                 hole_registers=hole_regs,
-                teeth=tuple(random_tooth(width) for _ in range(n + 1)),
+                teeth=tuple(build_tooth(random_tooth(width), width, k) for _ in range(n + 1)),
             )
     setup = GeneralSetup(omega=omega, k=k, tests=tests, combs=combs, output_round=output_round)
     alpha = float(rng.uniform(0.0, 2.0 * math.pi))

@@ -13,9 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .bounds import theorem_bound
+from .combs import NOISE_CHANNELS, Tooth
+from .errors import ConfigError, OutOfDomainError
+from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
 from .linalg import COMB_DIM_CAP, DIM_CAP
-from .strategies import Placement, SecurityModel
+from .strategies import Placement, ProtocolVariant, SecurityModel, attack_sine
 
 _MODEL_NAMES = {m.value: m for m in SecurityModel}
 _PLACEMENT_NAMES = {p.value: p for p in Placement}
@@ -30,11 +33,17 @@ def _is_int(x, lo: int, hi: float = math.inf) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
 
 
+def _is_name(x, table) -> bool:
+    """True for a JSON string that names an entry of an engine name table."""
+    return isinstance(x, str) and x in table
+
+
 class _Validator:
     def __init__(self):
         self.errors: list[str] = []
 
-    def fail(self, path: str, message: str):
+    def fail(self, path: str, message: str) -> None:
+        """Record an error; returns None, so a parse step can end with it."""
         self.errors.append(f"{path}: {message}")
 
     def require_dict(self, obj, path: str, required: dict, optional: dict):
@@ -73,29 +82,24 @@ def _non_finite_paths(obj, path: str):
 def _check_probability_pairs(raw, path: str, v: _Validator):
     """Validate a [[n, prob], ...] list; returns a normalized tuple or None."""
     if not isinstance(raw, list) or not raw:
-        v.fail(path, "expected a non-empty list of [n, probability] pairs")
-        return None
+        return v.fail(path, "expected a non-empty list of [n, probability] pairs")
     pairs = []
     for idx, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2):
-            v.fail(f"{path}[{idx}]", "expected a [n, probability] pair")
-            return None
+            return v.fail(f"{path}[{idx}]", "expected a [n, probability] pair")
         n, p = item
         if not _is_int(n, 0):
-            v.fail(f"{path}[{idx}]", f"round count must be a non-negative integer, got {n!r}")
-            return None
+            return v.fail(f"{path}[{idx}]",
+                          f"round count must be a non-negative integer, got {n!r}")
         if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 0:
-            v.fail(f"{path}[{idx}]", f"probability must be non-negative, got {p!r}")
-            return None
+            return v.fail(f"{path}[{idx}]", f"probability must be non-negative, got {p!r}")
         pairs.append((n, float(p)))
     ns = [n for n, _ in pairs]
     if len(set(ns)) != len(ns):
-        v.fail(path, "duplicate round counts")
-        return None
+        return v.fail(path, "duplicate round counts")
     total = math.fsum(p for _, p in pairs)
     if abs(total - 1.0) > 1e-9:
-        v.fail(path, f"probabilities sum to {total:.12g}, not 1 within 1e-9")
-        return None
+        return v.fail(path, f"probabilities sum to {total:.12g}, not 1 within 1e-9")
     # renormalize exactly so downstream validation at 1e-12 always passes
     return tuple(sorted((n, p / total) for n, p in pairs))
 
@@ -122,7 +126,7 @@ class CustomComb:
     width: int
     y_qubits: int
     hole_registers: tuple[int, ...]
-    teeth: tuple[tuple[tuple[str, object], ...] | None, ...]
+    teeth: tuple[Tooth | None, ...]
     state: str
     measurement: str
     unitaries: str
@@ -222,13 +226,25 @@ def _variant_doc(variant: VariantConfig) -> dict:
                 "width": c.width,
                 "y_qubits": c.y_qubits,
                 "hole_registers": list(c.hole_registers),
-                "teeth": [None if t is None else dict(t) for t in c.teeth],
+                "teeth": [_tooth_doc(t) for t in c.teeth],
                 "state": c.state,
                 "measurement": c.measurement,
                 "unitaries": c.unitaries,
                 "unitary_seed": c.unitary_seed,
             }
         )
+    return doc
+
+
+def _tooth_doc(tooth: Tooth | None) -> dict | None:
+    """A parsed tooth in its normalized 1-based form, defaults spelled out."""
+    if tooth is None:
+        return None
+    doc: dict = {}
+    if tooth.permutation is not None:
+        doc["permute"] = [p + 1 for p in tooth.permutation]
+    if tooth.channel is not None:
+        doc.update(channel=tooth.channel, register=tooth.qubit + 1, strength=tooth.strength)
     return doc
 
 
@@ -260,7 +276,7 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
     traps_raw = raw.get("traps")
     if v.require_dict(traps_raw, f"{path}.traps", {"family": 0}, {"seed": 0}):
         trap_family = traps_raw["family"]
-        if trap_family not in ("plus", "computational", "random"):
+        if not _is_name(trap_family, TRAP_FAMILIES):
             v.fail(f"{path}.traps.family", f"unknown trap family {trap_family!r}")
             trap_family = None
         if "seed" in traps_raw:
@@ -275,11 +291,11 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
     acc_raw = raw.get("acceptance")
     if v.require_dict(acc_raw, f"{path}.acceptance", {"family": 0}, {"mode": 0}):
         acc_family = acc_raw["family"]
-        if acc_family not in ("plus", "computational", "matched"):
+        if not _is_name(acc_family, ACCEPTANCE_FAMILIES):
             v.fail(f"{path}.acceptance.family", f"unknown acceptance family {acc_family!r}")
             acc_family = None
         acc_mode = acc_raw.get("mode", "per-round")
-        if acc_mode not in ("per-round", "global"):
+        if not _is_name(acc_mode, ACCEPTANCE_MODES):
             v.fail(f"{path}.acceptance.mode", f"must be 'per-round' or 'global', got {acc_mode!r}")
 
     if None in (omega, k, trap_family, acc_family):
@@ -290,15 +306,13 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
 def _parse_strategy(raw, v: _Validator) -> StrategyConfig | None:
     path = "strategy"
     if not isinstance(raw, dict) or "kind" not in raw:
-        v.fail(path, "expected an object with a 'kind' field")
-        return None
+        return v.fail(path, "expected an object with a 'kind' field")
     kind = raw["kind"]
     if kind == "honest":
         v.require_dict(raw, path, {"kind": 0}, {})
         return StrategyConfig("honest", None, "post")
     if kind != "phase-attack":
-        v.fail(f"{path}.kind", f"must be 'honest' or 'phase-attack', got {kind!r}")
-        return None
+        return v.fail(f"{path}.kind", f"must be 'honest' or 'phase-attack', got {kind!r}")
     if not v.require_dict(raw, path, {"kind": 0, "alpha": 0}, {"placement": 0}):
         return None
     alpha = raw["alpha"]
@@ -307,40 +321,34 @@ def _parse_strategy(raw, v: _Validator) -> StrategyConfig | None:
     elif isinstance(alpha, (int, float)) and not isinstance(alpha, bool):
         alpha = float(alpha)
     else:
-        v.fail(f"{path}.alpha", f"must be a number or 'theorem-optimal', got {alpha!r}")
-        return None
+        return v.fail(f"{path}.alpha", f"must be a number or 'theorem-optimal', got {alpha!r}")
     placement = raw.get("placement", "post")
-    if placement not in _PLACEMENT_NAMES:
-        v.fail(f"{path}.placement", f"must be 'pre' or 'post', got {placement!r}")
-        return None
+    if not _is_name(placement, _PLACEMENT_NAMES):
+        return v.fail(f"{path}.placement", f"must be 'pre' or 'post', got {placement!r}")
     return StrategyConfig("phase-attack", alpha, placement)
 
 
 def _parse_variant(raw, v: _Validator) -> VariantConfig | None:
     path = "variant"
     if not isinstance(raw, dict) or "kind" not in raw:
-        v.fail(path, "expected an object with a 'kind' field")
-        return None
+        return v.fail(path, "expected an object with a 'kind' field")
     kind = raw["kind"]
     if kind == "per-round":
         v.require_dict(raw, path, {"kind": 0}, {})
         return VariantConfig("per-round")
     if kind != "general-tests":
-        v.fail(f"{path}.kind", f"must be 'per-round' or 'general-tests', got {kind!r}")
-        return None
+        return v.fail(f"{path}.kind", f"must be 'per-round' or 'general-tests', got {kind!r}")
     if not v.require_dict(raw, path, {"kind": 0, "setup": 0}, {}):
         return None
     setup = raw["setup"]
     if not isinstance(setup, dict) or "family" not in setup:
-        v.fail(f"{path}.setup", "expected an object with a 'family' field")
-        return None
+        return v.fail(f"{path}.setup", "expected an object with a 'family' field")
     family = setup["family"]
     if family == "bell":
         v.require_dict(setup, f"{path}.setup", {"family": 0}, {})
         return VariantConfig("general-tests", "bell")
     if family != "custom":
-        v.fail(f"{path}.setup.family", f"must be 'bell' or 'custom', got {family!r}")
-        return None
+        return v.fail(f"{path}.setup.family", f"must be 'bell' or 'custom', got {family!r}")
     required = {"family": 0, "width": 0, "hole_registers": 0}
     optional = {"y_qubits": 0, "teeth": 0, "state": 0, "measurement": 0,
                 "unitaries": 0, "unitary_seed": 0}
@@ -356,77 +364,78 @@ def _parse_custom_comb(setup, path, v: _Validator) -> CustomComb | None:
     width = setup["width"]
     # 2**(width + y_qubits) is the network's total dimension
     if not _is_int(width, 1, _MAX_COMB_QUBITS):
-        v.fail(f"{path}.width", f"must be an integer in 1..{_MAX_COMB_QUBITS}, got {width!r}")
-        return None
+        return v.fail(f"{path}.width",
+                      f"must be an integer in 1..{_MAX_COMB_QUBITS}, got {width!r}")
     y_qubits = setup.get("y_qubits", 0)
     if not _is_int(y_qubits, 0, _MAX_COMB_QUBITS - width):
-        v.fail(f"{path}.y_qubits", f"must be an integer in 0..{_MAX_COMB_QUBITS - width} "
-                                   f"(at most {_MAX_COMB_QUBITS} with width), got {y_qubits!r}")
-        return None
+        return v.fail(f"{path}.y_qubits", f"must be an integer in 0..{_MAX_COMB_QUBITS - width} "
+                      f"(at most {_MAX_COMB_QUBITS} with width), got {y_qubits!r}")
     holes_raw = setup.get("hole_registers")
     if not isinstance(holes_raw, list) or not holes_raw or not all(
         _is_int(h, 1, width) for h in holes_raw
     ):
-        v.fail(f"{path}.hole_registers",
-               f"expected a non-empty list of register indices in 1..{width}")
-        return None
+        return v.fail(f"{path}.hole_registers",
+                      f"expected a non-empty list of register indices in 1..{width}")
     n_holes = len(holes_raw)
     teeth_raw = setup.get("teeth", [None] * (n_holes + 1))
     if not isinstance(teeth_raw, list) or len(teeth_raw) != n_holes + 1:
-        v.fail(f"{path}.teeth", f"expected a list of {n_holes + 1} tooth descriptors")
-        return None
+        return v.fail(f"{path}.teeth", f"expected a list of {n_holes + 1} tooth descriptors")
     teeth = []
-    for j, tooth in enumerate(teeth_raw):
-        if tooth is None:
+    for j, raw_tooth in enumerate(teeth_raw):
+        if raw_tooth is None or raw_tooth == {}:  # plain wires
             teeth.append(None)
             continue
-        if not v.require_dict(tooth, f"{path}.teeth[{j}]", {},
-                              {"permute": 0, "channel": 0, "register": 0, "strength": 0}):
+        tooth = _parse_tooth(raw_tooth, f"{path}.teeth[{j}]", width, v)
+        if tooth is None:
             return None
-        if "permute" in tooth:
-            perm = tooth["permute"]
-            if (not isinstance(perm, list) or not all(_is_int(p, 1, width) for p in perm)
-                    or sorted(perm) != list(range(1, width + 1))):
-                v.fail(f"{path}.teeth[{j}].permute",
-                       f"must be a permutation of 1..{width}")
-                return None
-        if "channel" in tooth:
-            if tooth["channel"] not in ("dephasing", "depolarizing"):
-                v.fail(f"{path}.teeth[{j}].channel",
-                       f"unknown channel {tooth['channel']!r} (palette: dephasing, depolarizing)")
-                return None
-            reg = tooth.get("register", 1)
-            if not _is_int(reg, 1, width):
-                v.fail(f"{path}.teeth[{j}].register", f"must be in 1..{width}")
-                return None
-            strength = tooth.get("strength", 0.5)
-            if (not isinstance(strength, (int, float)) or isinstance(strength, bool)
-                    or not 0 <= strength <= 1):
-                v.fail(f"{path}.teeth[{j}].strength", "must be in [0, 1]")
-                return None
-        teeth.append(tuple(sorted(tooth.items())))
+        teeth.append(tooth)
     state = setup.get("state", "plus")
     if state not in ("plus", "zero", "bell-pairs"):
-        v.fail(f"{path}.state", f"must be 'plus', 'zero' or 'bell-pairs', got {state!r}")
-        return None
+        return v.fail(f"{path}.state", f"must be 'plus', 'zero' or 'bell-pairs', got {state!r}")
     if state == "bell-pairs" and y_qubits != width:
-        v.fail(f"{path}.state", "'bell-pairs' requires y_qubits == width")
-        return None
+        return v.fail(f"{path}.state", "'bell-pairs' requires y_qubits == width")
     measurement = setup.get("measurement", "match-state")
     if measurement not in ("match-state", "identity"):
-        v.fail(f"{path}.measurement",
-               f"must be 'match-state' or 'identity', got {measurement!r}")
-        return None
+        return v.fail(f"{path}.measurement",
+                      f"must be 'match-state' or 'identity', got {measurement!r}")
     unitaries = setup.get("unitaries", "identity")
     if unitaries not in ("identity", "random"):
-        v.fail(f"{path}.unitaries", f"must be 'identity' or 'random', got {unitaries!r}")
-        return None
+        return v.fail(f"{path}.unitaries", f"must be 'identity' or 'random', got {unitaries!r}")
     unitary_seed = setup.get("unitary_seed", 0)
     if not _is_int(unitary_seed, 0):
-        v.fail(f"{path}.unitary_seed", "must be a non-negative integer")
-        return None
+        return v.fail(f"{path}.unitary_seed", "must be a non-negative integer")
     return CustomComb(width, y_qubits, tuple(holes_raw), tuple(teeth),
                       state, measurement, unitaries, unitary_seed)
+
+
+def _parse_tooth(tooth, path, width, v: _Validator) -> Tooth | None:
+    """One tooth descriptor as a defaults-filled, 0-based :class:`Tooth`."""
+    if not v.require_dict(tooth, path, {},
+                          {"permute": 0, "channel": 0, "register": 0, "strength": 0}):
+        return None
+    permutation = None
+    if "permute" in tooth:
+        perm = tooth["permute"]
+        if (not isinstance(perm, list) or not all(_is_int(p, 1, width) for p in perm)
+                or sorted(perm) != list(range(1, width + 1))):
+            return v.fail(f"{path}.permute", f"must be a permutation of 1..{width}")
+        permutation = tuple(p - 1 for p in perm)
+    if "channel" not in tooth:
+        if "register" in tooth or "strength" in tooth:
+            return v.fail(path, "'register' and 'strength' need a 'channel'")
+        return Tooth(permutation, None, None, None)
+    channel = tooth["channel"]
+    if not _is_name(channel, NOISE_CHANNELS):
+        return v.fail(f"{path}.channel",
+                      f"unknown channel {channel!r} (palette: {', '.join(NOISE_CHANNELS)})")
+    reg = tooth.get("register", 1)
+    if not _is_int(reg, 1, width):
+        return v.fail(f"{path}.register", f"must be in 1..{width}")
+    strength = tooth.get("strength", 0.5)
+    if (not isinstance(strength, (int, float)) or isinstance(strength, bool)
+            or not 0 <= strength <= 1):
+        return v.fail(f"{path}.strength", "must be in [0, 1]")
+    return Tooth(permutation, channel, reg - 1, float(strength))
 
 
 def _parse_sweep(raw, v: _Validator) -> SweepConfig | None:
@@ -436,19 +445,16 @@ def _parse_sweep(raw, v: _Validator) -> SweepConfig | None:
     has_n = "n_values" in raw
     has_om = "omegas" in raw
     if has_n == has_om:
-        v.fail(path, "provide exactly one of 'n_values' or 'omegas'")
-        return None
+        return v.fail(path, "provide exactly one of 'n_values' or 'omegas'")
     if has_n:
         values = raw["n_values"]
         if (not isinstance(values, list) or not values
                 or not all(_is_int(x, 1) for x in values)):
-            v.fail(f"{path}.n_values", "expected a non-empty list of integers >= 1")
-            return None
+            return v.fail(f"{path}.n_values", "expected a non-empty list of integers >= 1")
         return SweepConfig(tuple(values), None)
     omegas = raw["omegas"]
     if not isinstance(omegas, list) or not omegas:
-        v.fail(f"{path}.omegas", "expected a non-empty list of round distributions")
-        return None
+        return v.fail(f"{path}.omegas", "expected a non-empty list of round distributions")
     parsed = []
     for idx, om in enumerate(omegas):
         pairs = _check_probability_pairs(om, f"{path}.omegas[{idx}]", v)
@@ -464,11 +470,9 @@ def _parse_monte_carlo(raw, v: _Validator) -> MonteCarloConfig | None:
         return None
     trials, seed = raw["trials"], raw["seed"]
     if not _is_int(trials, 1):
-        v.fail(f"{path}.trials", f"must be a positive integer, got {trials!r}")
-        return None
+        return v.fail(f"{path}.trials", f"must be a positive integer, got {trials!r}")
     if not _is_int(seed, 0):
-        v.fail(f"{path}.seed", f"must be a non-negative integer, got {seed!r}")
-        return None
+        return v.fail(f"{path}.seed", f"must be a non-negative integer, got {seed!r}")
     return MonteCarloConfig(trials, seed)
 
 
@@ -478,12 +482,10 @@ def _parse_output(raw, v: _Validator) -> OutputConfig | None:
         return None
     out_path = raw["path"]
     if not isinstance(out_path, str) or not out_path:
-        v.fail(f"{path}.path", "must be a non-empty string")
-        return None
+        return v.fail(f"{path}.path", "must be a non-empty string")
     fmt = raw.get("format", "csv")
     if fmt not in ("csv", "json"):
-        v.fail(f"{path}.format", f"must be 'csv' or 'json', got {fmt!r}")
-        return None
+        return v.fail(f"{path}.format", f"must be 'csv' or 'json', got {fmt!r}")
     return OutputConfig(out_path, fmt)
 
 
@@ -523,7 +525,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         else:
             good = []
             for idx, name in enumerate(models_raw):
-                if name not in _MODEL_NAMES:
+                if not _is_name(name, _MODEL_NAMES):
                     v.fail(f"models[{idx}]",
                            f"unknown model {name!r} (choose from {sorted(_MODEL_NAMES)})")
                 else:
@@ -540,16 +542,28 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
 
     # cross-field constraints
     rows_known = protocol is not None and (sweep is not None or "sweep" not in raw)
+    bell = variant is not None and variant.setup_family == "bell"
+    for path, omega in sweep_rows(protocol.omega, sweep) if rows_known else ():
+        if bell and (len(omega) != 1 or not 1 <= omega[0][0] <= _MAX_COMB_QUBITS // 2):
+            v.fail(path, f"bell setups need a point mass at 1..{_MAX_COMB_QUBITS // 2} "
+                         f"test rounds (4**n within the cap {COMB_DIM_CAP})")
+        elif strategy is not None and variant is not None:
+            # a row is certified at its mean under every model: the engine's
+            # bound, and its bound-optimal angle when asked for, must exist there
+            n_expected = math.fsum(n * p for n, p in omega)
+            kind = ProtocolVariant(variant.kind)
+            try:
+                for model in models:
+                    theorem_bound(model, kind, n_expected)
+                    if strategy.alpha == "theorem-optimal":
+                        attack_sine(model, kind, n_expected)
+            except OutOfDomainError as exc:
+                v.fail(path, str(exc))
     if variant is not None and variant.kind == "general-tests":
         if protocol is not None and protocol.k != 1:
             v.fail("protocol.k", "general-tests setups are built for k = 1")
         if monte_carlo is not None:
             v.fail("monte_carlo", "sampled runs are only available for the per-round variant")
-        if variant.setup_family == "bell" and rows_known:
-            for path, omega in sweep_rows(protocol.omega, sweep):
-                if len(omega) != 1 or not 1 <= omega[0][0] <= _MAX_COMB_QUBITS // 2:
-                    v.fail(path, f"bell setups need a point mass at 1..{_MAX_COMB_QUBITS // 2} "
-                                 f"test rounds (4**n within the cap {COMB_DIM_CAP})")
         if variant.setup_family == "custom":
             if sweep is not None:
                 v.fail("sweep", "custom general-tests setups do not support sweeps")

@@ -29,7 +29,5 @@ class ConfigError(ValueError):
     """One or more scenario-config fields failed validation."""
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))

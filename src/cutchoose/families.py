@@ -1,9 +1,10 @@
 """Named trap and acceptance families used by configs and tests.
 
-Keeping these in a registry lets scenario configs stay declarative: a trap
-family is referenced by name plus parameters, and acceptance families pair
-with them. All families are deterministic; the seeded one derives its
-per-round randomness from ``(seed, k, n, i)`` only.
+The name tables ``TRAP_FAMILIES``, ``ACCEPTANCE_FAMILIES`` and
+``ACCEPTANCE_MODES`` are the one registry: scenario configs name a family
+and its parameters, and ``config`` accepts exactly the names these tables
+hold. All families are deterministic; the seeded one derives its per-round
+randomness from ``(seed, k, n, i)`` only.
 
 Identity traps (``plus``, ``computational``) return no matrix, and every
 shipped per-round effect is a :class:`RankOneEffect`, read as an overlap of
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .linalg import PureState
 from .protocol import GlobalAcceptance, PerRoundAcceptance, TrapGenerator
 from .sampling import random_pure_state, random_unitary
@@ -81,27 +81,16 @@ def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
     return PerRoundAcceptance(element, traps=traps)
 
 
-def build_trap_family(name: str, params: dict) -> TrapGenerator:
-    if name == "plus":
-        return PlusTraps()
-    if name == "computational":
-        return ComputationalTraps()
-    if name == "random":
-        return RandomTraps(seed=int(params.get("seed", 0)))
-    raise ConfigError([f"unknown trap family {name!r}"])
+# name -> trap generator class, called with the family's parameters
+TRAP_FAMILIES = {"plus": PlusTraps, "computational": ComputationalTraps, "random": RandomTraps}
 
+# name -> per-round rule for the given traps; each entry calls its constructor
+# by name, so a rebinding of the module-level name reaches it
+ACCEPTANCE_FAMILIES = {
+    "plus": lambda traps: plus_acceptance(),
+    "computational": lambda traps: computational_acceptance(),
+    "matched": lambda traps: matched_acceptance(traps),
+}
 
-def build_acceptance(name: str, mode: str, traps: TrapGenerator):
-    if name == "plus":
-        rule = plus_acceptance()
-    elif name == "computational":
-        rule = computational_acceptance()
-    elif name == "matched":
-        rule = matched_acceptance(traps)
-    else:
-        raise ConfigError([f"unknown acceptance family {name!r}"])
-    if mode == "per-round":
-        return rule
-    if mode == "global":
-        return GlobalAcceptance(rule)
-    raise ConfigError([f"unknown acceptance mode {mode!r}"])
+# mode -> the rule applied per test round, or as one joint measurement
+ACCEPTANCE_MODES = {"per-round": lambda rule: rule, "global": GlobalAcceptance}

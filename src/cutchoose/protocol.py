@@ -274,8 +274,9 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
 
 
 def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
-    """Distribution of the output-round position over {1, ..., n+1}."""
-    if isinstance(output_round, str):
+    """Distribution of the output-round position over {1, ..., n+1}; with no
+    tests (n = 0) the output round is round 1, whatever the rule."""
+    if isinstance(output_round, str) or n == 0:
         return np.full(n + 1, 1.0 / (n + 1))
     if n not in output_round:
         raise ContractViolationError(f"no output-round distribution for n={n}")

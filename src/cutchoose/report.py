@@ -22,7 +22,7 @@ from .bounds import TradeoffReport, run_tradeoff_check
 from .combs import GeneralSetup, bell_test_setup, custom_test_setup, general_tradeoff_check
 from .config import ScenarioConfig, sweep_rows
 from .errors import OutOfDomainError
-from .families import build_acceptance, build_trap_family
+from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
 from .protocol import (
     MonteCarloResult,
     ProtocolSpec,
@@ -89,16 +89,10 @@ def _row_source(config: ScenarioConfig, omega_pairs) -> ProtocolSpec | GeneralSe
         if config.variant.setup_family == "bell":
             return bell_test_setup(n)
         return custom_test_setup(config.variant.custom, n)
-    traps = build_trap_family(config.protocol.trap_family, dict(config.protocol.trap_params))
-    acceptance = build_acceptance(
-        config.protocol.acceptance_family, config.protocol.acceptance_mode, traps
-    )
-    return ProtocolSpec(
-        omega=RoundDistribution.from_pairs(omega_pairs),
-        k=config.protocol.k,
-        traps=traps,
-        acceptance=acceptance,
-    )
+    p = config.protocol
+    traps = TRAP_FAMILIES[p.trap_family](**dict(p.trap_params))
+    rule = ACCEPTANCE_MODES[p.acceptance_mode](ACCEPTANCE_FAMILIES[p.acceptance_family](traps))
+    return ProtocolSpec(RoundDistribution.from_pairs(omega_pairs), p.k, traps, rule)
 
 
 def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
@@ -111,7 +105,7 @@ def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
     return float(s.alpha)
 
 
-def _run_one(config, sweep_index, source, model, mc_seed) -> RunRecord:
+def _run_one(config, sweep_index, source, model, mc_seed, honest_mc) -> RunRecord:
     placement = Placement(config.strategy.placement)
     alpha_override = _resolve_alpha_override(config)
     if isinstance(source, GeneralSetup):
@@ -121,13 +115,13 @@ def _run_one(config, sweep_index, source, model, mc_seed) -> RunRecord:
         return RunRecord(sweep_index, report, None)
     report = run_tradeoff_check(source, model, alpha_override=alpha_override, placement=placement)
     mc = None
-    if config.monte_carlo is not None:
+    if honest_mc is not None:
         seed = mc_seed + sweep_index
         attack = PhaseAttack(report.alpha, placement)
         mc = McComparison(
             trials=config.monte_carlo.trials,
             seed=seed,
-            honest=monte_carlo_run(source, HONEST, config.monte_carlo.trials, seed),
+            honest=honest_mc,
             attacked=monte_carlo_run(source, attack, config.monte_carlo.trials, seed),
         )
     return RunRecord(sweep_index, report, mc)
@@ -137,7 +131,8 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     """Evaluate every (sweep entry, security model) pair of a scenario.
 
     Deterministic given the config and seed; runs follow the sweep index,
-    with the models in config order within each entry.
+    with the models in config order within each entry. The honest sampled
+    run does not depend on the model, so each entry samples it once.
     """
     t0 = time.perf_counter()
     mc_seed = seed_override
@@ -146,7 +141,11 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     runs = []
     for idx, (_, omega) in enumerate(sweep_rows(config.protocol.omega, config.sweep)):
         source = _row_source(config, omega)
-        runs += [_run_one(config, idx, source, model, mc_seed) for model in config.models]
+        honest_mc = None
+        if config.monte_carlo is not None:  # per-round rows only, checked at parse time
+            honest_mc = monte_carlo_run(source, HONEST, config.monte_carlo.trials, mc_seed + idx)
+        runs += [_run_one(config, idx, source, model, mc_seed, honest_mc)
+                 for model in config.models]
     meta = BundleMetadata(
         config_hash=config.config_hash(),
         seed=mc_seed if config.monte_carlo is not None else None,

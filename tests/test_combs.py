@@ -130,7 +130,14 @@ class TestPlug:
 
     def test_layout_errors(self):
         comb = trivial_parallel_comb(2)
-        for evaluate in (plug, lambda c, us: _evolve(c, us, np.eye(4) / 4)):
+
+        def network(c, us):
+            test = GeneralTest(random_density(4, np.random.default_rng(0)), tuple(us),
+                               PovmElement(np.eye(4)))
+            return general_test_acceptance(test, c, HONEST)
+
+        # the two entry points that check the hole layout
+        for evaluate in (plug, network):
             with pytest.raises(LayoutError):
                 evaluate(comb, [np.eye(2)])
             with pytest.raises(LayoutError):

@@ -243,6 +243,21 @@ class TestRejectsBeyondCaps:
             # equal to [1, 2] as numbers, but not JSON integers
             (custom_tooth_doc({"permute": [True, 2]}), "variant.setup.teeth[1].permute"),
             (custom_tooth_doc({"permute": [1.0, 2]}), "variant.setup.teeth[1].permute"),
+            # names that are not strings (a list used to raise TypeError)
+            (minimal_doc(models=[["stand-alone"]]), "models[0]"),
+            (minimal_doc(strategy={"kind": "phase-attack", "alpha": 1.0, "placement": ["pre"]}),
+             "strategy.placement"),
+            (custom_tooth_doc({"channel": ["dephasing"]}), "variant.setup.teeth[1].channel"),
+            # register and strength describe a channel
+            (custom_tooth_doc({"register": 2}), "variant.setup.teeth[1]"),
+            (custom_tooth_doc({"permute": [2, 1], "strength": 0.5}), "variant.setup.teeth[1]"),
+            # rows the certification cannot evaluate: a zero mean, or a mean too
+            # small for the bound-optimal angle (sin(a/2) > 1)
+            (protocol_doc(omega={"point_mass": 0}), "protocol.omega"),
+            (minimal_doc(sweep={"omegas": [[[1, 1.0]], [[0, 1.0]]]}), "sweep.omegas[1]"),
+            (minimal_doc(protocol=protocol_doc(omega=[[0, 0.9], [1, 0.1]])["protocol"],
+                         strategy={"kind": "phase-attack", "alpha": "theorem-optimal"}),
+             "protocol.omega"),
         ],
     )
     def test_error_names_path(self, doc, path):
@@ -282,6 +297,16 @@ class TestCanonicalization:
         other = minimal_doc()
         other["protocol"]["omega"] = {"point_mass": 3}
         assert parse(minimal_doc()).config_hash() != parse(other).config_hash()
+
+    @pytest.mark.parametrize("spelled, short", [
+        ({"channel": "dephasing", "register": 1, "strength": 0.5}, {"channel": "dephasing"}),
+        ({"channel": "depolarizing", "strength": 1.0}, {"channel": "depolarizing", "strength": 1}),
+        ({}, None),
+    ], ids=["defaults", "int-strength", "empty-tooth"])
+    def test_hash_ignores_tooth_spelling(self, spelled, short):
+        a, b = parse(custom_tooth_doc(spelled)), parse(custom_tooth_doc(short))
+        assert a.canonical() == b.canonical()
+        assert a.config_hash() == b.config_hash()
 
     def test_canonical_round_trip(self):
         doc = minimal_doc(

@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: the package and its gate run with
-scipy blocked from import."""
+scipy blocked from import. Engine modules never import the layers above them."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,27 @@ def test_runs_without_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "PASS" in result.stdout
+
+
+ENGINE_MODULES = ("linalg", "states", "strategies", "protocol", "families", "bounds",
+                  "combs", "optimize", "sampling")
+UPPER_LAYERS = {"config", "report", "cli", "acceptance"}
+
+
+def imported_modules(tree):
+    """Last component of every module an ``import`` statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                yield node.module.rsplit(".", 1)[-1]
+            if node.module in (None, "cutchoose"):  # from . import config
+                yield from (alias.name for alias in node.names)
+
+
+def test_engine_modules_do_not_import_upper_layers():
+    for name in ENGINE_MODULES:
+        path = ROOT / "src" / "cutchoose" / f"{name}.py"
+        found = UPPER_LAYERS.intersection(imported_modules(ast.parse(path.read_text("utf-8"))))
+        assert not found, f"{name} imports {sorted(found)}"

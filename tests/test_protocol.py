@@ -433,6 +433,18 @@ class TestMonteCarlo:
             bound = 4.0 * math.sqrt(exact * (1.0 - exact) / trials) + 1e-9
             assert abs(res.accept_rate - exact) <= bound
 
+    def test_no_test_rounds_need_no_output_round_rule(self):
+        # the rule covers n = 2 only: with no tests the output round is round 1
+        spec = ProtocolSpec(
+            omega=RoundDistribution.from_pairs([(0, 0.5), (2, 0.5)]), k=1, traps=PlusTraps(),
+            acceptance=plus_acceptance(), output_round={2: (0.2, 0.3, 0.5)},
+        )
+        assert output_round_weights(spec.output_round, 0).tolist() == [1.0]
+        trials, strategy = 100_000, PhaseAttack(1.0)
+        exact = overall_acceptance(spec, strategy)
+        res = monte_carlo_run(spec, strategy, trials, seed=5)
+        assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / trials)
+
     def test_global_acceptance_mode(self):
         spec = ProtocolSpec(
             omega=RoundDistribution.point_mass(2), k=1, traps=PlusTraps(),

@@ -16,12 +16,13 @@ from cutchoose.combs import (
 )
 from cutchoose.config import parse_config, sweep_rows
 from cutchoose.families import (
+    ACCEPTANCE_FAMILIES,
+    TRAP_FAMILIES,
     RandomTraps,
-    build_acceptance,
-    build_trap_family,
     matched_acceptance,
 )
 from cutchoose.protocol import (
+    GlobalAcceptance,
     ProtocolSpec,
     RoundDistribution,
     round_outcome_table,
@@ -219,10 +220,11 @@ class TestGlobalMode:
                     pairs = rows[record.sweep_index][1]
                     if k * pairs[-1][0] > 8:
                         continue
-                    traps = build_trap_family(trap, TRAP_DOCS[trap])
+                    params = dict(TRAP_DOCS[trap])
+                    traps = TRAP_FAMILIES[params.pop("family")](**params)
                     spec = ProtocolSpec(
                         omega=RoundDistribution.from_pairs(pairs), k=k, traps=traps,
-                        acceptance=build_acceptance(family, "global", traps),
+                        acceptance=GlobalAcceptance(ACCEPTANCE_FAMILIES[family](traps)),
                     )
                     r = record.report
                     for strategy, p, table in (
