@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bounds import theorem_bound
 from .combs import NOISE_CHANNELS, Tooth
@@ -279,6 +279,8 @@ def _parse_protocol(raw, v: _Validator) -> ProtocolConfig | None:
         if not _is_name(trap_family, TRAP_FAMILIES):
             v.fail(f"{path}.traps.family", f"unknown trap family {trap_family!r}")
             trap_family = None
+        else:  # the family's defaults, spelled out so that they hash alike
+            trap_params = tuple((f.name, f.default) for f in fields(TRAP_FAMILIES[trap_family]))
         if "seed" in traps_raw:
             if trap_family not in (None, "random"):
                 v.fail(f"{path}.traps.seed", "only the 'random' family takes a seed")

@@ -29,6 +29,8 @@ from .states import RankOneEffect, computational_basis_state, plus_state
 class PlusTraps(TrapGenerator):
     """Identity computation on the uniform-superposition input."""
 
+    round_independent = True
+
     def trap(self, k, n, i):
         return None, plus_state(k)
 
@@ -40,6 +42,8 @@ class ComputationalTraps(TrapGenerator):
     Diagonal-phase attacks fix the all-zero state, so this family never
     detects them; it exists as the worst-case witness.
     """
+
+    round_independent = True
 
     def trap(self, k, n, i):
         return None, computational_basis_state(k)
@@ -56,10 +60,16 @@ class RandomTraps(TrapGenerator):
         return random_unitary(2**k, rng), random_pure_state(2**k, rng)
 
 
+class _ConstantAcceptance(PerRoundAcceptance):
+    """A per-round rule with the same effect in every round."""
+
+    round_independent = True
+
+
 def _constant_acceptance(state_of_k) -> PerRoundAcceptance:
     """The projector onto ``state_of_k(k)`` in every round, built once per k."""
     effect = functools.cache(lambda k: RankOneEffect(state_of_k(k)))
-    return PerRoundAcceptance(lambda k, n, i: effect(k))
+    return _ConstantAcceptance(lambda k, n, i: effect(k))
 
 
 def plus_acceptance() -> PerRoundAcceptance:

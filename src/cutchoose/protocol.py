@@ -15,25 +15,33 @@ round) acceptance table over the finite support of the round distribution,
 and ``weighted_acceptance`` averages it over n and the output round. The
 general-test engine in ``combs`` uses the same two functions.
 
-The per-round engine works on ``2**k`` vectors only. A trap is a unitary (or
-None for the identity) and an input vector, checked once where the engine
-receives it; the attack is diagonal, so it is a phase vector; and a round
-factor is the overlap ``|<e|out>|^2`` for a rank-1 effect, or the quadratic
-form ``<out|M|out>`` for a general one. A global rule is the tensor product
-of its per-round effects, which on the product of the test outputs is the
-product of the round factors: its exact figures are those of per-round
-mode, and only the Monte-Carlo sampler, with one joint draw per run, tells
+The per-round engine works on ``2**k`` vectors only. A round bank receives
+the rounds of each ``(spec, n)`` once through ``receive_trap``, the one check
+of a trap, and keeps per round the input ``chi``, the honest output
+``h = U chi`` and, for a rank-1 effect ``e``, ``g = U^dagger e``; the
+unitary is dropped. The attack is a phase vector ``phi``, so a round factor
+is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or PRE ``|<g|phi chi>|^2``,
+with ``e = h`` when matched; a general ``PovmElement`` reads ``<out|M|out>``
+and keeps its unitary for PRE. The bank lives on the spec, so a report row's
+tables and sampler calls share it, and it is freed with the row. It holds
+``3 * r * 2**k * 16`` bytes: ``r = n + 1``, or ``r = 1`` (its factor read
+once and broadcast) for round-independent traps and effects. A global rule is
+the tensor product of its per-round effects: its exact figures are those of
+per-round mode, and only the sampler, with one joint draw per run, tells
 the two apart. The dense path (``transform_round``, ``PovmElement``
 matrices, ``client_output_state`` and ``combs.overall_acceptance_via_combs``)
-is the reference the tests compare against.
+is the reference the tests compare against. The benchmark's tracer
+(``perfbench/spans.py``) hooks ``round_outcome_table``,
+``overall_acceptance``, ``client_output_state``, ``monte_carlo_run``
+(``spec``, ``trials``, ``seed``) and ``TrapGenerator.trap`` by name.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +58,7 @@ from .linalg import (
     dagger,
     is_unitary,
 )
-from .states import AbortExtendedState, Effect, attack_phases, mix_with_abort
+from .states import AbortExtendedState, Effect, PovmElement, attack_phases, mix_with_abort
 from .strategies import (
     Honest,
     Placement,
@@ -125,8 +133,11 @@ class RoundDistribution:
 class TrapGenerator(abc.ABC):
     """Produces the trap computation and input for a given round.
 
-    Must be deterministic for fixed ``(k, n, i)``.
+    Must be deterministic for fixed ``(k, n, i)``. A family with the same
+    trap in every round sets ``round_independent``.
     """
+
+    round_independent: ClassVar[bool] = False
 
     @abc.abstractmethod
     def trap(self, k: int, n: int, i: int) -> tuple[np.ndarray | None, PureState]:
@@ -141,11 +152,13 @@ class PerRoundAcceptance:
     ``traps``, when set, says each round's effect is the projector onto that
     round's honest trap output under those traps; if they are the spec's
     traps the engine reads that output from its own trap call instead of
-    calling ``element``.
+    calling ``element``. A rule whose effect is the same in every round sets
+    ``round_independent``.
     """
 
     element: Callable[[int, int, int], Effect]  # (k, n, i) -> effect on 2**k
     traps: TrapGenerator | None = None
+    round_independent: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,7 @@ class ProtocolSpec:
     traps: TrapGenerator
     acceptance: AcceptanceRule
     output_round: OutputRound = "uniform"
+    _bank: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -226,51 +240,65 @@ def receive_trap(
     return u, chi.amplitudes
 
 
-def _round_outputs(spec: ProtocolSpec, strategy: ServerStrategy, n: int):
-    """Yield (honest output ``U chi``, played output) for rounds i = 1..n+1.
+class _Round(NamedTuple):
+    """A received round: input, honest output ``U chi``, effect ``e`` (``h`` if matched)
+    and ``g = U^dagger e`` (``chi`` if matched; None for a general element, which keeps ``u``)."""
 
-    The attack is the diagonal ``1 ⊗ diag(1, e^{ia})``, applied as a phase
-    vector: after the trap unitary (POST) or before it (PRE).
-    """
+    chi: np.ndarray
+    h: np.ndarray
+    e: np.ndarray | PovmElement
+    g: np.ndarray | PovmElement | None
+    u: np.ndarray | None
+
+
+def _receive_round(spec: ProtocolSpec, rule: PerRoundAcceptance, n: int, i: int) -> _Round:
     k = spec.k
-    phases = None if isinstance(strategy, Honest) else attack_phases(strategy.alpha, k)
-    for i in range(1, n + 2):
-        u, chi = receive_trap(spec.traps, k, n, i)
-        honest = chi if u is None else u @ chi
-        if phases is None:
-            out = honest
-        elif u is None or strategy.placement is Placement.POST:
-            out = phases * honest
-        else:
-            out = u @ (phases * chi)
-        yield honest, out
+    u, chi = receive_trap(spec.traps, k, n, i)
+    h = chi if u is None else u @ chi
+    if rule.traps is spec.traps:  # matched: the effect is the honest output
+        return _Round(chi, h, h, chi, None)
+    effect = rule.element(k, n, i)
+    if effect.dim != 2**k:
+        raise ContractViolationError(
+            f"acceptance element for round {i} has dim {effect.dim}, expected {2**k}"
+        )
+    if isinstance(effect, PovmElement):
+        return _Round(chi, h, effect, effect if u is None else None, u)
+    e = effect.vector.amplitudes
+    return _Round(chi, h, e, e if u is None else np.conj(e.conj() @ u), None)  # no copy of U
+
+
+def _bank(spec: ProtocolSpec, n: int) -> tuple[_Round, ...]:
+    """n's rounds, received once per spec (a failed round caches nothing): one
+    row when traps and effects are round-independent, else n + 1."""
+    if n not in spec._bank:
+        rule = spec.acceptance
+        rule = rule.per_round if isinstance(rule, GlobalAcceptance) else rule
+        one = spec.traps.round_independent and (rule.traps is spec.traps or rule.round_independent)
+        rounds = range(1, 2 if one else n + 2)
+        spec._bank[n] = tuple(_receive_round(spec, rule, n, i) for i in rounds)
+    return spec._bank[n]
 
 
 def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
-    """Per-round acceptance factors <e_i, (transformed T_i)(chi_i)> for i = 1..n+1.
-
-    Traps are pure and the transformed rounds unitary, so each factor is the
-    effect's value on the played output vector; a matched effect is the
-    overlap with the honest output of the same trap call.
-    """
-    rule = spec.acceptance
-    if isinstance(rule, GlobalAcceptance):
-        rule = rule.per_round
-    k = spec.k
-    matched = rule.traps is spec.traps
-    vals = np.empty(n + 1)
-    for i, (honest, out) in enumerate(_round_outputs(spec, strategy, n), start=1):
-        if matched:
-            value = float(abs(np.vdot(honest, out)) ** 2)
+    """Per-round acceptance factors <e_i, (transformed T_i)(chi_i)> for i = 1..n+1,
+    read from n's bank: the attack is a phase vector on the honest output
+    (POST) or on the input, read by the pulled-back effect (PRE)."""
+    rows = _bank(spec, n)
+    honest = isinstance(strategy, Honest)
+    phases = None if honest else attack_phases(strategy.alpha, spec.k)
+    vals = np.empty(len(rows))
+    for i, r in enumerate(rows, start=1):
+        if honest or strategy.placement is Placement.POST:
+            left, out = r.e, r.h if honest else phases * r.h
+        elif r.g is not None:
+            left, out = r.g, phases * r.chi
         else:
-            e = rule.element(k, n, i)
-            if e.dim != 2**k:
-                raise ContractViolationError(
-                    f"acceptance element for round {i} has dim {e.dim}, expected {2**k}"
-                )
-            value = e.value(out)
+            left, out = r.e, r.u @ (phases * r.chi)
+        value = (left.value(out) if isinstance(left, PovmElement)
+                 else float(abs(np.vdot(left, out)) ** 2))
         vals[i - 1] = snap_probability(value, f"round factor (n={n}, i={i})")
-    return vals
+    return vals if vals.size == n + 1 else np.full(n + 1, vals[0])
 
 
 def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:

@@ -308,6 +308,17 @@ class TestCanonicalization:
         assert a.canonical() == b.canonical()
         assert a.config_hash() == b.config_hash()
 
+    def test_hash_spells_out_trap_defaults(self):
+        short, spelled = minimal_doc(), minimal_doc()
+        short["protocol"]["traps"] = {"family": "random"}
+        spelled["protocol"]["traps"] = {"family": "random", "seed": 0}
+        a, b = parse(short), parse(spelled)
+        assert a.canonical()["protocol"]["traps"] == {"family": "random", "seed": 0}
+        assert a.config_hash() == b.config_hash()
+        other = minimal_doc()
+        other["protocol"]["traps"] = {"family": "random", "seed": 1}
+        assert parse(other).config_hash() != a.config_hash()
+
     def test_canonical_round_trip(self):
         doc = minimal_doc(
             strategy={"kind": "phase-attack", "alpha": 0.75, "placement": "pre"},

@@ -4,8 +4,9 @@ The tracer replaces the package functions it names with wrappers, so a
 rename or signature change here would break the benchmark's per-layer
 metrics. These tests install it around small scenarios and check that it
 installs, counts one outcome-table build per strategy per report row and
-one trap call per round (per-round and global acceptance alike), records each Monte-Carlo sampler call's arguments,
-and leaves report bytes unchanged.
+one trap call per distinct round of a row (per-round and global acceptance
+alike; one call in all for round-independent traps), records each
+Monte-Carlo sampler call's arguments, and leaves report bytes unchanged.
 """
 
 import importlib.util
@@ -61,8 +62,8 @@ def test_traced_reports_match_untraced():
     with tracer:
         assert cutchoose.run_scenario is not original
         traced_per_round = report_bytes(per_round)
-        # 2 rows x {honest, attacked} x one trap per round (n + 1 = 3)
-        assert tracer.counts["families.trap_calls"] == 2 * 2 * 3
+        # plus traps are round-independent: the row's bank receives round 1 once
+        assert tracer.counts["families.trap_calls"] == 1
         assert tracer.span_count("protocol.round_outcome_table") == 2 * 2
         traced_bell = report_bytes(bell)
         # 2 rows x {honest, attacked} x one network evaluation: the bell comb
@@ -75,12 +76,12 @@ def test_traced_reports_match_untraced():
         ]
         before = tracer.counts["families.trap_calls"]
         traced_matched = report_bytes(matched)
-        # 2 rows x {honest, attacked} x one trap call per round (n + 1 = 3)
-        assert tracer.counts["families.trap_calls"] - before == 2 * 2 * 3
+        # one trap call per round (n + 1 = 3), shared by both models and strategies
+        assert tracer.counts["families.trap_calls"] - before == 3
         before = tracer.counts["families.trap_calls"]
         traced_global_matched = report_bytes(global_matched)
         # the same: global acceptance reads each round's effect from its trap call
-        assert tracer.counts["families.trap_calls"] - before == 2 * 2 * 3
+        assert tracer.counts["families.trap_calls"] - before == 3
     assert cutchoose.run_scenario is original
     assert [traced_per_round, traced_bell, traced_sampled, traced_matched,
             traced_global_matched] == untraced
