@@ -43,8 +43,10 @@ for alpha in (0.4, 0.8, 1.2, 1.6, 2.4):
 # Per-(n, output round) table: with round-independent traps the position of
 # the hidden output round does not matter.
 print("\nper-(n, output round) acceptance under alpha = 1.2:")
-for n, ell, p in round_outcome_table(spec, PhaseAttack(1.2)).entries:
-    print(f"  n = {n}, output round {ell}: {p:.6f}")
+table = round_outcome_table(spec, PhaseAttack(1.2))
+for (n, _), row in zip(table.omega.support, table.rows):
+    for ell, p in enumerate(row, start=1):
+        print(f"  n = {n}, output round {ell}: {p:.6f}")
 
 # A poorly chosen trap family can be completely blind: the rotation fixes the
 # all-zero state, so computational-basis traps never fire.

@@ -43,7 +43,6 @@ from .protocol import (
     ProtocolSpec,
     RoundOutcomeTable,
     round_outcome_table,
-    weighted_acceptance,
 )
 from .states import ACCEPT_FLOOR, AbortExtendedState, attack_phases, mix_with_abort, plus_state
 from .strategies import (
@@ -211,37 +210,36 @@ def acceptance_gap_bound(variant: ProtocolVariant, alpha: float, n_expected: flo
 def certify_tradeoff(
     model: SecurityModel,
     variant: ProtocolVariant,
-    n_expected: float,
     alpha_override: float | None,
     placement: Placement,
-    source,
+    k: int,
     table,
 ) -> TradeoffReport:
     """Honest-vs-attacked certification shared by both protocol variants.
 
-    ``source`` carries ``omega``, ``output_round`` and ``k``; ``table(strategy)``
-    builds that strategy's (n, ell) outcome table, once per strategy. The
-    attacked run uses the bound-optimal angle for ``(model, variant)`` unless
-    ``alpha_override`` is given. The input is the uniform superposition and
-    the target computation the identity.
+    ``table(strategy)`` builds that strategy's outcome table on ``k``-qubit
+    rounds, once per strategy, honest first; ``N`` is the mean of the honest
+    table's ``omega``. The attacked run uses the bound-optimal angle for
+    ``(model, variant)`` unless ``alpha_override`` is given. The input is the
+    uniform superposition and the target computation the identity.
 
     The honest payload is the target, so ``eps_h = 1 - p_h`` under both
     models. The attacked payload is the pure state ``A psi``; with
     ``c = |<psi|A psi>|^2``, ``eps_d`` is ``p_d (1 - c)`` stand-alone and
     ``p_d sqrt(1 - c)`` composable, and 0 when no payload is accepted.
     """
+    honest_rounds = table(HONEST)
+    n_expected = honest_rounds.omega.mean
     if alpha_override is None:
         alpha = optimal_alpha(model, variant, n_expected)
     else:
         alpha = float(alpha_override) % (2.0 * math.pi)
-    attack = PhaseAttack(alpha, placement)
-    honest_rounds, attacked_rounds = table(HONEST), table(attack)
-    p_h = weighted_acceptance(source.omega, source.output_round, honest_rounds)
-    p_d = weighted_acceptance(source.omega, source.output_round, attacked_rounds)
+    attacked_rounds = table(PhaseAttack(alpha, placement))
+    p_h, p_d = honest_rounds.acceptance, attacked_rounds.acceptance
 
     eps_h = 1.0 - p_h
-    psi = plus_state(source.k).amplitudes
-    c = min(1.0, float(abs(np.vdot(psi, attack_phases(alpha, source.k) * psi))) ** 2)
+    psi = plus_state(k).amplitudes
+    c = min(1.0, float(abs(np.vdot(psi, attack_phases(alpha, k) * psi))) ** 2)
     if p_d <= ACCEPT_FLOOR:
         eps_d = 0.0
     elif model is SecurityModel.STAND_ALONE:
@@ -293,6 +291,6 @@ def run_tradeoff_check(
 ) -> TradeoffReport:
     """Full honest-vs-attacked evaluation of a per-round protocol instance."""
     return certify_tradeoff(
-        model, ProtocolVariant.PER_ROUND, spec.omega.mean, alpha_override, placement,
-        spec, lambda strategy: round_outcome_table(spec, strategy),
+        model, ProtocolVariant.PER_ROUND, alpha_override, placement,
+        spec.k, lambda strategy: round_outcome_table(spec, strategy),
     )

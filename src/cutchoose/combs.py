@@ -41,7 +41,6 @@ from .protocol import (
     outcome_table,
     receive_trap,
     snap_probability,
-    weighted_acceptance,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
 from .states import PovmElement, attack_phases, bell_pair, computational_basis_state, plus_state
@@ -129,6 +128,8 @@ def _pauli_channel(name, paulis, rate, strength, qubit=0, total_qubits=1) -> Cha
     """Each Pauli error with probability ``rate * strength``, else the identity."""
     if not 0.0 <= strength <= 1.0:
         raise ContractViolationError(f"{name} strength {strength!r} outside [0, 1]")
+    if not 0 <= qubit < total_qubits:
+        raise ContractViolationError(f"{name} qubit {qubit} not among {total_qubits} qubits")
     w = rate * strength
     ops = (math.sqrt(1.0 - len(paulis) * w) * np.eye(2), *(math.sqrt(w) * p for p in paulis))
     return Channel([_embed(op, qubit, total_qubits) for op in ops])
@@ -346,6 +347,12 @@ class GeneralSetup:
     combs: Mapping[tuple[int, int], Comb]
     output_round: OutputRound = "uniform"
 
+    def __post_init__(self):
+        for n in (n for n, _ in self.omega.support if n):
+            for name, key in [("tests", n)] + [("combs", (n, ell)) for ell in range(1, n + 2)]:
+                if key not in getattr(self, name):
+                    raise LayoutError(f"general setup has no {name}[{key}]")
+
     def outcome_table(self, strategy: ServerStrategy) -> RoundOutcomeTable:
         def per_ell(n):
             # combs compare by identity, so a comb shared across ell is evaluated once
@@ -356,10 +363,10 @@ class GeneralSetup:
             }
             return [values[comb] for comb in combs]
 
-        return outcome_table(self.omega, per_ell)
+        return outcome_table(self.omega, self.output_round, per_ell)
 
     def overall(self, strategy: ServerStrategy) -> float:
-        return weighted_acceptance(self.omega, self.output_round, self.outcome_table(strategy))
+        return self.outcome_table(strategy).acceptance
 
 
 def _bell_pairs_register_major(pairs: int) -> np.ndarray:
@@ -445,20 +452,16 @@ def _round_tests(spec: ProtocolSpec, n: int):
     k = spec.k
     traps = [receive_trap(spec.traps, k, n, i) for i in range(1, n + 2)]
     rule = spec.acceptance
-    if isinstance(rule, GlobalAcceptance):
-        rule = rule.per_round
+    rule = rule.per_round if isinstance(rule, GlobalAcceptance) else rule
     effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
     comb = trivial_parallel_comb(n, k=k, y_dim=1)
     eye = np.eye(2**k, dtype=np.complex128)
 
     def build(ell: int) -> tuple[GeneralTest, Comb]:
         tests = [i for i in range(n + 1) if i != ell - 1]
-        chi_vec = np.ones(1, dtype=np.complex128)
+        chi_vec, joint = np.ones(1, dtype=np.complex128), np.eye(1, dtype=np.complex128)
         for i in tests:
-            chi_vec = np.kron(chi_vec, traps[i][1])
-        joint = np.eye(1, dtype=np.complex128)
-        for i in tests:
-            joint = np.kron(joint, effects[i])
+            chi_vec, joint = np.kron(chi_vec, traps[i][1]), np.kron(joint, effects[i])
         chi_op = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
         unitaries = tuple(eye if traps[i][0] is None else traps[i][0] for i in tests)
         return GeneralTest(chi_op, unitaries, PovmElement(joint)), comb
@@ -477,7 +480,7 @@ def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -
         build = _round_tests(spec, n)
         return [general_test_acceptance(*build(ell), strategy) for ell in range(1, n + 2)]
 
-    return weighted_acceptance(spec.omega, spec.output_round, outcome_table(spec.omega, per_ell))
+    return outcome_table(spec.omega, spec.output_round, per_ell).acceptance
 
 
 def _unitary_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -561,8 +564,8 @@ def general_tradeoff_check(
 ) -> TradeoffReport:
     """Trade-off certification for a general-test setup, at N = the mean of its omega."""
     return certify_tradeoff(
-        model, ProtocolVariant.GENERAL_TESTS, setup.omega.mean, alpha_override, placement,
-        setup, setup.outcome_table,
+        model, ProtocolVariant.GENERAL_TESTS, alpha_override, placement,
+        setup.k, setup.outcome_table,
     )
 
 

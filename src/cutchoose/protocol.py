@@ -10,10 +10,10 @@ literal sequential simulator on small instances.
 
 Acceptance probabilities are computed exactly and, as a stochastic
 cross-check, by a seeded round-by-round Monte-Carlo sampler. Every exact
-figure goes through one engine: ``outcome_table`` builds the per-(n, output
-round) acceptance table over the finite support of the round distribution,
-and ``weighted_acceptance`` averages it over n and the output round. The
-general-test engine in ``combs`` uses the same two functions.
+figure goes through one engine: ``outcome_table`` checks and builds a
+``RoundOutcomeTable``, a row of p(n, output round) per support point of the
+round distribution that carries its own average (``.acceptance``). The
+general-test engine in ``combs`` builds its tables the same way.
 
 The per-round engine works on ``2**k`` vectors only. A round bank receives
 the rounds of each ``(spec, n)`` once through ``receive_trap``, the one check
@@ -206,13 +206,6 @@ class ProtocolSpec:
             )
 
 
-@dataclass(frozen=True)
-class RoundOutcomeTable:
-    """Per-(n, output round) acceptance probabilities."""
-
-    entries: tuple[tuple[int, int, float], ...]  # (n, ell, p)
-
-
 def receive_trap(
     traps: TrapGenerator, k: int, n: int, i: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -333,41 +326,46 @@ def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray
     return pre[:m] * suf[1:]
 
 
+@dataclass(frozen=True, eq=False)
+class RoundOutcomeTable:
+    """Acceptance p(n, ell), one read-only row over ell = 1..n+1 per support
+    point n of ``omega``, and its average; built by :func:`outcome_table`."""
+
+    omega: RoundDistribution
+    output_round: OutputRound
+    rows: tuple[np.ndarray, ...]
+
+    @property
+    def acceptance(self) -> float:
+        """Acceptance averaged over n ~ omega and the output-round distribution."""
+        total = 0.0
+        for (n, wn), row in zip(self.omega.support, self.rows):
+            if wn != 0.0:
+                total += wn * float(output_round_weights(self.output_round, n) @ row)
+        return snap_probability(total, "overall acceptance")
+
+
 def outcome_table(
-    omega: RoundDistribution, per_ell: Callable[[int], Sequence[float]]
+    omega: RoundDistribution, output_round: OutputRound, per_ell: Callable[[int], Sequence[float]]
 ) -> RoundOutcomeTable:
     """The (n, ell) acceptance table over the support of ``omega``.
 
-    ``per_ell(n)`` gives the n + 1 acceptance probabilities for n >= 1; with
-    no test rounds the empty product accepts.
+    ``per_ell(n)`` gives the n + 1 acceptance probabilities for n >= 1; with no
+    test rounds the empty product accepts. Values within 1e-12 of [0, 1] are
+    clamped into it; anything else, NaN included, is rejected.
     """
     rows = []
     for n, _ in omega.support:
-        values = per_ell(n) if n else (1.0,)
-        rows += [
-            (n, ell, snap_probability(float(p), f"p(n={n}, ell={ell})"))
-            for ell, p in enumerate(values, start=1)
-        ]
-    return RoundOutcomeTable(tuple(rows))
-
-
-def weighted_acceptance(
-    omega: RoundDistribution, output_round: OutputRound, table: RoundOutcomeTable
-) -> float:
-    """Acceptance averaged over n ~ omega and the output-round distribution."""
-    per_n: dict[int, list[float]] = {}
-    for n, _, p in table.entries:
-        per_n.setdefault(n, []).append(p)
-    total = 0.0
-    for n, wn in omega.support:
-        if wn == 0.0:
-            continue
-        if n == 0:
-            total += wn
-            continue
-        weights = output_round_weights(output_round, n)
-        total += wn * float(weights @ np.array(per_n[n]))
-    return snap_probability(total, "overall acceptance")
+        row = np.asarray(per_ell(n) if n else (1.0,), dtype=float)
+        # written so that NaN entries fail both comparisons
+        bad = np.flatnonzero(~((row >= -_PROB_SNAP) & (row <= 1.0 + _PROB_SNAP)))
+        if bad.size:
+            ell, p = int(bad[0]) + 1, float(row[bad[0]])
+            raise ContractViolationError(f"p(n={n}, ell={ell}) = {p!r} outside [0, 1]")
+        row = np.where(row > 0.0, np.minimum(row, 1.0), 0.0)  # -0.0 becomes 0.0
+        row.flags.writeable = False
+        rows.append(row)
+    return RoundOutcomeTable(omega, output_round, tuple(rows))
 
 
 def acceptance_probability(
@@ -385,12 +383,12 @@ def acceptance_probability(
 def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:
     """Acceptance probability per (n, output round) over the support of omega."""
     require_supported(strategy)
-    return outcome_table(spec.omega, lambda n: _per_ell(spec, strategy, n))
+    return outcome_table(spec.omega, spec.output_round, lambda n: _per_ell(spec, strategy, n))
 
 
 def overall_acceptance(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
     """Exact acceptance probability, averaged over n and the output round."""
-    return weighted_acceptance(spec.omega, spec.output_round, round_outcome_table(spec, strategy))
+    return round_outcome_table(spec, strategy).acceptance
 
 
 def client_output_state(

@@ -224,9 +224,10 @@ def _json_run(record: RunRecord) -> dict:
             {"name": s.name, "lhs": s.lhs, "rhs": s.rhs, "holds": s.holds}
             for s in r.proof_steps
         ],
-        "rounds": {
-            "honest": [list(e) for e in r.honest_rounds.entries],
-            "attacked": [list(e) for e in r.attacked_rounds.entries],
+        "rounds": {  # each table as [n, ell, p] triples, n in support order
+            who: [[n, ell, p] for (n, _), row in zip(t.omega.support, t.rows)
+                  for ell, p in enumerate(row.tolist(), start=1)]
+            for who, t in (("honest", r.honest_rounds), ("attacked", r.attacked_rounds))
         },
     }
     if record.mc is not None:

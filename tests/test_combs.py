@@ -11,8 +11,10 @@ from cutchoose.combs import (
     Comb,
     GeneralSetup,
     GeneralTest,
+    Tooth,
     _evolve,
     bell_test_setup,
+    build_tooth,
     dephasing_channel,
     depolarizing_channel,
     diamond_distance_pure_search,
@@ -47,7 +49,6 @@ from cutchoose.protocol import (
     acceptance_probability,
     output_round_weights,
     overall_acceptance,
-    weighted_acceptance,
 )
 from cutchoose.report import run_scenario
 from cutchoose.sampling import random_density, random_unitary
@@ -70,6 +71,15 @@ class TestChannel:
     def test_dephasing_trace_preserving(self):
         assert dephasing_channel(0.3).is_trace_preserving(tol=1e-12)
         assert depolarizing_channel(0.7).is_trace_preserving(tol=1e-12)
+
+    @pytest.mark.parametrize("qubit", (2, -1))
+    def test_rejects_qubit_outside_the_stack(self, qubit):
+        message = rf"qubit {qubit} not among 2 qubits"
+        for channel in (dephasing_channel, depolarizing_channel):
+            with pytest.raises(ContractViolationError, match=message):
+                channel(0.5, qubit, 2)
+        with pytest.raises(ContractViolationError, match=message):
+            build_tooth(Tooth(None, "dephasing", qubit, 0.5), width=2, k=1)
 
     def test_compose(self):
         a = dephasing_channel(0.2)
@@ -230,6 +240,14 @@ class TestOverallGeneral:
         setup = GeneralSetup(omega=RoundDistribution.point_mass(0), k=1, tests={}, combs={})
         assert setup.overall(HONEST) == 1.0
 
+    def test_rejects_missing_tests_or_combs(self):
+        bell = bell_test_setup(2)
+        with pytest.raises(LayoutError, match=r"no tests\[3\]"):
+            GeneralSetup(RoundDistribution.point_mass(3), 1, bell.tests, bell.combs)
+        combs = {key: comb for key, comb in bell.combs.items() if key != (2, 2)}
+        with pytest.raises(LayoutError, match=r"no combs\[\(2, 2\)\]"):
+            GeneralSetup(bell.omega, 1, bell.tests, combs)
+
     def test_bell_two_rounds_attack(self):
         setup = bell_test_setup(2)
         for alpha in (0.7, 2.1):
@@ -243,7 +261,7 @@ class TestOverallGeneral:
             for strategy in (HONEST, PhaseAttack(1.3), PhaseAttack(2.2, Placement.PRE)):
                 rounds = setup.outcome_table(strategy)
                 got = setup.overall(strategy)
-                assert got == weighted_acceptance(setup.omega, setup.output_round, rounds)
+                assert got == rounds.acceptance
                 # sequential reference: one general-test evaluation per (n, ell)
                 expected = sum(
                     wn * w * general_test_acceptance(setup.tests[n], setup.combs[(n, ell)],

@@ -27,7 +27,6 @@ from cutchoose.protocol import (
     output_round_weights,
     overall_acceptance,
     round_outcome_table,
-    weighted_acceptance,
 )
 from cutchoose.states import attack_operator, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
@@ -171,7 +170,12 @@ class TestOverallAcceptance:
             )
             strategy = PhaseAttack(float(rng.uniform(0, 2 * math.pi)))
             rounds = round_outcome_table(spec, strategy)
-            table = {(n, ell): p for n, ell, p in rounds.entries}
+            assert rounds.omega is spec.omega and rounds.output_round is output_round
+            table = {
+                (n, ell): p
+                for (n, _), row in zip(rounds.omega.support, rounds.rows)
+                for ell, p in enumerate(row.tolist(), start=1)
+            }
             expected = sum(
                 wn * sum(
                     w * table[(n, ell)]
@@ -181,8 +185,8 @@ class TestOverallAcceptance:
             )
             got = overall_acceptance(spec, strategy)
             assert got == pytest.approx(expected, abs=1e-12)
-            # one engine: overall acceptance is exactly the weighted table
-            assert got == weighted_acceptance(spec.omega, spec.output_round, rounds)
+            # one engine: overall acceptance is exactly the table's own average
+            assert got == rounds.acceptance
             assert all(0.0 <= p <= 1.0 for p in table.values())
             assert sorted(table) == [
                 (n, ell) for n, _ in spec.omega.support for ell in range(1, n + 2)
@@ -240,14 +244,27 @@ class TestOverallAcceptance:
 
 class TestOutcomeTable:
     def test_snaps_rounding_noise_to_the_ends(self):
-        omega = RoundDistribution.point_mass(1)
-        table = outcome_table(omega, lambda n: (-1e-13, 1.0 + 1e-13))
-        assert table.entries == ((1, 1, 0.0), (1, 2, 1.0))
+        omega = RoundDistribution.from_pairs([(0, 0.5), (2, 0.5)])
+        table = outcome_table(omega, "uniform", lambda n: (-0.0, -1e-13, 1.0 + 1e-13))
+        assert [row.tolist() for row in table.rows] == [[1.0], [0.0, 0.0, 1.0]]
+        assert not np.signbit(table.rows[1]).any()
+        assert table.acceptance == 0.5 + 0.5 * (1.0 / 3.0)
 
     def test_rejects_values_beyond_rounding(self):
         omega = RoundDistribution.point_mass(1)
-        with pytest.raises(ContractViolationError):
-            outcome_table(omega, lambda n: (0.5, 1.0 + 1e-11))
+        cases = [
+            ((0.5, 1.0 + 1e-11), r"p\(n=1, ell=2\) = 1.00000000001 outside \[0, 1\]"),
+            ((math.nan, 0.5), r"p\(n=1, ell=1\) = nan outside \[0, 1\]"),
+            ((0.5, -1e-11), r"p\(n=1, ell=2\) = -1e-11 outside \[0, 1\]"),
+        ]
+        for values, message in cases:
+            with pytest.raises(ContractViolationError, match=message):
+                outcome_table(omega, "uniform", lambda n: values)
+
+    def test_rows_are_read_only(self):
+        table = outcome_table(RoundDistribution.point_mass(2), "uniform", lambda n: (0.1,) * 3)
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows[0][1] = 0.5
 
 
 class TestHolevoHelstromStep:

@@ -26,7 +26,6 @@ from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
     round_outcome_table,
-    weighted_acceptance,
 )
 from cutchoose.report import csv_columns, emit, emit_bytes, run_scenario
 from cutchoose.strategies import HONEST, PhaseAttack, Placement
@@ -103,10 +102,10 @@ class TestRunScenario:
         bell = bell_test_setup(2)
         general = make_config(variant={"kind": "general-tests", "setup": {"family": "bell"}})
         cases = [
-            (per_round, spec, lambda strategy: round_outcome_table(spec, strategy)),
-            (general, bell, bell.outcome_table),
+            (per_round, lambda strategy: round_outcome_table(spec, strategy)),
+            (general, bell.outcome_table),
         ]
-        for config, source, table in cases:
+        for config, table in cases:
             bundle = run_scenario(config)
             rows = json.loads(emit_bytes(bundle, "json"))["runs"]
             assert len(rows) == len(bundle.runs) == 2
@@ -114,12 +113,14 @@ class TestRunScenario:
                 r = record.report
                 honest = table(HONEST)
                 attacked = table(PhaseAttack(r.alpha, Placement.POST))
-                assert r.p_h == weighted_acceptance(source.omega, source.output_round, honest)
-                assert r.p_d == weighted_acceptance(source.omega, source.output_round, attacked)
-                assert row["rounds"] == {
-                    "honest": [list(e) for e in honest.entries],
-                    "attacked": [list(e) for e in attacked.entries],
-                }
+                assert r.p_h == honest.acceptance
+                assert r.p_d == attacked.acceptance
+                for who, t in (("honest", honest), ("attacked", attacked)):
+                    assert row["rounds"][who] == [
+                        [n, ell, float(t.rows[j][ell - 1])]
+                        for j, (n, _) in enumerate(t.omega.support)
+                        for ell in range(1, n + 2)
+                    ]
 
     def test_monte_carlo_columns(self):
         cfg = make_config(monte_carlo={"trials": 5000, "seed": 11})
@@ -233,8 +234,10 @@ class TestGlobalMode:
                     ):
                         assert p == pytest.approx(
                             overall_acceptance_via_combs(spec, strategy), abs=1e-12)
-                        for n, ell, value in table.entries:
-                            if n:
+                        for (n, _), row in zip(table.omega.support, table.rows):
+                            if not n:
+                                continue
+                            for ell, value in enumerate(row, start=1):
                                 via = general_test_acceptance(
                                     *spec_round_as_general(spec, n, ell), strategy)
                                 assert value == pytest.approx(via, abs=1e-12)

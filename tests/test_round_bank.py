@@ -211,17 +211,20 @@ def test_failed_round_leaves_no_bank():
 
 
 def test_constant_point_mass_stays_small():
-    # one (n + 1) x 2**k complex array alone would be 2001 * 4096 * 16 bytes = 131 MB
-    spec = ProtocolSpec(
-        omega=RoundDistribution.point_mass(2000), k=12,
-        traps=PlusTraps(), acceptance=plus_acceptance(),
-    )
-    tracemalloc.start()
-    try:
-        for placement in Placement:
-            table = round_outcome_table(spec, PhaseAttack(0.3, placement))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table.entries) == 2001
-    assert peak < 16 * 2**20
+    # k = 12: one (n + 1) x 2**k complex array alone would be 2001 * 4096 * 16 bytes
+    # = 131 MB; n = 10**5: the row of n + 1 floats is 0.8 MB, while one Python tuple
+    # per (n, ell) entry peaks near 20 MB
+    for n, k, cap_mb in ((2000, 12, 16), (10**5, 1, 8)):
+        spec = ProtocolSpec(
+            omega=RoundDistribution.point_mass(n), k=k,
+            traps=PlusTraps(), acceptance=plus_acceptance(),
+        )
+        tracemalloc.start()
+        try:
+            for placement in Placement:
+                table = round_outcome_table(spec, PhaseAttack(0.3, placement))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row.size for row in table.rows] == [n + 1]
+        assert peak < cap_mb * 2**20, (n, k, peak)

@@ -91,7 +91,9 @@ def test_round_factors_tables_and_errors_match_dense(trap_name, effect_name, k):
     eye = np.eye(2**k)
     for placement in Placement:
         for strategy in strategies(placement):
-            table = {(n, ell): p for n, ell, p in round_outcome_table(spec, strategy).entries}
+            rows = round_outcome_table(spec, strategy).rows
+            table = {(n, ell): p for (n, _), row in zip(spec.omega.support, rows)
+                     for ell, p in enumerate(row, start=1)}
             for n in (2, 3):
                 ref = dense_factors(spec, strategy, n)
                 np.testing.assert_allclose(
@@ -138,9 +140,9 @@ def test_global_power_matches_dense_joint_element(trap_name, effect_name):
                             joint_out = np.kron(joint_out, outs[i])
                             joint_effect = np.kron(joint_effect, effects[i])
                     ref.append(float(np.vdot(joint_out, joint_effect @ joint_out).real))
-                got = round_outcome_table(spec, attack).entries
-                assert [e[:2] for e in got] == [(n, ell) for ell in range(1, n + 2)]
-                np.testing.assert_allclose([e[2] for e in got], ref, rtol=0, atol=TOL)
+                got = round_outcome_table(spec, attack).rows
+                assert [row.size for row in got] == [n + 1]
+                np.testing.assert_allclose(got[0], ref, rtol=0, atol=TOL)
 
 
 class BrokenTraps(TrapGenerator):
