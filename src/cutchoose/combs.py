@@ -1,25 +1,28 @@
 """General test networks: combs with memory, channel plugging, diamond distance.
 
 A test network intertwines the n delegated test computations with n + 1
-fixed operations (teeth) connected through memory registers. Here the
-traversal state is always the full stack of ``width`` k-qubit registers:
-each hole acts on one designated register (the rest form the memory), and a
-tooth is an optional channel on the whole stack (wire permutations and named
-Kraus sets cover the shipped families). Plugging n channels into the holes
-yields a channel on the register stack; the client may additionally keep an
-auxiliary space that the network never touches.
+fixed operations (teeth) connected through memory registers: each hole acts
+on one of ``width`` k-qubit registers (the rest form the memory), and a
+tooth is a wire permutation and/or a palette channel on one qubit. Plugging
+n channels into the holes yields a channel on the register stack; the client
+may additionally keep an auxiliary space that the network never touches.
 
-Channels are stored as Kraus-operator lists. A test state is pushed through
-the network step by step, so cost grows linearly in the hole count; :func:`plug`
-composes the whole network and is the reference. Everything is capped at a
-total dimension of 256: the bounds being certified are dimension-independent.
+A comb is built once into steps on the stack's qubit axes (axis transposes,
+hole unitaries on their register, single-qubit Kraus sets): the sequential
+link product of quantum combs, one tooth at a time (Chiribella, D'Ariano,
+Perinotti, arXiv:0904.4483). A pure test state goes through a unitary network
+as a vector; otherwise the state keeps one left and one right axis per qubit
+and each step is one contraction of its Liouville form ``Σ K ⊗ K̄``. Cost is
+linear in the hole count; :func:`plug` composes the dense network and is the
+reference. Everything is capped at a total dimension of 256: the bounds
+being certified are dimension-independent.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import (
     DimensionCapError,
     LayoutError,
 )
-from .linalg import COMB_DIM_CAP, DensityOperator, as_square_matrix, dagger, is_unitary
+from .linalg import COMB_DIM_CAP, DensityOperator, PureState, as_square_matrix, dagger, is_unitary
 from .optimize import scan_unit_interval
 from .protocol import (
     GlobalAcceptance,
@@ -43,7 +46,8 @@ from .protocol import (
     snap_probability,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
-from .states import PovmElement, attack_phases, bell_pair, computational_basis_state, plus_state
+from .states import (Effect, PovmElement, RankOneEffect, attack_phases, bell_pair,
+                     computational_basis_state, plus_state)
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -111,35 +115,36 @@ def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.
     ]
 
 
-def _embed(op: np.ndarray, slot: int, slots: int) -> np.ndarray:
-    """``op`` on subsystem ``slot`` of ``slots`` equal-sized ones, identity elsewhere."""
-    d = op.shape[0]
-    left = np.eye(d**slot, dtype=np.complex128)
-    right = np.eye(d ** (slots - slot - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, op), right)
+def _embed(op: np.ndarray, first: int, qubits: int) -> np.ndarray:
+    """``op`` on the qubits from ``first`` on of ``qubits``, identity elsewhere."""
+    rest = qubits - first - (op.shape[0].bit_length() - 1)
+    return np.kron(np.kron(np.eye(2**first, dtype=np.complex128), op), np.eye(2**rest))
 
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
+# the noise palette of teeth: name -> (Pauli errors, rate per unit strength)
+NOISE_CHANNELS = {"dephasing": ((_Z,), 1.0), "depolarizing": ((_X, _Y, _Z), 0.25)}
 
-def _pauli_channel(name, paulis, rate, strength, qubit=0, total_qubits=1) -> Channel:
-    """Each Pauli error with probability ``rate * strength``, else the identity."""
+
+def _pauli_channel(name, strength, qubit=0, total_qubits=1) -> Channel:
+    """Palette channel ``name`` for ``qubit`` of ``total_qubits`` as its single-qubit
+    Kraus set: each Pauli error with probability ``rate * strength``, else the identity."""
+    paulis, rate = NOISE_CHANNELS[name]
     if not 0.0 <= strength <= 1.0:
         raise ContractViolationError(f"{name} strength {strength!r} outside [0, 1]")
     if not 0 <= qubit < total_qubits:
         raise ContractViolationError(f"{name} qubit {qubit} not among {total_qubits} qubits")
     w = rate * strength
     ops = (math.sqrt(1.0 - len(paulis) * w) * np.eye(2), *(math.sqrt(w) * p for p in paulis))
-    return Channel([_embed(op, qubit, total_qubits) for op in ops])
+    return Channel(ops)
 
 
-# (strength, qubit=0, total_qubits=1) -> channel on one qubit of total_qubits
-dephasing_channel = functools.partial(_pauli_channel, "dephasing", (_Z,), 1.0)
-depolarizing_channel = functools.partial(_pauli_channel, "depolarizing", (_X, _Y, _Z), 0.25)
-# the noise palette of teeth
-NOISE_CHANNELS = {"dephasing": dephasing_channel, "depolarizing": depolarizing_channel}
+# (strength, qubit=0, total_qubits=1) -> the single-qubit channel a tooth puts on that qubit
+dephasing_channel = functools.partial(_pauli_channel, "dephasing")
+depolarizing_channel = functools.partial(_pauli_channel, "depolarizing")
 
 
 class Tooth(NamedTuple):
@@ -153,18 +158,29 @@ class Tooth(NamedTuple):
     strength: float | None
 
 
-def build_tooth(tooth: Tooth | None, width: int, k: int) -> Channel | None:
-    """The channel of a tooth on ``width`` k-qubit registers; None for plain wires."""
-    if tooth is None:
-        return None
-    perm = None
-    if tooth.permutation is not None:
-        perm = register_permutation_unitary(tooth.permutation, width, k)
-    if tooth.channel is None:
-        return Channel((perm,), check=False)
-    noise = NOISE_CHANNELS[tooth.channel](tooth.strength, tooth.qubit, width * k)
-    # the noise acts after the wire permutation
-    return noise if perm is None else Channel([op @ perm for op in noise.kraus], check=False)
+class Step(NamedTuple):
+    """One step of a network on the register stack's qubits (qubit 0 most
+    significant): the Kraus set ``kraus`` on the consecutive qubits ``axes``;
+    hole number ``kraus`` (0-based) when it is an int; or, when it is None,
+    the wire permutation whose output qubit j is input qubit ``axes[j]``."""
+
+    axes: tuple[int, ...]
+    kraus: tuple[np.ndarray, ...] | int | None
+
+
+def build_tooth(tooth: Tooth | None, width: int, k: int) -> tuple[Step, ...]:
+    """The steps of a tooth on ``width`` k-qubit registers: the wire
+    permutation, then the palette channel; none for plain wires."""
+    steps = []
+    if tooth is not None and tooth.permutation is not None:
+        perm = tuple(int(x) for x in tooth.permutation)
+        if sorted(perm) != list(range(width)):
+            raise LayoutError(f"{perm} is not a permutation of 0..{width - 1}")
+        steps.append(Step(tuple(p * k + b for p in perm for b in range(k)), None))
+    if tooth is not None and tooth.channel is not None:
+        noise = _pauli_channel(tooth.channel, tooth.strength, tooth.qubit, width * k)
+        steps.append(Step((tooth.qubit,), noise.kraus))
+    return tuple(steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +190,9 @@ class Comb:
 
     ``hole_registers[i]`` is the (0-based) register fed into hole ``i + 1``;
     the remaining registers are the memory between teeth. ``teeth`` has one
-    optional channel per gap (before hole 1, between holes, after the last),
-    each acting on the full register stack; ``None`` means plain wires.
+    optional :class:`Tooth` per gap (before hole 1, between holes, after the
+    last); ``None`` means plain wires. ``steps`` is the walk in time order,
+    built once: tooth 0, hole 1, tooth 1, ..., hole n, tooth n.
     """
 
     n_holes: int
@@ -183,7 +200,8 @@ class Comb:
     width: int
     y_dim: int
     hole_registers: tuple[int, ...]
-    teeth: tuple[Channel | None, ...]
+    teeth: tuple[Tooth | None, ...]
+    steps: tuple[Step, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_holes < 0 or self.k < 1 or self.width < 1 or self.y_dim < 1:
@@ -200,11 +218,10 @@ class Comb:
             raise DimensionCapError(
                 f"total dimension {self.register_dim * self.y_dim} beyond the cap {COMB_DIM_CAP}"
             )
-        for j, tooth in enumerate(self.teeth):
-            if tooth is not None and tooth.dim != self.register_dim:
-                raise LayoutError(
-                    f"tooth {j} acts on dim {tooth.dim}, expected {self.register_dim}"
-                )
+        k, steps = self.k, list(build_tooth(self.teeth[0], self.width, self.k))
+        for i, (r, tooth) in enumerate(zip(self.hole_registers, self.teeth[1:])):
+            steps += (Step(tuple(range(r * k, r * k + k)), i), *build_tooth(tooth, self.width, k))
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def register_dim(self) -> int:
@@ -237,18 +254,10 @@ def _check_holes(comb: Comb, shapes) -> None:
 
 
 def _walk(comb: Comb, hole_kraus):
-    """Kraus sets of the plugged network on the register stack, in time order:
-    tooth 0, hole 1, tooth 1, ..., hole n, tooth n (plain-wire teeth skipped).
-
-    ``hole_kraus[i]`` is the Kraus set plugged into hole ``i + 1``; the
-    entry points check their layout with :func:`_check_holes`.
-    """
-    if comb.teeth[0] is not None:
-        yield comb.teeth[0].kraus
-    for i, ops in enumerate(hole_kraus):
-        yield tuple(_embed(op, comb.hole_registers[i], comb.width) for op in ops)
-        if comb.teeth[i + 1] is not None:
-            yield comb.teeth[i + 1].kraus
+    """The comb's steps with ``hole_kraus[i]`` plugged into hole ``i + 1``; the
+    entry points check their layout with :func:`_check_holes`."""
+    for axes, kraus in comb.steps:
+        yield (axes, hole_kraus[kraus]) if isinstance(kraus, int) else (axes, kraus)
 
 
 def plug(comb: Comb, round_channels) -> Channel:
@@ -257,30 +266,53 @@ def plug(comb: Comb, round_channels) -> Channel:
     Kraus counts multiply with every step: the reference for :func:`_evolve`."""
     channels = [c if isinstance(c, Channel) else Channel.from_unitary(c) for c in round_channels]
     _check_holes(comb, [(c.dim, c.dim) for c in channels])
+    qubits = comb.width * comb.k
     result = Channel((np.eye(comb.register_dim, dtype=np.complex128),), check=False)
-    for kraus in _walk(comb, [c.kraus for c in channels]):
-        result = Channel(kraus, check=False).compose(result)
+    for axes, kraus in _walk(comb, [c.kraus for c in channels]):
+        dense = ((register_permutation_unitary(axes, qubits, 1),) if kraus is None
+                 else tuple(_embed(op, axes[0], qubits) for op in kraus))
+        result = Channel(dense, check=False).compose(result)
     if not result.is_trace_preserving():
         raise ContractViolationError("plugged network is not trace preserving within 1e-9")
     return result
 
 
-def _evolve(comb: Comb, hole_unitaries, rho: np.ndarray) -> np.ndarray:
+def _apply(op: np.ndarray, axes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """Matrix ``op`` on the axes ``axes`` of ``t`` (first most significant), in one contraction."""
+    m = len(axes)
+    out = np.tensordot(op.reshape((2,) * 2 * m), t, axes=(tuple(range(m, 2 * m)), axes))
+    return np.moveaxis(out, tuple(range(m)), axes)
+
+
+def _evolve(comb: Comb, hole_unitaries, state: np.ndarray) -> np.ndarray:
     """Push a state on (register stack x auxiliary space) through the network
-    with ``hole_unitaries`` plugged in, one :func:`_walk` step at a time. Each
-    Kraus operator multiplies the state reshaped to (register dim, rest), from
-    the left and, through the adjoint, from the right."""
-    d, full = comb.register_dim, comb.register_dim * comb.y_dim
+    with ``hole_unitaries`` plugged in, one step at a time on its qubit axes:
+    a vector through a unitary network, else a density matrix (a vector
+    becomes its projector), each step as its Liouville form ``Σ K ⊗ K̄``."""
+    q = comb.width * comb.k
+    if state.ndim == 1 and any(isinstance(s.kraus, tuple) and len(s.kraus) > 1
+                               for s in comb.steps):
+        state = np.outer(state, state.conj())
+    pure, shape = state.ndim == 1, (2,) * q + (comb.y_dim,)
+    t = state.reshape(shape if pure else shape * 2)
 
-    def left(op, m):
-        return (op @ m.reshape(d, -1)).reshape(full, full)
+    def paired(axes):  # the left axes and, for a density tensor, their right partners
+        return axes if pure else axes + tuple(q + 1 + a for a in axes)
 
-    for kraus in _walk(comb, [(u,) for u in hole_unitaries]):
-        rho = sum(dagger(left(op, dagger(left(op, rho)))) for op in kraus)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-9:
-        raise ContractViolationError(f"network output has trace {trace!r}, not 1 within 1e-9")
-    return rho
+    for axes, kraus in _walk(comb, [(u,) for u in hole_unitaries]):
+        if kraus is None:
+            t = t.transpose(paired(axes + (q,)))
+        elif pure:
+            t = _apply(kraus[0], axes, t)
+        else:  # Σ K ⊗ K̄ with entries [a, b, c, d] = K[a, c] K̄[b, d]
+            t = _apply(sum(op[:, None, :, None] * op.conj()[None, :, None, :] for op in kraus),
+                       paired(axes), t)
+    out = t.reshape(state.shape)
+    if not pure:
+        trace = float(np.trace(out).real)
+        if abs(trace - 1.0) > 1e-9:
+            raise ContractViolationError(f"network output has trace {trace!r}, not 1 within 1e-9")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,9 +324,9 @@ class GeneralTest:
     1e-10.
     """
 
-    chi: DensityOperator
+    chi: PureState | DensityOperator
     unitaries: tuple[np.ndarray, ...]
-    measurement: PovmElement
+    measurement: Effect
 
     def __post_init__(self):
         unitaries = tuple(as_square_matrix(u) for u in self.unitaries)
@@ -327,11 +359,12 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
             played = [phases[:, None] * u for u in played]
         else:
             played = [u * phases for u in played]
-    out = _evolve(comb, played, test.chi.matrix)
-    # the measurement is Hermitian, so Tr(M out) is the Frobenius product
-    return snap_probability(
-        float(np.vdot(test.measurement.matrix, out).real), "acceptance probability"
-    )
+    chi = test.chi
+    out = _evolve(comb, played, chi.amplitudes if isinstance(chi, PureState) else chi.matrix)
+    # a vector is read as <out|M|out>; M is Hermitian, so Tr(M out) is the Frobenius product
+    value = (test.measurement.value(out) if out.ndim == 1
+             else float(np.vdot(test.measurement.matrix, out).real))
+    return snap_probability(value, "acceptance probability")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +379,7 @@ class GeneralSetup:
     tests: Mapping[int, GeneralTest]
     combs: Mapping[tuple[int, int], Comb]
     output_round: OutputRound = "uniform"
+    _tables: dict = field(default_factory=dict, init=False, repr=False)  # one per strategy
 
     def __post_init__(self):
         for n in (n for n, _ in self.omega.support if n):
@@ -363,7 +397,9 @@ class GeneralSetup:
             }
             return [values[comb] for comb in combs]
 
-        return outcome_table(self.omega, self.output_round, per_ell)
+        if strategy not in self._tables:
+            self._tables[strategy] = outcome_table(self.omega, self.output_round, per_ell)
+        return self._tables[strategy]
 
     def overall(self, strategy: ServerStrategy) -> float:
         return self.outcome_table(strategy).acceptance
@@ -397,11 +433,9 @@ def bell_test_setup(n_tests: int) -> GeneralSetup:
     """
     if n_tests < 1:
         raise ContractViolationError(f"need at least one test round, got {n_tests}")
-    vec = _bell_pairs_register_major(n_tests)
-    chi = DensityOperator(np.outer(vec, vec.conj()))
-    measurement = PovmElement(np.outer(vec, vec.conj()))
+    chi = PureState(_bell_pairs_register_major(n_tests))
     eye2 = np.eye(2, dtype=np.complex128)
-    test = GeneralTest(chi, (eye2,) * n_tests, measurement)
+    test = GeneralTest(chi, (eye2,) * n_tests, RankOneEffect(chi))
     return _point_mass_setup(test, trivial_parallel_comb(n_tests, k=1, y_dim=2**n_tests))
 
 
@@ -417,7 +451,7 @@ def custom_test_setup(custom, n: int) -> GeneralSetup:
         width=width,
         y_dim=y_dim,
         hole_registers=tuple(h - 1 for h in custom.hole_registers),
-        teeth=tuple(build_tooth(t, width, k) for t in custom.teeth),
+        teeth=custom.teeth,
     )
     full_dim = comb.register_dim * y_dim
     if custom.state == "plus":
@@ -426,7 +460,7 @@ def custom_test_setup(custom, n: int) -> GeneralSetup:
         chi_vec = computational_basis_state(width * k + custom.y_qubits).amplitudes
     else:  # bell-pairs, validated y_qubits == width
         chi_vec = _bell_pairs_register_major(width)
-    chi = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
+    chi = PureState(chi_vec)
 
     if custom.unitaries == "identity":
         unitaries = tuple(np.eye(2**k, dtype=np.complex128) for _ in range(n))
@@ -437,9 +471,10 @@ def custom_test_setup(custom, n: int) -> GeneralSetup:
     if custom.measurement == "identity":
         mu = PovmElement(np.eye(full_dim, dtype=np.complex128))
     else:
-        # accept on the honest output: the honest-evolved test state is a valid
-        # effect (all eigenvalues <= 1), a projector when the network is unitary
-        mu = PovmElement(_evolve(comb, unitaries, chi.matrix))
+        # accept on the honest output: the projector onto it when the network is
+        # unitary, else the honest-evolved state, a valid effect (eigenvalues <= 1)
+        out = _evolve(comb, unitaries, chi.amplitudes)
+        mu = RankOneEffect(PureState(out)) if out.ndim == 1 else PovmElement(out)
 
     return _point_mass_setup(GeneralTest(chi, unitaries, mu), comb)
 
@@ -462,9 +497,8 @@ def _round_tests(spec: ProtocolSpec, n: int):
         chi_vec, joint = np.ones(1, dtype=np.complex128), np.eye(1, dtype=np.complex128)
         for i in tests:
             chi_vec, joint = np.kron(chi_vec, traps[i][1]), np.kron(joint, effects[i])
-        chi_op = DensityOperator(np.outer(chi_vec, chi_vec.conj()))
         unitaries = tuple(eye if traps[i][0] is None else traps[i][0] for i in tests)
-        return GeneralTest(chi_op, unitaries, PovmElement(joint)), comb
+        return GeneralTest(PureState(chi_vec), unitaries, PovmElement(joint)), comb
 
     return build
 
@@ -623,7 +657,7 @@ def random_comb_draw(seed: int) -> RandomCombDraw:
                 width=width,
                 y_dim=y_dim,
                 hole_registers=hole_regs,
-                teeth=tuple(build_tooth(random_tooth(width), width, k) for _ in range(n + 1)),
+                teeth=tuple(random_tooth(width) for _ in range(n + 1)),
             )
     setup = GeneralSetup(omega=omega, k=k, tests=tests, combs=combs, output_round=output_round)
     alpha = float(rng.uniform(0.0, 2.0 * math.pi))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import time
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .protocol import (
     MonteCarloResult,
     ProtocolSpec,
     RoundDistribution,
+    RoundOutcomeTable,
     monte_carlo_run,
 )
 from .strategies import HONEST, PhaseAttack, Placement
@@ -224,11 +226,7 @@ def _json_run(record: RunRecord) -> dict:
             {"name": s.name, "lhs": s.lhs, "rhs": s.rhs, "holds": s.holds}
             for s in r.proof_steps
         ],
-        "rounds": {  # each table as [n, ell, p] triples, n in support order
-            who: [[n, ell, p] for (n, _), row in zip(t.omega.support, t.rows)
-                  for ell, p in enumerate(row.tolist(), start=1)]
-            for who, t in (("honest", r.honest_rounds), ("attacked", r.attacked_rounds))
-        },
+        "rounds": {"honest": r.honest_rounds, "attacked": r.attacked_rounds},
     }
     if record.mc is not None:
         doc["monte_carlo"] = {
@@ -238,6 +236,43 @@ def _json_run(record: RunRecord) -> dict:
             "p_D_empirical": record.mc.attacked.accept_rate,
         }
     return doc
+
+
+def _json_doc(bundle: ReportBundle) -> dict:
+    return {
+        "config": bundle.config.canonical(),
+        "metadata": {
+            "config_hash": bundle.metadata.config_hash,
+            "seed": bundle.metadata.seed,
+            "versions": bundle.metadata.versions,
+        },
+        "runs": [_json_run(r) for r in bundle.runs],
+    }
+
+
+def _table_json(table: RoundOutcomeTable, indent: int) -> str:
+    """The table as ``[n, ell, p]`` triples, n in support order, as ``json.dumps``
+    writes them with ``indent=2`` in a list opened on a line indented ``indent``."""
+    inner, item = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+    triples = []
+    for (n, _), row in zip(table.omega.support, table.rows):
+        head = f"{inner}[{item}{n},{item}"
+        triples += [f"{head}{ell},{item}{p!r}{inner}]" for ell, p in enumerate(row.tolist(), 1)]
+    return "[" + ",".join(triples) + "\n" + " " * indent + "]"
+
+
+def _json_bytes(doc: dict) -> bytes:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, with the
+    runs' ``rounds`` tables (depth 4) written by :func:`_table_json`: with
+    ``indent``, ``json`` runs its pure-Python encoder, about 8 µs a triple."""
+    tables = []
+    for run in doc["runs"]:
+        for who, table in run["rounds"].items():
+            run["rounds"][who] = f"\0{len(tables)}"
+            tables.append(_table_json(table, 8))
+    pieces = re.split(r'"\\u0000(\d+)"', json.dumps(doc, indent=2, sort_keys=True))
+    pieces[1::2] = [tables[int(i)] for i in pieces[1::2]]
+    return "".join(pieces + ["\n"]).encode("utf-8")
 
 
 def emit_bytes(bundle: ReportBundle, fmt: str) -> bytes:
@@ -251,16 +286,7 @@ def emit_bytes(bundle: ReportBundle, fmt: str) -> bytes:
             writer.writerow(_csv_row(record, with_mc))
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        doc = {
-            "config": bundle.config.canonical(),
-            "metadata": {
-                "config_hash": bundle.metadata.config_hash,
-                "seed": bundle.metadata.seed,
-                "versions": bundle.metadata.versions,
-            },
-            "runs": [_json_run(r) for r in bundle.runs],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        return _json_bytes(_json_doc(bundle))
     raise OutOfDomainError(f"unknown output format {fmt!r}")
 
 

@@ -15,6 +15,7 @@ from cutchoose.combs import (
     _evolve,
     bell_test_setup,
     build_tooth,
+    custom_test_setup,
     dephasing_channel,
     depolarizing_channel,
     diamond_distance_pure_search,
@@ -42,7 +43,7 @@ from cutchoose.families import (
     matched_acceptance,
     plus_acceptance,
 )
-from cutchoose.linalg import dagger, trace_norm
+from cutchoose.linalg import PureState, dagger, trace_norm
 from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
@@ -51,8 +52,8 @@ from cutchoose.protocol import (
     overall_acceptance,
 )
 from cutchoose.report import run_scenario
-from cutchoose.sampling import random_density, random_unitary
-from cutchoose.states import PovmElement, bell_pair, phase_gate
+from cutchoose.sampling import random_density, random_pure_state, random_unitary
+from cutchoose.states import PovmElement, RankOneEffect, bell_pair, phase_gate
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
 
 
@@ -124,19 +125,29 @@ class TestPlug:
         np.testing.assert_allclose(chan.apply(rho), expected @ rho @ dagger(expected), atol=1e-11)
 
     def test_swap_tooth_pattern(self):
+        self.check_swap_pattern(k=1)
+
+    def test_swap_tooth_pattern_on_two_qubit_registers(self):
+        self.check_swap_pattern(k=2)
+
+    @staticmethod
+    def check_swap_pattern(k):
         # both holes wired to register 1 with a swap between them: V swap U
         rng = np.random.default_rng(5)
-        u, v = random_unitary(2, rng), random_unitary(2, rng)
-        swap = register_permutation_unitary((1, 0), 2, 1)
+        d = 2**k
+        u, v = random_unitary(d, rng), random_unitary(d, rng)
+        swap = register_permutation_unitary((1, 0), 2, k)
         comb = Comb(
-            n_holes=2, k=1, width=2, y_dim=1,
+            n_holes=2, k=k, width=2, y_dim=1,
             hole_registers=(0, 0),
-            teeth=(None, Channel.from_unitary(swap), None),
+            teeth=(None, Tooth((1, 0), None, None, None), None),
         )
         chan = plug(comb, [u, v])
-        expected = np.kron(v, np.eye(2)) @ swap @ np.kron(u, np.eye(2))
-        rho = random_density(4, rng).matrix
+        expected = np.kron(v, np.eye(d)) @ swap @ np.kron(u, np.eye(d))
+        rho = random_density(d * d, rng).matrix
         np.testing.assert_allclose(chan.apply(rho), expected @ rho @ dagger(expected), atol=1e-11)
+        vec = random_pure_state(d * d, rng).amplitudes
+        np.testing.assert_allclose(_evolve(comb, [u, v], vec), expected @ vec, atol=1e-12)
 
     def test_layout_errors(self):
         comb = trivial_parallel_comb(2)
@@ -377,7 +388,7 @@ def plugged_reference(comb, unitaries, rho):
 class TestStateEvolution:
     def test_matches_plug_on_layouts(self):
         rng = np.random.default_rng(11)
-        swap = Channel.from_unitary(register_permutation_unitary((1, 0), 2, 1))
+        swap = Tooth((1, 0), None, None, None)
         combs = [
             trivial_parallel_comb(1),
             trivial_parallel_comb(2, y_dim=2),
@@ -386,7 +397,8 @@ class TestStateEvolution:
             Comb(n_holes=2, k=1, width=2, y_dim=1,
                  hole_registers=(0, 0), teeth=(None, swap, None)),
             Comb(n_holes=2, k=1, width=2, y_dim=4, hole_registers=(1, 0),
-                 teeth=(depolarizing_channel(0.4, 1, 2), swap, dephasing_channel(0.7, 0, 2))),
+                 teeth=(Tooth(None, "depolarizing", 1, 0.4), swap,
+                        Tooth(None, "dephasing", 0, 0.7))),
         ]
         for comb in combs:
             us = [random_unitary(2, rng) for _ in range(comb.n_holes)]
@@ -442,6 +454,113 @@ class TestStateEvolution:
         # would plug 4**9 Kraus operators; by state evolution it takes milliseconds
         bundle = run_scenario(noisy)
         assert [r.report.satisfied for r in bundle.runs] == [True, True]
+
+
+def custom_setup(teeth, n=3):
+    """A width-2 custom comb with one kept qubit and random unitaries."""
+    cfg = parse_config(json.dumps({
+        "protocol": {"omega": {"point_mass": n}, "k": 1,
+                     "traps": {"family": "plus"}, "acceptance": {"family": "plus"}},
+        "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
+        "models": ["composable"],
+        "variant": {"kind": "general-tests", "setup": {
+            "family": "custom", "width": 2, "y_qubits": 1,
+            "hole_registers": [1 + j % 2 for j in range(n)], "teeth": teeth,
+            "unitaries": "random", "unitary_seed": 2,
+        }},
+    }))
+    return custom_test_setup(cfg.variant.custom, n)
+
+
+PERMUTE_ONLY = [None, {"permute": [2, 1]}, None, {"permute": [2, 1]}]
+
+
+class TestVectorAndDensityPaths:
+    """A pure state through a unitary network goes through as a vector, any
+    other state as a density tensor; both agree with the dense plug reference."""
+
+    @staticmethod
+    def three_ways(comb, unitaries, vec) -> bool:
+        rho = np.outer(vec, vec.conj())
+        ref = plugged_reference(comb, unitaries, rho)
+        out = _evolve(comb, unitaries, vec)
+        as_density = np.outer(out, out.conj()) if out.ndim == 1 else out
+        np.testing.assert_allclose(as_density, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_evolve(comb, unitaries, rho), ref, rtol=0, atol=1e-12)
+        return out.ndim == 1
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(21)
+        paths = []
+        for seed in range(20):
+            draw = random_comb_draw(seed)
+            attack = PhaseAttack(draw.alpha, draw.placement)
+            for (n, ell), comb in draw.setup.combs.items():
+                vec = random_pure_state(comb.register_dim * comb.y_dim, rng).amplitudes
+                for strategy in (HONEST, attack):
+                    played = [transform_round(strategy, u, comb.k)
+                              for u in draw.setup.tests[n].unitaries]
+                    paths.append(self.three_ways(comb, played, vec))
+        # the draws have both unitary networks and noisy ones
+        assert any(paths) and not all(paths)
+
+    def test_unitary_layouts_go_through_as_vectors(self):
+        rng = np.random.default_rng(22)
+        combs = [bell_test_setup(n).combs[(n, 1)] for n in (1, 2, 3)]
+        combs += [custom_setup(PERMUTE_ONLY).combs[(3, 1)], trivial_parallel_comb(2, k=2, y_dim=2)]
+        for comb in combs:
+            unitaries = [random_unitary(comb.hole_dim, rng) for _ in range(comb.n_holes)]
+            for strategy in (HONEST, PhaseAttack(1.1), PhaseAttack(2.3, Placement.PRE)):
+                played = [transform_round(strategy, u, comb.k) for u in unitaries]
+                vec = random_pure_state(comb.register_dim * comb.y_dim, rng).amplitudes
+                assert self.three_ways(comb, played, vec)
+
+    def test_bell_setup_runs_no_eigendecomposition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigendecomposition while building or reading a bell setup")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        setup = bell_test_setup(4)
+        assert setup.overall(PhaseAttack(0.6)) == pytest.approx(math.cos(0.3) ** 8, abs=1e-12)
+
+    def test_acceptance_never_embeds(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("operator embedded into the whole register stack")
+
+        monkeypatch.setattr(combs_module, "_embed", forbidden)
+        noisy = [None, {"channel": "depolarizing", "register": 2, "strength": 0.3},
+                 {"permute": [2, 1], "channel": "dephasing"}, None]
+        setups = [bell_test_setup(3), custom_setup(PERMUTE_ONLY), custom_setup(noisy)]
+        setups += [random_comb_draw(seed).setup for seed in range(6)]
+        for setup in setups:
+            for n, test in setup.tests.items():
+                comb = setup.combs[(n, 1)]
+                for strategy in (HONEST, PhaseAttack(0.9), PhaseAttack(0.9, Placement.PRE)):
+                    assert 0.0 <= general_test_acceptance(test, comb, strategy) <= 1.0
+
+    def test_match_state_is_rank_one_on_unitary_networks(self):
+        unitary = custom_setup(PERMUTE_ONLY)
+        assert isinstance(unitary.tests[3].chi, PureState)
+        assert isinstance(unitary.tests[3].measurement, RankOneEffect)
+        assert unitary.overall(HONEST) == pytest.approx(1.0, abs=1e-12)
+        noisy = custom_setup([None, {"channel": "dephasing"}, None, None])
+        assert isinstance(noisy.tests[3].measurement, PovmElement)
+
+    def test_models_share_the_honest_table(self, monkeypatch):
+        strategies = []
+        evaluate = combs_module.general_test_acceptance
+
+        def counting(test, comb, strategy):
+            strategies.append(strategy)
+            return evaluate(test, comb, strategy)
+
+        monkeypatch.setattr(combs_module, "general_test_acceptance", counting)
+        setup = bell_test_setup(2)
+        reports = [general_tradeoff_check(model, setup) for model in SecurityModel]
+        # one honest evaluation, one attacked per model (their angles differ)
+        assert strategies.count(HONEST) == 1 and len(strategies) == 3
+        assert reports[0].honest_rounds is reports[1].honest_rounds
 
 
 class TestLinearGapBound:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cutchoose import report as report_module
 from cutchoose import states, strategies
 from cutchoose.cli import main
 from cutchoose.combs import (
@@ -320,6 +321,38 @@ class TestEmission:
         assert doc["metadata"]["config_hash"] == cfg.config_hash()
         assert len(doc["runs"]) == 4
         assert parse_config(json.dumps(doc["config"]).encode()) == cfg
+
+    @pytest.mark.parametrize("overrides", [
+        {"sweep": {"n_values": [1, 3]}, "protocol": {
+            "omega": {"point_mass": 1}, "k": 2, "traps": {"family": "random", "seed": 4},
+            "acceptance": {"family": "matched"}}},
+        {"monte_carlo": {"trials": 500, "seed": 3},
+         "protocol": {"omega": [[0, 0.2], [2, 0.3], [5, 0.5]], "k": 1,
+                      "traps": {"family": "plus"}, "acceptance": {"family": "plus"}}},
+        {"variant": {"kind": "general-tests", "setup": {"family": "bell"}},
+         "sweep": {"n_values": [1, 2, 3]}},
+        {"variant": {"kind": "general-tests", "setup": {
+            "family": "custom", "width": 2, "y_qubits": 1, "hole_registers": [1, 2, 1],
+            "teeth": [None, {"permute": [2, 1]}, {"channel": "dephasing"}, None],
+            "unitaries": "random"}},
+         "protocol": {"omega": {"point_mass": 3}, "k": 1,
+                      "traps": {"family": "plus"}, "acceptance": {"family": "plus"}}},
+        {"models": ["composable"], "protocol": {
+            "omega": {"point_mass": 100_000}, "k": 1,
+            "traps": {"family": "plus"}, "acceptance": {"family": "plus"}}},
+    ], ids=["per-round", "monte-carlo", "bell", "custom", "point-mass-1e5"])
+    def test_json_bytes_are_json_dumps(self, overrides):
+        # the rounds tables bypass json's encoder; the bytes must not change
+        bundle = run_scenario(make_config(**overrides))
+        doc = report_module._json_doc(bundle)
+        for run in doc["runs"]:
+            run["rounds"] = {
+                who: [[n, ell, p] for (n, _), row in zip(t.omega.support, t.rows)
+                      for ell, p in enumerate(row.tolist(), start=1)]
+                for who, t in run["rounds"].items()
+            }
+        expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert emit_bytes(bundle, "json") == expected
 
     def test_reruns_byte_identical(self):
         cfg = make_config(

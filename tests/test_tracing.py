@@ -66,9 +66,10 @@ def test_traced_reports_match_untraced():
         assert tracer.counts["families.trap_calls"] == 1
         assert tracer.span_count("protocol.round_outcome_table") == 2 * 2
         traced_bell = report_bytes(bell)
-        # 2 rows x {honest, attacked} x one network evaluation: the bell comb
-        # is shared by both output rounds and evaluated once
-        assert tracer.span_count("combs.general_test_acceptance") == 2 * 2 * 1
+        # one honest table shared by both models, plus one attacked table per
+        # model, each one network evaluation: the bell comb is shared by both
+        # output rounds and evaluated once
+        assert tracer.span_count("combs.general_test_acceptance") == 1 + 2 * 1
         traced_sampled = report_bytes(sampled)
         # 2 sweep entries x (one honest run + 2 rows x attacked); entry i is seeded 7 + i
         assert tracer.mc_calls == [
