@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, OutOfDomainError
+from .errors import ContractViolationError
 from .linalg import (
     DensityOperator,
     fidelity,
@@ -51,6 +51,7 @@ from .strategies import (
     Placement,
     ProtocolVariant,
     SecurityModel,
+    expected_round_count,
     optimal_alpha,
 )
 
@@ -151,9 +152,7 @@ def epsilon_d_composable_grid(rho_d: AbortExtendedState, target: DensityOperator
 
 def theorem_bound(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
     """Lower bound on (correctness + security error) for the given regime."""
-    if n_expected <= 0:
-        raise OutOfDomainError(f"expected test-round count must be positive, got {n_expected}")
-    n = float(n_expected)
+    n = expected_round_count(n_expected)
     if variant is ProtocolVariant.PER_ROUND:
         if model is SecurityModel.STAND_ALONE:
             return 1.0 / (7.0 * n)
@@ -161,6 +160,16 @@ def theorem_bound(model: SecurityModel, variant: ProtocolVariant, n_expected: fl
     if model is SecurityModel.STAND_ALONE:
         return 1.0 / (7.0 * n * n)
     return 1.0 / (4.0 * n)
+
+
+# the steps of the bound derivation, in the order certify_tradeoff emits them
+PROOF_STEP_NAMES = (
+    "correctness_floor",
+    "security_floor",
+    "sum_vs_disturbance",
+    "acceptance_gap",
+    "theorem_bound",
+)
 
 
 @dataclass(frozen=True)

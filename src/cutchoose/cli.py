@@ -17,12 +17,19 @@ from .errors import ConfigError
 from .report import emit, run_scenario
 
 
+def _non_negative_int(text: str) -> int:
+    """Type of ``--seed``: numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_run_flags(sub):
     sub.add_argument("--config", required=True, help="path to a scenario JSON file")
     sub.add_argument("--out", default=None, help="report output path")
     sub.add_argument("--format", default=None, choices=("csv", "json"),
                      help="report format (default: config output.format or csv)")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_non_negative_int, default=None,
                      help="override the Monte-Carlo base seed")
 
 

@@ -33,7 +33,7 @@ from .errors import (
     DimensionCapError,
     LayoutError,
 )
-from .linalg import COMB_DIM_CAP, DensityOperator, PureState, as_square_matrix, dagger, is_unitary
+from .linalg import COMB_DIM_CAP, DensityOperator, PureState, dagger, require_unitary
 from .optimize import scan_unit_interval
 from .protocol import (
     GlobalAcceptance,
@@ -79,10 +79,7 @@ class Channel:
 
     @classmethod
     def from_unitary(cls, u) -> "Channel":
-        m = as_square_matrix(u)
-        if not is_unitary(m):
-            raise ContractViolationError("matrix is not unitary within 1e-10")
-        return cls((m,), check=False)
+        return cls((require_unitary(u, "channel matrix"),), check=False)
 
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
         acc = sum(dagger(k) @ k for k in self.kraus)
@@ -103,11 +100,17 @@ class Channel:
         )
 
 
-def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.ndarray:
-    """Permutation of k-qubit registers: output slot j holds input register perm[j]."""
+def _permutation(perm: Sequence[int], width: int) -> tuple[int, ...]:
+    """``perm`` as a tuple of ints, checked to be a permutation of ``0..width-1``."""
     perm = tuple(int(x) for x in perm)
     if sorted(perm) != list(range(width)):
         raise LayoutError(f"{perm} is not a permutation of 0..{width - 1}")
+    return perm
+
+
+def register_permutation_unitary(perm: Sequence[int], width: int, k: int) -> np.ndarray:
+    """Permutation of k-qubit registers: output slot j holds input register perm[j]."""
+    perm = _permutation(perm, width)
     full = (2**k) ** width
     # row y is the basis vector of the input whose register perm[j] holds y's digit j
     return np.eye(full, dtype=np.complex128)[
@@ -173,9 +176,7 @@ def build_tooth(tooth: Tooth | None, width: int, k: int) -> tuple[Step, ...]:
     permutation, then the palette channel; none for plain wires."""
     steps = []
     if tooth is not None and tooth.permutation is not None:
-        perm = tuple(int(x) for x in tooth.permutation)
-        if sorted(perm) != list(range(width)):
-            raise LayoutError(f"{perm} is not a permutation of 0..{width - 1}")
+        perm = _permutation(tooth.permutation, width)
         steps.append(Step(tuple(p * k + b for p in perm for b in range(k)), None))
     if tooth is not None and tooth.channel is not None:
         noise = _pauli_channel(tooth.channel, tooth.strength, tooth.qubit, width * k)
@@ -329,10 +330,8 @@ class GeneralTest:
     measurement: Effect
 
     def __post_init__(self):
-        unitaries = tuple(as_square_matrix(u) for u in self.unitaries)
-        for i, u in enumerate(unitaries, start=1):
-            if not is_unitary(u):
-                raise ContractViolationError(f"test unitary {i} is not unitary within 1e-10")
+        unitaries = tuple(require_unitary(u, f"test unitary {i}")
+                          for i, u in enumerate(self.unitaries, start=1))
         object.__setattr__(self, "unitaries", unitaries)
 
 
@@ -518,14 +517,9 @@ def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -
 
 
 def _unitary_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as square, same-shape, finite matrices unitary within 1e-10."""
-    um, vm = as_square_matrix(u), as_square_matrix(v)
-    if um.shape != vm.shape:
-        raise ContractViolationError(f"dimension mismatch: {um.shape} vs {vm.shape}")
-    for name, m in (("first", um), ("second", vm)):
-        if not is_unitary(m):
-            raise ContractViolationError(f"{name} argument is not unitary within 1e-10")
-    return um, vm
+    """Both arguments as finite unitaries of one dim, within 1e-10."""
+    um = require_unitary(u, "first argument")
+    return um, require_unitary(v, "second argument", um.shape[0])
 
 
 def diamond_distance_unitaries(u, v) -> float:

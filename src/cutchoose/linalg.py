@@ -30,20 +30,13 @@ NORM_TOL = 1e-12
 PSD_FLOOR = -1e-8
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array, rejecting NaN/Inf entries."""
+def as_square_matrix(a, what: str = "matrix") -> np.ndarray:
+    """``a`` as a square complex128 matrix with finite entries; errors name ``what``."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ContractViolationError(f"expected a matrix, got ndim={m.ndim}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractViolationError(f"{what} has shape {m.shape}, expected a square matrix")
     if not np.all(np.isfinite(m)):
-        raise ContractViolationError("matrix has non-finite entries")
-    return m
-
-
-def as_square_matrix(a) -> np.ndarray:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
+        raise ContractViolationError(f"{what} has non-finite entries")
     return m
 
 
@@ -57,6 +50,17 @@ def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol
+
+
+def require_unitary(u, what: str, dim: int | None = None) -> np.ndarray:
+    """``u`` as a complex matrix: finite, square, of dim ``dim`` (any when None)
+    and unitary within 1e-10. The one unitarity check; errors name ``what``."""
+    m = as_square_matrix(u, what)
+    if dim is not None and m.shape[0] != dim:
+        raise ContractViolationError(f"{what} has dim {m.shape[0]}, expected {dim}")
+    if not is_unitary(m):
+        raise ContractViolationError(f"{what} is not unitary within 1e-10")
+    return m
 
 
 def hermitian_eig(h, tol: float = VALIDATION_TOL):
@@ -183,7 +187,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_square_matrix(self.matrix)
+        m = as_square_matrix(self.matrix, "density operator")
         if np.max(np.abs(m - dagger(m))) > 1e-12:
             raise ContractViolationError("density operator is not Hermitian within 1e-12")
         tr = float(np.trace(m).real)

@@ -54,9 +54,8 @@ from .linalg import (
     DIM_CAP,
     DensityOperator,
     PureState,
-    as_square_matrix,
     dagger,
-    is_unitary,
+    require_unitary,
 )
 from .states import AbortExtendedState, Effect, PovmElement, attack_phases, mix_with_abort
 from .strategies import (
@@ -221,15 +220,7 @@ def receive_trap(
             f"trap state for round (n={n}, i={i}) has dim {chi.dim}, expected {d}"
         )
     if u is not None:
-        u = as_square_matrix(u)
-        if u.shape[0] != d:
-            raise ContractViolationError(
-                f"trap unitary for round (n={n}, i={i}) has dim {u.shape[0]}, expected {d}"
-            )
-        if not is_unitary(u):
-            raise ContractViolationError(
-                f"trap unitary for round (n={n}, i={i}) is not unitary within 1e-10"
-            )
+        u = require_unitary(u, f"trap unitary for round (n={n}, i={i})", d)
     return u, chi.amplitudes
 
 
@@ -402,14 +393,10 @@ def client_output_state(
     Valid because the supported strategies act identically and independently
     on every round: the output-round payload does not depend on (n, ell).
     """
-    require_supported(strategy)
     k = spec.k
-    u = as_square_matrix(target_unitary)
-    if input_state.dim != 2**k or u.shape[0] != 2**k:
-        raise ContractViolationError(
-            f"input/unitary dimension must be 2**{k}, got {input_state.dim} and {u.shape[0]}"
-        )
-    applied = transform_round(strategy, u, k)
+    if input_state.dim != 2**k:
+        raise ContractViolationError(f"input state has dim {input_state.dim}, expected {2**k}")
+    applied = transform_round(strategy, target_unitary, k)
     payload = DensityOperator(applied @ input_state.matrix @ dagger(applied))
     return mix_with_abort(payload, overall_acceptance(spec, strategy))
 

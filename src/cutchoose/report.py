@@ -15,11 +15,12 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
-from .bounds import TradeoffReport, run_tradeoff_check
+from .bounds import PROOF_STEP_NAMES, TradeoffReport, run_tradeoff_check
 from .combs import GeneralSetup, bell_test_setup, custom_test_setup, general_tradeoff_check
 from .config import ScenarioConfig, sweep_rows
 from .errors import OutOfDomainError
@@ -33,19 +34,26 @@ from .protocol import (
 )
 from .strategies import HONEST, PhaseAttack, Placement
 
-PROOF_STEP_NAMES = (
-    "correctness_floor",
-    "security_floor",
-    "sum_vs_disturbance",
-    "acceptance_gap",
-    "theorem_bound",
+# the scalar fields of a report row, in CSV column order: (name, getter of a TradeoffReport)
+_FIELDS = (
+    ("model", lambda r: r.model.value),
+    ("variant", lambda r: r.variant.value),
+    ("N", lambda r: float(r.n_expected)),
+    ("alpha", attrgetter("alpha")),
+    ("p_H", attrgetter("p_h")),
+    ("p_D", attrgetter("p_d")),
+    ("eps_h", attrgetter("eps_h")),
+    ("eps_d", attrgetter("eps_d")),
+    ("bound", attrgetter("bound")),
+    ("satisfied", attrgetter("satisfied")),
 )
-
-_BASE_COLUMNS = (
-    "model", "variant", "N", "alpha", "p_H", "p_D",
-    "eps_h", "eps_d", "bound", "satisfied",
+# the Monte-Carlo fields: (CSV column, key in the JSON "monte_carlo", getter of a McComparison)
+_MC_FIELDS = (
+    ("mc_p_H", "p_H_empirical", lambda mc: mc.honest.accept_rate),
+    ("mc_p_D", "p_D_empirical", lambda mc: mc.attacked.accept_rate),
+    ("mc_trials", "trials", attrgetter("trials")),
+    ("mc_seed", "seed", attrgetter("seed")),
 )
-_MC_COLUMNS = ("mc_p_H", "mc_p_D", "mc_trials", "mc_seed")
 
 
 @dataclass(frozen=True)
@@ -168,42 +176,21 @@ def _fmt(x) -> str:
 
 
 def csv_columns(with_mc: bool) -> tuple[str, ...]:
-    cols = list(_BASE_COLUMNS)
+    cols = [name for name, _ in _FIELDS]
     for name in PROOF_STEP_NAMES:
         cols += [f"step_{name}_lhs", f"step_{name}_rhs", f"step_{name}_holds"]
     if with_mc:
-        cols += list(_MC_COLUMNS)
+        cols += [name for name, _, _ in _MC_FIELDS]
     return tuple(cols)
 
 
 def _csv_row(record: RunRecord, with_mc: bool) -> list[str]:
     r = record.report
-    row = [
-        r.model.value,
-        r.variant.value,
-        _fmt(float(r.n_expected)),
-        _fmt(r.alpha),
-        _fmt(r.p_h),
-        _fmt(r.p_d),
-        _fmt(r.eps_h),
-        _fmt(r.eps_d),
-        _fmt(r.bound),
-        _fmt(r.satisfied),
-    ]
-    by_name = {s.name: s for s in r.proof_steps}
-    for name in PROOF_STEP_NAMES:
-        s = by_name[name]
+    row = [_fmt(get(r)) for _, get in _FIELDS]
+    for s in r.proof_steps:  # in PROOF_STEP_NAMES order
         row += [_fmt(s.lhs), _fmt(s.rhs), _fmt(s.holds)]
     if with_mc:
-        if record.mc is None:
-            row += ["na", "na", "na", "na"]
-        else:
-            row += [
-                _fmt(record.mc.honest.accept_rate),
-                _fmt(record.mc.attacked.accept_rate),
-                str(record.mc.trials),
-                str(record.mc.seed),
-            ]
+        row += [_fmt(None if record.mc is None else get(record.mc)) for _, _, get in _MC_FIELDS]
     return row
 
 
@@ -211,16 +198,7 @@ def _json_run(record: RunRecord) -> dict:
     r = record.report
     doc = {
         "sweep_index": record.sweep_index,
-        "model": r.model.value,
-        "variant": r.variant.value,
-        "N": float(r.n_expected),
-        "alpha": r.alpha,
-        "p_H": r.p_h,
-        "p_D": r.p_d,
-        "eps_h": r.eps_h,
-        "eps_d": r.eps_d,
-        "bound": r.bound,
-        "satisfied": r.satisfied,
+        **{name: get(r) for name, get in _FIELDS},
         "trivial_attack": r.trivial_attack,
         "proof_steps": [
             {"name": s.name, "lhs": s.lhs, "rhs": s.rhs, "holds": s.holds}
@@ -229,12 +207,7 @@ def _json_run(record: RunRecord) -> dict:
         "rounds": {"honest": r.honest_rounds, "attacked": r.attacked_rounds},
     }
     if record.mc is not None:
-        doc["monte_carlo"] = {
-            "trials": record.mc.trials,
-            "seed": record.mc.seed,
-            "p_H_empirical": record.mc.honest.accept_rate,
-            "p_D_empirical": record.mc.attacked.accept_rate,
-        }
+        doc["monte_carlo"] = {key: get(record.mc) for _, key, get in _MC_FIELDS}
     return doc
 
 

@@ -34,15 +34,20 @@ def phase_gate(alpha: float) -> np.ndarray:
     return np.diag([1.0, np.exp(1j * alpha)]).astype(np.complex128)
 
 
-def attack_operator(alpha: float, k: int) -> np.ndarray:
-    """Identity on the first k-1 qubits, phase rotation on the last one
-    (dense; the engine uses its diagonal, :func:`attack_phases`)."""
+def _k_qubit_dim(k: int) -> int:
+    """``2**k``, the dim of a k-qubit register, for ``k`` in ``1..log2(DIM_CAP)``."""
     if k < 1:
         raise OutOfDomainError(f"k must be positive, got {k}")
     dim = 2**k
     if dim > DIM_CAP:
         raise OutOfDomainError(f"2**{k} exceeds the dimension cap {DIM_CAP}")
-    return np.kron(np.eye(dim // 2), phase_gate(alpha))
+    return dim
+
+
+def attack_operator(alpha: float, k: int) -> np.ndarray:
+    """Identity on the first k-1 qubits, phase rotation on the last one
+    (dense; the engine uses its diagonal, :func:`attack_phases`)."""
+    return np.kron(np.eye(_k_qubit_dim(k) // 2), phase_gate(alpha))
 
 
 def attack_phases(alpha: float, k: int) -> np.ndarray:
@@ -55,11 +60,7 @@ def attack_phases(alpha: float, k: int) -> np.ndarray:
 
 def plus_state(k: int) -> PureState:
     """Uniform-amplitude k-qubit state, every amplitude 2^{-k/2}."""
-    if k < 1:
-        raise OutOfDomainError(f"k must be positive, got {k}")
-    dim = 2**k
-    if dim > DIM_CAP:
-        raise OutOfDomainError(f"2**{k} exceeds the dimension cap {DIM_CAP}")
+    dim = _k_qubit_dim(k)
     return PureState(np.full(dim, dim**-0.5, dtype=np.complex128))
 
 
@@ -84,7 +85,7 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_square_matrix(self.matrix)
+        m = as_square_matrix(self.matrix, "measurement element")
         if np.max(np.abs(m - dagger(m))) > 1e-10:
             raise ContractViolationError("measurement element is not Hermitian within 1e-10")
         w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)

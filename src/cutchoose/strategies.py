@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolationError, OutOfDomainError, UnsupportedStrategyError
-from .linalg import as_square_matrix, is_unitary
+from .errors import OutOfDomainError, UnsupportedStrategyError
+from .linalg import require_unitary
 from .states import attack_operator
 
 _TWO_PI = 2.0 * math.pi
@@ -71,13 +71,7 @@ def transform_round(strategy: ServerStrategy, delegated_unitary, k: int) -> np.n
     The dense reference: the protocol engine applies the same attack to
     vectors, as the phase vector :func:`states.attack_phases`."""
     require_supported(strategy)
-    u = as_square_matrix(delegated_unitary)
-    if u.shape[0] != 2**k:
-        raise ContractViolationError(
-            f"delegated unitary has dim {u.shape[0]}, expected 2**{k}"
-        )
-    if not is_unitary(u):
-        raise ContractViolationError("delegated operation is not unitary within 1e-10")
+    u = require_unitary(delegated_unitary, "delegated unitary", 2**k)
     if isinstance(strategy, Honest):
         return u
     a = attack_operator(strategy.alpha, k)
@@ -96,11 +90,16 @@ _SINE_CHOICES = {
 }
 
 
-def attack_sine(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
-    """sin(alpha/2) for the bound-optimal attack in the given regime."""
+def expected_round_count(n_expected) -> float:
+    """``N`` as a float; the prescribed angles and the bounds need ``N > 0``."""
     if n_expected <= 0:
         raise OutOfDomainError(f"expected test-round count must be positive, got {n_expected}")
-    s = _SINE_CHOICES[(model, variant)](float(n_expected))
+    return float(n_expected)
+
+
+def attack_sine(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
+    """sin(alpha/2) for the bound-optimal attack in the given regime."""
+    s = _SINE_CHOICES[(model, variant)](expected_round_count(n_expected))
     if s > 1.0:
         raise OutOfDomainError(
             f"N={n_expected} too small for the {model.value}/{variant.value} choice "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutchoose.bounds import (
+    PROOF_STEP_NAMES,
     epsilon_d_composable,
     epsilon_d_composable_grid,
     epsilon_d_standalone,
@@ -12,6 +13,7 @@ from cutchoose.bounds import (
     run_tradeoff_check,
     theorem_bound,
 )
+from cutchoose.combs import bell_test_setup, general_tradeoff_check
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import PlusTraps, plus_acceptance, computational_acceptance, ComputationalTraps
 from cutchoose.linalg import DensityOperator
@@ -36,6 +38,7 @@ from cutchoose.strategies import (
     Placement,
     ProtocolVariant,
     SecurityModel,
+    attack_sine,
 )
 
 
@@ -185,6 +188,13 @@ class TestTheoremBound:
         with pytest.raises(OutOfDomainError):
             theorem_bound(SecurityModel.STAND_ALONE, ProtocolVariant.PER_ROUND, 0.0)
 
+    @pytest.mark.parametrize("n", [0, -2.5])
+    def test_domain_check_is_shared_with_the_angle_choice(self, n):
+        for f in (theorem_bound, attack_sine):
+            with pytest.raises(OutOfDomainError) as err:
+                f(SecurityModel.STAND_ALONE, ProtocolVariant.GENERAL_TESTS, n)
+            assert str(err.value) == f"expected test-round count must be positive, got {n}"
+
 
 class TestElementaryInequality:
     def test_bernoulli_power_floor(self):
@@ -195,6 +205,12 @@ class TestElementaryInequality:
 
 
 class TestRunTradeoffCheck:
+    def test_proof_steps_follow_the_named_order(self):
+        for model in SecurityModel:
+            for report in (run_tradeoff_check(plus_spec(3), model),
+                           general_tradeoff_check(model, bell_test_setup(2))):
+                assert [s.name for s in report.proof_steps] == list(PROOF_STEP_NAMES)
+
     def test_stand_alone_point_mass_ten(self):
         report = run_tradeoff_check(plus_spec(10), SecurityModel.STAND_ALONE)
         s2 = 4.0 / 90.0

@@ -164,6 +164,16 @@ class TestPlug:
             with pytest.raises(LayoutError):
                 evaluate(comb, [np.eye(4), np.eye(4)])
 
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 2), (0,), (2, 1, 0)])
+    def test_permutation_check_is_shared(self, perm):
+        messages = []
+        for build in (lambda: build_tooth(Tooth(perm, None, None, None), width=2, k=1),
+                      lambda: register_permutation_unitary(perm, 2, 1)):
+            with pytest.raises(LayoutError) as err:
+                build()
+            messages.append(str(err.value))
+        assert messages == [f"{perm} is not a permutation of 0..1"] * 2
+
     def test_register_permutation_matches_basis_loop(self):
         for k in (1, 2):
             for width in (1, 2, 3):

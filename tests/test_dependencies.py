@@ -61,3 +61,14 @@ def test_engine_modules_do_not_import_upper_layers():
         path = ROOT / "src" / "cutchoose" / f"{name}.py"
         found = UPPER_LAYERS.intersection(imported_modules(ast.parse(path.read_text("utf-8"))))
         assert not found, f"{name} imports {sorted(found)}"
+
+
+def test_only_linalg_checks_unitarity():
+    # every other module goes through linalg.require_unitary
+    for path in sorted((ROOT / "src" / "cutchoose").glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            name = name or (node.name if isinstance(node, ast.alias) else None)
+            assert name != "is_unitary", f"{path.stem} uses is_unitary (line {node.lineno})"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cutchoose.combs import Channel, GeneralTest, diamond_distance_unitaries
 from cutchoose.errors import ContractViolationError, NotPsdError
 from cutchoose.linalg import (
     DensityOperator,
@@ -14,7 +15,9 @@ from cutchoose.linalg import (
     trace_norm,
 )
 from cutchoose.sampling import random_density, random_psd, random_pure_state, random_unitary
-from cutchoose.states import phase_gate, plus_state
+from cutchoose.protocol import receive_trap
+from cutchoose.states import PovmElement, phase_gate, plus_state
+from cutchoose.strategies import HONEST, transform_round
 
 I2 = np.eye(2)
 
@@ -227,3 +230,41 @@ class TestCarriers:
     def test_density_rejects_negative(self):
         with pytest.raises(NotPsdError):
             DensityOperator(np.diag([1.5, -0.5]))
+
+
+class _OneTrap:
+    def __init__(self, u):
+        self.u = u
+
+    def trap(self, k, n, i):
+        return self.u, plus_state(k)
+
+
+# each boundary that takes a unitary, as (object named in its errors, call on a k = 1 input)
+UNITARY_BOUNDARIES = {
+    "trap": (r"trap unitary for round \(n=3, i=2\)", lambda u: receive_trap(_OneTrap(u), 1, 3, 2)),
+    "general-test": (r"test unitary 2", lambda u: GeneralTest(
+        plus_state(1), (I2, u), PovmElement(I2))),
+    "transform-round": (r"delegated unitary", lambda u: transform_round(HONEST, u, 1)),
+    "channel": (r"channel matrix", Channel.from_unitary),
+    "diamond-distance": (r"second argument", lambda u: diamond_distance_unitaries(I2, u)),
+}
+
+
+@pytest.mark.parametrize("boundary", UNITARY_BOUNDARIES)
+@pytest.mark.parametrize("matrix, problem", [
+    (np.diag([1.0, 2.0]), r"is not unitary within 1e-10"),
+    (np.diag([1.0, np.nan]), r"has non-finite entries"),
+    (np.ones((2, 3)), r"has shape \(2, 3\), expected a square matrix"),
+], ids=["non-unitary", "non-finite", "non-square"])
+def test_unitary_boundaries_name_their_object(boundary, matrix, problem):
+    what, call = UNITARY_BOUNDARIES[boundary]
+    with pytest.raises(ContractViolationError, match=f"^{what} {problem}$"):
+        call(matrix)
+
+
+@pytest.mark.parametrize("boundary", ["trap", "transform-round", "diamond-distance"])
+def test_unitary_boundaries_name_a_wrong_dim(boundary):
+    what, call = UNITARY_BOUNDARIES[boundary]
+    with pytest.raises(ContractViolationError, match=f"^{what} has dim 4, expected 2$"):
+        call(np.eye(4))

@@ -8,6 +8,7 @@ import pytest
 
 from cutchoose import report as report_module
 from cutchoose import states, strategies
+from cutchoose.bounds import PROOF_STEP_NAMES
 from cutchoose.cli import main
 from cutchoose.combs import (
     bell_test_setup,
@@ -308,6 +309,23 @@ class TestEmission:
         assert float(rows[0]["eps_d"]) == pytest.approx(bundle.runs[0].report.eps_d, rel=1e-10)
         assert set(csv_columns(False)).issubset(rows[0].keys())
 
+    @pytest.mark.parametrize("overrides", [
+        {"sweep": {"n_values": [1, 3]}},
+        {"monte_carlo": {"trials": 500, "seed": 3}},
+        {"variant": {"kind": "general-tests", "setup": {"family": "bell"}}},
+    ], ids=["per-round", "monte-carlo", "bell"])
+    def test_csv_and_json_share_the_scalar_fields(self, overrides):
+        bundle = run_scenario(make_config(**overrides))
+        header, *rows = csv.reader(io.StringIO(emit_bytes(bundle, "csv").decode()))
+        assert tuple(header) == csv_columns("monte_carlo" in overrides)
+        scalars = header[:header.index(f"step_{PROOF_STEP_NAMES[0]}_lhs")]
+        runs = json.loads(emit_bytes(bundle, "json"))["runs"]
+        assert len(runs) == len(rows) == len(bundle.runs)
+        for run, row in zip(runs, rows):
+            extra = {"sweep_index", "trivial_attack", "proof_steps", "rounds", "monte_carlo"}
+            assert set(run) - extra == set(scalars)
+            assert [report_module._fmt(run[name]) for name in scalars] == row[:len(scalars)]
+
     def test_twelve_significant_digits(self):
         cfg = make_config()
         text = emit_bytes(run_scenario(cfg), "csv").decode()
@@ -424,6 +442,16 @@ class TestCli:
         path = write_config(tmp_path, monte_carlo={"trials": 5000, "seed": 3})
         assert main(["mc", "--config", str(path), "--seed", "99"]) == 0
         assert "mc p_H" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-3", "abc"])
+    def test_seed_is_checked_at_parsing(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, monte_carlo={"trials": 100, "seed": 3})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mc", "--config", str(path), "--seed", seed])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
 
     def test_violated_bound_exit_code(self, tmp_path, capsys):
         # a deliberately feeble attack angle leaves the error sum below the bound

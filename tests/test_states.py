@@ -55,6 +55,17 @@ class TestAttackOperator:
                 assert np.max(np.abs(a.conj().T @ a - np.eye(2**k))) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [0, -1, 13])
+def test_register_size_check_is_shared(k):
+    messages = []
+    for build in (lambda: plus_state(k), lambda: attack_operator(0.5, k)):
+        with pytest.raises(OutOfDomainError) as err:
+            build()
+        messages.append(str(err.value))
+    expected = f"k must be positive, got {k}" if k < 1 else f"2**{k} exceeds the dimension cap 4096"
+    assert messages == [expected, expected]
+
+
 class TestPlusState:
     def test_one_qubit(self):
         np.testing.assert_allclose(plus_state(1).amplitudes, np.full(2, 2**-0.5))
