@@ -330,8 +330,8 @@ def criterion_monte_carlo() -> CriterionResult:
     trials = 100_000
     for idx, (spec, strategy) in enumerate(_mc_configs()):
         exact = overall_acceptance(spec, strategy)
-        first = monte_carlo_run(spec, strategy, trials, seed=1000 + idx)
-        again = monte_carlo_run(spec, strategy, trials, seed=1000 + idx)
+        first = monte_carlo_run(spec, (strategy,), trials, seed=1000 + idx)[0]
+        again = monte_carlo_run(spec, (strategy,), trials, seed=1000 + idx)[0]
         if repr(first) != repr(again):
             failures.append(f"config {idx}: two runs with one seed differ")
         tolerance = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)

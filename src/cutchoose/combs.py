@@ -36,12 +36,12 @@ from .errors import (
 from .linalg import COMB_DIM_CAP, DensityOperator, PureState, dagger, require_unitary
 from .optimize import scan_unit_interval
 from .protocol import (
-    GlobalAcceptance,
     OutputRound,
     ProtocolSpec,
     RoundDistribution,
     RoundOutcomeTable,
     outcome_table,
+    per_round_rule,
     receive_trap,
     snap_probability,
 )
@@ -485,8 +485,7 @@ def _round_tests(spec: ProtocolSpec, n: int):
         raise ContractViolationError("general view needs at least one test round")
     k = spec.k
     traps = [receive_trap(spec.traps, k, n, i) for i in range(1, n + 2)]
-    rule = spec.acceptance
-    rule = rule.per_round if isinstance(rule, GlobalAcceptance) else rule
+    rule = per_round_rule(spec.acceptance)
     effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
     comb = trivial_parallel_comb(n, k=k, y_dim=1)
     eye = np.eye(2**k, dtype=np.complex128)

@@ -105,14 +105,19 @@ def psd_sqrt(p) -> np.ndarray:
     return (s + dagger(s)) / 2.0
 
 
+def _require_same_dim(a: int, b: int) -> None:
+    """The one dimension check of the two-operand measures."""
+    if a != b:
+        raise ContractViolationError(f"dimension mismatch: {a} vs {b}")
+
+
 def fidelity_psd(a, b) -> float:
     """Fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD matrices.
 
     Works on unnormalized positive operators; no clipping is applied.
     """
     am, bm = as_square_matrix(a), as_square_matrix(b)
-    if am.shape != bm.shape:
-        raise ContractViolationError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    _require_same_dim(am.shape[0], bm.shape[0])
     s = psd_sqrt(am)
     inner = s @ bm @ s
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
@@ -122,8 +127,6 @@ def fidelity_psd(a, b) -> float:
 
 def fidelity(rho: "DensityOperator", sigma: "DensityOperator") -> float:
     """Fidelity of two density operators, clipped into [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise ContractViolationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     return float(min(1.0, max(0.0, fidelity_psd(rho.matrix, sigma.matrix))))
 
 
@@ -138,8 +141,7 @@ def trace_norm(a) -> float:
 
 def pure_trace_distance(u: "PureState", v: "PureState") -> float:
     """Trace distance of two pure states, sqrt(1 - |<u|v>|^2)."""
-    if u.dim != v.dim:
-        raise ContractViolationError(f"dimension mismatch: {u.dim} vs {v.dim}")
+    _require_same_dim(u.dim, v.dim)
     overlap = abs(u.inner(v)) ** 2
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
 

@@ -9,7 +9,11 @@ output are evaluated independently; the test suite checks this against a
 literal sequential simulator on small instances.
 
 Acceptance probabilities are computed exactly and, as a stochastic
-cross-check, by a seeded round-by-round Monte-Carlo sampler. Every exact
+cross-check, by a seeded round-by-round Monte-Carlo sampler. The sampler
+takes a sequence of strategies and draws ``n``, the output rounds and the
+per-round uniforms once, in blocks; every strategy's round factors are
+compared against the same draws (common random numbers), so each result is
+the one a call with that strategy alone would give. Every exact
 figure goes through one engine: ``outcome_table`` checks and builds a
 ``RoundOutcomeTable``, a row of p(n, output round) per support point of the
 round distribution that carries its own average (``.acceptance``). The
@@ -23,7 +27,7 @@ unitary is dropped. The attack is a phase vector ``phi``, so a round factor
 is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or PRE ``|<g|phi chi>|^2``,
 with ``e = h`` when matched; a general ``PovmElement`` reads ``<out|M|out>``
 and keeps its unitary for PRE. The bank lives on the spec, so a report row's
-tables and sampler calls share it, and it is freed with the row. It holds
+tables and its sampler call share it, and it is freed with the row. It holds
 ``3 * r * 2**k * 16`` bytes: ``r = n + 1``, or ``r = 1`` (its factor read
 once and broadcast) for round-independent traps and effects. A global rule is
 the tensor product of its per-round effects: its exact figures are those of
@@ -33,7 +37,8 @@ matrices, ``client_output_state`` and ``combs.overall_acceptance_via_combs``)
 is the reference the tests compare against. The benchmark's tracer
 (``perfbench/spans.py``) hooks ``round_outcome_table``,
 ``overall_acceptance``, ``client_output_state``, ``monte_carlo_run``
-(``spec``, ``trials``, ``seed``) and ``TrapGenerator.trap`` by name.
+(binding its parameters ``spec``, ``trials`` and ``seed`` by name) and
+``TrapGenerator.trap`` by name.
 """
 
 from __future__ import annotations
@@ -174,6 +179,12 @@ class GlobalAcceptance:
 
 AcceptanceRule = PerRoundAcceptance | GlobalAcceptance
 
+
+def per_round_rule(rule: AcceptanceRule) -> PerRoundAcceptance:
+    """The rule each test round is read by: a global rule's per-round factor."""
+    return rule.per_round if isinstance(rule, GlobalAcceptance) else rule
+
+
 # "uniform" over the n + 1 rounds, or an explicit distribution per n
 OutputRound = str | Mapping[int, Sequence[float]]
 
@@ -256,8 +267,7 @@ def _bank(spec: ProtocolSpec, n: int) -> tuple[_Round, ...]:
     """n's rounds, received once per spec (a failed round caches nothing): one
     row when traps and effects are round-independent, else n + 1."""
     if n not in spec._bank:
-        rule = spec.acceptance
-        rule = rule.per_round if isinstance(rule, GlobalAcceptance) else rule
+        rule = per_round_rule(spec.acceptance)
         one = spec.traps.round_independent and (rule.traps is spec.traps or rule.round_independent)
         rounds = range(1, 2 if one else n + 2)
         spec._bank[n] = tuple(_receive_round(spec, rule, n, i) for i in rounds)
@@ -407,20 +417,26 @@ class MonteCarloResult(NamedTuple):
 
 
 def monte_carlo_run(
-    spec: ProtocolSpec, strategy: ServerStrategy, trials: int, seed: int
-) -> MonteCarloResult:
+    spec: ProtocolSpec, strategies: Sequence[ServerStrategy], trials: int, seed: int
+) -> tuple[MonteCarloResult, ...]:
     """Sampled protocol runs: n ~ omega, output round ~ rule, then one
     Bernoulli draw per test round. Deterministic for a fixed seed.
 
+    Returns one result per strategy, in order. The draws never depend on the
+    strategy, so every strategy reads the same ones (common random numbers),
+    and each result equals a call with that strategy alone and that seed.
     Only acceptance is sampled; the payload never enters the draws."""
-    require_supported(strategy)
+    if not strategies:
+        raise OutOfDomainError("monte_carlo_run needs at least one strategy")
+    for strategy in strategies:
+        require_supported(strategy)
     if trials < 1:
         raise OutOfDomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     ns = np.array([n for n, _ in spec.omega.support])
     probs = np.array([p for _, p in spec.omega.support])
     draws = rng.choice(ns.size, size=trials, p=probs)
-    accepted = 0
+    accepted = np.zeros(len(strategies), dtype=np.int64)
     for j, n in enumerate(ns):
         m = int(np.count_nonzero(draws == j))
         if m == 0:
@@ -428,21 +444,29 @@ def monte_carlo_run(
         ells = rng.choice(n + 1, size=m, p=output_round_weights(spec.output_round, n))
         if n == 0:
             accepted += m
-            continue
-        if isinstance(spec.acceptance, PerRoundAcceptance):
-            factors = _round_factors(spec, strategy, n)
+        elif isinstance(spec.acceptance, PerRoundAcceptance):
+            factors = [_round_factors(spec, s, n) for s in strategies]
             # consecutive row blocks consume the stream exactly as one draw would
             rows = max(1, _MC_BLOCK_UNIFORMS // (n + 1))
             for start in range(0, m, rows):
-                block = ells[start:start + rows]
-                ok = rng.random((block.size, n + 1)) < factors[None, :]
-                ok[np.arange(block.size), block] = True  # the output round is not a test
-                accepted += int(np.count_nonzero(ok.all(axis=1)))
+                accepted += _block_accepts(rng, ells[start:start + rows], factors)
         else:  # global acceptance: one joint draw per run
-            per_ell = _per_ell(spec, strategy, n)
-            accepted += int(np.count_nonzero(rng.random(m) < per_ell[ells]))
-    rate = accepted / trials
-    return MonteCarloResult(rate, 1.0 - rate)
+            u = rng.random(m)
+            accepted += [np.count_nonzero(u < _per_ell(spec, s, n)[ells]) for s in strategies]
+    return tuple(MonteCarloResult(a / trials, 1.0 - a / trials) for a in accepted.tolist())
+
+
+def _block_accepts(rng: np.random.Generator, ells: np.ndarray, factors) -> list[int]:
+    """Accepted runs per strategy's factors in one block of runs, all read from
+    one draw of uniforms; the draw is freed on return, before the next block's."""
+    u = rng.random((ells.size, factors[0].size))
+    ok = np.empty(u.shape, dtype=bool)
+    counts = []
+    for f in factors:
+        np.less(u, f[None, :], out=ok)
+        ok[np.arange(ells.size), ells] = True  # the output round is not a test
+        counts.append(int(np.count_nonzero(ok.all(axis=1))))
+    return counts
 
 
 class JensenCheck(NamedTuple):

@@ -115,47 +115,39 @@ def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
     return float(s.alpha)
 
 
-def _run_one(config, sweep_index, source, model, mc_seed, honest_mc) -> RunRecord:
-    placement = Placement(config.strategy.placement)
-    alpha_override = _resolve_alpha_override(config)
+def _certify(source, model, alpha_override, placement) -> TradeoffReport:
     if isinstance(source, GeneralSetup):
-        report = general_tradeoff_check(
+        return general_tradeoff_check(
             model, source, alpha_override=alpha_override, placement=placement
         )
-        return RunRecord(sweep_index, report, None)
-    report = run_tradeoff_check(source, model, alpha_override=alpha_override, placement=placement)
-    mc = None
-    if honest_mc is not None:
-        seed = mc_seed + sweep_index
-        attack = PhaseAttack(report.alpha, placement)
-        mc = McComparison(
-            trials=config.monte_carlo.trials,
-            seed=seed,
-            honest=honest_mc,
-            attacked=monte_carlo_run(source, attack, config.monte_carlo.trials, seed),
-        )
-    return RunRecord(sweep_index, report, mc)
+    return run_tradeoff_check(source, model, alpha_override=alpha_override, placement=placement)
 
 
 def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> ReportBundle:
     """Evaluate every (sweep entry, security model) pair of a scenario.
 
     Deterministic given the config and seed; runs follow the sweep index,
-    with the models in config order within each entry. The honest sampled
-    run does not depend on the model, so each entry samples it once.
+    with the models in config order within each entry. With ``monte_carlo``
+    set, one sampler call per entry runs the honest strategy and each model's
+    attack on the same draws.
     """
     t0 = time.perf_counter()
     mc_seed = seed_override
     if mc_seed is None:
         mc_seed = config.monte_carlo.seed if config.monte_carlo is not None else 0
+    placement = Placement(config.strategy.placement)
+    alpha_override = _resolve_alpha_override(config)
     runs = []
     for idx, (_, omega) in enumerate(sweep_rows(config.protocol.omega, config.sweep)):
         source = _row_source(config, omega)
-        honest_mc = None
+        reports = [_certify(source, model, alpha_override, placement) for model in config.models]
+        mcs = [None] * len(reports)
         if config.monte_carlo is not None:  # per-round rows only, checked at parse time
-            honest_mc = monte_carlo_run(source, HONEST, config.monte_carlo.trials, mc_seed + idx)
-        runs += [_run_one(config, idx, source, model, mc_seed, honest_mc)
-                 for model in config.models]
+            trials, seed = config.monte_carlo.trials, mc_seed + idx
+            attacks = [PhaseAttack(r.alpha, placement) for r in reports]
+            honest, *attacked = monte_carlo_run(source, (HONEST, *attacks), trials, seed)
+            mcs = [McComparison(trials, seed, honest, a) for a in attacked]
+        runs += [RunRecord(idx, r, mc) for r, mc in zip(reports, mcs)]
     meta = BundleMetadata(
         config_hash=config.config_hash(),
         seed=mc_seed if config.monte_carlo is not None else None,

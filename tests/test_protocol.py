@@ -5,7 +5,11 @@ import pytest
 
 from cutchoose import protocol
 from cutchoose.combs import GeneralSetup, bell_test_setup
-from cutchoose.errors import ContractViolationError, OutOfDomainError
+from cutchoose.errors import (
+    ContractViolationError,
+    OutOfDomainError,
+    UnsupportedStrategyError,
+)
 from cutchoose.families import (
     ComputationalTraps,
     PlusTraps,
@@ -234,7 +238,7 @@ class TestOverallAcceptance:
         )
         evaluations = (
             lambda: overall_acceptance(spec, HONEST),
-            lambda: monte_carlo_run(spec, HONEST, trials=100, seed=0),
+            lambda: monte_carlo_run(spec, (HONEST,), trials=100, seed=0)[0],
             lambda: setup.overall(HONEST),
         )
         for evaluate in evaluations:
@@ -417,27 +421,51 @@ class TestAgainstLiteralSimulator:
                     )
 
 
+_MIXED = RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (5, 0.5)])
+
+
+def _random_matched_spec(acceptance_mode=lambda rule: rule):
+    traps = RandomTraps(seed=3)
+    return ProtocolSpec(_MIXED, 1, traps, acceptance_mode(matched_acceptance(traps)))
+
+
+_THREE = (HONEST, PhaseAttack(0.7), PhaseAttack(2.1, Placement.PRE))
+_MATCHED = (HONEST, PhaseAttack(1.1, Placement.POST), PhaseAttack(1.1, Placement.PRE))
+# name -> (spec, strategies sampled together)
+_SHARED_DRAW_SPECS = {
+    "per-round": (plus_spec(_MIXED), _THREE),
+    "global": (ProtocolSpec(_MIXED, 1, PlusTraps(), GlobalAcceptance(plus_acceptance())), _THREE),
+    "output-round-mapping": (
+        ProtocolSpec(RoundDistribution.from_pairs([(0, 0.3), (2, 0.7)]), 1, PlusTraps(),
+                     plus_acceptance(), output_round={2: (0.2, 0.3, 0.5)}),
+        _THREE,
+    ),
+    "random-matched-per-round": (_random_matched_spec(), _MATCHED),
+    "random-matched-global": (_random_matched_spec(GlobalAcceptance), _MATCHED),
+}
+
+
 class TestMonteCarlo:
     def test_perfect_traps_exact_one(self):
         spec = plus_spec(RoundDistribution.point_mass(3))
-        res = monte_carlo_run(spec, HONEST, 10_000, seed=0)
+        res = monte_carlo_run(spec, (HONEST,), 10_000, seed=0)[0]
         assert res.accept_rate == 1.0
         assert res.abort_rate == 0.0
 
     def test_attack_rate_within_three_sigma(self):
         spec = plus_spec(RoundDistribution.point_mass(2))
-        res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), 100_000, seed=42)
+        res = monte_carlo_run(spec, (PhaseAttack(math.pi / 2),), 100_000, seed=42)[0]
         assert abs(res.accept_rate - 0.25) <= 0.005
 
     def test_mixed_distribution_honest(self):
         spec = plus_spec(RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)]))
-        res = monte_carlo_run(spec, HONEST, 10_000, seed=3)
+        res = monte_carlo_run(spec, (HONEST,), 10_000, seed=3)[0]
         assert res.accept_rate == 1.0
 
     def test_deterministic_per_seed(self):
         spec = plus_spec(RoundDistribution.from_pairs([(0, 0.25), (2, 0.75)]))
-        a = monte_carlo_run(spec, PhaseAttack(1.1), 50_000, seed=9)
-        b = monte_carlo_run(spec, PhaseAttack(1.1), 50_000, seed=9)
+        a = monte_carlo_run(spec, (PhaseAttack(1.1),), 50_000, seed=9)[0]
+        b = monte_carlo_run(spec, (PhaseAttack(1.1),), 50_000, seed=9)[0]
         assert a == b
 
     def test_matches_exact_within_four_sigma(self):
@@ -446,7 +474,7 @@ class TestMonteCarlo:
             spec = plus_spec(RoundDistribution.from_pairs([(1, 0.3), (2, 0.4), (5, 0.3)]))
             strategy = PhaseAttack(alpha)
             exact = overall_acceptance(spec, strategy)
-            res = monte_carlo_run(spec, strategy, trials, seed=seed)
+            res = monte_carlo_run(spec, (strategy,), trials, seed=seed)[0]
             bound = 4.0 * math.sqrt(exact * (1.0 - exact) / trials) + 1e-9
             assert abs(res.accept_rate - exact) <= bound
 
@@ -459,7 +487,7 @@ class TestMonteCarlo:
         assert output_round_weights(spec.output_round, 0).tolist() == [1.0]
         trials, strategy = 100_000, PhaseAttack(1.0)
         exact = overall_acceptance(spec, strategy)
-        res = monte_carlo_run(spec, strategy, trials, seed=5)
+        res = monte_carlo_run(spec, (strategy,), trials, seed=5)[0]
         assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / trials)
 
     def test_global_acceptance_mode(self):
@@ -468,21 +496,45 @@ class TestMonteCarlo:
             acceptance=GlobalAcceptance(plus_acceptance()),
         )
         exact = overall_acceptance(spec, PhaseAttack(math.pi / 2))
-        res = monte_carlo_run(spec, PhaseAttack(math.pi / 2), 50_000, seed=4)
+        res = monte_carlo_run(spec, (PhaseAttack(math.pi / 2),), 50_000, seed=4)[0]
         assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 50_000)
 
     def test_blocked_draws_match_one_draw(self, monkeypatch):
         spec = plus_spec(RoundDistribution.from_pairs([(0, 0.1), (3, 0.4), (7, 0.5)]))
-        args = (spec, PhaseAttack(1.2), 5_000)
-        whole = monte_carlo_run(*args, seed=6)
+        args = (spec, (PhaseAttack(1.2),), 5_000)
+        whole = monte_carlo_run(*args, seed=6)[0]
         # blocks of one or two rows: the sample spans thousands of blocks
         monkeypatch.setattr(protocol, "_MC_BLOCK_UNIFORMS", 8)
-        assert repr(monte_carlo_run(*args, seed=6)) == repr(whole)
+        assert repr(monte_carlo_run(*args, seed=6)[0]) == repr(whole)
+
+    @pytest.mark.parametrize("name", sorted(_SHARED_DRAW_SPECS))
+    @pytest.mark.parametrize("block", (None, 8), ids=("one-block", "blocks-of-8"))
+    def test_strategies_share_draws_bit_identically(self, monkeypatch, name, block):
+        spec, strategies = _SHARED_DRAW_SPECS[name]
+        alone = tuple(monte_carlo_run(spec, (s,), 4_000, seed=13)[0] for s in strategies)
+        if block is not None:  # blocks of one or two rows, as above
+            monkeypatch.setattr(protocol, "_MC_BLOCK_UNIFORMS", block)
+        together = monte_carlo_run(spec, strategies, 4_000, seed=13)
+        assert repr(together) == repr(alone)
+
+    def test_unsupported_strategy_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the sampler drew before checking its strategies")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        spec = plus_spec(RoundDistribution.point_mass(2))
+        with pytest.raises(UnsupportedStrategyError):
+            monte_carlo_run(spec, (HONEST, PhaseAttack(0.5), "adaptive"), 100, seed=0)
+
+    def test_rejects_empty_strategies(self):
+        spec = plus_spec(RoundDistribution.point_mass(1))
+        with pytest.raises(OutOfDomainError):
+            monte_carlo_run(spec, (), 100, seed=0)
 
     def test_rejects_zero_trials(self):
         spec = plus_spec(RoundDistribution.point_mass(1))
         with pytest.raises(OutOfDomainError):
-            monte_carlo_run(spec, HONEST, 0, seed=0)
+            monte_carlo_run(spec, (HONEST,), 0, seed=0)
 
 
 class TestPerRoundVsGlobal:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cutchoose import protocol as protocol_module
 from cutchoose import report as report_module
 from cutchoose import states, strategies
 from cutchoose.bounds import PROOF_STEP_NAMES
@@ -131,6 +132,32 @@ class TestRunScenario:
         assert bundle.runs[0].mc.honest.accept_rate == 1.0
         header = emit_bytes(bundle, "csv").decode().splitlines()[0]
         assert "mc_p_H" in header and "mc_p_D" in header
+
+    def test_one_sampler_call_per_row_with_pinned_rates(self, monkeypatch):
+        calls = []
+
+        def counting(spec, strategies, trials, seed):
+            calls.append((len(strategies), trials, seed))
+            return protocol_module.monte_carlo_run(spec, strategies, trials, seed)
+
+        monkeypatch.setattr(report_module, "monte_carlo_run", counting)
+        cfg = make_config(
+            protocol={"omega": {"point_mass": 2}, "k": 1,
+                      "traps": {"family": "random", "seed": 4}, "acceptance": {"family": "plus"}},
+            sweep={"n_values": [1, 2, 4]},
+            monte_carlo={"trials": 4000, "seed": 21},
+        )
+        bundle = run_scenario(cfg)
+        # the honest run and both models' attacks in one call per sweep row
+        assert calls == [(3, 4000, 21), (3, 4000, 22), (3, 4000, 23)]
+        # rates from before the sampler shared one draw between strategies
+        pinned = [
+            (0.17575, 0.356), (0.17575, 0.25175),
+            (0.3065, 0.278), (0.3065, 0.28925),
+            (0.0795, 0.0735), (0.0795, 0.081),
+        ]
+        assert [(r.mc.honest.accept_rate, r.mc.attacked.accept_rate)
+                for r in bundle.runs] == pinned
 
     def test_general_variant_rows(self):
         cfg = make_config(

@@ -169,8 +169,8 @@ def test_one_trap_call_per_round_per_spec(mode):
     for model in SecurityModel:
         for placement in Placement:
             run_tradeoff_check(spec, model, placement=placement)
-    monte_carlo_run(spec, HONEST, 200, 1)
-    monte_carlo_run(spec, PhaseAttack(1.2, Placement.PRE), 200, 2)
+    monte_carlo_run(spec, (HONEST,), 200, 1)
+    monte_carlo_run(spec, (PhaseAttack(1.2, Placement.PRE),), 200, 2)
     assert sorted(traps.calls) == [(n, i) for n in (2, 5) for i in range(1, n + 2)]
 
 
@@ -182,7 +182,7 @@ def test_round_independent_family_receives_one_round():
         spec = ProtocolSpec(omega, 2, traps, rule)
         for model in SecurityModel:
             run_tradeoff_check(spec, model)
-        monte_carlo_run(spec, PhaseAttack(0.9), 100, 0)
+        monte_carlo_run(spec, (PhaseAttack(0.9),), 100, 0)
         assert traps.calls == [(3, 1), (40, 1)]
         assert [len(protocol._bank(spec, n)) for n in (3, 40)] == [1, 1]
 

@@ -71,10 +71,9 @@ def test_traced_reports_match_untraced():
         # output rounds and evaluated once
         assert tracer.span_count("combs.general_test_acceptance") == 1 + 2 * 1
         traced_sampled = report_bytes(sampled)
-        # 2 sweep entries x (one honest run + 2 rows x attacked); entry i is seeded 7 + i
-        assert tracer.mc_calls == [
-            (((n, 1.0),), 500, 7 + i) for i, n in enumerate((1, 3)) for _ in range(1 + 2)
-        ]
+        # one call per sweep entry (the honest run and both rows' attacks); entry i
+        # is seeded 7 + i
+        assert tracer.mc_calls == [(((n, 1.0),), 500, 7 + i) for i, n in enumerate((1, 3))]
         before = tracer.counts["families.trap_calls"]
         traced_matched = report_bytes(matched)
         # one trap call per round (n + 1 = 3), shared by both models and strategies
