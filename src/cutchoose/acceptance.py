@@ -151,70 +151,99 @@ def criterion_general_test_bounds() -> CriterionResult:
     )
 
 
-def _orthogonal_psd_quadruple(rng):
-    d1 = int(rng.integers(1, 4))
-    d2 = int(rng.integers(1, 4))
-    d = d1 + d2
-    out = []
-    for offset, size in ((0, d1), (d1, d2)):
-        for _ in range(2):
-            block = random_psd(size, rng) * float(rng.uniform(0.1, 2.0))
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[offset:offset + size, offset:offset + size] = block
-            out.append(m)
-    return out  # P1, Q1, P2, Q2 with orthogonal supports across blocks
+def _orthogonal_psd_quadruple(rng, out) -> int:
+    """Draws P1, Q1, P2, Q2 (orthogonal supports across two diagonal blocks)
+    into the zeroed ``out[0..3]`` and returns their dimension."""
+    d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    for j, (offset, size) in enumerate(((0, d1), (0, d1), (d1, d2), (d1, d2))):
+        block = random_psd(size, rng) * float(rng.uniform(0.1, 2.0))
+        out[j, offset:offset + size, offset:offset + size] = block
+    return d1 + d2
+
+
+def _identity_cases():
+    """The closed-form families' 1000 cases each, drawn in turn from one generator
+    into arrays (lists of small arrays fragment the heap): (dims, padded u, v,
+    pure_trace_distance), (dims, padded P1, Q1, P2, Q2), (a, b) rows, angles."""
+    rng = np.random.default_rng(20260809)
+    dims, closed, amps = np.empty(1000, int), np.empty(1000), np.zeros((2, 1000, 16), complex)
+    for t in range(1000):
+        d = dims[t] = int(rng.choice((2, 4, 8, 16)))
+        u, v = random_pure_state(d, rng), random_pure_state(d, rng)
+        amps[:, t, :d], closed[t] = (u.amplitudes, v.amplitudes), pure_trace_distance(u, v)
+    yield dims, amps, closed
+    quads = np.zeros((4, 1000, 6, 6), dtype=np.complex128)
+    dims = np.array([_orthogonal_psd_quadruple(rng, quads[:, t]) for t in range(1000)])
+    yield (dims, *quads)
+    del dims, amps, closed, quads  # not held while the last two families run
+    yield rng.uniform(0.0, 1.0, size=(1000, 2))
+    yield rng.uniform(0.0, 2.0 * math.pi, size=1000)
+
+
+def _stacked(measure, dims, *padded) -> np.ndarray:
+    """``measure`` on the stacked cases of each dimension ``d`` (operands ``op[i]``
+    cut to ``d`` along every axis); row ``i`` holds case ``i``'s value or values."""
+    groups = [np.flatnonzero(dims == d) for d in np.unique(dims)]
+    values = [
+        np.transpose(measure(*(op[(g,) + (slice(dims[g[0]]),) * (op.ndim - 1)] for op in padded)))
+        for g in groups
+    ]
+    return np.concatenate(values)[np.argsort(np.concatenate(groups))]
+
+
+def _half_trace_norm_gap(u, v):
+    """0.5 ||uu† - vv†||_1 for each pair of rows of two stacks of state vectors."""
+    return 0.5 * trace_norm(u[:, :, None] * u[:, None].conj() - v[:, :, None] * v[:, None].conj())
+
+
+def _block_additivity(p1, q1, p2, q2):
+    """Joint and split fidelity and trace norm of orthogonal-support quadruples."""
+    fid_split = (np.sqrt(fidelity_psd(p1, q1)) + np.sqrt(fidelity_psd(p2, q2))) ** 2
+    tn_split = trace_norm(p1 - q1) + trace_norm(p2 - q2)
+    return fidelity_psd(p1 + p2, q1 + q2), fid_split, trace_norm(p1 + p2 - q1 - q2), tn_split
+
+
+def _max_p_objective(w: np.ndarray):
+    """ps -> (sqrt(p) a + sqrt(1-p) b)^2 for each row (a, b) of ``w``, a contiguous column each."""
+    return lambda ps: ((w @ np.stack([np.sqrt(ps), np.sqrt(1.0 - ps)])) ** 2).T
 
 
 def criterion_closed_form_identities() -> CriterionResult:
-    """Randomized property families behind the bound derivations."""
+    """Randomized property families behind the bound derivations, each drawn
+    in full, then evaluated in stacks through the production functions."""
     t0 = time.perf_counter()
     failures = []
-    rng = np.random.default_rng(20260809)
+    cases = _identity_cases()
 
     # pure-state trace distance vs eigenvalue route
-    for trial in range(1000):
-        dim = int(rng.choice((2, 4, 8, 16)))
-        u = random_pure_state(dim, rng)
-        v = random_pure_state(dim, rng)
-        closed = pure_trace_distance(u, v)
-        eig = 0.5 * trace_norm(u.projector() - v.projector())
-        if abs(closed - eig) > 1e-9:
-            failures.append(f"trace-distance trial {trial}: |{closed}-{eig}| > 1e-9")
+    dims, amps, closed = next(cases)
+    for trial, (c, eig) in enumerate(zip(closed, _stacked(_half_trace_norm_gap, dims, *amps))):
+        if abs(c - eig) > 1e-9:
+            failures.append(f"trace-distance trial {trial}: |{c}-{eig}| > 1e-9")
             break
 
     # orthogonal-support additivity of fidelity and trace norm
-    for trial in range(1000):
-        p1, q1, p2, q2 = _orthogonal_psd_quadruple(rng)
-        fid_joint = fidelity_psd(p1 + p2, q1 + q2)
-        fid_split = (math.sqrt(fidelity_psd(p1, q1)) + math.sqrt(fidelity_psd(p2, q2))) ** 2
-        if abs(fid_joint - fid_split) > 1e-9:
-            failures.append(f"block fidelity trial {trial}: |{fid_joint}-{fid_split}| > 1e-9")
+    for trial, (fj, fs, tj, ts) in enumerate(_stacked(_block_additivity, *next(cases))):
+        if abs(fj - fs) > 1e-9:
+            failures.append(f"block fidelity trial {trial}: |{fj}-{fs}| > 1e-9")
             break
-        tn_joint = trace_norm(p1 + p2 - q1 - q2)
-        tn_split = trace_norm(p1 - q1) + trace_norm(p2 - q2)
-        if abs(tn_joint - tn_split) > 1e-9:
-            failures.append(f"block trace-norm trial {trial}: |{tn_joint}-{tn_split}| > 1e-9")
+        if abs(tj - ts) > 1e-9:
+            failures.append(f"block trace-norm trial {trial}: |{tj}-{ts}| > 1e-9")
             break
 
     # max_p (sqrt(p) a + sqrt(1-p) b)^2 = a^2 + b^2, via the grid search
-    for trial in range(1000):
-        a, b = rng.uniform(0.0, 1.0, size=2)
-
-        def f(p):
-            return (math.sqrt(p) * a + math.sqrt(1.0 - p) * b) ** 2
-
-        _, best = scan_unit_interval(
-            f, minimize=False,
-            vector_f=lambda ps: (np.sqrt(ps) * a + np.sqrt(1.0 - ps) * b) ** 2,
-        )
+    ab = next(cases)  # 50 rows per scan: 4 MB of grid values
+    maxima = [scan_unit_interval(_max_p_objective(w), minimize=False)[1]
+              for w in np.split(ab, range(50, len(ab), 50))]
+    for trial, ((a, b), best) in enumerate(zip(ab, np.concatenate(maxima))):
         if abs(best - (a * a + b * b)) > 1e-6:
             failures.append(f"max_p trial {trial}: |{best}-{a * a + b * b}| > 1e-6")
             break
 
     # optimizer finds the numerical-range minimum cos^2(alpha/2)
-    for trial in range(1000):
-        alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-        found = numerical_range_min_overlap(alpha, trials=16, seed=trial)
+    alphas = next(cases)
+    founds = numerical_range_min_overlap(alphas, trials=16, seed=np.arange(len(alphas)))
+    for trial, (alpha, found) in enumerate(zip(alphas, founds)):
         target = math.cos(alpha / 2.0) ** 2
         if abs(found - target) > 1e-4 or found < target - 1e-6:
             failures.append(f"numerical-range trial {trial}: {found} vs {target}")

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .linalg import (
-    DensityOperator,
-    fidelity,
-    psd_sqrt,
-    fidelity_psd,
-    trace_norm,
-)
+from .linalg import DensityOperator, fidelity, fidelity_psd, trace_norm
 from .optimize import scan_unit_interval
 from .protocol import (
     ProtocolSpec,
@@ -90,26 +84,17 @@ def epsilon_d_standalone(rho_d: AbortExtendedState, target: DensityOperator) -> 
     return max(0.0, p_acc * (1.0 - fidelity(payload, target)))
 
 
+def _mixtures(target: DensityOperator, ps) -> np.ndarray:
+    """p*target ⊕ (1-p)*reject for each p of ``ps``, as a stack of matrices."""
+    p = np.asarray(ps)[..., None, None]
+    return p * mix_with_abort(target, 1.0).matrix + (1.0 - p) * mix_with_abort(target, 0.0).matrix
+
+
 def epsilon_d_standalone_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
-    rho = rho_d.matrix
-
-    def vector_fid(ps: np.ndarray) -> np.ndarray:
-        s = psd_sqrt(rho)
-        ideal = mix_with_abort(target, 1.0).matrix
-        reject = mix_with_abort(target, 0.0).matrix
-        m1 = s @ ideal @ s
-        m0 = s @ reject @ s
-        stack = ps[:, None, None] * m1[None] + (1.0 - ps)[:, None, None] * m0[None]
-        stack = (stack + np.conj(np.transpose(stack, (0, 2, 1)))) / 2.0
-        w = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
-        return np.sum(np.sqrt(w), axis=1) ** 2
-
     _, best = scan_unit_interval(
-        lambda p: fidelity_psd(rho, mix_with_abort(target, p).matrix),
-        minimize=False,
-        vector_f=vector_fid,
+        lambda ps: fidelity_psd(rho_d.matrix, _mixtures(target, ps)), minimize=False
     )
     return max(0.0, 1.0 - min(1.0, best))
 
@@ -133,19 +118,8 @@ def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> 
 def epsilon_d_composable_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
-    rho = rho_d.matrix
-    m1 = rho - mix_with_abort(target, 1.0).matrix
-    m0 = rho - mix_with_abort(target, 0.0).matrix
-
-    def vector_dist(ps: np.ndarray) -> np.ndarray:
-        stack = ps[:, None, None] * m1[None] + (1.0 - ps)[:, None, None] * m0[None]
-        w = np.linalg.eigvalsh(stack)  # differences of Hermitians are Hermitian
-        return 0.5 * np.sum(np.abs(w), axis=1)
-
     _, best = scan_unit_interval(
-        lambda p: 0.5 * trace_norm(rho - mix_with_abort(target, p).matrix),
-        minimize=True,
-        vector_f=vector_dist,
+        lambda ps: 0.5 * trace_norm(rho_d.matrix - _mixtures(target, ps)), minimize=True
     )
     return max(0.0, best)
 

@@ -559,10 +559,10 @@ def diamond_distance_pure_search(u, v) -> float:
     m = np.kron(dagger(um) @ vm, np.eye(d, dtype=np.complex128))
 
     def lowest(ts):
-        phases = np.exp(-2j * math.pi * np.asarray(ts, dtype=float))[:, None, None]
-        return np.linalg.eigvalsh((phases * m + phases.conj() * dagger(m)) / 2.0)[:, 0]
+        phases = np.exp(-2j * math.pi * np.asarray(ts, dtype=float))[..., None, None]
+        return np.linalg.eigvalsh((phases * m + phases.conj() * dagger(m)) / 2.0)[..., 0]
 
-    _, best = scan_unit_interval(lambda t: float(lowest([t])[0]), lowest, minimize=False)
+    _, best = scan_unit_interval(lowest, minimize=False)
     return math.sqrt(max(0.0, 1.0 - max(0.0, best) ** 2))
 
 

@@ -5,6 +5,12 @@ layout. The typed carriers (:class:`PureState`, :class:`DensityOperator`)
 validate the invariants the protocol code relies on and are used at module
 boundaries; internal loops pass raw arrays.
 
+The measures take one matrix or a stack ``(..., d, d)``: one gives a Python
+``float``, a stack an array. Validation runs once per stack
+(:func:`as_square_matrix`, the Hermitian check of :func:`hermitian_eig`, the
+PSD floor of :func:`psd_sqrt`) and names the first bad index; floors and
+clamps apply per matrix, so a stacked matrix gets the value it gets alone.
+
 Tolerances follow a three-level scheme: input validation at 1e-10,
 numerical-identity assertions at 1e-9, and state normalization at 1e-12.
 This leaves roughly two orders of magnitude between accumulated rounding
@@ -30,19 +36,28 @@ NORM_TOL = 1e-12
 PSD_FLOOR = -1e-8
 
 
-def as_square_matrix(a, what: str = "matrix") -> np.ndarray:
-    """``a`` as a square complex128 matrix with finite entries; errors name ``what``."""
+def as_square_matrix(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``a`` as a square complex128 matrix with finite entries, or with
+    ``stack`` as a stack ``(..., d, d)`` of them; errors name ``what`` and,
+    in a stack, the first bad index."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim != 2 and not (stack and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{what} has shape {m.shape}, expected a square matrix")
     if not np.all(np.isfinite(m)):
-        raise ContractViolationError(f"{what} has non-finite entries")
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        raise ContractViolationError(f"{what}{_first_bad(bad)[1]} has non-finite entries")
     return m
 
 
+def _first_bad(bad: np.ndarray):
+    """First index of a per-matrix mask (``()`` for one matrix) and its error text."""
+    i = tuple(int(j) for j in np.unravel_index(np.argmax(bad), bad.shape))
+    return i, (f" at stack index {i[0] if len(i) == 1 else i}" if i else "")
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
@@ -63,45 +78,44 @@ def require_unitary(u, what: str, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def hermitian_eig(h, tol: float = VALIDATION_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+def _require_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> None:
+    """Raise unless every matrix of ``m`` is Hermitian within ``tol`` in every entry."""
+    dev = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
+    if np.any(dev > tol):
+        i, at = _first_bad(dev > tol)
+        msg = f"matrix{at} is not Hermitian (max deviation {dev[i]:.3e} > {tol:.1e})"
+        raise ContractViolationError(msg)
 
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``, so that ``h = v @ diag(w) @ v†``. The output
-    is deterministic for identical input. Raises
-    :class:`ContractViolationError` if ``h`` deviates from Hermitian by more
-    than ``tol`` in any entry.
-    """
-    m = as_square_matrix(h)
-    dev = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if dev > tol:
-        raise ContractViolationError(
-            f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})"
-        )
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    return w, v
+
+def hermitian_eig(h, tol: float = VALIDATION_TOL):
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix or of each matrix of
+    a stack: ``w`` ascending, ``v`` orthonormal columns, ``h = v diag(w) v†``,
+    deterministic for identical input. Raises :class:`ContractViolationError`
+    if ``h`` deviates from Hermitian by more than ``tol`` in any entry."""
+    m = as_square_matrix(h, stack=True)
+    _require_hermitian(m, tol)
+    return np.linalg.eigh((m + dagger(m)) / 2.0)
 
 
 def _clamped_sqrt(eigvals: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
-    lo = float(eigvals.min()) if eigvals.size else 0.0
-    if lo < floor:
-        raise NotPsdError(f"eigenvalue {lo:.3e} below the PSD floor {floor:.1e}")
+    lo = eigvals.min(axis=-1, initial=0.0)
+    if np.any(lo < floor):
+        i, at = _first_bad(lo < floor)
+        raise NotPsdError(f"eigenvalue {lo[i]:.3e}{at} below the PSD floor {floor:.1e}")
     w = np.clip(eigvals, 0.0, None)
     # Eigenvalues this far below the top are unresolvable rounding noise;
     # without zeroing them, sqrt amplifies ~1e-17 into ~3e-9 and pollutes
     # linear functionals like Tr sqrt(...) past the identity tolerances.
-    top = float(w.max()) if w.size else 0.0
+    top = w.max(axis=-1, keepdims=True, initial=0.0)
     return np.sqrt(np.where(w <= 1e-13 * top, 0.0, w))
 
 
 def psd_sqrt(p) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
-
+    """Principal square root of a PSD matrix or of each matrix of a stack.
     Eigenvalues in ``[PSD_FLOOR, 0)`` are clamped to zero; below the floor a
-    :class:`NotPsdError` is raised.
-    """
+    :class:`NotPsdError` is raised."""
     w, v = hermitian_eig(p)
-    s = (v * _clamped_sqrt(w)) @ dagger(v)
+    s = (v * _clamped_sqrt(w)[..., None, :]) @ dagger(v)
     return (s + dagger(s)) / 2.0
 
 
@@ -111,18 +125,19 @@ def _require_same_dim(a: int, b: int) -> None:
         raise ContractViolationError(f"dimension mismatch: {a} vs {b}")
 
 
-def fidelity_psd(a, b) -> float:
-    """Fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD matrices.
-
-    Works on unnormalized positive operators; no clipping is applied.
-    """
-    am, bm = as_square_matrix(a), as_square_matrix(b)
-    _require_same_dim(am.shape[0], bm.shape[0])
+def fidelity_psd(a, b):
+    """Fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD matrices, or per matrix
+    of stacks (leading axes broadcast). Works on unnormalized positive
+    operators; no clipping is applied. ``b`` gets ``a``'s Hermitian check."""
+    am, bm = as_square_matrix(a, stack=True), as_square_matrix(b, stack=True)
+    _require_same_dim(am.shape[-1], bm.shape[-1])
     s = psd_sqrt(am)
+    _require_hermitian(bm)
     inner = s @ bm @ s
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
-    root = float(np.sum(_clamped_sqrt(w)))
-    return root * root
+    root = np.sum(_clamped_sqrt(w), axis=-1)
+    out = root * root
+    return float(out) if out.ndim == 0 else out
 
 
 def fidelity(rho: "DensityOperator", sigma: "DensityOperator") -> float:
@@ -130,13 +145,14 @@ def fidelity(rho: "DensityOperator", sigma: "DensityOperator") -> float:
     return float(min(1.0, max(0.0, fidelity_psd(rho.matrix, sigma.matrix))))
 
 
-def trace_norm(a) -> float:
-    """Trace norm (sum of singular values) via the eigenvalues of a†a."""
-    m = as_square_matrix(a)
+def trace_norm(a):
+    """Trace norm (sum of singular values) via the eigenvalues of a†a, of a
+    matrix or of each matrix of a stack."""
+    m = as_square_matrix(a, stack=True)
     gram = dagger(m) @ m
-    w = np.clip(np.linalg.eigvalsh((gram + dagger(gram)) / 2.0), 0.0, None)
-    top = float(w.max()) if w.size else 0.0
-    return float(np.sum(np.sqrt(np.where(w <= 1e-13 * top, 0.0, w))))
+    w = np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)
+    out = np.sum(_clamped_sqrt(w, floor=-np.inf), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def pure_trace_distance(u: "PureState", v: "PureState") -> float:

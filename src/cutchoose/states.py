@@ -179,34 +179,42 @@ def mix_with_abort(payload: DensityOperator, p_accept: float) -> AbortExtendedSt
     return AbortExtendedState(float(p_accept), payload)
 
 
-def segment_modulus_sq(lam, alpha: float):
-    """|lam * 1 + (1-lam) * e^{i alpha}|^2 on the eigenvalue segment."""
+def segment_modulus_sq(lam, alpha):
+    """|lam * 1 + (1-lam) * e^{i alpha}|^2 on the eigenvalue segment, elementwise."""
     lam = np.asarray(lam, dtype=float)
-    return lam**2 + (1.0 - lam) ** 2 + 2.0 * lam * (1.0 - lam) * math.cos(alpha)
+    return lam**2 + (1.0 - lam) ** 2 + 2.0 * lam * (1.0 - lam) * np.cos(alpha)
 
 
-def numerical_range_min_overlap(alpha: float, trials: int = 64, seed: int = 0) -> float:
+def numerical_range_min_overlap(alpha, trials: int = 64, seed=0):
     """Minimum of |<u| (1 ⊗ P(alpha)) |u>|^2 over pure states.
 
     Random pure states seed the search; the operator has the two-point
     spectrum {1, e^{i alpha}}, so every value equals the segment objective at
     lam = (weight on the 1-eigenspace), and the refinement is a convex 1-D
     descent in lam. The raw sampled minimum is kept as a cross-check upper
-    bound.
+    bound. Arrays of ``alpha`` and ``seed`` (broadcast together) give an
+    array of minima, each its scalar call's, refined in lockstep.
     """
-    if trials < 1:
-        raise OutOfDomainError(f"trials must be >= 1, got {trials}")
-    # one draw in the order of per-state draws: real parts, then imaginary parts
-    g = np.random.default_rng(seed).standard_normal((trials, 2, 4))
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise OutOfDomainError(f"trials must be an integer >= 1, got {trials!r}")
+    alpha, seed = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(seed))
+    if not np.all(np.isfinite(alpha)):
+        raise OutOfDomainError(f"alpha must be finite, got {alpha[~np.isfinite(alpha)][0]}")
+    # per seed, one draw in the order of per-state draws: real parts, then imaginary parts
+    g = np.empty((seed.size, trials, 2, 4))
+    for s, out in zip(seed.flat, g):
+        np.random.default_rng(s).standard_normal(out=out)
+    g = g.reshape(seed.shape + (trials, 2, 4))
     # squared norms summed as np.linalg.norm sums one state's: real, then imaginary
-    norms = np.sqrt(np.einsum("tij,tij->ti", g, g).sum(axis=1))
-    weights = np.abs((g[:, 0] + 1j * g[:, 1]) / norms[:, None]) ** 2
-    # 1 ⊗ P(alpha) is diagonal: phase 1 on even components, e^{i alpha} on odd
-    vals = np.abs(weights @ np.array([1.0, np.exp(1j * alpha)] * 2)) ** 2
-    first = int(np.argmin(vals))
-    best = float(vals[first])
-    # weight on the 1-eigenspace of 1 ⊗ P(alpha): even components
-    best_lam = float(np.sum(weights[first, ::2]))
-    lo, hi = max(0.0, best_lam - 0.5), min(1.0, best_lam + 0.5)
-    _, refined = golden_section(lambda t: float(segment_modulus_sq(t, alpha)), lo, hi, tol=1e-9)
-    return float(min(best, refined))
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", g, g).sum(axis=-1))
+    weights = np.abs((g[..., 0, :] + 1j * g[..., 1, :]) / norms[..., None]) ** 2
+    # 1 ⊗ P(alpha) is diagonal: phase 1 on even components (the weight lam on
+    # its 1-eigenspace), e^{i alpha} on odd ones
+    lam, rest = weights[..., ::2].sum(axis=-1), weights[..., 1::2].sum(axis=-1)
+    vals = np.abs(lam + np.exp(1j * alpha)[..., None] * rest) ** 2
+    best = vals.min(axis=-1)
+    best_lam = np.take_along_axis(lam, vals.argmin(axis=-1)[..., None], axis=-1)[..., 0]
+    lo, hi = np.maximum(0.0, best_lam - 0.5), np.minimum(1.0, best_lam + 0.5)
+    _, refined = golden_section(lambda t: segment_modulus_sq(t, alpha), lo, hi, tol=1e-9)
+    found = np.minimum(best, refined)
+    return float(found) if found.ndim == 0 else found

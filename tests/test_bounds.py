@@ -17,7 +17,7 @@ from cutchoose.combs import bell_test_setup, general_tradeoff_check
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import PlusTraps, plus_acceptance, computational_acceptance, ComputationalTraps
 from cutchoose.linalg import DensityOperator
-from cutchoose.optimize import scan_unit_interval
+from cutchoose.optimize import golden_section, scan_unit_interval
 from cutchoose.protocol import (
     PerRoundAcceptance,
     ProtocolSpec,
@@ -170,11 +170,60 @@ class TestMaxIdentity:
         for _ in range(200):
             a, b = rng.uniform(0, 1, size=2)
             _, best = scan_unit_interval(
-                lambda p: (math.sqrt(p) * a + math.sqrt(1 - p) * b) ** 2,
-                minimize=False,
-                vector_f=lambda ps: (np.sqrt(ps) * a + np.sqrt(1 - ps) * b) ** 2,
+                lambda ps: (np.sqrt(ps) * a + np.sqrt(1 - ps) * b) ** 2, minimize=False
             )
             assert abs(best - (a * a + b * b)) <= 1e-6
+
+
+class TestLockstepOptimizer:
+    @staticmethod
+    def _objective(centers):
+        # a different unimodal function per bracket, flat to the right of its centre
+        return lambda x: np.abs(x - centers) ** 1.5 + np.where(x > centers, 0.0, 0.25 * (centers - x))
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_each_bracket_follows_its_one_bracket_call(self, minimize):
+        rng = np.random.default_rng(31)
+        # widths from 1e-11 to 1: the brackets finish after 0 to about 55 steps
+        lo = rng.uniform(-1.0, 1.0, size=24)
+        hi = lo + np.logspace(-11, 0, 24)
+        centers = rng.uniform(lo, hi)
+        sign = 1.0 if minimize else -1.0
+        f = self._objective(centers)
+        xs, vs = golden_section(lambda x: sign * f(x), lo, hi, minimize=minimize)
+        for j in range(24):
+            one = self._objective(centers[j])
+            x, v = golden_section(lambda t: sign * one(t), lo[j], hi[j], minimize=minimize)
+            assert (xs[j], vs[j]) == (x, v)
+
+    def test_scalar_bracket_returns_floats(self):
+        x, v = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+        assert type(x) is float and type(v) is float
+        assert abs(x - 0.3) <= 1e-6
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.nan), (-math.inf, 1.0), ([0.0, 0.6], [1.0, 0.5])])
+    def test_rejects_reversed_or_non_finite_brackets(self, a, b):
+        # a reversed bracket used to skip refinement and return x = 0.382 for a minimum at 0.3
+        with pytest.raises(OutOfDomainError, match="golden-section brackets must be finite with a <= b"):
+            golden_section(lambda t: (t - 0.3) ** 2, a, b)
+
+    def test_scan_rejects_a_non_finite_grid_value(self):
+        # used to return (0.0, nan)
+        with pytest.raises(OutOfDomainError, match=r"^objective is not finite at grid point 0\.0$"):
+            scan_unit_interval(lambda ps: np.full(np.shape(ps), np.nan), minimize=False)
+        with pytest.raises(OutOfDomainError, match=r"at grid point 0\.5$"):
+            scan_unit_interval(lambda ps: np.where(ps == 0.5, np.inf, ps), minimize=True)
+
+    def test_batched_scan_equals_the_one_objective_scans(self):
+        rng = np.random.default_rng(37)
+        centers = rng.uniform(0.0, 1.0, size=12)
+        centers[:2] = 0.0, 1.0  # optima at both ends of the grid
+        xs, vs = scan_unit_interval(lambda ps: np.abs(ps[..., None] - centers) ** 1.5)
+        assert xs.shape == vs.shape == (12,)
+        for j, c in enumerate(centers):
+            x, v = scan_unit_interval(lambda ps: np.abs(ps - c) ** 1.5)
+            assert abs(xs[j] - x) <= 1e-12 and abs(vs[j] - v) <= 1e-12
+            assert abs(x - c) <= 1e-6
 
 
 class TestTheoremBound:

@@ -162,6 +162,72 @@ class TestTraceNorm:
             )
 
 
+class TestStacks:
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_stacked_measures_equal_the_per_matrix_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        # full rank and rank-deficient PSD pairs; rank 1 makes sqrt(a) b sqrt(a) rank 1
+        ranks = [dim, max(1, dim - 1), max(1, dim // 2), 1]
+        a = np.stack([random_psd(dim, rng, rank=r) for r in ranks * 2])
+        b = np.stack([random_psd(dim, rng, rank=r) for r in ranks[::-1] * 2])
+        g = rng.standard_normal((8, dim, dim)) + 1j * rng.standard_normal((8, dim, dim))
+        stacked = (fidelity_psd(a, b), trace_norm(a - b), trace_norm(g))
+        single = (
+            [fidelity_psd(x, y) for x, y in zip(a, b)],
+            [trace_norm(x - y) for x, y in zip(a, b)],
+            [trace_norm(x) for x in g],
+        )
+        for many, one in zip(stacked, single):
+            assert many.shape == (8,)
+            np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            psd_sqrt(a), [psd_sqrt(x) for x in a], rtol=0, atol=1e-12
+        )
+
+    def test_leading_axes_are_kept(self):
+        a = np.stack([np.eye(2), 2 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0])])
+        assert trace_norm(a.reshape(2, 2, 2, 2)).shape == (2, 2)
+        assert fidelity_psd(a.reshape(2, 2, 2, 2), np.eye(2)).shape == (2, 2)
+
+    def test_one_matrix_gives_a_python_float(self):
+        assert type(trace_norm(I2)) is float
+        assert type(fidelity_psd(I2, I2)) is float
+
+    @pytest.mark.parametrize("call, error, message", [
+        (trace_norm, ContractViolationError, r"^matrix at stack index 3 has non-finite entries$"),
+        (hermitian_eig, ContractViolationError,
+         r"^matrix at stack index 3 is not Hermitian \(max deviation 1\.000e\+00 > 1\.0e-10\)$"),
+        (psd_sqrt, NotPsdError, r"^eigenvalue -1\.000e-03 at stack index 3 below the PSD floor"),
+    ], ids=["non-finite", "non-hermitian", "below-psd-floor"])
+    def test_one_bad_matrix_is_named_by_its_index(self, call, error, message):
+        stack = np.stack([np.eye(2)] * 5).astype(complex)
+        stack[3] = {
+            trace_norm: np.diag([1.0, np.inf]),
+            hermitian_eig: np.array([[1.0, 1.0], [0.0, 1.0]]),
+            psd_sqrt: np.diag([1.0, -1e-3]),
+        }[call]
+        with pytest.raises(error, match=message):
+            call(stack)
+
+    def test_bad_index_in_a_stack_of_stacks(self):
+        stack = np.zeros((2, 3, 2, 2))
+        stack[1, 2, 0, 1] = 1.0
+        with pytest.raises(ContractViolationError, match=r"at stack index \(1, 2\) is not Hermitian"):
+            hermitian_eig(stack)
+
+    def test_fidelity_checks_its_second_operand(self):
+        # b = [[1, 1], [0, 1]] is not Hermitian; the fidelity used to come out as 3.73
+        with pytest.raises(ContractViolationError, match=r"^matrix is not Hermitian"):
+            fidelity_psd(np.eye(2), [[1, 1], [0, 1]])
+        b = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+        with pytest.raises(ContractViolationError, match=r"^matrix at stack index 1 is not Hermitian"):
+            fidelity_psd(np.eye(2), b)
+
+    def test_one_matrix_keeps_its_shape_check(self):
+        with pytest.raises(ContractViolationError, match=r"has shape \(2, 2, 2\), expected a square matrix"):
+            PovmElement(np.zeros((2, 2, 2)))
+
+
 class TestPureTraceDistance:
     def test_equal(self):
         assert pure_trace_distance(ket(1, 0), ket(1, 0)) == 0.0

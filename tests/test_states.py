@@ -186,6 +186,33 @@ class TestNumericalRange:
         with pytest.raises(OutOfDomainError):
             numerical_range_min_overlap(1.0, trials=0, seed=0)
 
+    def test_stacked_call_equals_the_scalar_calls(self):
+        alphas = np.random.default_rng(4).uniform(0.0, 2 * math.pi, size=40)
+        seeds = np.arange(40) * 7
+        stacked = numerical_range_min_overlap(alphas, trials=16, seed=seeds)
+        assert stacked.shape == (40,)
+        for alpha, seed, found in zip(alphas, seeds, stacked):
+            assert found == numerical_range_min_overlap(float(alpha), trials=16, seed=int(seed))
+
+    def test_alpha_and_seed_broadcast(self):
+        grid = numerical_range_min_overlap(np.array([[0.5], [2.0]]), trials=8, seed=np.arange(3))
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == numerical_range_min_overlap(2.0, trials=8, seed=2)
+        one_seed = numerical_range_min_overlap(np.array([0.5, 2.0]), trials=8, seed=5)
+        assert one_seed[1] == numerical_range_min_overlap(2.0, trials=8, seed=5)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "16"])
+    def test_rejects_non_integer_trials(self, trials):
+        # 2.5 and True used to raise a raw TypeError
+        with pytest.raises(OutOfDomainError, match=r"^trials must be an integer"):
+            numerical_range_min_overlap(1.0, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # nan used to come back as nan with a RuntimeWarning, inf as a math domain error
+        with pytest.raises(OutOfDomainError, match=r"^alpha must be finite"):
+            numerical_range_min_overlap(alpha, trials=8, seed=0)
+
 
 def test_bell_pair_normalized():
     assert bell_pair().dim == 4
