@@ -438,10 +438,19 @@ def bell_test_setup(n_tests: int) -> GeneralSetup:
     return _point_mass_setup(test, trivial_parallel_comb(n_tests, k=1, y_dim=2**n_tests))
 
 
+def _tooth(doc: dict | None) -> Tooth | None:
+    """A normalized tooth document (1-based, defaults spelled out) as a Tooth."""
+    if doc is None:
+        return None
+    perm = tuple(p - 1 for p in doc["permute"]) if "permute" in doc else None
+    qubit = doc["register"] - 1 if "channel" in doc else None
+    return Tooth(perm, doc.get("channel"), qubit, doc.get("strength"))
+
+
 def custom_test_setup(custom, n: int) -> GeneralSetup:
-    """General setup for a parsed ``custom`` descriptor (its ``Tooth`` teeth,
-    1-based ``hole_registers``, state, measurement and unitaries) with ``n``
-    holes (k = 1)."""
+    """General setup for a parsed ``custom`` descriptor with ``n`` holes (k = 1).
+    Its teeth and hole registers are 1-based as written in the config; here
+    they become the 0-based indices of :class:`Comb` and :class:`Tooth`."""
     k = 1
     width, y_dim = custom.width, 2**custom.y_qubits
     comb = Comb(
@@ -450,7 +459,7 @@ def custom_test_setup(custom, n: int) -> GeneralSetup:
         width=width,
         y_dim=y_dim,
         hole_registers=tuple(h - 1 for h in custom.hole_registers),
-        teeth=custom.teeth,
+        teeth=tuple(_tooth(t) for t in custom.teeth),
     )
     full_dim = comb.register_dim * y_dim
     if custom.state == "plus":

@@ -97,11 +97,11 @@ def hermitian_eig(h, tol: float = VALIDATION_TOL):
     return np.linalg.eigh((m + dagger(m)) / 2.0)
 
 
-def _clamped_sqrt(eigvals: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
+def _clamped_sqrt(eigvals: np.ndarray) -> np.ndarray:
     lo = eigvals.min(axis=-1, initial=0.0)
-    if np.any(lo < floor):
-        i, at = _first_bad(lo < floor)
-        raise NotPsdError(f"eigenvalue {lo[i]:.3e}{at} below the PSD floor {floor:.1e}")
+    if np.any(lo < PSD_FLOOR):
+        i, at = _first_bad(lo < PSD_FLOOR)
+        raise NotPsdError(f"eigenvalue {lo[i]:.3e}{at} below the PSD floor {PSD_FLOOR:.1e}")
     w = np.clip(eigvals, 0.0, None)
     # Eigenvalues this far below the top are unresolvable rounding noise;
     # without zeroing them, sqrt amplifies ~1e-17 into ~3e-9 and pollutes
@@ -146,12 +146,8 @@ def fidelity(rho: "DensityOperator", sigma: "DensityOperator") -> float:
 
 
 def trace_norm(a):
-    """Trace norm (sum of singular values) via the eigenvalues of a†a, of a
-    matrix or of each matrix of a stack."""
-    m = as_square_matrix(a, stack=True)
-    gram = dagger(m) @ m
-    w = np.linalg.eigvalsh((gram + dagger(gram)) / 2.0)
-    out = np.sum(_clamped_sqrt(w, floor=-np.inf), axis=-1)
+    """Trace norm (sum of singular values) of a matrix or of each matrix of a stack."""
+    out = np.linalg.svd(as_square_matrix(a, stack=True), compute_uv=False).sum(-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -281,6 +281,428 @@ class TestRejectsBeyondCaps:
                        sweep={"n_values": [1, 4]}))
 
 
+def general_doc(setup):
+    return minimal_doc(variant={"kind": "general-tests", "setup": setup})
+
+
+def sweep_doc(**sweep):
+    return minimal_doc(sweep=sweep)
+
+
+CUSTOM_ONE_HOLE = {"family": "custom", "width": 1, "hole_registers": [1]}
+
+
+# one bad document per rejection branch of the parser, with the JSON path
+# its message must start with
+REJECTIONS = [
+    # round distributions
+    (protocol_doc(omega="two"), "protocol.omega"),
+    (protocol_doc(omega=[]), "protocol.omega"),
+    (protocol_doc(omega=[[2]]), "protocol.omega[0]"),
+    (protocol_doc(omega=[[2, 0.5, 0.5]]), "protocol.omega[0]"),
+    (protocol_doc(omega=[[-1, 1.0]]), "protocol.omega[0]"),
+    (protocol_doc(omega=[[1.5, 1.0]]), "protocol.omega[0]"),
+    (protocol_doc(omega=[[1, 1.5], [2, -0.5]]), "protocol.omega[1]"),
+    (protocol_doc(omega=[[1, "half"], [2, 0.5]]), "protocol.omega[0]"),
+    (protocol_doc(omega=[[2, 0.5], [2, 0.5]]), "protocol.omega"),
+    (protocol_doc(omega={"point_mass": -1}), "protocol.omega.point_mass"),
+    (protocol_doc(omega={"point_mass": 2.0}), "protocol.omega.point_mass"),
+    (protocol_doc(omega={}), "protocol.omega.point_mass"),
+    (protocol_doc(omega={"point_mass": 2, "mean": 2}), "protocol.omega.mean"),
+    (protocol_doc(k=0), "protocol.k"),
+    (protocol_doc(k="1"), "protocol.k"),
+    # trap and acceptance families
+    (protocol_doc(traps="plus"), "protocol.traps"),
+    (protocol_doc(traps={}), "protocol.traps.family"),
+    (protocol_doc(traps={"family": "haar"}), "protocol.traps.family"),
+    (protocol_doc(traps={"family": "plus", "seed": 1}), "protocol.traps.seed"),
+    (protocol_doc(traps={"family": "random", "seed": "1"}), "protocol.traps.seed"),
+    (protocol_doc(acceptance=["plus"]), "protocol.acceptance"),
+    (protocol_doc(acceptance={"mode": "global"}), "protocol.acceptance.family"),
+    (protocol_doc(acceptance={"family": "haar"}), "protocol.acceptance.family"),
+    (protocol_doc(acceptance={"family": "plus", "mode": "joint"}),
+     "protocol.acceptance.mode"),
+    (protocol_doc(acceptance={"family": "plus", "strict": True}),
+     "protocol.acceptance.strict"),
+    (minimal_doc(protocol=[]), "protocol"),
+    # strategies
+    (minimal_doc(strategy={}), "strategy"),
+    (minimal_doc(strategy="honest"), "strategy"),
+    (minimal_doc(strategy={"kind": "bit-flip"}), "strategy.kind"),
+    (minimal_doc(strategy={"kind": "honest", "alpha": 0.5}), "strategy.alpha"),
+    (minimal_doc(strategy={"kind": "phase-attack"}), "strategy.alpha"),
+    (minimal_doc(strategy={"kind": "phase-attack", "alpha": "optimal"}),
+     "strategy.alpha"),
+    (minimal_doc(strategy={"kind": "phase-attack", "alpha": False}), "strategy.alpha"),
+    (minimal_doc(strategy={"kind": "phase-attack", "alpha": 1.0, "placement": "mid"}),
+     "strategy.placement"),
+    # models
+    (minimal_doc(models="stand-alone"), "models"),
+    (minimal_doc(models=[]), "models"),
+    (minimal_doc(models=["stand-alone", "stand-alone"]), "models"),
+    (minimal_doc(models=["composable", "universal"]), "models[1]"),
+    # variants and general-test setups
+    (minimal_doc(variant={}), "variant"),
+    (minimal_doc(variant={"kind": "per-test"}), "variant.kind"),
+    (minimal_doc(variant={"kind": "per-round", "setup": {}}), "variant.setup"),
+    (minimal_doc(variant={"kind": "general-tests"}), "variant.setup"),
+    (general_doc({}), "variant.setup"),
+    (general_doc("bell"), "variant.setup"),
+    (general_doc({"family": "ghz"}), "variant.setup.family"),
+    (general_doc({"family": "bell", "width": 1}), "variant.setup.width"),
+    (general_doc({"family": "custom", "hole_registers": [1]}), "variant.setup.width"),
+    (general_doc({"family": "custom", "width": 1}), "variant.setup.hole_registers"),
+    (general_doc({**CUSTOM_ONE_HOLE, "colour": "red"}), "variant.setup.colour"),
+    (general_doc({**CUSTOM_ONE_HOLE, "width": 0}), "variant.setup.width"),
+    (custom_doc(y_qubits=-1), "variant.setup.y_qubits"),
+    (custom_doc(hole_registers=[]), "variant.setup.hole_registers"),
+    (custom_doc(hole_registers=[1, 3]), "variant.setup.hole_registers"),
+    (custom_doc(hole_registers=[0, 1]), "variant.setup.hole_registers"),
+    (custom_doc(hole_registers="1,2"), "variant.setup.hole_registers"),
+    (custom_doc(teeth=[None, None]), "variant.setup.teeth"),
+    (custom_doc(teeth={"0": None}), "variant.setup.teeth"),
+    (custom_tooth_doc([2, 1]), "variant.setup.teeth[1]"),
+    (custom_tooth_doc({"permute": [2, 1], "swap": True}), "variant.setup.teeth[1].swap"),
+    (custom_tooth_doc({"permute": [1]}), "variant.setup.teeth[1].permute"),
+    (custom_tooth_doc({"permute": "21"}), "variant.setup.teeth[1].permute"),
+    (custom_tooth_doc({"channel": "bit-flip"}), "variant.setup.teeth[1].channel"),
+    (custom_tooth_doc({"channel": "dephasing", "register": 3}),
+     "variant.setup.teeth[1].register"),
+    (custom_tooth_doc({"channel": "dephasing", "register": 0}),
+     "variant.setup.teeth[1].register"),
+    (custom_tooth_doc({"channel": "dephasing", "strength": 1.5}),
+     "variant.setup.teeth[1].strength"),
+    (custom_tooth_doc({"channel": "dephasing", "strength": "0.5"}),
+     "variant.setup.teeth[1].strength"),
+    (custom_doc(state="minus"), "variant.setup.state"),
+    (custom_doc(state="bell-pairs", y_qubits=1), "variant.setup.state"),
+    # a missing width leaves the default y_qubits nothing to be compared with
+    (general_doc({"family": "custom", "hole_registers": [1], "state": "bell-pairs"}),
+     "variant.setup.width"),
+    (custom_doc(measurement="z-basis"), "variant.setup.measurement"),
+    (custom_doc(unitaries="haar"), "variant.setup.unitaries"),
+    (custom_doc(unitary_seed=1.5), "variant.setup.unitary_seed"),
+    # sweeps
+    (minimal_doc(sweep=[1, 2]), "sweep"),
+    (sweep_doc(), "sweep"),
+    (sweep_doc(n_values=[1], omegas=[[[1, 1.0]]]), "sweep"),
+    (sweep_doc(n_values=[1], steps=2), "sweep.steps"),
+    (sweep_doc(n_values=[]), "sweep.n_values"),
+    (sweep_doc(n_values=[1, 0]), "sweep.n_values"),
+    (sweep_doc(n_values=[1, True]), "sweep.n_values"),
+    (sweep_doc(n_values=5), "sweep.n_values"),
+    (sweep_doc(omegas=[]), "sweep.omegas"),
+    (sweep_doc(omegas={"a": [[1, 1.0]]}), "sweep.omegas"),
+    (sweep_doc(omegas=[[[1, 1.0]], [[1, 0.5]]]), "sweep.omegas[1]"),
+    (sweep_doc(omegas=[[[1, 1.0]], []]), "sweep.omegas[1]"),
+    (sweep_doc(omegas=[[[1, 1.0]], [[1, 0.5], [1, 0.5]]]), "sweep.omegas[1]"),
+    (sweep_doc(omegas=[[[1, 1.0]], [[1, 0.5], [2]]]), "sweep.omegas[1][1]"),
+    # sampled runs and output
+    (minimal_doc(monte_carlo=1000), "monte_carlo"),
+    (minimal_doc(monte_carlo={"trials": 1000}), "monte_carlo.seed"),
+    (minimal_doc(monte_carlo={"trials": 0, "seed": 1}), "monte_carlo.trials"),
+    (minimal_doc(monte_carlo={"trials": 10.0, "seed": 1}), "monte_carlo.trials"),
+    (minimal_doc(monte_carlo={"trials": 10, "seed": -1}), "monte_carlo.seed"),
+    (minimal_doc(monte_carlo={"trials": 10, "seed": True}), "monte_carlo.seed"),
+    (minimal_doc(monte_carlo={"trials": 10, "seed": 1, "block": 4}),
+     "monte_carlo.block"),
+    (minimal_doc(output="report.csv"), "output"),
+    (minimal_doc(output={"format": "csv"}), "output.path"),
+    (minimal_doc(output={"path": ""}), "output.path"),
+    (minimal_doc(output={"path": 3}), "output.path"),
+    (minimal_doc(output={"path": "r.xml", "format": "xml"}), "output.format"),
+    (minimal_doc(output={"path": "r.csv", "mode": "w"}), "output.mode"),
+    # rules across sections
+    (bell_doc(protocol=protocol_doc(k=2)["protocol"]), "protocol.k"),
+    (bell_doc(monte_carlo={"trials": 10, "seed": 1}), "monte_carlo"),
+    (minimal_doc(variant={"kind": "general-tests", "setup": CUSTOM_ONE_HOLE},
+                 sweep={"n_values": [1]}), "sweep"),
+    (general_doc(CUSTOM_ONE_HOLE), "protocol.omega"),
+    # the whole document
+    ([], "$"),
+    ("scenario", "$"),
+]
+
+
+class TestRejectionTable:
+    @pytest.mark.parametrize("doc, path", REJECTIONS)
+    def test_error_names_path(self, doc, path):
+        with pytest.raises(ConfigError) as err:
+            parse(doc)
+        assert any(e.startswith(f"{path}:") for e in err.value.errors), err.value.errors
+
+
+# a JSON path: "$" for the whole document, else bare keys with .key and [i] steps
+JSON_PATH = re.compile(r"^(\$|[A-Za-z_]\w*(\.\w+|\[\d+\])*): ")
+
+
+class TestPathConvention:
+    @pytest.mark.parametrize("doc, errors", [
+        (minimal_doc(extra=1),
+         ["extra: unknown field"]),
+        ({"protocol": minimal_doc()["protocol"], "variant": {"kind": "per-round"}},
+         ["strategy: missing required field", "models: missing required field"]),
+        ({"protocol": 1},
+         ["protocol: expected an object, got int", "strategy: missing required field",
+          "models: missing required field", "variant: missing required field"]),
+    ], ids=["unknown", "missing", "not-an-object"])
+    def test_top_level_paths_are_bare_keys(self, doc, errors):
+        with pytest.raises(ConfigError) as err:
+            parse(doc)
+        assert err.value.errors == errors
+
+    def test_non_finite_scan_uses_the_same_path(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_literal(minimal_doc(extra="__X__"), "NaN"))
+        assert err.value.errors == ["extra: numbers must be finite"]
+
+    @pytest.mark.parametrize("text", [b"not json at all {", b"\xff\xfe\x00", b"[1, 2]"])
+    def test_whole_document_errors_use_dollar(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert all(e.startswith("$: ") for e in err.value.errors), err.value.errors
+
+    def test_every_message_starts_with_a_json_path(self):
+        for doc, _ in REJECTIONS:
+            with pytest.raises(ConfigError) as err:
+                parse(doc)
+            for message in err.value.errors:
+                assert JSON_PATH.match(message), message
+
+
+GOLDEN_PROTOCOL = {"omega": {"point_mass": 2}, "k": 1, "traps": {"family": "plus"},
+            "acceptance": {"family": "plus"}}
+HONEST = {"kind": "honest"}
+PER_ROUND = {"kind": "per-round"}
+
+GOLDEN_DOCS = {
+    "defaults-left-out": {
+        "protocol": GOLDEN_PROTOCOL, "strategy": HONEST, "models": ["stand-alone"],
+        "variant": PER_ROUND,
+    },
+    "defaults-spelled-out": {
+        "protocol": {"omega": [[3, 0.25], [1, 0.7500000005]], "k": 2,
+                     "traps": {"family": "random", "seed": 0},
+                     "acceptance": {"family": "matched", "mode": "global"}},
+        "strategy": {"kind": "phase-attack", "alpha": 1, "placement": "post"},
+        "models": ["composable", "stand-alone"],
+        "variant": PER_ROUND,
+        "sweep": {"n_values": [1, 2, 5]},
+        "monte_carlo": {"trials": 1000, "seed": 3},
+        "output": {"path": "report.csv", "format": "csv"},
+    },
+    "omegas-sweep": {
+        "protocol": {"omega": [[2, 0.4999999995], [1, 0.5]], "k": 3,
+                     "traps": {"family": "random"},
+                     "acceptance": {"family": "computational", "mode": "per-round"}},
+        "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal", "placement": "pre"},
+        "models": ["stand-alone", "composable"],
+        "variant": PER_ROUND,
+        "sweep": {"omegas": [[[4, 0.5], [0, 0.5]], [[1, 1]]]},
+        "output": {"path": "out/report.json", "format": "json"},
+    },
+    "bell": {
+        "protocol": {**GOLDEN_PROTOCOL, "omega": [[3, 1]]},
+        "strategy": {"kind": "phase-attack", "alpha": 0.5},
+        "models": ["composable"],
+        "variant": {"kind": "general-tests", "setup": {"family": "bell"}},
+    },
+    "custom-every-tooth": {
+        "protocol": {**GOLDEN_PROTOCOL, "omega": {"point_mass": 5}},
+        "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
+        "models": ["stand-alone", "composable"],
+        "variant": {"kind": "general-tests", "setup": {
+            "family": "custom", "width": 2, "hole_registers": [1, 2, 1, 2, 2],
+            "teeth": [None, {}, {"permute": [2, 1]}, {"channel": "dephasing"},
+                      {"channel": "depolarizing", "register": 2, "strength": 1},
+                      {"permute": [2, 1], "channel": "dephasing", "strength": 0.25}]}},
+    },
+    "custom-spelled-out": {
+        "protocol": {**GOLDEN_PROTOCOL, "omega": [[1, 1.0]]},
+        "strategy": HONEST,
+        "models": ["composable"],
+        "variant": {"kind": "general-tests", "setup": {
+            "family": "custom", "width": 2, "y_qubits": 2, "hole_registers": [2],
+            "teeth": [{"channel": "dephasing", "register": 1, "strength": 0.5}, None],
+            "state": "bell-pairs", "measurement": "identity", "unitaries": "random",
+            "unitary_seed": 7}},
+    },
+    "custom-teeth-left-out": {
+        "protocol": {**GOLDEN_PROTOCOL, "omega": {"point_mass": 3}},
+        "strategy": {"kind": "phase-attack", "alpha": 2.5, "placement": "pre"},
+        "models": ["stand-alone"],
+        "variant": {"kind": "general-tests", "setup": {
+            "family": "custom", "width": 1, "y_qubits": 0, "hole_registers": [1, 1, 1],
+            "state": "zero"}},
+    },
+    "per-round-mixture": {
+        "protocol": {"omega": [[4, 0.5], [0, 0.25], [7, 0.25]], "k": 1,
+                     "traps": {"family": "computational"},
+                     "acceptance": {"family": "plus", "mode": "global"}},
+        "strategy": {"kind": "phase-attack", "alpha": -3},
+        "models": ["stand-alone"],
+        "variant": PER_ROUND,
+        "monte_carlo": {"trials": 20, "seed": 0},
+        "output": {"path": "r.csv"},
+    },
+}
+
+# config_hash() and canonical() of each golden document, computed by the
+# parser these pins were written against; every report embeds both
+GOLDEN_CANONICAL = {
+    "defaults-left-out": (
+        "79f627fdb7ba9c85682afcd73832de119827614c20043a71fdcada2446896a19",
+        {"models": ["stand-alone"],
+         "protocol": {"acceptance": {"family": "plus", "mode": "per-round"},
+                      "k": 1,
+                      "omega": [[2, 1.0]],
+                      "traps": {"family": "plus"}},
+         "strategy": {"kind": "honest"},
+         "variant": {"kind": "per-round"}},
+    ),
+    "defaults-spelled-out": (
+        "7c9f766e9dcd0fd1dbf7e54ac0b0b3caa579b0d0c6a2845433505bb3a1c7c46d",
+        {"models": ["composable", "stand-alone"],
+         "monte_carlo": {"seed": 3, "trials": 1000},
+         "output": {"format": "csv", "path": "report.csv"},
+         "protocol": {"acceptance": {"family": "matched", "mode": "global"},
+                      "k": 2,
+                      "omega": [[1, 0.750000000125], [3, 0.249999999875]],
+                      "traps": {"family": "random", "seed": 0}},
+         "strategy": {"alpha": 1.0, "kind": "phase-attack", "placement": "post"},
+         "sweep": {"n_values": [1, 2, 5]},
+         "variant": {"kind": "per-round"}},
+    ),
+    "omegas-sweep": (
+        "cd3b277e125e6a06ac8f673a17cb8f7a9551e4f88ab1b211c10d155592ad49f4",
+        {"models": ["stand-alone", "composable"],
+         "output": {"format": "json", "path": "out/report.json"},
+         "protocol": {"acceptance": {"family": "computational", "mode": "per-round"},
+                      "k": 3,
+                      "omega": [[1, 0.50000000025], [2, 0.49999999975000003]],
+                      "traps": {"family": "random", "seed": 0}},
+         "strategy": {"alpha": "theorem-optimal",
+                      "kind": "phase-attack",
+                      "placement": "pre"},
+         "sweep": {"omegas": [[[0, 0.5], [4, 0.5]], [[1, 1.0]]]},
+         "variant": {"kind": "per-round"}},
+    ),
+    "bell": (
+        "befc4aa078c0bfa3e3313f4ad1c7d7c4db01cc346e37edd891137fffbe63507d",
+        {"models": ["composable"],
+         "protocol": {"acceptance": {"family": "plus", "mode": "per-round"},
+                      "k": 1,
+                      "omega": [[3, 1.0]],
+                      "traps": {"family": "plus"}},
+         "strategy": {"alpha": 0.5, "kind": "phase-attack", "placement": "post"},
+         "variant": {"kind": "general-tests", "setup": {"family": "bell"}}},
+    ),
+    "custom-every-tooth": (
+        "7258b6faff874cab8cdffc4f03ce39f89e2bec6f67f9387a9ea9b38c830866ab",
+        {"models": ["stand-alone", "composable"],
+         "protocol": {"acceptance": {"family": "plus", "mode": "per-round"},
+                      "k": 1,
+                      "omega": [[5, 1.0]],
+                      "traps": {"family": "plus"}},
+         "strategy": {"alpha": "theorem-optimal",
+                      "kind": "phase-attack",
+                      "placement": "post"},
+         "variant": {"kind": "general-tests",
+                     "setup": {"family": "custom",
+                               "hole_registers": [1, 2, 1, 2, 2],
+                               "measurement": "match-state",
+                               "state": "plus",
+                               "teeth": [None,
+                                         None,
+                                         {"permute": [2, 1]},
+                                         {"channel": "dephasing",
+                                          "register": 1,
+                                          "strength": 0.5},
+                                         {"channel": "depolarizing",
+                                          "register": 2,
+                                          "strength": 1.0},
+                                         {"channel": "dephasing",
+                                          "permute": [2, 1],
+                                          "register": 1,
+                                          "strength": 0.25}],
+                               "unitaries": "identity",
+                               "unitary_seed": 0,
+                               "width": 2,
+                               "y_qubits": 0}}},
+    ),
+    "custom-spelled-out": (
+        "d6b3960dec8c5b9f844d5bdc6eea67892fd59ff019638b7d952ecb17e7a672cf",
+        {"models": ["composable"],
+         "protocol": {"acceptance": {"family": "plus", "mode": "per-round"},
+                      "k": 1,
+                      "omega": [[1, 1.0]],
+                      "traps": {"family": "plus"}},
+         "strategy": {"kind": "honest"},
+         "variant": {"kind": "general-tests",
+                     "setup": {"family": "custom",
+                               "hole_registers": [2],
+                               "measurement": "identity",
+                               "state": "bell-pairs",
+                               "teeth": [{"channel": "dephasing",
+                                          "register": 1,
+                                          "strength": 0.5},
+                                         None],
+                               "unitaries": "random",
+                               "unitary_seed": 7,
+                               "width": 2,
+                               "y_qubits": 2}}},
+    ),
+    "custom-teeth-left-out": (
+        "254b63e6e884b900a8449648753ab47cc4c2ca483bb5dbb0bca3f8e99c8ee8fa",
+        {"models": ["stand-alone"],
+         "protocol": {"acceptance": {"family": "plus", "mode": "per-round"},
+                      "k": 1,
+                      "omega": [[3, 1.0]],
+                      "traps": {"family": "plus"}},
+         "strategy": {"alpha": 2.5, "kind": "phase-attack", "placement": "pre"},
+         "variant": {"kind": "general-tests",
+                     "setup": {"family": "custom",
+                               "hole_registers": [1, 1, 1],
+                               "measurement": "match-state",
+                               "state": "zero",
+                               "teeth": [None, None, None, None],
+                               "unitaries": "identity",
+                               "unitary_seed": 0,
+                               "width": 1,
+                               "y_qubits": 0}}},
+    ),
+    "per-round-mixture": (
+        "1cec1516bd61dddaedf94e468c5064115dd99ba4b1d014fbc7da39ce485ab8ba",
+        {"models": ["stand-alone"],
+         "monte_carlo": {"seed": 0, "trials": 20},
+         "output": {"format": "csv", "path": "r.csv"},
+         "protocol": {"acceptance": {"family": "plus", "mode": "global"},
+                      "k": 1,
+                      "omega": [[0, 0.25], [4, 0.5], [7, 0.25]],
+                      "traps": {"family": "computational"}},
+         "strategy": {"alpha": -3.0, "kind": "phase-attack", "placement": "post"},
+         "variant": {"kind": "per-round"}},
+    ),
+}
+
+
+class TestGoldenCanonicalForm:
+    @pytest.mark.parametrize("name", GOLDEN_DOCS)
+    def test_hash_and_canonical_form_are_pinned(self, name):
+        cfg = parse(GOLDEN_DOCS[name])
+        config_hash, canonical = GOLDEN_CANONICAL[name]
+        assert json.dumps(cfg.canonical(), sort_keys=True) == json.dumps(canonical, sort_keys=True)
+        assert cfg.config_hash() == config_hash
+
+    @pytest.mark.parametrize("name", GOLDEN_DOCS)
+    def test_canonical_form_parses_to_itself(self, name):
+        cfg = parse(GOLDEN_DOCS[name])
+        again = parse(cfg.canonical())
+        assert again == cfg
+        assert again.canonical() == cfg.canonical()
+        assert again.config_hash() == cfg.config_hash()
+
+
 class TestCanonicalization:
     def test_hash_ignores_key_order(self):
         doc = minimal_doc()

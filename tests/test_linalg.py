@@ -142,7 +142,7 @@ class TestTraceNorm:
         assert trace_norm(d) == pytest.approx(2.0, abs=1e-12)
 
     def test_rotated_plus_difference(self):
-        # cross-check the eigenvalue route against 2 sqrt(1 - |<u|v>|^2)
+        # cross-check the singular-value route against 2 sqrt(1 - |<u|v>|^2)
         alpha = np.pi / 2
         plus = plus_state(1)
         rotated = PureState(phase_gate(alpha) @ plus.amplitudes)
@@ -160,6 +160,24 @@ class TestTraceNorm:
             assert trace_norm(np.kron(a, nu.matrix)) == pytest.approx(
                 trace_norm(a), abs=1e-9
             )
+
+    def test_small_singular_values_are_kept(self):
+        assert abs(trace_norm(np.diag([1.0, 1e-7])) - (1.0 + 1e-7)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_stacks_sum_their_singular_values(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        # singular values spread over nine decades, and Hermitian matrices,
+        # whose singular values are their absolute eigenvalues
+        s = 10.0 ** -rng.uniform(0, 9, size=(4, dim))
+        u = np.stack([random_unitary(dim, rng) for _ in range(8)])
+        spread = (u[:4] * s[:, None, :]) @ u[4:].conj().swapaxes(-1, -2)
+        g = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
+        h = g + g.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(trace_norm(spread), s.sum(-1), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            trace_norm(h), np.abs(np.linalg.eigvalsh(h)).sum(-1), rtol=1e-13, atol=0
+        )
 
 
 class TestStacks:
