@@ -66,14 +66,15 @@ def _run_command(args) -> int:
             print(f"config error: {message}", file=sys.stderr)
         return 2
 
-    if args.command == "sweep" and config.sweep is None:
+    doc = config.canonical()
+    if args.command == "sweep" and "sweep" not in doc:
         print("config error: sweep: required by the sweep subcommand", file=sys.stderr)
         return 2
-    if args.command == "check" and config.sweep is not None:
+    if args.command == "check" and "sweep" in doc:
         print("config error: sweep: not allowed by the check subcommand "
               "(use the sweep subcommand)", file=sys.stderr)
         return 2
-    if args.command == "mc" and config.monte_carlo is None:
+    if args.command == "mc" and "monte_carlo" not in doc:
         print("config error: monte_carlo: required by the mc subcommand", file=sys.stderr)
         return 2
 
@@ -100,8 +101,9 @@ def _run_command(args) -> int:
             )
         print(line)
 
-    out_path = args.out or (config.output.path if config.output else None)
-    fmt = args.format or (config.output.format if config.output else "csv")
+    output = doc.get("output", {})
+    out_path = args.out or output.get("path")
+    fmt = args.format or output.get("format", "csv")
     if out_path is not None:
         try:
             emit(bundle, fmt, out_path)

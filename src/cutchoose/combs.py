@@ -447,36 +447,37 @@ def _tooth(doc: dict | None) -> Tooth | None:
     return Tooth(perm, doc.get("channel"), qubit, doc.get("strength"))
 
 
-def custom_test_setup(custom, n: int) -> GeneralSetup:
-    """General setup for a parsed ``custom`` descriptor with ``n`` holes (k = 1).
-    Its teeth and hole registers are 1-based as written in the config; here
-    they become the 0-based indices of :class:`Comb` and :class:`Tooth`."""
-    k = 1
-    width, y_dim = custom.width, 2**custom.y_qubits
+def custom_test_setup(setup: dict) -> GeneralSetup:
+    """General setup (k = 1) for a normalized ``custom`` setup document, with
+    one hole per entry of its ``hole_registers``. Its teeth and hole registers
+    are 1-based as written in the config; here they become the 0-based
+    indices of :class:`Comb` and :class:`Tooth`."""
+    k, n = 1, len(setup["hole_registers"])
+    width, y_qubits = setup["width"], setup["y_qubits"]
     comb = Comb(
         n_holes=n,
         k=k,
         width=width,
-        y_dim=y_dim,
-        hole_registers=tuple(h - 1 for h in custom.hole_registers),
-        teeth=tuple(_tooth(t) for t in custom.teeth),
+        y_dim=2**y_qubits,
+        hole_registers=tuple(h - 1 for h in setup["hole_registers"]),
+        teeth=tuple(_tooth(t) for t in setup["teeth"]),
     )
-    full_dim = comb.register_dim * y_dim
-    if custom.state == "plus":
-        chi_vec = plus_state(width * k + custom.y_qubits).amplitudes
-    elif custom.state == "zero":
-        chi_vec = computational_basis_state(width * k + custom.y_qubits).amplitudes
+    full_dim = comb.register_dim * comb.y_dim
+    if setup["state"] == "plus":
+        chi_vec = plus_state(width * k + y_qubits).amplitudes
+    elif setup["state"] == "zero":
+        chi_vec = computational_basis_state(width * k + y_qubits).amplitudes
     else:  # bell-pairs, validated y_qubits == width
         chi_vec = _bell_pairs_register_major(width)
     chi = PureState(chi_vec)
 
-    if custom.unitaries == "identity":
+    if setup["unitaries"] == "identity":
         unitaries = tuple(np.eye(2**k, dtype=np.complex128) for _ in range(n))
     else:
-        rng = np.random.default_rng(custom.unitary_seed)
+        rng = np.random.default_rng(setup["unitary_seed"])
         unitaries = tuple(random_unitary(2**k, rng) for _ in range(n))
 
-    if custom.measurement == "identity":
+    if setup["measurement"] == "identity":
         mu = PovmElement(np.eye(full_dim, dtype=np.complex128))
     else:
         # accept on the honest output: the projector onto it when the network is

@@ -6,6 +6,8 @@ bare keys joined by ``.key`` and ``[i]`` steps, or ``$`` for the whole
 document. The walk builds the normalized document (defaults filled, round
 distributions renormalized and sorted, ``{}`` teeth written as ``null``); it
 is the canonical form, so semantically identical documents share one hash.
+A parsed scenario is that document and its hash: :class:`ScenarioConfig`,
+whose consumers read the fields of :meth:`ScenarioConfig.canonical`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .errors import ConfigError, OutOfDomainError
 from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
 from .linalg import COMB_DIM_CAP, DIM_CAP
 from .strategies import Placement, ProtocolVariant, SecurityModel, attack_sine
-
-_MODEL_NAMES = {m.value: m for m in SecurityModel}
 
 # dimension caps, checked before anything is allocated so that errors name a path
 _MAX_K = DIM_CAP.bit_length() - 1  # 2**k <= DIM_CAP
@@ -107,7 +107,7 @@ def _integer(lo: int, hi: float = math.inf, note: str = ""):
     return _check(lambda x: _is_int(x, lo, hi), f"must be an integer {span}")
 
 
-_COUNT, _MODEL = _integer(0), _name(_MODEL_NAMES)
+_COUNT, _MODEL = _integer(0), _name([m.value for m in SecurityModel])
 
 
 def _each(w, items: list, path: str, rule):
@@ -284,73 +284,12 @@ _SCENARIO = {
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    omega: tuple[tuple[int, float], ...]
-    k: int
-    trap_family: str
-    trap_params: tuple[tuple[str, object], ...]
-    acceptance_family: str
-    acceptance_mode: str
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    kind: str  # "honest" | "phase-attack"
-    alpha: float | str | None  # number or "theorem-optimal"
-    placement: str
-
-
-@dataclass(frozen=True)
-class CustomComb:
-    width: int
-    y_qubits: int
-    hole_registers: tuple[int, ...]  # 1-based, as written
-    teeth: tuple[dict | None, ...]  # normalized tooth documents, 1-based, as written
-    state: str
-    measurement: str
-    unitaries: str
-    unitary_seed: int
-
-
-@dataclass(frozen=True)
-class VariantConfig:
-    kind: str  # "per-round" | "general-tests"
-    setup_family: str | None = None  # "bell" | "custom"
-    custom: CustomComb | None = None
-
-
-@dataclass(frozen=True)
-class SweepConfig:  # exactly one of the two is set
-    n_values: tuple[int, ...] | None = None
-    omegas: tuple[tuple[tuple[int, float], ...], ...] | None = None
-
-
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    path: str
-    format: str
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Typed view of a parsed scenario; it keeps the normalized document."""
+    """A parsed scenario: its normalized document as JSON text, and the hash of
+    it. Configs are equal, and hash alike, when their documents are equal."""
 
-    protocol: ProtocolConfig
-    strategy: StrategyConfig
-    models: tuple[SecurityModel, ...]
-    variant: VariantConfig
-    sweep: SweepConfig | None = None
-    monte_carlo: MonteCarloConfig | None = None
-    output: OutputConfig | None = None
-    # the normalized document as JSON text, and its hash
-    _document: str = field(kw_only=True, repr=False, compare=False)
-    _hash: str = field(kw_only=True, repr=False, compare=False)
+    _document: str
+    _hash: str = field(repr=False, compare=False)
 
     def canonical(self) -> dict:
         """The normalized document parsing built, as a fresh JSON-safe copy."""
@@ -361,13 +300,14 @@ class ScenarioConfig:
         return self._hash
 
 
-def sweep_rows(omega, sweep: SweepConfig | None) -> list[tuple[str, tuple]]:
-    """(JSON path, round distribution) of each sweep entry, in report order."""
+def sweep_rows(omega, sweep: dict | None) -> list[tuple[str, tuple]]:
+    """(JSON path, round distribution) of each entry of a ``sweep`` document,
+    in report order; without one, the protocol's own ``omega``."""
     if sweep is None:
         return [("protocol.omega", omega)]
-    if sweep.n_values is not None:
-        return [(f"sweep.n_values[{i}]", ((n, 1.0),)) for i, n in enumerate(sweep.n_values)]
-    return [(f"sweep.omegas[{i}]", om) for i, om in enumerate(sweep.omegas)]
+    if "n_values" in sweep:
+        return [(f"sweep.n_values[{i}]", ((n, 1.0),)) for i, n in enumerate(sweep["n_values"])]
+    return [(f"sweep.omegas[{i}]", om) for i, om in enumerate(sweep["omegas"])]
 
 
 def _cross_checks(w: _Walk, doc: dict, raw: dict) -> None:
@@ -375,10 +315,10 @@ def _cross_checks(w: _Walk, doc: dict, raw: dict) -> None:
     protocol, strategy = doc.get("protocol", {}), doc.get("strategy")
     variant = doc.get("variant", {})
     setup = variant.get("setup", {})
-    models = [_MODEL_NAMES[m] for m in doc.get("models", ())]
+    models = [SecurityModel(m) for m in doc.get("models", ())]
     if "sweep" in raw:  # with a sweep, the protocol's own omega gives no report row
         sweep = doc.get("sweep", {})
-        rows = sweep_rows(None, SweepConfig(**sweep)) if len(sweep) == 1 else []
+        rows = sweep_rows(None, sweep) if len(sweep) == 1 else []
     else:
         rows = [("protocol.omega", protocol["omega"])] if "omega" in protocol else []
     bell = setup.get("family") == "bell"
@@ -410,28 +350,6 @@ def _cross_checks(w: _Walk, doc: dict, raw: dict) -> None:
             if holes and omega is not None and omega != ((holes, 1.0),):
                 w.fail("protocol.omega",
                        f"custom setup with {holes} holes requires a point mass at {holes}")
-
-
-def _view(doc: dict) -> ScenarioConfig:
-    """The typed view of a normalized document."""
-    p, s, v = doc["protocol"], doc["strategy"], doc["variant"]
-    traps, setup = dict(p["traps"]), dict(v.get("setup", {}))
-    trap_family, setup_family = traps.pop("family"), setup.pop("family", None)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return ScenarioConfig(
-        ProtocolConfig(p["omega"], p["k"], trap_family, tuple(traps.items()),
-                       p["acceptance"]["family"], p["acceptance"]["mode"]),
-        # an honest strategy runs as the trivial attack, at the default placement
-        StrategyConfig(s["kind"], s.get("alpha"), s.get("placement", Placement.POST.value)),
-        tuple(_MODEL_NAMES[m] for m in doc["models"]),
-        VariantConfig(v["kind"], setup_family,
-                      CustomComb(**setup) if setup_family == "custom" else None),
-        SweepConfig(**doc["sweep"]) if "sweep" in doc else None,
-        MonteCarloConfig(**doc["monte_carlo"]) if "monte_carlo" in doc else None,
-        OutputConfig(**doc["output"]) if "output" in doc else None,
-        _document=json.dumps(doc),
-        _hash=hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-    )
 
 
 def _non_finite_paths(obj, path: str):
@@ -466,4 +384,5 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         _cross_checks(w, doc, raw)
     if w.errors:
         raise ConfigError(w.errors)
-    return _view(doc)
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return ScenarioConfig(json.dumps(doc), hashlib.sha256(blob.encode("utf-8")).hexdigest())

@@ -32,7 +32,7 @@ from .protocol import (
     RoundOutcomeTable,
     monte_carlo_run,
 )
-from .strategies import HONEST, PhaseAttack, Placement
+from .strategies import HONEST, PhaseAttack, Placement, SecurityModel
 
 # the scalar fields of a report row, in CSV column order: (name, getter of a TradeoffReport)
 _FIELDS = (
@@ -91,28 +91,29 @@ class ReportBundle:
         return all(r.report.satisfied for r in self.runs if r.report.applicable)
 
 
-def _row_source(config: ScenarioConfig, omega_pairs) -> ProtocolSpec | GeneralSetup:
-    """The per-round spec or the general setup of one sweep row, built once
-    and certified under every model."""
-    if config.variant.kind == "general-tests":
-        n = omega_pairs[0][0]  # a point mass, checked at parse time
-        if config.variant.setup_family == "bell":
-            return bell_test_setup(n)
-        return custom_test_setup(config.variant.custom, n)
-    p = config.protocol
-    traps = TRAP_FAMILIES[p.trap_family](**dict(p.trap_params))
-    rule = ACCEPTANCE_MODES[p.acceptance_mode](ACCEPTANCE_FAMILIES[p.acceptance_family](traps))
-    return ProtocolSpec(RoundDistribution.from_pairs(omega_pairs), p.k, traps, rule)
+def _row_source(doc: dict, omega_pairs) -> ProtocolSpec | GeneralSetup:
+    """The per-round spec or the general setup of one sweep row of a normalized
+    document, built once and certified under every model."""
+    setup = doc["variant"].get("setup")
+    if setup is not None:  # general tests
+        if setup["family"] == "bell":
+            return bell_test_setup(omega_pairs[0][0])  # a point mass, checked at parse time
+        return custom_test_setup(setup)
+    p = doc["protocol"]
+    traps = dict(p["traps"])
+    traps = TRAP_FAMILIES[traps.pop("family")](**traps)
+    acceptance = ACCEPTANCE_FAMILIES[p["acceptance"]["family"]](traps)
+    rule = ACCEPTANCE_MODES[p["acceptance"]["mode"]](acceptance)
+    return ProtocolSpec(RoundDistribution.from_pairs(omega_pairs), p["k"], traps, rule)
 
 
-def _resolve_alpha_override(config: ScenarioConfig) -> float | None:
+def _resolve_alpha_override(strategy: dict) -> float | None:
     """None means 'theorem-optimal for each (model, variant, N)'."""
-    s = config.strategy
-    if s.kind == "honest":
+    if strategy["kind"] == "honest":
         return 0.0
-    if s.alpha == "theorem-optimal":
+    if strategy["alpha"] == "theorem-optimal":
         return None
-    return float(s.alpha)
+    return float(strategy["alpha"])
 
 
 def _certify(source, model, alpha_override, placement) -> TradeoffReport:
@@ -132,25 +133,29 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     attack on the same draws.
     """
     t0 = time.perf_counter()
+    doc = config.canonical()
+    monte_carlo = doc.get("monte_carlo")
     mc_seed = seed_override
     if mc_seed is None:
-        mc_seed = config.monte_carlo.seed if config.monte_carlo is not None else 0
-    placement = Placement(config.strategy.placement)
-    alpha_override = _resolve_alpha_override(config)
+        mc_seed = monte_carlo["seed"] if monte_carlo is not None else 0
+    # an honest strategy runs as the trivial attack, at the default placement
+    placement = Placement(doc["strategy"].get("placement", Placement.POST.value))
+    alpha_override = _resolve_alpha_override(doc["strategy"])
+    models = [SecurityModel(name) for name in doc["models"]]
     runs = []
-    for idx, (_, omega) in enumerate(sweep_rows(config.protocol.omega, config.sweep)):
-        source = _row_source(config, omega)
-        reports = [_certify(source, model, alpha_override, placement) for model in config.models]
+    for idx, (_, omega) in enumerate(sweep_rows(doc["protocol"]["omega"], doc.get("sweep"))):
+        source = _row_source(doc, omega)
+        reports = [_certify(source, model, alpha_override, placement) for model in models]
         mcs = [None] * len(reports)
-        if config.monte_carlo is not None:  # per-round rows only, checked at parse time
-            trials, seed = config.monte_carlo.trials, mc_seed + idx
+        if monte_carlo is not None:  # per-round rows only, checked at parse time
+            trials, seed = monte_carlo["trials"], mc_seed + idx
             attacks = [PhaseAttack(r.alpha, placement) for r in reports]
             honest, *attacked = monte_carlo_run(source, (HONEST, *attacks), trials, seed)
             mcs = [McComparison(trials, seed, honest, a) for a in attacked]
         runs += [RunRecord(idx, r, mc) for r, mc in zip(reports, mcs)]
     meta = BundleMetadata(
         config_hash=config.config_hash(),
-        seed=mc_seed if config.monte_carlo is not None else None,
+        seed=mc_seed if monte_carlo is not None else None,
         versions={"cutchoose": __version__, "numpy": np.__version__},
         wall_time_s=time.perf_counter() - t0,
     )
@@ -243,7 +248,7 @@ def _json_bytes(doc: dict) -> bytes:
 def emit_bytes(bundle: ReportBundle, fmt: str) -> bytes:
     """Serialize a bundle; identical bundles give identical bytes."""
     if fmt == "csv":
-        with_mc = bundle.config.monte_carlo is not None
+        with_mc = bundle.metadata.seed is not None  # set exactly when monte_carlo is
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_columns(with_mc))

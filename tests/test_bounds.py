@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -312,21 +313,25 @@ class TestRunTradeoffCheck:
 
     def test_attacked_payload_is_client_output(self):
         # the report's overlap-based eps_d equals the dense error measure on the
-        # attacked client output, for both placements and both models
-        spec = plus_spec(3, k=2)
-        psi = plus_state(2).density()
+        # attacked client output, for both placements and both models; a pi
+        # phase on the single plus trap accepts with p_D about 5.6e-33, no payload
         dense = {
             SecurityModel.STAND_ALONE: epsilon_d_standalone,
             SecurityModel.COMPOSABLE: epsilon_d_composable,
         }
-        for placement in Placement:
-            for model, measure in dense.items():
-                report = run_tradeoff_check(spec, model, placement=placement)
+        for spec, alpha in ((plus_spec(3, k=2), None), (plus_spec(1), math.pi)):
+            psi = plus_state(spec.k).density()
+            for placement, (model, measure) in itertools.product(Placement, dense.items()):
+                report = run_tradeoff_check(spec, model, alpha_override=alpha,
+                                            placement=placement)
                 out = client_output_state(
-                    spec, PhaseAttack(report.alpha, placement), psi, np.eye(4)
+                    spec, PhaseAttack(report.alpha, placement), psi, np.eye(2**spec.k)
                 )
                 assert out.accept_weight == report.p_d
                 assert report.eps_d == pytest.approx(measure(out, psi), abs=1e-12)
+                if alpha is not None:
+                    assert report.p_d < 1e-30
+                    assert report.eps_d == 0.0 == measure(out, psi)
 
     def test_lossy_traps_honest_gap(self):
         # acceptance element scaled to pass honest runs with probability 0.95:

@@ -479,7 +479,7 @@ def custom_setup(teeth, n=3):
             "unitaries": "random", "unitary_seed": 2,
         }},
     }))
-    return custom_test_setup(cfg.variant.custom, n)
+    return custom_test_setup(cfg.canonical()["variant"]["setup"])
 
 
 PERMUTE_ONLY = [None, {"permute": [2, 1]}, None, {"permute": [2, 1]}]

@@ -2,10 +2,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cutchoose.combs import Channel, custom_test_setup, general_test_acceptance, plug
 from cutchoose.config import ScenarioConfig, parse_config
 from cutchoose.errors import ConfigError
+from cutchoose.report import emit_bytes, run_scenario
+from cutchoose.strategies import Honest, PhaseAttack, Placement, transform_round
 
 
 def minimal_doc(**overrides):
@@ -32,8 +36,8 @@ class TestParsing:
     def test_minimal_valid(self):
         cfg = parse(minimal_doc())
         assert isinstance(cfg, ScenarioConfig)
-        assert cfg.protocol.omega == ((2, 1.0),)
-        assert cfg.strategy.kind == "honest"
+        assert cfg.canonical()["protocol"]["omega"] == [[2, 1.0]]
+        assert cfg.canonical()["strategy"] == {"kind": "honest"}
 
     def test_rejects_bad_probability_sum(self):
         doc = minimal_doc()
@@ -75,7 +79,7 @@ class TestParsing:
     def test_theorem_optimal_alpha_kept_symbolic(self):
         doc = minimal_doc(strategy={"kind": "phase-attack", "alpha": "theorem-optimal"})
         cfg = parse(doc)
-        assert cfg.strategy.alpha == "theorem-optimal"
+        assert cfg.canonical()["strategy"]["alpha"] == "theorem-optimal"
 
     def test_rejects_general_tests_with_monte_carlo(self):
         doc = minimal_doc(
@@ -105,8 +109,8 @@ class TestParsing:
             },
         }
         cfg = parse(doc)
-        assert cfg.variant.custom.width == 2
-        assert cfg.variant.custom.hole_registers == (1, 1)
+        assert cfg.canonical()["variant"]["setup"]["width"] == 2
+        assert cfg.canonical()["variant"]["setup"]["hole_registers"] == [1, 1]
 
     def test_custom_comb_rejects_bad_permutation(self):
         doc = minimal_doc()
@@ -686,6 +690,15 @@ GOLDEN_CANONICAL = {
 }
 
 
+def plugged_acceptance(test, comb, strategy) -> float:
+    """Tr(M rho) for the test state through plug's channel, the kept register untouched."""
+    played = [transform_round(strategy, u, comb.k) for u in test.unitaries]
+    eye = np.eye(comb.y_dim)
+    network = Channel([np.kron(op, eye) for op in plug(comb, played).kraus], check=False)
+    rho = network.apply(test.chi.density().matrix)
+    return float(np.vdot(test.measurement.matrix, rho).real)
+
+
 class TestGoldenCanonicalForm:
     @pytest.mark.parametrize("name", GOLDEN_DOCS)
     def test_hash_and_canonical_form_are_pinned(self, name):
@@ -701,6 +714,18 @@ class TestGoldenCanonicalForm:
         assert again == cfg
         assert again.canonical() == cfg.canonical()
         assert again.config_hash() == cfg.config_hash()
+        # every accepted document evaluates, to the same report as its canonical form
+        bundle, twin = run_scenario(cfg), run_scenario(again)
+        for fmt in ("csv", "json"):
+            assert emit_bytes(bundle, fmt) == emit_bytes(twin, fmt)
+        setup = cfg.canonical()["variant"].get("setup", {})
+        if setup.get("family") == "custom":
+            general = custom_test_setup(setup)
+            ((n, test),) = general.tests.items()
+            comb = general.combs[(n, 1)]
+            for strategy in (Honest(), PhaseAttack(0.9), PhaseAttack(0.9, Placement.PRE)):
+                assert general_test_acceptance(test, comb, strategy) == pytest.approx(
+                    plugged_acceptance(test, comb, strategy), abs=1e-10)
 
 
 class TestCanonicalization:
@@ -729,6 +754,8 @@ class TestCanonicalization:
         a, b = parse(custom_tooth_doc(spelled)), parse(custom_tooth_doc(short))
         assert a.canonical() == b.canonical()
         assert a.config_hash() == b.config_hash()
+        assert a == b
+        assert hash(a) == hash(b)
 
     def test_hash_spells_out_trap_defaults(self):
         short, spelled = minimal_doc(), minimal_doc()

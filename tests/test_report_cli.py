@@ -18,6 +18,7 @@ from cutchoose.combs import (
     spec_round_as_general,
 )
 from cutchoose.config import parse_config, sweep_rows
+from cutchoose.errors import OutOfDomainError
 from cutchoose.families import (
     ACCEPTANCE_FAMILIES,
     TRAP_FAMILIES,
@@ -92,6 +93,13 @@ class TestRunScenario:
         bundle = run_scenario(cfg)
         assert all(r.report.trivial_attack for r in bundle.runs)
         assert bundle.all_satisfied  # trivial rows are not applicable
+        # a proof step that does not apply is written as na, and null in JSON
+        rows = list(csv.DictReader(io.StringIO(emit_bytes(bundle, "csv").decode())))
+        assert [row["step_theorem_bound_holds"] for row in rows] == ["na", "na"]
+        for run in json.loads(emit_bytes(bundle, "json"))["runs"]:
+            assert run["trivial_attack"] is True
+            steps = {step["name"]: step for step in run["proof_steps"]}
+            assert steps["theorem_bound"]["holds"] is None
 
     def test_rows_are_the_engine_tables(self):
         omega = [[1, 0.0], [2, 0.5], [3, 0.5]]  # includes a zero-weight n
@@ -245,7 +253,8 @@ class TestGlobalMode:
                 assert emit_bytes(bundle, "csv") == emit_bytes(twin, "csv")
                 assert (json.loads(emit_bytes(bundle, "json"))["runs"]
                         == json.loads(emit_bytes(twin, "json"))["runs"])
-                rows = sweep_rows(configs["global"].protocol.omega, configs["global"].sweep)
+                doc = configs["global"].canonical()
+                rows = sweep_rows(doc["protocol"]["omega"], doc.get("sweep"))
                 for record in bundle.runs:
                     pairs = rows[record.sweep_index][1]
                     if k * pairs[-1][0] > 8:
@@ -422,6 +431,8 @@ class TestEmission:
         with pytest.raises(OSError) as err:
             emit(bundle, "csv", missing)
         assert str(missing) in str(err.value)
+        with pytest.raises(OutOfDomainError, match="unknown output format 'xml'"):
+            emit_bytes(bundle, "xml")
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -453,6 +464,17 @@ class TestCli:
         path = write_config(tmp_path, sweep={"n_values": [1, 2]})
         assert main(["check", "--config", str(path)]) == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_sweep_requires_sweep(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "sweep: required by the sweep subcommand" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "no-such-dir" / "report.csv"
+        assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+        assert f"cannot write report to {out}" in capsys.readouterr().err
 
     def test_sweep_writes_output(self, tmp_path):
         path = write_config(tmp_path, sweep={"n_values": [1, 2, 5]})
