@@ -204,8 +204,10 @@ def _block_additivity(p1, q1, p2, q2):
 
 
 def _max_p_objective(w: np.ndarray):
-    """ps -> (sqrt(p) a + sqrt(1-p) b)^2 for each row (a, b) of ``w``, a contiguous column each."""
-    return lambda ps: ((w @ np.stack([np.sqrt(ps), np.sqrt(1.0 - ps)])) ** 2).T
+    """ps -> (sqrt(p) a + sqrt(1-p) b)^2, one objective per row (a, b) of ``w``."""
+    w = np.asarray(w).reshape(-1, 2)
+    a, b = w[:, :1], w[:, 1:]
+    return lambda ps: (a * np.sqrt(ps) + b * np.sqrt(1.0 - ps)) ** 2
 
 
 def criterion_closed_form_identities() -> CriterionResult:
@@ -232,10 +234,9 @@ def criterion_closed_form_identities() -> CriterionResult:
             break
 
     # max_p (sqrt(p) a + sqrt(1-p) b)^2 = a^2 + b^2, via the grid search
-    ab = next(cases)  # 50 rows per scan: 4 MB of grid values
-    maxima = [scan_unit_interval(_max_p_objective(w), minimize=False)[1]
-              for w in np.split(ab, range(50, len(ab), 50))]
-    for trial, ((a, b), best) in enumerate(zip(ab, np.concatenate(maxima))):
+    ab = next(cases)
+    _, maxima = scan_unit_interval(_max_p_objective(ab), minimize=False)
+    for trial, ((a, b), best) in enumerate(zip(ab, maxima)):
         if abs(best - (a * a + b * b)) > 1e-6:
             failures.append(f"max_p trial {trial}: |{best}-{a * a + b * b}| > 1e-6")
             break
@@ -279,12 +280,13 @@ def criterion_diamond_distance() -> CriterionResult:
     failures = []
     eye = np.eye(2, dtype=np.complex128)
     alphas = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
-    for alpha in alphas:
+    gates = np.stack([phase_gate(alpha) for alpha in alphas])
+    searches = diamond_distance_pure_search(eye, gates).tolist()
+    for alpha, gate, searched in zip(alphas, gates, searches):
         expected = abs(math.sin(alpha / 2.0))
-        closed = diamond_distance_unitaries(eye, phase_gate(alpha))
+        closed = diamond_distance_unitaries(eye, gate)
         if abs(closed - expected) > 1e-9:
             failures.append(f"alpha={alpha:.4f}: closed form {closed!r} vs {expected!r}")
-        searched = diamond_distance_pure_search(eye, phase_gate(alpha))
         if abs(searched - expected) > 1e-5:
             failures.append(f"alpha={alpha:.4f}: search {searched!r} vs {expected!r}")
     return _result(

@@ -93,10 +93,10 @@ def _mixtures(target: DensityOperator, ps) -> np.ndarray:
 def epsilon_d_standalone_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
-    _, best = scan_unit_interval(
+    _, (best,) = scan_unit_interval(
         lambda ps: fidelity_psd(rho_d.matrix, _mixtures(target, ps)), minimize=False
     )
-    return max(0.0, 1.0 - min(1.0, best))
+    return max(0.0, 1.0 - min(1.0, float(best)))
 
 
 def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> float:
@@ -118,10 +118,10 @@ def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> 
 def epsilon_d_composable_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Independent evaluation of the same quantity by scanning p."""
     _check_dims(rho_d, target)
-    _, best = scan_unit_interval(
+    _, (best,) = scan_unit_interval(
         lambda ps: 0.5 * trace_norm(rho_d.matrix - _mixtures(target, ps)), minimize=True
     )
-    return max(0.0, best)
+    return max(0.0, float(best))
 
 
 def theorem_bound(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:

@@ -525,10 +525,16 @@ def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -
     return outcome_table(spec.omega, spec.output_round, per_ell).acceptance
 
 
-def _unitary_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as finite unitaries of one dim, within 1e-10."""
-    um = require_unitary(u, "first argument")
-    return um, require_unitary(v, "second argument", um.shape[0])
+def _unitary_pair(u, v, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as finite unitaries of one dim, within 1e-10; with
+    ``stack``, stacks ``(..., d, d)`` whose leading axes broadcast."""
+    um = require_unitary(u, "first argument", stack=stack)
+    vm = require_unitary(v, "second argument", um.shape[-1], stack=stack)
+    try:
+        np.broadcast_shapes(um.shape, vm.shape)
+    except ValueError:
+        raise ContractViolationError(f"stacks of shapes {um.shape} and {vm.shape} do not broadcast") from None
+    return um, vm
 
 
 def diamond_distance_unitaries(u, v) -> float:
@@ -551,7 +557,10 @@ def diamond_distance_unitaries(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-def diamond_distance_pure_search(u, v) -> float:
+_SEARCH_STACK = 2**14  # matrices per eigvalsh call: 4 MB at 2x2 pairs
+
+
+def diamond_distance_pure_search(u, v):
     """Independent estimate: the smallest output overlap |<z|Mz>| over unit
     inputs z, for M = u†v ⊗ 1 on the input extended by a same-sized reference.
 
@@ -561,19 +570,41 @@ def diamond_distance_pure_search(u, v) -> float:
     The argument holds for any matrix and uses only Hermitian eigenvalues of
     rotated parts, while :func:`diamond_distance_unitaries` reads the
     spectrum of u†v and relies on it being normal: the two are independent.
+
+    ``u``, ``v``: one pair of unitaries, or stacks ``(..., d, d)`` whose
+    leading axes broadcast; all pairs are scanned together. One pair gives a
+    float, stacks an array, each value the one its pair gets alone.
     """
-    um, vm = _unitary_pair(u, v)
-    d = um.shape[0]
-    if d > 4:  # every caller passes 2x2; at 4x4 the grid below peaks near 80 MB
+    um, vm = _unitary_pair(u, v, stack=True)
+    d = um.shape[-1]
+    # every caller passes 2x2; at 4x4 a stack holds up to one pair's whole grid,
+    # 10,000 16x16 matrices or 41 MB
+    if d > 4:
         raise DimensionCapError(f"pure-state search takes at most 4x4, got {d}x{d}")
-    m = np.kron(dagger(um) @ vm, np.eye(d, dtype=np.complex128))
+    w = dagger(um) @ vm
+    m = np.kron(w, np.eye(d, dtype=np.complex128)).reshape(-1, d * d, d * d)
+    # Re(e^{-iθ} M) = cos θ h1 + sin θ h2 for the Hermitian parts of M, as
+    # real (2, 2 D²) rows, so each block's rotated parts are one matrix product
+    parts = np.stack([m + dagger(m), (m - dagger(m)) * -1j], axis=1) / 2.0
+    parts = parts.reshape(len(m), 2, -1).view(np.float64)
 
     def lowest(ts):
-        phases = np.exp(-2j * math.pi * np.asarray(ts, dtype=float))[..., None, None]
-        return np.linalg.eigvalsh((phases * m + phases.conj() * dagger(m)) / 2.0)[..., 0]
+        theta = 2.0 * math.pi * ts
+        trig = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        trig = np.broadcast_to(trig, (len(m),) + trig.shape[1:])
+        out = np.empty(trig.shape[:2])
+        step = max(1, _SEARCH_STACK // trig.shape[1])
+        shape = (-1, trig.shape[1]) + m.shape[1:]
+        for j in range(0, len(m), step):
+            rotated = (trig[j:j + step] @ parts[j:j + step]).view(np.complex128).reshape(shape)
+            out[j:j + step] = np.linalg.eigvalsh(rotated)[..., 0]
+            del rotated  # one stack alive at a time
+        return out
 
     _, best = scan_unit_interval(lowest, minimize=False)
-    return math.sqrt(max(0.0, 1.0 - max(0.0, best) ** 2))
+    nu = np.maximum(0.0, best)
+    dist = np.sqrt(np.maximum(0.0, 1.0 - nu**2)).reshape(w.shape[:-2])
+    return float(dist) if dist.ndim == 0 else dist
 
 
 class GapCheck(NamedTuple):

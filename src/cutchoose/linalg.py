@@ -60,21 +60,26 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL) -> bool:
+def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL):
+    """Whether ``u`` is unitary within ``tol`` in every entry of ``u†u - 1``;
+    for a stack ``(..., d, d)``, one flag per matrix. False if not square."""
     m = np.asarray(u)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol
+    return np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0) <= tol
 
 
-def require_unitary(u, what: str, dim: int | None = None) -> np.ndarray:
-    """``u`` as a complex matrix: finite, square, of dim ``dim`` (any when None)
-    and unitary within 1e-10. The one unitarity check; errors name ``what``."""
-    m = as_square_matrix(u, what)
-    if dim is not None and m.shape[0] != dim:
-        raise ContractViolationError(f"{what} has dim {m.shape[0]}, expected {dim}")
-    if not is_unitary(m):
-        raise ContractViolationError(f"{what} is not unitary within 1e-10")
+def require_unitary(u, what: str, dim: int | None = None, stack: bool = False) -> np.ndarray:
+    """``u`` as a complex matrix, or with ``stack`` a stack ``(..., d, d)`` of
+    them: finite, square, of dim ``dim`` (any when None) and unitary within
+    1e-10. The one unitarity check; errors name ``what`` and, in a stack, the
+    first bad index."""
+    m = as_square_matrix(u, what, stack)
+    if dim is not None and m.shape[-1] != dim:
+        raise ContractViolationError(f"{what} has dim {m.shape[-1]}, expected {dim}")
+    bad = ~is_unitary(m)
+    if np.any(bad):
+        raise ContractViolationError(f"{what}{_first_bad(bad)[1]} is not unitary within 1e-10")
     return m
 
 

@@ -18,6 +18,7 @@ from cutchoose.combs import bell_test_setup, general_tradeoff_check
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import PlusTraps, plus_acceptance, computational_acceptance, ComputationalTraps
 from cutchoose.linalg import DensityOperator
+from cutchoose import optimize
 from cutchoose.optimize import golden_section, scan_unit_interval
 from cutchoose.protocol import (
     PerRoundAcceptance,
@@ -208,6 +209,23 @@ class TestLockstepOptimizer:
         with pytest.raises(OutOfDomainError, match="golden-section brackets must be finite with a <= b"):
             golden_section(lambda t: (t - 0.3) ** 2, a, b)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        # tol = 0 used to loop forever, and tol = nan to skip refinement and
+        # return x = 0.382 for a minimum at 0.3
+        with pytest.raises(OutOfDomainError, match="golden-section tol must be finite and > 0"):
+            golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, tol=tol)
+
+    def test_a_bracket_whose_float_spacing_exceeds_tol_ends(self):
+        # floats near 1e6 are 1.2e-10 apart, above tol = 1e-12: this used to loop
+        # forever. The other bracket still follows its one-bracket call.
+        centers = np.array([1e6 + 0.3, 0.3])
+        xs, vs = golden_section(lambda t: (t - centers) ** 2, [1e6, 0.0], [1e6 + 1.0, 1.0])
+        assert abs(xs[0] - centers[0]) <= 1e-9
+        assert (xs[1], vs[1]) == golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+        x, _ = golden_section(lambda t: (t - centers[0]) ** 2, 1e6, 1e6 + 1.0)
+        assert x == xs[0]
+
     def test_scan_rejects_a_non_finite_grid_value(self):
         # used to return (0.0, nan)
         with pytest.raises(OutOfDomainError, match=r"^objective is not finite at grid point 0\.0$"):
@@ -219,12 +237,28 @@ class TestLockstepOptimizer:
         rng = np.random.default_rng(37)
         centers = rng.uniform(0.0, 1.0, size=12)
         centers[:2] = 0.0, 1.0  # optima at both ends of the grid
-        xs, vs = scan_unit_interval(lambda ps: np.abs(ps[..., None] - centers) ** 1.5)
+        # one objective per row: (1, r) grid probes and (12, 1) refinement probes
+        xs, vs = scan_unit_interval(lambda ps: np.abs(ps - centers[:, None]) ** 1.5)
         assert xs.shape == vs.shape == (12,)
         for j, c in enumerate(centers):
-            x, v = scan_unit_interval(lambda ps: np.abs(ps - c) ** 1.5)
+            (x,), (v,) = scan_unit_interval(lambda ps: np.abs(ps - c) ** 1.5)
             assert abs(xs[j] - x) <= 1e-12 and abs(vs[j] - v) <= 1e-12
             assert abs(x - c) <= 1e-6
+
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_blocks_do_not_change_the_scan(self, monkeypatch, minimize):
+        rng = np.random.default_rng(43)
+        centers = np.append(rng.uniform(0.0, 1.0, size=6), 0.5)[:, None]
+        sign = 1.0 if minimize else -1.0
+        # the last objective is flat at its optimum 0.05 on the 1,001 grid points
+        # of [0.45, 0.55], across many small blocks: the first of them wins
+        f = lambda ps: sign * np.maximum(np.abs(ps - centers), np.where(centers == 0.5, 0.05, 0.0))
+        whole = scan_unit_interval(f, minimize=minimize)
+        monkeypatch.setattr(optimize, "_BLOCK_VALUES", 20)  # blocks of 2 or 3 grid points
+        blocked = scan_unit_interval(f, minimize=minimize)
+        assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
+        assert 0.4499 <= blocked[0][-1] <= 0.4501 and blocked[1][-1] == sign * 0.05
 
 
 class TestTheoremBound:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,46 @@ class TestDiamondDistance:
                 assert searched == pytest.approx(diamond_distance_unitaries(u, v), abs=1e-9)
         with pytest.raises(DimensionCapError):
             diamond_distance_pure_search(np.eye(8), np.eye(8))
+
+    def test_stacked_search_equals_each_one_pair_call(self):
+        rng = np.random.default_rng(13)
+        gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
+        u2, v2 = (np.stack([random_unitary(2, rng) for _ in range(30)]) for _ in range(2))
+        u4, v4 = (np.stack([random_unitary(4, rng) for _ in range(2)]) for _ in range(2))
+        for u, v in ((np.eye(2), gates), (u2, v2), (u4, v4)):
+            stacked = diamond_distance_pure_search(u, v)
+            single = [diamond_distance_pure_search(a, b) for a, b in zip(*np.broadcast_arrays(u, v))]
+            assert all(type(x) is float for x in single)
+            assert stacked.shape == (len(single),) and stacked.tolist() == single
+        grid = diamond_distance_pure_search(np.eye(2), gates.reshape(5, 10, 2, 2))
+        assert grid.shape == (5, 10) and np.array_equal(grid.ravel(), diamond_distance_pure_search(np.eye(2), gates))
+
+    def test_fifty_pair_search_peaks_below_6_mb(self):
+        # the grid is scanned in blocks and each eigvalsh stack is freed before the next
+        gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
+        tracemalloc.start()
+        try:
+            diamond_distance_pure_search(np.eye(2), gates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_stacked_bad_input_names_the_first_bad_pair(self):
+        gates = np.stack([phase_gate(a) for a in (0.1, 0.2, 0.3, 0.4)])
+        scaled, nan = gates.copy(), gates.copy()
+        scaled[2:] *= 2.0
+        nan[1, 0, 0] = np.nan
+        cases = [
+            (np.eye(2), scaled, r"^second argument at stack index 2 is not unitary within 1e-10$"),
+            (scaled, gates, r"^first argument at stack index 2 is not unitary within 1e-10$"),
+            (np.eye(2), nan, r"^second argument at stack index 1 has non-finite entries$"),
+            (gates, np.eye(4), r"^second argument has dim 4, expected 2$"),
+            (gates, gates[:3], r"do not broadcast$"),
+        ]
+        for u, v, message in cases:
+            with pytest.raises(ContractViolationError, match=message):
+                diamond_distance_pure_search(u, v)
 
     def test_left_unitary_invariance(self):
         # ||T - T A|| equals ||I - A|| for any unitary T

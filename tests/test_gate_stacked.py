@@ -69,12 +69,9 @@ class TestStackedEqualsOneCaseCalls:
 
     def test_max_p(self, cases):
         ab = cases[2]
-        stacked = np.concatenate([
-            scan_unit_interval(acceptance._max_p_objective(w), minimize=False)[1]
-            for w in np.split(ab, range(50, 1000, 50))
-        ])
+        _, stacked = scan_unit_interval(acceptance._max_p_objective(ab), minimize=False)
         single = [
-            scan_unit_interval(acceptance._max_p_objective(row), minimize=False)[1] for row in ab
+            scan_unit_interval(acceptance._max_p_objective(row), minimize=False)[1][0] for row in ab
         ]
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked, (ab**2).sum(axis=1), rtol=0, atol=1e-6)
@@ -107,13 +104,14 @@ class TestMutationsFail:
         assert self._failure().startswith("numerical-range trial 0: ")
 
     def test_golden_section_cut_short(self, monkeypatch):
-        # no narrowing step: only the two interior golden points and the
-        # bracket ends are probed. (One step fewer than tol asks for moves the
-        # result by about 1e-12, far inside every tolerance of the criterion.)
+        # no narrowing step: a tol wider than every bracket probes only the two
+        # interior golden points and the bracket ends. (One step fewer than tol
+        # asks for moves the result by about 1e-12, far inside every tolerance
+        # of the criterion.)
         real = optimize.golden_section
 
         def cut_short(f, a, b, tol=1e-12, minimize=True):
-            return real(f, a, b, tol=np.inf, minimize=minimize)
+            return real(f, a, b, tol=1e300, minimize=minimize)
 
         for module in (optimize, states):
             monkeypatch.setattr(module, "golden_section", cut_short)
