@@ -204,7 +204,8 @@ def _block_additivity(p1, q1, p2, q2):
 
 
 def _max_p_objective(w: np.ndarray):
-    """ps -> (sqrt(p) a + sqrt(1-p) b)^2, one objective per row (a, b) of ``w``."""
+    """ps -> (sqrt(p) a + sqrt(1-p) b)^2, one objective per row (a, b) of ``w``:
+    ``(1, r)`` grid probes and ``(B, 33)`` refinement probes give ``(B, r)``."""
     w = np.asarray(w).reshape(-1, 2)
     a, b = w[:, :1], w[:, 1:]
     return lambda ps: (a * np.sqrt(ps) + b * np.sqrt(1.0 - ps)) ** 2

@@ -566,7 +566,8 @@ def diamond_distance_pure_search(u, v):
 
     That minimum is the distance nu from 0 to the numerical range of M, which
     is convex (Toeplitz–Hausdorff), so nu = max(0, max_θ λ_min(Re(e^{-iθ} M))).
-    The maximum is found by a grid scan over θ refined by golden section.
+    The maximum is found by a grid scan over θ/2π refined by zooming grids,
+    whose ``(B, 33)`` probes give one row per pair.
     The argument holds for any matrix and uses only Hermitian eigenvalues of
     rotated parts, while :func:`diamond_distance_unitaries` reads the
     spectrum of u†v and relies on it being normal: the two are independent.

@@ -26,7 +26,7 @@ from .linalg import (
     as_square_matrix,
     dagger,
 )
-from .optimize import golden_section
+from .optimize import refine
 
 
 def phase_gate(alpha: float) -> np.ndarray:
@@ -65,7 +65,7 @@ def plus_state(k: int) -> PureState:
 
 
 def computational_basis_state(k: int, index: int = 0) -> PureState:
-    dim = 2**k
+    dim = _k_qubit_dim(k)
     if not 0 <= index < dim:
         raise OutOfDomainError(f"basis index {index} out of range for dim {dim}")
     vec = np.zeros(dim, dtype=np.complex128)
@@ -190,10 +190,11 @@ def numerical_range_min_overlap(alpha, trials: int = 64, seed=0):
 
     Random pure states seed the search; the operator has the two-point
     spectrum {1, e^{i alpha}}, so every value equals the segment objective at
-    lam = (weight on the 1-eigenspace), and the refinement is a convex 1-D
-    descent in lam. The raw sampled minimum is kept as a cross-check upper
-    bound. Arrays of ``alpha`` and ``seed`` (broadcast together) give an
-    array of minima, each its scalar call's, refined in lockstep.
+    lam = (weight on the 1-eigenspace), and the refinement zooms on lam in
+    [0, 1] within 1/2 of the best sample, where that objective is convex. The
+    raw sampled minimum is kept as a cross-check upper bound. Arrays of
+    ``alpha`` and ``seed`` (broadcast together) give an array of minima, each
+    its scalar call's, refined in lockstep.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise OutOfDomainError(f"trials must be an integer >= 1, got {trials!r}")
@@ -215,6 +216,6 @@ def numerical_range_min_overlap(alpha, trials: int = 64, seed=0):
     best = vals.min(axis=-1)
     best_lam = np.take_along_axis(lam, vals.argmin(axis=-1)[..., None], axis=-1)[..., 0]
     lo, hi = np.maximum(0.0, best_lam - 0.5), np.minimum(1.0, best_lam + 0.5)
-    _, refined = golden_section(lambda t: segment_modulus_sq(t, alpha), lo, hi, tol=1e-9)
+    _, refined = refine(lambda t: segment_modulus_sq(t, alpha.reshape(-1, 1)), lo, hi, tol=1e-9)
     found = np.minimum(best, refined)
     return float(found) if found.ndim == 0 else found

@@ -19,7 +19,7 @@ from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import PlusTraps, plus_acceptance, computational_acceptance, ComputationalTraps
 from cutchoose.linalg import DensityOperator
 from cutchoose import optimize
-from cutchoose.optimize import golden_section, scan_unit_interval
+from cutchoose.optimize import refine, scan_unit_interval
 from cutchoose.protocol import (
     PerRoundAcceptance,
     ProtocolSpec,
@@ -180,51 +180,71 @@ class TestMaxIdentity:
 class TestLockstepOptimizer:
     @staticmethod
     def _objective(centers):
-        # a different unimodal function per bracket, flat to the right of its centre
-        return lambda x: np.abs(x - centers) ** 1.5 + np.where(x > centers, 0.0, 0.25 * (centers - x))
+        # a different unimodal function per bracket (one row of probes each),
+        # flat to the right of its centre
+        c = np.reshape(centers, (-1, 1))
+        return lambda x: np.abs(x - c) ** 1.5 + np.where(x > c, 0.0, 0.25 * (c - x))
 
     @pytest.mark.parametrize("minimize", [True, False])
     def test_each_bracket_follows_its_one_bracket_call(self, minimize):
         rng = np.random.default_rng(31)
-        # widths from 1e-11 to 1: the brackets finish after 0 to about 55 steps
+        # widths from 1e-11 to 1: the brackets take 1 to 10 rounds
         lo = rng.uniform(-1.0, 1.0, size=24)
         hi = lo + np.logspace(-11, 0, 24)
         centers = rng.uniform(lo, hi)
         sign = 1.0 if minimize else -1.0
         f = self._objective(centers)
-        xs, vs = golden_section(lambda x: sign * f(x), lo, hi, minimize=minimize)
+        xs, vs = refine(lambda x: sign * f(x), lo, hi, minimize=minimize)
         for j in range(24):
             one = self._objective(centers[j])
-            x, v = golden_section(lambda t: sign * one(t), lo[j], hi[j], minimize=minimize)
+            x, v = refine(lambda t: sign * one(t), lo[j], hi[j], minimize=minimize)
             assert (xs[j], vs[j]) == (x, v)
+            assert abs(x - centers[j]) <= 1e-12
 
     def test_scalar_bracket_returns_floats(self):
-        x, v = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+        x, v = refine(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
         assert type(x) is float and type(v) is float
-        assert abs(x - 0.3) <= 1e-6
+        assert abs(x - 0.3) <= 1e-12
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.nan), (-math.inf, 1.0), ([0.0, 0.6], [1.0, 0.5])])
     def test_rejects_reversed_or_non_finite_brackets(self, a, b):
-        # a reversed bracket used to skip refinement and return x = 0.382 for a minimum at 0.3
-        with pytest.raises(OutOfDomainError, match="golden-section brackets must be finite with a <= b"):
-            golden_section(lambda t: (t - 0.3) ** 2, a, b)
+        with pytest.raises(OutOfDomainError, match="refine brackets must be finite with lo <= hi"):
+            refine(lambda t: (t - 0.3) ** 2, a, b)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
     def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
-        # tol = 0 used to loop forever, and tol = nan to skip refinement and
-        # return x = 0.382 for a minimum at 0.3
-        with pytest.raises(OutOfDomainError, match="golden-section tol must be finite and > 0"):
-            golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, tol=tol)
+        with pytest.raises(OutOfDomainError, match="refine tol must be finite and > 0"):
+            refine(lambda t: (t - 0.3) ** 2, 0.0, 1.0, tol=tol)
 
     def test_a_bracket_whose_float_spacing_exceeds_tol_ends(self):
-        # floats near 1e6 are 1.2e-10 apart, above tol = 1e-12: this used to loop
-        # forever. The other bracket still follows its one-bracket call.
-        centers = np.array([1e6 + 0.3, 0.3])
-        xs, vs = golden_section(lambda t: (t - centers) ** 2, [1e6, 0.0], [1e6 + 1.0, 1.0])
-        assert abs(xs[0] - centers[0]) <= 1e-9
-        assert (xs[1], vs[1]) == golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
-        x, _ = golden_section(lambda t: (t - centers[0]) ** 2, 1e6, 1e6 + 1.0)
+        # floats near 1e6 are 1.2e-10 apart, above tol = 1e-12: the bracket
+        # stops narrowing but ends after its counted rounds. The other bracket
+        # still follows its one-bracket call.
+        centers = np.array([[1e6 + 0.3], [0.3]])
+        xs, vs = refine(lambda t: (t - centers) ** 2, [1e6, 0.0], [1e6 + 1.0, 1.0])
+        assert abs(xs[0] - centers[0, 0]) <= 1e-9
+        assert (xs[1], vs[1]) == refine(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+        x, _ = refine(lambda t: (t - centers[0, 0]) ** 2, 1e6, 1e6 + 1.0)
         assert x == xs[0]
+
+    def test_rejects_a_non_finite_value_inside_a_bracket(self):
+        # the third of the 33 probes of [0, 1] is 1/16
+        with pytest.raises(OutOfDomainError, match=r"^objective is not finite at grid point 0\.0625$"):
+            refine(lambda t: np.where(t == 0.0625, np.nan, (t - 0.3) ** 2), 0.0, 1.0)
+        # a later round: the zoom on 0.3 probes 0.30078125 in its second round
+        with pytest.raises(OutOfDomainError, match=r"at grid point 0\.30078125$"):
+            refine(lambda t: np.where(t == 0.30078125, np.inf, (t - 0.3) ** 2), [0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("first, rest", [(3, 1), (1, 3)])
+    def test_scan_rejects_objectives_whose_count_changes(self, first, rest):
+        # the first grid point fixes B: 3 then 1 rows used to give the first
+        # objective's optimum for all three, 1 then 3 numpy's broadcast error
+        def f(ps):
+            return np.abs(ps - np.linspace(0.2, 0.8, first if ps.size == 1 else rest)[:, None])
+
+        message = rf"^objective gave shape \({rest}, 10000\), expected \({first}, 10000\)$"
+        with pytest.raises(ContractViolationError, match=message):
+            scan_unit_interval(f)
 
     def test_scan_rejects_a_non_finite_grid_value(self):
         # used to return (0.0, nan)
@@ -237,7 +257,7 @@ class TestLockstepOptimizer:
         rng = np.random.default_rng(37)
         centers = rng.uniform(0.0, 1.0, size=12)
         centers[:2] = 0.0, 1.0  # optima at both ends of the grid
-        # one objective per row: (1, r) grid probes and (12, 1) refinement probes
+        # one objective per row: (1, r) grid probes and (12, 33) refinement probes
         xs, vs = scan_unit_interval(lambda ps: np.abs(ps - centers[:, None]) ** 1.5)
         assert xs.shape == vs.shape == (12,)
         for j, c in enumerate(centers):

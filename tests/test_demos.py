@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script runs to completion against the package in ``src/``,
+under the suite's warning policy: any warning is an error."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -103,18 +103,25 @@ class TestMutationsFail:
         )
         assert self._failure().startswith("numerical-range trial 0: ")
 
-    def test_golden_section_cut_short(self, monkeypatch):
-        # no narrowing step: a tol wider than every bracket probes only the two
-        # interior golden points and the bracket ends. (One step fewer than tol
-        # asks for moves the result by about 1e-12, far inside every tolerance
-        # of the criterion.)
-        real = optimize.golden_section
+    @pytest.mark.parametrize("cut, first_failures", [
+        # one round and no narrowing: a tol wider than every bracket. Its 33
+        # probes are already 32 times finer than the max_p grid, so only the
+        # numerical range sees it
+        ("no-narrowing-round", ("numerical-range trial 4: ",)),
+        # no refinement at all: the bracket's middle, the grid's best point
+        ("bracket-middle", ("max_p trial 84: ", "numerical-range trial 0: ")),
+    ], ids=["no-narrowing-round", "bracket-middle"])
+    def test_refinement_cut_short(self, monkeypatch, cut, first_failures):
+        real = optimize.refine
 
-        def cut_short(f, a, b, tol=1e-12, minimize=True):
-            return real(f, a, b, tol=1e300, minimize=minimize)
+        def cut_short(f, lo, hi, tol=1e-12, minimize=True):
+            if cut == "no-narrowing-round":
+                return real(f, lo, hi, tol=1e300, minimize=minimize)
+            mid = (np.asarray(lo) + hi) / 2.0
+            return real(f, mid, mid, tol=tol, minimize=minimize)
 
         for module in (optimize, states):
-            monkeypatch.setattr(module, "golden_section", cut_short)
-        detail = self._failure()
-        assert detail.startswith("max_p trial 84: ")
-        assert "; numerical-range trial 0: " in detail
+            monkeypatch.setattr(module, "refine", cut_short)
+        parts = self._failure().split("; ")
+        assert len(parts) == len(first_failures)
+        assert all(part.startswith(first) for part, first in zip(parts, first_failures))

@@ -58,12 +58,13 @@ class TestAttackOperator:
 @pytest.mark.parametrize("k", [0, -1, 13])
 def test_register_size_check_is_shared(k):
     messages = []
-    for build in (lambda: plus_state(k), lambda: attack_operator(0.5, k)):
+    builders = (lambda: plus_state(k), lambda: attack_operator(0.5, k), lambda: computational_basis_state(k))
+    for build in builders:
         with pytest.raises(OutOfDomainError) as err:
             build()
         messages.append(str(err.value))
     expected = f"k must be positive, got {k}" if k < 1 else f"2**{k} exceeds the dimension cap 4096"
-    assert messages == [expected, expected]
+    assert messages == [expected] * 3
 
 
 class TestPlusState:
