@@ -10,10 +10,13 @@ literal sequential simulator on small instances.
 
 Acceptance probabilities are computed exactly and, as a stochastic
 cross-check, by a seeded round-by-round Monte-Carlo sampler. The sampler
-takes a sequence of strategies and draws ``n``, the output rounds and the
-per-round uniforms once, in blocks; every strategy's round factors are
-compared against the same draws (common random numbers), so each result is
-the one a call with that strategy alone would give. Every exact
+takes a sequence of strategies and draws ``n`` and the output rounds once;
+in per-round mode it then draws only the failing test rounds, against the
+smallest factor among the strategies, and every strategy reads the same
+uniforms (common random numbers). Each result follows the law of one uniform
+per run and round; a strategy's result depends on the set it is sampled
+with, not on the order of the set, on duplicates, or on strategies whose
+factors are nowhere below the set's smallest. Every exact
 figure goes through one engine: ``outcome_table`` checks and builds a
 ``RoundOutcomeTable``, a row of p(n, output round) per support point of the
 round distribution that carries its own average (``.acceptance``). The
@@ -72,8 +75,6 @@ from .strategies import (
 )
 
 _PROB_SNAP = 1e-12
-# uniforms per block of the Monte-Carlo sampler's per-round draws
-_MC_BLOCK_UNIFORMS = 2**20
 
 
 def snap_probability(p: float, what: str) -> float:
@@ -419,19 +420,26 @@ class MonteCarloResult(NamedTuple):
 def monte_carlo_run(
     spec: ProtocolSpec, strategies: Sequence[ServerStrategy], trials: int, seed: int
 ) -> tuple[MonteCarloResult, ...]:
-    """Sampled protocol runs: n ~ omega, output round ~ rule, then one
-    Bernoulli draw per test round. Deterministic for a fixed seed.
+    """Sampled protocol runs: n ~ omega, output round ~ rule, then a
+    Bernoulli draw per test round (per-round rules) or one joint draw per run
+    (global rules). Deterministic for a fixed seed.
 
-    Returns one result per strategy, in order. The draws never depend on the
-    strategy, so every strategy reads the same ones (common random numbers),
-    and each result equals a call with that strategy alone and that seed.
-    Only acceptance is sampled; the payload never enters the draws."""
+    Returns one result per strategy, in order, all read from one set of
+    uniforms (common random numbers). In per-round mode only the rounds that
+    fail the smallest factor among the strategies are drawn, so a result
+    depends on the set: it is unchanged by reordering the strategies, by
+    duplicating one, or by adding one whose factors are nowhere below the
+    set's smallest (such as the honest run under a matched rule), but it is
+    not in general the result of a call with that strategy alone. The law of
+    each result is that of one uniform per run and round either way. Only
+    acceptance is sampled; the payload never enters the draws."""
     if not strategies:
         raise OutOfDomainError("monte_carlo_run needs at least one strategy")
     for strategy in strategies:
         require_supported(strategy)
-    if trials < 1:
-        raise OutOfDomainError(f"trials must be >= 1, got {trials}")
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise OutOfDomainError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     ns = np.array([n for n, _ in spec.omega.support])
     probs = np.array([p for _, p in spec.omega.support])
@@ -445,28 +453,46 @@ def monte_carlo_run(
         if n == 0:
             accepted += m
         elif isinstance(spec.acceptance, PerRoundAcceptance):
-            factors = [_round_factors(spec, s, n) for s in strategies]
-            # consecutive row blocks consume the stream exactly as one draw would
-            rows = max(1, _MC_BLOCK_UNIFORMS // (n + 1))
-            for start in range(0, m, rows):
-                accepted += _block_accepts(rng, ells[start:start + rows], factors)
+            factors = np.stack([_round_factors(spec, s, n) for s in strategies])
+            accepted += m - _rejected_runs(rng, ells, factors)
         else:  # global acceptance: one joint draw per run
             u = rng.random(m)
             accepted += [np.count_nonzero(u < _per_ell(spec, s, n)[ells]) for s in strategies]
     return tuple(MonteCarloResult(a / trials, 1.0 - a / trials) for a in accepted.tolist())
 
 
-def _block_accepts(rng: np.random.Generator, ells: np.ndarray, factors) -> list[int]:
-    """Accepted runs per strategy's factors in one block of runs, all read from
-    one draw of uniforms; the draw is freed on return, before the next block's."""
-    u = rng.random((ells.size, factors[0].size))
-    ok = np.empty(u.shape, dtype=bool)
-    counts = []
-    for f in factors:
-        np.less(u, f[None, :], out=ok)
-        ok[np.arange(ells.size), ells] = True  # the output round is not a test
-        counts.append(int(np.count_nonzero(ok.all(axis=1))))
-    return counts
+def _rejected_runs(rng: np.random.Generator, ells: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Runs each row of ``factors`` (a strategy's n + 1 round factors) rejects.
+
+    A run fails round i for strategy s iff its uniform u >= f_s,i. Only the
+    uniforms at or above floor_i = min_s f_s,i are drawn: their count
+    K_i ~ Binomial(m, 1 - floor_i), the runs as a uniform K_i-subset, and
+    each u on [floor_i, 1). This is the law of one uniform per run and round,
+    shared by every strategy. The output round is not a test: it is dropped
+    after the draw, so the stream does not depend on which runs it drops."""
+    m = ells.size
+    floor = factors.min(axis=0)
+    counts = rng.binomial(m, 1.0 - floor)
+    dead = np.zeros((len(factors), m), dtype=bool)
+    for i in np.flatnonzero(counts).tolist():
+        runs = _subset(rng, m, int(counts[i]))
+        u = rng.uniform(floor[i], 1.0, runs.size)
+        tests = ells[runs] != i
+        runs, u = runs[tests], u[tests]
+        for row, f in zip(dead, factors[:, i].tolist()):
+            if f < 1.0:  # a round that always passes never fails, whatever u rounds to
+                row[runs[u >= f]] = True
+    return np.count_nonzero(dead, axis=1)
+
+
+def _subset(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
+    """A uniform ``size``-subset of range(m): drawn directly up to m/2, else
+    as the complement of an (m - size)-subset, so at most m/2 indices are drawn."""
+    if 2 * size <= m:
+        return rng.choice(m, size, replace=False, shuffle=False)
+    keep = np.ones(m, dtype=bool)
+    keep[rng.choice(m, m - size, replace=False, shuffle=False)] = False
+    return np.flatnonzero(keep)
 
 
 class JensenCheck(NamedTuple):

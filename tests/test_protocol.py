@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,17 @@ _SHARED_DRAW_SPECS = {
     "random-matched-per-round": (_random_matched_spec(), _MATCHED),
     "random-matched-global": (_random_matched_spec(GlobalAcceptance), _MATCHED),
 }
+_WIDE_TRAPS = RandomTraps(seed=3)
+# the sampler's benchmark shape: about one failing test round in 10**3 at these angles
+_WIDE_SPEC = ProtocolSpec(RoundDistribution.from_pairs([(0, 0.1), (50, 0.4), (400, 0.5)]), 1,
+                          _WIDE_TRAPS, matched_acceptance(_WIDE_TRAPS))
+_WIDE_ATTACKS = (PhaseAttack(0.05), PhaseAttack(0.07, Placement.PRE))
+# name -> (spec, strategies) whose sampled rates must follow the exact law
+_LAW_SPECS = {
+    "per-round": _SHARED_DRAW_SPECS["per-round"],
+    "random-matched-per-round": _SHARED_DRAW_SPECS["random-matched-per-round"],
+    "random-matched-wide": (_WIDE_SPEC, (HONEST, *_WIDE_ATTACKS)),
+}
 
 
 class TestMonteCarlo:
@@ -499,23 +511,75 @@ class TestMonteCarlo:
         res = monte_carlo_run(spec, (PhaseAttack(math.pi / 2),), 50_000, seed=4)[0]
         assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 50_000)
 
-    def test_blocked_draws_match_one_draw(self, monkeypatch):
-        spec = plus_spec(RoundDistribution.from_pairs([(0, 0.1), (3, 0.4), (7, 0.5)]))
-        args = (spec, (PhaseAttack(1.2),), 5_000)
-        whole = monte_carlo_run(*args, seed=6)[0]
-        # blocks of one or two rows: the sample spans thousands of blocks
-        monkeypatch.setattr(protocol, "_MC_BLOCK_UNIFORMS", 8)
-        assert repr(monte_carlo_run(*args, seed=6)[0]) == repr(whole)
+    def test_memory_does_not_grow_with_trials_times_rounds(self):
+        # a draw of one uniform per run and round would be 10**5 * 401 * 8 bytes
+        # here; the failing rounds, about one in 10**3, are what is drawn
+        monte_carlo_run(_WIDE_SPEC, (HONEST,), 10, seed=0)  # receive the rounds first
+        tracemalloc.start()
+        try:
+            monte_carlo_run(_WIDE_SPEC, (HONEST, *_WIDE_ATTACKS), 100_000, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize("name", sorted(_SHARED_DRAW_SPECS))
-    @pytest.mark.parametrize("block", (None, 8), ids=("one-block", "blocks-of-8"))
-    def test_strategies_share_draws_bit_identically(self, monkeypatch, name, block):
+    def test_strategies_share_draws_bit_identically(self, name):
         spec, strategies = _SHARED_DRAW_SPECS[name]
-        alone = tuple(monte_carlo_run(spec, (s,), 4_000, seed=13)[0] for s in strategies)
-        if block is not None:  # blocks of one or two rows, as above
-            monkeypatch.setattr(protocol, "_MC_BLOCK_UNIFORMS", block)
         together = monte_carlo_run(spec, strategies, 4_000, seed=13)
-        assert repr(together) == repr(alone)
+        if isinstance(spec.acceptance, GlobalAcceptance):
+            # one joint draw per run, the same for every strategy: each result
+            # is that of a call with its strategy alone
+            alone = tuple(monte_carlo_run(spec, (s,), 4_000, seed=13)[0] for s in strategies)
+            assert repr(together) == repr(alone)
+            return
+        # per-round draws depend on the set's smallest factor per round, so the
+        # results hold under every change that keeps it: reordering, duplicating,
+        # and adding a strategy whose factors are nowhere below it (HONEST)
+        honest, *attacks = strategies
+        assert honest is HONEST
+        for n, _ in spec.omega.support:
+            lowest = np.min([protocol._round_factors(spec, s, n) for s in attacks], axis=0)
+            assert np.all(protocol._round_factors(spec, HONEST, n) >= lowest)
+        order = (2, 0, 1)
+        reordered = monte_carlo_run(spec, [strategies[i] for i in order], 4_000, seed=13)
+        assert repr(reordered) == repr(tuple(together[i] for i in order))
+        doubled = monte_carlo_run(spec, (*strategies, attacks[0]), 4_000, seed=13)
+        assert repr(doubled) == repr((*together, together[1]))
+        without_honest = monte_carlo_run(spec, attacks, 4_000, seed=13)
+        assert repr(without_honest) == repr(together[1:])
+
+    @pytest.mark.parametrize("name", sorted(_LAW_SPECS))
+    def test_sampled_rates_follow_the_exact_law(self, monkeypatch, name):
+        spec, strategies = _LAW_SPECS[name]
+        # the factors repeat for every seed: compute each (strategy, n) once
+        factors, compute = {}, protocol._round_factors
+
+        def memo(spec, strategy, n):
+            if (strategy, n) not in factors:
+                factors[strategy, n] = compute(spec, strategy, n)
+            return factors[strategy, n]
+
+        monkeypatch.setattr(protocol, "_round_factors", memo)
+        trials, seeds = 500, range(300)
+        exact = np.array([overall_acceptance(spec, s) for s in strategies])
+        together = np.array([
+            [r.accept_rate for r in monte_carlo_run(spec, strategies, trials, seed)]
+            for seed in seeds
+        ])
+        alone = np.array([
+            [monte_carlo_run(spec, (s,), trials, seed)[0].accept_rate for s in strategies]
+            for seed in seeds
+        ])
+        for rates in (together, alone):
+            for s, p, column in zip(strategies, exact, rates.T):
+                if s is HONEST:  # factors of 1, up to rounding in random-trap rounds
+                    assert p > 1.0 - 1e-12
+                    assert np.all(column == 1.0)
+                    continue
+                z = (column - p) / math.sqrt(p * (1.0 - p) / trials)
+                assert abs(z.mean()) <= 0.2, (s, z.mean())
+                assert 0.8 <= z.std() <= 1.2, (s, z.std())
 
     def test_unsupported_strategy_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -535,6 +599,20 @@ class TestMonteCarlo:
         spec = plus_spec(RoundDistribution.point_mass(1))
         with pytest.raises(OutOfDomainError):
             monte_carlo_run(spec, (HONEST,), 0, seed=0)
+
+    @pytest.mark.parametrize("named, value", [
+        ("trials", 0), ("trials", True), ("trials", 2.5), ("trials", 1e3), ("trials", "10"),
+        ("seed", None), ("seed", -1), ("seed", 1.5), ("seed", False),
+    ], ids=lambda v: v if v in ("trials", "seed") else repr(v))
+    def test_rejects_bad_trials_and_seed_before_any_draw(self, monkeypatch, named, value):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the sampler drew before checking its arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        spec = plus_spec(RoundDistribution.point_mass(1))
+        args = {"trials": 10, "seed": 0, named: value}
+        with pytest.raises(OutOfDomainError, match=f"^{named} must be an integer"):
+            monte_carlo_run(spec, (HONEST,), **args)
 
 
 class TestPerRoundVsGlobal:

@@ -158,11 +158,12 @@ class TestRunScenario:
         bundle = run_scenario(cfg)
         # the honest run and both models' attacks in one call per sweep row
         assert calls == [(3, 4000, 21), (3, 4000, 22), (3, 4000, 23)]
-        # rates from before the sampler shared one draw between strategies
+        # the seed fixes the stream: these are the rates of the sampler that
+        # draws only failing test rounds, for the set (HONEST, both attacks)
         pinned = [
-            (0.17575, 0.356), (0.17575, 0.25175),
-            (0.3065, 0.278), (0.3065, 0.28925),
-            (0.0795, 0.0735), (0.0795, 0.081),
+            (0.1805, 0.349), (0.1805, 0.24475),
+            (0.31375, 0.291), (0.31375, 0.30275),
+            (0.07675, 0.068), (0.07675, 0.07425),
         ]
         assert [(r.mc.honest.accept_rate, r.mc.attacked.accept_rate)
                 for r in bundle.runs] == pinned
