@@ -524,13 +524,17 @@ class TestMonteCarlo:
         assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize("name", sorted(_SHARED_DRAW_SPECS))
-    def test_strategies_share_draws_bit_identically(self, name):
+    # runs per call: each round count's runs form one block, of about 4,000 * omega(n)
+    # runs, or of at most 8, where round counts with no runs, rounds with no failure
+    # and failure subsets larger than half their block are common
+    @pytest.mark.parametrize("trials", (4_000, 8), ids=("one-block", "blocks-of-8"))
+    def test_strategies_share_draws_bit_identically(self, name, trials):
         spec, strategies = _SHARED_DRAW_SPECS[name]
-        together = monte_carlo_run(spec, strategies, 4_000, seed=13)
+        together = monte_carlo_run(spec, strategies, trials, seed=13)
         if isinstance(spec.acceptance, GlobalAcceptance):
             # one joint draw per run, the same for every strategy: each result
             # is that of a call with its strategy alone
-            alone = tuple(monte_carlo_run(spec, (s,), 4_000, seed=13)[0] for s in strategies)
+            alone = tuple(monte_carlo_run(spec, (s,), trials, seed=13)[0] for s in strategies)
             assert repr(together) == repr(alone)
             return
         # per-round draws depend on the set's smallest factor per round, so the
@@ -542,11 +546,11 @@ class TestMonteCarlo:
             lowest = np.min([protocol._round_factors(spec, s, n) for s in attacks], axis=0)
             assert np.all(protocol._round_factors(spec, HONEST, n) >= lowest)
         order = (2, 0, 1)
-        reordered = monte_carlo_run(spec, [strategies[i] for i in order], 4_000, seed=13)
+        reordered = monte_carlo_run(spec, [strategies[i] for i in order], trials, seed=13)
         assert repr(reordered) == repr(tuple(together[i] for i in order))
-        doubled = monte_carlo_run(spec, (*strategies, attacks[0]), 4_000, seed=13)
+        doubled = monte_carlo_run(spec, (*strategies, attacks[0]), trials, seed=13)
         assert repr(doubled) == repr((*together, together[1]))
-        without_honest = monte_carlo_run(spec, attacks, 4_000, seed=13)
+        without_honest = monte_carlo_run(spec, attacks, trials, seed=13)
         assert repr(without_honest) == repr(together[1:])
 
     @pytest.mark.parametrize("name", sorted(_LAW_SPECS))
