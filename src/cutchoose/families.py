@@ -6,10 +6,11 @@ and its parameters, and ``config`` accepts exactly the names these tables
 hold. All families are deterministic; the seeded one derives its per-round
 randomness from ``(seed, k, n, i)`` only.
 
-Identity traps (``plus``, ``computational``) return no matrix, and every
-shipped per-round effect is a :class:`RankOneEffect`, read as an overlap of
-``2**k`` vectors. Global mode wraps the same per-round rule in
-:class:`GlobalAcceptance`, the tensor product of its effects.
+Identity traps (``plus``, ``computational``) return no matrix. Every effect
+is a :class:`RankOneEffect`, the one kind the engine reads (an overlap of
+``2**k`` vectors); ``matched`` checks its trap through ``receive_trap``.
+Global mode wraps a per-round rule in :class:`GlobalAcceptance`, the tensor
+product of its effects.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PureState
-from .protocol import GlobalAcceptance, PerRoundAcceptance, TrapGenerator
+from .protocol import GlobalAcceptance, PerRoundAcceptance, TrapGenerator, receive_trap
 from .sampling import random_pure_state, random_unitary
 from .states import RankOneEffect, computational_basis_state, plus_state
 
@@ -85,8 +86,8 @@ def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
     """Accept a round iff its output projects onto the honest trap output."""
 
     def element(k, n, i):
-        t, chi = traps.trap(k, n, i)
-        return RankOneEffect(PureState(chi.amplitudes if t is None else t @ chi.amplitudes))
+        _, _, h, _ = receive_trap(traps, k, n, i)  # checked: errors name the round
+        return RankOneEffect(PureState(h))
 
     return PerRoundAcceptance(element, traps=traps)
 

@@ -22,22 +22,21 @@ figure goes through one engine: ``outcome_table`` checks and builds a
 round distribution that carries its own average (``.acceptance``). The
 general-test engine in ``combs`` builds its tables the same way.
 
-The per-round engine works on ``2**k`` vectors only. A round bank receives
-the rounds of each ``(spec, n)`` once through ``receive_trap``, the one check
-of a trap, and keeps per round the input ``chi``, the honest output
-``h = U chi`` and, for a rank-1 effect ``e``, ``g = U^dagger e``; the
-unitary is dropped. The attack is a phase vector ``phi``, so a round factor
-is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or PRE ``|<g|phi chi>|^2``,
-with ``e = h`` when matched; a general ``PovmElement`` reads ``<out|M|out>``
-and keeps its unitary for PRE. The bank lives on the spec, so a report row's
-tables and its sampler call share it, and it is freed with the row. It holds
-``3 * r * 2**k * 16`` bytes: ``r = n + 1``, or ``r = 1`` (its factor read
-once and broadcast) for round-independent traps and effects. A global rule is
+The per-round engine works on ``2**k`` vectors: a round is its action. A
+round bank receives the rounds of each ``(spec, n)`` once through
+``receive_trap`` and keeps per round ``(chi, h, e, g)``: the input, the
+honest output ``U chi``, the rank-1 effect and ``U^dagger e`` (matched:
+``e = h``, ``g = chi``); ``U`` is dropped. With the attack as a phase vector
+``phi``, a round factor is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or
+PRE ``|<g|phi chi>|^2``. The bank lives on the spec, so a report row's
+tables and sampler call share it, and is freed with the row. It holds at
+most ``4 * r * 2**k`` complex numbers: ``r = n + 1``, or ``r = 1`` (one
+factor, broadcast) for round-independent traps and effects. A global rule is
 the tensor product of its per-round effects: its exact figures are those of
-per-round mode, and only the sampler, with one joint draw per run, tells
-the two apart. The dense path (``transform_round``, ``PovmElement``
-matrices, ``client_output_state`` and ``combs.overall_acceptance_via_combs``)
-is the reference the tests compare against. The benchmark's tracer
+per-round mode, and only the sampler, with one joint draw per run, tells the
+two apart. The dense path (``transform_round``, effect matrices,
+``client_output_state`` and ``combs.overall_acceptance_via_combs``) is the
+reference the tests compare against. The benchmark's tracer
 (``perfbench/spans.py``) hooks ``round_outcome_table``,
 ``overall_acceptance``, ``client_output_state``, ``monte_carlo_run``
 (binding its parameters ``spec``, ``trials`` and ``seed`` by name) and
@@ -60,12 +59,13 @@ from .errors import (
 )
 from .linalg import (
     DIM_CAP,
+    VALIDATION_TOL,
     DensityOperator,
     PureState,
+    as_square_matrix,
     dagger,
-    require_unitary,
 )
-from .states import AbortExtendedState, Effect, PovmElement, attack_phases, mix_with_abort
+from .states import AbortExtendedState, RankOneEffect, attack_phases, mix_with_abort
 from .strategies import (
     Honest,
     Placement,
@@ -99,7 +99,7 @@ class RoundDistribution:
             raise ContractViolationError("round distribution has empty support")
         ns = [n for n, _ in self.support]
         ps = [p for _, p in self.support]
-        if any(not isinstance(n, int) or n < 0 for n in ns):
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in ns):
             raise ContractViolationError("round counts must be non-negative integers")
         if ns != sorted(ns) or len(set(ns)) != len(ns):
             raise ContractViolationError("support must be sorted by n with unique entries")
@@ -139,7 +139,8 @@ class TrapGenerator(abc.ABC):
     """Produces the trap computation and input for a given round.
 
     Must be deterministic for fixed ``(k, n, i)``. A family with the same
-    trap in every round sets ``round_independent``.
+    trap in every round sets ``round_independent``. The engine checks and
+    keeps only a trap's action (:func:`receive_trap`).
     """
 
     round_independent: ClassVar[bool] = False
@@ -152,16 +153,16 @@ class TrapGenerator(abc.ABC):
 
 @dataclass(frozen=True)
 class PerRoundAcceptance:
-    """One measurement element per test round; accept iff every round accepts.
+    """One rank-1 effect per test round; accept iff every round accepts.
 
-    ``traps``, when set, says each round's effect is the projector onto that
-    round's honest trap output under those traps; if they are the spec's
-    traps the engine reads that output from its own trap call instead of
-    calling ``element``. A rule whose effect is the same in every round sets
-    ``round_independent``.
+    ``element`` gives a :class:`RankOneEffect` of dim ``2**k``, or the round
+    fails. ``traps``, when set, says each effect is the projector onto the
+    round's honest output under those traps; if they are the spec's, the
+    engine reads it from its own trap call, not ``element``. A rule with one
+    effect in every round sets ``round_independent``.
     """
 
-    element: Callable[[int, int, int], Effect]  # (k, n, i) -> effect on 2**k
+    element: Callable[[int, int, int], RankOneEffect]  # (k, n, i) -> effect on 2**k
     traps: TrapGenerator | None = None
     round_independent: ClassVar[bool] = False
 
@@ -207,8 +208,8 @@ class ProtocolSpec:
     _bank: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ContractViolationError(f"k must be positive, got {self.k}")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ContractViolationError(f"k must be a positive integer, got {self.k!r}")
         if 2**self.k > DIM_CAP:
             raise DimensionCapError(f"2**{self.k} exceeds the dimension cap {DIM_CAP}")
         if isinstance(self.output_round, str) and self.output_round != "uniform":
@@ -218,60 +219,56 @@ class ProtocolSpec:
 
 
 def receive_trap(
-    traps: TrapGenerator, k: int, n: int, i: int
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Round i's trap as (unitary or None for the identity, input vector).
+    traps: TrapGenerator, k: int, n: int, i: int, e: np.ndarray | None = None
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """Round i's trap as ``(u, chi, h, g)``: matrix (None: identity), input,
+    ``h = U chi`` and ``g = U^dagger e`` (``chi`` if ``e`` is None: matched).
 
-    The one check of a trap: its state has dim 2**k, and a given matrix is a
-    2**k unitary. Errors name the round.
+    The one check of a trap, naming the round: dims, finite entries and the
+    action, ``|h|^2 = 1``, ``|g|^2 = |e|^2`` and ``<g|chi> = <e|h>`` within
+    1e-10, which hold iff a unitary maps ``(chi, g)`` to ``(h, e)``. So every
+    figure is a unitary trap's, and a matrix unitary only on this action
+    passes (no ``U^dagger U``); ``GeneralTest`` checks ``U`` in full.
     """
     u, chi = traps.trap(k, n, i)
-    d = 2**k
+    d, where = 2**k, f"round (n={n}, i={i})"
     if chi.dim != d:
-        raise ContractViolationError(
-            f"trap state for round (n={n}, i={i}) has dim {chi.dim}, expected {d}"
-        )
-    if u is not None:
-        u = require_unitary(u, f"trap unitary for round (n={n}, i={i})", d)
-    return u, chi.amplitudes
+        raise ContractViolationError(f"trap state for {where} has dim {chi.dim}, expected {d}")
+    chi = chi.amplitudes
+    if u is None:
+        return None, chi, chi, chi if e is None else e
+    what = f"trap unitary for {where}"
+    u = as_square_matrix(u, what)
+    if u.shape[0] != d:
+        raise ContractViolationError(f"{what} has dim {u.shape[0]}, expected {d}")
+    h = u @ chi
+    g, e = (chi, h) if e is None else (np.conj(e.conj() @ u), e)  # no copy of U
+    gram = (np.vdot(h, h) - 1.0, np.vdot(g, g) - np.vdot(e, e), np.vdot(g, chi) - np.vdot(e, h))
+    if max(abs(x) for x in gram) > VALIDATION_TOL:
+        raise ContractViolationError(f"{what} is not unitary on its action within 1e-10")
+    return u, chi, h, g
 
 
-class _Round(NamedTuple):
-    """A received round: input, honest output ``U chi``, effect ``e`` (``h`` if matched)
-    and ``g = U^dagger e`` (``chi`` if matched; None for a general element, which keeps ``u``)."""
-
-    chi: np.ndarray
-    h: np.ndarray
-    e: np.ndarray | PovmElement
-    g: np.ndarray | PovmElement | None
-    u: np.ndarray | None
-
-
-def _receive_round(spec: ProtocolSpec, rule: PerRoundAcceptance, n: int, i: int) -> _Round:
-    k = spec.k
-    u, chi = receive_trap(spec.traps, k, n, i)
-    h = chi if u is None else u @ chi
-    if rule.traps is spec.traps:  # matched: the effect is the honest output
-        return _Round(chi, h, h, chi, None)
-    effect = rule.element(k, n, i)
-    if effect.dim != 2**k:
-        raise ContractViolationError(
-            f"acceptance element for round {i} has dim {effect.dim}, expected {2**k}"
-        )
-    if isinstance(effect, PovmElement):
-        return _Round(chi, h, effect, effect if u is None else None, u)
-    e = effect.vector.amplitudes
-    return _Round(chi, h, e, e if u is None else np.conj(e.conj() @ u), None)  # no copy of U
-
-
-def _bank(spec: ProtocolSpec, n: int) -> tuple[_Round, ...]:
-    """n's rounds, received once per spec (a failed round caches nothing): one
-    row when traps and effects are round-independent, else n + 1."""
+def _bank(spec: ProtocolSpec, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """n's ``(chi, h, e, g)`` rows, received once per spec (a failed round
+    caches nothing): one if traps and effects are round-independent, else
+    n + 1."""
     if n not in spec._bank:
-        rule = per_round_rule(spec.acceptance)
-        one = spec.traps.round_independent and (rule.traps is spec.traps or rule.round_independent)
-        rounds = range(1, 2 if one else n + 2)
-        spec._bank[n] = tuple(_receive_round(spec, rule, n, i) for i in rounds)
+        k, rule = spec.k, per_round_rule(spec.acceptance)
+        matched = rule.traps is spec.traps  # the effect is the honest output
+        one = spec.traps.round_independent and (matched or rule.round_independent)
+        rows = []
+        for i in range(1, 2 if one else n + 2):
+            e = None
+            if not matched:
+                effect = rule.element(k, n, i)
+                if not (isinstance(effect, RankOneEffect) and effect.dim == 2**k):
+                    raise ContractViolationError(f"acceptance element for round (n={n}, i={i}) "
+                                                 f"is not a RankOneEffect of dim {2**k}")
+                e = effect.vector.amplitudes
+            _, chi, h, g = receive_trap(spec.traps, k, n, i, e)
+            rows.append((chi, h, h if e is None else e, g))
+        spec._bank[n] = tuple(rows)
     return spec._bank[n]
 
 
@@ -281,17 +278,13 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
     (POST) or on the input, read by the pulled-back effect (PRE)."""
     rows = _bank(spec, n)
     honest = isinstance(strategy, Honest)
+    pre = not honest and strategy.placement is Placement.PRE
     phases = None if honest else attack_phases(strategy.alpha, spec.k)
     vals = np.empty(len(rows))
-    for i, r in enumerate(rows, start=1):
-        if honest or strategy.placement is Placement.POST:
-            left, out = r.e, r.h if honest else phases * r.h
-        elif r.g is not None:
-            left, out = r.g, phases * r.chi
-        else:
-            left, out = r.e, r.u @ (phases * r.chi)
-        value = (left.value(out) if isinstance(left, PovmElement)
-                 else float(abs(np.vdot(left, out)) ** 2))
+    for i, (chi, h, e, g) in enumerate(rows, start=1):
+        left, right = (g, chi) if pre else (e, h)
+        out = right if honest else phases * right
+        value = float(abs(np.vdot(left, out)) ** 2)
         vals[i - 1] = snap_probability(value, f"round factor (n={n}, i={i})")
     return vals if vals.size == n + 1 else np.full(n + 1, vals[0])
 

@@ -16,19 +16,23 @@ from cutchoose.bounds import (
 )
 from cutchoose.combs import bell_test_setup, general_tradeoff_check
 from cutchoose.errors import ContractViolationError, OutOfDomainError
-from cutchoose.families import PlusTraps, plus_acceptance, computational_acceptance, ComputationalTraps
+from cutchoose.families import (
+    ComputationalTraps,
+    PlusTraps,
+    RandomTraps,
+    computational_acceptance,
+    plus_acceptance,
+)
 from cutchoose.linalg import DensityOperator
 from cutchoose import optimize
 from cutchoose.optimize import refine, scan_unit_interval
 from cutchoose.protocol import (
-    PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
     client_output_state,
 )
 from cutchoose.sampling import random_density, random_pure_state
 from cutchoose.states import (
-    PovmElement,
     attack_operator,
     computational_basis_state,
     mix_with_abort,
@@ -388,18 +392,21 @@ class TestRunTradeoffCheck:
                     assert report.eps_d == 0.0 == measure(out, psi)
 
     def test_lossy_traps_honest_gap(self):
-        # acceptance element scaled to pass honest runs with probability 0.95:
-        # the only per-round effect here that is not a projector
-        scaled = PerRoundAcceptance(
-            lambda k, n, i: PovmElement(0.95 * plus_state(k).projector())
-        )
+        # plus acceptance on random traps: an honest round passes only with
+        # probability |<+|U chi>|^2 < 1, so the honest run has a gap
+        traps = RandomTraps(seed=3)
         spec = ProtocolSpec(
             omega=RoundDistribution.point_mass(1), k=1,
-            traps=PlusTraps(), acceptance=scaled,
+            traps=traps, acceptance=plus_acceptance(),
         )
+        p_h = run_tradeoff_check(spec, SecurityModel.COMPOSABLE).p_h
+        # n = 1: each output round leaves the other round as the one test
+        plus = plus_state(1).amplitudes
+        factors = [abs(np.vdot(plus, u @ chi.amplitudes)) ** 2
+                   for u, chi in (traps.trap(1, 1, i) for i in (1, 2))]
+        assert p_h == pytest.approx(sum(factors) / 2, abs=1e-12)
         psi = plus_state(1).density()
         rho_h = client_output_state(spec, HONEST, psi, np.eye(2))
-        assert epsilon_h(rho_h, psi, SecurityModel.COMPOSABLE) == pytest.approx(0.05, abs=1e-10)
-        assert run_tradeoff_check(spec, SecurityModel.COMPOSABLE).p_h == pytest.approx(
-            0.95, abs=1e-12
-        )
+        eps_h = epsilon_h(rho_h, psi, SecurityModel.COMPOSABLE)
+        assert eps_h > 0.01
+        assert eps_h == pytest.approx(1.0 - p_h, abs=1e-10)

@@ -64,7 +64,8 @@ def test_engine_modules_do_not_import_upper_layers():
 
 
 def test_only_linalg_checks_unitarity():
-    # every other module goes through linalg.require_unitary
+    # every other module goes through linalg.require_unitary; a trap is
+    # checked on its action only (protocol.receive_trap), never by U†U
     for path in sorted((ROOT / "src" / "cutchoose").glob("*.py")):
         if path.stem == "linalg":
             continue

@@ -343,6 +343,8 @@ UNITARY_BOUNDARIES = {
 ], ids=["non-unitary", "non-finite", "non-square"])
 def test_unitary_boundaries_name_their_object(boundary, matrix, problem):
     what, call = UNITARY_BOUNDARIES[boundary]
+    if boundary == "trap":  # a trap is checked on its action, not by U†U
+        problem = problem.replace("is not unitary", "is not unitary on its action")
     with pytest.raises(ContractViolationError, match=f"^{what} {problem}$"):
         call(matrix)
 

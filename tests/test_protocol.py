@@ -76,6 +76,22 @@ class TestRoundDistribution:
         assert om.support == ((1, 0.5), (2, 0.5))
 
 
+NOT_K, NOT_N = "k must be a positive integer, got ", "round counts must be non-negative integers"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: plus_spec(RoundDistribution.point_mass(1), k=True), NOT_K + "True"),
+    (lambda: plus_spec(RoundDistribution.point_mass(1), k=1.5), NOT_K + r"1\.5"),
+    (lambda: plus_spec(RoundDistribution.point_mass(1), k=2.0), NOT_K + r"2\.0"),
+    (lambda: RoundDistribution(((True, 1.0),)), NOT_N),
+    (lambda: RoundDistribution(((2.0, 1.0),)), NOT_N),
+], ids=["k-bool", "k-fraction", "k-float", "n-bool", "n-float"])
+def test_rejects_non_integer_counts(build, message):
+    # the type is checked with the value: True is not k = 1, 2.0 is not k = 2
+    with pytest.raises(ContractViolationError, match=f"^{message}$"):
+        build()
+
+
 def test_random_traps_deterministic():
     traps = RandomTraps(seed=4)
     t1, chi1 = traps.trap(1, 3, 2)

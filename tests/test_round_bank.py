@@ -1,11 +1,13 @@
 """The round bank against a literal per-round walk, and its sharing and limits.
 
 The bank receives each round of ``(spec, n)`` once and keeps the input, the
-honest output and the pulled-back effect. The reference here receives every
-round afresh with ``receive_trap`` and plays it with the dense
+honest output, the effect and the pulled-back effect. The reference here
+calls the spec's ``trap`` afresh for every round and plays it with the dense
 ``transform_round``. Honest factors and POST factors (the attack's diagonal
 applied to the honest output) are bit-identical; PRE factors, and POST
-through the full dense product, agree within 1e-15.
+through the full dense product, agree within 1e-15. A trap is checked on its
+action: a matrix that is not unitary only where no figure reads it is
+accepted, and anything else fails at its named round.
 """
 
 import math
@@ -25,6 +27,7 @@ from cutchoose.families import (
     matched_acceptance,
     plus_acceptance,
 )
+from cutchoose.linalg import is_unitary
 from cutchoose.protocol import (
     GlobalAcceptance,
     PerRoundAcceptance,
@@ -32,10 +35,9 @@ from cutchoose.protocol import (
     RoundDistribution,
     TrapGenerator,
     monte_carlo_run,
-    receive_trap,
     round_outcome_table,
 )
-from cutchoose.states import PovmElement, plus_state
+from cutchoose.states import PovmElement, RankOneEffect, plus_state
 from cutchoose.strategies import (
     HONEST,
     Honest,
@@ -54,18 +56,14 @@ RULES = {
     "plus": lambda traps: plus_acceptance(),
     "computational": lambda traps: computational_acceptance(),
     "matched": matched_acceptance,
-    # a general element that is not a projector
-    "povm": lambda traps: PerRoundAcceptance(
-        lambda k, n, i: PovmElement(0.95 * plus_state(k).projector())
-    ),
 }
 N = 3
 
 
 def literal_factors(spec, strategy, n):
     """(factors through the dense product, factors with the dense attack's
-    diagonal on the honest output), receiving every round afresh; each is
-    snapped to [0, 1] as the engine snaps its factors."""
+    diagonal on the honest output), calling ``trap`` afresh for every round;
+    each is snapped to [0, 1] as the engine snaps its factors."""
     k = spec.k
     rule = spec.acceptance
     if isinstance(rule, GlobalAcceptance):
@@ -74,20 +72,16 @@ def literal_factors(spec, strategy, n):
     attack_diagonal = np.diag(transform_round(strategy, eye, k))
     dense, diagonal = [], []
     for i in range(1, n + 2):
-        u, chi = receive_trap(spec.traps, k, n, i)
-        u = eye if u is None else u
+        u, chi = spec.traps.trap(k, n, i)
+        u, chi = (eye if u is None else u), chi.amplitudes
         honest = transform_round(HONEST, u, k) @ chi
         if rule.traps is spec.traps:
             effect = honest
         else:
-            effect = rule.element(k, n, i)
-            effect = effect if isinstance(effect, PovmElement) else effect.vector.amplitudes
+            effect = rule.element(k, n, i).vector.amplitudes
 
         def read(out):
-            if isinstance(effect, PovmElement):
-                value = effect.value(out)
-            else:
-                value = float(abs(np.vdot(effect, out)) ** 2)
+            value = float(abs(np.vdot(effect, out)) ** 2)
             return protocol.snap_probability(value, "literal factor")
 
         dense.append(read(transform_round(strategy, u, k) @ chi))
@@ -119,26 +113,6 @@ def test_bank_matches_literal_walk(trap_name, rule_name, mode, k):
         acceptance=GlobalAcceptance(rule) if mode == "global" else rule,
     )
     check_against_literal(spec)
-
-
-@pytest.mark.parametrize("trap_name", ("plus", "random"))
-def test_general_element_keeps_its_unitary(trap_name):
-    traps = TRAPS[trap_name]()
-    spec = ProtocolSpec(
-        omega=RoundDistribution.point_mass(N), k=3, traps=traps, acceptance=RULES["povm"](traps),
-    )
-    check_against_literal(spec)
-    rows = protocol._bank(spec, N)
-    assert len(rows) == N + 1  # the rule is not marked round-independent
-    # PRE reads a general element through the round's unitary, which only it keeps
-    assert all((r.u is not None) == (trap_name == "random") for r in rows)
-
-
-def test_rank_one_banks_drop_the_unitary():
-    traps = RandomTraps(seed=4)
-    for rule in (plus_acceptance(), matched_acceptance(traps)):
-        spec = ProtocolSpec(RoundDistribution.point_mass(2), 2, traps, rule)
-        assert all(r.u is None for r in protocol._bank(spec, 2))
 
 
 class CountingRandomTraps(RandomTraps):
@@ -207,6 +181,75 @@ def test_failed_round_leaves_no_bank():
     for _ in range(2):
         with pytest.raises(ContractViolationError, match=r"round \(n=4, i=3\) is not unitary"):
             round_outcome_table(spec, PhaseAttack(0.5))
+    assert 4 not in spec._bank
+
+
+class ScaledOffInput(TrapGenerator):
+    """Random traps, but round ``bad``'s matrix also doubles the part of its
+    input space orthogonal to ``chi``: unitary on ``chi``, not on ``chi⊥``."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def trap(self, k, n, i):
+        u, chi = RandomTraps(seed=5).trap(k, n, i)
+        if i != self.bad:
+            return u, chi
+        off = np.eye(2**k) - chi.projector()
+        return u @ (np.eye(2**k) + off), chi
+
+
+@pytest.mark.parametrize("k", (1, 3))
+def test_trap_checked_on_its_action(k):
+    # matched: the engine reads h = U chi and g = chi only, so the off-input
+    # scaling changes no figure and the trap is accepted
+    scaled, plain = ScaledOffInput(2), RandomTraps(seed=5)
+    assert not is_unitary(scaled.trap(k, N, 2)[0])
+    specs = [ProtocolSpec(RoundDistribution.point_mass(N), k, t, matched_acceptance(t))
+             for t in (scaled, plain)]
+    for placement in Placement:
+        for strategy in (HONEST, PhaseAttack(0.4, placement), PhaseAttack(2.5, placement)):
+            got, want = (protocol._round_factors(spec, strategy, N) for spec in specs)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert all(v.ndim == 1 for row in protocol._bank(specs[0], N) for v in row)
+    # plus: g = U^dagger e picks up the doubled part, so |g| != |e|
+    spec = ProtocolSpec(RoundDistribution.point_mass(N), k, scaled, plus_acceptance())
+    message = r"^trap unitary for round \(n=3, i=2\) is not unitary on its action within 1e-10$"
+    for _ in range(2):
+        with pytest.raises(ContractViolationError, match=message):
+            round_outcome_table(spec, PhaseAttack(0.5))
+    assert N not in spec._bank
+
+
+@pytest.mark.parametrize("bad", ["povm", "wrong-dim"])
+def test_per_round_effect_must_be_rank_one(bad):
+    def element(k, n, i):
+        if i != 2:
+            return RankOneEffect(plus_state(k))
+        if bad == "povm":
+            return PovmElement(0.95 * plus_state(k).projector())
+        return RankOneEffect(plus_state(k + 1))
+
+    spec = ProtocolSpec(
+        omega=RoundDistribution.point_mass(N), k=2,
+        traps=RandomTraps(seed=2), acceptance=PerRoundAcceptance(element),
+    )
+    message = r"^acceptance element for round \(n=3, i=2\) is not a RankOneEffect of dim 4$"
+    for _ in range(2):
+        with pytest.raises(ContractViolationError, match=message):
+            round_outcome_table(spec, HONEST)
+    assert N not in spec._bank
+
+
+def test_matched_effect_reads_its_trap_through_the_check():
+    # the rule's traps differ from the spec's, so each effect comes from
+    # element(), whose broken trap must still fail at its named round
+    spec = ProtocolSpec(
+        omega=RoundDistribution.point_mass(4), k=2,
+        traps=RandomTraps(seed=1), acceptance=matched_acceptance(NonUnitaryAt(3)),
+    )
+    with pytest.raises(ContractViolationError, match=r"round \(n=4, i=3\) is not unitary"):
+        round_outcome_table(spec, PhaseAttack(0.5))
     assert 4 not in spec._bank
 
 
