@@ -41,8 +41,8 @@ from .protocol import (
     RoundDistribution,
     RoundOutcomeTable,
     outcome_table,
-    per_round_rule,
-    receive_trap,
+    action_unitary,
+    receive_rounds,
     snap_probability,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
@@ -489,24 +489,25 @@ def custom_test_setup(setup: dict) -> GeneralSetup:
 
 
 def _round_tests(spec: ProtocolSpec, n: int):
-    """Fetch n's traps and acceptance once; return ``ell -> (GeneralTest, Comb)``,
-    the per-round protocol at (n, output round ell) as a general test."""
+    """Receive n's rounds once; return ``ell -> (GeneralTest, Comb)``, the
+    per-round protocol at (n, output round ell) as a general test. Each round
+    plays the unitary that :func:`action_unitary` builds from its checked
+    action (the identity for identity traps) and the projector onto its effect."""
     if n < 1:
         raise ContractViolationError("general view needs at least one test round")
     k = spec.k
-    traps = [receive_trap(spec.traps, k, n, i) for i in range(1, n + 2)]
-    rule = per_round_rule(spec.acceptance)
-    effects = [rule.element(k, n, i).matrix for i in range(1, n + 2)]
+    rounds = [(chi, np.outer(e, e.conj()), action_unitary(chi, h, e, g))
+              for chi, h, e, g in zip(*receive_rounds(spec, n))]
+    if len(rounds) == 1:  # round-independent: one row stands for every round
+        rounds *= n + 1
     comb = trivial_parallel_comb(n, k=k, y_dim=1)
-    eye = np.eye(2**k, dtype=np.complex128)
 
     def build(ell: int) -> tuple[GeneralTest, Comb]:
-        tests = [i for i in range(n + 1) if i != ell - 1]
+        tests = [rounds[i] for i in range(n + 1) if i != ell - 1]
         chi_vec, joint = np.ones(1, dtype=np.complex128), np.eye(1, dtype=np.complex128)
-        for i in tests:
-            chi_vec, joint = np.kron(chi_vec, traps[i][1]), np.kron(joint, effects[i])
-        unitaries = tuple(eye if traps[i][0] is None else traps[i][0] for i in tests)
-        return GeneralTest(PureState(chi_vec), unitaries, PovmElement(joint)), comb
+        for chi, effect, _ in tests:
+            chi_vec, joint = np.kron(chi_vec, chi), np.kron(joint, effect)
+        return GeneralTest(PureState(chi_vec), tuple(u for _, _, u in tests), PovmElement(joint)), comb
 
     return build
 

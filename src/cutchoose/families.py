@@ -3,14 +3,16 @@
 The name tables ``TRAP_FAMILIES``, ``ACCEPTANCE_FAMILIES`` and
 ``ACCEPTANCE_MODES`` are the one registry: scenario configs name a family
 and its parameters, and ``config`` accepts exactly the names these tables
-hold. All families are deterministic; the seeded one derives its per-round
-randomness from ``(seed, k, n, i)`` only.
+hold. All families are deterministic; the seeded one draws the rounds of
+``(k, n)`` from one generator seeded by ``(seed, k, n)`` only.
 
-Identity traps (``plus``, ``computational``) return no matrix. Every effect
-is a :class:`RankOneEffect`, the one kind the engine reads (an overlap of
-``2**k`` vectors); ``matched`` checks its trap through ``receive_trap``.
-Global mode wraps a per-round rule in :class:`GlobalAcceptance`, the tensor
-product of its effects.
+Identity traps (``plus``, ``computational``) return no matrix. ``random``
+traps are drawn as their action (``RandomTraps.action``), with no ``2**k``
+matrix. Every effect is a :class:`RankOneEffect`, the one kind the engine
+reads (an overlap of ``2**k`` vectors); ``matched`` reads its traps' honest
+outputs through ``receive_action``, once per ``(k, n)``. Global mode wraps a
+per-round rule in :class:`GlobalAcceptance`, the tensor product of its
+effects.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PureState
-from .protocol import GlobalAcceptance, PerRoundAcceptance, TrapGenerator, receive_trap
-from .sampling import random_pure_state, random_unitary
+from .protocol import (
+    GlobalAcceptance,
+    PerRoundAcceptance,
+    TrapGenerator,
+    action_unitary,
+    overlaps,
+    receive_action,
+)
 from .states import RankOneEffect, computational_basis_state, plus_state
 
 
@@ -52,13 +60,55 @@ class ComputationalTraps(TrapGenerator):
 
 @dataclass(frozen=True)
 class RandomTraps(TrapGenerator):
-    """Seeded Haar-random unitary and input per round."""
+    """Haar-random trap and input in every round, drawn as their action.
+
+    The n + 1 rounds of ``(k, n)`` come from one generator seeded by
+    ``(seed, k, n)``, and no ``2**k`` matrix is formed. ``chi`` and
+    ``h = U chi`` are independent uniform unit vectors, drawn first, so they
+    do not depend on the rule that reads them. For an effect ``e``,
+    ``g = U^dagger e = <h|e> chi + |e - <h|e> h| w`` with ``w`` uniform in
+    ``chi``'s orthogonal complement: given ``U chi = h``, a Haar ``U`` is any
+    such map times a Haar unitary fixing ``chi`` (the subgroup algorithm,
+    Diaconis & Shahshahani 1987). :meth:`trap` gives a matched round as a
+    matrix, :func:`~cutchoose.protocol.action_unitary` of its row.
+    """
 
     seed: int = 0
 
+    def action(self, k, n, e=None):
+        d, r = 2**k, n + 1
+        rng = np.random.default_rng([self.seed, k, n])
+        chi, h = _unit_rows(rng, r, d), _unit_rows(rng, r, d)
+        if e is None:
+            return chi, h, chi
+        c = overlaps(h, e)[:, None]
+        w = _gaussian_rows(rng, r, d)
+        w -= overlaps(chi, w)[:, None] * chi
+        w *= _norms(e - c * h) / _norms(w)
+        w += c * chi
+        return chi, h, w
+
     def trap(self, k, n, i):
-        rng = np.random.default_rng([self.seed, k, n, i])
-        return random_unitary(2**k, rng), random_pure_state(2**k, rng)
+        chi, h, _ = self.action(k, n)
+        chi, h = chi[i - 1], h[i - 1]
+        return action_unitary(chi, h, h, chi), PureState(chi)
+
+
+def _gaussian_rows(rng: np.random.Generator, r: int, d: int) -> np.ndarray:
+    """An (r, d) array of independent standard complex Gaussians."""
+    return rng.standard_normal((r, d, 2)).view(np.complex128)[..., 0]
+
+
+def _unit_rows(rng: np.random.Generator, r: int, d: int) -> np.ndarray:
+    """r independent uniform unit vectors of dim d."""
+    rows = _gaussian_rows(rng, r, d)
+    rows /= _norms(rows)
+    return rows
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as an (r, 1) column."""
+    return np.sqrt(overlaps(rows, rows).real)[:, None]
 
 
 class _ConstantAcceptance(PerRoundAcceptance):
@@ -83,11 +133,18 @@ def computational_acceptance() -> PerRoundAcceptance:
 
 
 def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
-    """Accept a round iff its output projects onto the honest trap output."""
+    """Accept a round iff its output projects onto the honest trap output.
+
+    The honest outputs of ``(k, n)`` are received once, checked (errors name
+    the round), and kept for the rounds of that ``n``."""
+
+    @functools.lru_cache(maxsize=1)
+    def outputs(k, n):
+        return receive_action(traps, k, n)[1]
 
     def element(k, n, i):
-        _, _, h, _ = receive_trap(traps, k, n, i)  # checked: errors name the round
-        return RankOneEffect(PureState(h))
+        h = outputs(k, n)
+        return RankOneEffect(PureState(h[min(i, len(h)) - 1]))
 
     return PerRoundAcceptance(element, traps=traps)
 

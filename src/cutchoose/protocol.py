@@ -23,24 +23,28 @@ round distribution that carries its own average (``.acceptance``). The
 general-test engine in ``combs`` builds its tables the same way.
 
 The per-round engine works on ``2**k`` vectors: a round is its action. A
-round bank receives the rounds of each ``(spec, n)`` once through
-``receive_trap`` and keeps per round ``(chi, h, e, g)``: the input, the
-honest output ``U chi``, the rank-1 effect and ``U^dagger e`` (matched:
-``e = h``, ``g = chi``); ``U`` is dropped. With the attack as a phase vector
-``phi``, a round factor is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or
-PRE ``|<g|phi chi>|^2``. The bank lives on the spec, so a report row's
-tables and sampler call share it, and is freed with the row. It holds at
-most ``4 * r * 2**k`` complex numbers: ``r = n + 1``, or ``r = 1`` (one
-factor, broadcast) for round-independent traps and effects. A global rule is
-the tensor product of its per-round effects: its exact figures are those of
-per-round mode, and only the sampler, with one joint draw per run, tells the
-two apart. The dense path (``transform_round``, effect matrices,
-``client_output_state`` and ``combs.overall_acceptance_via_combs``) is the
-reference the tests compare against. The benchmark's tracer
-(``perfbench/spans.py``) hooks ``round_outcome_table``,
-``overall_acceptance``, ``client_output_state``, ``monte_carlo_run``
-(binding its parameters ``spec``, ``trials`` and ``seed`` by name) and
-``TrapGenerator.trap`` by name.
+round bank receives the rounds of each ``(spec, n)`` once, as one block from
+``TrapGenerator.action`` checked by ``receive_action``, and keeps four
+stacked ``(r, 2**k)`` arrays ``(chi, h, e, g)``: the inputs, the honest
+outputs ``U chi``, the rank-1 effects and ``U^dagger e`` (matched: ``e = h``,
+``g = chi``); no ``U`` is kept. ``TrapGenerator.trap``, the per-round hook,
+is what the default ``action`` loops over; ``random`` traps draw the block
+as their action instead. With the attack as a phase vector ``phi``, a round
+factor is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or PRE
+``|<g|phi chi>|^2``, all rounds in one contraction. The bank lives on the
+spec, so a report row's tables and sampler call share it, and is freed with
+the row. It holds at most ``4 * r * 2**k`` complex numbers: ``r = n + 1``,
+or ``r = 1`` (one factor, broadcast) for round-independent traps and
+effects. A global rule is the tensor product of its per-round effects: its
+exact figures are those of per-round mode, and only the sampler, with one
+joint draw per run, tells the two apart. The dense path
+(``transform_round``, effect matrices, ``client_output_state`` and
+``combs.overall_acceptance_via_combs``, which plays each round as
+``action_unitary`` of its action) is the reference the tests compare
+against. The benchmark's tracer (``perfbench/spans.py``) hooks
+``round_outcome_table``, ``overall_acceptance``, ``client_output_state``,
+``monte_carlo_run`` (binding its parameters ``spec``, ``trials`` and
+``seed`` by name) and ``TrapGenerator.trap`` by name.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .errors import (
 )
 from .linalg import (
     DIM_CAP,
+    NORM_TOL,
     VALIDATION_TOL,
     DensityOperator,
     PureState,
@@ -136,11 +141,14 @@ class RoundDistribution:
 
 
 class TrapGenerator(abc.ABC):
-    """Produces the trap computation and input for a given round.
+    """Produces the trap computation and input for each round.
 
     Must be deterministic for fixed ``(k, n, i)``. A family with the same
-    trap in every round sets ``round_independent``. The engine checks and
-    keeps only a trap's action (:func:`receive_trap`).
+    trap in every round sets ``round_independent``. The engine reads a trap
+    only as its action on the rounds of ``(k, n)`` (:meth:`action`), checked
+    once by :func:`receive_action`. :meth:`trap` is the per-round hook: the
+    default :meth:`action` loops over it, and a family that draws its rounds
+    as their action overrides :meth:`action` instead.
     """
 
     round_independent: ClassVar[bool] = False
@@ -149,6 +157,40 @@ class TrapGenerator(abc.ABC):
     def trap(self, k: int, n: int, i: int) -> tuple[np.ndarray | None, PureState]:
         """Return (unitary on 2**k, or None for the identity; input state of
         dim 2**k) for round i."""
+
+    def action(
+        self, k: int, n: int, e: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rounds of ``(k, n)`` as stacked ``(r, 2**k)`` arrays
+        ``(chi, h, g)``: inputs, ``h = U chi`` and ``g = U^dagger e`` (``chi``
+        if ``e`` is None: matched). ``r`` is the row count of ``e``, else
+        ``n + 1``, or 1 for a round-independent family. Unchecked apart from
+        dims; an identity block returns ``h`` as ``chi`` and ``g`` as ``e``."""
+        d = 2**k
+        r = (1 if self.round_independent else n + 1) if e is None else len(e)
+        chis, hs, gs, identity = [], [], [], True
+        for i in range(1, r + 1):
+            u, state = self.trap(k, n, i)
+            where = f"round (n={n}, i={i})"
+            if state.dim != d:
+                raise ContractViolationError(f"trap state for {where} has dim {state.dim}, expected {d}")
+            chi = state.amplitudes
+            if u is None:
+                h, g = chi, (chi if e is None else e[i - 1])
+            else:
+                identity, what = False, f"trap unitary for {where}"
+                u = as_square_matrix(u, what)
+                if u.shape[0] != d:
+                    raise ContractViolationError(f"{what} has dim {u.shape[0]}, expected {d}")
+                h = u @ chi
+                g = chi if e is None else np.conj(e[i - 1].conj() @ u)  # no copy of U
+            chis.append(chi)
+            hs.append(h)
+            gs.append(g)
+        chi = _rows(chis)
+        if identity:
+            return chi, chi, chi if e is None else e
+        return chi, _rows(hs), chi if e is None else _rows(gs)
 
 
 @dataclass(frozen=True)
@@ -218,74 +260,124 @@ class ProtocolSpec:
             )
 
 
-def receive_trap(
-    traps: TrapGenerator, k: int, n: int, i: int, e: np.ndarray | None = None
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """Round i's trap as ``(u, chi, h, g)``: matrix (None: identity), input,
-    ``h = U chi`` and ``g = U^dagger e`` (``chi`` if ``e`` is None: matched).
+def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``<a_i|b_i>`` of two ``(r, d)`` stacks, each equal to
+    ``np.vdot(a_i, b_i)`` bit for bit."""
+    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
 
-    The one check of a trap, naming the round: dims, finite entries and the
-    action, ``|h|^2 = 1``, ``|g|^2 = |e|^2`` and ``<g|chi> = <e|h>`` within
-    1e-10, which hold iff a unitary maps ``(chi, g)`` to ``(h, e)``. So every
-    figure is a unitary trap's, and a matrix unitary only on this action
-    passes (no ``U^dagger U``); ``GeneralTest`` checks ``U`` in full.
+
+def receive_action(
+    traps: TrapGenerator, k: int, n: int, e: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rounds of ``(k, n)`` as checked ``(r, 2**k)`` arrays
+    ``(chi, h, e, g)``, from ``traps.action(k, n, e)`` (``e`` None: matched,
+    ``e = h`` and ``g = chi``).
+
+    The one check of a trap, naming its first failing round, on the action
+    only: ``|h|^2 = 1``, ``|g|^2 = |e|^2`` and ``<g|chi> = <e|h>`` within
+    1e-10, which hold iff a unitary maps ``(chi, g)`` to ``(h, e)``, and
+    ``|h| = 1`` within 1e-12, as a state demands. So every figure is a
+    unitary trap's, and a matrix unitary only on this action passes (no
+    ``U^dagger U``); ``GeneralTest`` checks its unitaries in full. An
+    identity block (``h`` is ``chi``, ``g`` is ``e``) needs no check.
     """
-    u, chi = traps.trap(k, n, i)
-    d, where = 2**k, f"round (n={n}, i={i})"
-    if chi.dim != d:
-        raise ContractViolationError(f"trap state for {where} has dim {chi.dim}, expected {d}")
-    chi = chi.amplitudes
-    if u is None:
-        return None, chi, chi, chi if e is None else e
-    what = f"trap unitary for {where}"
-    u = as_square_matrix(u, what)
-    if u.shape[0] != d:
-        raise ContractViolationError(f"{what} has dim {u.shape[0]}, expected {d}")
-    h = u @ chi
-    g, e = (chi, h) if e is None else (np.conj(e.conj() @ u), e)  # no copy of U
-    gram = (np.vdot(h, h) - 1.0, np.vdot(g, g) - np.vdot(e, e), np.vdot(g, chi) - np.vdot(e, h))
-    if max(abs(x) for x in gram) > VALIDATION_TOL:
-        raise ContractViolationError(f"{what} is not unitary on its action within 1e-10")
-    return u, chi, h, g
+    matched = e is None
+    chi, h, g = traps.action(k, n, e)
+    e = h if matched else e
+    r = (1 if traps.round_independent else n + 1) if matched else len(e)
+    if not chi.shape == h.shape == g.shape == e.shape == (r, 2**k):
+        raise ContractViolationError(
+            f"trap action for n={n} has shapes {chi.shape}, {h.shape}, {g.shape}, expected {(r, 2**k)}")
+    if h is chi and g is e:
+        return chi, h, e, g
+    hh = overlaps(h, h)
+    gram = np.maximum.reduce([np.abs(hh - 1.0), np.abs(overlaps(g, g) - overlaps(e, e)),
+                              np.abs(overlaps(g, chi) - overlaps(e, h))])
+    unit = np.abs(np.sqrt(hh.real) - 1.0)
+    bad = np.flatnonzero(~((gram <= VALIDATION_TOL) & (unit <= NORM_TOL)))
+    if bad.size:
+        i = int(bad[0])
+        what = f"trap unitary for round (n={n}, i={i + 1})"
+        if not gram[i] <= VALIDATION_TOL:
+            raise ContractViolationError(f"{what} is not unitary on its action within 1e-10")
+        raise ContractViolationError(
+            f"{what} maps its input to norm {float(np.sqrt(hh[i].real))!r}, not 1 within {NORM_TOL:.1e}")
+    return chi, h, e, g
 
 
-def _bank(spec: ProtocolSpec, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """n's ``(chi, h, e, g)`` rows, received once per spec (a failed round
-    caches nothing): one if traps and effects are round-independent, else
-    n + 1."""
+def action_unitary(chi: np.ndarray, h: np.ndarray, e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A unitary with ``U chi = h`` and ``U g = e``, for one round that passes
+    :func:`receive_action`: the product of two reflections
+    ``I - v v^dagger / <v|x>``, ``v = x - y``, each unitary and mapping ``x``
+    to ``y`` when ``|x| = |y|`` (Householder). The second maps the first's
+    image of ``g`` to ``e`` and fixes ``h``. O(d^2): the dense reference's
+    matrix for a round known by its action; the identity for identity rounds."""
+    u = np.eye(chi.shape[0], dtype=np.complex128)
+    for x, y in ((chi, h), (None, e)):
+        x = u @ g if x is None else x
+        v = x - y
+        c = np.vdot(v, x)
+        if c:
+            u -= np.outer(v / c, np.conj(v) @ u)
+    return u
+
+
+def _effects(rule: PerRoundAcceptance, k: int, n: int, r: int) -> np.ndarray:
+    """The rule's effect vectors for rounds 1..r as an ``(r, 2**k)`` array; a
+    round-independent rule's one effect is read once and broadcast."""
+    d, vectors = 2**k, []
+    for i in range(1, 2 if rule.round_independent else r + 1):
+        effect = rule.element(k, n, i)
+        if not (isinstance(effect, RankOneEffect) and effect.dim == d):
+            raise ContractViolationError(f"acceptance element for round (n={n}, i={i}) "
+                                         f"is not a RankOneEffect of dim {d}")
+        vectors.append(effect.vector.amplitudes)
+    if len(vectors) < r:
+        return np.broadcast_to(vectors[0], (r, d))
+    return _rows(vectors)
+
+
+def _rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """Equal-length vectors as the rows of one array (one row: a view)."""
+    return vectors[0][None] if len(vectors) == 1 else np.stack(vectors)
+
+
+def receive_rounds(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
+    """n's rounds under the spec's rule as checked ``(r, 2**k)`` arrays
+    ``(chi, h, e, g)``: one row if traps and effects are round-independent,
+    else n + 1. A matched rule reads its effects from the same action."""
+    k, rule = spec.k, per_round_rule(spec.acceptance)
+    if rule.traps is spec.traps:  # matched: the effect is the honest output
+        return receive_action(spec.traps, k, n)
+    r = 1 if spec.traps.round_independent and rule.round_independent else n + 1
+    return receive_action(spec.traps, k, n, _effects(rule, k, n, r))
+
+
+def _bank(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
+    """n's received rounds, kept on the spec (a failed round caches nothing)."""
     if n not in spec._bank:
-        k, rule = spec.k, per_round_rule(spec.acceptance)
-        matched = rule.traps is spec.traps  # the effect is the honest output
-        one = spec.traps.round_independent and (matched or rule.round_independent)
-        rows = []
-        for i in range(1, 2 if one else n + 2):
-            e = None
-            if not matched:
-                effect = rule.element(k, n, i)
-                if not (isinstance(effect, RankOneEffect) and effect.dim == 2**k):
-                    raise ContractViolationError(f"acceptance element for round (n={n}, i={i}) "
-                                                 f"is not a RankOneEffect of dim {2**k}")
-                e = effect.vector.amplitudes
-            _, chi, h, g = receive_trap(spec.traps, k, n, i, e)
-            rows.append((chi, h, h if e is None else e, g))
-        spec._bank[n] = tuple(rows)
+        spec._bank[n] = receive_rounds(spec, n)
     return spec._bank[n]
 
 
 def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
     """Per-round acceptance factors <e_i, (transformed T_i)(chi_i)> for i = 1..n+1,
-    read from n's bank: the attack is a phase vector on the honest output
-    (POST) or on the input, read by the pulled-back effect (PRE)."""
-    rows = _bank(spec, n)
+    read from n's bank in one contraction: the attack is a phase vector on the
+    honest output (POST) or on the input, read by the pulled-back effect (PRE)."""
+    chi, h, e, g = _bank(spec, n)
     honest = isinstance(strategy, Honest)
-    pre = not honest and strategy.placement is Placement.PRE
-    phases = None if honest else attack_phases(strategy.alpha, spec.k)
-    vals = np.empty(len(rows))
-    for i, (chi, h, e, g) in enumerate(rows, start=1):
-        left, right = (g, chi) if pre else (e, h)
-        out = right if honest else phases * right
-        value = float(abs(np.vdot(left, out)) ** 2)
-        vals[i - 1] = snap_probability(value, f"round factor (n={n}, i={i})")
+    left, right = (g, chi) if not honest and strategy.placement is Placement.PRE else (e, h)
+    if not honest:
+        right = attack_phases(strategy.alpha, spec.k) * right
+    z = overlaps(left, right)
+    vals = np.hypot(z.real, z.imag) ** 2  # |z| as scalar abs() gives it; np.abs may differ
+    top = vals.max()
+    if not top <= 1.0 + _PROB_SNAP:  # NaN fails too
+        i = int(np.flatnonzero(~(vals <= 1.0 + _PROB_SNAP))[0])
+        raise ContractViolationError(
+            f"round factor (n={n}, i={i + 1}) = {float(vals[i])!r} outside [0, 1]")
+    if top > 1.0:
+        np.minimum(vals, 1.0, out=vals)
     return vals if vals.size == n + 1 else np.full(n + 1, vals[0])
 
 

@@ -673,18 +673,22 @@ class TestReferenceFetchesOncePerN:
         calls = []
 
         class CountingTraps(RandomTraps):
-            def trap(self, k, n, i):
-                calls.append((n, i))
-                return super().trap(k, n, i)
+            def action(self, k, n, e=None):
+                calls.append((self.seed, n))
+                return super().action(k, n, e)
 
-        traps = CountingTraps(seed=8)
-        spec = ProtocolSpec(
-            omega=RoundDistribution.point_mass(4), k=1,
-            traps=traps, acceptance=matched_acceptance(traps),
-        )
-        overall_acceptance_via_combs(spec, PhaseAttack(0.7))
-        # each round once for its trap and once for its matched effect
-        assert sorted(calls) == sorted([(4, i) for i in range(1, 6)] * 2)
+        traps, other = CountingTraps(seed=8), CountingTraps(seed=9)
+        for rule, draws in ((matched_acceptance(traps), [(8, 4)]),
+                            (matched_acceptance(other), [(8, 4), (9, 4)])):
+            calls.clear()
+            spec = ProtocolSpec(
+                omega=RoundDistribution.point_mass(4), k=1, traps=traps, acceptance=rule,
+            )
+            overall_acceptance_via_combs(spec, PhaseAttack(0.7))
+            # one block per n for the traps; a matched rule over the spec's own
+            # traps reads its effects from that block, over other traps from
+            # one block of theirs
+            assert sorted(calls) == draws
 
 
 class TestCrossEngine:

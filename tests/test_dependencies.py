@@ -65,7 +65,7 @@ def test_engine_modules_do_not_import_upper_layers():
 
 def test_only_linalg_checks_unitarity():
     # every other module goes through linalg.require_unitary; a trap is
-    # checked on its action only (protocol.receive_trap), never by U†U
+    # checked on its action only (protocol.receive_action), never by U†U
     for path in sorted((ROOT / "src" / "cutchoose").glob("*.py")):
         if path.stem == "linalg":
             continue

@@ -15,7 +15,7 @@ from cutchoose.linalg import (
     trace_norm,
 )
 from cutchoose.sampling import random_density, random_psd, random_pure_state, random_unitary
-from cutchoose.protocol import receive_trap
+from cutchoose.protocol import TrapGenerator, receive_action
 from cutchoose.states import PovmElement, phase_gate, plus_state
 from cutchoose.strategies import HONEST, transform_round
 
@@ -316,17 +316,19 @@ class TestCarriers:
             DensityOperator(np.diag([1.5, -0.5]))
 
 
-class _OneTrap:
+class _OneTrap(TrapGenerator):
+    """The identity on the plus state, except ``u`` in round 2."""
+
     def __init__(self, u):
         self.u = u
 
     def trap(self, k, n, i):
-        return self.u, plus_state(k)
+        return (self.u if i == 2 else None), plus_state(k)
 
 
 # each boundary that takes a unitary, as (object named in its errors, call on a k = 1 input)
 UNITARY_BOUNDARIES = {
-    "trap": (r"trap unitary for round \(n=3, i=2\)", lambda u: receive_trap(_OneTrap(u), 1, 3, 2)),
+    "trap": (r"trap unitary for round \(n=3, i=2\)", lambda u: receive_action(_OneTrap(u), 1, 3)),
     "general-test": (r"test unitary 2", lambda u: GeneralTest(
         plus_state(1), (I2, u), PovmElement(I2))),
     "transform-round": (r"delegated unitary", lambda u: transform_round(HONEST, u, 1)),

@@ -1,23 +1,28 @@
 """The round bank against a literal per-round walk, and its sharing and limits.
 
-The bank receives each round of ``(spec, n)`` once and keeps the input, the
-honest output, the effect and the pulled-back effect. The reference here
-calls the spec's ``trap`` afresh for every round and plays it with the dense
-``transform_round``. Honest factors and POST factors (the attack's diagonal
-applied to the honest output) are bit-identical; PRE factors, and POST
-through the full dense product, agree within 1e-15. A trap is checked on its
-action: a matrix that is not unitary only where no figure reads it is
-accepted, and anything else fails at its named round.
+The bank receives the rounds of ``(spec, n)`` once and keeps, as ``(r, 2**k)``
+arrays, the inputs, the honest outputs, the effects and the pulled-back
+effects. The reference here fetches every round afresh and plays it with the
+dense ``transform_round``: the spec's ``trap`` matrix, or for ``random``
+traps, drawn as their action, the matrix two reflections build from the
+round's action under the spec's rule. With the trap's own matrix, honest
+factors and POST factors (the attack's diagonal applied to the honest
+output) are bit-identical, and PRE factors, and POST through the full dense
+product, agree within 1e-15; a rebuilt matrix agrees within 1e-14. A trap is
+checked on its action: a matrix that is not unitary only where no figure
+reads it is accepted, and anything else fails at its named round.
 """
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cutchoose import protocol
+from cutchoose import parse_config, protocol, run_scenario
 from cutchoose.bounds import run_tradeoff_check
+from cutchoose.combs import overall_acceptance_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
     ComputationalTraps,
@@ -60,10 +65,21 @@ RULES = {
 N = 3
 
 
+def played(spec, n, i):
+    """Round i's matrix (None: identity) and input as the reference plays
+    them: the trap's own, or for ``random`` traps the matrix two reflections
+    build from the round's action under the spec's rule."""
+    if isinstance(spec.traps, RandomTraps):
+        chi, h, e, g = (a[i - 1] for a in protocol.receive_rounds(spec, n))
+        return protocol.action_unitary(chi, h, e, g), chi
+    u, chi = spec.traps.trap(spec.k, n, i)
+    return u, chi.amplitudes
+
+
 def literal_factors(spec, strategy, n):
     """(factors through the dense product, factors with the dense attack's
-    diagonal on the honest output), calling ``trap`` afresh for every round;
-    each is snapped to [0, 1] as the engine snaps its factors."""
+    diagonal on the honest output), fetching every round afresh; each is
+    snapped to [0, 1] as the engine snaps its factors."""
     k = spec.k
     rule = spec.acceptance
     if isinstance(rule, GlobalAcceptance):
@@ -72,8 +88,8 @@ def literal_factors(spec, strategy, n):
     attack_diagonal = np.diag(transform_round(strategy, eye, k))
     dense, diagonal = [], []
     for i in range(1, n + 2):
-        u, chi = spec.traps.trap(k, n, i)
-        u, chi = (eye if u is None else u), chi.amplitudes
+        u, chi = played(spec, n, i)
+        u = eye if u is None else u
         honest = transform_round(HONEST, u, k) @ chi
         if rule.traps is spec.traps:
             effect = honest
@@ -90,15 +106,16 @@ def literal_factors(spec, strategy, n):
 
 
 def check_against_literal(spec):
+    own = not isinstance(spec.traps, RandomTraps)  # the trap's own matrix
     for placement in Placement:
         for strategy in (HONEST, PhaseAttack(0.4, placement), PhaseAttack(math.pi, placement)):
             got = protocol._round_factors(spec, strategy, N)
             dense, diagonal = literal_factors(spec, strategy, N)
-            if isinstance(strategy, Honest):
+            if own and isinstance(strategy, Honest):
                 np.testing.assert_array_equal(got, dense)
-            elif placement is Placement.POST:
+            elif own and placement is Placement.POST:
                 np.testing.assert_array_equal(got, diagonal)
-            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-15 if own else 1e-14)
 
 
 @pytest.mark.parametrize("trap_name", sorted(TRAPS))
@@ -120,9 +137,9 @@ class CountingRandomTraps(RandomTraps):
         super().__init__(seed)
         object.__setattr__(self, "calls", [])
 
-    def trap(self, k, n, i):
-        self.calls.append((n, i))
-        return super().trap(k, n, i)
+    def action(self, k, n, e=None):
+        self.calls.append((self.seed, n))
+        return super().action(k, n, e)
 
 
 class CountingPlusTraps(PlusTraps):
@@ -135,17 +152,24 @@ class CountingPlusTraps(PlusTraps):
 
 
 @pytest.mark.parametrize("mode", ("per-round", "global"))
-def test_one_trap_call_per_round_per_spec(mode):
-    traps = CountingRandomTraps(seed=9)
-    rule = matched_acceptance(traps)
+def test_one_block_per_n_per_spec(mode):
+    # each (k, n) block is drawn once per spec, for every table, model,
+    # strategy and sampler call; a matched rule over other traps draws one
+    # block of theirs per n, not one per round
+    traps, other = CountingRandomTraps(seed=9), CountingRandomTraps(seed=10)
     omega = RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (5, 0.5)])
-    spec = ProtocolSpec(omega, 1, traps, GlobalAcceptance(rule) if mode == "global" else rule)
-    for model in SecurityModel:
-        for placement in Placement:
-            run_tradeoff_check(spec, model, placement=placement)
-    monte_carlo_run(spec, (HONEST,), 200, 1)
-    monte_carlo_run(spec, (PhaseAttack(1.2, Placement.PRE),), 200, 2)
-    assert sorted(traps.calls) == [(n, i) for n in (2, 5) for i in range(1, n + 2)]
+    for rule in (matched_acceptance(traps), matched_acceptance(other), plus_acceptance()):
+        traps.calls.clear()
+        other.calls.clear()
+        spec = ProtocolSpec(omega, 1, traps, GlobalAcceptance(rule) if mode == "global" else rule)
+        for model in SecurityModel:
+            for placement in Placement:
+                run_tradeoff_check(spec, model, placement=placement)
+        monte_carlo_run(spec, (HONEST,), 200, 1)
+        monte_carlo_run(spec, (PhaseAttack(1.2, Placement.PRE),), 200, 2)
+        assert traps.calls == [(9, 2), (9, 5)]
+        assert other.calls == ([(10, 2), (10, 5)] if rule.traps is other else [])
+        assert [protocol._bank(spec, n)[0].shape for n in (2, 5)] == [(3, 2), (6, 2)]
 
 
 def test_round_independent_family_receives_one_round():
@@ -158,7 +182,7 @@ def test_round_independent_family_receives_one_round():
             run_tradeoff_check(spec, model)
         monte_carlo_run(spec, (PhaseAttack(0.9),), 100, 0)
         assert traps.calls == [(3, 1), (40, 1)]
-        assert [len(protocol._bank(spec, n)) for n in (3, 40)] == [1, 1]
+        assert [protocol._bank(spec, n)[0].shape for n in (3, 40)] == [(1, 4), (1, 4)]
 
 
 class NonUnitaryAt(TrapGenerator):
@@ -211,7 +235,8 @@ def test_trap_checked_on_its_action(k):
         for strategy in (HONEST, PhaseAttack(0.4, placement), PhaseAttack(2.5, placement)):
             got, want = (protocol._round_factors(spec, strategy, N) for spec in specs)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert all(v.ndim == 1 for row in protocol._bank(specs[0], N) for v in row)
+    # the bank keeps the rounds' vectors, (N + 1) x 2**k, and no matrix
+    assert [a.shape for a in protocol._bank(specs[0], N)] == [(N + 1, 2**k)] * 4
     # plus: g = U^dagger e picks up the doubled part, so |g| != |e|
     spec = ProtocolSpec(RoundDistribution.point_mass(N), k, scaled, plus_acceptance())
     message = r"^trap unitary for round \(n=3, i=2\) is not unitary on its action within 1e-10$"
@@ -271,3 +296,52 @@ def test_constant_point_mass_stays_small():
             tracemalloc.stop()
         assert [row.size for row in table.rows] == [n + 1]
         assert peak < cap_mb * 2**20, (n, k, peak)
+
+
+class OffNorm(TrapGenerator):
+    """Random traps scaled by 1 + 1e-11: unitary on their action within
+    1e-10, but the honest output's norm is off 1 by more than a state allows."""
+
+    def trap(self, k, n, i):
+        u, chi = RandomTraps(seed=5).trap(k, n, i)
+        return (1.0 + 1e-11) * u, chi
+
+
+def test_off_norm_trap_fails_alike_in_both_engines():
+    # the bank and the network reference read matched effects as states, so
+    # both refuse the trap at its named round, whether it is the spec's own
+    # or only the rule's
+    message = (r"^trap unitary for round \(n=3, i=1\) maps its input to norm "
+               r"1\.00000000001\d*, not 1 within 1\.0e-12$")
+    scaled = OffNorm()
+    for traps in (scaled, RandomTraps(seed=1)):
+        spec = ProtocolSpec(RoundDistribution.point_mass(N), 1, traps, matched_acceptance(scaled))
+        for engine in (round_outcome_table, overall_acceptance_via_combs):
+            with pytest.raises(ContractViolationError, match=message):
+                engine(spec, PhaseAttack(0.5))
+        assert N not in spec._bank
+
+
+def test_k12_random_row_stays_on_vectors():
+    # one 4096 x 4096 complex matrix alone is 268 MB; the row's bank is
+    # 4 x 51 x 4096 complex numbers, 13 MB
+    config = parse_config(json.dumps({
+        "protocol": {"omega": {"point_mass": 50}, "k": 12,
+                     "traps": {"family": "random", "seed": 2},
+                     "acceptance": {"family": "plus"}},
+        "strategy": {"kind": "phase-attack", "alpha": 0.8, "placement": "pre"},
+        "models": ["stand-alone", "composable"],
+        "variant": {"kind": "per-round"},
+    }))
+    tracemalloc.start()
+    try:
+        bundle = run_scenario(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bundle.runs) == 2
+    for record in bundle.runs:
+        report = record.report
+        assert 0.0 <= report.p_d <= 1.0 and 0.0 <= report.p_h <= 1.0
+        assert math.isfinite(report.eps_h) and math.isfinite(report.eps_d)
+    assert peak < 64 * 2**20, peak

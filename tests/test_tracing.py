@@ -4,9 +4,10 @@ The tracer replaces the package functions it names with wrappers, so a
 rename or signature change here would break the benchmark's per-layer
 metrics. These tests install it around small scenarios and check that it
 installs, counts one outcome-table build per strategy per report row and
-one trap call per distinct round of a row (per-round and global acceptance
-alike; one call in all for round-independent traps), records each
+one trap call for a row of round-independent traps, records each
 Monte-Carlo sampler call's arguments, and leaves report bytes unchanged.
+``random`` traps are drawn as their action, one block per row's ``n``
+(per-round and global acceptance alike), and call no ``trap``.
 """
 
 import importlib.util
@@ -43,7 +44,7 @@ def report_bytes(config):
     return cutchoose.emit_bytes(bundle, "csv") + cutchoose.emit_bytes(bundle, "json")
 
 
-def test_traced_reports_match_untraced():
+def test_traced_reports_match_untraced(monkeypatch):
     per_round = scenario({"kind": "per-round"}, 2)
     bell = scenario({"kind": "general-tests", "setup": {"family": "bell"}}, 1)
     sampled = scenario({"kind": "per-round"}, 2, monte_carlo={"trials": 500, "seed": 7},
@@ -56,6 +57,14 @@ def test_traced_reports_match_untraced():
         "acceptance": {"family": "matched", "mode": "global"}})
     untraced = [report_bytes(per_round), report_bytes(bell), report_bytes(sampled),
                 report_bytes(matched), report_bytes(global_matched)]
+    blocks = []
+    draw = cutchoose.RandomTraps.action
+
+    def counting_draw(self, k, n, e=None):
+        blocks.append(n)
+        return draw(self, k, n, e)
+
+    monkeypatch.setattr(cutchoose.RandomTraps, "action", counting_draw)
     original = cutchoose.run_scenario
 
     tracer = load_tracer_class()()
@@ -76,12 +85,13 @@ def test_traced_reports_match_untraced():
         assert tracer.mc_calls == [(((n, 1.0),), 500, 7 + i) for i, n in enumerate((1, 3))]
         before = tracer.counts["families.trap_calls"]
         traced_matched = report_bytes(matched)
-        # one trap call per round (n + 1 = 3), shared by both models and strategies
-        assert tracer.counts["families.trap_calls"] - before == 3
-        before = tracer.counts["families.trap_calls"]
+        # one block for the row's n = 2, shared by both models and strategies,
+        # with no trap call
+        assert blocks == [2]
         traced_global_matched = report_bytes(global_matched)
-        # the same: global acceptance reads each round's effect from its trap call
-        assert tracer.counts["families.trap_calls"] - before == 3
+        # the same: global acceptance reads each round's effect from that block
+        assert blocks == [2, 2]
+        assert tracer.counts["families.trap_calls"] == before
     assert cutchoose.run_scenario is original
     assert [traced_per_round, traced_bell, traced_sampled, traced_matched,
             traced_global_matched] == untraced

@@ -65,14 +65,24 @@ def strategies(placement):
     return [HONEST] + [PhaseAttack(a, placement) for a in ANGLES]
 
 
+def played(spec, n, i):
+    """Round i's matrix and input as the dense reference plays them: the
+    trap's own, or for ``random`` traps, drawn as their action, the matrix
+    two reflections build from the round's action under the spec's rule."""
+    if isinstance(spec.traps, RandomTraps):
+        chi, h, e, g = (a[i - 1] for a in protocol.receive_rounds(spec, n))
+        return protocol.action_unitary(chi, h, e, g), chi
+    t, chi = spec.traps.trap(spec.k, n, i)
+    return (np.eye(2**spec.k) if t is None else t), chi.amplitudes
+
+
 def dense_factors(spec, strategy, n):
     """<out|E|out> with out = transform_round(strategy, T_i, k) @ chi_i."""
     k = spec.k
     values = []
     for i in range(1, n + 2):
-        t, chi = spec.traps.trap(k, n, i)
-        u = np.eye(2**k) if t is None else t
-        out = transform_round(strategy, u, k) @ chi.amplitudes
+        u, chi = played(spec, n, i)
+        out = transform_round(strategy, u, k) @ chi
         effect = spec.acceptance.element(k, n, i).matrix
         values.append(float(np.vdot(out, effect @ out).real))
     return values
@@ -128,9 +138,8 @@ def test_global_power_matches_dense_joint_element(trap_name, effect_name):
                 attack = PhaseAttack(1.1, placement)
                 outs, effects = [], []
                 for i in range(1, n + 2):
-                    t, chi = traps.trap(k, n, i)
-                    u = np.eye(2**k) if t is None else t
-                    outs.append(transform_round(attack, u, k) @ chi.amplitudes)
+                    u, chi = played(spec, n, i)
+                    outs.append(transform_round(attack, u, k) @ chi)
                     effects.append(rule.element(k, n, i).matrix)
                 ref = []
                 for ell in range(1, n + 2):
