@@ -6,11 +6,12 @@ and its parameters, and ``config`` accepts exactly the names these tables
 hold. All families are deterministic; the seeded one draws the rounds of
 ``(k, n)`` from one generator seeded by ``(seed, k, n)`` only.
 
-Identity traps (``plus``, ``computational``) return no matrix. ``random``
-traps are drawn as their action (``RandomTraps.action``), with no ``2**k``
-matrix. Every effect is a :class:`RankOneEffect`, the one kind the engine
-reads (an overlap of ``2**k`` vectors); ``matched`` reads its traps' honest
-outputs through ``receive_action``, once per ``(k, n)``. Global mode wraps a
+Every trap family is its action (``TrapGenerator.action``) and forms no
+``2**k`` matrix: the identity traps (``plus``, ``computational``) give their
+fixed input's row, and ``random`` traps draw their rounds' vectors. Every
+effect is a :class:`RankOneEffect`, the one kind the engine reads (an
+overlap of ``2**k`` vectors); ``matched`` reads its traps' honest outputs
+through ``receive_action``, once per ``(k, n)``. Global mode wraps a
 per-round rule in :class:`GlobalAcceptance`, the tensor product of its
 effects.
 """
@@ -27,35 +28,39 @@ from .protocol import (
     GlobalAcceptance,
     PerRoundAcceptance,
     TrapGenerator,
-    action_unitary,
     overlaps,
     receive_action,
 )
 from .states import RankOneEffect, computational_basis_state, plus_state
 
 
-@dataclass(frozen=True)
-class PlusTraps(TrapGenerator):
-    """Identity computation on the uniform-superposition input."""
+class _IdentityTraps(TrapGenerator):
+    """The identity computation on one fixed input, ``_input(k)``, in every
+    round: each row is that input, and ``g`` is the effect itself."""
 
     round_independent = True
 
-    def trap(self, k, n, i):
-        return None, plus_state(k)
+    def action(self, k, n, e=None):
+        chi = np.broadcast_to(self._input(k).amplitudes, (1 if e is None else len(e), 2**k))
+        return chi, chi, (chi if e is None else e)
 
 
 @dataclass(frozen=True)
-class ComputationalTraps(TrapGenerator):
+class PlusTraps(_IdentityTraps):
+    """Identity computation on the uniform-superposition input."""
+
+    _input = staticmethod(plus_state)
+
+
+@dataclass(frozen=True)
+class ComputationalTraps(_IdentityTraps):
     """Identity computation on the all-zero input.
 
     Diagonal-phase attacks fix the all-zero state, so this family never
     detects them; it exists as the worst-case witness.
     """
 
-    round_independent = True
-
-    def trap(self, k, n, i):
-        return None, computational_basis_state(k)
+    _input = staticmethod(computational_basis_state)
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,7 @@ class RandomTraps(TrapGenerator):
     ``g = U^dagger e = <h|e> chi + |e - <h|e> h| w`` with ``w`` uniform in
     ``chi``'s orthogonal complement: given ``U chi = h``, a Haar ``U`` is any
     such map times a Haar unitary fixing ``chi`` (the subgroup algorithm,
-    Diaconis & Shahshahani 1987). :meth:`trap` gives a matched round as a
-    matrix, :func:`~cutchoose.protocol.action_unitary` of its row.
+    Diaconis & Shahshahani 1987).
     """
 
     seed: int = 0
@@ -87,11 +91,6 @@ class RandomTraps(TrapGenerator):
         w *= _norms(e - c * h) / _norms(w)
         w += c * chi
         return chi, h, w
-
-    def trap(self, k, n, i):
-        chi, h, _ = self.action(k, n)
-        chi, h = chi[i - 1], h[i - 1]
-        return action_unitary(chi, h, h, chi), PureState(chi)
 
 
 def _gaussian_rows(rng: np.random.Generator, r: int, d: int) -> np.ndarray:

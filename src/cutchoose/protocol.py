@@ -27,11 +27,10 @@ round bank receives the rounds of each ``(spec, n)`` once, as one block from
 ``TrapGenerator.action`` checked by ``receive_action``, and keeps four
 stacked ``(r, 2**k)`` arrays ``(chi, h, e, g)``: the inputs, the honest
 outputs ``U chi``, the rank-1 effects and ``U^dagger e`` (matched: ``e = h``,
-``g = chi``); no ``U`` is kept. ``TrapGenerator.trap``, the per-round hook,
-is what the default ``action`` loops over; ``random`` traps draw the block
-as their action instead. With the attack as a phase vector ``phi``, a round
-factor is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or PRE
-``|<g|phi chi>|^2``, all rounds in one contraction. The bank lives on the
+``g = chi``). ``action`` is a trap family's one description of its
+rounds, and no ``U`` is formed or kept. With the attack as a phase vector
+``phi``, a round factor is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or
+PRE ``|<g|phi chi>|^2``, all rounds in one contraction. The bank lives on the
 spec, so a report row's tables and sampler call share it, and is freed with
 the row. It holds at most ``4 * r * 2**k`` complex numbers: ``r = n + 1``,
 or ``r = 1`` (one factor, broadcast) for round-independent traps and
@@ -42,9 +41,9 @@ joint draw per run, tells the two apart. The dense path
 ``combs.overall_acceptance_via_combs``, which plays each round as
 ``action_unitary`` of its action) is the reference the tests compare
 against. The benchmark's tracer (``perfbench/spans.py``) hooks
-``round_outcome_table``, ``overall_acceptance``, ``client_output_state``,
-``monte_carlo_run`` (binding its parameters ``spec``, ``trials`` and
-``seed`` by name) and ``TrapGenerator.trap`` by name.
+``round_outcome_table``, ``overall_acceptance``, ``client_output_state``
+and ``monte_carlo_run`` (binding its parameters ``spec``, ``trials`` and
+``seed`` by name) by name.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ from .linalg import (
     NORM_TOL,
     VALIDATION_TOL,
     DensityOperator,
-    PureState,
-    as_square_matrix,
     dagger,
 )
 from .states import AbortExtendedState, RankOneEffect, attack_phases, mix_with_abort
@@ -133,64 +130,26 @@ class RoundDistribution:
     def max_n(self) -> int:
         return self.support[-1][0]
 
-    def prob(self, n: int) -> float:
-        for m, p in self.support:
-            if m == n:
-                return p
-        return 0.0
-
 
 class TrapGenerator(abc.ABC):
-    """Produces the trap computation and input for each round.
+    """Produces the trap computation and input of every round, as its action.
 
-    Must be deterministic for fixed ``(k, n, i)``. A family with the same
-    trap in every round sets ``round_independent``. The engine reads a trap
-    only as its action on the rounds of ``(k, n)`` (:meth:`action`), checked
-    once by :func:`receive_action`. :meth:`trap` is the per-round hook: the
-    default :meth:`action` loops over it, and a family that draws its rounds
-    as their action overrides :meth:`action` instead.
+    The engine reads a trap only through :meth:`action` on the rounds of
+    ``(k, n)``, checked once by :func:`receive_action`, and never forms its
+    matrix. Must be deterministic for fixed ``(k, n, e)``. A family with the
+    same trap in every round sets ``round_independent``.
     """
 
     round_independent: ClassVar[bool] = False
 
     @abc.abstractmethod
-    def trap(self, k: int, n: int, i: int) -> tuple[np.ndarray | None, PureState]:
-        """Return (unitary on 2**k, or None for the identity; input state of
-        dim 2**k) for round i."""
-
     def action(
         self, k: int, n: int, e: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rounds of ``(k, n)`` as stacked ``(r, 2**k)`` arrays
         ``(chi, h, g)``: inputs, ``h = U chi`` and ``g = U^dagger e`` (``chi``
         if ``e`` is None: matched). ``r`` is the row count of ``e``, else
-        ``n + 1``, or 1 for a round-independent family. Unchecked apart from
-        dims; an identity block returns ``h`` as ``chi`` and ``g`` as ``e``."""
-        d = 2**k
-        r = (1 if self.round_independent else n + 1) if e is None else len(e)
-        chis, hs, gs, identity = [], [], [], True
-        for i in range(1, r + 1):
-            u, state = self.trap(k, n, i)
-            where = f"round (n={n}, i={i})"
-            if state.dim != d:
-                raise ContractViolationError(f"trap state for {where} has dim {state.dim}, expected {d}")
-            chi = state.amplitudes
-            if u is None:
-                h, g = chi, (chi if e is None else e[i - 1])
-            else:
-                identity, what = False, f"trap unitary for {where}"
-                u = as_square_matrix(u, what)
-                if u.shape[0] != d:
-                    raise ContractViolationError(f"{what} has dim {u.shape[0]}, expected {d}")
-                h = u @ chi
-                g = chi if e is None else np.conj(e[i - 1].conj() @ u)  # no copy of U
-            chis.append(chi)
-            hs.append(h)
-            gs.append(g)
-        chi = _rows(chis)
-        if identity:
-            return chi, chi, chi if e is None else e
-        return chi, _rows(hs), chi if e is None else _rows(gs)
+        ``n + 1``, or 1 for a round-independent family. Unchecked."""
 
 
 @dataclass(frozen=True)
@@ -277,9 +236,8 @@ def receive_action(
     only: ``|h|^2 = 1``, ``|g|^2 = |e|^2`` and ``<g|chi> = <e|h>`` within
     1e-10, which hold iff a unitary maps ``(chi, g)`` to ``(h, e)``, and
     ``|h| = 1`` within 1e-12, as a state demands. So every figure is a
-    unitary trap's, and a matrix unitary only on this action passes (no
-    ``U^dagger U``); ``GeneralTest`` checks its unitaries in full. An
-    identity block (``h`` is ``chi``, ``g`` is ``e``) needs no check.
+    unitary trap's, and a trap unitary only on this action passes (no
+    ``U^dagger U``); ``GeneralTest`` checks its unitaries in full.
     """
     matched = e is None
     chi, h, g = traps.action(k, n, e)
@@ -288,8 +246,6 @@ def receive_action(
     if not chi.shape == h.shape == g.shape == e.shape == (r, 2**k):
         raise ContractViolationError(
             f"trap action for n={n} has shapes {chi.shape}, {h.shape}, {g.shape}, expected {(r, 2**k)}")
-    if h is chi and g is e:
-        return chi, h, e, g
     hh = overlaps(h, h)
     gram = np.maximum.reduce([np.abs(hh - 1.0), np.abs(overlaps(g, g) - overlaps(e, e)),
                               np.abs(overlaps(g, chi) - overlaps(e, h))])
@@ -334,12 +290,7 @@ def _effects(rule: PerRoundAcceptance, k: int, n: int, r: int) -> np.ndarray:
         vectors.append(effect.vector.amplitudes)
     if len(vectors) < r:
         return np.broadcast_to(vectors[0], (r, d))
-    return _rows(vectors)
-
-
-def _rows(vectors: list[np.ndarray]) -> np.ndarray:
-    """Equal-length vectors as the rows of one array (one row: a view)."""
-    return vectors[0][None] if len(vectors) == 1 else np.stack(vectors)
+    return np.stack(vectors)
 
 
 def receive_rounds(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:

@@ -46,6 +46,7 @@ from cutchoose.strategies import (
     SecurityModel,
     attack_sine,
 )
+from dense_rounds import played, squared_overlap
 
 
 def attacked_output(alpha, p_accept, k=1):
@@ -402,8 +403,7 @@ class TestRunTradeoffCheck:
         p_h = run_tradeoff_check(spec, SecurityModel.COMPOSABLE).p_h
         # n = 1: each output round leaves the other round as the one test
         plus = plus_state(1).amplitudes
-        factors = [abs(np.vdot(plus, u @ chi.amplitudes)) ** 2
-                   for u, chi in (traps.trap(1, 1, i) for i in (1, 2))]
+        factors = [squared_overlap(plus, u @ chi) for u, chi in (played(spec, 1, i) for i in (1, 2))]
         assert p_h == pytest.approx(sum(factors) / 2, abs=1e-12)
         psi = plus_state(1).density()
         rho_h = client_output_state(spec, HONEST, psi, np.eye(2))

@@ -290,7 +290,7 @@ class TestOverallGeneral:
                                                      strategy)
                     for n, wn in setup.omega.support if n > 0
                     for ell, w in enumerate(output_round_weights(setup.output_round, n), 1)
-                ) + setup.omega.prob(0)
+                ) + dict(setup.omega.support).get(0, 0.0)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_matches_main_engine_uniform(self):

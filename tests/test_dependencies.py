@@ -73,3 +73,15 @@ def test_only_linalg_checks_unitarity():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             name = name or (node.name if isinstance(node, ast.alias) else None)
             assert name != "is_unitary", f"{path.stem} uses is_unitary (line {node.lineno})"
+
+
+def test_only_the_reference_names_action_unitary():
+    # a round's matrix is built only where it is defined (protocol) and where
+    # the dense reference plays it (combs); the engine stays on vectors
+    for path in sorted((ROOT / "src" / "cutchoose").glob("*.py")):
+        if path.stem in ("protocol", "combs"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            name = name or (node.name if isinstance(node, ast.alias) else None)
+            assert name != "action_unitary", f"{path.stem} names action_unitary (line {node.lineno})"

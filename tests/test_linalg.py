@@ -317,18 +317,30 @@ class TestCarriers:
 
 
 class _OneTrap(TrapGenerator):
-    """The identity on the plus state, except ``u`` in round 2."""
+    """The identity on the plus state, except that ``u`` acts in round 2
+    (matched: ``g`` is ``chi``)."""
 
     def __init__(self, u):
         self.u = u
 
-    def trap(self, k, n, i):
-        return (self.u if i == 2 else None), plus_state(k)
+    def action(self, k, n, e=None):
+        chi = np.tile(plus_state(k).amplitudes, (n + 1, 1))
+        h = chi.copy()
+        h[1] = self.u @ chi[1]
+        return chi, h, chi
+
+
+@pytest.mark.parametrize("u", [np.diag([1.0, 2.0]), np.diag([1.0, np.nan])],
+                         ids=["non-unitary", "non-finite"])
+def test_trap_action_names_its_round(u):
+    # a trap is checked on its action, not by U†U: a NaN fails the same check
+    message = r"^trap unitary for round \(n=3, i=2\) is not unitary on its action within 1e-10$"
+    with pytest.raises(ContractViolationError, match=message):
+        receive_action(_OneTrap(u), 1, 3)
 
 
 # each boundary that takes a unitary, as (object named in its errors, call on a k = 1 input)
 UNITARY_BOUNDARIES = {
-    "trap": (r"trap unitary for round \(n=3, i=2\)", lambda u: receive_action(_OneTrap(u), 1, 3)),
     "general-test": (r"test unitary 2", lambda u: GeneralTest(
         plus_state(1), (I2, u), PovmElement(I2))),
     "transform-round": (r"delegated unitary", lambda u: transform_round(HONEST, u, 1)),
@@ -345,13 +357,11 @@ UNITARY_BOUNDARIES = {
 ], ids=["non-unitary", "non-finite", "non-square"])
 def test_unitary_boundaries_name_their_object(boundary, matrix, problem):
     what, call = UNITARY_BOUNDARIES[boundary]
-    if boundary == "trap":  # a trap is checked on its action, not by U†U
-        problem = problem.replace("is not unitary", "is not unitary on its action")
     with pytest.raises(ContractViolationError, match=f"^{what} {problem}$"):
         call(matrix)
 
 
-@pytest.mark.parametrize("boundary", ["trap", "transform-round", "diamond-distance"])
+@pytest.mark.parametrize("boundary", ["transform-round", "diamond-distance"])
 def test_unitary_boundaries_name_a_wrong_dim(boundary):
     what, call = UNITARY_BOUNDARIES[boundary]
     with pytest.raises(ContractViolationError, match=f"^{what} has dim 4, expected 2$"):

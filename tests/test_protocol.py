@@ -35,6 +35,7 @@ from cutchoose.protocol import (
 )
 from cutchoose.states import attack_operator, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
+from dense_rounds import played, squared_overlap
 
 
 def plus_spec(omega, k=1):
@@ -45,8 +46,7 @@ class TestRoundDistribution:
     def test_point_mass(self):
         om = RoundDistribution.point_mass(3)
         assert om.mean == 3.0
-        assert om.prob(3) == 1.0
-        assert om.prob(1) == 0.0
+        assert dict(om.support) == {3: 1.0}
 
     def test_mean(self):
         om = RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)])
@@ -94,11 +94,12 @@ def test_rejects_non_integer_counts(build, message):
 
 def test_random_traps_deterministic():
     traps = RandomTraps(seed=4)
-    t1, chi1 = traps.trap(1, 3, 2)
-    t2, chi2 = traps.trap(1, 3, 2)
+    spec = ProtocolSpec(RoundDistribution.point_mass(3), 1, traps, matched_acceptance(traps))
+    t1, chi1 = played(spec, 3, 2)
+    t2, chi2 = played(spec, 3, 2)
     assert np.array_equal(t1, t2)
-    assert np.array_equal(chi1.amplitudes, chi2.amplitudes)
-    t3, _ = traps.trap(1, 3, 1)
+    assert np.array_equal(chi1, chi2)
+    t3, _ = played(spec, 3, 1)
     assert not np.allclose(t1, t3)
 
 
@@ -310,9 +311,9 @@ class TestHolevoHelstromStep:
             for i in range(1, n + 2):
                 if i == ell:
                     continue
-                t, chi = traps.trap(k, n, i)
+                t, chi = played(spec, n, i)
                 ta = transform_round(attack, t, k)
-                prod *= abs(np.vdot(t @ chi.amplitudes, ta @ chi.amplitudes)) ** 2
+                prod *= squared_overlap(t @ chi, ta @ chi)
             assert abs(p_h - p_d) <= math.sqrt(1.0 - prod) + 1e-10
 
     def test_aggregate_gap_bounded(self):
@@ -390,9 +391,8 @@ def _literal_sequential_run(spec, strategy, n, ell, input_state, target_unitary)
             total = np.kron(total, rho_out)
             effect = np.kron(effect, np.eye(d))
         else:
-            t, chi = spec.traps.trap(k, n, i)
-            u = transform_round(strategy, t, k)
-            out = u @ chi.amplitudes
+            t, chi = played(spec, n, i)
+            out = transform_round(strategy, t, k) @ chi
             total = np.kron(total, np.outer(out, out.conj()))
             effect = np.kron(effect, spec.acceptance.element(k, n, i).matrix)
     p = float(np.trace(effect @ total).real)

@@ -21,6 +21,7 @@ from cutchoose.families import RandomTraps, matched_acceptance, plus_acceptance
 from cutchoose.protocol import ProtocolSpec, RoundDistribution, action_unitary, receive_action
 from cutchoose.states import attack_phases, computational_basis_state, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement
+from dense_rounds import played
 
 DRAWS = 20_000
 ALPHA = 1.3
@@ -115,9 +116,10 @@ def test_every_draw_keeps_its_invariants(k, n):
 def test_trap_is_the_matched_round_as_a_matrix():
     traps = RandomTraps(seed=4)
     chi, h, _, _ = receive_action(traps, 3, 5)
+    spec = ProtocolSpec(RoundDistribution.point_mass(5), 3, traps, matched_acceptance(traps))
     for i in range(1, 7):
-        u, state = traps.trap(3, 5, i)
-        np.testing.assert_array_equal(state.amplitudes, chi[i - 1])
+        u, row = played(spec, 5, i)
+        np.testing.assert_array_equal(row, chi[i - 1])
         np.testing.assert_allclose(u @ chi[i - 1], h[i - 1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), rtol=0, atol=1e-12)
 

@@ -3,14 +3,14 @@
 The bank receives the rounds of ``(spec, n)`` once and keeps, as ``(r, 2**k)``
 arrays, the inputs, the honest outputs, the effects and the pulled-back
 effects. The reference here fetches every round afresh and plays it with the
-dense ``transform_round``: the spec's ``trap`` matrix, or for ``random``
-traps, drawn as their action, the matrix two reflections build from the
-round's action under the spec's rule. With the trap's own matrix, honest
-factors and POST factors (the attack's diagonal applied to the honest
-output) are bit-identical, and PRE factors, and POST through the full dense
-product, agree within 1e-15; a rebuilt matrix agrees within 1e-14. A trap is
-checked on its action: a matrix that is not unitary only where no figure
-reads it is accepted, and anything else fails at its named round.
+dense ``transform_round``: the matrix two reflections build from the round's
+action under the spec's rule (``dense_rounds.played``). For identity traps
+that matrix is the identity, and honest factors and POST factors (the
+attack's diagonal applied to the honest output) are bit-identical, while
+PRE factors, and POST through the full dense product, agree within 1e-15;
+for ``random`` traps they agree within 1e-14. A trap is checked on its
+action: an action that is unitary only where a figure reads it is accepted,
+and anything else fails at its named round.
 """
 
 import json
@@ -32,7 +32,6 @@ from cutchoose.families import (
     matched_acceptance,
     plus_acceptance,
 )
-from cutchoose.linalg import is_unitary
 from cutchoose.protocol import (
     GlobalAcceptance,
     PerRoundAcceptance,
@@ -42,7 +41,7 @@ from cutchoose.protocol import (
     monte_carlo_run,
     round_outcome_table,
 )
-from cutchoose.states import PovmElement, RankOneEffect, plus_state
+from cutchoose.states import PovmElement, RankOneEffect, attack_phases, plus_state
 from cutchoose.strategies import (
     HONEST,
     Honest,
@@ -51,6 +50,7 @@ from cutchoose.strategies import (
     SecurityModel,
     transform_round,
 )
+from dense_rounds import played, squared_overlap
 
 TRAPS = {
     "plus": lambda: PlusTraps(),
@@ -63,17 +63,6 @@ RULES = {
     "matched": matched_acceptance,
 }
 N = 3
-
-
-def played(spec, n, i):
-    """Round i's matrix (None: identity) and input as the reference plays
-    them: the trap's own, or for ``random`` traps the matrix two reflections
-    build from the round's action under the spec's rule."""
-    if isinstance(spec.traps, RandomTraps):
-        chi, h, e, g = (a[i - 1] for a in protocol.receive_rounds(spec, n))
-        return protocol.action_unitary(chi, h, e, g), chi
-    u, chi = spec.traps.trap(spec.k, n, i)
-    return u, chi.amplitudes
 
 
 def literal_factors(spec, strategy, n):
@@ -89,7 +78,6 @@ def literal_factors(spec, strategy, n):
     dense, diagonal = [], []
     for i in range(1, n + 2):
         u, chi = played(spec, n, i)
-        u = eye if u is None else u
         honest = transform_round(HONEST, u, k) @ chi
         if rule.traps is spec.traps:
             effect = honest
@@ -97,8 +85,7 @@ def literal_factors(spec, strategy, n):
             effect = rule.element(k, n, i).vector.amplitudes
 
         def read(out):
-            value = float(abs(np.vdot(effect, out)) ** 2)
-            return protocol.snap_probability(value, "literal factor")
+            return protocol.snap_probability(float(squared_overlap(effect, out)), "literal factor")
 
         dense.append(read(transform_round(strategy, u, k) @ chi))
         diagonal.append(read(attack_diagonal * honest))
@@ -106,7 +93,7 @@ def literal_factors(spec, strategy, n):
 
 
 def check_against_literal(spec):
-    own = not isinstance(spec.traps, RandomTraps)  # the trap's own matrix
+    own = not isinstance(spec.traps, RandomTraps)  # the identity, played exactly
     for placement in Placement:
         for strategy in (HONEST, PhaseAttack(0.4, placement), PhaseAttack(math.pi, placement)):
             got = protocol._round_factors(spec, strategy, N)
@@ -143,12 +130,15 @@ class CountingRandomTraps(RandomTraps):
 
 
 class CountingPlusTraps(PlusTraps):
+    """Plus traps that record each block they give as (n, rows)."""
+
     def __init__(self):
         object.__setattr__(self, "calls", [])
 
-    def trap(self, k, n, i):
-        self.calls.append((n, i))
-        return super().trap(k, n, i)
+    def action(self, k, n, e=None):
+        block = super().action(k, n, e)
+        self.calls.append((n, len(block[0])))
+        return block
 
 
 @pytest.mark.parametrize("mode", ("per-round", "global"))
@@ -186,15 +176,20 @@ def test_round_independent_family_receives_one_round():
 
 
 class NonUnitaryAt(TrapGenerator):
-    """Random traps except in round ``bad``, which gives twice the identity."""
+    """Random traps except in round ``bad``, which acts as twice the
+    identity on the plus state."""
 
     def __init__(self, bad):
         self.bad = bad
 
-    def trap(self, k, n, i):
-        if i == self.bad:
-            return 2.0 * np.eye(2**k), plus_state(k)
-        return RandomTraps(seed=1).trap(k, n, i)
+    def action(self, k, n, e=None):
+        chi, h, g = RandomTraps(seed=1).action(k, n, e)  # matched: g is chi
+        i = self.bad - 1
+        chi[i] = plus_state(k).amplitudes
+        h[i] = 2.0 * chi[i]
+        if e is not None:
+            g[i] = 2.0 * e[i]
+        return chi, h, g
 
 
 def test_failed_round_leaves_no_bank():
@@ -209,18 +204,20 @@ def test_failed_round_leaves_no_bank():
 
 
 class ScaledOffInput(TrapGenerator):
-    """Random traps, but round ``bad``'s matrix also doubles the part of its
-    input space orthogonal to ``chi``: unitary on ``chi``, not on ``chi⊥``."""
+    """Random traps, but round ``bad``'s trap also doubles the part of its
+    input space orthogonal to ``chi``: unitary on ``chi``, not on ``chi⊥``.
+    So ``h = U chi`` is unchanged, and ``g = U^dagger e`` gains the part of
+    itself orthogonal to ``chi`` once more."""
 
     def __init__(self, bad):
         self.bad = bad
 
-    def trap(self, k, n, i):
-        u, chi = RandomTraps(seed=5).trap(k, n, i)
-        if i != self.bad:
-            return u, chi
-        off = np.eye(2**k) - chi.projector()
-        return u @ (np.eye(2**k) + off), chi
+    def action(self, k, n, e=None):
+        chi, h, g = RandomTraps(seed=5).action(k, n, e)
+        if e is not None:
+            i = self.bad - 1
+            g[i] = 2.0 * g[i] - np.vdot(chi[i], g[i]) * chi[i]
+        return chi, h, g
 
 
 @pytest.mark.parametrize("k", (1, 3))
@@ -228,7 +225,6 @@ def test_trap_checked_on_its_action(k):
     # matched: the engine reads h = U chi and g = chi only, so the off-input
     # scaling changes no figure and the trap is accepted
     scaled, plain = ScaledOffInput(2), RandomTraps(seed=5)
-    assert not is_unitary(scaled.trap(k, N, 2)[0])
     specs = [ProtocolSpec(RoundDistribution.point_mass(N), k, t, matched_acceptance(t))
              for t in (scaled, plain)]
     for placement in Placement:
@@ -302,9 +298,9 @@ class OffNorm(TrapGenerator):
     """Random traps scaled by 1 + 1e-11: unitary on their action within
     1e-10, but the honest output's norm is off 1 by more than a state allows."""
 
-    def trap(self, k, n, i):
-        u, chi = RandomTraps(seed=5).trap(k, n, i)
-        return (1.0 + 1e-11) * u, chi
+    def action(self, k, n, e=None):
+        chi, h, g = RandomTraps(seed=5).action(k, n, e)
+        return chi, (1.0 + 1e-11) * h, (g if e is None else (1.0 + 1e-11) * g)
 
 
 def test_off_norm_trap_fails_alike_in_both_engines():
@@ -345,3 +341,15 @@ def test_k12_random_row_stays_on_vectors():
         assert 0.0 <= report.p_d <= 1.0 and 0.0 <= report.p_h <= 1.0
         assert math.isfinite(report.eps_h) and math.isfinite(report.eps_d)
     assert peak < 64 * 2**20, peak
+
+
+def test_engine_squares_overlaps_as_the_literal_reference():
+    # 10**5 random overlaps, honest <e|h> and PRE <g|phi chi>: the engine's
+    # |z|^2 equals m * m of the scalar m = abs(np.vdot(...)) bit for bit
+    n, alpha = 10**5 - 1, 1.3
+    spec = ProtocolSpec(RoundDistribution.point_mass(n), 1, RandomTraps(seed=17), plus_acceptance())
+    chi, h, e, g = protocol._bank(spec, n)
+    pre = (PhaseAttack(alpha, Placement.PRE), g, attack_phases(alpha, 1) * chi)
+    for strategy, left, right in ((HONEST, e, h), pre):
+        want = [squared_overlap(a, b) for a, b in zip(left, right)]
+        np.testing.assert_array_equal(protocol._round_factors(spec, strategy, n), want)

@@ -3,11 +3,11 @@
 The tracer replaces the package functions it names with wrappers, so a
 rename or signature change here would break the benchmark's per-layer
 metrics. These tests install it around small scenarios and check that it
-installs, counts one outcome-table build per strategy per report row and
-one trap call for a row of round-independent traps, records each
-Monte-Carlo sampler call's arguments, and leaves report bytes unchanged.
-``random`` traps are drawn as their action, one block per row's ``n``
-(per-round and global acceptance alike), and call no ``trap``.
+installs, counts one outcome-table build per strategy per report row,
+records each Monte-Carlo sampler call's arguments, and leaves report bytes
+unchanged. Every trap family gives its rounds as one ``action`` block per
+row's ``n`` (per-round and global acceptance alike), counted here from the
+outside: one row for round-independent traps, ``n + 1`` for ``random``.
 """
 
 import importlib.util
@@ -58,21 +58,21 @@ def test_traced_reports_match_untraced(monkeypatch):
     untraced = [report_bytes(per_round), report_bytes(bell), report_bytes(sampled),
                 report_bytes(matched), report_bytes(global_matched)]
     blocks = []
-    draw = cutchoose.RandomTraps.action
+    for family in (cutchoose.PlusTraps, cutchoose.RandomTraps):
+        def counting_action(self, k, n, e=None, action=family.action):
+            block = action(self, k, n, e)
+            blocks.append((type(self).__name__, n, len(block[0])))
+            return block
 
-    def counting_draw(self, k, n, e=None):
-        blocks.append(n)
-        return draw(self, k, n, e)
-
-    monkeypatch.setattr(cutchoose.RandomTraps, "action", counting_draw)
+        monkeypatch.setattr(family, "action", counting_action)
     original = cutchoose.run_scenario
 
     tracer = load_tracer_class()()
     with tracer:
         assert cutchoose.run_scenario is not original
         traced_per_round = report_bytes(per_round)
-        # plus traps are round-independent: the row's bank receives round 1 once
-        assert tracer.counts["families.trap_calls"] == 1
+        # plus traps are round-independent: the row's bank receives one row once
+        assert blocks == [("PlusTraps", 2, 1)]
         assert tracer.span_count("protocol.round_outcome_table") == 2 * 2
         traced_bell = report_bytes(bell)
         # one honest table shared by both models, plus one attacked table per
@@ -83,15 +83,15 @@ def test_traced_reports_match_untraced(monkeypatch):
         # one call per sweep entry (the honest run and both rows' attacks); entry i
         # is seeded 7 + i
         assert tracer.mc_calls == [(((n, 1.0),), 500, 7 + i) for i, n in enumerate((1, 3))]
-        before = tracer.counts["families.trap_calls"]
+        # one block per sweep entry's n
+        assert blocks[1:] == [("PlusTraps", 1, 1), ("PlusTraps", 3, 1)]
+        del blocks[:]
         traced_matched = report_bytes(matched)
-        # one block for the row's n = 2, shared by both models and strategies,
-        # with no trap call
-        assert blocks == [2]
+        # one block for the row's n = 2, shared by both models and strategies
+        assert blocks == [("RandomTraps", 2, 3)]
         traced_global_matched = report_bytes(global_matched)
         # the same: global acceptance reads each round's effect from that block
-        assert blocks == [2, 2]
-        assert tracer.counts["families.trap_calls"] == before
+        assert blocks == [("RandomTraps", 2, 3)] * 2
     assert cutchoose.run_scenario is original
     assert [traced_per_round, traced_bell, traced_sampled, traced_matched,
             traced_global_matched] == untraced

@@ -42,6 +42,7 @@ from cutchoose.protocol import (
 )
 from cutchoose.states import PovmElement, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
+from dense_rounds import played
 
 TOL = 1e-12
 ANGLES = (0.4, 1.9, math.pi)
@@ -63,17 +64,6 @@ DENSE_EPS_D = {
 
 def strategies(placement):
     return [HONEST] + [PhaseAttack(a, placement) for a in ANGLES]
-
-
-def played(spec, n, i):
-    """Round i's matrix and input as the dense reference plays them: the
-    trap's own, or for ``random`` traps, drawn as their action, the matrix
-    two reflections build from the round's action under the spec's rule."""
-    if isinstance(spec.traps, RandomTraps):
-        chi, h, e, g = (a[i - 1] for a in protocol.receive_rounds(spec, n))
-        return protocol.action_unitary(chi, h, e, g), chi
-    t, chi = spec.traps.trap(spec.k, n, i)
-    return (np.eye(2**spec.k) if t is None else t), chi.amplitudes
 
 
 def dense_factors(spec, strategy, n):
@@ -155,23 +145,27 @@ def test_global_power_matches_dense_joint_element(trap_name, effect_name):
 
 
 class BrokenTraps(TrapGenerator):
-    """Plus traps except in round ``bad``: a non-unitary matrix, or a state of
-    the wrong dimension."""
+    """Identity traps on the plus state, except that round ``bad`` acts as
+    the non-unitary matrix twice the identity ("matrix"), or every round's
+    vectors have the dimension of ``k + 1`` qubits ("shape")."""
 
     def __init__(self, bad, kind):
         self.bad, self.kind = bad, kind
 
-    def trap(self, k, n, i):
-        if i != self.bad:
-            return None, plus_state(k)
+    def action(self, k, n, e=None):
+        chi = np.tile(plus_state(k + (self.kind == "shape")).amplitudes, (n + 1, 1))
+        h, g = chi.copy(), (chi if e is None else e.copy())
         if self.kind == "matrix":
-            return 2.0 * np.eye(2**k), plus_state(k)
-        return None, plus_state(k + 1)
+            h[self.bad - 1] *= 2.0
+            if e is not None:
+                g[self.bad - 1] *= 2.0
+        return chi, h, g
 
 
 @pytest.mark.parametrize("kind, message", [
     ("matrix", r"trap unitary for round \(n=3, i=2\) is not unitary"),
-    ("state", r"trap state for round \(n=3, i=2\) has dim 8, expected 4"),
+    pytest.param("shape", r"trap action for n=3 has shapes \(4, 8\), \(4, 8\), \(4, 4\), "
+                 r"expected \(4, 4\)", id="shape"),
 ])
 def test_trap_errors_name_the_round(kind, message):
     spec = ProtocolSpec(
