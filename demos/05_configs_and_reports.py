@@ -30,8 +30,6 @@ print("config hash:", config.config_hash())
 
 bundle = run_scenario(config)
 print(f"rows: {len(bundle.runs)}   all bounds satisfied: {bundle.all_satisfied}")
-print(f"(wall time {bundle.metadata.wall_time_s:.2f}s — kept off the serialized output"
-      " so reruns stay byte-identical)")
 
 print("\nfirst CSV lines:")
 for line in emit_bytes(bundle, "csv").decode().splitlines()[:3]:

@@ -214,10 +214,10 @@ def certify_tradeoff(
     honest_rounds = table(HONEST)
     n_expected = honest_rounds.omega.mean
     if alpha_override is None:
-        alpha = optimal_alpha(model, variant, n_expected)
-    else:
-        alpha = float(alpha_override) % (2.0 * math.pi)
-    attacked_rounds = table(PhaseAttack(alpha, placement))
+        alpha_override = optimal_alpha(model, variant, n_expected)
+    attack = PhaseAttack(alpha_override, placement)  # checks and reduces the angle
+    alpha = attack.alpha
+    attacked_rounds = table(attack)
     p_h, p_d = honest_rounds.acceptance, attacked_rounds.acceptance
 
     eps_h = 1.0 - p_h

@@ -2,9 +2,8 @@
 
 ``run_scenario`` is pure: it returns a bundle and writes nothing. Emission
 is deterministic — identical configs (including seeds) produce byte-identical
-CSV/JSON files. Wall time is tracked on the in-memory bundle only and never
-serialized, precisely to keep that guarantee. Numbers are rendered with 12
-significant digits.
+CSV/JSON files, so a bundle holds no timing. CSV numbers are rendered with 12
+significant digits; JSON is one ``json.dumps`` line with sorted keys.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
-import time
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -76,7 +73,6 @@ class BundleMetadata:
     config_hash: str
     seed: int | None
     versions: dict
-    wall_time_s: float  # in-memory only, never emitted
 
 
 @dataclass(frozen=True)
@@ -132,7 +128,6 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     set, one sampler call per entry runs the honest strategy and each model's
     attack on the same draws.
     """
-    t0 = time.perf_counter()
     doc = config.canonical()
     monte_carlo = doc.get("monte_carlo")
     mc_seed = seed_override
@@ -157,7 +152,6 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         config_hash=config.config_hash(),
         seed=mc_seed if monte_carlo is not None else None,
         versions={"cutchoose": __version__, "numpy": np.__version__},
-        wall_time_s=time.perf_counter() - t0,
     )
     return ReportBundle(config=config, runs=tuple(runs), metadata=meta)
 
@@ -191,6 +185,11 @@ def _csv_row(record: RunRecord, with_mc: bool) -> list[str]:
     return row
 
 
+def _rows(table: RoundOutcomeTable) -> list[dict]:
+    """The table as one ``{"n", "p"}`` row per support point, in order."""
+    return [{"n": n, "p": row.tolist()} for (n, _), row in zip(table.omega.support, table.rows)]
+
+
 def _json_run(record: RunRecord) -> dict:
     r = record.report
     doc = {
@@ -201,7 +200,7 @@ def _json_run(record: RunRecord) -> dict:
             {"name": s.name, "lhs": s.lhs, "rhs": s.rhs, "holds": s.holds}
             for s in r.proof_steps
         ],
-        "rounds": {"honest": r.honest_rounds, "attacked": r.attacked_rounds},
+        "rounds": {"honest": _rows(r.honest_rounds), "attacked": _rows(r.attacked_rounds)},
     }
     if record.mc is not None:
         doc["monte_carlo"] = {key: get(record.mc) for _, key, get in _MC_FIELDS}
@@ -220,31 +219,6 @@ def _json_doc(bundle: ReportBundle) -> dict:
     }
 
 
-def _table_json(table: RoundOutcomeTable, indent: int) -> str:
-    """The table as ``[n, ell, p]`` triples, n in support order, as ``json.dumps``
-    writes them with ``indent=2`` in a list opened on a line indented ``indent``."""
-    inner, item = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
-    triples = []
-    for (n, _), row in zip(table.omega.support, table.rows):
-        head = f"{inner}[{item}{n},{item}"
-        triples += [f"{head}{ell},{item}{p!r}{inner}]" for ell, p in enumerate(row.tolist(), 1)]
-    return "[" + ",".join(triples) + "\n" + " " * indent + "]"
-
-
-def _json_bytes(doc: dict) -> bytes:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, with the
-    runs' ``rounds`` tables (depth 4) written by :func:`_table_json`: with
-    ``indent``, ``json`` runs its pure-Python encoder, about 8 µs a triple."""
-    tables = []
-    for run in doc["runs"]:
-        for who, table in run["rounds"].items():
-            run["rounds"][who] = f"\0{len(tables)}"
-            tables.append(_table_json(table, 8))
-    pieces = re.split(r'"\\u0000(\d+)"', json.dumps(doc, indent=2, sort_keys=True))
-    pieces[1::2] = [tables[int(i)] for i in pieces[1::2]]
-    return "".join(pieces + ["\n"]).encode("utf-8")
-
-
 def emit_bytes(bundle: ReportBundle, fmt: str) -> bytes:
     """Serialize a bundle; identical bundles give identical bytes."""
     if fmt == "csv":
@@ -256,7 +230,7 @@ def emit_bytes(bundle: ReportBundle, fmt: str) -> bytes:
             writer.writerow(_csv_row(record, with_mc))
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        return _json_bytes(_json_doc(bundle))
+        return (json.dumps(_json_doc(bundle), sort_keys=True) + "\n").encode("utf-8")
     raise OutOfDomainError(f"unknown output format {fmt!r}")
 
 

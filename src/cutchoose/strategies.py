@@ -49,7 +49,12 @@ class PhaseAttack:
     placement: Placement = Placement.POST
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha) % _TWO_PI)
+        if not isinstance(self.placement, Placement):
+            raise OutOfDomainError(f"placement must be a Placement, got {self.placement!r}")
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha):
+            raise OutOfDomainError(f"attack angle alpha must be finite, got {alpha!r}")
+        object.__setattr__(self, "alpha", alpha % _TWO_PI)
 
 
 ServerStrategy = Honest | PhaseAttack

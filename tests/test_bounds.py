@@ -339,6 +339,11 @@ class TestRunTradeoffCheck:
         assert report.eps_d == pytest.approx(math.sin(report.alpha / 2) ** 2, abs=1e-10)
         assert report.satisfied
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_rejects_a_non_finite_override(self, alpha):
+        with pytest.raises(OutOfDomainError, match=f"got {alpha!r}"):
+            run_tradeoff_check(plus_spec(3), SecurityModel.COMPOSABLE, alpha_override=alpha)
+
     def test_trivial_attack_flagged(self):
         report = run_tradeoff_check(plus_spec(3), SecurityModel.STAND_ALONE, alpha_override=0.0)
         assert report.trivial_attack

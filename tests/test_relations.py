@@ -15,16 +15,18 @@ k <= 3, and round distributions of at most 4 support points with n <= 6:
 - blindness: computational traps under computational acceptance accept every
   strategy, an honest run under matched acceptance accepts with 1, and for
   identity traps PRE equals POST;
-- the linear gap bound ``|p_H - p_D| <= N |sin(alpha/2)|``, N the mean.
+- the linear gap bound ``|p_H - p_D| <= N |sin(alpha/2)|``, N the mean;
+- the per-round gap bound ``|p_H - p_D| <= sqrt(1 - cos(alpha/2)^(2N))``.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from cutchoose.bounds import acceptance_gap_bound
 from cutchoose.families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
 from cutchoose.protocol import ProtocolSpec, RoundDistribution, overall_acceptance
-from cutchoose.strategies import HONEST, PhaseAttack, Placement
+from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant
 
 TOL = 1e-12
 RELATIONS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -102,3 +104,12 @@ def test_linear_gap_bound(drawn, alpha, placement):
     gap = abs(overall_acceptance(spec, HONEST)
               - overall_acceptance(spec, PhaseAttack(alpha, placement)))
     assert gap <= spec.omega.mean * abs(math.sin(alpha / 2.0)) + TOL
+
+
+@RELATIONS
+@given(specs(), angles, placements)
+def test_per_round_gap_bound(drawn, alpha, placement):
+    _, _, spec = drawn
+    gap = abs(overall_acceptance(spec, HONEST)
+              - overall_acceptance(spec, PhaseAttack(alpha, placement)))
+    assert gap <= acceptance_gap_bound(ProtocolVariant.PER_ROUND, alpha, spec.omega.mean) + TOL

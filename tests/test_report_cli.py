@@ -128,9 +128,8 @@ class TestRunScenario:
                 assert r.p_d == attacked.acceptance
                 for who, t in (("honest", honest), ("attacked", attacked)):
                     assert row["rounds"][who] == [
-                        [n, ell, float(t.rows[j][ell - 1])]
+                        {"n": n, "p": t.rows[j].tolist()}
                         for j, (n, _) in enumerate(t.omega.support)
-                        for ell in range(1, n + 2)
                     ]
 
     def test_monte_carlo_columns(self):
@@ -200,11 +199,8 @@ class TestRunScenario:
         assert report.p_h == pytest.approx(1.0, abs=1e-10)
         assert report.satisfied
 
-    def test_wall_time_not_serialized(self):
-        cfg = make_config()
-        bundle = run_scenario(cfg)
-        assert bundle.metadata.wall_time_s >= 0.0
-        assert b"wall_time" not in emit_bytes(bundle, "json")
+    def test_no_timing_in_the_json(self):
+        assert b"time" not in emit_bytes(run_scenario(make_config()), "json")
 
 
 def report_bytes(config):
@@ -397,17 +393,18 @@ class TestEmission:
             "traps": {"family": "plus"}, "acceptance": {"family": "plus"}}},
     ], ids=["per-round", "monte-carlo", "bell", "custom", "point-mass-1e5"])
     def test_json_bytes_are_json_dumps(self, overrides):
-        # the rounds tables bypass json's encoder; the bytes must not change
+        # one compact line with sorted keys; each rounds table is one
+        # {"n", "p"} row per support point, holding the table's floats exactly
         bundle = run_scenario(make_config(**overrides))
         doc = report_module._json_doc(bundle)
-        for run in doc["runs"]:
-            run["rounds"] = {
-                who: [[n, ell, p] for (n, _), row in zip(t.omega.support, t.rows)
-                      for ell, p in enumerate(row.tolist(), start=1)]
-                for who, t in run["rounds"].items()
-            }
-        expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        assert emit_bytes(bundle, "json") == expected
+        data = emit_bytes(bundle, "json")
+        assert data == (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        for record, run in zip(bundle.runs, json.loads(data)["runs"], strict=True):
+            r = record.report
+            for who, t in (("honest", r.honest_rounds), ("attacked", r.attacked_rounds)):
+                assert run["rounds"][who] == [
+                    {"n": n, "p": row.tolist()} for (n, _), row in zip(t.omega.support, t.rows)
+                ]
 
     def test_reruns_byte_identical(self):
         cfg = make_config(

@@ -66,6 +66,19 @@ class TestTransformRound:
         assert PhaseAttack(2 * math.pi + 0.5).alpha == pytest.approx(0.5)
         assert PhaseAttack(-0.5).alpha == pytest.approx(2 * math.pi - 0.5)
 
+    @pytest.mark.parametrize("placement", ["post", "pre"])
+    def test_rejects_a_placement_name(self, placement):
+        # the engines compare a placement by identity, the per-round one
+        # against PRE and the network one against POST, so a name would be
+        # POST to the first and PRE to the second
+        with pytest.raises(OutOfDomainError, match=f"'{placement}'"):
+            PhaseAttack(1.3, placement)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_angle(self, alpha):
+        with pytest.raises(OutOfDomainError, match=f"got {alpha!r}"):
+            PhaseAttack(alpha)
+
 
 class TestOverlapFloor:
     def test_overlap_never_below_generic_rate(self):
