@@ -9,21 +9,20 @@ hold. All families are deterministic; the seeded one draws the rounds of
 Every trap family is its action (``TrapGenerator.action``) and forms no
 ``2**k`` matrix: the identity traps (``plus``, ``computational``) give their
 fixed input's row, and ``random`` traps draw their rounds' vectors. Every
-effect is a :class:`RankOneEffect`, the one kind the engine reads (an
-overlap of ``2**k`` vectors); ``matched`` reads its traps' honest outputs
-through ``receive_action``, once per ``(k, n)``. Global mode wraps a
+acceptance rule is its block of rank-1 effect rows per ``(k, n)``, the one
+kind the engine reads (an overlap of ``2**k`` vectors): ``plus`` and
+``computational`` give their state's one row, and ``matched`` its traps'
+honest outputs, received through ``receive_action``. Global mode wraps a
 per-round rule in :class:`GlobalAcceptance`, the tensor product of its
 effects.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PureState
 from .protocol import (
     GlobalAcceptance,
     PerRoundAcceptance,
@@ -31,7 +30,7 @@ from .protocol import (
     overlaps,
     receive_action,
 )
-from .states import RankOneEffect, computational_basis_state, plus_state
+from .states import computational_basis_state, plus_state
 
 
 class _IdentityTraps(TrapGenerator):
@@ -110,42 +109,19 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(overlaps(rows, rows).real)[:, None]
 
 
-class _ConstantAcceptance(PerRoundAcceptance):
-    """A per-round rule with the same effect in every round."""
-
-    round_independent = True
-
-
-def _constant_acceptance(state_of_k) -> PerRoundAcceptance:
-    """The projector onto ``state_of_k(k)`` in every round, built once per k."""
-    effect = functools.cache(lambda k: RankOneEffect(state_of_k(k)))
-    return _ConstantAcceptance(lambda k, n, i: effect(k))
-
-
 def plus_acceptance() -> PerRoundAcceptance:
     """Accept a round iff its output projects onto the uniform superposition."""
-    return _constant_acceptance(plus_state)
+    return PerRoundAcceptance(lambda k, n: plus_state(k).amplitudes[None])
 
 
 def computational_acceptance() -> PerRoundAcceptance:
-    return _constant_acceptance(computational_basis_state)
+    return PerRoundAcceptance(lambda k, n: computational_basis_state(k).amplitudes[None])
 
 
 def matched_acceptance(traps: TrapGenerator) -> PerRoundAcceptance:
-    """Accept a round iff its output projects onto the honest trap output.
-
-    The honest outputs of ``(k, n)`` are received once, checked (errors name
-    the round), and kept for the rounds of that ``n``."""
-
-    @functools.lru_cache(maxsize=1)
-    def outputs(k, n):
-        return receive_action(traps, k, n)[1]
-
-    def element(k, n, i):
-        h = outputs(k, n)
-        return RankOneEffect(PureState(h[min(i, len(h)) - 1]))
-
-    return PerRoundAcceptance(element, traps=traps)
+    """Accept a round iff its output projects onto the honest trap output,
+    received (and checked, errors naming the round) once per ``(k, n)``."""
+    return PerRoundAcceptance(lambda k, n: receive_action(traps, k, n)[1], traps=traps)
 
 
 # name -> trap generator class, called with the family's parameters

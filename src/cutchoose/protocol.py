@@ -37,7 +37,7 @@ or ``r = 1`` (one factor, broadcast) for round-independent traps and
 effects. A global rule is the tensor product of its per-round effects: its
 exact figures are those of per-round mode, and only the sampler, with one
 joint draw per run, tells the two apart. The dense path
-(``transform_round``, effect matrices, ``client_output_state`` and
+(``transform_round``, effect rows as projectors, ``client_output_state`` and
 ``combs.overall_acceptance_via_combs``, which plays each round as
 ``action_unitary`` of its action) is the reference the tests compare
 against. The benchmark's tracer (``perfbench/spans.py``) hooks
@@ -67,7 +67,7 @@ from .linalg import (
     DensityOperator,
     dagger,
 )
-from .states import AbortExtendedState, RankOneEffect, attack_phases, mix_with_abort
+from .states import AbortExtendedState, attack_phases, mix_with_abort
 from .strategies import (
     Honest,
     Placement,
@@ -156,16 +156,14 @@ class TrapGenerator(abc.ABC):
 class PerRoundAcceptance:
     """One rank-1 effect per test round; accept iff every round accepts.
 
-    ``element`` gives a :class:`RankOneEffect` of dim ``2**k``, or the round
-    fails. ``traps``, when set, says each effect is the projector onto the
-    round's honest output under those traps; if they are the spec's, the
-    engine reads it from its own trap call, not ``element``. A rule with one
-    effect in every round sets ``round_independent``.
-    """
+    ``element(k, n)`` gives the rounds' effects as the unit rows of an
+    ``(r, 2**k)`` complex block: one per round (``r = n + 1``), or ``r = 1``
+    for one effect in every round. ``traps``, when set, says each effect is
+    the projector onto the round's honest output under those traps; if they
+    are the spec's, the engine reads it from its own trap call."""
 
-    element: Callable[[int, int, int], RankOneEffect]  # (k, n, i) -> effect on 2**k
+    element: Callable[[int, int], np.ndarray]  # (k, n) -> (r, 2**k) effect rows
     traps: TrapGenerator | None = None
-    round_independent: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -181,11 +179,6 @@ class GlobalAcceptance:
 
 
 AcceptanceRule = PerRoundAcceptance | GlobalAcceptance
-
-
-def per_round_rule(rule: AcceptanceRule) -> PerRoundAcceptance:
-    """The rule each test round is read by: a global rule's per-round factor."""
-    return rule.per_round if isinstance(rule, GlobalAcceptance) else rule
 
 
 # "uniform" over the n + 1 rounds, or an explicit distribution per n
@@ -278,30 +271,29 @@ def action_unitary(chi: np.ndarray, h: np.ndarray, e: np.ndarray, g: np.ndarray)
     return u
 
 
-def _effects(rule: PerRoundAcceptance, k: int, n: int, r: int) -> np.ndarray:
-    """The rule's effect vectors for rounds 1..r as an ``(r, 2**k)`` array; a
-    round-independent rule's one effect is read once and broadcast."""
-    d, vectors = 2**k, []
-    for i in range(1, 2 if rule.round_independent else r + 1):
-        effect = rule.element(k, n, i)
-        if not (isinstance(effect, RankOneEffect) and effect.dim == d):
-            raise ContractViolationError(f"acceptance element for round (n={n}, i={i}) "
-                                         f"is not a RankOneEffect of dim {d}")
-        vectors.append(effect.vector.amplitudes)
-    if len(vectors) < r:
-        return np.broadcast_to(vectors[0], (r, d))
-    return np.stack(vectors)
-
-
 def receive_rounds(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
     """n's rounds under the spec's rule as checked ``(r, 2**k)`` arrays
     ``(chi, h, e, g)``: one row if traps and effects are round-independent,
-    else n + 1. A matched rule reads its effects from the same action."""
-    k, rule = spec.k, per_round_rule(spec.acceptance)
+    else n + 1. A matched rule reads its effects from the same action; any
+    other rule's block is checked first, naming its first failing round: shape
+    ``(1 or n + 1, 2**k)``, rows of norm 1 within ``NORM_TOL`` (NaN fails)."""
+    k, rule = spec.k, spec.acceptance
+    rule = rule.per_round if isinstance(rule, GlobalAcceptance) else rule  # the per-round factor
     if rule.traps is spec.traps:  # matched: the effect is the honest output
         return receive_action(spec.traps, k, n)
-    r = 1 if spec.traps.round_independent and rule.round_independent else n + 1
-    return receive_action(spec.traps, k, n, _effects(rule, k, n, r))
+    e, d = np.asarray(rule.element(k, n), dtype=np.complex128), 2**k
+    if e.ndim != 2 or e.shape[1] != d or len(e) not in (1, n + 1):
+        raise ContractViolationError(
+            f"acceptance effects for n={n} have shape {e.shape}, expected {(1, d)} or {(n + 1, d)}")
+    norms = np.linalg.norm(e, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise ContractViolationError(f"acceptance effect for round (n={n}, i={i + 1}) has norm "
+                                     f"{float(norms[i])!r}, not 1 within {NORM_TOL:.1e}")
+    if len(e) < n + 1 and not spec.traps.round_independent:
+        e = np.broadcast_to(e, (n + 1, d))
+    return receive_action(spec.traps, k, n, e)
 
 
 def _bank(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:

@@ -1,8 +1,9 @@
 """States, gates, measurement elements, and the abort-extended output space.
 
-A measurement effect is either a general :class:`PovmElement` (a validated
-dense matrix, read as a quadratic form) or a :class:`RankOneEffect` (a
-projector kept as its unit vector, read as an overlap).
+A measurement effect of a general test is either a :class:`PovmElement` (a
+validated dense matrix, read as a quadratic form) or a :class:`RankOneEffect`
+(a projector kept as its unit vector, read as an overlap); a per-round rule
+gives its effects as unit rows instead (``protocol.receive_rounds``).
 
 A protocol output is an (acceptance weight, payload) pair. Its dense form
 realizes the rejection symbol as an explicit extra Hilbert-space dimension

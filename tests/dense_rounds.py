@@ -3,7 +3,8 @@
 A trap family is its action: ``receive_rounds(spec, n)`` gives each round
 as a checked row ``(chi, h, e, g)``, and the dense reference plays the
 matrix ``action_unitary`` builds from that row (the identity for an
-identity round), as ``combs`` does.
+identity round), as ``combs`` does. A round's effect is read from the rule's
+own block, not through the engine's check of it.
 """
 
 import numpy as np
@@ -17,6 +18,13 @@ def played(spec, n, i):
     rows = receive_rounds(spec, n)
     chi, h, e, g = (a[min(i, len(a)) - 1] for a in rows)
     return action_unitary(chi, h, e, g), chi
+
+
+def effect_row(rule, k, n, i):
+    """Round i's effect vector: row i of ``rule.element(k, n)``, or its one row
+    if the block has one."""
+    rows = rule.element(k, n)
+    return rows[min(i, len(rows)) - 1]
 
 
 def squared_overlap(a, b):

@@ -353,6 +353,15 @@ class TestRunTradeoffCheck:
         assert final.holds is None
         assert not report.satisfied  # sum of errors is 0, below the bound
 
+    @pytest.mark.parametrize("alpha, trivial, holds", [(2e-12, False, False), (1e-20, True, None)])
+    def test_trivial_attack_threshold(self, alpha, trivial, holds):
+        # |sin(alpha/2)| = 1e-12 is a real attack, below 1e-15 it is trivial:
+        # the theorem step then does not apply
+        report = run_tradeoff_check(plus_spec(3), SecurityModel.COMPOSABLE, alpha_override=alpha)
+        assert report.trivial_attack is trivial
+        final = [s for s in report.proof_steps if s.name == "theorem_bound"][0]
+        assert final.holds is holds
+
     def test_satisfied_matches_definition(self):
         for n in (1, 4, 20):
             for model in SecurityModel:

@@ -85,3 +85,14 @@ def test_only_the_reference_names_action_unitary():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             name = name or (node.name if isinstance(node, ast.alias) else None)
             assert name != "action_unitary", f"{path.stem} names action_unitary (line {node.lineno})"
+
+
+def test_the_per_round_engine_names_no_rank_one_effect():
+    # a per-round rule is its block of effect rows, checked once by
+    # protocol.receive_rounds; no per-round effect object is built or unwrapped
+    for stem in ("protocol", "families"):
+        path = ROOT / "src" / "cutchoose" / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            name = name or (node.name if isinstance(node, ast.alias) else None)
+            assert name != "RankOneEffect", f"{stem} names RankOneEffect (line {node.lineno})"

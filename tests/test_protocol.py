@@ -33,9 +33,9 @@ from cutchoose.protocol import (
     overall_acceptance,
     round_outcome_table,
 )
-from cutchoose.states import attack_operator, plus_state
+from cutchoose.states import attack_operator, computational_basis_state, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
-from dense_rounds import played, squared_overlap
+from dense_rounds import effect_row, played, squared_overlap
 
 
 def plus_spec(omega, k=1):
@@ -394,7 +394,8 @@ def _literal_sequential_run(spec, strategy, n, ell, input_state, target_unitary)
             t, chi = played(spec, n, i)
             out = transform_round(strategy, t, k) @ chi
             total = np.kron(total, np.outer(out, out.conj()))
-            effect = np.kron(effect, spec.acceptance.element(k, n, i).matrix)
+            e = effect_row(spec.acceptance, k, n, i)
+            effect = np.kron(effect, np.outer(e, e.conj()))
     p = float(np.trace(effect @ total).real)
     root = np.zeros_like(effect)
     w, v = np.linalg.eigh((effect + dagger(effect)) / 2)
@@ -635,6 +636,31 @@ class TestMonteCarlo:
             monte_carlo_run(spec, (HONEST,), **args)
 
 
+class FixedDraws:
+    """A generator stub for ``_rejected_runs``: ``count`` failing runs in
+    every round, the first ones, each with the uniform exactly 1.0."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def binomial(self, m, p):
+        return np.full(np.shape(p), self.count)
+
+    def choice(self, m, size, replace=True, shuffle=True):
+        return np.arange(size)
+
+    def uniform(self, low, high, size):
+        return np.ones(size)
+
+
+def test_a_uniform_of_one_fails_only_rounds_below_one():
+    # the output round is round 1 in every run, so runs 0..3 are tested in
+    # rounds 2 and 3; a factor of 1 passes whatever u is drawn
+    factors = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [1.0, 1.0, 0.5]])
+    rejected = protocol._rejected_runs(FixedDraws(4), np.zeros(10, dtype=np.int64), factors)
+    assert rejected.tolist() == [0, 4, 4]
+
+
 class TestPerRoundVsGlobal:
     def test_consistency_small_instances(self):
         rng = np.random.default_rng(77)
@@ -658,9 +684,13 @@ class TestPerRoundVsGlobal:
 
 class TestOneWalkPerN:
     def test_constant_effects_built_once(self):
-        for rule in (plus_acceptance(), computational_acceptance()):
-            first = rule.element(2, 3, 1)
-            assert all(rule.element(2, n, i) is first for n in (3, 5) for i in range(1, n + 2))
+        # a constant rule is one row for every n: its state, bit for bit
+        for rule, state in ((plus_acceptance(), plus_state),
+                            (computational_acceptance(), computational_basis_state)):
+            for k, n in ((1, 0), (2, 3), (2, 5), (4, 40)):
+                block = rule.element(k, n)
+                assert block.shape == (1, 2**k)
+                assert block.tobytes() == state(k).amplitudes.tobytes()
 
 
 class TestJensen:

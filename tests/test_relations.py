@@ -16,16 +16,48 @@ k <= 3, and round distributions of at most 4 support points with n <= 6:
   strategy, an honest run under matched acceptance accepts with 1, and for
   identity traps PRE equals POST;
 - the linear gap bound ``|p_H - p_D| <= N |sin(alpha/2)|``, N the mean;
-- the per-round gap bound ``|p_H - p_D| <= sqrt(1 - cos(alpha/2)^(2N))``.
+- the per-round gap bound ``|p_H - p_D| <= sqrt(1 - cos(alpha/2)^(2N))``;
+- broadcast: a constant rule written as ``n + 1`` equal rows gives the tables
+  and sampled rates of its one-row form, bit for bit.
+
+The network engine is drawn from ``random_comb_draw`` seeds and from
+``custom`` setups (k = 1, width <= 3, at most 3 holes):
+
+- mixture linearity: a ``GeneralSetup``'s acceptance is the weighted sum of
+  its point masses' acceptances;
+- a permutation tooth followed by its inverse, the hole between them
+  following its register, leaves acceptance unchanged;
+- a channel tooth at strength 0 leaves acceptance unchanged (and sends a
+  pure test through the density path).
 """
 
+import json
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cutchoose import parse_config
 from cutchoose.bounds import acceptance_gap_bound
+from cutchoose.combs import (
+    NOISE_CHANNELS,
+    Comb,
+    GeneralSetup,
+    Tooth,
+    custom_test_setup,
+    general_test_acceptance,
+    random_comb_draw,
+)
 from cutchoose.families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
-from cutchoose.protocol import ProtocolSpec, RoundDistribution, overall_acceptance
+from cutchoose.protocol import (
+    GlobalAcceptance,
+    PerRoundAcceptance,
+    ProtocolSpec,
+    RoundDistribution,
+    monte_carlo_run,
+    overall_acceptance,
+    round_outcome_table,
+)
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant
 
 TOL = 1e-12
@@ -113,3 +145,147 @@ def test_per_round_gap_bound(drawn, alpha, placement):
     gap = abs(overall_acceptance(spec, HONEST)
               - overall_acceptance(spec, PhaseAttack(alpha, placement)))
     assert gap <= acceptance_gap_bound(ProtocolVariant.PER_ROUND, alpha, spec.omega.mean) + TOL
+
+
+@RELATIONS
+@given(specs(), angles, placements, st.integers(0, 2**16))
+def test_constant_rule_broadcasts(drawn, alpha, placement, seed):
+    # one row broadcast to n + 1 rounds (random traps) or kept as one round
+    # (identity traps), against the same row written n + 1 times
+    _, rule_name, spec = drawn
+    if rule_name == "matched":
+        return  # not a constant rule
+    mode = GlobalAcceptance if isinstance(spec.acceptance, GlobalAcceptance) else (lambda r: r)
+    one_row = ACCEPTANCE_FAMILIES[rule_name](spec.traps)
+    rows = PerRoundAcceptance(lambda k, n: np.repeat(one_row.element(k, n), n + 1, axis=0))
+    pair = [ProtocolSpec(spec.omega, spec.k, spec.traps, mode(rule)) for rule in (one_row, rows)]
+    strategies = (HONEST, PhaseAttack(alpha, placement))
+    for strategy in strategies:
+        got, want = (round_outcome_table(s, strategy).rows for s in pair)
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+    assert monte_carlo_run(pair[0], strategies, 200, seed) == monte_carlo_run(pair[1], strategies, 200, seed)
+
+
+NETWORKS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def custom_setups(draw):
+    """A ``custom`` setup with random unitaries, parsed from its config."""
+    width = draw(st.integers(1, 3))
+    y_qubits = draw(st.integers(0, 1))
+    n = draw(st.integers(1, 3))
+
+    def tooth():
+        doc = {}
+        if width > 1 and draw(st.booleans()):
+            doc["permute"] = [p + 1 for p in draw(st.permutations(range(width)))]
+        if draw(st.booleans()):
+            doc.update(channel=draw(st.sampled_from(sorted(NOISE_CHANNELS))),
+                       register=draw(st.integers(1, width)), strength=draw(st.floats(0.0, 1.0)))
+        return doc or None
+
+    states = ["plus", "zero"] + (["bell-pairs"] if y_qubits == width else [])
+    cfg = parse_config(json.dumps({
+        "protocol": {"omega": {"point_mass": n}, "k": 1,
+                     "traps": {"family": "plus"}, "acceptance": {"family": "plus"}},
+        "strategy": {"kind": "phase-attack", "alpha": "theorem-optimal"},
+        "models": ["composable"],
+        "variant": {"kind": "general-tests", "setup": {
+            "family": "custom", "width": width, "y_qubits": y_qubits,
+            "hole_registers": draw(st.lists(st.integers(1, width), min_size=n, max_size=n)),
+            "teeth": [tooth() for _ in range(n + 1)],
+            "state": draw(st.sampled_from(states)),
+            "unitaries": "random", "unitary_seed": draw(st.integers(0, 2**16)),
+        }},
+    }))
+    return custom_test_setup(cfg.canonical()["variant"]["setup"])
+
+
+def network_cases(setup, strategy):
+    """``(test, comb, acceptance)`` for every (n, output round) of ``setup``."""
+    for (n, _), comb in setup.combs.items():
+        test = setup.tests[n]
+        yield test, comb, general_test_acceptance(test, comb, strategy)
+
+
+def with_teeth(comb, teeth, hole_registers=None):
+    return Comb(comb.n_holes, comb.k, comb.width, comb.y_dim,
+                comb.hole_registers if hole_registers is None else hole_registers, teeth)
+
+
+PLAIN = Tooth(None, None, None, None)
+
+
+def around_hole(comb, hole, sigma):
+    """``comb`` with the permutation tooth ``sigma`` after the tooth before
+    hole ``hole`` (0-based) and its inverse before the tooth after it; the
+    hole follows its register to slot ``inverse[r]``. A tooth permutes, then
+    applies its channel, so ``sigma`` is folded into the first tooth's
+    permutation and its channel follows its qubit."""
+    k, sigma, inverse = comb.k, tuple(sigma), tuple(int(j) for j in np.argsort(sigma))
+    before, after = (comb.teeth[gap] or PLAIN for gap in (hole, hole + 1))
+    teeth = list(comb.teeth)
+    teeth[hole] = before._replace(
+        permutation=sigma if before.permutation is None else tuple(before.permutation[j] for j in sigma),
+        qubit=None if before.qubit is None else inverse[before.qubit // k] * k + before.qubit % k)
+    teeth[hole + 1] = after._replace(
+        permutation=inverse if after.permutation is None else tuple(inverse[j] for j in after.permutation))
+    registers = list(comb.hole_registers)
+    registers[hole] = inverse[registers[hole]]
+    return with_teeth(comb, tuple(teeth), tuple(registers))
+
+
+def silent_channel(comb, gap, name, qubit):
+    """``comb`` with a ``name`` channel of strength 0 on ``qubit`` in gap
+    ``gap``, or None if that tooth already has a channel."""
+    tooth = comb.teeth[gap] or PLAIN
+    if tooth.channel is not None:
+        return None
+    teeth = list(comb.teeth)
+    teeth[gap] = tooth._replace(channel=name, qubit=qubit, strength=0.0)
+    return with_teeth(comb, tuple(teeth))
+
+
+networks = st.one_of(st.integers(0, 2**16).map(lambda seed: random_comb_draw(seed).setup),
+                     custom_setups())
+
+
+@NETWORKS
+@given(st.integers(0, 2**16))
+def test_general_mixture_is_linear(seed):
+    draw = random_comb_draw(seed)
+    setup = draw.setup
+    for strategy in (HONEST, PhaseAttack(draw.alpha, draw.placement)):
+        mixed = 0.0
+        for n, w in setup.omega.support:
+            keep = [(n, ell) for ell in range(1, n + 2)] if n else []
+            part = GeneralSetup(RoundDistribution.point_mass(n), setup.k,
+                                {n: setup.tests[n]} if n else {},
+                                {key: setup.combs[key] for key in keep},
+                                {n: setup.output_round[n]} if n else "uniform")
+            mixed += w * part.overall(strategy)
+        assert abs(setup.overall(strategy) - mixed) <= TOL
+
+
+@NETWORKS
+@given(networks, st.data(), angles, placements)
+def test_permutation_then_inverse_is_invisible(setup, data, alpha, placement):
+    for strategy in (HONEST, PhaseAttack(alpha, placement)):
+        for test, comb, value in network_cases(setup, strategy):
+            hole = data.draw(st.integers(0, comb.n_holes - 1))
+            sigma = data.draw(st.permutations(range(comb.width)))
+            moved = around_hole(comb, hole, sigma)
+            assert abs(general_test_acceptance(test, moved, strategy) - value) <= TOL
+
+
+@NETWORKS
+@given(networks, st.data(), angles, placements)
+def test_channel_at_strength_zero_is_invisible(setup, data, alpha, placement):
+    for strategy in (HONEST, PhaseAttack(alpha, placement)):
+        for test, comb, value in network_cases(setup, strategy):
+            quiet = silent_channel(comb, data.draw(st.integers(0, comb.n_holes)),
+                                   data.draw(st.sampled_from(sorted(NOISE_CHANNELS))),
+                                   data.draw(st.integers(0, comb.width * comb.k - 1)))
+            if quiet is not None:
+                assert abs(general_test_acceptance(test, quiet, strategy) - value) <= TOL

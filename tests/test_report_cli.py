@@ -101,6 +101,14 @@ class TestRunScenario:
             steps = {step["name"]: step for step in run["proof_steps"]}
             assert steps["theorem_bound"]["holds"] is None
 
+    @pytest.mark.parametrize("alpha, written", [(2e-12, "false"), (1e-20, "na")])
+    def test_trivial_attack_threshold_in_the_csv(self, alpha, written):
+        cfg = make_config(protocol={"omega": {"point_mass": 3}, "k": 1, "traps": {"family": "plus"},
+                                    "acceptance": {"family": "plus"}},
+                          strategy={"kind": "phase-attack", "alpha": alpha}, models=["composable"])
+        rows = list(csv.DictReader(io.StringIO(emit_bytes(run_scenario(cfg), "csv").decode())))
+        assert [row["step_theorem_bound_holds"] for row in rows] == [written]
+
     def test_rows_are_the_engine_tables(self):
         omega = [[1, 0.0], [2, 0.5], [3, 0.5]]  # includes a zero-weight n
         per_round = make_config(protocol={

@@ -41,7 +41,7 @@ from cutchoose.protocol import (
     monte_carlo_run,
     round_outcome_table,
 )
-from cutchoose.states import PovmElement, RankOneEffect, attack_phases, plus_state
+from cutchoose.states import attack_phases, plus_state
 from cutchoose.strategies import (
     HONEST,
     Honest,
@@ -50,7 +50,7 @@ from cutchoose.strategies import (
     SecurityModel,
     transform_round,
 )
-from dense_rounds import played, squared_overlap
+from dense_rounds import effect_row, played, squared_overlap
 
 TRAPS = {
     "plus": lambda: PlusTraps(),
@@ -82,7 +82,7 @@ def literal_factors(spec, strategy, n):
         if rule.traps is spec.traps:
             effect = honest
         else:
-            effect = rule.element(k, n, i).vector.amplitudes
+            effect = effect_row(rule, k, n, i)
 
         def read(out):
             return protocol.snap_probability(float(squared_overlap(effect, out)), "literal factor")
@@ -242,20 +242,28 @@ def test_trap_checked_on_its_action(k):
     assert N not in spec._bank
 
 
-@pytest.mark.parametrize("bad", ["povm", "wrong-dim"])
-def test_per_round_effect_must_be_rank_one(bad):
-    def element(k, n, i):
-        if i != 2:
-            return RankOneEffect(plus_state(k))
+@pytest.mark.parametrize("bad, message", [
+    ("povm", r"^acceptance effect for round \(n=3, i=2\) has norm 0\.9746794344808963, "
+             r"not 1 within 1\.0e-12$"),
+    ("nan", r"^acceptance effect for round \(n=3, i=2\) has norm nan, not 1 within 1\.0e-12$"),
+    ("wrong-dim", r"^acceptance effects for n=3 have shape \(4, 8\), expected \(1, 4\) or \(4, 4\)$"),
+    ("rows", r"^acceptance effects for n=3 have shape \(3, 4\), expected \(1, 4\) or \(4, 4\)$"),
+], ids=["povm", "nan", "wrong-dim", "rows"])
+def test_per_round_effect_must_be_rank_one(bad, message):
+    # a block of unit rows, one per round or one for all; the traps are
+    # random, so a NaN effect must not reach their Gram check
+    def element(k, n):
+        rows = np.tile(plus_state(k + (bad == "wrong-dim")).amplitudes, (n + (bad != "rows"), 1))
         if bad == "povm":
-            return PovmElement(0.95 * plus_state(k).projector())
-        return RankOneEffect(plus_state(k + 1))
+            rows[1] *= math.sqrt(0.95)
+        elif bad == "nan":
+            rows[1, 0] = np.nan
+        return rows
 
     spec = ProtocolSpec(
         omega=RoundDistribution.point_mass(N), k=2,
         traps=RandomTraps(seed=2), acceptance=PerRoundAcceptance(element),
     )
-    message = r"^acceptance element for round \(n=3, i=2\) is not a RankOneEffect of dim 4$"
     for _ in range(2):
         with pytest.raises(ContractViolationError, match=message):
             round_outcome_table(spec, HONEST)

@@ -42,7 +42,7 @@ from cutchoose.protocol import (
 )
 from cutchoose.states import PovmElement, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
-from dense_rounds import played
+from dense_rounds import effect_row, played
 
 TOL = 1e-12
 ANGLES = (0.4, 1.9, math.pi)
@@ -73,8 +73,8 @@ def dense_factors(spec, strategy, n):
     for i in range(1, n + 2):
         u, chi = played(spec, n, i)
         out = transform_round(strategy, u, k) @ chi
-        effect = spec.acceptance.element(k, n, i).matrix
-        values.append(float(np.vdot(out, effect @ out).real))
+        e = effect_row(spec.acceptance, k, n, i)
+        values.append(float(np.vdot(out, np.outer(e, e.conj()) @ out).real))
     return values
 
 
@@ -130,7 +130,8 @@ def test_global_power_matches_dense_joint_element(trap_name, effect_name):
                 for i in range(1, n + 2):
                     u, chi = played(spec, n, i)
                     outs.append(transform_round(attack, u, k) @ chi)
-                    effects.append(rule.element(k, n, i).matrix)
+                    e = effect_row(rule, k, n, i)
+                    effects.append(np.outer(e, e.conj()))
                 ref = []
                 for ell in range(1, n + 2):
                     joint_out, joint_effect = np.ones(1), np.eye(1)
