@@ -49,8 +49,9 @@ from .strategies import (
     optimal_alpha,
 )
 
-_STEP_TOL = 1e-10
+STEP_TOL = 1e-10  # a proof step's (and linear_gap_check's) rounding allowance
 _BOUND_TOL = 1e-12
+_TRIVIAL_SINE = 1e-15  # |sin(alpha/2)| below this: the identity attack, no bound applies
 
 
 def _check_dims(rho: AbortExtendedState, target: DensityOperator):
@@ -235,11 +236,11 @@ def certify_tradeoff(
     gap = abs(p_h - p_d)
     gap_bound = acceptance_gap_bound(variant, alpha, n_expected)
     bound = theorem_bound(model, variant, n_expected)
-    trivial = abs(s) < 1e-15
+    trivial = abs(s) < _TRIVIAL_SINE
     total = eps_h + eps_d
 
     def step(name, lhs, rhs, applicable=True):
-        return ProofStep(name, lhs, rhs, (lhs >= rhs - _STEP_TOL) if applicable else None)
+        return ProofStep(name, lhs, rhs, (lhs >= rhs - STEP_TOL) if applicable else None)
 
     steps = (
         step("correctness_floor", eps_h, 1.0 - p_h),

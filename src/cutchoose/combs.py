@@ -27,13 +27,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import TradeoffReport, certify_tradeoff
+from .bounds import STEP_TOL, TradeoffReport, certify_tradeoff
 from .errors import (
     ContractViolationError,
     DimensionCapError,
     LayoutError,
 )
-from .linalg import COMB_DIM_CAP, DensityOperator, PureState, dagger, require_unitary
+from .linalg import (COMB_DIM_CAP, IDENTITY_TOL, DensityOperator, PureState, dagger,
+                     require_unitary, tol_text)
 from .optimize import scan_unit_interval
 from .protocol import (
     OutputRound,
@@ -75,15 +76,17 @@ class Channel:
         self.kraus = ops
         self.dim = d
         if check and not self.is_trace_preserving():
-            raise ContractViolationError("Kraus operators do not sum to the identity within 1e-9")
+            raise ContractViolationError(
+                f"Kraus operators do not sum to the identity within {tol_text(IDENTITY_TOL)}")
 
     @classmethod
     def from_unitary(cls, u) -> "Channel":
         return cls((require_unitary(u, "channel matrix"),), check=False)
 
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
+    def is_trace_preserving(self) -> bool:
+        """Whether the Kraus operators' ``Σ K†K`` is the identity within ``IDENTITY_TOL``."""
         acc = sum(dagger(k) @ k for k in self.kraus)
-        return bool(np.max(np.abs(acc - np.eye(self.dim))) <= tol)
+        return bool(np.max(np.abs(acc - np.eye(self.dim))) <= IDENTITY_TOL)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -274,7 +277,8 @@ def plug(comb: Comb, round_channels) -> Channel:
                  else tuple(_embed(op, axes[0], qubits) for op in kraus))
         result = Channel(dense, check=False).compose(result)
     if not result.is_trace_preserving():
-        raise ContractViolationError("plugged network is not trace preserving within 1e-9")
+        raise ContractViolationError(
+            f"plugged network is not trace preserving within {tol_text(IDENTITY_TOL)}")
     return result
 
 
@@ -289,7 +293,8 @@ def _evolve(comb: Comb, hole_unitaries, state: np.ndarray) -> np.ndarray:
     """Push a state on (register stack x auxiliary space) through the network
     with ``hole_unitaries`` plugged in, one step at a time on its qubit axes:
     a vector through a unitary network, else a density matrix (a vector
-    becomes its projector), each step as its Liouville form ``Σ K ⊗ K̄``."""
+    becomes its projector), each step as its Liouville form ``Σ K ⊗ K̄``.
+    The output's trace (a vector's squared norm) must be 1 within ``IDENTITY_TOL``."""
     q = comb.width * comb.k
     if state.ndim == 1 and any(isinstance(s.kraus, tuple) and len(s.kraus) > 1
                                for s in comb.steps):
@@ -309,10 +314,11 @@ def _evolve(comb: Comb, hole_unitaries, state: np.ndarray) -> np.ndarray:
             t = _apply(sum(op[:, None, :, None] * op.conj()[None, :, None, :] for op in kraus),
                        paired(axes), t)
     out = t.reshape(state.shape)
-    if not pure:
-        trace = float(np.trace(out).real)
-        if abs(trace - 1.0) > 1e-9:
-            raise ContractViolationError(f"network output has trace {trace!r}, not 1 within 1e-9")
+    trace = float(np.vdot(out, out).real if pure else np.trace(out).real)
+    if abs(trace - 1.0) > IDENTITY_TOL:
+        raise ContractViolationError(
+            f"network output has {'squared norm' if pure else 'trace'} {trace!r}, "
+            f"not 1 within {tol_text(IDENTITY_TOL)}")
     return out
 
 
@@ -322,7 +328,7 @@ class GeneralTest:
     delegated unitary sequence, and the joint acceptance element.
 
     The unitaries are checked once, here: finite, square and unitary within
-    1e-10.
+    ``VALIDATION_TOL``.
     """
 
     chi: PureState | DensityOperator
@@ -527,7 +533,7 @@ def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -
 
 
 def _unitary_pair(u, v, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as finite unitaries of one dim, within 1e-10; with
+    """Both arguments as finite unitaries of one dim, within ``VALIDATION_TOL``; with
     ``stack``, stacks ``(..., d, d)`` whose leading axes broadcast."""
     um = require_unitary(u, "first argument", stack=stack)
     vm = require_unitary(v, "second argument", um.shape[-1], stack=stack)
@@ -623,7 +629,7 @@ def linear_gap_check(
     p_d = setup.overall(PhaseAttack(alpha, placement))
     gap = abs(p_h - p_d)
     bound = setup.omega.mean * abs(math.sin(alpha / 2.0))
-    return GapCheck(gap, bound, gap <= bound + 1e-10)
+    return GapCheck(gap, bound, gap <= bound + STEP_TOL)
 
 
 def general_tradeoff_check(

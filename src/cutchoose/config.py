@@ -21,12 +21,14 @@ from .bounds import theorem_bound
 from .combs import NOISE_CHANNELS
 from .errors import ConfigError, OutOfDomainError
 from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
-from .linalg import COMB_DIM_CAP, DIM_CAP
+from .linalg import COMB_DIM_CAP, DIM_CAP, tol_text
 from .strategies import Placement, ProtocolVariant, SecurityModel, attack_sine
 
 # dimension caps, checked before anything is allocated so that errors name a path
 _MAX_K = DIM_CAP.bit_length() - 1  # 2**k <= DIM_CAP
 _MAX_COMB_QUBITS = COMB_DIM_CAP.bit_length() - 1  # 2**qubits <= COMB_DIM_CAP
+
+_SUM_TOL = 1e-9  # a written distribution's sum may miss 1 by this; it is renormalized
 
 _BAD = object()  # what a rule returns once it has recorded its error
 _REQUIRED = object()  # the default of a field that must be given
@@ -145,9 +147,9 @@ def _pairs(w, raw, path, doc=None):
     if len({n for n, _ in raw}) != len(raw):
         return w.fail(path, "duplicate round counts")
     total = math.fsum(p for _, p in raw)
-    if abs(total - 1.0) > 1e-9:
-        return w.fail(path, f"probabilities sum to {total:.12g}, not 1 within 1e-9")
-    # renormalize exactly so downstream validation at 1e-12 always passes
+    if abs(total - 1.0) > _SUM_TOL:
+        return w.fail(path, f"probabilities sum to {total:.12g}, not 1 within {tol_text(_SUM_TOL)}")
+    # renormalize exactly so downstream validation at PROB_TOL always passes
     return tuple((n, p / total) for n, p in sorted(raw))
 
 

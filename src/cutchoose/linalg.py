@@ -11,14 +11,30 @@ The measures take one matrix or a stack ``(..., d, d)``: one gives a Python
 PSD floor of :func:`psd_sqrt`) and names the first bad index; floors and
 clamps apply per matrix, so a stacked matrix gets the value it gets alone.
 
-Tolerances follow a three-level scheme: input validation at 1e-10,
-numerical-identity assertions at 1e-9, and state normalization at 1e-12.
-This leaves roughly two orders of magnitude between accumulated rounding
-error and the assertion thresholds at the dimensions handled here.
+The engine's tolerances are named here, once, and each check uses its name:
+
+==================  =====  ====================================================
+``NORM_TOL``        1e-12  unit norms; a density operator's Hermitian deviation
+``PROB_TOL``        1e-12  a given outcome-table row; a distribution's sum
+``VALIDATION_TOL``  1e-10  unitarity, a trap's Gram condition, Hermitian checks,
+                           an effect's spectrum, a density operator's trace/floor
+``IDENTITY_TOL``    1e-9   Kraus completeness; a network output's trace
+``PSD_FLOOR``       -1e-8  lowest eigenvalue a square root clamps to zero
+``RELATIVE_ZERO``   1e-13  share of the top eigenvalue below which one is zero
+``DERIVED_TOL``     ~1e-9  a derived probability (a sum of the above)
+==================  =====  ====================================================
+
+A boundary check validates a value handed to the engine (a state, an effect,
+a unitary, a trap action, a distribution, a given outcome-table row) where it
+is made. A value derived from checked inputs (a round factor, a network's
+acceptance, a table's average) is not checked against a boundary constant
+again: it is clamped into [0, 1] within ``DERIVED_TOL``. An allowance that
+serves one check only is named beside it, in its own module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +43,26 @@ from .errors import ContractViolationError, NotPsdError
 
 DIM_CAP = 4096
 COMB_DIM_CAP = 256  # channel networks: register stack times kept auxiliary space
-VALIDATION_TOL = 1e-10
 NORM_TOL = 1e-12
+PROB_TOL = 1e-12
+VALIDATION_TOL = 1e-10
+IDENTITY_TOL = 1e-9
 
 # Eigenvalues in [PSD_FLOOR, 0) are treated as rounding noise and clamped
 # to zero; anything below the floor is a genuinely negative operator and
 # raises, so protocol bugs are not masked by silent clamping.
 PSD_FLOOR = -1e-8
+RELATIVE_ZERO = 1e-13
+
+# how far checked inputs can put a derived probability past [0, 1], to first order: an
+# effect's top eigenvalue or a trap's Gram condition, times a network output's trace or
+# two squared unit norms; or two distribution sums
+DERIVED_TOL = VALIDATION_TOL + IDENTITY_TOL + 4 * NORM_TOL + 2 * PROB_TOL
+
+
+def tol_text(tol: float) -> str:
+    """A tolerance as messages write it: ``1e-9``, not ``1e-09``."""
+    return f"{tol:.0e}".replace("e-0", "e-")
 
 
 def as_square_matrix(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -60,59 +89,78 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def is_unitary(u: np.ndarray, tol: float = VALIDATION_TOL):
-    """Whether ``u`` is unitary within ``tol`` in every entry of ``u†u - 1``;
+def is_unitary(u: np.ndarray):
+    """Whether ``u`` is unitary within ``VALIDATION_TOL`` in every entry of ``u†u - 1``;
     for a stack ``(..., d, d)``, one flag per matrix. False if not square."""
     m = np.asarray(u)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0) <= tol
+    dev = np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0)
+    return dev <= VALIDATION_TOL
 
 
 def require_unitary(u, what: str, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """``u`` as a complex matrix, or with ``stack`` a stack ``(..., d, d)`` of
     them: finite, square, of dim ``dim`` (any when None) and unitary within
-    1e-10. The one unitarity check; errors name ``what`` and, in a stack, the
+    ``VALIDATION_TOL``. The one unitarity check; errors name ``what`` and, in a stack, the
     first bad index."""
     m = as_square_matrix(u, what, stack)
     if dim is not None and m.shape[-1] != dim:
         raise ContractViolationError(f"{what} has dim {m.shape[-1]}, expected {dim}")
     bad = ~is_unitary(m)
     if np.any(bad):
-        raise ContractViolationError(f"{what}{_first_bad(bad)[1]} is not unitary within 1e-10")
+        raise ContractViolationError(
+            f"{what}{_first_bad(bad)[1]} is not unitary within {tol_text(VALIDATION_TOL)}")
     return m
 
 
-def _require_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> None:
+def _require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
     """Raise unless every matrix of ``m`` is Hermitian within ``tol`` in every entry."""
     dev = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
     if np.any(dev > tol):
         i, at = _first_bad(dev > tol)
-        msg = f"matrix{at} is not Hermitian (max deviation {dev[i]:.3e} > {tol:.1e})"
+        msg = f"{what}{at} is not Hermitian (max deviation {dev[i]:.3e} > {tol_text(tol)})"
         raise ContractViolationError(msg)
 
 
-def hermitian_eig(h, tol: float = VALIDATION_TOL):
+def require_operator(m: np.ndarray, what: str, hermitian_tol: float, floor: float = -math.inf,
+                     ceiling: float = math.inf, vectors: bool = False):
+    """The one operator check: each matrix of ``m`` (from :func:`as_square_matrix`)
+    Hermitian within ``hermitian_tol``, eigenvalues in ``[floor, ceiling]``
+    (below: :class:`NotPsdError`). Returns its Hermitian part's eigenvalues,
+    ascending, or with ``vectors`` ``(w, v)``; errors name ``what`` and a bad index."""
+    _require_hermitian(m, hermitian_tol, what)
+    h = (m + dagger(m)) / 2.0
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    lo, hi = w.min(axis=-1, initial=math.inf), w.max(axis=-1, initial=-math.inf)
+    if np.any(lo < floor):
+        i, at = _first_bad(lo < floor)
+        raise NotPsdError(f"{what}{at} has eigenvalue {lo[i]:.3e} below {floor!r}")
+    if np.any(hi > ceiling):
+        i, at = _first_bad(hi > ceiling)
+        raise ContractViolationError(f"{what}{at} has eigenvalue {hi[i]:.12g} above {ceiling!r}")
+    return (w, v) if vectors else w
+
+
+def hermitian_eig(h):
     """Eigendecomposition ``(w, v)`` of a Hermitian matrix or of each matrix of
     a stack: ``w`` ascending, ``v`` orthonormal columns, ``h = v diag(w) v†``,
     deterministic for identical input. Raises :class:`ContractViolationError`
-    if ``h`` deviates from Hermitian by more than ``tol`` in any entry."""
-    m = as_square_matrix(h, stack=True)
-    _require_hermitian(m, tol)
-    return np.linalg.eigh((m + dagger(m)) / 2.0)
+    if ``h`` deviates from Hermitian by more than ``VALIDATION_TOL`` in any entry."""
+    return require_operator(as_square_matrix(h, stack=True), "matrix", VALIDATION_TOL, vectors=True)
 
 
 def _clamped_sqrt(eigvals: np.ndarray) -> np.ndarray:
     lo = eigvals.min(axis=-1, initial=0.0)
     if np.any(lo < PSD_FLOOR):
         i, at = _first_bad(lo < PSD_FLOOR)
-        raise NotPsdError(f"eigenvalue {lo[i]:.3e}{at} below the PSD floor {PSD_FLOOR:.1e}")
+        raise NotPsdError(f"eigenvalue {lo[i]:.3e}{at} below the PSD floor {tol_text(PSD_FLOOR)}")
     w = np.clip(eigvals, 0.0, None)
     # Eigenvalues this far below the top are unresolvable rounding noise;
     # without zeroing them, sqrt amplifies ~1e-17 into ~3e-9 and pollutes
     # linear functionals like Tr sqrt(...) past the identity tolerances.
     top = w.max(axis=-1, keepdims=True, initial=0.0)
-    return np.sqrt(np.where(w <= 1e-13 * top, 0.0, w))
+    return np.sqrt(np.where(w <= RELATIVE_ZERO * top, 0.0, w))
 
 
 def psd_sqrt(p) -> np.ndarray:
@@ -137,7 +185,7 @@ def fidelity_psd(a, b):
     am, bm = as_square_matrix(a, stack=True), as_square_matrix(b, stack=True)
     _require_same_dim(am.shape[-1], bm.shape[-1])
     s = psd_sqrt(am)
-    _require_hermitian(bm)
+    _require_hermitian(bm, VALIDATION_TOL)
     inner = s @ bm @ s
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2.0)
     root = np.sum(_clamped_sqrt(w), axis=-1)
@@ -165,7 +213,7 @@ def pure_trace_distance(u: "PureState", v: "PureState") -> float:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector; Euclidean norm must be 1 within 1e-12."""
+    """Normalized state vector; Euclidean norm must be 1 within ``NORM_TOL``."""
 
     amplitudes: np.ndarray
 
@@ -178,7 +226,7 @@ class PureState:
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ContractViolationError(
-                f"state vector norm {nrm!r} deviates from 1 by more than {NORM_TOL:.1e}"
+                f"state vector norm {nrm!r} deviates from 1 by more than {tol_text(NORM_TOL)}"
             )
         vec = vec.copy()
         vec.setflags(write=False)
@@ -207,14 +255,11 @@ class DensityOperator:
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "density operator")
-        if np.max(np.abs(m - dagger(m))) > 1e-12:
-            raise ContractViolationError("density operator is not Hermitian within 1e-12")
+        require_operator(m, "density operator", NORM_TOL, floor=-VALIDATION_TOL)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ContractViolationError(f"density operator trace {tr!r} is not 1 within 1e-10")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-        if float(w.min()) < -1e-10:
-            raise NotPsdError(f"density operator eigenvalue {w.min():.3e} below -1e-10")
+        if abs(tr - 1.0) > VALIDATION_TOL:
+            raise ContractViolationError(
+                f"density operator trace {tr!r} is not 1 within {tol_text(VALIDATION_TOL)}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

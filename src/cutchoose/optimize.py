@@ -20,6 +20,7 @@ from .errors import ContractViolationError, OutOfDomainError
 _GRID_POINTS = 10_001  # [0, 1] at step 1e-4, endpoints included
 _BLOCK_VALUES = 2**16  # grid values per block over all objectives: 512 KB
 _ZOOM = np.linspace(0.0, 1.0, 33)  # a round's probes: 32 cells, 2 kept, 16-fold zoom
+REFINE_TOL = 1e-12  # bracket width at which refine stops, unless told otherwise
 
 
 def _values(f, probes: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -36,7 +37,7 @@ def _values(f, probes: np.ndarray, rows: int | None = None) -> np.ndarray:
     return vals
 
 
-def refine(f, lo, hi, tol: float = 1e-12, minimize: bool = True):
+def refine(f, lo, hi, tol: float = REFINE_TOL, minimize: bool = True):
     """Zoom on brackets [lo, hi] for the first optimum of ``f``.
 
     ``lo``, ``hi``: floats or same-shape arrays; ``f`` maps ``(B, 33)``

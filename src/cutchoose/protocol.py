@@ -61,11 +61,14 @@ from .errors import (
     OutOfDomainError,
 )
 from .linalg import (
+    DERIVED_TOL,
     DIM_CAP,
     NORM_TOL,
+    PROB_TOL,
     VALIDATION_TOL,
     DensityOperator,
     dagger,
+    tol_text,
 )
 from .states import AbortExtendedState, attack_phases, mix_with_abort
 from .strategies import (
@@ -76,14 +79,23 @@ from .strategies import (
     transform_round,
 )
 
-_PROB_SNAP = 1e-12
+_JENSEN_TOL = 1e-12  # rounding allowance of the concavity step's two sums
 
 
-def snap_probability(p: float, what: str) -> float:
-    """Clamp rounding noise at the ends of [0, 1]; reject anything worse."""
-    if -_PROB_SNAP <= p <= 1.0 + _PROB_SNAP:
-        return min(1.0, max(0.0, p))
-    raise ContractViolationError(f"{what} = {p!r} outside [0, 1]")
+def snap_probability(p, what: str, given: bool = False):
+    """``p`` (a float or an array) clamped into [0, 1], -0.0 as 0.0, if off it by
+    rounding only: ``PROB_TOL`` for values ``given`` to the engine, else
+    ``DERIVED_TOL``. Else (NaN too) raises, naming the first bad entry as
+    ``what`` with its 1-based index in place of ``{}``."""
+    tol = PROB_TOL if given else DERIVED_TOL
+    a = np.array(p, dtype=float)
+    lo, hi = a.min(initial=math.inf), a.max(initial=-math.inf)
+    if not (lo >= -tol and hi <= 1.0 + tol):  # NaN fails both
+        i = int(np.flatnonzero(~((a >= -tol) & (a <= 1.0 + tol)))[0])
+        raise ContractViolationError(f"{what.format(i + 1)} = {float(a.flat[i])!r} outside [0, 1]")
+    if lo <= 0.0 or hi > 1.0:  # -0.0 becomes 0.0
+        a = np.where(a > 0.0, np.minimum(a, 1.0), 0.0)
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
@@ -108,9 +120,9 @@ class RoundDistribution:
         if any(not (math.isfinite(p) and p >= 0.0) for p in ps):
             raise ContractViolationError("probabilities must be finite and non-negative")
         total = math.fsum(ps)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > PROB_TOL:
             raise ContractViolationError(
-                f"probabilities sum to {total!r}, not 1 within 1e-12"
+                f"probabilities sum to {total!r}, not 1 within {tol_text(PROB_TOL)}"
             )
 
     @classmethod
@@ -227,10 +239,11 @@ def receive_action(
 
     The one check of a trap, naming its first failing round, on the action
     only: ``|h|^2 = 1``, ``|g|^2 = |e|^2`` and ``<g|chi> = <e|h>`` within
-    1e-10, which hold iff a unitary maps ``(chi, g)`` to ``(h, e)``, and
-    ``|h| = 1`` within 1e-12, as a state demands. So every figure is a
-    unitary trap's, and a trap unitary only on this action passes (no
-    ``U^dagger U``); ``GeneralTest`` checks its unitaries in full.
+    ``VALIDATION_TOL``, which hold iff a unitary maps ``(chi, g)`` to
+    ``(h, e)``, and ``|chi| = |h| = 1`` within ``NORM_TOL``, as states demand.
+    So every figure is a unitary trap's, and a trap unitary only on this
+    action passes (no ``U^dagger U``); ``GeneralTest`` checks its unitaries in
+    full.
     """
     matched = e is None
     chi, h, g = traps.action(k, n, e)
@@ -242,15 +255,20 @@ def receive_action(
     hh = overlaps(h, h)
     gram = np.maximum.reduce([np.abs(hh - 1.0), np.abs(overlaps(g, g) - overlaps(e, e)),
                               np.abs(overlaps(g, chi) - overlaps(e, h))])
-    unit = np.abs(np.sqrt(hh.real) - 1.0)
+    norms = np.sqrt(np.stack([overlaps(chi, chi), hh]).real)  # |chi|, |h| per round
+    unit = np.abs(norms - 1.0).max(axis=0)
     bad = np.flatnonzero(~((gram <= VALIDATION_TOL) & (unit <= NORM_TOL)))
     if bad.size:
         i = int(bad[0])
         what = f"trap unitary for round (n={n}, i={i + 1})"
         if not gram[i] <= VALIDATION_TOL:
-            raise ContractViolationError(f"{what} is not unitary on its action within 1e-10")
-        raise ContractViolationError(
-            f"{what} maps its input to norm {float(np.sqrt(hh[i].real))!r}, not 1 within {NORM_TOL:.1e}")
+            raise ContractViolationError(
+                f"{what} is not unitary on its action within {tol_text(VALIDATION_TOL)}")
+        norm_chi, norm_h = norms[:, i].tolist()
+        off = f"not 1 within {tol_text(NORM_TOL)}"
+        if abs(norm_h - 1.0) > NORM_TOL:
+            raise ContractViolationError(f"{what} maps its input to norm {norm_h!r}, {off}")
+        raise ContractViolationError(f"{what} takes an input of norm {norm_chi!r}, {off}")
     return chi, h, e, g
 
 
@@ -290,7 +308,7 @@ def receive_rounds(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
     if bad.size:
         i = int(bad[0])
         raise ContractViolationError(f"acceptance effect for round (n={n}, i={i + 1}) has norm "
-                                     f"{float(norms[i])!r}, not 1 within {NORM_TOL:.1e}")
+                                     f"{float(norms[i])!r}, not 1 within {tol_text(NORM_TOL)}")
     if len(e) < n + 1 and not spec.traps.round_independent:
         e = np.broadcast_to(e, (n + 1, d))
     return receive_action(spec.traps, k, n, e)
@@ -314,13 +332,7 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
         right = attack_phases(strategy.alpha, spec.k) * right
     z = overlaps(left, right)
     vals = np.hypot(z.real, z.imag) ** 2  # |z| as scalar abs() gives it; np.abs may differ
-    top = vals.max()
-    if not top <= 1.0 + _PROB_SNAP:  # NaN fails too
-        i = int(np.flatnonzero(~(vals <= 1.0 + _PROB_SNAP))[0])
-        raise ContractViolationError(
-            f"round factor (n={n}, i={i + 1}) = {float(vals[i])!r} outside [0, 1]")
-    if top > 1.0:
-        np.minimum(vals, 1.0, out=vals)
+    vals = snap_probability(vals, f"round factor (n={n}, i={{}})")
     return vals if vals.size == n + 1 else np.full(n + 1, vals[0])
 
 
@@ -337,7 +349,7 @@ def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
             f"output-round distribution for n={n} has length {probs.size}, expected {n + 1}"
         )
     # written so that NaN entries fail both comparisons
-    if not (np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= 1e-12):
+    if not (np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= PROB_TOL):
         raise ContractViolationError(
             f"output-round distribution for n={n} is not a probability vector"
         )
@@ -381,18 +393,13 @@ def outcome_table(
     """The (n, ell) acceptance table over the support of ``omega``.
 
     ``per_ell(n)`` gives the n + 1 acceptance probabilities for n >= 1; with no
-    test rounds the empty product accepts. Values within 1e-12 of [0, 1] are
-    clamped into it; anything else, NaN included, is rejected.
+    test rounds the empty product accepts. The rows are given, so values
+    within ``PROB_TOL`` of [0, 1] are clamped into it; anything else, NaN
+    included, is rejected (:func:`snap_probability`).
     """
     rows = []
     for n, _ in omega.support:
-        row = np.asarray(per_ell(n) if n else (1.0,), dtype=float)
-        # written so that NaN entries fail both comparisons
-        bad = np.flatnonzero(~((row >= -_PROB_SNAP) & (row <= 1.0 + _PROB_SNAP)))
-        if bad.size:
-            ell, p = int(bad[0]) + 1, float(row[bad[0]])
-            raise ContractViolationError(f"p(n={n}, ell={ell}) = {p!r} outside [0, 1]")
-        row = np.where(row > 0.0, np.minimum(row, 1.0), 0.0)  # -0.0 becomes 0.0
+        row = snap_probability(per_ell(n) if n else (1.0,), f"p(n={n}, ell={{}})", given=True)
         row.flags.writeable = False
         rows.append(row)
     return RoundOutcomeTable(omega, output_round, tuple(rows))
@@ -540,4 +547,4 @@ def jensen_gap_check(omega: RoundDistribution, c: float) -> JensenCheck:
         p * math.sqrt(max(0.0, 1.0 - c ** (2 * n))) for n, p in omega.support
     )
     rhs = math.sqrt(max(0.0, 1.0 - c ** (2.0 * omega.mean)))
-    return JensenCheck(lhs, rhs, lhs <= rhs + 1e-12)
+    return JensenCheck(lhs, rhs, lhs <= rhs + _JENSEN_TOL)

@@ -22,10 +22,11 @@ import numpy as np
 from .errors import ContractViolationError, OutOfDomainError
 from .linalg import (
     DIM_CAP,
+    VALIDATION_TOL,
     DensityOperator,
     PureState,
     as_square_matrix,
-    dagger,
+    require_operator,
 )
 from .optimize import refine
 
@@ -81,23 +82,14 @@ def bell_pair() -> PureState:
 
 @dataclass(frozen=True, eq=False)
 class PovmElement:
-    """Hermitian PSD matrix with all eigenvalues at most 1 (within 1e-10)."""
+    """Hermitian PSD matrix with all eigenvalues at most 1 (within ``VALIDATION_TOL``)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = as_square_matrix(self.matrix, "measurement element")
-        if np.max(np.abs(m - dagger(m))) > 1e-10:
-            raise ContractViolationError("measurement element is not Hermitian within 1e-10")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-        if float(w.min()) < -1e-10:
-            raise ContractViolationError(
-                f"measurement element has negative eigenvalue {w.min():.3e}"
-            )
-        if float(w.max()) > 1.0 + 1e-10:
-            raise ContractViolationError(
-                f"measurement element has eigenvalue {w.max():.12g} above 1"
-            )
+        require_operator(m, "measurement element", VALIDATION_TOL,
+                         -VALIDATION_TOL, 1.0 + VALIDATION_TOL)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -139,6 +131,7 @@ Effect = PovmElement | RankOneEffect
 
 # accept weights at or below this leave no payload (AbortExtendedState.payload)
 ACCEPT_FLOOR = 1e-12
+_RANGE_TOL = 1e-9  # width to which numerical_range_min_overlap refines its weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +210,7 @@ def numerical_range_min_overlap(alpha, trials: int = 64, seed=0):
     best = vals.min(axis=-1)
     best_lam = np.take_along_axis(lam, vals.argmin(axis=-1)[..., None], axis=-1)[..., 0]
     lo, hi = np.maximum(0.0, best_lam - 0.5), np.minimum(1.0, best_lam + 0.5)
-    _, refined = refine(lambda t: segment_modulus_sq(t, alpha.reshape(-1, 1)), lo, hi, tol=1e-9)
+    _, refined = refine(lambda t: segment_modulus_sq(t, alpha.reshape(-1, 1)),
+                        lo, hi, tol=_RANGE_TOL)
     found = np.minimum(best, refined)
     return float(found) if found.ndim == 0 else found

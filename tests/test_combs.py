@@ -70,9 +70,29 @@ class TestChannel:
         with pytest.raises(ContractViolationError):
             Channel((0.5 * np.eye(2),))
 
+    @pytest.mark.parametrize("kraus, message", [
+        ((), r"^channel needs at least one Kraus operator$"),
+        ((np.eye(2), np.eye(3)), r"^Kraus operators must be square and same-shaped$"),
+        ((np.ones((2, 3)),), r"^Kraus operators must be square and same-shaped$"),
+    ], ids=["empty", "ragged", "non-square"])
+    def test_rejects_empty_or_ragged_kraus(self, kraus, message):
+        with pytest.raises(ContractViolationError, match=message):
+            Channel(kraus)
+
+    @pytest.mark.parametrize("strength", (1.5, -0.1))
+    def test_rejects_strength_outside_the_unit_interval(self, strength):
+        for name, channel in (("dephasing", dephasing_channel), ("depolarizing", depolarizing_channel)):
+            with pytest.raises(ContractViolationError,
+                               match=rf"^{name} strength {strength} outside \[0, 1\]$"):
+                channel(strength)
+
+    def test_compose_rejects_a_dim_mismatch(self):
+        with pytest.raises(LayoutError, match=r"^cannot compose channels of dims 4 and 2$"):
+            dephasing_channel(0.2).compose(Channel.from_unitary(np.eye(4)))
+
     def test_dephasing_trace_preserving(self):
-        assert dephasing_channel(0.3).is_trace_preserving(tol=1e-12)
-        assert depolarizing_channel(0.7).is_trace_preserving(tol=1e-12)
+        for chan in (dephasing_channel(0.3), depolarizing_channel(0.7)):
+            assert np.abs(sum(dagger(k) @ k for k in chan.kraus) - np.eye(2)).max() <= 1e-12
 
     @pytest.mark.parametrize("qubit", (2, -1))
     def test_rejects_qubit_outside_the_stack(self, qubit):
@@ -189,6 +209,23 @@ class TestPlug:
                     got = register_permutation_unitary(perm, width, k)
                     assert got.dtype == ref.dtype and np.array_equal(got, ref), (k, perm)
 
+    @pytest.mark.parametrize("layout, message", [
+        ((-1, 1, (), ()), r"^comb dimensions must be positive \(n_holes may be 0\)$"),
+        ((2, 2, (0,), (None,) * 3), r"^1 hole registers for 2 holes$"),
+        ((1, 2, (2,), (None,) * 2), r"^hole registers \(2,\) outside 0\.\.1$"),
+        ((1, 1, (0,), (None,)), r"^1 teeth for 1 holes \(need n \+ 1\)$"),
+    ], ids=["negative-holes", "register-count", "register-range", "teeth-count"])
+    def test_comb_rejects_a_bad_layout(self, layout, message):
+        n_holes, width, registers, teeth = layout
+        with pytest.raises(LayoutError, match=message):
+            Comb(n_holes=n_holes, k=1, width=width, y_dim=1, hole_registers=registers, teeth=teeth)
+
+    def test_rejects_a_plugged_channel_that_loses_trace(self):
+        lossy = Channel((0.5 * np.eye(2),), check=False)
+        with pytest.raises(ContractViolationError,
+                           match=r"^plugged network is not trace preserving within 1e-9$"):
+            plug(trivial_parallel_comb(1), [lossy])
+
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             Comb(n_holes=9, k=1, width=9, y_dim=1,
@@ -246,6 +283,26 @@ class TestGeneralTestAcceptance:
             for strategy in (HONEST, PhaseAttack(0.8), PhaseAttack(0.8, Placement.PRE)):
                 with pytest.raises(LayoutError):
                     general_test_acceptance(test, comb, strategy)
+
+    @pytest.mark.parametrize("chi, measurement, message", [
+        (bell_pair().amplitudes[:2] * math.sqrt(2.0), np.eye(4),
+         r"^test state has dim 2, network expects 4$"),
+        (bell_pair().amplitudes, np.eye(2), r"^measurement has dim 2, network expects 4$"),
+    ], ids=["state", "measurement"])
+    def test_rejects_a_state_or_measurement_of_another_dim(self, chi, measurement, message):
+        test = GeneralTest(PureState(chi), (np.eye(2),), PovmElement(measurement))
+        with pytest.raises(LayoutError, match=message):
+            general_test_acceptance(test, trivial_parallel_comb(1, y_dim=2), HONEST)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: bell_test_setup(0), r"^need at least one test round, got 0$"),
+        (lambda: spec_round_as_general(ProtocolSpec(
+            RoundDistribution.point_mass(1), 1, PlusTraps(), plus_acceptance()), 0, 1),
+         r"^general view needs at least one test round$"),
+    ], ids=["bell", "spec-round"])
+    def test_setups_need_a_test_round(self, build, message):
+        with pytest.raises(ContractViolationError, match=message):
+            build()
 
     @pytest.mark.parametrize("bad", [
         np.diag([1.0, 2.0]), np.ones((2, 3)), np.array([[1.0, 0.0], [0.0, np.nan]]),
@@ -476,6 +533,13 @@ class TestStateEvolution:
         rho = random_density(2, np.random.default_rng(12)).matrix
         with pytest.raises(ContractViolationError):
             _evolve(trivial_parallel_comb(1), [np.eye(2)], 2.0 * rho)
+
+    def test_rejects_a_vector_output_without_unit_norm(self):
+        # the vector path checks the output's squared norm, as the density path its trace
+        vec = np.array([1.0, 0.0], dtype=complex)
+        message = r"^network output has squared norm 1\.0201\d*, not 1 within 1e-9$"
+        with pytest.raises(ContractViolationError, match=message):
+            _evolve(trivial_parallel_comb(1), [1.01 * np.eye(2)], vec)
 
     def test_production_never_composes(self, monkeypatch):
         noisy = parse_config(json.dumps({

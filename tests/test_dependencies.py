@@ -96,3 +96,18 @@ def test_the_per_round_engine_names_no_rank_one_effect():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             name = name or (node.name if isinstance(node, ast.alias) else None)
             assert name != "RankOneEffect", f"{stem} names RankOneEffect (line {node.lineno})"
+
+
+def test_tolerances_are_named_module_constants():
+    # a tolerance is a module constant that its check uses by name (linalg's
+    # table); acceptance.py's literals are the gate's own pinned criteria
+    found = set()
+    for path in sorted((ROOT / "src" / "cutchoose").glob("*.py")):
+        if path.stem == "acceptance":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found.update(f"{path.stem}:{node.lineno} {node.value!r}" for node in ast.walk(fn)
+                             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                             and 0.0 < node.value < 1e-6)
+    assert not found, sorted(found)

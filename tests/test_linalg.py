@@ -214,7 +214,7 @@ class TestStacks:
     @pytest.mark.parametrize("call, error, message", [
         (trace_norm, ContractViolationError, r"^matrix at stack index 3 has non-finite entries$"),
         (hermitian_eig, ContractViolationError,
-         r"^matrix at stack index 3 is not Hermitian \(max deviation 1\.000e\+00 > 1\.0e-10\)$"),
+         r"^matrix at stack index 3 is not Hermitian \(max deviation 1\.000e\+00 > 1e-10\)$"),
         (psd_sqrt, NotPsdError, r"^eigenvalue -1\.000e-03 at stack index 3 below the PSD floor"),
     ], ids=["non-finite", "non-hermitian", "below-psd-floor"])
     def test_one_bad_matrix_is_named_by_its_index(self, call, error, message):
@@ -302,6 +302,14 @@ class TestCarriers:
     def test_pure_state_rejects_bad_norm(self):
         with pytest.raises(ContractViolationError):
             PureState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("vec, message", [
+        (np.eye(2), r"^expected a vector, got ndim=2$"),
+        (np.array([np.nan, 1.0]), r"^state vector has non-finite entries$"),
+    ], ids=["matrix", "nan"])
+    def test_pure_state_rejects_a_matrix_or_nan(self, vec, message):
+        with pytest.raises(ContractViolationError, match=message):
+            PureState(vec)
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):

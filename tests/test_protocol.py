@@ -8,6 +8,7 @@ from cutchoose import protocol
 from cutchoose.combs import GeneralSetup, bell_test_setup
 from cutchoose.errors import (
     ContractViolationError,
+    DimensionCapError,
     OutOfDomainError,
     UnsupportedStrategyError,
 )
@@ -22,6 +23,7 @@ from cutchoose.families import (
 from cutchoose.linalg import dagger
 from cutchoose.protocol import (
     GlobalAcceptance,
+    PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
     acceptance_probability,
@@ -75,6 +77,10 @@ class TestRoundDistribution:
         om = RoundDistribution.from_pairs([(2, 0.5), (1, 0.5)])
         assert om.support == ((1, 0.5), (2, 0.5))
 
+    def test_rejects_empty_support(self):
+        with pytest.raises(ContractViolationError, match="^round distribution has empty support$"):
+            RoundDistribution(())
+
 
 NOT_K, NOT_N = "k must be a positive integer, got ", "round counts must be non-negative integers"
 
@@ -89,6 +95,18 @@ NOT_K, NOT_N = "k must be a positive integer, got ", "round counts must be non-n
 def test_rejects_non_integer_counts(build, message):
     # the type is checked with the value: True is not k = 1, 2.0 is not k = 2
     with pytest.raises(ContractViolationError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: plus_spec(RoundDistribution.point_mass(1), k=13), DimensionCapError,
+     r"^2\*\*13 exceeds the dimension cap 4096$"),
+    (lambda: ProtocolSpec(RoundDistribution.point_mass(1), 1, PlusTraps(), plus_acceptance(),
+                          "first"), ContractViolationError,
+     r"^output_round must be 'uniform' or a per-n mapping, got 'first'$"),
+], ids=["k-beyond-the-cap", "output-round-name"])
+def test_spec_rejects_fields_out_of_range(build, error, message):
+    with pytest.raises(error, match=message):
         build()
 
 
@@ -490,6 +508,19 @@ class TestMonteCarlo:
         spec = plus_spec(RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)]))
         res = monte_carlo_run(spec, (HONEST,), 10_000, seed=3)[0]
         assert res.accept_rate == 1.0
+
+    def test_skips_a_support_point_never_drawn(self):
+        # n = 2 has weight 0, so no run draws it and its effects are never read
+        def element(k, n):
+            if n == 2:
+                raise AssertionError("the effects of an undrawn n were read")
+            return plus_state(k).amplitudes[None]
+
+        omega = RoundDistribution(((1, 1.0), (2, 0.0)))
+        spec = ProtocolSpec(omega, 1, PlusTraps(), PerRoundAcceptance(element))
+        res = monte_carlo_run(spec, (HONEST, PhaseAttack(math.pi)), 1000, seed=0)
+        assert [r.accept_rate for r in res] == [1.0, 0.0]
+        assert list(spec._bank) == [1]
 
     def test_deterministic_per_seed(self):
         spec = plus_spec(RoundDistribution.from_pairs([(0, 0.25), (2, 0.75)]))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cutchoose import cli as cli_module
 from cutchoose import protocol as protocol_module
 from cutchoose import report as report_module
 from cutchoose import states, strategies
@@ -18,7 +19,7 @@ from cutchoose.combs import (
     spec_round_as_general,
 )
 from cutchoose.config import parse_config, sweep_rows
-from cutchoose.errors import OutOfDomainError
+from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import (
     ACCEPTANCE_FAMILIES,
     TRAP_FAMILIES,
@@ -522,6 +523,16 @@ class TestCli:
         assert main(["check", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+
+    def test_engine_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(config, seed_override=None):
+            raise ContractViolationError("round factor (n=2, i=1) = 1.5 outside [0, 1]")
+
+        monkeypatch.setattr(cli_module, "run_scenario", refuse)
+        assert main(["check", "--config", str(write_config(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: round factor (n=2, i=1) = 1.5 outside [0, 1]\n"
+        assert captured.out == ""
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2

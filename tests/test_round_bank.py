@@ -244,8 +244,8 @@ def test_trap_checked_on_its_action(k):
 
 @pytest.mark.parametrize("bad, message", [
     ("povm", r"^acceptance effect for round \(n=3, i=2\) has norm 0\.9746794344808963, "
-             r"not 1 within 1\.0e-12$"),
-    ("nan", r"^acceptance effect for round \(n=3, i=2\) has norm nan, not 1 within 1\.0e-12$"),
+             r"not 1 within 1e-12$"),
+    ("nan", r"^acceptance effect for round \(n=3, i=2\) has norm nan, not 1 within 1e-12$"),
     ("wrong-dim", r"^acceptance effects for n=3 have shape \(4, 8\), expected \(1, 4\) or \(4, 4\)$"),
     ("rows", r"^acceptance effects for n=3 have shape \(3, 4\), expected \(1, 4\) or \(4, 4\)$"),
 ], ids=["povm", "nan", "wrong-dim", "rows"])
@@ -316,7 +316,7 @@ def test_off_norm_trap_fails_alike_in_both_engines():
     # both refuse the trap at its named round, whether it is the spec's own
     # or only the rule's
     message = (r"^trap unitary for round \(n=3, i=1\) maps its input to norm "
-               r"1\.00000000001\d*, not 1 within 1\.0e-12$")
+               r"1\.00000000001\d*, not 1 within 1e-12$")
     scaled = OffNorm()
     for traps in (scaled, RandomTraps(seed=1)):
         spec = ProtocolSpec(RoundDistribution.point_mass(N), 1, traps, matched_acceptance(scaled))

@@ -148,6 +148,11 @@ class TestPovmElement:
         with pytest.raises(ContractViolationError):
             PovmElement(np.diag([-0.1, 0.5]))
 
+    def test_rejects_non_hermitian(self):
+        message = r"^measurement element is not Hermitian \(max deviation 5\.000e-01 > 1e-10\)$"
+        with pytest.raises(ContractViolationError, match=message):
+            PovmElement(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
 
 class TestNumericalRange:
     def test_segment_convexity_identity(self):
