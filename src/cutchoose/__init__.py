@@ -64,7 +64,6 @@ from .protocol import (
     TrapGenerator,
     acceptance_probability,
     client_output_state,
-    jensen_gap_check,
     monte_carlo_run,
     overall_acceptance,
     round_outcome_table,

@@ -1,19 +1,22 @@
 """End-to-end verification suite.
 
-Each criterion runs a self-contained check at a pinned tolerance and returns
-a :class:`CriterionResult`; the CLI ``selftest`` subcommand and the test
-suite both drive this module. The bound statements are universally
-quantified and cannot be checked exhaustively, so the suite certifies
-concrete witness instances plus randomized property families — the
-strongest desk-scale evidence available.
+Each criterion states its checks at the gate's named allowances: it yields a
+failure message for every condition that does not hold, each written as the
+condition that must hold, so a NaN fails. One runner, :func:`_criterion`,
+times it, applies its runtime limit and returns its :class:`CriterionResult`;
+the CLI ``selftest`` subcommand and the test suite both drive this module.
+The bound statements are universally quantified and cannot be checked
+exhaustively, so the suite certifies concrete witness instances plus
+randomized property families — the strongest desk-scale evidence available.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .families import (
 from .linalg import (
     fidelity_psd,
     pure_trace_distance,
+    tol_text,
     trace_norm,
 )
 from .optimize import scan_unit_interval
@@ -47,13 +51,22 @@ from .protocol import (
     ProtocolSpec,
     RoundDistribution,
     acceptance_probability,
-    jensen_gap_check,
     monte_carlo_run,
     overall_acceptance,
 )
 from .sampling import random_psd, random_pure_state
 from .states import numerical_range_min_overlap, phase_gate
 from .strategies import HONEST, PhaseAttack, Placement
+
+
+# The gate's allowances, each used by name
+_EXACT_TOL = 1e-9  # an exact sum against its closed form or the bound it must clear
+_ENGINE_TOL = 1e-10  # the per-round and network engines on one probability
+_JENSEN_TOL = 1e-12  # rounding of the concavity step's two sums
+_REFINED_TOL = 1e-6  # a refined grid optimum: max_p off a^2 + b^2, a minimum below the true one
+_NUMERICAL_RANGE_TOL = 1e-4  # the numerical-range optimizer from 16 random starts
+_SEARCH_TOL = 1e-5  # the diamond distance's pure-state search on its finite grid
+_MC_SIGMAS = 4.0  # sampled acceptance off the exact value, in binomial standard deviations
 
 
 @dataclass(frozen=True)
@@ -64,91 +77,83 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name: str, t0: float, failures: list[str], detail_ok: str) -> CriterionResult:
-    dt = time.perf_counter() - t0
-    if failures:
-        preview = "; ".join(failures[:3])
-        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-        return CriterionResult(name, False, preview + more, dt)
-    return CriterionResult(name, True, detail_ok, dt)
+def _criterion(name: str, detail: str, limit: float | None = None):
+    """A criterion from a generator of failure messages: timed once, failed past
+    its runtime ``limit`` in seconds (its pass ``detail`` then quotes the time),
+    and reported with its first three failures, or ``detail`` if none."""
+
+    def wrap(checks: Callable[[], Iterator[str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(checks)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            failures = list(checks())
+            seconds = time.perf_counter() - t0
+            pass_detail = detail
+            if limit is not None:
+                if seconds >= limit:
+                    failures.append(f"runtime {seconds:.2f}s exceeds {limit:g}s")
+                pass_detail += f"; {seconds:.2f}s"
+            if failures:
+                more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
+                return CriterionResult(name, False, "; ".join(failures[:3]) + more, seconds)
+            return CriterionResult(name, True, pass_detail, seconds)
+
+        return criterion
+
+    return wrap
 
 
-def _plus_spec(n: int, k: int = 1) -> ProtocolSpec:
-    return ProtocolSpec(
-        omega=RoundDistribution.point_mass(n),
-        k=k,
-        traps=PlusTraps(),
-        acceptance=plus_acceptance(),
-    )
-
-
-def criterion_stand_alone_tradeoff() -> CriterionResult:
-    """Point-mass sweeps reproduce the stand-alone bound with margin."""
-    t0 = time.perf_counter()
-    failures = []
+def _tradeoff_sweep(model: SecurityModel, eps_d, bound, margin_text: str) -> Iterator[str]:
+    """Plus-trap point masses N in {1,2,5,10,50,200} under ``model``: eps_h = 0
+    and eps_d = ``eps_d(N)`` in closed form, eps_h + eps_d at least 1.5
+    ``bound(N)`` (half the bound as margin, ``margin_text``), report satisfied."""
     for n in (1, 2, 5, 10, 50, 200):
-        report = run_tradeoff_check(_plus_spec(n), SecurityModel.STAND_ALONE)
-        s2 = 4.0 / (9.0 * n)
-        expected_eps_d = (1.0 - s2) ** n * s2
-        bound = 1.0 / (7.0 * n)
-        if abs(report.eps_h) > 1e-9:
-            failures.append(f"N={n}: eps_h={report.eps_h:.3e} not 0")
-        if abs(report.eps_d - expected_eps_d) > 1e-9:
-            failures.append(f"N={n}: eps_d={report.eps_d!r} != {expected_eps_d!r}")
-        margin = report.eps_h + report.eps_d - bound
-        if margin < 0.5 / (7.0 * n) - 1e-9:
-            failures.append(f"N={n}: margin {margin:.3e} below 0.5/(7N)")
+        spec = ProtocolSpec(RoundDistribution.point_mass(n), 1, PlusTraps(), plus_acceptance())
+        report = run_tradeoff_check(spec, model)
+        want, floor = eps_d(n), bound(n)
+        if not abs(report.eps_h) <= _EXACT_TOL:
+            yield f"N={n}: eps_h={report.eps_h:.3e} not 0"
+        if not abs(report.eps_d - want) <= _EXACT_TOL:
+            yield f"N={n}: eps_d={report.eps_d!r} != {want!r}"
+        margin = report.eps_h + report.eps_d - floor
+        if not margin >= 0.5 * floor - _EXACT_TOL:
+            yield f"N={n}: margin {margin:.3e} below {margin_text}"
         if not report.satisfied:
-            failures.append(f"N={n}: report not satisfied")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 1.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 1s")
-    return _result(
-        "stand-alone trade-off (N in {1,2,5,10,50,200})", t0, failures,
-        f"eps_h = 0, eps_d = (1-4/9N)^N 4/(9N), sum >= 1.5/(7N); {elapsed:.2f}s",
+            yield f"N={n}: report not satisfied"
+
+
+@_criterion("stand-alone trade-off (N in {1,2,5,10,50,200})",
+            "eps_h = 0, eps_d = (1-4/9N)^N 4/(9N), sum >= 1.5/(7N)", limit=1.0)
+def criterion_stand_alone_tradeoff():
+    """Point-mass sweeps reproduce the stand-alone bound with margin."""
+    return _tradeoff_sweep(
+        SecurityModel.STAND_ALONE, lambda n: (1.0 - 4.0 / (9.0 * n)) ** n * (4.0 / (9.0 * n)),
+        lambda n: 1.0 / (7.0 * n), "0.5/(7N)",
     )
 
 
-def criterion_composable_tradeoff() -> CriterionResult:
+@_criterion("composable trade-off (same sweep)",
+            "eps_d = (1-1/4N)^N / (2 sqrt N), sum >= 1.5/(4 sqrt N)")
+def criterion_composable_tradeoff():
     """Same sweep under the composable (trace-distance) model."""
-    t0 = time.perf_counter()
-    failures = []
-    for n in (1, 2, 5, 10, 50, 200):
-        report = run_tradeoff_check(_plus_spec(n), SecurityModel.COMPOSABLE)
-        expected_eps_d = (1.0 - 1.0 / (4.0 * n)) ** n / (2.0 * math.sqrt(n))
-        bound = 1.0 / (4.0 * math.sqrt(n))
-        if abs(report.eps_h) > 1e-9:
-            failures.append(f"N={n}: eps_h={report.eps_h:.3e} not 0")
-        if abs(report.eps_d - expected_eps_d) > 1e-9:
-            failures.append(f"N={n}: eps_d={report.eps_d!r} != {expected_eps_d!r}")
-        margin = report.eps_h + report.eps_d - bound
-        if margin < 0.5 / (4.0 * math.sqrt(n)) - 1e-9:
-            failures.append(f"N={n}: margin {margin:.3e} below 0.5/(4 sqrt N)")
-    return _result(
-        "composable trade-off (same sweep)", t0, failures,
-        "eps_d = (1-1/4N)^N / (2 sqrt N), sum >= 1.5/(4 sqrt N)",
+    return _tradeoff_sweep(
+        SecurityModel.COMPOSABLE, lambda n: (1.0 - 1.0 / (4.0 * n)) ** n / (2.0 * math.sqrt(n)),
+        lambda n: 1.0 / (4.0 * math.sqrt(n)), "0.5/(4 sqrt N)",
     )
 
 
-def criterion_general_test_bounds() -> CriterionResult:
+@_criterion("general-test trade-offs (entangled tests, N in {1,2,3,4})",
+            "sums above 1/(7N^2) and 1/(4N)", limit=10.0)
+def criterion_general_test_bounds():
     """Entangled-test setups satisfy both general-variant bounds."""
-    t0 = time.perf_counter()
-    failures = []
     for n in (1, 2, 3, 4):
         setup = bell_test_setup(n)
         sa = general_tradeoff_check(SecurityModel.STAND_ALONE, setup)
-        if sa.eps_h + sa.eps_d < 1.0 / (7.0 * n * n) - 1e-9:
-            failures.append(f"N={n}: stand-alone sum {sa.eps_h + sa.eps_d!r} below 1/(7N^2)")
+        if not sa.eps_h + sa.eps_d >= 1.0 / (7.0 * n * n) - _EXACT_TOL:
+            yield f"N={n}: stand-alone sum {sa.eps_h + sa.eps_d!r} below 1/(7N^2)"
         co = general_tradeoff_check(SecurityModel.COMPOSABLE, setup)
-        if co.eps_h + co.eps_d < 1.0 / (4.0 * n) - 1e-9:
-            failures.append(f"N={n}: composable sum {co.eps_h + co.eps_d!r} below 1/(4N)")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 10.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 10s")
-    return _result(
-        "general-test trade-offs (entangled tests, N in {1,2,3,4})", t0, failures,
-        f"sums above 1/(7N^2) and 1/(4N); {elapsed:.2f}s",
-    )
+        if not co.eps_h + co.eps_d >= 1.0 / (4.0 * n) - _EXACT_TOL:
+            yield f"N={n}: composable sum {co.eps_h + co.eps_d!r} below 1/(4N)"
 
 
 def _orthogonal_psd_quadruple(rng, out) -> int:
@@ -211,35 +216,36 @@ def _max_p_objective(w: np.ndarray):
     return lambda ps: (a * np.sqrt(ps) + b * np.sqrt(1.0 - ps)) ** 2
 
 
-def criterion_closed_form_identities() -> CriterionResult:
+@_criterion("closed-form identities (4 x 1000 randomized cases)",
+            "trace distance, block additivity, max_p identity, numerical range")
+def criterion_closed_form_identities():
     """Randomized property families behind the bound derivations, each drawn
     in full, then evaluated in stacks through the production functions."""
-    t0 = time.perf_counter()
-    failures = []
     cases = _identity_cases()
+    tol = tol_text(_EXACT_TOL)
 
     # pure-state trace distance vs eigenvalue route
     dims, amps, closed = next(cases)
     for trial, (c, eig) in enumerate(zip(closed, _stacked(_half_trace_norm_gap, dims, *amps))):
-        if abs(c - eig) > 1e-9:
-            failures.append(f"trace-distance trial {trial}: |{c}-{eig}| > 1e-9")
+        if not abs(c - eig) <= _EXACT_TOL:
+            yield f"trace-distance trial {trial}: |{c}-{eig}| > {tol}"
             break
 
     # orthogonal-support additivity of fidelity and trace norm
     for trial, (fj, fs, tj, ts) in enumerate(_stacked(_block_additivity, *next(cases))):
-        if abs(fj - fs) > 1e-9:
-            failures.append(f"block fidelity trial {trial}: |{fj}-{fs}| > 1e-9")
+        if not abs(fj - fs) <= _EXACT_TOL:
+            yield f"block fidelity trial {trial}: |{fj}-{fs}| > {tol}"
             break
-        if abs(tj - ts) > 1e-9:
-            failures.append(f"block trace-norm trial {trial}: |{tj}-{ts}| > 1e-9")
+        if not abs(tj - ts) <= _EXACT_TOL:
+            yield f"block trace-norm trial {trial}: |{tj}-{ts}| > {tol}"
             break
 
     # max_p (sqrt(p) a + sqrt(1-p) b)^2 = a^2 + b^2, via the grid search
     ab = next(cases)
     _, maxima = scan_unit_interval(_max_p_objective(ab), minimize=False)
     for trial, ((a, b), best) in enumerate(zip(ab, maxima)):
-        if abs(best - (a * a + b * b)) > 1e-6:
-            failures.append(f"max_p trial {trial}: |{best}-{a * a + b * b}| > 1e-6")
+        if not abs(best - (a * a + b * b)) <= _REFINED_TOL:
+            yield f"max_p trial {trial}: |{best}-{a * a + b * b}| > {tol_text(_REFINED_TOL)}"
             break
 
     # optimizer finds the numerical-range minimum cos^2(alpha/2)
@@ -247,38 +253,27 @@ def criterion_closed_form_identities() -> CriterionResult:
     founds = numerical_range_min_overlap(alphas, trials=16, seed=np.arange(len(alphas)))
     for trial, (alpha, found) in enumerate(zip(alphas, founds)):
         target = math.cos(alpha / 2.0) ** 2
-        if abs(found - target) > 1e-4 or found < target - 1e-6:
-            failures.append(f"numerical-range trial {trial}: {found} vs {target}")
+        if not (abs(found - target) <= _NUMERICAL_RANGE_TOL and found >= target - _REFINED_TOL):
+            yield f"numerical-range trial {trial}: {found} vs {target}"
             break
 
-    return _result(
-        "closed-form identities (4 x 1000 randomized cases)", t0, failures,
-        "trace distance, block additivity, max_p identity, numerical range",
-    )
 
-
-def criterion_gap_bound_random_networks() -> CriterionResult:
+@_criterion("acceptance-gap bound on random networks (20 seeds)",
+            "gap <= N|sin(alpha/2)| on every draw", limit=30.0)
+def criterion_gap_bound_random_networks():
     """|p_H - p_D| <= N |sin(alpha/2)| on 20 random test networks."""
-    t0 = time.perf_counter()
-    failures = []
     for seed in range(20):
         draw = random_comb_draw(seed)
         check = linear_gap_check(draw.setup, draw.alpha, draw.placement)
-        if not check.holds or check.gap > check.bound + 1e-10:
-            failures.append(f"seed {seed}: gap {check.gap!r} > bound {check.bound!r}")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 30.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 30s")
-    return _result(
-        "acceptance-gap bound on random networks (20 seeds)", t0, failures,
-        f"gap <= N|sin(alpha/2)| on every draw; {elapsed:.2f}s",
-    )
+        if not check.holds:
+            yield f"seed {seed}: gap {check.gap!r} > bound {check.bound!r}"
 
 
-def criterion_diamond_distance() -> CriterionResult:
+@_criterion("diamond distance of the phase rotation (50 angles)",
+            f"closed form within {tol_text(_EXACT_TOL)}, "
+            f"pure-state search within {tol_text(_SEARCH_TOL)}")
+def criterion_diamond_distance():
     """Half diamond distance of a phase rotation equals |sin(alpha/2)|."""
-    t0 = time.perf_counter()
-    failures = []
     eye = np.eye(2, dtype=np.complex128)
     alphas = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
     gates = np.stack([phase_gate(alpha) for alpha in alphas])
@@ -286,20 +281,24 @@ def criterion_diamond_distance() -> CriterionResult:
     for alpha, gate, searched in zip(alphas, gates, searches):
         expected = abs(math.sin(alpha / 2.0))
         closed = diamond_distance_unitaries(eye, gate)
-        if abs(closed - expected) > 1e-9:
-            failures.append(f"alpha={alpha:.4f}: closed form {closed!r} vs {expected!r}")
-        if abs(searched - expected) > 1e-5:
-            failures.append(f"alpha={alpha:.4f}: search {searched!r} vs {expected!r}")
-    return _result(
-        "diamond distance of the phase rotation (50 angles)", t0, failures,
-        "closed form within 1e-9, pure-state search within 1e-5",
-    )
+        if not abs(closed - expected) <= _EXACT_TOL:
+            yield f"alpha={alpha:.4f}: closed form {closed!r} vs {expected!r}"
+        if not abs(searched - expected) <= _SEARCH_TOL:
+            yield f"alpha={alpha:.4f}: search {searched!r} vs {expected!r}"
 
 
-def criterion_jensen_step() -> CriterionResult:
+def _concavity_sums(omega: RoundDistribution, c: float) -> tuple[float, float]:
+    """The concavity step's two sides for ``c`` in [0, 1]: sum_n omega(n)
+    sqrt(1 - c^{2n}) and sqrt(1 - c^{2N}), N the mean of ``omega``; equal for
+    a point mass."""
+    lhs = math.fsum(p * math.sqrt(max(0.0, 1.0 - c ** (2 * n))) for n, p in omega.support)
+    return lhs, math.sqrt(max(0.0, 1.0 - c ** (2.0 * omega.mean)))
+
+
+@_criterion("concavity step (100 random distributions, c in {0.5, 0.9, 0.99})",
+            f"sum_n omega(n) sqrt(1-c^2n) <= sqrt(1-c^2N) at {tol_text(_JENSEN_TOL)}")
+def criterion_jensen_step():
     """Concavity step for 100 random round distributions."""
-    t0 = time.perf_counter()
-    failures = []
     rng = np.random.default_rng(7)
     for trial in range(100):
         size = int(rng.integers(1, 6))
@@ -307,97 +306,68 @@ def criterion_jensen_step() -> CriterionResult:
         probs = rng.dirichlet(np.ones(size))
         omega = RoundDistribution.from_pairs(zip(ns, probs))
         for c in (0.5, 0.9, 0.99):
-            check = jensen_gap_check(omega, c)
-            if check.lhs > check.rhs + 1e-12:
-                failures.append(f"trial {trial}, c={c}: lhs {check.lhs!r} > rhs {check.rhs!r}")
-    return _result(
-        "concavity step (100 random distributions, c in {0.5, 0.9, 0.99})", t0, failures,
-        "sum_n omega(n) sqrt(1-c^2n) <= sqrt(1-c^2N) at 1e-12",
-    )
+            lhs, rhs = _concavity_sums(omega, c)
+            if not lhs <= rhs + _JENSEN_TOL:
+                yield f"trial {trial}, c={c}: lhs {lhs!r} > rhs {rhs!r}"
 
 
 def _mc_configs():
     """Ten (spec, strategy) pairs mixing trap families, attacks and supports."""
-    specs = []
-    plus, comp = PlusTraps(), ComputationalTraps()
     rand = RandomTraps(seed=11)
-    omega_mix = RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)])
-    omega_wide = RoundDistribution.from_pairs([(0, 0.2), (2, 0.5), (4, 0.3)])
-
-    def spec(omega, traps, acc, k=1):
-        return ProtocolSpec(omega=omega, k=k, traps=traps, acceptance=acc)
-
-    specs.append((spec(RoundDistribution.point_mass(2), plus, plus_acceptance()), HONEST))
-    specs.append((
-        spec(RoundDistribution.point_mass(2), plus, plus_acceptance()),
-        PhaseAttack(math.pi / 2.0),
-    ))
-    specs.append((spec(omega_mix, plus, plus_acceptance()), PhaseAttack(1.0)))
-    specs.append((
-        spec(omega_wide, plus, plus_acceptance()),
-        PhaseAttack(2.2, Placement.PRE),
-    ))
-    specs.append((
-        spec(RoundDistribution.point_mass(3), comp, computational_acceptance()),
-        PhaseAttack(0.7),
-    ))
-    specs.append((spec(omega_mix, rand, matched_acceptance(rand)), HONEST))
-    specs.append((spec(omega_mix, rand, matched_acceptance(rand)), PhaseAttack(0.9)))
-    specs.append((
-        spec(RoundDistribution.point_mass(4), rand, matched_acceptance(rand)),
-        PhaseAttack(2.9, Placement.PRE),
-    ))
-    specs.append((
-        spec(RoundDistribution.point_mass(1), plus, plus_acceptance(), k=2),
-        PhaseAttack(1.3),
-    ))
-    specs.append((spec(omega_wide, comp, computational_acceptance()), PhaseAttack(0.4)))
-    return specs
+    plus, matched = (PlusTraps(), plus_acceptance()), (rand, matched_acceptance(rand))
+    comp = (ComputationalTraps(), computational_acceptance())
+    point, mix = RoundDistribution.point_mass, RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)])
+    wide = RoundDistribution.from_pairs([(0, 0.2), (2, 0.5), (4, 0.3)])
+    rows = [  # (omega, (traps, acceptance), k, strategy)
+        (point(2), plus, 1, HONEST),
+        (point(2), plus, 1, PhaseAttack(math.pi / 2.0)),
+        (mix, plus, 1, PhaseAttack(1.0)),
+        (wide, plus, 1, PhaseAttack(2.2, Placement.PRE)),
+        (point(3), comp, 1, PhaseAttack(0.7)),
+        (mix, matched, 1, HONEST),
+        (mix, matched, 1, PhaseAttack(0.9)),
+        (point(4), matched, 1, PhaseAttack(2.9, Placement.PRE)),
+        (point(1), plus, 2, PhaseAttack(1.3)),
+        (wide, comp, 1, PhaseAttack(0.4)),
+    ]
+    return [(ProtocolSpec(omega, k, traps, rule), strategy)
+            for omega, (traps, rule), k, strategy in rows]
 
 
-def criterion_monte_carlo() -> CriterionResult:
+@_criterion("sampled vs exact acceptance (10 configs, 1e5 trials)",
+            f"within {_MC_SIGMAS:g} sigma of the exact value, byte-identical reruns")
+def criterion_monte_carlo():
     """Sampled acceptance matches the exact sums; runs are seed-deterministic."""
-    t0 = time.perf_counter()
-    failures = []
     trials = 100_000
     for idx, (spec, strategy) in enumerate(_mc_configs()):
         exact = overall_acceptance(spec, strategy)
         first = monte_carlo_run(spec, (strategy,), trials, seed=1000 + idx)[0]
         again = monte_carlo_run(spec, (strategy,), trials, seed=1000 + idx)[0]
         if repr(first) != repr(again):
-            failures.append(f"config {idx}: two runs with one seed differ")
-        tolerance = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
-        if abs(first.accept_rate - exact) > tolerance:
-            failures.append(
-                f"config {idx}: |{first.accept_rate} - {exact}| > {tolerance:.2e}"
-            )
-    return _result(
-        "sampled vs exact acceptance (10 configs, 1e5 trials)", t0, failures,
-        "within 4 sigma of the exact value, byte-identical reruns",
-    )
+            yield f"config {idx}: two runs with one seed differ"
+        tolerance = _MC_SIGMAS * math.sqrt(exact * (1.0 - exact) / trials)
+        if not abs(first.accept_rate - exact) <= tolerance:
+            yield f"config {idx}: |{first.accept_rate} - {exact}| > {tolerance:.2e}"
 
 
-def criterion_cross_engine_consistency() -> CriterionResult:
+@_criterion("per-round vs network engine (10 configs)",
+            f"overall and per-round probabilities agree within {tol_text(_ENGINE_TOL)}")
+def criterion_cross_engine_consistency():
     """Per-round protocol reproduced through the general network engine."""
-    t0 = time.perf_counter()
-    failures = []
+    tol = tol_text(_ENGINE_TOL)
     for idx, (spec, strategy) in enumerate(_mc_configs()):
         direct = overall_acceptance(spec, strategy)
         via = overall_acceptance_via_combs(spec, strategy)
-        if abs(direct - via) > 1e-10:
-            failures.append(f"config {idx}: overall |{direct} - {via}| > 1e-10")
+        if not abs(direct - via) <= _ENGINE_TOL:
+            yield f"config {idx}: overall |{direct} - {via}| > {tol}"
         n = spec.omega.max_n
         if n >= 1:
             ell = min(n, 2)
             test, comb = spec_round_as_general(spec, n, ell)
             p_direct = acceptance_probability(spec, strategy, n, ell)
             p_via = general_test_acceptance(test, comb, strategy)
-            if abs(p_direct - p_via) > 1e-10:
-                failures.append(f"config {idx}: round |{p_direct} - {p_via}| > 1e-10")
-    return _result(
-        "per-round vs network engine (10 configs)", t0, failures,
-        "overall and per-round probabilities agree within 1e-10",
-    )
+            if not abs(p_direct - p_via) <= _ENGINE_TOL:
+                yield f"config {idx}: round |{p_direct} - {p_via}| > {tol}"
 
 
 ALL_CRITERIA: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (

@@ -44,6 +44,7 @@ from .protocol import (
     outcome_table,
     action_unitary,
     receive_rounds,
+    require_output_round,
     snap_probability,
 )
 from .sampling import random_density, random_povm_effect, random_unitary
@@ -387,6 +388,7 @@ class GeneralSetup:
     _tables: dict = field(default_factory=dict, init=False, repr=False)  # one per strategy
 
     def __post_init__(self):
+        require_output_round(self.output_round)
         for n in (n for n, _ in self.omega.support if n):
             for name, key in [("tests", n)] + [("combs", (n, ell)) for ell in range(1, n + 2)]:
                 if key not in getattr(self, name):

@@ -79,8 +79,6 @@ from .strategies import (
     transform_round,
 )
 
-_JENSEN_TOL = 1e-12  # rounding allowance of the concavity step's two sums
-
 
 def snap_probability(p, what: str, given: bool = False):
     """``p`` (a float or an array) clamped into [0, 1], -0.0 as 0.0, if off it by
@@ -218,10 +216,15 @@ class ProtocolSpec:
             raise ContractViolationError(f"k must be a positive integer, got {self.k!r}")
         if 2**self.k > DIM_CAP:
             raise DimensionCapError(f"2**{self.k} exceeds the dimension cap {DIM_CAP}")
-        if isinstance(self.output_round, str) and self.output_round != "uniform":
-            raise ContractViolationError(
-                f"output_round must be 'uniform' or a per-n mapping, got {self.output_round!r}"
-            )
+        require_output_round(self.output_round)
+
+
+def require_output_round(output_round) -> None:
+    """Rejects an ``output_round`` that is neither ``"uniform"`` nor a mapping;
+    a mapping's distributions are checked per n when read."""
+    if not (isinstance(output_round, Mapping) or output_round == "uniform"):
+        raise ContractViolationError(
+            f"output_round must be 'uniform' or a per-n mapping, got {output_round!r}")
 
 
 def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,13 +396,17 @@ def outcome_table(
     """The (n, ell) acceptance table over the support of ``omega``.
 
     ``per_ell(n)`` gives the n + 1 acceptance probabilities for n >= 1; with no
-    test rounds the empty product accepts. The rows are given, so values
-    within ``PROB_TOL`` of [0, 1] are clamped into it; anything else, NaN
-    included, is rejected (:func:`snap_probability`).
+    test rounds the empty product accepts. The rows are given, so a row must
+    be 1-D of length n + 1, and values within ``PROB_TOL`` of [0, 1] are
+    clamped into it; anything else, NaN included, is rejected
+    (:func:`snap_probability`).
     """
     rows = []
     for n, _ in omega.support:
         row = snap_probability(per_ell(n) if n else (1.0,), f"p(n={n}, ell={{}})", given=True)
+        if np.shape(row) != (n + 1,):
+            raise ContractViolationError(
+                f"p(n={n}, ell) row has shape {np.shape(row)}, expected {(n + 1,)}")
         row.flags.writeable = False
         rows.append(row)
     return RoundOutcomeTable(omega, output_round, tuple(rows))
@@ -528,23 +535,3 @@ def _subset(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
     keep = np.ones(m, dtype=bool)
     keep[rng.choice(m, m - size, replace=False, shuffle=False)] = False
     return np.flatnonzero(keep)
-
-
-class JensenCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def jensen_gap_check(omega: RoundDistribution, c: float) -> JensenCheck:
-    """Concavity step: sum_n omega(n) sqrt(1 - c^{2n}) <= sqrt(1 - c^{2N}).
-
-    ``N`` is the mean of ``omega``; equality holds for point masses.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise OutOfDomainError(f"c = {c!r} outside [0, 1]")
-    lhs = math.fsum(
-        p * math.sqrt(max(0.0, 1.0 - c ** (2 * n))) for n, p in omega.support
-    )
-    rhs = math.sqrt(max(0.0, 1.0 - c ** (2.0 * omega.mean)))
-    return JensenCheck(lhs, rhs, lhs <= rhs + _JENSEN_TOL)

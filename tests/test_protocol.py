@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cutchoose import protocol
+from cutchoose import acceptance, protocol
 from cutchoose.combs import GeneralSetup, bell_test_setup
 from cutchoose.errors import (
     ContractViolationError,
@@ -28,7 +30,6 @@ from cutchoose.protocol import (
     RoundDistribution,
     acceptance_probability,
     client_output_state,
-    jensen_gap_check,
     monte_carlo_run,
     outcome_table,
     output_round_weights,
@@ -104,7 +105,13 @@ def test_rejects_non_integer_counts(build, message):
     (lambda: ProtocolSpec(RoundDistribution.point_mass(1), 1, PlusTraps(), plus_acceptance(),
                           "first"), ContractViolationError,
      r"^output_round must be 'uniform' or a per-n mapping, got 'first'$"),
-], ids=["k-beyond-the-cap", "output-round-name"])
+    (lambda: ProtocolSpec(RoundDistribution.point_mass(1), 1, PlusTraps(), plus_acceptance(),
+                          None), ContractViolationError,
+     r"^output_round must be 'uniform' or a per-n mapping, got None$"),
+    # the general engine's setup shares the spec's check, at construction
+    (lambda: dataclasses.replace(bell_test_setup(2), output_round="bogus"), ContractViolationError,
+     r"^output_round must be 'uniform' or a per-n mapping, got 'bogus'$"),
+], ids=["k-beyond-the-cap", "output-round-name", "output-round-none", "setup-output-round-name"])
 def test_spec_rejects_fields_out_of_range(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -300,6 +307,13 @@ class TestOutcomeTable:
         for values, message in cases:
             with pytest.raises(ContractViolationError, match=message):
                 outcome_table(omega, "uniform", lambda n: values)
+
+    @pytest.mark.parametrize("row, shape", [([1.0] * 2, (2,)), ([[1.0] * 4], (1, 4)), (1.0, ())],
+                             ids=["short", "2-d", "scalar"])
+    def test_rejects_a_row_of_the_wrong_shape(self, row, shape):
+        message = re.escape(f"p(n=3, ell) row has shape {shape}, expected (4,)")
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            outcome_table(RoundDistribution.point_mass(3), "uniform", lambda n: row)
 
     def test_rows_are_read_only(self):
         table = outcome_table(RoundDistribution.point_mass(2), "uniform", lambda n: (0.1,) * 3)
@@ -725,25 +739,24 @@ class TestOneWalkPerN:
 
 
 class TestJensen:
+    # the concavity step's two sums, as the gate's jensen-step criterion forms them
     def test_point_mass_tight(self):
-        check = jensen_gap_check(RoundDistribution.point_mass(4), 0.8)
-        assert check.lhs == pytest.approx(check.rhs, abs=1e-15)
-        assert check.holds
+        lhs, rhs = acceptance._concavity_sums(RoundDistribution.point_mass(4), 0.8)
+        assert lhs == pytest.approx(rhs, abs=1e-15)
+        assert lhs <= rhs + acceptance._JENSEN_TOL
 
     def test_c_one_degenerate(self):
-        check = jensen_gap_check(RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)]), 1.0)
-        assert check.lhs == 0.0
-        assert check.rhs == 0.0
-        assert check.holds
+        two_point = RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)])
+        lhs, rhs = acceptance._concavity_sums(two_point, 1.0)
+        assert lhs == 0.0
+        assert rhs == 0.0
+        assert lhs <= rhs + acceptance._JENSEN_TOL
 
     def test_two_point_example(self):
-        check = jensen_gap_check(RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)]), 0.9)
+        two_point = RoundDistribution.from_pairs([(1, 0.5), (3, 0.5)])
+        lhs, rhs = acceptance._concavity_sums(two_point, 0.9)
         expected_lhs = 0.5 * (math.sqrt(1 - 0.81) + math.sqrt(1 - 0.9**6))
-        assert check.lhs == pytest.approx(expected_lhs, abs=1e-12)
-        assert check.rhs == pytest.approx(math.sqrt(1 - 0.9**4), abs=1e-12)
-        assert check.lhs < check.rhs
-        assert check.holds
-
-    def test_rejects_bad_c(self):
-        with pytest.raises(OutOfDomainError):
-            jensen_gap_check(RoundDistribution.point_mass(1), 1.5)
+        assert lhs == pytest.approx(expected_lhs, abs=1e-12)
+        assert rhs == pytest.approx(math.sqrt(1 - 0.9**4), abs=1e-12)
+        assert lhs < rhs
+        assert lhs <= rhs + acceptance._JENSEN_TOL
