@@ -41,6 +41,8 @@ from .families import (
     plus_acceptance,
 )
 from .linalg import (
+    PureState,
+    dagger,
     fidelity_psd,
     pure_trace_distance,
     tol_text,
@@ -54,7 +56,7 @@ from .protocol import (
     monte_carlo_run,
     overall_acceptance,
 )
-from .sampling import random_psd, random_pure_state
+from .sampling import random_complex_gaussian
 from .states import numerical_range_min_overlap, phase_gate
 from .strategies import HONEST, PhaseAttack, Placement
 
@@ -156,31 +158,50 @@ def criterion_general_test_bounds():
             yield f"N={n}: composable sum {co.eps_h + co.eps_d!r} below 1/(4N)"
 
 
-def _orthogonal_psd_quadruple(rng, out) -> int:
-    """Draws P1, Q1, P2, Q2 (orthogonal supports across two diagonal blocks)
-    into the zeroed ``out[0..3]`` and returns their dimension."""
-    d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    for j, (offset, size) in enumerate(((0, d1), (0, d1), (d1, d2), (d1, d2))):
-        block = random_psd(size, rng) * float(rng.uniform(0.1, 2.0))
-        out[j, offset:offset + size, offset:offset + size] = block
-    return d1 + d2
+def _state_pairs(rng: np.random.Generator):
+    """1000 dims from {2, 4, 8, 16} in one draw, and a pair of Haar states of
+    each dim padded to 16: each dim's pairs as one normalised (2, m, d)
+    complex Gaussian block."""
+    dims, amps = rng.choice((2, 4, 8, 16), size=1000), np.zeros((2, 1000, 16), complex)
+    for d in (2, 4, 8, 16):
+        cols = np.flatnonzero(dims == d)
+        pairs = random_complex_gaussian(rng, (2, cols.size, d))
+        amps[:, cols, :d] = pairs / np.linalg.norm(pairs, axis=-1, keepdims=True)
+    return dims, amps
 
 
-def _identity_cases():
-    """The closed-form families' 1000 cases each, drawn in turn from one generator
-    into arrays (lists of small arrays fragment the heap): (dims, padded u, v,
-    pure_trace_distance), (dims, padded P1, Q1, P2, Q2), (a, b) rows, angles."""
-    rng = np.random.default_rng(20260809)
-    dims, closed, amps = np.empty(1000, int), np.empty(1000), np.zeros((2, 1000, 16), complex)
-    for t in range(1000):
-        d = dims[t] = int(rng.choice((2, 4, 8, 16)))
-        u, v = random_pure_state(d, rng), random_pure_state(d, rng)
-        amps[:, t, :d], closed[t] = (u.amplitudes, v.amplitudes), pure_trace_distance(u, v)
-    yield dims, amps, closed
+def _psd_quadruples(rng: np.random.Generator):
+    """1000 quadruples P1, Q1, P2, Q2 padded to 6 x 6, with their dims d1 + d2:
+    P1, Q1 on the diagonal block (0, d1) and P2, Q2 on (d1, d2), d1 and d2 in
+    {1, 2, 3}. Each block is G G† times a scale from U(0.1, 2); the scales
+    come as one array, and each block size's Ginibre matrices G as one stack."""
+    d1, d2 = rng.integers(1, 4, size=(2, 1000))
+    zero = np.zeros_like(d1)
+    sizes, offsets = np.stack([d1, d1, d2, d2]), np.stack([zero, zero, d1, d1])
+    scales = rng.uniform(0.1, 2.0, size=(4, 1000))
     quads = np.zeros((4, 1000, 6, 6), dtype=np.complex128)
-    dims = np.array([_orthogonal_psd_quadruple(rng, quads[:, t]) for t in range(1000)])
-    yield (dims, *quads)
-    del dims, amps, closed, quads  # not held while the last two families run
+    for size in (1, 2, 3):
+        j, t = np.nonzero(sizes == size)
+        g = random_complex_gaussian(rng, (j.size, size, size))
+        at = (offsets[j, t, None] + np.arange(size))[:, :, None]
+        quads[j[:, None, None], t[:, None, None], at, at.transpose(0, 2, 1)] = (
+            g @ dagger(g) * scales[j, t, None, None])
+    return (d1 + d2, *quads)
+
+
+def _identity_cases(rng: np.random.Generator | None = None):
+    """The closed-form families' 1000 cases each, drawn family by family in
+    stacks from ``rng`` (the gate's generator, seeded 20260809, if None):
+    (dims, padded u, v, pure_trace_distance), (dims, padded P1, Q1, P2, Q2),
+    (a, b) rows, angles. The closed form is the production function on
+    validated states, one pair at a time."""
+    rng = np.random.default_rng(20260809) if rng is None else rng
+    dims, amps = _state_pairs(rng)
+    closed = np.array([pure_trace_distance(PureState(u[:d]), PureState(v[:d]))
+                       for d, u, v in zip(dims.tolist(), *amps)])
+    yield dims, amps, closed
+    del dims, amps, closed  # not held while the other families run
+    yield _psd_quadruples(rng)
     yield rng.uniform(0.0, 1.0, size=(1000, 2))
     yield rng.uniform(0.0, 2.0 * math.pi, size=1000)
 

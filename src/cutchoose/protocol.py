@@ -10,8 +10,9 @@ literal sequential simulator on small instances.
 
 Acceptance probabilities are computed exactly and, as a stochastic
 cross-check, by a seeded round-by-round Monte-Carlo sampler. The sampler
-takes a sequence of strategies and draws ``n`` and the output rounds once;
-in per-round mode it then draws only the failing test rounds, against the
+takes a sequence of strategies and draws once how many runs have each ``n``
+and, per ``n``, each output round (counts, not one label per run); in
+per-round mode it then draws only the failing test rounds, against the
 smallest factor among the strategies, and every strategy reads the same
 uniforms (common random numbers). Each result follows the law of one uniform
 per run and round; a strategy's result depends on the set it is sampled
@@ -341,7 +342,9 @@ def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.n
 
 def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
     """Distribution of the output-round position over {1, ..., n+1}; with no
-    tests (n = 0) the output round is round 1, whatever the rule."""
+    tests (n = 0) the output round is round 1, whatever the rule. A rule that
+    is neither ``"uniform"`` nor a mapping is rejected, whatever ``n``."""
+    require_output_round(output_round)
     if isinstance(output_round, str) or n == 0:
         return np.full(n + 1, 1.0 / (n + 1))
     if n not in output_round:
@@ -462,9 +465,18 @@ class MonteCarloResult(NamedTuple):
 def monte_carlo_run(
     spec: ProtocolSpec, strategies: Sequence[ServerStrategy], trials: int, seed: int
 ) -> tuple[MonteCarloResult, ...]:
-    """Sampled protocol runs: n ~ omega, output round ~ rule, then a
-    Bernoulli draw per test round (per-round rules) or one joint draw per run
-    (global rules). Deterministic for a fixed seed.
+    """Sampled protocol runs, drawn as counts: how many of the ``trials`` runs
+    have each n ~ omega (one multinomial draw), then per n how many of its
+    runs have each output round ~ rule (one more), then the failing test
+    rounds (per-round rules) or one joint draw per run (global rules).
+    Deterministic for a fixed seed.
+
+    Counts carry the law of one label per run because runs are exchangeable:
+    n's runs get their output rounds in sorted order (``ells``), and nothing
+    drawn after depends on where a run sits. The failing runs of a round are
+    a uniform subset of n's runs and the global branch's uniforms are
+    independent and identically distributed, so the accept counts follow the
+    law of a run-by-run draw.
 
     Returns one result per strategy, in order, all read from one set of
     uniforms (common random numbers). In per-round mode only the rounds that
@@ -483,24 +495,30 @@ def monte_carlo_run(
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise OutOfDomainError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
-    ns = np.array([n for n, _ in spec.omega.support])
-    probs = np.array([p for _, p in spec.omega.support])
-    draws = rng.choice(ns.size, size=trials, p=probs)
+    ns, probs = zip(*spec.omega.support)
     accepted = np.zeros(len(strategies), dtype=np.int64)
-    for j, n in enumerate(ns):
-        m = int(np.count_nonzero(draws == j))
-        if m == 0:
-            continue
-        ells = rng.choice(n + 1, size=m, p=output_round_weights(spec.output_round, n))
-        if n == 0:
+    for n, m in zip(ns, _counts(rng, trials, probs).tolist()):
+        if n == 0 or m == 0:  # with no tests the empty product accepts
             accepted += m
-        elif isinstance(spec.acceptance, PerRoundAcceptance):
+            continue
+        w = output_round_weights(spec.output_round, n)
+        ells = np.repeat(np.arange(n + 1), _counts(rng, m, w))  # sorted: runs are exchangeable
+        if isinstance(spec.acceptance, PerRoundAcceptance):
             factors = np.stack([_round_factors(spec, s, n) for s in strategies])
             accepted += m - _rejected_runs(rng, ells, factors)
         else:  # global acceptance: one joint draw per run
             u = rng.random(m)
             accepted += [np.count_nonzero(u < _per_ell(spec, s, n)[ells]) for s in strategies]
     return tuple(MonteCarloResult(a / trials, 1.0 - a / trials) for a in accepted.tolist())
+
+
+def _counts(rng: np.random.Generator, size: int, probs) -> np.ndarray:
+    """How many of ``size`` independent draws from ``probs`` land on each entry
+    (multinomial). ``probs`` sums to 1 within ``PROB_TOL``; it is renormalised,
+    as the multinomial gives the last entry whatever mass the others leave,
+    and an entry of weight 0 must never be drawn."""
+    probs = np.asarray(probs, dtype=float)
+    return rng.multinomial(size, probs / probs.sum())
 
 
 def _rejected_runs(rng: np.random.Generator, ells: np.ndarray, factors: np.ndarray) -> np.ndarray:

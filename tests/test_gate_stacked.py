@@ -9,15 +9,87 @@ import numpy as np
 import pytest
 
 from cutchoose import acceptance, optimize, states
-from cutchoose.linalg import pure_trace_distance, trace_norm
+from cutchoose.linalg import trace_norm
 from cutchoose.optimize import scan_unit_interval
 from cutchoose.sampling import random_psd, random_pure_state
 from cutchoose.states import numerical_range_min_overlap
+from law import chi2_critical, contingency_chi2, ks_critical, ks_distance
 
 
 @pytest.fixture(scope="module")
 def cases():
     return tuple(acceptance._identity_cases())
+
+
+class ScaleRecorder:
+    """A generator that keeps what its ``uniform(0.1, 2.0, ...)`` calls return:
+    the block scales of a draw."""
+
+    def __init__(self, seed):
+        self.rng, self.scales = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def uniform(self, low, high, size=None):
+        out = self.rng.uniform(low, high, size)
+        if (low, high) == (0.1, 2.0):
+            self.scales.append(np.ravel(out))
+        return out
+
+
+def stacked_draw(seed):
+    """The first two families of ``_identity_cases`` at ``seed``: dims, state
+    pairs, the diagonal block of every P1, Q1, P2, Q2 (d1 read as the nonzero
+    diagonal of P1), and the scales; the padding around each is zero."""
+    rng = ScaleRecorder(seed)
+    cases = acceptance._identity_cases(rng)
+    (dims, (us, vs), _), (quad_dims, *quads) = next(cases), next(cases)
+    assert not any(u[d:].any() or v[d:].any() for d, u, v in zip(dims, us, vs))
+    pairs = [(u[:d], v[:d]) for d, u, v in zip(dims, us, vs)]
+    blocks = []
+    for t, dim in enumerate(quad_dims):
+        d1 = np.count_nonzero(np.diagonal(quads[0][t]))
+        for j, (lo, hi) in enumerate(((0, d1), (0, d1), (d1, dim), (d1, dim))):
+            padding = quads[j][t].copy()
+            blocks.append(padding[lo:hi, lo:hi].copy())
+            padding[lo:hi, lo:hi] = 0.0
+            assert not padding.any()
+    return dims, pairs, blocks, np.concatenate(rng.scales)
+
+
+def per_case_draw(seed):
+    """The same from the per-case loops the stacked draw replaced: one state
+    pair, then one quadruple of blocks, at a time."""
+    rng = np.random.default_rng(seed)
+    dims, pairs, blocks, scales = [], [], [], []
+    for _ in range(1000):
+        dims.append(int(rng.choice((2, 4, 8, 16))))
+        pairs.append((random_pure_state(dims[-1], rng).amplitudes,
+                      random_pure_state(dims[-1], rng).amplitudes))
+    for _ in range(1000):
+        d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        for size in (d1, d1, d2, d2):
+            scales.append(float(rng.uniform(0.1, 2.0)))
+            blocks.append(random_psd(size, rng) * scales[-1])
+    return np.array(dims), pairs, blocks, np.array(scales)
+
+
+def pooled(draw, seeds):
+    """The statistics the law test compares, over ``draw`` at each seed."""
+    out = {"dims": [], "overlaps": [], "sizes": [], "scales": [],
+           "traces": {1: [], 2: [], 3: []}, "eigenvalues": {1: [], 2: [], 3: []}}
+    for seed in seeds:
+        dims, pairs, blocks, scales = draw(seed)
+        out["dims"].append(dims)
+        out["overlaps"].append([abs(np.vdot(u, v)) ** 2 for u, v in pairs])
+        out["sizes"].append([len(b) for b in blocks])
+        out["scales"].append(scales)
+        for b in blocks:
+            out["traces"][len(b)].append([np.trace(b).real])
+            out["eigenvalues"][len(b)].append(np.linalg.eigvalsh(b))
+    return {key: value if isinstance(value, dict) else np.concatenate(value)
+            for key, value in out.items()}
 
 
 class TestStackedEqualsOneCaseCalls:
@@ -28,25 +100,25 @@ class TestStackedEqualsOneCaseCalls:
         assert [q.shape for q in quads] == [(1000, 6, 6)] * 4
         assert set(dims) == {2, 4, 8, 16} and set(quad_dims) == {2, 3, 4, 5, 6}
 
-    def test_the_draws_are_the_per_case_draws(self, cases):
-        # the draws of the per-trial loops: one state pair, then one quadruple, at a time
-        rng = np.random.default_rng(20260809)
-        (dims, amps, closed), (quad_dims, *quads) = cases[:2]
-        for t in range(1000):
-            dim = int(rng.choice((2, 4, 8, 16)))
-            u, v = random_pure_state(dim, rng), random_pure_state(dim, rng)
-            assert dim == dims[t] and not amps[:, t, dim:].any()
-            assert np.array_equal(amps[:, t, :dim], [u.amplitudes, v.amplitudes])
-            assert closed[t] == pure_trace_distance(u, v)
-        for t in range(1000):
-            d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            assert quad_dims[t] == d1 + d2
-            for j, (offset, size) in enumerate(((0, d1), (0, d1), (d1, d2), (d1, d2))):
-                expected = np.zeros((6, 6), dtype=complex)
-                block = random_psd(size, rng) * float(rng.uniform(0.1, 2.0))
-                expected[offset:offset + size, offset:offset + size] = block
-                assert np.array_equal(quads[j][t], expected)
-        assert np.array_equal(cases[2], rng.uniform(0.0, 1.0, size=(1000, 2)))
+    def test_the_draws_follow_the_per_case_law(self):
+        # the stacked draw against the per-case loops it replaced, at other seeds
+        # than the gate's; each comparison at law.LEVEL
+        new, old = (pooled(draw, seeds) for draw, seeds in (
+            (stacked_draw, (1, 2, 3)), (per_case_draw, (101, 102, 103))))
+        stat, df = contingency_chi2(new["dims"], old["dims"], (2, 4, 8, 16))
+        assert stat <= chi2_critical(df), ("dims", stat)
+        stat, df = contingency_chi2(new["sizes"], old["sizes"], (1, 2, 3))
+        assert stat <= chi2_critical(df), ("block sizes", stat)
+        samples = [("scales", new["scales"], old["scales"])]
+        for d in (2, 4, 8, 16):
+            samples.append((f"|<u|v>|^2 at d={d}",
+                            *(s["overlaps"][s["dims"] == d] for s in (new, old))))
+        for size in (1, 2, 3):
+            for stat_name in ("traces", "eigenvalues"):
+                samples.append((f"block {stat_name} at size {size}",
+                                *(np.concatenate(s[stat_name][size]) for s in (new, old))))
+        for name, a, b in samples:
+            assert ks_distance(a, b) <= ks_critical(a.size, b.size), name
 
     def test_trace_distance(self, cases):
         dims, amps, closed = cases[0]
@@ -109,7 +181,7 @@ class TestMutationsFail:
         # numerical range sees it
         ("no-narrowing-round", ("numerical-range trial 4: ",)),
         # no refinement at all: the bracket's middle, the grid's best point
-        ("bracket-middle", ("max_p trial 84: ", "numerical-range trial 0: ")),
+        ("bracket-middle", ("max_p trial 37: ", "numerical-range trial 0: ")),
     ], ids=["no-narrowing-round", "bracket-middle"])
     def test_refinement_cut_short(self, monkeypatch, cut, first_failures):
         real = optimize.refine

@@ -39,6 +39,7 @@ from cutchoose.protocol import (
 from cutchoose.states import attack_operator, computational_basis_state, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
 from dense_rounds import effect_row, played, squared_overlap
+from law import chi2_critical, chi2_statistic
 
 
 def plus_spec(omega, k=1):
@@ -288,6 +289,21 @@ class TestOverallAcceptance:
             with pytest.raises(ContractViolationError, match=message):
                 evaluate()
 
+    def test_rejects_an_unknown_output_round_name(self):
+        # the one reader of the rule rejects a name it does not know, whatever
+        # built the table or the spec (ProtocolSpec rejects it at construction)
+        table = outcome_table(RoundDistribution.point_mass(2), "bogus", lambda n: [0.5] * 3)
+        spec = plus_spec(RoundDistribution.point_mass(2))
+        object.__setattr__(spec, "output_round", "bogus")
+        evaluations = (
+            lambda: table.acceptance,
+            lambda: outcome_table(RoundDistribution.point_mass(0), "bogus", None).acceptance,
+            lambda: monte_carlo_run(spec, (HONEST,), trials=100, seed=0),
+        )
+        for evaluate in evaluations:
+            with pytest.raises(ContractViolationError, match="output_round must be 'uniform'"):
+                evaluate()
+
 
 class TestOutcomeTable:
     def test_snaps_rounding_noise_to_the_ends(self):
@@ -504,6 +520,11 @@ _LAW_SPECS = {
     "random-matched-per-round": _SHARED_DRAW_SPECS["random-matched-per-round"],
     "random-matched-wide": (_WIDE_SPEC, (HONEST, *_WIDE_ATTACKS)),
 }
+# a multi-n support, n = 0 included, with an output-round rule far from uniform over
+# rounds whose factors differ (random traps under plus effects), so p(n, ell)
+# varies with ell and a wrong count per n or per output round moves the rate
+_SKEWED_RULE = {1: (0.9, 0.1), 2: (0.05, 0.15, 0.8), 3: (0.6, 0.1, 0.1, 0.2)}
+_SKEWED_OMEGA = RoundDistribution.from_pairs([(0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)])
 
 
 class TestMonteCarlo:
@@ -646,6 +667,28 @@ class TestMonteCarlo:
                 z = (column - p) / math.sqrt(p * (1.0 - p) / trials)
                 assert abs(z.mean()) <= 0.2, (s, z.mean())
                 assert 0.8 <= z.std() <= 1.2, (s, z.std())
+
+    @pytest.mark.parametrize("mode", (lambda rule: rule, GlobalAcceptance),
+                             ids=("per-round", "global"))
+    def test_accept_counts_follow_the_binomial_law(self, mode):
+        # a run accepts with the exact probability p, independently of the other
+        # runs, so a call's accept count is Binomial(trials, p): counted over many
+        # seeds at a few trials, each strategy's counts fit it at law.LEVEL
+        spec = ProtocolSpec(_SKEWED_OMEGA, 1, RandomTraps(seed=5), mode(plus_acceptance()),
+                            output_round=_SKEWED_RULE)
+        strategies = (HONEST, PhaseAttack(0.9), PhaseAttack(1.7, Placement.PRE))
+        trials, seeds = 25, range(1500)
+        counts = np.array([
+            [round(r.accept_rate * trials) for r in monte_carlo_run(spec, strategies, trials, seed)]
+            for seed in seeds
+        ])
+        for s, column in zip(strategies, counts.T):
+            p = overall_acceptance(spec, s)
+            binomial = np.array([math.comb(trials, a) * p**a * (1.0 - p) ** (trials - a)
+                                 for a in range(trials + 1)])
+            observed = np.bincount(column, minlength=trials + 1)
+            stat, df = chi2_statistic(observed, len(seeds) * binomial)
+            assert stat <= chi2_critical(df), (s, stat, df)
 
     def test_unsupported_strategy_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):

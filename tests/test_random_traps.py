@@ -22,6 +22,7 @@ from cutchoose.protocol import ProtocolSpec, RoundDistribution, action_unitary, 
 from cutchoose.states import attack_phases, computational_basis_state, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement
 from dense_rounds import played
+from law import ks_distance
 
 DRAWS = 20_000
 ALPHA = 1.3
@@ -58,13 +59,6 @@ def engine_factors(k, rule_name, seed):
     spec = ProtocolSpec(RoundDistribution.point_mass(DRAWS - 1), k, traps, rule)
     return {name: protocol._round_factors(spec, strategy, DRAWS - 1) for name, strategy in (
         ("honest", HONEST), ("post", PhaseAttack(ALPHA)), ("pre", PhaseAttack(ALPHA, Placement.PRE)))}
-
-
-def ks_distance(a, b):
-    a, b = np.sort(a), np.sort(b)
-    points = np.concatenate([a, b])
-    return float(np.max(np.abs(np.searchsorted(a, points, side="right") / a.size
-                               - np.searchsorted(b, points, side="right") / b.size)))
 
 
 @pytest.mark.parametrize("rule_name", ["matched", "plus"])

@@ -167,11 +167,12 @@ class TestRunScenario:
         # the honest run and both models' attacks in one call per sweep row
         assert calls == [(3, 4000, 21), (3, 4000, 22), (3, 4000, 23)]
         # the seed fixes the stream: these are the rates of the sampler that
-        # draws only failing test rounds, for the set (HONEST, both attacks)
+        # draws the runs per n and per output round as counts, then only the
+        # failing test rounds, for the set (HONEST, both attacks)
         pinned = [
-            (0.3035, 0.36325), (0.3035, 0.30125),
-            (0.07225, 0.11325), (0.07225, 0.094),
-            (0.03, 0.0445), (0.03, 0.039),
+            (0.2985, 0.36125), (0.2985, 0.30025),
+            (0.08, 0.1105), (0.08, 0.09575),
+            (0.0285, 0.04275), (0.0285, 0.03625),
         ]
         assert [(r.mc.honest.accept_rate, r.mc.attacked.accept_rate)
                 for r in bundle.runs] == pinned
