@@ -189,13 +189,13 @@ def _psd_quadruples(rng: np.random.Generator):
     return (d1 + d2, *quads)
 
 
-def _identity_cases(rng: np.random.Generator | None = None):
+def _identity_cases():
     """The closed-form families' 1000 cases each, drawn family by family in
-    stacks from ``rng`` (the gate's generator, seeded 20260809, if None):
-    (dims, padded u, v, pure_trace_distance), (dims, padded P1, Q1, P2, Q2),
-    (a, b) rows, angles. The closed form is the production function on
-    validated states, one pair at a time."""
-    rng = np.random.default_rng(20260809) if rng is None else rng
+    stacks from one generator seeded 20260809: (dims, padded u, v,
+    pure_trace_distance), (dims, padded P1, Q1, P2, Q2), (a, b) rows, angles.
+    The closed form is the production function on validated states, one pair
+    at a time."""
+    rng = np.random.default_rng(20260809)
     dims, amps = _state_pairs(rng)
     closed = np.array([pure_trace_distance(PureState(u[:d]), PureState(v[:d]))
                        for d, u, v in zip(dims.tolist(), *amps)])

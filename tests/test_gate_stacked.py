@@ -5,6 +5,8 @@ every draw, and a wrong answer from any function the criterion checks must
 still turn it to FAIL, naming the first failing trial.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,12 +41,12 @@ class ScaleRecorder:
 
 
 def stacked_draw(seed):
-    """The first two families of ``_identity_cases`` at ``seed``: dims, state
+    """The draws of the first two closed-form families at ``seed``: dims, state
     pairs, the diagonal block of every P1, Q1, P2, Q2 (d1 read as the nonzero
     diagonal of P1), and the scales; the padding around each is zero."""
     rng = ScaleRecorder(seed)
-    cases = acceptance._identity_cases(rng)
-    (dims, (us, vs), _), (quad_dims, *quads) = next(cases), next(cases)
+    dims, (us, vs) = acceptance._state_pairs(rng)
+    quad_dims, *quads = acceptance._psd_quadruples(rng)
     assert not any(u[d:].any() or v[d:].any() for d, u, v in zip(dims, us, vs))
     pairs = [(u[:d], v[:d]) for d, u, v in zip(dims, us, vs)]
     blocks = []
@@ -75,10 +77,19 @@ def per_case_draw(seed):
     return np.array(dims), pairs, blocks, np.array(scales)
 
 
+def relative_gap(p, q):
+    """||p - q||_F / (||p||_F + ||q||_F): a joint statistic of two blocks,
+    0 when one is the other and spread out when they are independent."""
+    return np.linalg.norm(p - q) / (np.linalg.norm(p) + np.linalg.norm(q))
+
+
 def pooled(draw, seeds):
-    """The statistics the law test compares, over ``draw`` at each seed."""
+    """The statistics the law test compares, over ``draw`` at each seed. The
+    gaps are taken between the blocks of one quadruple of equal size: P1, Q1
+    and P2, Q2 ("within"), and across the two when d1 = d2 ("across")."""
     out = {"dims": [], "overlaps": [], "sizes": [], "scales": [],
-           "traces": {1: [], 2: [], 3: []}, "eigenvalues": {1: [], 2: [], 3: []}}
+           "traces": {1: [], 2: [], 3: []}, "eigenvalues": {1: [], 2: [], 3: []},
+           "gaps": {(kind, size): [] for kind in ("within", "across") for size in (1, 2, 3)}}
     for seed in seeds:
         dims, pairs, blocks, scales = draw(seed)
         out["dims"].append(dims)
@@ -88,6 +99,11 @@ def pooled(draw, seeds):
         for b in blocks:
             out["traces"][len(b)].append([np.trace(b).real])
             out["eigenvalues"][len(b)].append(np.linalg.eigvalsh(b))
+        for quad in zip(*[iter(blocks)] * 4):
+            for i, j in itertools.combinations(range(4), 2):
+                if len(quad[i]) == len(quad[j]):
+                    kind = "within" if (i, j) in ((0, 1), (2, 3)) else "across"
+                    out["gaps"][kind, len(quad[i])].append(relative_gap(quad[i], quad[j]))
     return {key: value if isinstance(value, dict) else np.concatenate(value)
             for key, value in out.items()}
 
@@ -117,6 +133,9 @@ class TestStackedEqualsOneCaseCalls:
             for stat_name in ("traces", "eigenvalues"):
                 samples.append((f"block {stat_name} at size {size}",
                                 *(np.concatenate(s[stat_name][size]) for s in (new, old))))
+        for kind, size in new["gaps"]:
+            samples.append((f"{kind} block gaps at size {size}",
+                            *(np.array(s["gaps"][kind, size]) for s in (new, old))))
         for name, a, b in samples:
             assert ks_distance(a, b) <= ks_critical(a.size, b.size), name
 
