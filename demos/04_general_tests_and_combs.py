@@ -20,7 +20,6 @@ from cutchoose import (
     diamond_distance_pure_search,
     diamond_distance_unitaries,
     general_tradeoff_check,
-    linear_gap_check,
     phase_gate,
     plug,
     random_comb_draw,
@@ -49,7 +48,7 @@ print("\nmaximally entangled test rounds (kept half never leaves the client):")
 for n in (1, 2, 3):
     setup = bell_test_setup(n)
     for alpha in (0.6, 1.8):
-        p = setup.overall(PhaseAttack(alpha))
+        p = setup.outcome_table(PhaseAttack(alpha)).acceptance
         print(f"  n = {n}, alpha = {alpha}: acceptance {p:.6f}"
               f"   cos^{2*n}(alpha/2) = {math.cos(alpha/2)**(2*n):.6f}")
 
@@ -57,9 +56,11 @@ for n in (1, 2, 3):
 print("\nacceptance gap vs N |sin(alpha/2)|:")
 for seed in (0, 1, 2, 3):
     draw = random_comb_draw(seed)
-    chk = linear_gap_check(draw.setup, draw.alpha, draw.placement)
-    print(f"  random network {seed}: gap = {chk.gap:.6f} <= {chk.bound:.6f} "
-          f"({'ok' if chk.holds else 'VIOLATED'})")
+    report = general_tradeoff_check(SecurityModel.COMPOSABLE, draw.setup, draw.alpha,
+                                    draw.placement)
+    step = next(s for s in report.proof_steps if s.name == "acceptance_gap")
+    print(f"  random network {seed}: gap = {step.rhs:.6f} <= {step.lhs:.6f} "
+          f"({'ok' if step.holds else 'VIOLATED'})")
 
 print("\nhalf diamond distance of the rotated round (closed form vs search):")
 for alpha in (0.5, math.pi / 3, math.pi, 5.0):

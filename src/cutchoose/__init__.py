@@ -62,7 +62,6 @@ from .protocol import (
     RoundDistribution,
     RoundOutcomeTable,
     TrapGenerator,
-    acceptance_probability,
     client_output_state,
     monte_carlo_run,
     overall_acceptance,
@@ -96,7 +95,6 @@ from .combs import (
     diamond_distance_pure_search,
     diamond_distance_unitaries,
     general_tradeoff_check,
-    linear_gap_check,
     plug,
     general_test_acceptance,
     random_comb_draw,

@@ -20,17 +20,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .bounds import SecurityModel, run_tradeoff_check
+from .bounds import STEP_TOL, SecurityModel, run_tradeoff_check
 from .combs import (
     bell_test_setup,
     diamond_distance_pure_search,
     diamond_distance_unitaries,
     general_tradeoff_check,
-    linear_gap_check,
-    overall_acceptance_via_combs,
     random_comb_draw,
-    spec_round_as_general,
-    general_test_acceptance,
+    round_outcome_table_via_combs,
 )
 from .families import (
     ComputationalTraps,
@@ -52,9 +49,9 @@ from .optimize import scan_unit_interval
 from .protocol import (
     ProtocolSpec,
     RoundDistribution,
-    acceptance_probability,
     monte_carlo_run,
     overall_acceptance,
+    round_outcome_table,
 )
 from .sampling import random_complex_gaussian
 from .states import numerical_range_min_overlap, phase_gate
@@ -282,12 +279,16 @@ def criterion_closed_form_identities():
 @_criterion("acceptance-gap bound on random networks (20 seeds)",
             "gap <= N|sin(alpha/2)| on every draw", limit=30.0)
 def criterion_gap_bound_random_networks():
-    """|p_H - p_D| <= N |sin(alpha/2)| on 20 random test networks."""
+    """|p_H - p_D| <= N |sin(alpha/2)| on 20 random test networks, read from
+    each draw's composable report."""
     for seed in range(20):
         draw = random_comb_draw(seed)
-        check = linear_gap_check(draw.setup, draw.alpha, draw.placement)
-        if not check.holds:
-            yield f"seed {seed}: gap {check.gap!r} > bound {check.bound!r}"
+        report = general_tradeoff_check(
+            SecurityModel.COMPOSABLE, draw.setup, draw.alpha, draw.placement)
+        gap = abs(report.p_h - report.p_d)
+        bound = report.n_expected * abs(math.sin(report.alpha / 2.0))
+        if not gap <= bound + STEP_TOL:
+            yield f"seed {seed}: gap {gap!r} > bound {bound!r}"
 
 
 @_criterion("diamond distance of the phase rotation (50 angles)",
@@ -374,21 +375,17 @@ def criterion_monte_carlo():
 @_criterion("per-round vs network engine (10 configs)",
             f"overall and per-round probabilities agree within {tol_text(_ENGINE_TOL)}")
 def criterion_cross_engine_consistency():
-    """Per-round protocol reproduced through the general network engine."""
+    """Per-round protocol reproduced through the general network engine: the
+    two tables agree in every (n, ell) cell, so their averages agree too."""
     tol = tol_text(_ENGINE_TOL)
     for idx, (spec, strategy) in enumerate(_mc_configs()):
-        direct = overall_acceptance(spec, strategy)
-        via = overall_acceptance_via_combs(spec, strategy)
-        if not abs(direct - via) <= _ENGINE_TOL:
-            yield f"config {idx}: overall |{direct} - {via}| > {tol}"
-        n = spec.omega.max_n
-        if n >= 1:
-            ell = min(n, 2)
-            test, comb = spec_round_as_general(spec, n, ell)
-            p_direct = acceptance_probability(spec, strategy, n, ell)
-            p_via = general_test_acceptance(test, comb, strategy)
-            if not abs(p_direct - p_via) <= _ENGINE_TOL:
-                yield f"config {idx}: round |{p_direct} - {p_via}| > {tol}"
+        direct = round_outcome_table(spec, strategy)
+        via = round_outcome_table_via_combs(spec, strategy)
+        rows = zip(spec.omega.support, direct.rows, via.rows, strict=True)
+        for (n, _), p_direct, p_via in rows:
+            for ell in np.flatnonzero(~(np.abs(p_direct - p_via) <= _ENGINE_TOL)).tolist():
+                yield (f"config {idx}: p(n={n}, ell={ell + 1}) "
+                       f"|{p_direct[ell]} - {p_via[ell]}| > {tol}")
 
 
 ALL_CRITERIA: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (

@@ -49,7 +49,7 @@ from .strategies import (
     optimal_alpha,
 )
 
-STEP_TOL = 1e-10  # a proof step's (and linear_gap_check's) rounding allowance
+STEP_TOL = 1e-10  # a proof step's rounding allowance
 _BOUND_TOL = 1e-12
 _TRIVIAL_SINE = 1e-15  # |sin(alpha/2)| below this: the identity attack, no bound applies
 
@@ -173,14 +173,9 @@ class TradeoffReport:
     bound: float
     satisfied: bool
     proof_steps: tuple[ProofStep, ...]
-    trivial_attack: bool
+    trivial_attack: bool  # the attack is the identity: the bound says nothing
     honest_rounds: RoundOutcomeTable
     attacked_rounds: RoundOutcomeTable
-
-    @property
-    def applicable(self) -> bool:
-        """False when the attack is the identity and the bound says nothing."""
-        return not self.trivial_attack
 
 
 def acceptance_gap_bound(variant: ProtocolVariant, alpha: float, n_expected: float) -> float:

@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import STEP_TOL, TradeoffReport, certify_tradeoff
+from .bounds import TradeoffReport, certify_tradeoff
 from .errors import (
     ContractViolationError,
     DimensionCapError,
@@ -51,7 +51,6 @@ from .sampling import random_density, random_povm_effect, random_unitary
 from .states import (Effect, PovmElement, RankOneEffect, attack_phases, bell_pair,
                      computational_basis_state, plus_state)
 from .strategies import (
-    HONEST,
     PhaseAttack,
     Placement,
     ProtocolVariant,
@@ -408,9 +407,6 @@ class GeneralSetup:
             self._tables[strategy] = outcome_table(self.omega, self.output_round, per_ell)
         return self._tables[strategy]
 
-    def overall(self, strategy: ServerStrategy) -> float:
-        return self.outcome_table(strategy).acceptance
-
 
 def _bell_pairs_register_major(pairs: int) -> np.ndarray:
     """``pairs`` Bell pairs with all first halves before all second halves.
@@ -496,42 +492,32 @@ def custom_test_setup(setup: dict) -> GeneralSetup:
     return _point_mass_setup(GeneralTest(chi, unitaries, mu), comb)
 
 
-def _round_tests(spec: ProtocolSpec, n: int):
-    """Receive n's rounds once; return ``ell -> (GeneralTest, Comb)``, the
-    per-round protocol at (n, output round ell) as a general test. Each round
-    plays the unitary that :func:`action_unitary` builds from its checked
-    action (the identity for identity traps) and the projector onto its effect."""
-    if n < 1:
-        raise ContractViolationError("general view needs at least one test round")
-    k = spec.k
-    rounds = [(chi, np.outer(e, e.conj()), action_unitary(chi, h, e, g))
-              for chi, h, e, g in zip(*receive_rounds(spec, n))]
-    if len(rounds) == 1:  # round-independent: one row stands for every round
-        rounds *= n + 1
-    comb = trivial_parallel_comb(n, k=k, y_dim=1)
-
-    def build(ell: int) -> tuple[GeneralTest, Comb]:
-        tests = [rounds[i] for i in range(n + 1) if i != ell - 1]
-        chi_vec, joint = np.ones(1, dtype=np.complex128), np.eye(1, dtype=np.complex128)
-        for chi, effect, _ in tests:
-            chi_vec, joint = np.kron(chi_vec, chi), np.kron(joint, effect)
-        return GeneralTest(PureState(chi_vec), tuple(u for _, _, u in tests), PovmElement(joint)), comb
-
-    return build
-
-
-def spec_round_as_general(spec: ProtocolSpec, n: int, ell: int) -> tuple[GeneralTest, Comb]:
-    """Express one (n, output round) of the per-round protocol as a general test."""
-    return _round_tests(spec, n)(ell)
-
-
-def overall_acceptance_via_combs(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
-    """Per-round protocol evaluated through the general engine (consistency path)."""
+def round_outcome_table_via_combs(
+    spec: ProtocolSpec, strategy: ServerStrategy
+) -> RoundOutcomeTable:
+    """The per-round protocol's (n, ell) table through the general engine, the
+    reference for ``protocol.round_outcome_table``. Each n's rounds are
+    received once; each round plays the unitary that :func:`action_unitary`
+    builds from its checked action (the identity for identity traps) and the
+    projector onto its effect, and output round ell leaves the other n rounds
+    as one joint test on a parallel comb."""
     def per_ell(n):
-        build = _round_tests(spec, n)
-        return [general_test_acceptance(*build(ell), strategy) for ell in range(1, n + 2)]
+        rounds = [(chi, np.outer(e, e.conj()), action_unitary(chi, h, e, g))
+                  for chi, h, e, g in zip(*receive_rounds(spec, n))]
+        if len(rounds) == 1:  # round-independent: one row stands for every round
+            rounds *= n + 1
+        comb, row = trivial_parallel_comb(n, k=spec.k, y_dim=1), []
+        for ell in range(1, n + 2):
+            tests = rounds[:ell - 1] + rounds[ell:]
+            chi_vec, joint = np.ones(1, dtype=np.complex128), np.eye(1, dtype=np.complex128)
+            for chi, effect, _ in tests:
+                chi_vec, joint = np.kron(chi_vec, chi), np.kron(joint, effect)
+            unitaries = tuple(u for _, _, u in tests)
+            test = GeneralTest(PureState(chi_vec), unitaries, PovmElement(joint))
+            row.append(general_test_acceptance(test, comb, strategy))
+        return row
 
-    return outcome_table(spec.omega, spec.output_round, per_ell).acceptance
+    return outcome_table(spec.omega, spec.output_round, per_ell)
 
 
 def _unitary_pair(u, v, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -615,23 +601,6 @@ def diamond_distance_pure_search(u, v):
     nu = np.maximum(0.0, best)
     dist = np.sqrt(np.maximum(0.0, 1.0 - nu**2)).reshape(w.shape[:-2])
     return float(dist) if dist.ndim == 0 else dist
-
-
-class GapCheck(NamedTuple):
-    gap: float
-    bound: float
-    holds: bool
-
-
-def linear_gap_check(
-    setup: GeneralSetup, alpha: float, placement: Placement = Placement.POST
-) -> GapCheck:
-    """Check |p_H - p_D| <= N |sin(alpha/2)| on a concrete general setup."""
-    p_h = setup.overall(HONEST)
-    p_d = setup.overall(PhaseAttack(alpha, placement))
-    gap = abs(p_h - p_d)
-    bound = setup.omega.mean * abs(math.sin(alpha / 2.0))
-    return GapCheck(gap, bound, gap <= bound + STEP_TOL)
 
 
 def general_tradeoff_check(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfDomainError
 from .protocol import (
     GlobalAcceptance,
     PerRoundAcceptance,
@@ -77,6 +78,11 @@ class RandomTraps(TrapGenerator):
     """
 
     seed: int = 0
+
+    def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise OutOfDomainError(f"random trap seed must be an integer >= 0, got {seed!r}")
 
     def action(self, k, n, e=None):
         d, r = 2**k, n + 1

@@ -39,9 +39,10 @@ effects. A global rule is the tensor product of its per-round effects: its
 exact figures are those of per-round mode, and only the sampler, with one
 joint draw per run, tells the two apart. The dense path
 (``transform_round``, effect rows as projectors, ``client_output_state`` and
-``combs.overall_acceptance_via_combs``, which plays each round as
+``combs.round_outcome_table_via_combs``, which plays each round as
 ``action_unitary`` of its action) is the reference the tests compare
-against. The benchmark's tracer (``perfbench/spans.py``) hooks
+against; the gate compares the last with ``round_outcome_table`` cell by
+cell. The benchmark's tracer (``perfbench/spans.py``) hooks
 ``round_outcome_table``, ``overall_acceptance``, ``client_output_state``
 and ``monte_carlo_run`` (binding its parameters ``spec``, ``trials`` and
 ``seed`` by name) by name.
@@ -136,10 +137,6 @@ class RoundDistribution:
     def mean(self) -> float:
         """Expected number of test rounds."""
         return math.fsum(n * p for n, p in self.support)
-
-    @property
-    def max_n(self) -> int:
-        return self.support[-1][0]
 
 
 class TrapGenerator(abc.ABC):
@@ -415,18 +412,6 @@ def outcome_table(
     return RoundOutcomeTable(omega, output_round, tuple(rows))
 
 
-def acceptance_probability(
-    spec: ProtocolSpec, strategy: ServerStrategy, n: int, ell: int
-) -> float:
-    """Probability the client accepts for a fixed (n, output round)."""
-    require_supported(strategy)
-    if not 1 <= ell <= n + 1:
-        raise OutOfDomainError(f"output round {ell} outside {{1, ..., {n + 1}}}")
-    if n == 0:
-        return 1.0  # no tests: the empty product accepts
-    return float(_per_ell(spec, strategy, n)[ell - 1])
-
-
 def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:
     """Acceptance probability per (n, output round) over the support of omega."""
     require_supported(strategy)
@@ -487,8 +472,9 @@ def monte_carlo_run(
     not in general the result of a call with that strategy alone. The law of
     each result is that of one uniform per run and round either way. Only
     acceptance is sampled; the payload never enters the draws."""
-    if not strategies:
-        raise OutOfDomainError("monte_carlo_run needs at least one strategy")
+    if not (isinstance(strategies, Sequence) and strategies):
+        raise OutOfDomainError(
+            f"monte_carlo_run takes a non-empty sequence of strategies, got {strategies!r}")
     for strategy in strategies:
         require_supported(strategy)
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):

@@ -84,7 +84,7 @@ class ReportBundle:
     @property
     def all_satisfied(self) -> bool:
         """Bound verdict over applicable rows (trivial attacks don't count)."""
-        return all(r.report.satisfied for r in self.runs if r.report.applicable)
+        return all(r.report.satisfied for r in self.runs if not r.report.trivial_attack)
 
 
 def _row_source(doc: dict, omega_pairs) -> ProtocolSpec | GeneralSetup:

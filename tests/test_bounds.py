@@ -347,7 +347,6 @@ class TestRunTradeoffCheck:
     def test_trivial_attack_flagged(self):
         report = run_tradeoff_check(plus_spec(3), SecurityModel.STAND_ALONE, alpha_override=0.0)
         assert report.trivial_attack
-        assert not report.applicable
         assert report.eps_d == pytest.approx(0.0, abs=1e-12)
         final = [s for s in report.proof_steps if s.name == "theorem_bound"][0]
         assert final.holds is None

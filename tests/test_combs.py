@@ -22,13 +22,11 @@ from cutchoose.combs import (
     diamond_distance_pure_search,
     diamond_distance_unitaries,
     general_tradeoff_check,
-    linear_gap_check,
-    overall_acceptance_via_combs,
     plug,
     general_test_acceptance,
     random_comb_draw,
     register_permutation_unitary,
-    spec_round_as_general,
+    round_outcome_table_via_combs,
     trivial_parallel_comb,
 )
 from cutchoose.config import parse_config
@@ -48,9 +46,9 @@ from cutchoose.linalg import PureState, dagger, trace_norm
 from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
-    acceptance_probability,
     output_round_weights,
     overall_acceptance,
+    round_outcome_table,
 )
 from cutchoose.report import run_scenario
 from cutchoose.sampling import random_density, random_pure_state, random_unitary
@@ -238,8 +236,8 @@ class TestGeneralTestAcceptance:
             omega=RoundDistribution.point_mass(3), k=1,
             traps=PlusTraps(), acceptance=plus_acceptance(),
         )
-        test, comb = spec_round_as_general(spec, 3, 2)
-        assert general_test_acceptance(test, comb, HONEST) == pytest.approx(1.0, abs=1e-12)
+        (row,) = round_outcome_table_via_combs(spec, HONEST).rows
+        assert row.tolist() == pytest.approx([1.0] * 4, abs=1e-12)
 
     def test_entangled_test_detects_attack_at_generic_rate(self):
         phi = bell_pair()
@@ -259,11 +257,10 @@ class TestGeneralTestAcceptance:
             omega=RoundDistribution.point_mass(2), k=1,
             traps=traps, acceptance=matched_acceptance(traps),
         )
-        test, comb = spec_round_as_general(spec, 2, 1)
         for strategy in (HONEST, PhaseAttack(0.9, Placement.PRE)):
-            assert general_test_acceptance(test, comb, strategy) == pytest.approx(
-                acceptance_probability(spec, strategy, 2, 1), abs=1e-12
-            )
+            (via,) = round_outcome_table_via_combs(spec, strategy).rows
+            (direct,) = round_outcome_table(spec, strategy).rows
+            assert via.tolist() == pytest.approx(direct.tolist(), abs=1e-12)
 
     def test_layout_mismatch(self):
         phi = bell_pair()
@@ -296,10 +293,7 @@ class TestGeneralTestAcceptance:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: bell_test_setup(0), r"^need at least one test round, got 0$"),
-        (lambda: spec_round_as_general(ProtocolSpec(
-            RoundDistribution.point_mass(1), 1, PlusTraps(), plus_acceptance()), 0, 1),
-         r"^general view needs at least one test round$"),
-    ], ids=["bell", "spec-round"])
+    ], ids=["bell"])
     def test_setups_need_a_test_round(self, build, message):
         with pytest.raises(ContractViolationError, match=message):
             build()
@@ -317,7 +311,7 @@ class TestGeneralTestAcceptance:
 class TestOverallGeneral:
     def test_point_mass_zero_accepts(self):
         setup = GeneralSetup(omega=RoundDistribution.point_mass(0), k=1, tests={}, combs={})
-        assert setup.overall(HONEST) == 1.0
+        assert setup.outcome_table(HONEST).acceptance == 1.0
 
     def test_rejects_missing_tests_or_combs(self):
         bell = bell_test_setup(2)
@@ -330,7 +324,7 @@ class TestOverallGeneral:
     def test_bell_two_rounds_attack(self):
         setup = bell_test_setup(2)
         for alpha in (0.7, 2.1):
-            got = setup.overall(PhaseAttack(alpha))
+            got = setup.outcome_table(PhaseAttack(alpha)).acceptance
             assert got == pytest.approx(math.cos(alpha / 2) ** 4, abs=1e-12)
 
     def test_overall_is_weighted_table(self):
@@ -338,9 +332,7 @@ class TestOverallGeneral:
         setups += [random_comb_draw(seed).setup for seed in (0, 2, 3, 5)]
         for setup in setups:
             for strategy in (HONEST, PhaseAttack(1.3), PhaseAttack(2.2, Placement.PRE)):
-                rounds = setup.outcome_table(strategy)
-                got = setup.overall(strategy)
-                assert got == rounds.acceptance
+                got = setup.outcome_table(strategy).acceptance
                 # sequential reference: one general-test evaluation per (n, ell)
                 expected = sum(
                     wn * w * general_test_acceptance(setup.tests[n], setup.combs[(n, ell)],
@@ -356,7 +348,7 @@ class TestOverallGeneral:
             k=1, traps=PlusTraps(), acceptance=plus_acceptance(),
         )
         for strategy in (HONEST, PhaseAttack(1.2), PhaseAttack(2.8, Placement.PRE)):
-            assert overall_acceptance_via_combs(spec, strategy) == pytest.approx(
+            assert round_outcome_table_via_combs(spec, strategy).acceptance == pytest.approx(
                 overall_acceptance(spec, strategy), abs=1e-10
             )
 
@@ -561,10 +553,10 @@ class TestStateEvolution:
 
         monkeypatch.setattr(combs_module, "plug", forbidden)
         monkeypatch.setattr(Channel, "compose", forbidden)
-        assert bell_test_setup(2).overall(PhaseAttack(0.8)) == pytest.approx(
+        assert bell_test_setup(2).outcome_table(PhaseAttack(0.8)).acceptance == pytest.approx(
             math.cos(0.4) ** 4, abs=1e-12)
         draw = random_comb_draw(4)
-        assert linear_gap_check(draw.setup, draw.alpha, draw.placement).holds
+        assert acceptance_gap_step(draw.setup, draw.alpha, draw.placement).holds
         # the custom setup: eight holes with a depolarizing tooth in every gap
         # would plug 4**9 Kraus operators; by state evolution it takes milliseconds
         bundle = run_scenario(noisy)
@@ -637,7 +629,8 @@ class TestVectorAndDensityPaths:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         setup = bell_test_setup(4)
-        assert setup.overall(PhaseAttack(0.6)) == pytest.approx(math.cos(0.3) ** 8, abs=1e-12)
+        got = setup.outcome_table(PhaseAttack(0.6)).acceptance
+        assert got == pytest.approx(math.cos(0.3) ** 8, abs=1e-12)
 
     def test_acceptance_never_embeds(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -658,7 +651,7 @@ class TestVectorAndDensityPaths:
         unitary = custom_setup(PERMUTE_ONLY)
         assert isinstance(unitary.tests[3].chi, PureState)
         assert isinstance(unitary.tests[3].measurement, RankOneEffect)
-        assert unitary.overall(HONEST) == pytest.approx(1.0, abs=1e-12)
+        assert unitary.outcome_table(HONEST).acceptance == pytest.approx(1.0, abs=1e-12)
         noisy = custom_setup([None, {"channel": "dephasing"}, None, None])
         assert isinstance(noisy.tests[3].measurement, PovmElement)
 
@@ -678,25 +671,33 @@ class TestVectorAndDensityPaths:
         assert reports[0].honest_rounds is reports[1].honest_rounds
 
 
+def acceptance_gap_step(setup, alpha, placement=Placement.POST):
+    """The composable report's ``acceptance_gap`` step: ``lhs`` is the linear
+    bound N|sin(alpha/2)|, ``rhs`` the gap |p_H - p_D|."""
+    report = general_tradeoff_check(SecurityModel.COMPOSABLE, setup, alpha, placement)
+    (step,) = (s for s in report.proof_steps if s.name == "acceptance_gap")
+    return step
+
+
 class TestLinearGapBound:
     def test_zero_angle(self):
         setup = bell_test_setup(2)
-        check = linear_gap_check(setup, 0.0)
-        assert check.gap == pytest.approx(0.0, abs=1e-12)
-        assert check.holds
+        step = acceptance_gap_step(setup, 0.0)
+        assert step.rhs == pytest.approx(0.0, abs=1e-12)
+        assert step.holds
 
     def test_bell_example(self):
         setup = bell_test_setup(2)
-        check = linear_gap_check(setup, math.pi / 4)
-        assert check.gap == pytest.approx(1.0 - math.cos(math.pi / 8) ** 4, abs=1e-12)
-        assert check.bound == pytest.approx(2.0 * math.sin(math.pi / 8), abs=1e-12)
-        assert check.holds
+        step = acceptance_gap_step(setup, math.pi / 4)
+        assert step.rhs == pytest.approx(1.0 - math.cos(math.pi / 8) ** 4, abs=1e-12)
+        assert step.lhs == pytest.approx(2.0 * math.sin(math.pi / 8), abs=1e-12)
+        assert step.holds
 
     def test_random_networks(self):
         for seed in range(20):
             draw = random_comb_draw(seed)
-            check = linear_gap_check(draw.setup, draw.alpha, draw.placement)
-            assert check.holds, f"seed {seed}: {check}"
+            step = acceptance_gap_step(draw.setup, draw.alpha, draw.placement)
+            assert step.holds, f"seed {seed}: {step}"
 
 
 class TestGeneralTradeoff:
@@ -748,7 +749,7 @@ class TestReferenceFetchesOncePerN:
             spec = ProtocolSpec(
                 omega=RoundDistribution.point_mass(4), k=1, traps=traps, acceptance=rule,
             )
-            overall_acceptance_via_combs(spec, PhaseAttack(0.7))
+            round_outcome_table_via_combs(spec, PhaseAttack(0.7))
             # one block per n for the traps; a matched rule over the spec's own
             # traps reads its effects from that block, over other traps from
             # one block of theirs
@@ -763,8 +764,7 @@ class TestCrossEngine:
             traps=traps, acceptance=matched_acceptance(traps),
         )
         attack = PhaseAttack(1.9)
-        for ell in (1, 2, 3, 4):
-            test, comb = spec_round_as_general(spec, 3, ell)
-            assert general_test_acceptance(test, comb, attack) == pytest.approx(
-                acceptance_probability(spec, attack, 3, ell), abs=1e-10
-            )
+        (via,) = round_outcome_table_via_combs(spec, attack).rows
+        (direct,) = round_outcome_table(spec, attack).rows
+        assert via.shape == (4,)
+        assert via.tolist() == pytest.approx(direct.tolist(), abs=1e-10)

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from cutchoose import acceptance, combs
+from cutchoose import acceptance
 
 
 def _nan_field(name):
@@ -22,6 +22,14 @@ def _nan_field(name):
 
 def _times_nan(real):
     return lambda *a, **k: real(*a, **k) * math.nan
+
+
+def _rows_nan(real):
+    """A wrapper that returns the real table with every row times NaN."""
+    def table(*a, **k):
+        got = real(*a, **k)
+        return dataclasses.replace(got, rows=tuple(row * math.nan for row in got.rows))
+    return table
 
 
 def _nan_maxima(real):
@@ -55,8 +63,8 @@ NAN_CASES = {
     "identities/numerical-range": ("criterion_closed_form_identities", acceptance,
                                    "numerical_range_min_overlap", _times_nan,
                                    "numerical-range trial 0: "),
-    "gap/overall": ("criterion_gap_bound_random_networks", combs.GeneralSetup, "overall",
-                    _times_nan, "seed 0: gap nan > bound "),
+    "gap/overall": ("criterion_gap_bound_random_networks", acceptance, "general_tradeoff_check",
+                    _nan_field("p_d"), "seed 0: gap nan > bound "),
     "diamond/closed-form": ("criterion_diamond_distance", acceptance, "diamond_distance_unitaries",
                             _times_nan, "alpha=0.0000: closed form nan vs 0.0"),
     "concavity/lhs": ("criterion_jensen_step", acceptance, "_concavity_sums", _nan_lhs,
@@ -64,8 +72,8 @@ NAN_CASES = {
     "monte-carlo/exact": ("criterion_monte_carlo", acceptance, "overall_acceptance", _times_nan,
                           "config 0: |1.0 - nan| > nan"),
     "cross-engine/via-combs": ("criterion_cross_engine_consistency", acceptance,
-                               "overall_acceptance_via_combs", _times_nan,
-                               "config 0: overall |1.0 - nan| > 1e-10"),
+                               "round_outcome_table_via_combs", _rows_nan,
+                               "config 0: p(n=2, ell=1) |1.0 - nan| > 1e-10"),
 }
 
 
@@ -76,6 +84,28 @@ def test_a_nan_compared_value_fails_its_criterion(monkeypatch, case):
     result = getattr(acceptance, criterion)()
     assert not result.passed
     assert result.detail.startswith(first), result.detail
+
+
+def test_the_engines_are_compared_cell_by_cell(monkeypatch):
+    # a comb view that reverses its row for every n below the support's
+    # largest keeps every average of the uniform output rule, which all ten
+    # configs use; only the cells show it (config 6: mix {1, 3}, n = 1)
+    real = acceptance.round_outcome_table_via_combs
+
+    def reversed_rows(spec, strategy):
+        table = real(spec, strategy)
+        top = spec.omega.support[-1][0]
+        rows = tuple(row if n == top else row[::-1]
+                     for (n, _), row in zip(spec.omega.support, table.rows))
+        return dataclasses.replace(table, rows=rows)
+
+    for spec, strategy in acceptance._mc_configs():
+        assert abs(reversed_rows(spec, strategy).acceptance
+                   - real(spec, strategy).acceptance) <= 1e-15
+    monkeypatch.setattr(acceptance, "round_outcome_table_via_combs", reversed_rows)
+    result = acceptance.criterion_cross_engine_consistency()
+    assert not result.passed
+    assert result.detail.startswith("config 6: p(n=1, ell=1) "), result.detail
 
 
 @pytest.mark.parametrize("criterion, limit", [

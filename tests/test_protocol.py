@@ -28,7 +28,6 @@ from cutchoose.protocol import (
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
-    acceptance_probability,
     client_output_state,
     monte_carlo_run,
     outcome_table,
@@ -44,6 +43,12 @@ from law import chi2_critical, chi2_statistic
 
 def plus_spec(omega, k=1):
     return ProtocolSpec(omega=omega, k=k, traps=PlusTraps(), acceptance=plus_acceptance())
+
+
+def cell(spec, strategy, n, ell):
+    """p(n, ell): the cell of the spec's outcome table for n and output round ell."""
+    rows = dict(zip((m for m, _ in spec.omega.support), round_outcome_table(spec, strategy).rows))
+    return float(rows[n][ell - 1])
 
 
 class TestRoundDistribution:
@@ -133,13 +138,13 @@ class TestAcceptanceProbability:
     def test_perfect_traps_honest(self):
         spec = plus_spec(RoundDistribution.point_mass(2))
         for ell in (1, 2, 3):
-            assert acceptance_probability(spec, HONEST, 2, ell) == 1.0
+            assert cell(spec, HONEST, 2, ell) == 1.0
 
     def test_quarter_rate_under_attack(self):
         spec = plus_spec(RoundDistribution.point_mass(2))
         attack = PhaseAttack(math.pi / 2, Placement.POST)
         for ell in (1, 2, 3):
-            assert acceptance_probability(spec, attack, 2, ell) == pytest.approx(
+            assert cell(spec, attack, 2, ell) == pytest.approx(
                 0.25, abs=1e-12
             )
 
@@ -156,10 +161,10 @@ class TestAcceptanceProbability:
         projector = np.kron(plus_state(1).projector(), plus_state(1).projector())
         oracle = float(np.vdot(two_outputs, projector @ two_outputs).real)
         for ell in (1, 2, 3):
-            assert acceptance_probability(joint, attack, 2, ell) == pytest.approx(
+            assert cell(joint, attack, 2, ell) == pytest.approx(
                 oracle, abs=1e-12
             )
-            assert acceptance_probability(spec, attack, 2, ell) == pytest.approx(
+            assert cell(spec, attack, 2, ell) == pytest.approx(
                 oracle, abs=1e-12
             )
 
@@ -169,18 +174,11 @@ class TestAcceptanceProbability:
             traps=ComputationalTraps(), acceptance=computational_acceptance(),
         )
         for alpha in (0.3, 1.7, math.pi):
-            assert acceptance_probability(spec, PhaseAttack(alpha), 3, 1) == 1.0
+            assert cell(spec, PhaseAttack(alpha), 3, 1) == 1.0
 
     def test_no_tests_accepts(self):
         spec = plus_spec(RoundDistribution.point_mass(0))
-        assert acceptance_probability(spec, PhaseAttack(2.0), 0, 1) == 1.0
-
-    def test_invalid_output_round(self):
-        spec = plus_spec(RoundDistribution.point_mass(2))
-        with pytest.raises(OutOfDomainError):
-            acceptance_probability(spec, HONEST, 2, 4)
-        with pytest.raises(OutOfDomainError):
-            acceptance_probability(spec, HONEST, 2, 0)
+        assert cell(spec, PhaseAttack(2.0), 0, 1) == 1.0
 
 
 class TestOverallAcceptance:
@@ -250,7 +248,7 @@ class TestOverallAcceptance:
         )
         strategy = PhaseAttack(1.0)
         expected = sum(
-            w * acceptance_probability(spec, strategy, 2, ell)
+            w * cell(spec, strategy, 2, ell)
             for ell, w in zip((1, 2, 3), weights[2])
         )
         assert overall_acceptance(spec, strategy) == pytest.approx(expected, abs=1e-12)
@@ -283,7 +281,7 @@ class TestOverallAcceptance:
         evaluations = (
             lambda: overall_acceptance(spec, HONEST),
             lambda: monte_carlo_run(spec, (HONEST,), trials=100, seed=0)[0],
-            lambda: setup.overall(HONEST),
+            lambda: setup.outcome_table(HONEST).acceptance,
         )
         for evaluate in evaluations:
             with pytest.raises(ContractViolationError, match=message):
@@ -353,8 +351,8 @@ class TestHolevoHelstromStep:
             attack = PhaseAttack(alpha, placement)
             n = 3
             ell = int(rng.integers(1, n + 2))
-            p_h = acceptance_probability(spec, HONEST, n, ell)
-            p_d = acceptance_probability(spec, attack, n, ell)
+            p_h = cell(spec, HONEST, n, ell)
+            p_d = cell(spec, attack, n, ell)
             prod = 1.0
             for i in range(1, n + 2):
                 if i == ell:
@@ -476,7 +474,7 @@ class TestAgainstLiteralSimulator:
             u = np.eye(2, dtype=complex)
             engine_payload = client_output_state(spec, strategy, psi, u)
             for ell in range(1, n + 2):
-                p_engine = acceptance_probability(spec, strategy, n, ell)
+                p_engine = cell(spec, strategy, n, ell)
                 p_literal, payload_literal = _literal_sequential_run(
                     spec, strategy, n, ell, psi, u
                 )
@@ -704,6 +702,12 @@ class TestMonteCarlo:
         with pytest.raises(OutOfDomainError):
             monte_carlo_run(spec, (), 100, seed=0)
 
+    def test_rejects_one_strategy_not_in_a_sequence(self):
+        spec = plus_spec(RoundDistribution.point_mass(1))
+        with pytest.raises(OutOfDomainError, match=r"^monte_carlo_run takes a non-empty sequence "
+                                                   r"of strategies, got Honest\(\)$"):
+            monte_carlo_run(spec, HONEST, 10, seed=0)
+
     def test_rejects_zero_trials(self):
         spec = plus_spec(RoundDistribution.point_mass(1))
         with pytest.raises(OutOfDomainError):
@@ -763,10 +767,10 @@ class TestPerRoundVsGlobal:
             alpha = float(rng.uniform(0, 2 * math.pi))
             for strategy in (HONEST, PhaseAttack(alpha)):
                 for ell in range(1, n + 2):
-                    assert acceptance_probability(
+                    assert cell(
                         spec_pr, strategy, n, ell
                     ) == pytest.approx(
-                        acceptance_probability(spec_gl, strategy, n, ell), abs=1e-10
+                        cell(spec_gl, strategy, n, ell), abs=1e-10
                     )
 
 

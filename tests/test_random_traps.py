@@ -12,11 +12,13 @@ matrix that two reflections build from a row.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cutchoose import protocol
+from cutchoose.errors import OutOfDomainError
 from cutchoose.families import RandomTraps, matched_acceptance, plus_acceptance
 from cutchoose.protocol import ProtocolSpec, RoundDistribution, action_unitary, receive_action
 from cutchoose.states import attack_phases, computational_basis_state, plus_state
@@ -125,3 +127,11 @@ def test_seeded_per_k_and_n():
         np.testing.assert_array_equal(x, y)
     for other in (RandomTraps(seed=6).action(2, 3), traps.action(2, 4), traps.action(3, 3)):
         assert not np.array_equal(other[0][:1, :4], a[0][:1, :4])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=repr)
+def test_rejects_a_seed_that_is_not_a_count(seed):
+    message = f"random trap seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(OutOfDomainError, match=f"^{re.escape(message)}$"):
+        RandomTraps(seed=seed)
+    assert RandomTraps(seed=np.int64(3)).seed == 3

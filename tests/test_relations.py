@@ -18,7 +18,10 @@ k <= 3, and round distributions of at most 4 support points with n <= 6:
 - the linear gap bound ``|p_H - p_D| <= N |sin(alpha/2)|``, N the mean;
 - the per-round gap bound ``|p_H - p_D| <= sqrt(1 - cos(alpha/2)^(2N))``;
 - broadcast: a constant rule written as ``n + 1`` equal rows gives the tables
-  and sampled rates of its one-row form, bit for bit.
+  and sampled rates of its one-row form, bit for bit;
+- two engines: the per-round table equals the comb view's
+  (``round_outcome_table_via_combs``) in every cell, on specs with k·n <= 6
+  and a uniform or drawn per-n output rule.
 
 The network engine is drawn from ``random_comb_draw`` seeds and from
 ``custom`` setups (k = 1, width <= 3, at most 3 holes):
@@ -28,7 +31,10 @@ The network engine is drawn from ``random_comb_draw`` seeds and from
 - a permutation tooth followed by its inverse, the hole between them
   following its register, leaves acceptance unchanged;
 - a channel tooth at strength 0 leaves acceptance unchanged (and sends a
-  pure test through the density path).
+  pure test through the density path);
+- relabelling every register consistently (hole registers, permutation
+  teeth, channel qubits, and the test state and effect) leaves acceptance
+  unchanged.
 """
 
 import json
@@ -43,12 +49,16 @@ from cutchoose.combs import (
     NOISE_CHANNELS,
     Comb,
     GeneralSetup,
+    GeneralTest,
     Tooth,
     custom_test_setup,
     general_test_acceptance,
     random_comb_draw,
+    register_permutation_unitary,
+    round_outcome_table_via_combs,
 )
 from cutchoose.families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
+from cutchoose.linalg import DensityOperator, PureState, dagger
 from cutchoose.protocol import (
     GlobalAcceptance,
     PerRoundAcceptance,
@@ -58,26 +68,40 @@ from cutchoose.protocol import (
     overall_acceptance,
     round_outcome_table,
 )
+from cutchoose.states import PovmElement, RankOneEffect
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant
 
 TOL = 1e-12
 RELATIONS = settings(derandomize=True, deadline=None, max_examples=100)
 
 
+def weights_of(draw, size):
+    """``size`` drawn weights in [0.05, 1], normalised."""
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
 @st.composite
-def specs(draw):
-    """``(trap family, acceptance family, spec)``."""
+def specs(draw, joint_cap=None):
+    """``(trap family, acceptance family, spec)``. With ``joint_cap``, k is
+    drawn so that k·n <= ``joint_cap`` on the support, and the output rule is
+    ``"uniform"`` or a drawn distribution per n."""
     family = draw(st.sampled_from(sorted(TRAP_FAMILIES)))
     params = {"seed": draw(st.integers(0, 2**16))} if family == "random" else {}
     traps = TRAP_FAMILIES[family](**params)
     rule_name = draw(st.sampled_from(sorted(ACCEPTANCE_FAMILIES)))
     mode = draw(st.sampled_from(sorted(ACCEPTANCE_MODES)))
     ns = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
-    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(ns), max_size=len(ns)))
-    total = math.fsum(weights)
-    omega = RoundDistribution.from_pairs((n, w / total) for n, w in zip(ns, weights))
+    omega = RoundDistribution.from_pairs(zip(ns, weights_of(draw, len(ns))))
     rule = ACCEPTANCE_MODES[mode](ACCEPTANCE_FAMILIES[rule_name](traps))
-    return family, rule_name, ProtocolSpec(omega, draw(st.integers(1, 3)), traps, rule)
+    if joint_cap is None:
+        return family, rule_name, ProtocolSpec(omega, draw(st.integers(1, 3)), traps, rule)
+    k = draw(st.integers(1, min(3, joint_cap // max(max(ns), 1))))
+    output_round = "uniform"
+    if draw(st.booleans()):
+        output_round = {n: tuple(weights_of(draw, n + 1)) for n in ns if n}
+    return family, rule_name, ProtocolSpec(omega, k, traps, rule, output_round)
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
@@ -166,6 +190,18 @@ def test_constant_rule_broadcasts(drawn, alpha, placement, seed):
     assert monte_carlo_run(pair[0], strategies, 200, seed) == monte_carlo_run(pair[1], strategies, 200, seed)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(specs(joint_cap=6), angles, placements)
+def test_engines_agree_in_every_cell(drawn, alpha, placement):
+    # k·n <= 6: the comb view's joint test has at most 64 dims
+    _, _, spec = drawn
+    for strategy in (HONEST, PhaseAttack(alpha, placement)):
+        direct = round_outcome_table(spec, strategy)
+        via = round_outcome_table_via_combs(spec, strategy)
+        for row, via_row in zip(direct.rows, via.rows, strict=True):
+            assert row.shape == via_row.shape and np.abs(row - via_row).max() <= TOL
+
+
 NETWORKS = settings(derandomize=True, deadline=None, max_examples=40)
 
 
@@ -247,6 +283,34 @@ def silent_channel(comb, gap, name, qubit):
     return with_teeth(comb, tuple(teeth))
 
 
+def relabelled(test, comb, pi):
+    """``test`` and ``comb`` with register ``r`` renamed ``pi[r]`` throughout:
+    the hole registers, each permutation tooth ``p -> pi∘p∘pi⁻¹``, each channel
+    qubit, and the test state and effect, conjugated by the register
+    permutation ⊗ 1 on the kept space."""
+    k, pi, inverse = comb.k, tuple(pi), tuple(int(j) for j in np.argsort(pi))
+
+    def tooth(t):
+        if t is None:
+            return None
+        return t._replace(
+            permutation=None if t.permutation is None
+            else tuple(pi[t.permutation[inverse[j]]] for j in range(comb.width)),
+            qubit=None if t.qubit is None else pi[t.qubit // k] * k + t.qubit % k)
+
+    moved = Comb(comb.n_holes, k, comb.width, comb.y_dim,
+                 tuple(pi[r] for r in comb.hole_registers), tuple(map(tooth, comb.teeth)))
+    # slot pi[r] of the output holds input register r
+    u = np.kron(register_permutation_unitary(inverse, comb.width, k), np.eye(comb.y_dim))
+    chi = test.chi
+    chi = (PureState(u @ chi.amplitudes) if isinstance(chi, PureState)
+           else DensityOperator(u @ chi.matrix @ dagger(u)))
+    m = test.measurement
+    m = (RankOneEffect(PureState(u @ m.vector.amplitudes)) if isinstance(m, RankOneEffect)
+         else PovmElement(u @ m.matrix @ dagger(u)))
+    return GeneralTest(chi, test.unitaries, m), moved
+
+
 networks = st.one_of(st.integers(0, 2**16).map(lambda seed: random_comb_draw(seed).setup),
                      custom_setups())
 
@@ -264,8 +328,8 @@ def test_general_mixture_is_linear(seed):
                                 {n: setup.tests[n]} if n else {},
                                 {key: setup.combs[key] for key in keep},
                                 {n: setup.output_round[n]} if n else "uniform")
-            mixed += w * part.overall(strategy)
-        assert abs(setup.overall(strategy) - mixed) <= TOL
+            mixed += w * part.outcome_table(strategy).acceptance
+        assert abs(setup.outcome_table(strategy).acceptance - mixed) <= TOL
 
 
 @NETWORKS
@@ -289,3 +353,12 @@ def test_channel_at_strength_zero_is_invisible(setup, data, alpha, placement):
                                    data.draw(st.integers(0, comb.width * comb.k - 1)))
             if quiet is not None:
                 assert abs(general_test_acceptance(test, quiet, strategy) - value) <= TOL
+
+
+@NETWORKS
+@given(networks, st.data(), angles, placements)
+def test_relabelling_the_registers_is_invisible(setup, data, alpha, placement):
+    for strategy in (HONEST, PhaseAttack(alpha, placement)):
+        for test, comb, value in network_cases(setup, strategy):
+            moved = relabelled(test, comb, data.draw(st.permutations(range(comb.width))))
+            assert abs(general_test_acceptance(*moved, strategy) - value) <= TOL

@@ -12,12 +12,7 @@ from cutchoose import report as report_module
 from cutchoose import states, strategies
 from cutchoose.bounds import PROOF_STEP_NAMES
 from cutchoose.cli import main
-from cutchoose.combs import (
-    bell_test_setup,
-    general_test_acceptance,
-    overall_acceptance_via_combs,
-    spec_round_as_general,
-)
+from cutchoose.combs import bell_test_setup, round_outcome_table_via_combs
 from cutchoose.config import parse_config, sweep_rows
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import (
@@ -277,15 +272,10 @@ class TestGlobalMode:
                         (HONEST, r.p_h, r.honest_rounds),
                         (PhaseAttack(r.alpha, placement), r.p_d, r.attacked_rounds),
                     ):
-                        assert p == pytest.approx(
-                            overall_acceptance_via_combs(spec, strategy), abs=1e-12)
-                        for (n, _), row in zip(table.omega.support, table.rows):
-                            if not n:
-                                continue
-                            for ell, value in enumerate(row, start=1):
-                                via = general_test_acceptance(
-                                    *spec_round_as_general(spec, n, ell), strategy)
-                                assert value == pytest.approx(via, abs=1e-12)
+                        via = round_outcome_table_via_combs(spec, strategy)
+                        assert p == pytest.approx(via.acceptance, abs=1e-12)
+                        for row, via_row in zip(table.rows, via.rows):
+                            assert row.tolist() == pytest.approx(via_row.tolist(), abs=1e-12)
 
 
 def test_reports_never_use_the_dense_attack(monkeypatch):

@@ -22,7 +22,7 @@ import pytest
 
 from cutchoose import parse_config, protocol, run_scenario
 from cutchoose.bounds import run_tradeoff_check
-from cutchoose.combs import overall_acceptance_via_combs
+from cutchoose.combs import round_outcome_table_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
     ComputationalTraps,
@@ -320,7 +320,7 @@ def test_off_norm_trap_fails_alike_in_both_engines():
     scaled = OffNorm()
     for traps in (scaled, RandomTraps(seed=1)):
         spec = ProtocolSpec(RoundDistribution.point_mass(N), 1, traps, matched_acceptance(scaled))
-        for engine in (round_outcome_table, overall_acceptance_via_combs):
+        for engine in (round_outcome_table, round_outcome_table_via_combs):
             with pytest.raises(ContractViolationError, match=message):
                 engine(spec, PhaseAttack(0.5))
         assert N not in spec._bank

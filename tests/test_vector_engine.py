@@ -22,7 +22,7 @@ from cutchoose.bounds import (
     epsilon_h,
     run_tradeoff_check,
 )
-from cutchoose.combs import overall_acceptance_via_combs
+from cutchoose.combs import round_outcome_table_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
     ComputationalTraps,
@@ -176,7 +176,7 @@ def test_trap_errors_name_the_round(kind, message):
     with pytest.raises(ContractViolationError, match=message):
         round_outcome_table(spec, PhaseAttack(0.5))
     with pytest.raises(ContractViolationError, match=message):
-        overall_acceptance_via_combs(spec, PhaseAttack(0.5))
+        round_outcome_table_via_combs(spec, PhaseAttack(0.5))
 
 
 def test_north_star_size_stays_on_vectors(monkeypatch):
