@@ -22,6 +22,7 @@ from .combs import NOISE_CHANNELS
 from .errors import ConfigError, OutOfDomainError
 from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
 from .linalg import COMB_DIM_CAP, DIM_CAP, tol_text
+from .protocol import MAX_TRIALS
 from .strategies import Placement, ProtocolVariant, SecurityModel, attack_sine
 
 # dimension caps, checked before anything is allocated so that errors name a path
@@ -277,7 +278,7 @@ _SCENARIO = {
                                     _REQUIRED)},
     }), _REQUIRED),
     "sweep": (_sweep, _ABSENT),
-    "monte_carlo": ({"trials": (_integer(1), _REQUIRED),
+    "monte_carlo": ({"trials": (_integer(1, MAX_TRIALS, " (the sampler's cap)"), _REQUIRED),
                      "seed": (_COUNT, _REQUIRED)}, _ABSENT),
     "output": ({"path": (_check(lambda x: isinstance(x, str) and x,
                                 "must be a non-empty string"), _REQUIRED),

@@ -13,8 +13,8 @@ cross-check, by a seeded round-by-round Monte-Carlo sampler. The sampler
 takes a sequence of strategies and draws once how many runs have each ``n``
 and, per ``n``, each output round (counts, not one label per run); in
 per-round mode it then draws only the failing test rounds, against the
-smallest factor among the strategies, and every strategy reads the same
-uniforms (common random numbers). Each result follows the law of one uniform
+smallest factor among the strategies (sparse rounds in batches, dense ones
+alone), and every strategy reads the same uniforms (common random numbers). Each result follows the law of one uniform
 per run and round; a strategy's result depends on the set it is sampled
 with, not on the order of the set, on duplicates, or on strategies whose
 factors are nowhere below the set's smallest. Every exact
@@ -80,6 +80,15 @@ from .strategies import (
     require_supported,
     transform_round,
 )
+
+# The sampler's sizes. A call holds ``ells`` (8 bytes) and one ``dead`` flag
+# per strategy (1 byte) for each run of a round count: 110 MB at this cap and
+# a report row's three strategies.
+MAX_TRIALS = 10**7
+# A round with K <= m / 8 failing runs is sparse: a draw of K keys with
+# replacement repeats about K / 2m <= 1/16 of them, and only those are redrawn.
+_SPARSE_SHARE = 8
+_BATCH_PAIRS = 2**12  # (round, run) pairs per batch of sparse rounds: 32 KB of keys
 
 
 def snap_probability(p, what: str, given: bool = False):
@@ -453,15 +462,17 @@ def monte_carlo_run(
     """Sampled protocol runs, drawn as counts: how many of the ``trials`` runs
     have each n ~ omega (one multinomial draw), then per n how many of its
     runs have each output round ~ rule (one more), then the failing test
-    rounds (per-round rules) or one joint draw per run (global rules).
-    Deterministic for a fixed seed.
+    rounds (per-round rules, :func:`_rejected_runs`) or one joint draw per run
+    (global rules). Deterministic for a fixed seed. ``trials`` is at most
+    ``MAX_TRIALS``, checked with the other arguments before any draw.
 
     Counts carry the law of one label per run because runs are exchangeable:
     n's runs get their output rounds in sorted order (``ells``), and nothing
     drawn after depends on where a run sits. The failing runs of a round are
-    a uniform subset of n's runs and the global branch's uniforms are
-    independent and identically distributed, so the accept counts follow the
-    law of a run-by-run draw.
+    a uniform subset of n's runs, whether drawn in a batch of sparse rounds
+    or alone, and the global branch's uniforms are independent and
+    identically distributed, so the accept counts follow the law of a
+    run-by-run draw.
 
     Returns one result per strategy, in order, all read from one set of
     uniforms (common random numbers). In per-round mode only the rounds that
@@ -480,6 +491,8 @@ def monte_carlo_run(
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise OutOfDomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if trials > MAX_TRIALS:
+        raise OutOfDomainError(f"trials must be an integer <= {MAX_TRIALS} (MAX_TRIALS), got {trials!r}")
     rng = np.random.default_rng(seed)
     ns, probs = zip(*spec.omega.support)
     accepted = np.zeros(len(strategies), dtype=np.int64)
@@ -511,24 +524,59 @@ def _rejected_runs(rng: np.random.Generator, ells: np.ndarray, factors: np.ndarr
     """Runs each row of ``factors`` (a strategy's n + 1 round factors) rejects.
 
     A run fails round i for strategy s iff its uniform u >= f_s,i. Only the
-    uniforms at or above floor_i = min_s f_s,i are drawn: their count
-    K_i ~ Binomial(m, 1 - floor_i), the runs as a uniform K_i-subset, and
-    each u on [floor_i, 1). This is the law of one uniform per run and round,
-    shared by every strategy. The output round is not a test: it is dropped
-    after the draw, so the stream does not depend on which runs it drops."""
+    uniforms at or above floor_i = min_s f_s,i are drawn: first every count
+    K_i ~ Binomial(m, 1 - floor_i), then each round's runs as a uniform
+    K_i-subset (:func:`_failing_runs`), and after each batch of sparse
+    rounds, or each dense round, one u on [floor_i, 1) per (round, run) pair.
+    This is the law of one uniform per run and round, shared by every
+    strategy. The output round is not a test: it is dropped after the draw,
+    so the stream does not depend on which runs it drops."""
     m = ells.size
     floor = factors.min(axis=0)
-    counts = rng.binomial(m, 1.0 - floor)
     dead = np.zeros((len(factors), m), dtype=bool)
-    for i in np.flatnonzero(counts).tolist():
-        runs = _subset(rng, m, int(counts[i]))
-        u = rng.uniform(floor[i], 1.0, runs.size)
-        tests = ells[runs] != i
-        runs, u = runs[tests], u[tests]
-        for row, f in zip(dead, factors[:, i].tolist()):
-            if f < 1.0:  # a round that always passes never fails, whatever u rounds to
-                row[runs[u >= f]] = True
+    for rounds, runs in _failing_runs(rng, m, rng.binomial(m, 1.0 - floor)):
+        u = rng.uniform(floor[rounds], 1.0, runs.size)
+        tests = ells[runs] != rounds
+        for row, f in zip(dead, factors[:, rounds]):
+            # a round that always passes never fails, whatever u rounds to
+            row[runs[(u >= f) & (f < 1.0) & tests]] = True
     return np.count_nonzero(dead, axis=1)
+
+
+def _failing_runs(rng: np.random.Generator, m: int, counts: np.ndarray):
+    """Yields each round's runs, a uniform ``counts[i]``-subset of range(m), as
+    ``(rounds, runs)``. Sparse rounds (``counts[i]`` at most ``m /
+    _SPARSE_SHARE`` and ``_BATCH_PAIRS``) come first, in round order, a batch
+    of whole rounds and at most ``_BATCH_PAIRS`` pairs at a time
+    (:func:`_distinct_runs`; ``rounds`` holds each pair's round). Then each
+    dense round comes alone (:func:`_subset`; ``rounds`` is its index): its
+    draw is O(m) anyway, or larger than a batch. Empty rounds draw nothing."""
+    sparse = (counts * _SPARSE_SHARE <= m) & (counts <= _BATCH_PAIRS)
+    rounds = np.flatnonzero(sparse & (counts > 0))
+    ends = np.cumsum(counts[rounds])  # pairs up to and including each sparse round
+    start = 0
+    while start < rounds.size:
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + _BATCH_PAIRS, "right"))
+        batch, runs = _distinct_runs(rng, m, counts[rounds[start:stop]])
+        yield rounds[start:stop][batch], runs
+        start = stop
+    for i in np.flatnonzero(~sparse).tolist():
+        yield i, _subset(rng, m, int(counts[i]))
+
+
+def _distinct_runs(rng: np.random.Generator, m: int, counts: np.ndarray):
+    """A uniform ``counts[j]``-subset of range(m) for each j, as ``(j, runs)``
+    arrays of pairs sorted by j, then run: keys ``j * m + run`` drawn with
+    replacement, deduplicated by sorting, and each j's shortfall redrawn until
+    none is left. Every step treats the runs alike, so each subset is uniform."""
+    keys, short = np.empty(0, dtype=np.int64), counts
+    while short.any():
+        drawn = np.repeat(np.arange(counts.size) * m, short) + rng.integers(0, m, short.sum())
+        keys = np.sort(np.concatenate([keys, drawn]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        short = counts - np.bincount(keys // m, minlength=counts.size)
+    return np.divmod(keys, m)
 
 
 def _subset(rng: np.random.Generator, m: int, size: int) -> np.ndarray:

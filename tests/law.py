@@ -57,3 +57,10 @@ def contingency_chi2(a, b, categories):
     counts = np.array([[np.count_nonzero(np.asarray(s) == c) for c in categories] for s in (a, b)])
     expected = counts.sum(axis=1, keepdims=True) * counts.sum(axis=0) / counts.sum()
     return float(((counts - expected) ** 2 / expected).sum()), len(categories) - 1
+
+
+def within_sigmas(rate, p, trials, sigmas=5.0):
+    """Whether a rate sampled from ``trials`` runs lies within ``sigmas``
+    binomial standard deviations of the exact ``p``; 1e-12 more covers a ``p``
+    rounded off 0 or 1. A correct draw misses 5 sigma with chance about 6e-7."""
+    return abs(rate - p) <= sigmas * math.sqrt(max(0.0, p * (1.0 - p)) / trials) + 1e-12

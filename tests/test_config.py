@@ -8,6 +8,7 @@ import pytest
 from cutchoose.combs import Channel, custom_test_setup, general_test_acceptance, plug
 from cutchoose.config import ScenarioConfig, parse_config
 from cutchoose.errors import ConfigError
+from cutchoose.protocol import MAX_TRIALS
 from cutchoose.report import emit_bytes, run_scenario
 from cutchoose.strategies import Honest, PhaseAttack, Placement, transform_round
 
@@ -262,6 +263,8 @@ class TestRejectsBeyondCaps:
             (minimal_doc(protocol=protocol_doc(omega=[[0, 0.9], [1, 0.1]])["protocol"],
                          strategy={"kind": "phase-attack", "alpha": "theorem-optimal"}),
              "protocol.omega"),
+            # the sampler's arrays grow with the trials
+            (minimal_doc(monte_carlo={"trials": MAX_TRIALS + 1, "seed": 1}), "monte_carlo.trials"),
         ],
     )
     def test_error_names_path(self, doc, path):
@@ -283,6 +286,7 @@ class TestRejectsBeyondCaps:
                                              omega={"point_mass": 4})["protocol"]))
         parse(bell_doc(protocol=protocol_doc(acceptance=GLOBAL_PLUS)["protocol"],
                        sweep={"n_values": [1, 4]}))
+        parse(minimal_doc(monte_carlo={"trials": MAX_TRIALS, "seed": 0}))
 
 
 def general_doc(setup):

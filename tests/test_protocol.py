@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -28,6 +29,7 @@ from cutchoose.protocol import (
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
+    TrapGenerator,
     client_output_state,
     monte_carlo_run,
     outcome_table,
@@ -506,23 +508,73 @@ _SHARED_DRAW_SPECS = {
     ),
     "random-matched-per-round": (_random_matched_spec(), _MATCHED),
     "random-matched-global": (_random_matched_spec(GlobalAcceptance), _MATCHED),
+    # every test round fails about 4 % of runs: all are sparse, drawn in batches
+    "all-sparse": (plus_spec(RoundDistribution.from_pairs([(1, 0.3), (4, 0.7)])),
+                   (HONEST, PhaseAttack(0.4), PhaseAttack(0.3, Placement.PRE))),
 }
 _WIDE_TRAPS = RandomTraps(seed=3)
 # the sampler's benchmark shape: about one failing test round in 10**3 at these angles
 _WIDE_SPEC = ProtocolSpec(RoundDistribution.from_pairs([(0, 0.1), (50, 0.4), (400, 0.5)]), 1,
                           _WIDE_TRAPS, matched_acceptance(_WIDE_TRAPS))
 _WIDE_ATTACKS = (PhaseAttack(0.05), PhaseAttack(0.07, Placement.PRE))
+
+
+class FailingRounds(TrapGenerator):
+    """Identity traps on one fixed input per round, ``cos t_i |0> + sin t_i |1>``
+    for k = 1, so that a phase attack of pi fails round i with chance
+    ``sin(2 t_i)^2 = fails[i]``: no stream draws the rounds."""
+
+    def __init__(self, fails):
+        self.t = np.arcsin(np.sqrt(fails)) / 2.0
+
+    def action(self, k, n, e=None):
+        assert (k, n) == (1, self.t.size - 1)
+        chi = np.stack([np.cos(self.t), np.sin(self.t)], axis=1).astype(np.complex128)
+        return chi, chi, (chi if e is None else e)
+
+
+_MIXED_N_TRAPS = FailingRounds([0.39, 0.41, 0.32, 0.05, 0.48, 0.03])
+# n = 5's six rounds under the attack: at 500 trials four are dense and two
+# sparse, each round's failing count at least 7 sigma from the m/8 split
+_MIXED_N_SPEC = ProtocolSpec(RoundDistribution.from_pairs([(0, 0.1), (5, 0.9)]), 1,
+                             _MIXED_N_TRAPS, matched_acceptance(_MIXED_N_TRAPS))
 # name -> (spec, strategies) whose sampled rates must follow the exact law
 _LAW_SPECS = {
     "per-round": _SHARED_DRAW_SPECS["per-round"],
     "random-matched-per-round": _SHARED_DRAW_SPECS["random-matched-per-round"],
     "random-matched-wide": (_WIDE_SPEC, (HONEST, *_WIDE_ATTACKS)),
+    "all-sparse": _SHARED_DRAW_SPECS["all-sparse"],
+    "mixed-n": (_MIXED_N_SPEC, (HONEST, PhaseAttack(math.pi))),
 }
 # a multi-n support, n = 0 included, with an output-round rule far from uniform over
 # rounds whose factors differ (random traps under plus effects), so p(n, ell)
 # varies with ell and a wrong count per n or per output round moves the rate
 _SKEWED_RULE = {1: (0.9, 0.1), 2: (0.05, 0.15, 0.8), 3: (0.6, 0.1, 0.1, 0.2)}
 _SKEWED_OMEGA = RoundDistribution.from_pairs([(0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)])
+# name -> (spec, strategies) whose accept counts must be binomial at 25 trials
+_BINOMIAL_SPECS = {
+    mode: (ProtocolSpec(_SKEWED_OMEGA, 1, RandomTraps(seed=5), rule(plus_acceptance()),
+                        output_round=_SKEWED_RULE),
+           (HONEST, PhaseAttack(0.9), PhaseAttack(1.7, Placement.PRE)))
+    for mode, rule in (("per-round", lambda rule: rule), ("global", GlobalAcceptance))
+}
+# at most 25 runs per round count: a round is sparse when 1 to 3 of them fail, which
+# 2 % failure rates make common, and mixed-n's four weak rounds are mostly dense (an
+# honest run under these rules always accepts, so its count has no law to fit)
+_BINOMIAL_SPECS["sparse"] = (plus_spec(RoundDistribution.point_mass(3)),
+                             (PhaseAttack(0.3), PhaseAttack(0.25, Placement.PRE)))
+_BINOMIAL_SPECS["mixed-n"] = (_MIXED_N_SPEC, (PhaseAttack(math.pi),))
+
+
+def spy_on_draw_paths(monkeypatch, record):
+    """Calls ``record(name)`` whenever the sampler draws a batch of sparse
+    rounds (``_distinct_runs``) or one dense round (``_subset``)."""
+    for name in ("_distinct_runs", "_subset"):
+        def spy(*args, real=getattr(protocol, name), name=name):
+            record(name)
+            return real(*args)
+
+        monkeypatch.setattr(protocol, name, spy)
 
 
 class TestMonteCarlo:
@@ -666,15 +718,12 @@ class TestMonteCarlo:
                 assert abs(z.mean()) <= 0.2, (s, z.mean())
                 assert 0.8 <= z.std() <= 1.2, (s, z.std())
 
-    @pytest.mark.parametrize("mode", (lambda rule: rule, GlobalAcceptance),
-                             ids=("per-round", "global"))
-    def test_accept_counts_follow_the_binomial_law(self, mode):
+    @pytest.mark.parametrize("name", sorted(_BINOMIAL_SPECS))
+    def test_accept_counts_follow_the_binomial_law(self, name):
         # a run accepts with the exact probability p, independently of the other
         # runs, so a call's accept count is Binomial(trials, p): counted over many
         # seeds at a few trials, each strategy's counts fit it at law.LEVEL
-        spec = ProtocolSpec(_SKEWED_OMEGA, 1, RandomTraps(seed=5), mode(plus_acceptance()),
-                            output_round=_SKEWED_RULE)
-        strategies = (HONEST, PhaseAttack(0.9), PhaseAttack(1.7, Placement.PRE))
+        spec, strategies = _BINOMIAL_SPECS[name]
         trials, seeds = 25, range(1500)
         counts = np.array([
             [round(r.accept_rate * trials) for r in monte_carlo_run(spec, strategies, trials, seed)]
@@ -687,6 +736,26 @@ class TestMonteCarlo:
             observed = np.bincount(column, minlength=trials + 1)
             stat, df = chi2_statistic(observed, len(seeds) * binomial)
             assert stat <= chi2_critical(df), (s, stat, df)
+
+    @pytest.mark.parametrize("name, paths", [
+        ("all-sparse", ["_distinct_runs"]), ("mixed-n", ["_distinct_runs", "_subset"]),
+    ], ids=("all-sparse", "mixed-n"))
+    def test_law_specs_draw_on_the_paths_they_are_named_for(self, monkeypatch, name, paths):
+        # at the law test's 500 trials each round's failing count sits at least
+        # 5 sigma from the m/8 split, so another path would mean another law
+        spec, strategies = _LAW_SPECS[name]
+        used = set()
+        spy_on_draw_paths(monkeypatch, used.add)
+        for seed in range(10):
+            for subset in (strategies, strategies[1:]):
+                used.clear()
+                monte_carlo_run(spec, subset, 500, seed)
+                assert sorted(used) == paths, (seed, subset)
+
+    def test_trials_up_to_the_cap_are_drawn(self):
+        # with no tests the runs are only counted, so the cap itself is cheap
+        spec = plus_spec(RoundDistribution.point_mass(0))
+        assert monte_carlo_run(spec, (HONEST,), protocol.MAX_TRIALS, seed=0)[0].accept_rate == 1.0
 
     def test_unsupported_strategy_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -716,6 +785,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("named, value", [
         ("trials", 0), ("trials", True), ("trials", 2.5), ("trials", 1e3), ("trials", "10"),
         ("seed", None), ("seed", -1), ("seed", 1.5), ("seed", False),
+        ("trials", protocol.MAX_TRIALS + 1),
     ], ids=lambda v: v if v in ("trials", "seed") else repr(v))
     def test_rejects_bad_trials_and_seed_before_any_draw(self, monkeypatch, named, value):
         def no_draws(*args, **kwargs):
@@ -729,14 +799,18 @@ class TestMonteCarlo:
 
 
 class FixedDraws:
-    """A generator stub for ``_rejected_runs``: ``count`` failing runs in
-    every round, the first ones, each with the uniform exactly 1.0."""
+    """A generator stub for ``_rejected_runs``: ``counts[i]`` failing runs in
+    round i, the first ones (a batch's keys all distinct), each with the
+    uniform exactly 1.0."""
 
-    def __init__(self, count):
-        self.count = count
+    def __init__(self, counts):
+        self.counts = counts
 
     def binomial(self, m, p):
-        return np.full(np.shape(p), self.count)
+        return np.array(self.counts)
+
+    def integers(self, low, high, size):
+        return np.arange(size)
 
     def choice(self, m, size, replace=True, shuffle=True):
         return np.arange(size)
@@ -745,12 +819,97 @@ class FixedDraws:
         return np.ones(size)
 
 
-def test_a_uniform_of_one_fails_only_rounds_below_one():
-    # the output round is round 1 in every run, so runs 0..3 are tested in
-    # rounds 2 and 3; a factor of 1 passes whatever u is drawn
+def test_a_uniform_of_one_fails_only_rounds_below_one(monkeypatch):
+    # runs 0..3 hide the output in round 1, runs 4..63 in round 3. Round 2 is
+    # sparse (4 runs of 64) and round 3 dense (all 64): runs 0..3 are tested
+    # in both, and a factor of 1 passes whatever u is drawn, on either path
+    paths = []
+    spy_on_draw_paths(monkeypatch, paths.append)
     factors = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [1.0, 1.0, 0.5]])
-    rejected = protocol._rejected_runs(FixedDraws(4), np.zeros(10, dtype=np.int64), factors)
+    ells = np.repeat([0, 2], [4, 60])
+    rejected = protocol._rejected_runs(FixedDraws([0, 4, 64]), ells, factors)
     assert rejected.tolist() == [0, 4, 4]
+    assert paths == ["_distinct_runs", "_subset"]
+
+
+def _yields(m, counts, seed):
+    """``_failing_runs``' yields at one seed, each as (batched, round per pair,
+    runs): ``batched`` for a batch of sparse rounds, not one dense round."""
+    rng = np.random.default_rng(seed)
+    return [(np.ndim(rounds) == 1, np.broadcast_to(rounds, runs.shape), runs)
+            for rounds, runs in protocol._failing_runs(rng, m, np.array(counts))]
+
+
+class TestFailingRuns:
+    """Each round's failing runs, sparse rounds in batches and dense ones alone:
+    a uniform subset of the round's count."""
+
+    # (m, counts, batch bound): every round sparse; sparse and dense mixed; and
+    # sparse rounds over several batches, at a patched and at the real bound
+    CASES = {
+        "all-sparse": (64, [8, 0, 3, 1, 8, 5], None),
+        "mixed": (64, [8, 40, 3, 64, 0, 9, 1], None),
+        "batches": (64, [5, 4, 3, 6, 2, 7, 1], 12),
+        "real-bound": (2**16, [1500, 1200, 1300, 2000, 900, 3000], None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_sizes_are_exact_and_runs_distinct(self, monkeypatch, name):
+        m, counts, bound = self.CASES[name]
+        if bound:
+            monkeypatch.setattr(protocol, "_BATCH_PAIRS", bound)
+        bound = protocol._BATCH_PAIRS
+        sparse = [c for c in counts if c * protocol._SPARSE_SHARE <= m and c <= bound]
+        for seed in range(20):
+            drawn, batches = {}, []
+            for batched, rounds, runs in _yields(m, counts, seed):
+                if batched:
+                    batches.append(rounds.size)
+                    keys = rounds * m + runs
+                    assert np.all(np.diff(keys) > 0)  # sorted by round, then run
+                for i in np.unique(rounds).tolist():
+                    assert i not in drawn  # every round comes whole, once
+                    drawn[i] = runs[rounds == i]
+            assert all(size <= bound for size in batches)
+            assert sum(batches) == sum(sparse)
+            assert sorted(drawn) == [i for i, c in enumerate(counts) if c]
+            for i, runs in drawn.items():
+                assert runs.size == counts[i]
+                assert np.unique(runs).size == runs.size
+                assert 0 <= runs.min() and runs.max() < m
+        if name == "batches":
+            assert len(batches) == 3  # 5 + 4 + 3, 6 + 2, 7 + 1
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_run_is_equally_likely(self, monkeypatch, name):
+        m, counts, bound = self.CASES[name]
+        if bound:
+            monkeypatch.setattr(protocol, "_BATCH_PAIRS", bound)
+        seeds = range(1500 if m <= 64 else 60)
+        bins = min(m, 64)  # equal bins of runs
+        hits = np.zeros((len(counts), bins))
+        for seed in seeds:
+            for _, rounds, runs in _yields(m, counts, seed):
+                np.add.at(hits, (rounds, runs * bins // m), 1)
+        for i, c in enumerate(counts):
+            if c:
+                stat, df = chi2_statistic(hits[i], np.full(bins, len(seeds) * c / bins))
+                assert stat <= chi2_critical(df), (name, i, stat, df)
+
+    def test_every_subset_is_equally_likely(self):
+        # two sparse rounds of 2 runs in 16 (one batch): each of the 120 pairs
+        # of runs, the round's whole subset, is drawn alike
+        subsets = list(itertools.combinations(range(16), 2))
+        index = {pair: j for j, pair in enumerate(subsets)}
+        seen = np.zeros((2, len(subsets)))
+        seeds = range(3000)
+        for seed in seeds:
+            (_, rounds, runs), = _yields(16, [2, 2], seed)
+            for i in (0, 1):
+                seen[i, index[tuple(runs[rounds == i].tolist())]] += 1
+        for row in seen:
+            stat, df = chi2_statistic(row, np.full(len(subsets), len(seeds) / len(subsets)))
+            assert stat <= chi2_critical(df), (stat, df)
 
 
 class TestPerRoundVsGlobal:

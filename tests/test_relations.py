@@ -21,7 +21,10 @@ k <= 3, and round distributions of at most 4 support points with n <= 6:
   and sampled rates of its one-row form, bit for bit;
 - two engines: the per-round table equals the comb view's
   (``round_outcome_table_via_combs``) in every cell, on specs with k·n <= 6
-  and a uniform or drawn per-n output rule.
+  and a uniform or drawn per-n output rule;
+- the sampler: the honest run's and an attack's sampled rates, drawn together,
+  each lie within 5 binomial sigma of the exact acceptance, under a uniform or
+  drawn per-n output rule.
 
 The network engine is drawn from ``random_comb_draw`` seeds and from
 ``custom`` setups (k = 1, width <= 3, at most 3 holes):
@@ -70,6 +73,7 @@ from cutchoose.protocol import (
 )
 from cutchoose.states import PovmElement, RankOneEffect
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant
+from law import within_sigmas
 
 TOL = 1e-12
 RELATIONS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -200,6 +204,17 @@ def test_engines_agree_in_every_cell(drawn, alpha, placement):
         via = round_outcome_table_via_combs(spec, strategy)
         for row, via_row in zip(direct.rows, via.rows, strict=True):
             assert row.shape == via_row.shape and np.abs(row - via_row).max() <= TOL
+
+
+@RELATIONS
+@given(specs(joint_cap=18), angles, placements, st.integers(0, 2**16))
+def test_sampled_rates_lie_near_exact(drawn, alpha, placement, seed):
+    # k <= 3 for every n <= 6, so the output rule is "uniform" or drawn per n
+    _, _, spec = drawn
+    strategies = (HONEST, PhaseAttack(alpha, placement))
+    for strategy, sampled in zip(strategies, monte_carlo_run(spec, strategies, 2000, seed)):
+        exact = overall_acceptance(spec, strategy)
+        assert within_sigmas(sampled.accept_rate, exact, 2000), (strategy, sampled, exact)
 
 
 NETWORKS = settings(derandomize=True, deadline=None, max_examples=40)
