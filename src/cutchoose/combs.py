@@ -11,9 +11,10 @@ A comb is built once into steps on the stack's qubit axes (axis transposes,
 hole unitaries on their register, single-qubit Kraus sets): the sequential
 link product of quantum combs, one tooth at a time (Chiribella, D'Ariano,
 Perinotti, arXiv:0904.4483). A pure test state goes through a unitary network
-as a vector; otherwise the state keeps one left and one right axis per qubit
-and each step is one contraction of its Liouville form ``Σ K ⊗ K̄``. Cost is
-linear in the hole count; :func:`plug` composes the dense network and is the
+as a vector; otherwise the state is a density tensor whose qubits each keep
+their left and right axes side by side, and each step is one matrix product
+of its Liouville form ``Σ K ⊗ K̄`` on a reshaped view. Cost is linear in the
+hole count; :func:`plug` composes the dense network and is the
 reference. Everything is capped at a total dimension of 256: the bounds
 being certified are dimension-independent.
 """
@@ -282,37 +283,49 @@ def plug(comb: Comb, round_channels) -> Channel:
     return result
 
 
-def _apply(op: np.ndarray, axes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
-    """Matrix ``op`` on the axes ``axes`` of ``t`` (first most significant), in one contraction."""
-    m = len(axes)
-    out = np.tensordot(op.reshape((2,) * 2 * m), t, axes=(tuple(range(m, 2 * m)), axes))
-    return np.moveaxis(out, tuple(range(m)), axes)
+def _liouville(kraus) -> np.ndarray:
+    """``Σ K ⊗ K̄`` of a Kraus set on m qubits, as a ``(4**m, 4**m)`` matrix whose
+    rows (and columns) run over the qubits' (left, right) index pairs in turn."""
+    ks = np.asarray(kraus)
+    dim = ks.shape[-1]
+    m = dim.bit_length() - 1
+    # one broadcast product over the stack: [i, j, k, l] = Σ K[i, k] K̄[j, l]
+    form = (ks[:, :, None, :, None] * ks.conj()[:, None, :, None, :]).sum(axis=0)
+    if m > 1:  # m left bits, then m right bits -> m (left, right) bit pairs
+        pairs = [b for j in range(m) for b in (j, m + j)]
+        form = form.reshape((2,) * 4 * m).transpose(pairs + [2 * m + b for b in pairs])
+    return form.reshape(dim * dim, dim * dim)
 
 
 def _evolve(comb: Comb, hole_unitaries, state: np.ndarray) -> np.ndarray:
     """Push a state on (register stack x auxiliary space) through the network
-    with ``hole_unitaries`` plugged in, one step at a time on its qubit axes:
-    a vector through a unitary network, else a density matrix (a vector
-    becomes its projector), each step as its Liouville form ``Σ K ⊗ K̄``.
+    with ``hole_unitaries`` plugged in: a vector through a unitary network,
+    else a density matrix (a vector becomes its projector). The density
+    tensor is transposed once so that each qubit's left and right axes sit
+    side by side (q1 L, q1 R, ..., y L, y R) and act as one axis of size 4.
+    A step on consecutive qubits ``a..a+m-1`` is then one matrix product on a
+    reshaped view, ``op @ t.reshape(b**a, b**m, -1)`` with ``b`` = 2 (``op`` a
+    hole unitary) or 4 (``op`` the step's Liouville form ``Σ K ⊗ K̄``), and a
+    wire permutation is a transpose of those axes.
     The output's trace (a vector's squared norm) must be 1 within ``IDENTITY_TOL``."""
-    q = comb.width * comb.k
+    q, y = comb.width * comb.k, comb.y_dim
     if state.ndim == 1 and any(isinstance(s.kraus, tuple) and len(s.kraus) > 1
                                for s in comb.steps):
         state = np.outer(state, state.conj())
-    pure, shape = state.ndim == 1, (2,) * q + (comb.y_dim,)
-    t = state.reshape(shape if pure else shape * 2)
-
-    def paired(axes):  # the left axes and, for a density tensor, their right partners
-        return axes if pure else axes + tuple(q + 1 + a for a in axes)
-
+    pure = state.ndim == 1
+    base, t = 2, state
+    if not pure:  # (q1 L, ..., y L, q1 R, ..., y R) -> (q1 L, q1 R, ..., y L, y R)
+        base, t = 4, state.reshape(((2,) * q + (y,)) * 2).transpose(
+            [a for j in range(q + 1) for a in (j, q + 1 + j)])
     for axes, kraus in _walk(comb, [(u,) for u in hole_unitaries]):
         if kraus is None:
-            t = t.transpose(paired(axes + (q,)))
-        elif pure:
-            t = _apply(kraus[0], axes, t)
-        else:  # Σ K ⊗ K̄ with entries [a, b, c, d] = K[a, c] K̄[b, d]
-            t = _apply(sum(op[:, None, :, None] * op.conj()[None, :, None, :] for op in kraus),
-                       paired(axes), t)
+            t = t.reshape((base,) * q + (-1,)).transpose(axes + (q,))
+        else:
+            op = kraus[0] if pure else _liouville(kraus)
+            t = op @ t.reshape(base ** axes[0], base ** len(axes), -1)
+    if not pure:  # and back
+        t = t.reshape((2, 2) * q + (y, y)).transpose(
+            list(range(0, 2 * q + 2, 2)) + list(range(1, 2 * q + 2, 2)))
     out = t.reshape(state.shape)
     trace = float(np.vdot(out, out).real if pure else np.trace(out).real)
     if abs(trace - 1.0) > IDENTITY_TOL:

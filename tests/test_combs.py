@@ -521,6 +521,26 @@ class TestStateEvolution:
                         rtol=0, atol=1e-12, err_msg=f"seed {seed}, n {n}, ell {ell}",
                     )
 
+    @pytest.mark.parametrize("k, width, y_dim", [(2, 2, 1), (2, 2, 2), (3, 1, 2), (2, 3, 1)])
+    def test_matches_plug_on_multi_qubit_registers(self, k, width, y_dim):
+        # each hole is a k-qubit Liouville form, whose rows and columns the
+        # density path reorders into (left, right) qubit pairs
+        rng = np.random.default_rng(100 * k + 10 * width + y_dim)
+        qubits = width * k
+
+        def noise(name):
+            return Tooth(None, name, int(rng.integers(0, qubits)), float(rng.uniform(0.1, 0.9)))
+
+        perm = tuple(int(p) for p in np.roll(range(width), 1))  # a rotation; the identity at width 1
+        comb = Comb(n_holes=3, k=k, width=width, y_dim=y_dim,
+                    hole_registers=tuple(int(r) for r in rng.integers(0, width, size=3)),
+                    teeth=(noise("depolarizing"), noise("dephasing")._replace(permutation=perm),
+                           None, noise("depolarizing")))
+        us = [random_unitary(2**k, rng) for _ in range(3)]
+        rho = random_density(comb.register_dim * y_dim, rng).matrix
+        np.testing.assert_allclose(
+            _evolve(comb, us, rho), plugged_reference(comb, us, rho), rtol=0, atol=1e-12)
+
     def test_rejects_output_without_unit_trace(self):
         rho = random_density(2, np.random.default_rng(12)).matrix
         with pytest.raises(ContractViolationError):

@@ -37,13 +37,17 @@ The network engine is drawn from ``random_comb_draw`` seeds and from
   pure test through the density path);
 - relabelling every register consistently (hole registers, permutation
   teeth, channel qubits, and the test state and effect) leaves acceptance
-  unchanged.
+  unchanged;
+- the theorem: at the prescribed angle, under both models, the report is
+  ``satisfied`` and every proof step holds; a mean below the regime's floor
+  raises ``OutOfDomainError``.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutchoose import parse_config
@@ -56,10 +60,12 @@ from cutchoose.combs import (
     Tooth,
     custom_test_setup,
     general_test_acceptance,
+    general_tradeoff_check,
     random_comb_draw,
     register_permutation_unitary,
     round_outcome_table_via_combs,
 )
+from cutchoose.errors import OutOfDomainError
 from cutchoose.families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
 from cutchoose.linalg import DensityOperator, PureState, dagger
 from cutchoose.protocol import (
@@ -72,7 +78,7 @@ from cutchoose.protocol import (
     round_outcome_table,
 )
 from cutchoose.states import PovmElement, RankOneEffect
-from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant
+from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant, SecurityModel
 from law import within_sigmas
 
 TOL = 1e-12
@@ -377,3 +383,37 @@ def test_relabelling_the_registers_is_invisible(setup, data, alpha, placement):
         for test, comb, value in network_cases(setup, strategy):
             moved = relabelled(test, comb, data.draw(st.permutations(range(comb.width))))
             assert abs(general_test_acceptance(*moved, strategy) - value) <= TOL
+
+
+# the smallest mean for which the prescribed sine, 2/(3N) stand-alone or
+# 1/(2N) composable, is at most 1
+GENERAL_FLOORS = {SecurityModel.STAND_ALONE: 2.0 / 3.0, SecurityModel.COMPOSABLE: 0.5}
+
+
+def check_theorem(setup, placement):
+    """Both models' reports at the prescribed angle satisfy the general-test
+    bound with every proof step holding, or the mean is below the floor."""
+    for model, floor in GENERAL_FLOORS.items():
+        if setup.omega.mean < floor:
+            with pytest.raises(OutOfDomainError):
+                general_tradeoff_check(model, setup, placement=placement)
+            continue
+        report = general_tradeoff_check(model, setup, placement=placement)
+        assert report.satisfied and not report.trivial_attack, report
+        assert all(step.holds for step in report.proof_steps), report.proof_steps
+
+
+def test_theorem_on_random_networks():
+    means = []
+    for seed in range(40):
+        draw = random_comb_draw(seed)
+        means.append(draw.setup.omega.mean)
+        check_theorem(draw.setup, draw.placement)
+    # the seeds reach below both floors as well as above them
+    assert min(means) < GENERAL_FLOORS[SecurityModel.COMPOSABLE] and max(means) > 1.0
+
+
+@NETWORKS
+@given(custom_setups(), placements)
+def test_theorem_on_custom_networks(setup, placement):
+    check_theorem(setup, placement)
