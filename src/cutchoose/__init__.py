@@ -55,8 +55,6 @@ from .strategies import (
     transform_round,
 )
 from .protocol import (
-    AcceptanceRule,
-    GlobalAcceptance,
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,

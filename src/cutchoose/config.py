@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .bounds import theorem_bound
 from .combs import NOISE_CHANNELS
 from .errors import ConfigError, OutOfDomainError
-from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
+from .families import ACCEPTANCE_FAMILIES, TRAP_FAMILIES
 from .linalg import COMB_DIM_CAP, DIM_CAP, tol_text
 from .protocol import MAX_TRIALS
 from .strategies import Placement, ProtocolVariant, SecurityModel, attack_sine
@@ -259,8 +259,10 @@ _SCENARIO = {
             "seed": (_trap_seed, lambda doc: TRAP_FAMILIES["random"].seed
                      if doc.get("family") == "random" else _ABSENT),
         }, _REQUIRED),
+        # both names build one rule, accept iff every test passes; the
+        # canonical form keeps the name as written
         "acceptance": ({"family": (_name(ACCEPTANCE_FAMILIES), _REQUIRED),
-                        "mode": (_name(ACCEPTANCE_MODES), "per-round")}, _REQUIRED),
+                        "mode": (_name(("per-round", "global")), "per-round")}, _REQUIRED),
     }, _REQUIRED),
     "strategy": (_tagged("kind", {
         "honest": {},

@@ -1,10 +1,10 @@
 """Named trap and acceptance families used by configs and tests.
 
-The name tables ``TRAP_FAMILIES``, ``ACCEPTANCE_FAMILIES`` and
-``ACCEPTANCE_MODES`` are the one registry: scenario configs name a family
-and its parameters, and ``config`` accepts exactly the names these tables
-hold. All families are deterministic; the seeded one draws the rounds of
-``(k, n)`` from one generator seeded by ``(seed, k, n)`` only.
+The name tables ``TRAP_FAMILIES`` and ``ACCEPTANCE_FAMILIES`` are the one
+registry: scenario configs name a family and its parameters, and ``config``
+accepts exactly the names these tables hold. All families are
+deterministic; the seeded one draws the rounds of ``(k, n)`` from one
+generator seeded by ``(seed, k, n)`` only.
 
 Every trap family is its action (``TrapGenerator.action``) and forms no
 ``2**k`` matrix: the identity traps (``plus``, ``computational``) give their
@@ -12,9 +12,11 @@ fixed input's row, and ``random`` traps draw their rounds' vectors. Every
 acceptance rule is its block of rank-1 effect rows per ``(k, n)``, the one
 kind the engine reads (an overlap of ``2**k`` vectors): ``plus`` and
 ``computational`` give their state's one row, and ``matched`` its traps'
-honest outputs, received through ``receive_action``. Global mode wraps a
-per-round rule in :class:`GlobalAcceptance`, the tensor product of its
-effects.
+honest outputs, received through ``receive_action``. A config's
+``acceptance.mode``, ``"per-round"`` or ``"global"``, builds this same rule:
+a joint measurement that accepts iff every trap passes is the tensor
+product of the per-round effects, and every sampled run is drawn round by
+round.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .protocol import (
-    GlobalAcceptance,
     PerRoundAcceptance,
     TrapGenerator,
     overlaps,
@@ -140,6 +141,3 @@ ACCEPTANCE_FAMILIES = {
     "computational": lambda traps: computational_acceptance(),
     "matched": lambda traps: matched_acceptance(traps),
 }
-
-# mode -> the rule applied per test round, or as one joint measurement
-ACCEPTANCE_MODES = {"per-round": lambda rule: rule, "global": GlobalAcceptance}

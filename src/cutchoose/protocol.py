@@ -11,17 +11,19 @@ literal sequential simulator on small instances.
 Acceptance probabilities are computed exactly and, as a stochastic
 cross-check, by a seeded round-by-round Monte-Carlo sampler. The sampler
 takes a sequence of strategies and draws once how many runs have each ``n``
-and, per ``n``, each output round (counts, not one label per run); in
-per-round mode it then draws only the failing test rounds, against the
-smallest factor among the strategies (sparse rounds in batches, dense ones
-alone), and every strategy reads the same uniforms (common random numbers). Each result follows the law of one uniform
-per run and round; a strategy's result depends on the set it is sampled
-with, not on the order of the set, on duplicates, or on strategies whose
-factors are nowhere below the set's smallest. Every exact
-figure goes through one engine: ``outcome_table`` checks and builds a
-``RoundOutcomeTable``, a row of p(n, output round) per support point of the
-round distribution that carries its own average (``.acceptance``). The
-general-test engine in ``combs`` builds its tables the same way.
+and, per ``n``, each output round (counts, not one label per run); it then
+draws only the failing test rounds, against the smallest factor among the
+strategies (sparse rounds in batches, dense ones alone), and every strategy
+reads the same uniforms (common random numbers). It reads round factors
+only, never the exact products, so it checks them independently. Each
+result follows the law of one uniform per run and round; a strategy's
+result depends on the set it is sampled with, not on the order of the set,
+on duplicates, or on strategies whose factors are nowhere below the set's
+smallest. Every exact figure goes through one engine: ``outcome_table``
+checks and builds a ``RoundOutcomeTable``, a row of p(n, output round) per
+support point of the round distribution that carries its own average
+(``.acceptance``). The general-test engine in ``combs`` builds its tables
+the same way.
 
 The per-round engine works on ``2**k`` vectors: a round is its action. A
 round bank receives the rounds of each ``(spec, n)`` once, as one block from
@@ -35,9 +37,9 @@ PRE ``|<g|phi chi>|^2``, all rounds in one contraction. The bank lives on the
 spec, so a report row's tables and sampler call share it, and is freed with
 the row. It holds at most ``4 * r * 2**k`` complex numbers: ``r = n + 1``,
 or ``r = 1`` (one factor, broadcast) for round-independent traps and
-effects. A global rule is the tensor product of its per-round effects: its
-exact figures are those of per-round mode, and only the sampler, with one
-joint draw per run, tells the two apart. The dense path
+effects. The client accepts iff every test round passes: a joint
+measurement on all test outputs that accepts iff every trap passes is the
+tensor product of these effects, so it is this rule. The dense path
 (``transform_round``, effect rows as projectors, ``client_output_state`` and
 ``combs.round_outcome_table_via_combs``, which plays each round as
 ``action_unitary`` of its action) is the reference the tests compare
@@ -183,21 +185,6 @@ class PerRoundAcceptance:
     traps: TrapGenerator | None = None
 
 
-@dataclass(frozen=True)
-class GlobalAcceptance:
-    """One joint measurement on all test outputs: the tensor product of the
-    ``per_round`` rule's effects, so the client accepts iff every test passes.
-
-    The engine never builds the ``2**(k*n)``-dim element; it multiplies the
-    per-round values on the test outputs.
-    """
-
-    per_round: PerRoundAcceptance
-
-
-AcceptanceRule = PerRoundAcceptance | GlobalAcceptance
-
-
 # "uniform" over the n + 1 rounds, or an explicit distribution per n
 OutputRound = str | Mapping[int, Sequence[float]]
 
@@ -214,7 +201,7 @@ class ProtocolSpec:
     omega: RoundDistribution
     k: int
     traps: TrapGenerator
-    acceptance: AcceptanceRule
+    acceptance: PerRoundAcceptance
     output_round: OutputRound = "uniform"
     _bank: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -306,7 +293,6 @@ def receive_rounds(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
     other rule's block is checked first, naming its first failing round: shape
     ``(1 or n + 1, 2**k)``, rows of norm 1 within ``NORM_TOL`` (NaN fails)."""
     k, rule = spec.k, spec.acceptance
-    rule = rule.per_round if isinstance(rule, GlobalAcceptance) else rule  # the per-round factor
     if rule.traps is spec.traps:  # matched: the effect is the honest output
         return receive_action(spec.traps, k, n)
     e, d = np.asarray(rule.element(k, n), dtype=np.complex128), 2**k
@@ -461,28 +447,28 @@ def monte_carlo_run(
 ) -> tuple[MonteCarloResult, ...]:
     """Sampled protocol runs, drawn as counts: how many of the ``trials`` runs
     have each n ~ omega (one multinomial draw), then per n how many of its
-    runs have each output round ~ rule (one more), then the failing test
-    rounds (per-round rules, :func:`_rejected_runs`) or one joint draw per run
-    (global rules). Deterministic for a fixed seed. ``trials`` is at most
-    ``MAX_TRIALS``, checked with the other arguments before any draw.
+    runs have each output round ~ rule (one more), then, round by round, the
+    failing test rounds (:func:`_rejected_runs`). Every rule is sampled this
+    way: the draw reads the round factors, never their exact products, so it
+    checks the products rather than repeating them. Deterministic for a fixed
+    seed. ``trials`` is at most ``MAX_TRIALS``, checked with the other
+    arguments before any draw.
 
     Counts carry the law of one label per run because runs are exchangeable:
     n's runs get their output rounds in sorted order (``ells``), and nothing
     drawn after depends on where a run sits. The failing runs of a round are
     a uniform subset of n's runs, whether drawn in a batch of sparse rounds
-    or alone, and the global branch's uniforms are independent and
-    identically distributed, so the accept counts follow the law of a
-    run-by-run draw.
+    or alone, so the accept counts follow the law of a run-by-run draw.
 
     Returns one result per strategy, in order, all read from one set of
-    uniforms (common random numbers). In per-round mode only the rounds that
-    fail the smallest factor among the strategies are drawn, so a result
-    depends on the set: it is unchanged by reordering the strategies, by
-    duplicating one, or by adding one whose factors are nowhere below the
-    set's smallest (such as the honest run under a matched rule), but it is
-    not in general the result of a call with that strategy alone. The law of
-    each result is that of one uniform per run and round either way. Only
-    acceptance is sampled; the payload never enters the draws."""
+    uniforms (common random numbers). Only the rounds that fail the smallest
+    factor among the strategies are drawn, so a result depends on the set: it
+    is unchanged by reordering the strategies, by duplicating one, or by
+    adding one whose factors are nowhere below the set's smallest (such as
+    the honest run under a matched rule), but it is not in general the result
+    of a call with that strategy alone. The law of each result is that of one
+    uniform per run and round either way. Only acceptance is sampled; the
+    payload never enters the draws."""
     if not (isinstance(strategies, Sequence) and strategies):
         raise OutOfDomainError(
             f"monte_carlo_run takes a non-empty sequence of strategies, got {strategies!r}")
@@ -502,12 +488,8 @@ def monte_carlo_run(
             continue
         w = output_round_weights(spec.output_round, n)
         ells = np.repeat(np.arange(n + 1), _counts(rng, m, w))  # sorted: runs are exchangeable
-        if isinstance(spec.acceptance, PerRoundAcceptance):
-            factors = np.stack([_round_factors(spec, s, n) for s in strategies])
-            accepted += m - _rejected_runs(rng, ells, factors)
-        else:  # global acceptance: one joint draw per run
-            u = rng.random(m)
-            accepted += [np.count_nonzero(u < _per_ell(spec, s, n)[ells]) for s in strategies]
+        factors = np.stack([_round_factors(spec, s, n) for s in strategies])
+        accepted += m - _rejected_runs(rng, ells, factors)
     return tuple(MonteCarloResult(a / trials, 1.0 - a / trials) for a in accepted.tolist())
 
 

@@ -21,7 +21,7 @@ from .bounds import PROOF_STEP_NAMES, TradeoffReport, run_tradeoff_check
 from .combs import GeneralSetup, bell_test_setup, custom_test_setup, general_tradeoff_check
 from .config import ScenarioConfig, sweep_rows
 from .errors import OutOfDomainError
-from .families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
+from .families import ACCEPTANCE_FAMILIES, TRAP_FAMILIES
 from .protocol import (
     MonteCarloResult,
     ProtocolSpec,
@@ -98,8 +98,7 @@ def _row_source(doc: dict, omega_pairs) -> ProtocolSpec | GeneralSetup:
     p = doc["protocol"]
     traps = dict(p["traps"])
     traps = TRAP_FAMILIES[traps.pop("family")](**traps)
-    acceptance = ACCEPTANCE_FAMILIES[p["acceptance"]["family"]](traps)
-    rule = ACCEPTANCE_MODES[p["acceptance"]["mode"]](acceptance)
+    rule = ACCEPTANCE_FAMILIES[p["acceptance"]["family"]](traps)  # whatever the mode
     return ProtocolSpec(RoundDistribution.from_pairs(omega_pairs), p["k"], traps, rule)
 
 

@@ -117,3 +117,14 @@ def test_tolerances_are_named_module_constants():
                              if isinstance(node, ast.Constant) and isinstance(node.value, float)
                              and 0.0 < node.value < 1e-6)
     assert not found, sorted(found)
+
+
+def test_the_sampler_never_reads_the_exact_products():
+    # every run is drawn round by round from the round factors, so the sampled
+    # rates check the exact per-output-round products (protocol._per_ell)
+    # rather than repeat them; a joint-measurement rule is the per-round rule
+    tree = ast.parse((ROOT / "src" / "cutchoose" / "protocol.py").read_text("utf-8"))
+    sampler, = (node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "monte_carlo_run")
+    assert "_per_ell" not in {getattr(node, "id", None) for node in ast.walk(sampler)}
+    assert not modules_naming("GlobalAcceptance")

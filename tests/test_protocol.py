@@ -25,7 +25,6 @@ from cutchoose.families import (
 )
 from cutchoose.linalg import dagger
 from cutchoose.protocol import (
-    GlobalAcceptance,
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
@@ -153,19 +152,12 @@ class TestAcceptanceProbability:
     def test_quarter_rate_vs_joint_measurement(self):
         # brute-force oracle: joint projector on the full two-round tensor space
         spec = plus_spec(RoundDistribution.point_mass(2))
-        joint = ProtocolSpec(
-            omega=spec.omega, k=1, traps=PlusTraps(),
-            acceptance=GlobalAcceptance(plus_acceptance()),
-        )
         attack = PhaseAttack(math.pi / 2)
         out = attack_operator(math.pi / 2, 1) @ plus_state(1).amplitudes
         two_outputs = np.kron(out, out)
         projector = np.kron(plus_state(1).projector(), plus_state(1).projector())
         oracle = float(np.vdot(two_outputs, projector @ two_outputs).real)
         for ell in (1, 2, 3):
-            assert cell(joint, attack, 2, ell) == pytest.approx(
-                oracle, abs=1e-12
-            )
             assert cell(spec, attack, 2, ell) == pytest.approx(
                 oracle, abs=1e-12
             )
@@ -207,9 +199,8 @@ class TestOverallAcceptance:
             ([(0, 0.2), (2, 0.3), (3, 0.5)], matched, "uniform"),
             ([(1, 0.0), (2, 0.4), (3, 0.6)], matched, "uniform"),  # zero-weight n
             ([(0, 0.2), (2, 0.8)], matched, {0: (1.0,), 2: (0.6, 0.3, 0.1)}),
-            ([(1, 0.5), (2, 0.5)], GlobalAcceptance(matched), "uniform"),
-            ([(1, 0.5), (2, 0.5)], GlobalAcceptance(matched),
-             {1: (0.25, 0.75), 2: (0.2, 0.3, 0.5)}),
+            ([(1, 0.5), (2, 0.5)], matched, "uniform"),
+            ([(1, 0.5), (2, 0.5)], matched, {1: (0.25, 0.75), 2: (0.2, 0.3, 0.5)}),
         ]
         for pairs, acceptance, output_round in cases:
             spec = ProtocolSpec(
@@ -490,9 +481,9 @@ class TestAgainstLiteralSimulator:
 _MIXED = RoundDistribution.from_pairs([(0, 0.2), (2, 0.3), (5, 0.5)])
 
 
-def _random_matched_spec(acceptance_mode=lambda rule: rule):
+def _random_matched_spec():
     traps = RandomTraps(seed=3)
-    return ProtocolSpec(_MIXED, 1, traps, acceptance_mode(matched_acceptance(traps)))
+    return ProtocolSpec(_MIXED, 1, traps, matched_acceptance(traps))
 
 
 _THREE = (HONEST, PhaseAttack(0.7), PhaseAttack(2.1, Placement.PRE))
@@ -500,14 +491,12 @@ _MATCHED = (HONEST, PhaseAttack(1.1, Placement.POST), PhaseAttack(1.1, Placement
 # name -> (spec, strategies sampled together)
 _SHARED_DRAW_SPECS = {
     "per-round": (plus_spec(_MIXED), _THREE),
-    "global": (ProtocolSpec(_MIXED, 1, PlusTraps(), GlobalAcceptance(plus_acceptance())), _THREE),
     "output-round-mapping": (
         ProtocolSpec(RoundDistribution.from_pairs([(0, 0.3), (2, 0.7)]), 1, PlusTraps(),
                      plus_acceptance(), output_round={2: (0.2, 0.3, 0.5)}),
         _THREE,
     ),
     "random-matched-per-round": (_random_matched_spec(), _MATCHED),
-    "random-matched-global": (_random_matched_spec(GlobalAcceptance), _MATCHED),
     # every test round fails about 4 % of runs: all are sparse, drawn in batches
     "all-sparse": (plus_spec(RoundDistribution.from_pairs([(1, 0.3), (4, 0.7)])),
                    (HONEST, PhaseAttack(0.4), PhaseAttack(0.3, Placement.PRE))),
@@ -553,10 +542,9 @@ _SKEWED_RULE = {1: (0.9, 0.1), 2: (0.05, 0.15, 0.8), 3: (0.6, 0.1, 0.1, 0.2)}
 _SKEWED_OMEGA = RoundDistribution.from_pairs([(0, 0.1), (1, 0.3), (2, 0.4), (3, 0.2)])
 # name -> (spec, strategies) whose accept counts must be binomial at 25 trials
 _BINOMIAL_SPECS = {
-    mode: (ProtocolSpec(_SKEWED_OMEGA, 1, RandomTraps(seed=5), rule(plus_acceptance()),
-                        output_round=_SKEWED_RULE),
-           (HONEST, PhaseAttack(0.9), PhaseAttack(1.7, Placement.PRE)))
-    for mode, rule in (("per-round", lambda rule: rule), ("global", GlobalAcceptance))
+    "per-round": (ProtocolSpec(_SKEWED_OMEGA, 1, RandomTraps(seed=5), plus_acceptance(),
+                               output_round=_SKEWED_RULE),
+                  (HONEST, PhaseAttack(0.9), PhaseAttack(1.7, Placement.PRE))),
 }
 # at most 25 runs per round count: a round is sparse when 1 to 3 of them fail, which
 # 2 % failure rates make common, and mixed-n's four weak rounds are mostly dense (an
@@ -635,15 +623,6 @@ class TestMonteCarlo:
         res = monte_carlo_run(spec, (strategy,), trials, seed=5)[0]
         assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / trials)
 
-    def test_global_acceptance_mode(self):
-        spec = ProtocolSpec(
-            omega=RoundDistribution.point_mass(2), k=1, traps=PlusTraps(),
-            acceptance=GlobalAcceptance(plus_acceptance()),
-        )
-        exact = overall_acceptance(spec, PhaseAttack(math.pi / 2))
-        res = monte_carlo_run(spec, (PhaseAttack(math.pi / 2),), 50_000, seed=4)[0]
-        assert abs(res.accept_rate - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / 50_000)
-
     def test_memory_does_not_grow_with_trials_times_rounds(self):
         # a draw of one uniform per run and round would be 10**5 * 401 * 8 bytes
         # here; the failing rounds, about one in 10**3, are what is drawn
@@ -664,13 +643,7 @@ class TestMonteCarlo:
     def test_strategies_share_draws_bit_identically(self, name, trials):
         spec, strategies = _SHARED_DRAW_SPECS[name]
         together = monte_carlo_run(spec, strategies, trials, seed=13)
-        if isinstance(spec.acceptance, GlobalAcceptance):
-            # one joint draw per run, the same for every strategy: each result
-            # is that of a call with its strategy alone
-            alone = tuple(monte_carlo_run(spec, (s,), trials, seed=13)[0] for s in strategies)
-            assert repr(together) == repr(alone)
-            return
-        # per-round draws depend on the set's smallest factor per round, so the
+        # the draws depend on the set's smallest factor per round, so the
         # results hold under every change that keeps it: reordering, duplicating,
         # and adding a strategy whose factors are nowhere below it (HONEST)
         honest, *attacks = strategies
@@ -910,27 +883,6 @@ class TestFailingRuns:
         for row in seen:
             stat, df = chi2_statistic(row, np.full(len(subsets), len(seeds) / len(subsets)))
             assert stat <= chi2_critical(df), (stat, df)
-
-
-class TestPerRoundVsGlobal:
-    def test_consistency_small_instances(self):
-        rng = np.random.default_rng(77)
-        per_round = plus_acceptance()
-        joint = GlobalAcceptance(per_round)
-        for n in (1, 2, 3):
-            spec_pr = plus_spec(RoundDistribution.point_mass(n))
-            spec_gl = ProtocolSpec(
-                omega=RoundDistribution.point_mass(n), k=1,
-                traps=PlusTraps(), acceptance=joint,
-            )
-            alpha = float(rng.uniform(0, 2 * math.pi))
-            for strategy in (HONEST, PhaseAttack(alpha)):
-                for ell in range(1, n + 2):
-                    assert cell(
-                        spec_pr, strategy, n, ell
-                    ) == pytest.approx(
-                        cell(spec_gl, strategy, n, ell), abs=1e-10
-                    )
 
 
 class TestOneWalkPerN:

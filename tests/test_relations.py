@@ -3,8 +3,8 @@
 No oracle computes the expected numbers: each relation ties figures of the
 engine to one another, so it still vouches for the engine when a random
 stream changes. Specs are drawn with ``hypothesis`` (derandomized, bounded
-examples) over the three trap families, every acceptance family and mode,
-k <= 3, and round distributions of at most 4 support points with n <= 6:
+examples) over the three trap families, every acceptance family, k <= 3,
+and round distributions of at most 4 support points with n <= 6:
 
 - mixture linearity: a distribution's acceptance is the weighted sum of its
   point masses' acceptances;
@@ -24,7 +24,12 @@ k <= 3, and round distributions of at most 4 support points with n <= 6:
   and a uniform or drawn per-n output rule;
 - the sampler: the honest run's and an attack's sampled rates, drawn together,
   each lie within 5 binomial sigma of the exact acceptance, under a uniform or
-  drawn per-n output rule.
+  drawn per-n output rule;
+- the theorem: at the prescribed angle, under both models and a drawn
+  placement, the report is ``satisfied`` and every proof step holds; a mean
+  below the regime's floor (4/9 stand-alone, 1/4 composable) raises
+  ``OutOfDomainError``; at a drawn angle, every step of the derivation but
+  the last (``theorem_bound``, which needs the prescribed angle) holds.
 
 The network engine is drawn from ``random_comb_draw`` seeds and from
 ``custom`` setups (k = 1, width <= 3, at most 3 holes):
@@ -40,7 +45,7 @@ The network engine is drawn from ``random_comb_draw`` seeds and from
   unchanged;
 - the theorem: at the prescribed angle, under both models, the report is
   ``satisfied`` and every proof step holds; a mean below the regime's floor
-  raises ``OutOfDomainError``.
+  raises ``OutOfDomainError``. Bell setups with N <= 4 are checked too.
 """
 
 import json
@@ -48,16 +53,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cutchoose import parse_config
-from cutchoose.bounds import acceptance_gap_bound
+from cutchoose.bounds import acceptance_gap_bound, run_tradeoff_check
 from cutchoose.combs import (
     NOISE_CHANNELS,
     Comb,
     GeneralSetup,
     GeneralTest,
     Tooth,
+    bell_test_setup,
     custom_test_setup,
     general_test_acceptance,
     general_tradeoff_check,
@@ -66,10 +72,9 @@ from cutchoose.combs import (
     round_outcome_table_via_combs,
 )
 from cutchoose.errors import OutOfDomainError
-from cutchoose.families import ACCEPTANCE_FAMILIES, ACCEPTANCE_MODES, TRAP_FAMILIES
+from cutchoose.families import ACCEPTANCE_FAMILIES, TRAP_FAMILIES
 from cutchoose.linalg import DensityOperator, PureState, dagger
 from cutchoose.protocol import (
-    GlobalAcceptance,
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
@@ -101,10 +106,9 @@ def specs(draw, joint_cap=None):
     params = {"seed": draw(st.integers(0, 2**16))} if family == "random" else {}
     traps = TRAP_FAMILIES[family](**params)
     rule_name = draw(st.sampled_from(sorted(ACCEPTANCE_FAMILIES)))
-    mode = draw(st.sampled_from(sorted(ACCEPTANCE_MODES)))
     ns = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
     omega = RoundDistribution.from_pairs(zip(ns, weights_of(draw, len(ns))))
-    rule = ACCEPTANCE_MODES[mode](ACCEPTANCE_FAMILIES[rule_name](traps))
+    rule = ACCEPTANCE_FAMILIES[rule_name](traps)
     if joint_cap is None:
         return family, rule_name, ProtocolSpec(omega, draw(st.integers(1, 3)), traps, rule)
     k = draw(st.integers(1, min(3, joint_cap // max(max(ns), 1))))
@@ -189,10 +193,9 @@ def test_constant_rule_broadcasts(drawn, alpha, placement, seed):
     _, rule_name, spec = drawn
     if rule_name == "matched":
         return  # not a constant rule
-    mode = GlobalAcceptance if isinstance(spec.acceptance, GlobalAcceptance) else (lambda r: r)
     one_row = ACCEPTANCE_FAMILIES[rule_name](spec.traps)
     rows = PerRoundAcceptance(lambda k, n: np.repeat(one_row.element(k, n), n + 1, axis=0))
-    pair = [ProtocolSpec(spec.omega, spec.k, spec.traps, mode(rule)) for rule in (one_row, rows)]
+    pair = [ProtocolSpec(spec.omega, spec.k, spec.traps, rule) for rule in (one_row, rows)]
     strategies = (HONEST, PhaseAttack(alpha, placement))
     for strategy in strategies:
         got, want = (round_outcome_table(s, strategy).rows for s in pair)
@@ -221,6 +224,59 @@ def test_sampled_rates_lie_near_exact(drawn, alpha, placement, seed):
     for strategy, sampled in zip(strategies, monte_carlo_run(spec, strategies, 2000, seed)):
         exact = overall_acceptance(spec, strategy)
         assert within_sigmas(sampled.accept_rate, exact, 2000), (strategy, sampled, exact)
+
+
+def check_theorem(check, mean, floors):
+    """Both models' reports at the prescribed angle, ``check(model)``, are
+    ``satisfied`` with every proof step holding; below a model's mean floor
+    the check raises ``OutOfDomainError`` and no other error."""
+    for model, floor in floors.items():
+        if mean < floor:
+            with pytest.raises(OutOfDomainError):
+                check(model)
+            continue
+        report = check(model)
+        assert report.satisfied and not report.trivial_attack, report
+        assert all(step.holds for step in report.proof_steps), report.proof_steps
+
+
+# the smallest mean for which the prescribed sine, sqrt(4/(9N)) stand-alone or
+# 1/(2 sqrt N) composable, is at most 1
+PER_ROUND_FLOORS = {SecurityModel.STAND_ALONE: 4.0 / 9.0, SecurityModel.COMPOSABLE: 0.25}
+
+
+def plus_traps_at_mean(mean):
+    """``specs()``'s draw for plus traps and effects, k = 1, with mean ``mean`` < 1."""
+    omega = RoundDistribution.from_pairs([(0, 1.0 - mean), (1, mean)])
+    return "plus", "plus", ProtocolSpec(omega, 1, TRAP_FAMILIES["plus"](),
+                                        ACCEPTANCE_FAMILIES["plus"](None))
+
+
+@RELATIONS
+@given(specs(), placements)
+# means between the two floors and below both, which the drawn examples miss
+@example(plus_traps_at_mean(0.3), Placement.PRE)
+@example(plus_traps_at_mean(0.2), Placement.POST)
+def test_theorem_on_drawn_protocols(drawn, placement):
+    _, _, spec = drawn
+    check_theorem(lambda model: run_tradeoff_check(spec, model, placement=placement),
+                  spec.omega.mean, PER_ROUND_FLOORS)
+
+
+@RELATIONS
+@given(specs(), angles.filter(lambda a: abs(math.sin(a / 2.0)) > 1e-9), placements)
+def test_derivation_holds_at_any_angle(drawn, alpha, placement):
+    # only the last step needs the prescribed angle; the bound needs N > 0
+    _, _, spec = drawn
+    for model in SecurityModel:
+        if spec.omega.mean == 0.0:
+            with pytest.raises(OutOfDomainError):
+                run_tradeoff_check(spec, model, alpha_override=alpha, placement=placement)
+            continue
+        report = run_tradeoff_check(spec, model, alpha_override=alpha, placement=placement)
+        assert not report.trivial_attack
+        steps = [step for step in report.proof_steps if step.name != "theorem_bound"]
+        assert all(step.holds for step in steps), steps
 
 
 NETWORKS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -390,17 +446,10 @@ def test_relabelling_the_registers_is_invisible(setup, data, alpha, placement):
 GENERAL_FLOORS = {SecurityModel.STAND_ALONE: 2.0 / 3.0, SecurityModel.COMPOSABLE: 0.5}
 
 
-def check_theorem(setup, placement):
-    """Both models' reports at the prescribed angle satisfy the general-test
-    bound with every proof step holding, or the mean is below the floor."""
-    for model, floor in GENERAL_FLOORS.items():
-        if setup.omega.mean < floor:
-            with pytest.raises(OutOfDomainError):
-                general_tradeoff_check(model, setup, placement=placement)
-            continue
-        report = general_tradeoff_check(model, setup, placement=placement)
-        assert report.satisfied and not report.trivial_attack, report
-        assert all(step.holds for step in report.proof_steps), report.proof_steps
+def check_general_theorem(setup, placement):
+    """:func:`check_theorem` on a network setup's general-test reports."""
+    check_theorem(lambda model: general_tradeoff_check(model, setup, placement=placement),
+                  setup.omega.mean, GENERAL_FLOORS)
 
 
 def test_theorem_on_random_networks():
@@ -408,7 +457,7 @@ def test_theorem_on_random_networks():
     for seed in range(40):
         draw = random_comb_draw(seed)
         means.append(draw.setup.omega.mean)
-        check_theorem(draw.setup, draw.placement)
+        check_general_theorem(draw.setup, draw.placement)
     # the seeds reach below both floors as well as above them
     assert min(means) < GENERAL_FLOORS[SecurityModel.COMPOSABLE] and max(means) > 1.0
 
@@ -416,4 +465,10 @@ def test_theorem_on_random_networks():
 @NETWORKS
 @given(custom_setups(), placements)
 def test_theorem_on_custom_networks(setup, placement):
-    check_theorem(setup, placement)
+    check_general_theorem(setup, placement)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_theorem_on_bell_setups(n):
+    for placement in Placement:
+        check_general_theorem(bell_test_setup(n), placement)

@@ -22,7 +22,6 @@ from cutchoose.families import (
     matched_acceptance,
 )
 from cutchoose.protocol import (
-    GlobalAcceptance,
     ProtocolSpec,
     RoundDistribution,
     round_outcome_table,
@@ -228,8 +227,9 @@ GLOBAL_SHAPES = (
 
 
 class TestGlobalMode:
-    """Global acceptance is the tensor product of the per-round effects: same
-    figures as per-round mode, whatever k*n."""
+    """Both acceptance-mode names build one rule, accept iff every test
+    passes: the same figures and the same sampled rates, whatever k*n, and
+    the tables the comb view gives."""
 
     @pytest.mark.parametrize("trap", sorted(TRAP_DOCS))
     @pytest.mark.parametrize("family", ["computational", "matched", "plus"])
@@ -242,6 +242,7 @@ class TestGlobalMode:
                                   "acceptance": {"family": family, "mode": mode}},
                         strategy={"kind": "phase-attack", "alpha": "theorem-optimal",
                                   "placement": placement.value},
+                        monte_carlo={"trials": 2000, "seed": k},
                         **({} if sweep is None else {"sweep": sweep}),
                     )
                     for mode in ("global", "per-round")
@@ -261,7 +262,7 @@ class TestGlobalMode:
                     traps = TRAP_FAMILIES[params.pop("family")](**params)
                     spec = ProtocolSpec(
                         omega=RoundDistribution.from_pairs(pairs), k=k, traps=traps,
-                        acceptance=GlobalAcceptance(ACCEPTANCE_FAMILIES[family](traps)),
+                        acceptance=ACCEPTANCE_FAMILIES[family](traps),
                     )
                     r = record.report
                     for strategy, p, table in (

@@ -22,11 +22,11 @@ import numpy as np
 import pytest
 
 from cutchoose import parse_config, protocol, run_scenario
+from cutchoose import report as report_module
 from cutchoose.bounds import run_tradeoff_check
 from cutchoose.combs import round_outcome_table_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
-    ComputationalTraps,
     PlusTraps,
     RandomTraps,
     computational_acceptance,
@@ -34,7 +34,6 @@ from cutchoose.families import (
     plus_acceptance,
 )
 from cutchoose.protocol import (
-    GlobalAcceptance,
     PerRoundAcceptance,
     ProtocolSpec,
     RoundDistribution,
@@ -53,17 +52,25 @@ from cutchoose.strategies import (
 )
 from dense_rounds import effect_row, played, squared_overlap
 
-TRAPS = {
-    "plus": lambda: PlusTraps(),
-    "computational": lambda: ComputationalTraps(),
-    "random": lambda: RandomTraps(seed=21),
-}
-RULES = {
-    "plus": lambda traps: plus_acceptance(),
-    "computational": lambda traps: computational_acceptance(),
-    "matched": matched_acceptance,
+TRAP_DOCS = {
+    "plus": {"family": "plus"},
+    "computational": {"family": "computational"},
+    "random": {"family": "random", "seed": 21},
 }
 N = 3
+
+
+def config_spec(trap_name, rule_name, mode, k):
+    """The spec a report row builds from a config naming these trap and
+    acceptance families and acceptance mode, at a point mass of ``N``."""
+    config = parse_config(json.dumps({
+        "protocol": {"omega": {"point_mass": N}, "k": k, "traps": TRAP_DOCS[trap_name],
+                     "acceptance": {"family": rule_name, "mode": mode}},
+        "strategy": {"kind": "honest"},
+        "models": ["composable"],
+        "variant": {"kind": "per-round"},
+    }))
+    return report_module._row_source(config.canonical(), [(N, 1.0)])
 
 
 def literal_factors(spec, strategy, n):
@@ -72,8 +79,6 @@ def literal_factors(spec, strategy, n):
     snapped to [0, 1] as the engine snaps its factors."""
     k = spec.k
     rule = spec.acceptance
-    if isinstance(rule, GlobalAcceptance):
-        rule = rule.per_round
     eye = np.eye(2**k)
     attack_diagonal = np.diag(transform_round(strategy, eye, k))
     dense, diagonal = [], []
@@ -106,18 +111,13 @@ def check_against_literal(spec):
             np.testing.assert_allclose(got, dense, rtol=0, atol=1e-15 if own else 1e-14)
 
 
-@pytest.mark.parametrize("trap_name", sorted(TRAPS))
+@pytest.mark.parametrize("trap_name", sorted(TRAP_DOCS))
 @pytest.mark.parametrize("rule_name", ("plus", "computational", "matched"))
 @pytest.mark.parametrize("mode", ("per-round", "global"))
 @pytest.mark.parametrize("k", (1, 3, 6))
 def test_bank_matches_literal_walk(trap_name, rule_name, mode, k):
-    traps = TRAPS[trap_name]()
-    rule = RULES[rule_name](traps)
-    spec = ProtocolSpec(
-        omega=RoundDistribution.point_mass(N), k=k, traps=traps,
-        acceptance=GlobalAcceptance(rule) if mode == "global" else rule,
-    )
-    check_against_literal(spec)
+    # the rule a config builds under either mode name is read round by round
+    check_against_literal(config_spec(trap_name, rule_name, mode, k))
 
 
 class CountingRandomTraps(RandomTraps):
@@ -142,8 +142,7 @@ class CountingPlusTraps(PlusTraps):
         return block
 
 
-@pytest.mark.parametrize("mode", ("per-round", "global"))
-def test_one_block_per_n_per_spec(mode):
+def test_one_block_per_n_per_spec():
     # each (k, n) block is drawn once per spec, for every table, model,
     # strategy and sampler call; a matched rule over other traps draws one
     # block of theirs per n, not one per round
@@ -152,7 +151,7 @@ def test_one_block_per_n_per_spec(mode):
     for rule in (matched_acceptance(traps), matched_acceptance(other), plus_acceptance()):
         traps.calls.clear()
         other.calls.clear()
-        spec = ProtocolSpec(omega, 1, traps, GlobalAcceptance(rule) if mode == "global" else rule)
+        spec = ProtocolSpec(omega, 1, traps, rule)
         for model in SecurityModel:
             for placement in Placement:
                 run_tradeoff_check(spec, model, placement=placement)

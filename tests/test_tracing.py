@@ -6,8 +6,9 @@ metrics. These tests install it around small scenarios and check that it
 installs, counts one outcome-table build per strategy per report row,
 records each Monte-Carlo sampler call's arguments, and leaves report bytes
 unchanged. Every trap family gives its rounds as one ``action`` block per
-row's ``n`` (per-round and global acceptance alike), counted here from the
-outside: one row for round-independent traps, ``n + 1`` for ``random``.
+row's ``n`` (under either acceptance-mode name, which build one rule),
+counted here from the outside: one row for round-independent traps,
+``n + 1`` for ``random``.
 """
 
 import importlib.util

@@ -1,8 +1,8 @@
 """The per-round engine on 2**k vectors against the dense reference path.
 
 The engine reads round factors as overlaps of played trap outputs, applies
-the attack as a phase vector, multiplies a global rule's per-round values,
-and takes the trade-off errors from acceptance probabilities and one
+the attack as a phase vector, multiplies the per-round values of a table
+row, and takes the trade-off errors from acceptance probabilities and one
 overlap. Each is compared here with the dense computation it replaces:
 ``transform_round`` matrices, effect matrices as quadratic forms, the
 joint element (the tensor product of the per-round effects) on the joint
@@ -33,7 +33,6 @@ from cutchoose.families import (
     plus_acceptance,
 )
 from cutchoose.protocol import (
-    GlobalAcceptance,
     ProtocolSpec,
     RoundDistribution,
     TrapGenerator,
@@ -120,10 +119,7 @@ def test_global_power_matches_dense_joint_element(trap_name, effect_name):
         for n in range(1, 8 // k + 1):
             traps = TRAPS[trap_name]()
             rule = EFFECTS[effect_name](traps)
-            spec = ProtocolSpec(
-                omega=RoundDistribution.point_mass(n), k=k, traps=traps,
-                acceptance=GlobalAcceptance(rule),
-            )
+            spec = ProtocolSpec(RoundDistribution.point_mass(n), k, traps, rule)
             for placement in Placement:
                 attack = PhaseAttack(1.1, placement)
                 outs, effects = [], []
