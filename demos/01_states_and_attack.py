@@ -12,13 +12,13 @@ import numpy as np
 
 from cutchoose import (
     attack_operator,
-    numerical_range_min_overlap,
     phase_gate,
     plus_state,
     pure_trace_distance,
     trace_norm,
 )
 from cutchoose.linalg import PureState
+from cutchoose.reference import numerical_range_min_overlap
 
 alpha = math.pi / 2
 print(f"phase rotation at alpha = pi/2:\n{np.round(phase_gate(alpha), 3)}\n")

@@ -17,16 +17,18 @@ from cutchoose import (
     HONEST,
     PhaseAttack,
     bell_test_setup,
-    diamond_distance_pure_search,
-    diamond_distance_unitaries,
     general_tradeoff_check,
     phase_gate,
     plug,
-    random_comb_draw,
     SecurityModel,
 )
 from cutchoose.combs import register_permutation_unitary
-from cutchoose.sampling import random_density
+from cutchoose.reference import (
+    diamond_distance_pure_search,
+    diamond_distance_unitaries,
+    random_comb_draw,
+    random_density,
+)
 
 # --- wiring: five holes on three registers, like a small sequential network
 comb = Comb(

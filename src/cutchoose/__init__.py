@@ -37,8 +37,6 @@ from .states import (
     attack_operator,
     bell_pair,
     computational_basis_state,
-    mix_with_abort,
-    numerical_range_min_overlap,
     phase_gate,
     plus_state,
 )
@@ -77,9 +75,7 @@ from .bounds import (
     ProofStep,
     TradeoffReport,
     epsilon_d_composable,
-    epsilon_d_composable_grid,
     epsilon_d_standalone,
-    epsilon_d_standalone_grid,
     epsilon_h,
     run_tradeoff_check,
     theorem_bound,
@@ -90,12 +86,9 @@ from .combs import (
     GeneralSetup,
     GeneralTest,
     bell_test_setup,
-    diamond_distance_pure_search,
-    diamond_distance_unitaries,
     general_tradeoff_check,
     plug,
     general_test_acceptance,
-    random_comb_draw,
     trivial_parallel_comb,
 )
 from .config import ScenarioConfig, parse_config

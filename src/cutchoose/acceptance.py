@@ -21,14 +21,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .bounds import STEP_TOL, SecurityModel, run_tradeoff_check
-from .combs import (
-    bell_test_setup,
-    diamond_distance_pure_search,
-    diamond_distance_unitaries,
-    general_tradeoff_check,
-    random_comb_draw,
-    round_outcome_table_via_combs,
-)
+from .combs import bell_test_setup, general_tradeoff_check
 from .families import (
     ComputationalTraps,
     PlusTraps,
@@ -45,7 +38,6 @@ from .linalg import (
     tol_text,
     trace_norm,
 )
-from .optimize import scan_unit_interval
 from .protocol import (
     ProtocolSpec,
     RoundDistribution,
@@ -53,8 +45,16 @@ from .protocol import (
     overall_acceptance,
     round_outcome_table,
 )
-from .sampling import random_complex_gaussian
-from .states import numerical_range_min_overlap, phase_gate
+from .reference import (
+    diamond_distance_pure_search,
+    diamond_distance_unitaries,
+    numerical_range_min_overlap,
+    random_comb_draw,
+    random_complex_gaussian,
+    round_outcome_table_via_combs,
+    scan_unit_interval,
+)
+from .states import phase_gate
 from .strategies import HONEST, PhaseAttack, Placement
 
 

@@ -11,16 +11,16 @@ abort-extended space:
 Both security errors are computed in closed form from the block structure
 (plus the ``max_p (sqrt(p) a + sqrt(1-p) b)^2 = a^2 + b^2`` identity for
 fidelity and the triangle inequality for trace distance). An independent
-grid search over the mixing weight is kept as the reference; tests require
-agreement to 1e-6. Trade-off checks run the honest and attacked protocol,
-evaluate every intermediate inequality of the bound derivation, and report
-pass/fail per step.
+grid search over the mixing weight (``reference``'s ``epsilon_d_*_grid``) is
+the reference; tests require agreement to 1e-6. Trade-off checks run the
+honest and attacked protocol, evaluate every intermediate inequality of the
+bound derivation, and report pass/fail per step.
 
 In a trade-off check every payload is pure, so :func:`certify_tradeoff`
 reads the errors off the acceptance probabilities and one overlap of
 ``2**k`` vectors. The dense functions on :class:`AbortExtendedState`
 (:func:`epsilon_h`, :func:`epsilon_d_standalone`, :func:`epsilon_d_composable`
-and the grids) are the reference the tests compare it against.
+and ``reference``'s grids) are the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .linalg import DensityOperator, fidelity, fidelity_psd, trace_norm
-from .optimize import scan_unit_interval
 from .protocol import (
     ProtocolSpec,
     RoundOutcomeTable,
     round_outcome_table,
 )
-from .states import ACCEPT_FLOOR, AbortExtendedState, attack_phases, mix_with_abort, plus_state
+from .states import ACCEPT_FLOOR, AbortExtendedState, attack_phases, plus_state
 from .strategies import (
     HONEST,
     PhaseAttack,
@@ -64,7 +63,7 @@ def _check_dims(rho: AbortExtendedState, target: DensityOperator):
 def epsilon_h(rho_h: AbortExtendedState, target: DensityOperator, model: SecurityModel) -> float:
     """Correctness error of an honest-run output against the ideal output."""
     _check_dims(rho_h, target)
-    ideal = mix_with_abort(target, 1.0)
+    ideal = AbortExtendedState(1.0, target)
     if model is SecurityModel.STAND_ALONE:
         return max(0.0, 1.0 - fidelity_psd(rho_h.matrix, ideal.matrix))
     return 0.5 * trace_norm(rho_h.matrix - ideal.matrix)
@@ -85,21 +84,6 @@ def epsilon_d_standalone(rho_d: AbortExtendedState, target: DensityOperator) -> 
     return max(0.0, p_acc * (1.0 - fidelity(payload, target)))
 
 
-def _mixtures(target: DensityOperator, ps) -> np.ndarray:
-    """p*target ⊕ (1-p)*reject for each p of ``ps``, as a stack of matrices."""
-    p = np.asarray(ps)[..., None, None]
-    return p * mix_with_abort(target, 1.0).matrix + (1.0 - p) * mix_with_abort(target, 0.0).matrix
-
-
-def epsilon_d_standalone_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
-    """Independent evaluation of the same quantity by scanning p."""
-    _check_dims(rho_d, target)
-    _, (best,) = scan_unit_interval(
-        lambda ps: fidelity_psd(rho_d.matrix, _mixtures(target, ps)), minimize=False
-    )
-    return max(0.0, 1.0 - min(1.0, float(best)))
-
-
 def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> float:
     """Security error min_p (1/2)||rho_d - (p*target ⊕ (1-p)*reject)||_1, closed form.
 
@@ -114,15 +98,6 @@ def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> 
     if payload is None:
         return 0.0
     return p_acc * 0.5 * trace_norm(payload.matrix - target.matrix)
-
-
-def epsilon_d_composable_grid(rho_d: AbortExtendedState, target: DensityOperator) -> float:
-    """Independent evaluation of the same quantity by scanning p."""
-    _check_dims(rho_d, target)
-    _, (best,) = scan_unit_interval(
-        lambda ps: 0.5 * trace_norm(rho_d.matrix - _mixtures(target, ps)), minimize=True
-    )
-    return max(0.0, float(best))
 
 
 def theorem_bound(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:

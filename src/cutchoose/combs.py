@@ -1,4 +1,4 @@
-"""General test networks: combs with memory, channel plugging, diamond distance.
+"""General test networks: combs with memory and channel plugging.
 
 A test network intertwines the n delegated test computations with n + 1
 fixed operations (teeth) connected through memory registers: each hole acts
@@ -16,7 +16,9 @@ their left and right axes side by side, and each step is one matrix product
 of its Liouville form ``Σ K ⊗ K̄`` on a reshaped view. Cost is linear in the
 hole count; :func:`plug` composes the dense network and is the
 reference. Everything is capped at a total dimension of 256: the bounds
-being certified are dimension-independent.
+being certified are dimension-independent. The per-round protocol through
+this engine, the diamond distances and the seeded random setups that check
+it are in ``reference``.
 """
 
 from __future__ import annotations
@@ -36,19 +38,14 @@ from .errors import (
 )
 from .linalg import (COMB_DIM_CAP, IDENTITY_TOL, DensityOperator, PureState, dagger,
                      require_unitary, tol_text)
-from .optimize import scan_unit_interval
 from .protocol import (
     OutputRound,
-    ProtocolSpec,
     RoundDistribution,
     RoundOutcomeTable,
     outcome_table,
-    action_unitary,
-    receive_rounds,
     require_output_round,
     snap_probability,
 )
-from .sampling import random_density, random_povm_effect, random_unitary
 from .states import (Effect, PovmElement, RankOneEffect, attack_phases, bell_pair,
                      computational_basis_state, plus_state)
 from .strategies import (
@@ -464,6 +461,13 @@ def _tooth(doc: dict | None) -> Tooth | None:
     return Tooth(perm, doc.get("channel"), qubit, doc.get("strength"))
 
 
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def custom_test_setup(setup: dict) -> GeneralSetup:
     """General setup (k = 1) for a normalized ``custom`` setup document, with
     one hole per entry of its ``hole_registers``. Its teeth and hole registers
@@ -505,117 +509,6 @@ def custom_test_setup(setup: dict) -> GeneralSetup:
     return _point_mass_setup(GeneralTest(chi, unitaries, mu), comb)
 
 
-def round_outcome_table_via_combs(
-    spec: ProtocolSpec, strategy: ServerStrategy
-) -> RoundOutcomeTable:
-    """The per-round protocol's (n, ell) table through the general engine, the
-    reference for ``protocol.round_outcome_table``. Each n's rounds are
-    received once; each round plays the unitary that :func:`action_unitary`
-    builds from its checked action (the identity for identity traps) and the
-    projector onto its effect, and output round ell leaves the other n rounds
-    as one joint test on a parallel comb."""
-    def per_ell(n):
-        rounds = [(chi, np.outer(e, e.conj()), action_unitary(chi, h, e, g))
-                  for chi, h, e, g in zip(*receive_rounds(spec, n))]
-        if len(rounds) == 1:  # round-independent: one row stands for every round
-            rounds *= n + 1
-        comb, row = trivial_parallel_comb(n, k=spec.k, y_dim=1), []
-        for ell in range(1, n + 2):
-            tests = rounds[:ell - 1] + rounds[ell:]
-            chi_vec, joint = np.ones(1, dtype=np.complex128), np.eye(1, dtype=np.complex128)
-            for chi, effect, _ in tests:
-                chi_vec, joint = np.kron(chi_vec, chi), np.kron(joint, effect)
-            unitaries = tuple(u for _, _, u in tests)
-            test = GeneralTest(PureState(chi_vec), unitaries, PovmElement(joint))
-            row.append(general_test_acceptance(test, comb, strategy))
-        return row
-
-    return outcome_table(spec.omega, spec.output_round, per_ell)
-
-
-def _unitary_pair(u, v, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Both arguments as finite unitaries of one dim, within ``VALIDATION_TOL``; with
-    ``stack``, stacks ``(..., d, d)`` whose leading axes broadcast."""
-    um = require_unitary(u, "first argument", stack=stack)
-    vm = require_unitary(v, "second argument", um.shape[-1], stack=stack)
-    try:
-        np.broadcast_shapes(um.shape, vm.shape)
-    except ValueError:
-        raise ContractViolationError(f"stacks of shapes {um.shape} and {vm.shape} do not broadcast") from None
-    return um, vm
-
-
-def diamond_distance_unitaries(u, v) -> float:
-    """Half diamond distance between two unitary channels.
-
-    For unitaries the value is sqrt(1 - nu^2) where nu is the distance from
-    the origin to the convex hull of the spectrum of u†v. The hull of points
-    on the unit circle contains the origin iff no arc gap exceeds pi;
-    otherwise the nearest hull point lies on the chord closing the largest
-    gap, at distance cos(spread / 2) for spread = 2*pi - largest gap.
-    """
-    um, vm = _unitary_pair(u, v)
-    eigs = np.linalg.eigvals(dagger(um) @ vm)
-    angles = np.sort(np.angle(eigs))
-    gaps = np.append(np.diff(angles), angles[0] + 2.0 * math.pi - angles[-1])
-    largest = float(gaps.max())
-    if largest <= math.pi:
-        return 1.0
-    nu = math.cos((2.0 * math.pi - largest) / 2.0)
-    return math.sqrt(max(0.0, 1.0 - nu * nu))
-
-
-_SEARCH_STACK = 2**14  # matrices per eigvalsh call: 4 MB at 2x2 pairs
-
-
-def diamond_distance_pure_search(u, v):
-    """Independent estimate: the smallest output overlap |<z|Mz>| over unit
-    inputs z, for M = u†v ⊗ 1 on the input extended by a same-sized reference.
-
-    That minimum is the distance nu from 0 to the numerical range of M, which
-    is convex (Toeplitz–Hausdorff), so nu = max(0, max_θ λ_min(Re(e^{-iθ} M))).
-    The maximum is found by a grid scan over θ/2π refined by zooming grids,
-    whose ``(B, 33)`` probes give one row per pair.
-    The argument holds for any matrix and uses only Hermitian eigenvalues of
-    rotated parts, while :func:`diamond_distance_unitaries` reads the
-    spectrum of u†v and relies on it being normal: the two are independent.
-
-    ``u``, ``v``: one pair of unitaries, or stacks ``(..., d, d)`` whose
-    leading axes broadcast; all pairs are scanned together. One pair gives a
-    float, stacks an array, each value the one its pair gets alone.
-    """
-    um, vm = _unitary_pair(u, v, stack=True)
-    d = um.shape[-1]
-    # every caller passes 2x2; at 4x4 a stack holds up to one pair's whole grid,
-    # 10,000 16x16 matrices or 41 MB
-    if d > 4:
-        raise DimensionCapError(f"pure-state search takes at most 4x4, got {d}x{d}")
-    w = dagger(um) @ vm
-    m = np.kron(w, np.eye(d, dtype=np.complex128)).reshape(-1, d * d, d * d)
-    # Re(e^{-iθ} M) = cos θ h1 + sin θ h2 for the Hermitian parts of M, as
-    # real (2, 2 D²) rows, so each block's rotated parts are one matrix product
-    parts = np.stack([m + dagger(m), (m - dagger(m)) * -1j], axis=1) / 2.0
-    parts = parts.reshape(len(m), 2, -1).view(np.float64)
-
-    def lowest(ts):
-        theta = 2.0 * math.pi * ts
-        trig = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        trig = np.broadcast_to(trig, (len(m),) + trig.shape[1:])
-        out = np.empty(trig.shape[:2])
-        step = max(1, _SEARCH_STACK // trig.shape[1])
-        shape = (-1, trig.shape[1]) + m.shape[1:]
-        for j in range(0, len(m), step):
-            rotated = (trig[j:j + step] @ parts[j:j + step]).view(np.complex128).reshape(shape)
-            out[j:j + step] = np.linalg.eigvalsh(rotated)[..., 0]
-            del rotated  # one stack alive at a time
-        return out
-
-    _, best = scan_unit_interval(lowest, minimize=False)
-    nu = np.maximum(0.0, best)
-    dist = np.sqrt(np.maximum(0.0, 1.0 - nu**2)).reshape(w.shape[:-2])
-    return float(dist) if dist.ndim == 0 else dist
-
-
 def general_tradeoff_check(
     model: SecurityModel,
     setup: GeneralSetup,
@@ -627,65 +520,3 @@ def general_tradeoff_check(
         model, ProtocolVariant.GENERAL_TESTS, alpha_override, placement,
         setup.k, setup.outcome_table,
     )
-
-
-class RandomCombDraw(NamedTuple):
-    setup: GeneralSetup
-    alpha: float
-    placement: Placement
-
-
-def random_comb_draw(seed: int) -> RandomCombDraw:
-    """Seeded random general setup with k = 1 and at most 3 test rounds: round
-    distribution, wiring, teeth (wire permutations, dephasing, depolarizing),
-    entangled test states, random unitary sequences, and a random acceptance
-    effect."""
-    max_rounds, k = 3, 1
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, max_rounds + 1))
-    ns = sorted(int(x) for x in rng.choice(max_rounds + 1, size=size, replace=False))
-    if all(n == 0 for n in ns):
-        ns = sorted(set(ns) | {int(rng.integers(1, max_rounds + 1))})
-    probs = rng.dirichlet(np.ones(len(ns)))
-    omega = RoundDistribution.from_pairs(zip(ns, probs))
-    output_round: dict[int, tuple[float, ...]] = {}
-    tests: dict[int, GeneralTest] = {}
-    combs: dict[tuple[int, int], Comb] = {}
-    d = 2**k
-
-    def random_tooth(width: int) -> Tooth | None:
-        kind = int(rng.integers(0, 4))
-        if kind == 0:
-            return None
-        if kind == 1:
-            return Tooth(tuple(int(p) for p in rng.permutation(width)), None, None, None)
-        qubit = int(rng.integers(0, width * k))
-        strength = float(rng.uniform(0.0, 1.0))
-        # kinds 2 and 3 are the palette in table order: dephasing, depolarizing
-        return Tooth(None, list(NOISE_CHANNELS)[kind - 2], qubit, strength)
-
-    for n in ns:
-        if n == 0:
-            continue
-        output_round[n] = tuple(rng.dirichlet(np.ones(n + 1)))
-        width = int(rng.integers(1, min(n, 2) + 1))
-        y_dim = int(2 ** rng.integers(0, 2))
-        full_dim = d**width * y_dim
-        chi = random_density(full_dim, rng)
-        unitaries = tuple(random_unitary(d, rng) for _ in range(n))
-        mu = PovmElement(random_povm_effect(full_dim, rng))
-        tests[n] = GeneralTest(chi, unitaries, mu)
-        hole_regs = tuple(int(x) for x in rng.integers(0, width, size=n))
-        for ell in range(1, n + 2):
-            combs[(n, ell)] = Comb(
-                n_holes=n,
-                k=k,
-                width=width,
-                y_dim=y_dim,
-                hole_registers=hole_regs,
-                teeth=tuple(random_tooth(width) for _ in range(n + 1)),
-            )
-    setup = GeneralSetup(omega=omega, k=k, tests=tests, combs=combs, output_round=output_round)
-    alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-    placement = Placement.POST if rng.integers(0, 2) == 0 else Placement.PRE
-    return RandomCombDraw(setup, alpha, placement)

@@ -41,10 +41,10 @@ effects. The client accepts iff every test round passes: a joint
 measurement on all test outputs that accepts iff every trap passes is the
 tensor product of these effects, so it is this rule. The dense path
 (``transform_round``, effect rows as projectors, ``client_output_state`` and
-``combs.round_outcome_table_via_combs``, which plays each round as
-``action_unitary`` of its action) is the reference the tests compare
-against; the gate compares the last with ``round_outcome_table`` cell by
-cell. The benchmark's tracer (``perfbench/spans.py``) hooks
+``reference.round_outcome_table_via_combs``, which plays each round as
+``reference.action_unitary`` of its action) is the reference the tests
+compare against; the gate compares the last with ``round_outcome_table``
+cell by cell. The benchmark's tracer (``perfbench/spans.py``) hooks
 ``round_outcome_table``, ``overall_acceptance``, ``client_output_state``
 and ``monte_carlo_run`` (binding its parameters ``spec``, ``trials`` and
 ``seed`` by name) by name.
@@ -74,7 +74,7 @@ from .linalg import (
     dagger,
     tol_text,
 )
-from .states import AbortExtendedState, attack_phases, mix_with_abort
+from .states import AbortExtendedState, attack_phases
 from .strategies import (
     Honest,
     Placement,
@@ -269,23 +269,6 @@ def receive_action(
     return chi, h, e, g
 
 
-def action_unitary(chi: np.ndarray, h: np.ndarray, e: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """A unitary with ``U chi = h`` and ``U g = e``, for one round that passes
-    :func:`receive_action`: the product of two reflections
-    ``I - v v^dagger / <v|x>``, ``v = x - y``, each unitary and mapping ``x``
-    to ``y`` when ``|x| = |y|`` (Householder). The second maps the first's
-    image of ``g`` to ``e`` and fixes ``h``. O(d^2): the dense reference's
-    matrix for a round known by its action; the identity for identity rounds."""
-    u = np.eye(chi.shape[0], dtype=np.complex128)
-    for x, y in ((chi, h), (None, e)):
-        x = u @ g if x is None else x
-        v = x - y
-        c = np.vdot(v, x)
-        if c:
-            u -= np.outer(v / c, np.conj(v) @ u)
-    return u
-
-
 def receive_rounds(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
     """n's rounds under the spec's rule as checked ``(r, 2**k)`` arrays
     ``(chi, h, e, g)``: one row if traps and effects are round-independent,
@@ -434,12 +417,11 @@ def client_output_state(
         raise ContractViolationError(f"input state has dim {input_state.dim}, expected {2**k}")
     applied = transform_round(strategy, target_unitary, k)
     payload = DensityOperator(applied @ input_state.matrix @ dagger(applied))
-    return mix_with_abort(payload, overall_acceptance(spec, strategy))
+    return AbortExtendedState(overall_acceptance(spec, strategy), payload)
 
 
 class MonteCarloResult(NamedTuple):
     accept_rate: float
-    abort_rate: float
 
 
 def monte_carlo_run(
@@ -490,7 +472,7 @@ def monte_carlo_run(
         ells = np.repeat(np.arange(n + 1), _counts(rng, m, w))  # sorted: runs are exchangeable
         factors = np.stack([_round_factors(spec, s, n) for s in strategies])
         accepted += m - _rejected_runs(rng, ells, factors)
-    return tuple(MonteCarloResult(a / trials, 1.0 - a / trials) for a in accepted.tolist())
+    return tuple(MonteCarloResult(a / int(trials)) for a in accepted.tolist())
 
 
 def _counts(rng: np.random.Generator, size: int, probs) -> np.ndarray:

@@ -9,7 +9,8 @@ A protocol output is an (acceptance weight, payload) pair. Its dense form
 realizes the rejection symbol as an explicit extra Hilbert-space dimension
 (``2**k + 1``, last basis direction), so fidelity and trace-distance formulas
 apply verbatim to protocol outputs; it is assembled only where a distance
-needs it.
+needs it. The numerical-range search for the phase attack's smallest
+overlap over pure states is in ``reference``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, OutOfDomainError
+from .errors import OutOfDomainError
 from .linalg import (
     DIM_CAP,
     VALIDATION_TOL,
@@ -28,7 +29,6 @@ from .linalg import (
     as_square_matrix,
     require_operator,
 )
-from .optimize import refine
 
 
 def phase_gate(alpha: float) -> np.ndarray:
@@ -131,7 +131,6 @@ Effect = PovmElement | RankOneEffect
 
 # accept weights at or below this leave no payload (AbortExtendedState.payload)
 ACCEPT_FLOOR = 1e-12
-_RANGE_TOL = 1e-9  # width to which numerical_range_min_overlap refines its weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,51 +165,3 @@ class AbortExtendedState:
     def payload(self) -> DensityOperator | None:
         """Normalized payload state, or None if the accept weight vanishes."""
         return self.payload_state if self.accept_weight > ACCEPT_FLOOR else None
-
-
-def mix_with_abort(payload: DensityOperator, p_accept: float) -> AbortExtendedState:
-    """p * payload on the payload block, 1-p on the rejection direction."""
-    return AbortExtendedState(float(p_accept), payload)
-
-
-def segment_modulus_sq(lam, alpha):
-    """|lam * 1 + (1-lam) * e^{i alpha}|^2 on the eigenvalue segment, elementwise."""
-    lam = np.asarray(lam, dtype=float)
-    return lam**2 + (1.0 - lam) ** 2 + 2.0 * lam * (1.0 - lam) * np.cos(alpha)
-
-
-def numerical_range_min_overlap(alpha, trials: int = 64, seed=0):
-    """Minimum of |<u| (1 ⊗ P(alpha)) |u>|^2 over pure states.
-
-    Random pure states seed the search; the operator has the two-point
-    spectrum {1, e^{i alpha}}, so every value equals the segment objective at
-    lam = (weight on the 1-eigenspace), and the refinement zooms on lam in
-    [0, 1] within 1/2 of the best sample, where that objective is convex. The
-    raw sampled minimum is kept as a cross-check upper bound. Arrays of
-    ``alpha`` and ``seed`` (broadcast together) give an array of minima, each
-    its scalar call's, refined in lockstep.
-    """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise OutOfDomainError(f"trials must be an integer >= 1, got {trials!r}")
-    alpha, seed = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(seed))
-    if not np.all(np.isfinite(alpha)):
-        raise OutOfDomainError(f"alpha must be finite, got {alpha[~np.isfinite(alpha)][0]}")
-    # per seed, one draw in the order of per-state draws: real parts, then imaginary parts
-    g = np.empty((seed.size, trials, 2, 4))
-    for s, out in zip(seed.flat, g):
-        np.random.default_rng(s).standard_normal(out=out)
-    g = g.reshape(seed.shape + (trials, 2, 4))
-    # squared norms summed as np.linalg.norm sums one state's: real, then imaginary
-    norms = np.sqrt(np.einsum("...ij,...ij->...i", g, g).sum(axis=-1))
-    weights = np.abs((g[..., 0, :] + 1j * g[..., 1, :]) / norms[..., None]) ** 2
-    # 1 ⊗ P(alpha) is diagonal: phase 1 on even components (the weight lam on
-    # its 1-eigenspace), e^{i alpha} on odd ones
-    lam, rest = weights[..., ::2].sum(axis=-1), weights[..., 1::2].sum(axis=-1)
-    vals = np.abs(lam + np.exp(1j * alpha)[..., None] * rest) ** 2
-    best = vals.min(axis=-1)
-    best_lam = np.take_along_axis(lam, vals.argmin(axis=-1)[..., None], axis=-1)[..., 0]
-    lo, hi = np.maximum(0.0, best_lam - 0.5), np.minimum(1.0, best_lam + 0.5)
-    _, refined = refine(lambda t: segment_modulus_sq(t, alpha.reshape(-1, 1)),
-                        lo, hi, tol=_RANGE_TOL)
-    found = np.minimum(best, refined)
-    return float(found) if found.ndim == 0 else found

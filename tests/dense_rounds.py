@@ -3,13 +3,14 @@
 A trap family is its action: ``receive_rounds(spec, n)`` gives each round
 as a checked row ``(chi, h, e, g)``, and the dense reference plays the
 matrix ``action_unitary`` builds from that row (the identity for an
-identity round), as ``combs`` does. A round's effect is read from the rule's
+identity round), as ``reference`` does. A round's effect is read from the rule's
 own block, not through the engine's check of it.
 """
 
 import numpy as np
 
-from cutchoose.protocol import action_unitary, receive_rounds
+from cutchoose.protocol import receive_rounds
+from cutchoose.reference import action_unitary
 
 
 def played(spec, n, i):

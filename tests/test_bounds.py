@@ -7,9 +7,7 @@ import pytest
 from cutchoose.bounds import (
     PROOF_STEP_NAMES,
     epsilon_d_composable,
-    epsilon_d_composable_grid,
     epsilon_d_standalone,
-    epsilon_d_standalone_grid,
     epsilon_h,
     run_tradeoff_check,
     theorem_bound,
@@ -24,18 +22,24 @@ from cutchoose.families import (
     plus_acceptance,
 )
 from cutchoose.linalg import DensityOperator
-from cutchoose import optimize
-from cutchoose.optimize import refine, scan_unit_interval
 from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
     client_output_state,
 )
-from cutchoose.sampling import random_density, random_pure_state
+from cutchoose import reference
+from cutchoose.reference import (
+    epsilon_d_composable_grid,
+    epsilon_d_standalone_grid,
+    random_density,
+    random_pure_state,
+    refine,
+    scan_unit_interval,
+)
 from cutchoose.states import (
+    AbortExtendedState,
     attack_operator,
     computational_basis_state,
-    mix_with_abort,
     plus_state,
 )
 from cutchoose.strategies import (
@@ -53,7 +57,7 @@ def attacked_output(alpha, p_accept, k=1):
     psi = plus_state(k)
     a = attack_operator(alpha, k)
     payload = DensityOperator(np.outer(a @ psi.amplitudes, (a @ psi.amplitudes).conj()))
-    return mix_with_abort(payload, p_accept)
+    return AbortExtendedState(p_accept, payload)
 
 
 def plus_spec(n, k=1):
@@ -66,25 +70,25 @@ def plus_spec(n, k=1):
 class TestEpsilonH:
     def test_perfect_run_both_models(self):
         target = plus_state(1).density()
-        rho = mix_with_abort(target, 1.0)
+        rho = AbortExtendedState(1.0, target)
         for model in SecurityModel:
             assert epsilon_h(rho, target, model) == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_acceptance(self):
         target = plus_state(1).density()
-        rho = mix_with_abort(target, 0.9)
+        rho = AbortExtendedState(0.9, target)
         for model in SecurityModel:
             assert epsilon_h(rho, target, model) == pytest.approx(0.1, abs=1e-10)
 
     def test_orthogonal_payload(self):
         target = computational_basis_state(1).density()
-        rho = mix_with_abort(computational_basis_state(1, index=1).density(), 1.0)
+        rho = AbortExtendedState(1.0, computational_basis_state(1, index=1).density())
         for model in SecurityModel:
             assert epsilon_h(rho, target, model) == pytest.approx(1.0, abs=1e-10)
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractViolationError):
-            epsilon_h(mix_with_abort(plus_state(2).density(), 1.0),
+            epsilon_h(AbortExtendedState(1.0, plus_state(2).density()),
                       plus_state(1).density(), SecurityModel.STAND_ALONE)
 
 
@@ -100,11 +104,11 @@ class TestEpsilonDStandAlone:
     def test_zero_for_exact_mixture(self):
         target = plus_state(1).density()
         for p in (0.0, 0.3, 1.0):
-            rho = mix_with_abort(target, p)
+            rho = AbortExtendedState(p, target)
             assert epsilon_d_standalone(rho, target) == pytest.approx(0.0, abs=1e-12)
 
     def test_always_abort(self):
-        rho = mix_with_abort(plus_state(1).density(), 0.0)
+        rho = AbortExtendedState(0.0, plus_state(1).density())
         assert epsilon_d_standalone(rho, computational_basis_state(1).density()) == 0.0
 
     def test_grid_agreement(self):
@@ -113,7 +117,7 @@ class TestEpsilonDStandAlone:
             k = int(rng.integers(1, 3))
             payload = random_density(2**k, rng)
             target = random_density(2**k, rng)
-            rho = mix_with_abort(payload, float(rng.uniform(0, 1)))
+            rho = AbortExtendedState(float(rng.uniform(0, 1)), payload)
             closed = epsilon_d_standalone(rho, target)
             grid = epsilon_d_standalone_grid(rho, target)
             assert abs(closed - grid) <= 1e-6
@@ -130,7 +134,7 @@ class TestEpsilonDComposable:
 
     def test_zero_for_exact_mixture(self):
         target = plus_state(1).density()
-        rho = mix_with_abort(target, 0.3)
+        rho = AbortExtendedState(0.3, target)
         assert epsilon_d_composable(rho, target) == pytest.approx(0.0, abs=1e-10)
 
     def test_trivial_attack(self):
@@ -146,7 +150,7 @@ class TestEpsilonDComposable:
         m = payload.matrix
         assert np.trace(m @ m).real < 1.0 - 1e-9  # mixed
         target = plus_state(1).density()
-        rho = mix_with_abort(payload, 0.65)
+        rho = AbortExtendedState(0.65, payload)
         got = epsilon_d_composable(rho, target)
         # block split of the trace distance, minimized at p = accept weight
         from cutchoose.linalg import trace_norm
@@ -165,7 +169,7 @@ class TestEpsilonDComposable:
             (random_density(d, rng), random_density(d, rng)) for d in (2, 4) for _ in range(10)
         ]
         for payload, target in cases:
-            rho = mix_with_abort(payload, float(rng.uniform(0, 1)))
+            rho = AbortExtendedState(float(rng.uniform(0, 1)), payload)
             assert abs(
                 epsilon_d_composable(rho, target) - epsilon_d_composable_grid(rho, target)
             ) <= 1e-6
@@ -280,7 +284,7 @@ class TestLockstepOptimizer:
         # of [0.45, 0.55], across many small blocks: the first of them wins
         f = lambda ps: sign * np.maximum(np.abs(ps - centers), np.where(centers == 0.5, 0.05, 0.0))
         whole = scan_unit_interval(f, minimize=minimize)
-        monkeypatch.setattr(optimize, "_BLOCK_VALUES", 20)  # blocks of 2 or 3 grid points
+        monkeypatch.setattr(reference, "_BLOCK_VALUES", 20)  # blocks of 2 or 3 grid points
         blocked = scan_unit_interval(f, minimize=minimize)
         assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
         assert 0.4499 <= blocked[0][-1] <= 0.4501 and blocked[1][-1] == sign * 0.05

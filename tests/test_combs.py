@@ -19,14 +19,11 @@ from cutchoose.combs import (
     custom_test_setup,
     dephasing_channel,
     depolarizing_channel,
-    diamond_distance_pure_search,
-    diamond_distance_unitaries,
     general_tradeoff_check,
     plug,
     general_test_acceptance,
-    random_comb_draw,
+    random_unitary,
     register_permutation_unitary,
-    round_outcome_table_via_combs,
     trivial_parallel_comb,
 )
 from cutchoose.config import parse_config
@@ -51,7 +48,14 @@ from cutchoose.protocol import (
     round_outcome_table,
 )
 from cutchoose.report import run_scenario
-from cutchoose.sampling import random_density, random_pure_state, random_unitary
+from cutchoose.reference import (
+    diamond_distance_pure_search,
+    diamond_distance_unitaries,
+    random_comb_draw,
+    random_density,
+    random_pure_state,
+    round_outcome_table_via_combs,
+)
 from cutchoose.states import PovmElement, RankOneEffect, bell_pair, phase_gate
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
 

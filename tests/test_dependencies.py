@@ -39,9 +39,8 @@ def test_runs_without_scipy(tmp_path):
     assert "PASS" in result.stdout
 
 
-ENGINE_MODULES = ("linalg", "states", "strategies", "protocol", "families", "bounds",
-                  "combs", "optimize", "sampling")
-UPPER_LAYERS = {"config", "report", "cli", "acceptance"}
+ENGINE_MODULES = ("linalg", "states", "strategies", "protocol", "families", "bounds", "combs")
+UPPER_LAYERS = {"config", "report", "cli", "acceptance", "reference"}
 
 
 def imported_modules(tree):
@@ -85,16 +84,44 @@ def test_only_linalg_checks_unitarity():
 
 
 def test_only_the_reference_names_action_unitary():
-    # a round's matrix is built only where it is defined (protocol) and where
-    # the dense reference plays it (combs); the engine stays on vectors
-    assert not modules_naming("action_unitary", ("protocol", "combs"))
+    # a round's matrix is built and played only by the dense reference; the
+    # engine stays on vectors
+    assert not modules_naming("action_unitary", ("reference",))
 
 
 def test_only_the_gate_names_the_comb_view():
     # the per-round protocol through the network engine is a reference: it is
-    # defined in combs and read by the gate's cross-engine criterion, and no
-    # production path evaluates through it
-    assert not modules_naming("round_outcome_table_via_combs", ("combs", "acceptance"))
+    # defined in reference and read by the gate's cross-engine criterion, and
+    # no production path evaluates through it
+    assert not modules_naming("round_outcome_table_via_combs", ("reference", "acceptance"))
+
+
+def test_only_the_verifier_names_its_searches_and_draws():
+    # the optimizer, the numerical-range and diamond-distance searches and the
+    # random networks check the engine from outside it: no engine module names them
+    for name in ("scan_unit_interval", "refine", "numerical_range_min_overlap",
+                 "diamond_distance_pure_search", "random_comb_draw"):
+        assert not modules_naming(name, ("reference", "acceptance")), name
+
+
+IMPORTS = """
+import sys
+
+import cutchoose, cutchoose.report, cutchoose.config
+
+print(sorted(m for m in ("cutchoose.reference", "cutchoose.acceptance") if m in sys.modules))
+"""
+
+
+def test_the_report_path_loads_no_verifier(tmp_path):
+    # a report needs the engine only: the gate and its references stay unloaded
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORTS], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_the_per_round_engine_names_no_rank_one_effect():

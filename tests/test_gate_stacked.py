@@ -11,11 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from cutchoose import acceptance, optimize, states
+from cutchoose import acceptance, reference
 from cutchoose.linalg import trace_norm
-from cutchoose.optimize import scan_unit_interval
-from cutchoose.sampling import random_psd, random_pure_state
-from cutchoose.states import numerical_range_min_overlap
+from cutchoose.reference import (numerical_range_min_overlap, random_psd, random_pure_state,
+                                 scan_unit_interval)
 from law import chi2_critical, contingency_chi2, ks_critical, ks_distance
 
 
@@ -204,7 +203,7 @@ class TestMutationsFail:
         ("bracket-middle", ["max_p", "numerical-range"]),
     ], ids=["no-narrowing-round", "bracket-middle"])
     def test_refinement_cut_short(self, monkeypatch, cut, kinds):
-        real = optimize.refine
+        real = reference.refine
 
         def cut_short(f, lo, hi, tol=1e-12, minimize=True):
             if cut == "no-narrowing-round":
@@ -212,8 +211,7 @@ class TestMutationsFail:
             mid = (np.asarray(lo) + hi) / 2.0
             return real(f, mid, mid, tol=tol, minimize=minimize)
 
-        for module in (optimize, states):
-            monkeypatch.setattr(module, "refine", cut_short)
+        monkeypatch.setattr(reference, "refine", cut_short)
         # the failing families, each named with its first failing case; which
         # case fails first is the drawn stream's, not the cut's
         parts = [re.fullmatch(r"(.+) trial \d+: .+", part) for part in self._failure().split("; ")]

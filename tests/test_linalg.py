@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutchoose.combs import Channel, GeneralTest, diamond_distance_unitaries
+from cutchoose.combs import Channel, GeneralTest, random_unitary
 from cutchoose.errors import ContractViolationError, NotPsdError
 from cutchoose.linalg import (
     DensityOperator,
@@ -14,7 +14,8 @@ from cutchoose.linalg import (
     pure_trace_distance,
     trace_norm,
 )
-from cutchoose.sampling import random_density, random_psd, random_pure_state, random_unitary
+from cutchoose.reference import (diamond_distance_unitaries, random_density, random_psd,
+                                 random_pure_state)
 from cutchoose.protocol import TrapGenerator, receive_action
 from cutchoose.states import PovmElement, phase_gate, plus_state
 from cutchoose.strategies import HONEST, transform_round

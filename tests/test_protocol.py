@@ -570,7 +570,11 @@ class TestMonteCarlo:
         spec = plus_spec(RoundDistribution.point_mass(3))
         res = monte_carlo_run(spec, (HONEST,), 10_000, seed=0)[0]
         assert res.accept_rate == 1.0
-        assert res.abort_rate == 0.0
+
+    def test_rates_are_python_floats_for_numpy_trials(self):
+        spec = plus_spec(RoundDistribution.point_mass(2))
+        for res in monte_carlo_run(spec, (HONEST, PhaseAttack(1.0)), np.int64(10), seed=0):
+            assert type(res.accept_rate) is float
 
     def test_attack_rate_within_three_sigma(self):
         spec = plus_spec(RoundDistribution.point_mass(2))

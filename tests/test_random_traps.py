@@ -20,7 +20,8 @@ import pytest
 from cutchoose import protocol
 from cutchoose.errors import OutOfDomainError
 from cutchoose.families import RandomTraps, matched_acceptance, plus_acceptance
-from cutchoose.protocol import ProtocolSpec, RoundDistribution, action_unitary, receive_action
+from cutchoose.protocol import ProtocolSpec, RoundDistribution, receive_action
+from cutchoose.reference import action_unitary
 from cutchoose.states import attack_phases, computational_basis_state, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement
 from dense_rounds import played
@@ -33,7 +34,7 @@ KS_CRITICAL_1PCT = math.sqrt(-math.log(0.005) / 2.0) * math.sqrt(2.0 / DRAWS)
 
 def qr_factors(k, effect, rng):
     """Honest, POST and PRE factors of DRAWS Haar traps by phase-fixed QR
-    (the law of ``sampling.random_unitary``) on Haar inputs."""
+    (the law of ``combs.random_unitary``) on Haar inputs."""
     d = 2**k
     ginibre = rng.standard_normal((DRAWS, d, d)) + 1j * rng.standard_normal((DRAWS, d, d))
     q, r = np.linalg.qr(ginibre)

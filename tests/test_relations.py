@@ -67,9 +67,7 @@ from cutchoose.combs import (
     custom_test_setup,
     general_test_acceptance,
     general_tradeoff_check,
-    random_comb_draw,
     register_permutation_unitary,
-    round_outcome_table_via_combs,
 )
 from cutchoose.errors import OutOfDomainError
 from cutchoose.families import ACCEPTANCE_FAMILIES, TRAP_FAMILIES
@@ -82,6 +80,7 @@ from cutchoose.protocol import (
     overall_acceptance,
     round_outcome_table,
 )
+from cutchoose.reference import random_comb_draw, round_outcome_table_via_combs
 from cutchoose.states import PovmElement, RankOneEffect
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant, SecurityModel
 from law import within_sigmas

@@ -12,7 +12,8 @@ from cutchoose import report as report_module
 from cutchoose import states, strategies
 from cutchoose.bounds import PROOF_STEP_NAMES
 from cutchoose.cli import main
-from cutchoose.combs import bell_test_setup, round_outcome_table_via_combs
+from cutchoose.combs import bell_test_setup
+from cutchoose.reference import round_outcome_table_via_combs
 from cutchoose.config import parse_config, sweep_rows
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.families import (

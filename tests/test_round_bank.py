@@ -24,7 +24,7 @@ import pytest
 from cutchoose import parse_config, protocol, run_scenario
 from cutchoose import report as report_module
 from cutchoose.bounds import run_tradeoff_check
-from cutchoose.combs import round_outcome_table_via_combs
+from cutchoose.reference import round_outcome_table_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
     PlusTraps,

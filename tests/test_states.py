@@ -5,17 +5,15 @@ import pytest
 
 from cutchoose.errors import ContractViolationError, OutOfDomainError
 from cutchoose.linalg import is_unitary
-from cutchoose.sampling import random_density
+from cutchoose.reference import numerical_range_min_overlap, random_density, segment_modulus_sq
 from cutchoose.states import (
+    AbortExtendedState,
     PovmElement,
     attack_operator,
     bell_pair,
     computational_basis_state,
-    mix_with_abort,
-    numerical_range_min_overlap,
     phase_gate,
     plus_state,
-    segment_modulus_sq,
 )
 
 
@@ -93,30 +91,30 @@ class TestPlusState:
 class TestAbortExtension:
     def test_full_weight(self):
         rho = plus_state(1).density()
-        ext = mix_with_abort(rho, 1.0)
+        ext = AbortExtendedState(1.0, rho)
         assert ext.accept_weight == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(ext.payload().matrix, rho.matrix, atol=1e-14)
 
     def test_pure_abort(self):
-        ext = mix_with_abort(plus_state(1).density(), 0.0)
+        ext = AbortExtendedState(0.0, plus_state(1).density())
         assert ext.accept_weight == pytest.approx(0.0, abs=1e-14)
         assert ext.payload() is None
         assert ext.matrix[-1, -1] == pytest.approx(1.0)
 
     def test_quarter_weight(self):
-        ext = mix_with_abort(plus_state(1).density(), 0.25)
+        ext = AbortExtendedState(0.25, plus_state(1).density())
         assert np.trace(ext.matrix[:-1, :-1]).real == pytest.approx(0.25, abs=1e-14)
         assert ext.matrix[-1, -1].real == pytest.approx(0.75, abs=1e-14)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(OutOfDomainError):
-            mix_with_abort(plus_state(1).density(), 1.5)
+            AbortExtendedState(1.5, plus_state(1).density())
 
     def test_matrix_is_block_diagonal(self):
         rng = np.random.default_rng(3)
         payload = random_density(4, rng)
         p = 0.37
-        m = mix_with_abort(payload, p).matrix
+        m = AbortExtendedState(p, payload).matrix
         assert m.shape == (5, 5)
         assert np.all(m[:-1, -1] == 0) and np.all(m[-1, :-1] == 0)
         np.testing.assert_array_equal(m[:-1, :-1], p * payload.matrix)
@@ -131,7 +129,7 @@ class TestAbortExtension:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         for p in (0.0, 0.6, 1.0):
-            ext = mix_with_abort(payload, p)
+            ext = AbortExtendedState(p, payload)
             assert ext.accept_weight == p
             assert ext.payload() is (payload if p > 0 else None)
 

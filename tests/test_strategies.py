@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cutchoose.errors import ContractViolationError, OutOfDomainError, UnsupportedStrategyError
-from cutchoose.sampling import random_pure_state, random_unitary
+from cutchoose.combs import random_unitary
+from cutchoose.reference import random_pure_state
 from cutchoose.states import attack_operator, phase_gate
 from cutchoose.strategies import (
     HONEST,

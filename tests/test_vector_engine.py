@@ -22,7 +22,7 @@ from cutchoose.bounds import (
     epsilon_h,
     run_tradeoff_check,
 )
-from cutchoose.combs import round_outcome_table_via_combs
+from cutchoose.reference import round_outcome_table_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
     ComputationalTraps,
