@@ -11,8 +11,10 @@ The optimizer takes the first optimum of an even grid, in lockstep on
 arrays: :func:`refine` zooms on one bracket per element, and
 :func:`scan_unit_interval` scans for the ``B`` objectives of one function in
 blocks of about ``_BLOCK_VALUES`` values, so memory does not grow with ``B``.
-Every generator takes an explicit ``numpy.random.Generator``, so callers stay
-deterministic.
+:func:`diamond_distance_pure_search` scans the same grid itself, reading
+both ends of each spectrum so that one eigen-solve serves two grid points,
+and hands its first optimum to :func:`refine`. Every generator takes an
+explicit ``numpy.random.Generator``, so callers stay deterministic.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ def diamond_distance_unitaries(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-_SEARCH_STACK = 2**14  # matrices per eigvalsh call: 4 MB at 2x2 pairs
+_SEARCH_STACK = 2**13  # matrices per eigvalsh call: 2 MB at 2x2 pairs
 
 
 def diamond_distance_pure_search(u, v):
@@ -295,8 +297,12 @@ def diamond_distance_pure_search(u, v):
 
     That minimum is the distance nu from 0 to the numerical range of M, which
     is convex (Toeplitz–Hausdorff), so nu = max(0, max_θ λ_min(Re(e^{-iθ} M))).
-    The maximum is found by a grid scan over θ/2π refined by zooming grids,
-    whose ``(B, 33)`` probes give one row per pair.
+    The maximum is found on the grid θ/2π = 0, 1e-4, ..., 1 and refined by
+    zooming grids, whose ``(B, 33)`` probes give one row per pair, as
+    :func:`scan_unit_interval` would. Since Re(e^{-i(θ+π)} M) = -Re(e^{-iθ} M),
+    one eigen-solve on the grid's first half gives λ_min at θ and, as -λ_max,
+    at θ + π: 5,001 solves per pair cover the 10,001 points, and the first
+    grid point with the largest value is the one refined.
     The argument holds for any matrix and uses only Hermitian eigenvalues of
     rotated parts, while :func:`diamond_distance_unitaries` reads the
     spectrum of u†v and relies on it being normal: the two are independent.
@@ -307,32 +313,44 @@ def diamond_distance_pure_search(u, v):
     """
     um, vm = _unitary_pair(u, v, stack=True)
     d = um.shape[-1]
-    # every caller passes 2x2; at 4x4 a stack holds up to one pair's whole grid,
-    # 10,000 16x16 matrices or 41 MB
+    # every caller passes 2x2; at 4x4 a stack holds one pair's half grid,
+    # 5,001 16x16 matrices or 20 MB
     if d > 4:
         raise DimensionCapError(f"pure-state search takes at most 4x4, got {d}x{d}")
     w = dagger(um) @ vm
     m = np.kron(w, np.eye(d, dtype=np.complex128)).reshape(-1, d * d, d * d)
     # Re(e^{-iθ} M) = cos θ h1 + sin θ h2 for the Hermitian parts of M, as
-    # real (2, 2 D²) rows, so each block's rotated parts are one matrix product
+    # real (2, 2 D²) rows, so each stack's rotated parts are one matrix product
     parts = np.stack([m + dagger(m), (m - dagger(m)) * -1j], axis=1) / 2.0
     parts = parts.reshape(len(m), 2, -1).view(np.float64)
 
-    def lowest(ts):
+    def spectra(ts):
+        """Per stack of pairs, its slice and the ascending eigenvalues of
+        Re(e^{-2πit} M) at the ``(1, r)`` or ``(B, r)`` points ``ts``."""
         theta = 2.0 * math.pi * ts
         trig = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         trig = np.broadcast_to(trig, (len(m),) + trig.shape[1:])
-        out = np.empty(trig.shape[:2])
         step = max(1, _SEARCH_STACK // trig.shape[1])
         shape = (-1, trig.shape[1]) + m.shape[1:]
         for j in range(0, len(m), step):
             rotated = (trig[j:j + step] @ parts[j:j + step]).view(np.complex128).reshape(shape)
-            out[j:j + step] = np.linalg.eigvalsh(rotated)[..., 0]
+            eigs = np.linalg.eigvalsh(rotated)
             del rotated  # one stack alive at a time
-        return out
+            yield slice(j, j + step), eigs
 
-    _, best = scan_unit_interval(lowest, minimize=False)
-    nu = np.maximum(0.0, best)
+    xs = np.linspace(0.0, 1.0, _GRID_POINTS)
+    half = _GRID_POINTS // 2  # grid point j + half is θ + π
+    best = np.empty(len(m), dtype=int)
+    for rows, eigs in spectra(xs[None, :half + 1]):
+        vals = np.concatenate([eigs[..., 0], -eigs[:, 1:, -1]], axis=1)
+        bad = ~np.isfinite(vals)
+        if bad.any():  # the first grid point, in grid order, with a non-finite value
+            raise OutOfDomainError(f"objective is not finite at grid point {xs[bad.any(axis=0)][0]}")
+        best[rows] = vals.argmax(axis=1)
+    lo, hi = xs[np.maximum(best - 1, 0)], xs[np.minimum(best + 1, _GRID_POINTS - 1)]
+    _, top = refine(lambda ts: np.concatenate([eigs[..., 0] for _, eigs in spectra(ts)]),
+                    lo, hi, minimize=False)
+    nu = np.maximum(0.0, top)
     dist = np.sqrt(np.maximum(0.0, 1.0 - nu**2)).reshape(w.shape[:-2])
     return float(dist) if dist.ndim == 0 else dist
 

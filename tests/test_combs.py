@@ -400,8 +400,43 @@ class TestDiamondDistance:
         grid = diamond_distance_pure_search(np.eye(2), gates.reshape(5, 10, 2, 2))
         assert grid.shape == (5, 10) and np.array_equal(grid.ravel(), diamond_distance_pure_search(np.eye(2), gates))
 
+    def test_search_finds_an_optimum_past_the_half_turn(self):
+        # for -P(alpha) the best θ lies in (π, 2π); a scan of [0, π] alone
+        # would give about sin(alpha) at alpha = 0.6
+        alphas = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
+        gates = np.stack([phase_gate(a) for a in alphas])
+        flipped = diamond_distance_pure_search(np.eye(2), -gates)
+        assert np.max(np.abs(flipped - np.abs(np.sin(alphas / 2)))) <= 1e-5
+        assert np.max(np.abs(flipped - diamond_distance_pure_search(np.eye(2), gates))) <= 1e-9
+
+    def test_one_eigen_solve_serves_each_antipodal_pair(self, monkeypatch):
+        gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
+        solved, eigvalsh = [0], np.linalg.eigvalsh
+
+        def counting(a):
+            solved[0] += math.prod(np.shape(a)[:-2])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        diamond_distance_pure_search(np.eye(2), gates)
+        # per pair: θ/2π = 0, 1e-4, ..., 0.5, then at most 7 refine rounds of 33 probes
+        assert 0 < solved[0] <= 50 * (5_001 + 7 * 33)
+
+    def test_search_rejects_a_non_finite_grid_value(self, monkeypatch):
+        # only the top of each spectrum is NaN: the first grid point it feeds is θ + π at j = 1
+        eigvalsh = np.linalg.eigvalsh
+
+        def nan_on_top(a):
+            eigs = eigvalsh(a)
+            eigs[..., -1] = np.nan
+            return eigs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", nan_on_top)
+        with pytest.raises(OutOfDomainError, match=r"not finite at grid point 0\.5001$"):
+            diamond_distance_pure_search(np.eye(2), phase_gate(0.6))
+
     def test_fifty_pair_search_peaks_below_6_mb(self):
-        # the grid is scanned in blocks and each eigvalsh stack is freed before the next
+        # each eigvalsh stack, one pair's half grid, is reduced and freed before the next
         gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
         tracemalloc.start()
         try:

@@ -67,6 +67,8 @@ NAN_CASES = {
                     _nan_field("p_d"), "seed 0: gap nan > bound "),
     "diamond/closed-form": ("criterion_diamond_distance", acceptance, "diamond_distance_unitaries",
                             _times_nan, "alpha=0.0000: closed form nan vs 0.0"),
+    "diamond/search": ("criterion_diamond_distance", acceptance, "diamond_distance_pure_search",
+                       _times_nan, "alpha=0.0000: search nan vs 0.0"),
     "concavity/lhs": ("criterion_jensen_step", acceptance, "_concavity_sums", _nan_lhs,
                       "trial 0, c=0.5: lhs nan > rhs "),
     "monte-carlo/exact": ("criterion_monte_carlo", acceptance, "overall_acceptance", _times_nan,

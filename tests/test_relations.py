@@ -45,7 +45,8 @@ The network engine is drawn from ``random_comb_draw`` seeds and from
   unchanged;
 - the theorem: at the prescribed angle, under both models, the report is
   ``satisfied`` and every proof step holds; a mean below the regime's floor
-  raises ``OutOfDomainError``. Bell setups with N <= 4 are checked too.
+  raises ``OutOfDomainError``; at a drawn angle, every step but
+  ``theorem_bound`` holds. Bell setups with N <= 4 are checked too.
 """
 
 import json
@@ -53,7 +54,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from cutchoose import parse_config
 from cutchoose.bounds import acceptance_gap_bound, run_tradeoff_check
@@ -118,6 +119,7 @@ def specs(draw, joint_cap=None):
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi, allow_nan=False)
+nontrivial_angles = angles.filter(lambda a: abs(math.sin(a / 2.0)) > 1e-9)
 placements = st.sampled_from(list(Placement))
 
 
@@ -262,20 +264,31 @@ def test_theorem_on_drawn_protocols(drawn, placement):
                   spec.omega.mean, PER_ROUND_FLOORS)
 
 
-@RELATIONS
-@given(specs(), angles.filter(lambda a: abs(math.sin(a / 2.0)) > 1e-9), placements)
-def test_derivation_holds_at_any_angle(drawn, alpha, placement):
-    # only the last step needs the prescribed angle; the bound needs N > 0
-    _, _, spec = drawn
+def check_derivation(check):
+    """Both models' reports at a drawn angle, ``check(model)``: not the
+    trivial attack, and every proof step holds but ``theorem_bound``, the
+    only one that needs the prescribed angle."""
     for model in SecurityModel:
-        if spec.omega.mean == 0.0:
-            with pytest.raises(OutOfDomainError):
-                run_tradeoff_check(spec, model, alpha_override=alpha, placement=placement)
-            continue
-        report = run_tradeoff_check(spec, model, alpha_override=alpha, placement=placement)
-        assert not report.trivial_attack
+        report = check(model)
+        assert not report.trivial_attack, report
         steps = [step for step in report.proof_steps if step.name != "theorem_bound"]
-        assert all(step.holds for step in steps), steps
+        assert all(step.holds for step in steps), (model, steps)
+
+
+@RELATIONS
+@given(specs(), nontrivial_angles, placements)
+def test_derivation_holds_at_any_angle(drawn, alpha, placement):
+    _, _, spec = drawn
+
+    def check(model):
+        return run_tradeoff_check(spec, model, alpha_override=alpha, placement=placement)
+
+    if spec.omega.mean > 0.0:
+        check_derivation(check)
+        return
+    for model in SecurityModel:  # the bound needs N > 0
+        with pytest.raises(OutOfDomainError):
+            check(model)
 
 
 NETWORKS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -471,3 +484,37 @@ def test_theorem_on_custom_networks(setup, placement):
 def test_theorem_on_bell_setups(n):
     for placement in Placement:
         check_general_theorem(bell_test_setup(n), placement)
+
+
+def check_general_derivation(setup, alpha, placement):
+    """:func:`check_derivation` on a network setup's general-test reports."""
+    check_derivation(lambda model: general_tradeoff_check(
+        model, setup, alpha_override=alpha, placement=placement))
+
+
+# The composable eps_d, p_d sqrt(1 - c) with c = |<psi|A psi>|^2, cancels at
+# small angles: seed 0 at alpha = 1e-8, PRE, gives eps_d = 0.0 against
+# p_d |sin(alpha/2)| = 2.26e-9 in security_floor. Strict, so a fix shows;
+# not shrunk, as the failing draw is known.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="composable eps_d loses its digits below alpha ~ 1e-6")
+@settings(derandomize=True, deadline=None, max_examples=1, phases=[Phase.generate])
+@given(st.data())
+def test_derivation_on_random_networks_at_any_angle(data):
+    for seed in range(40):
+        check_general_derivation(random_comb_draw(seed).setup, data.draw(nontrivial_angles),
+                                 data.draw(placements))
+
+
+@NETWORKS
+@given(custom_setups(), nontrivial_angles, placements)
+def test_derivation_on_custom_networks_at_any_angle(setup, alpha, placement):
+    check_general_derivation(setup, alpha, placement)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(nontrivial_angles)
+def test_derivation_on_bell_setups_at_any_angle(n, alpha):
+    for placement in Placement:
+        check_general_derivation(bell_test_setup(n), alpha, placement)
