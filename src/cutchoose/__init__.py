@@ -42,12 +42,10 @@ from .states import (
 )
 from .strategies import (
     HONEST,
-    Honest,
     PhaseAttack,
     Placement,
     ProtocolVariant,
     SecurityModel,
-    ServerStrategy,
     attack_sine,
     optimal_alpha,
     transform_round,

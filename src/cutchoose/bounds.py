@@ -169,7 +169,7 @@ def certify_tradeoff(
     k: int,
     table,
 ) -> TradeoffReport:
-    """Honest-vs-attacked certification shared by both protocol variants.
+    """The honest-vs-attacked certification shared by both protocol variants.
 
     ``table(strategy)`` builds that strategy's outcome table on ``k``-qubit
     rounds, once per strategy, honest first; ``N`` is the mean of the honest

@@ -53,7 +53,6 @@ from .strategies import (
     Placement,
     ProtocolVariant,
     SecurityModel,
-    ServerStrategy,
     require_supported,
 )
 
@@ -351,7 +350,7 @@ class GeneralTest:
         object.__setattr__(self, "unitaries", unitaries)
 
 
-def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrategy) -> float:
+def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: PhaseAttack) -> float:
     """Acceptance probability of the general test under a server strategy.
 
     The attack is the diagonal ``1 ⊗ diag(1, e^{ia})``, applied to each hole
@@ -367,13 +366,11 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: ServerStrat
             f"measurement has dim {test.measurement.dim}, network expects {full_dim}"
         )
     _check_holes(comb, [u.shape for u in test.unitaries])
-    played = test.unitaries
-    if isinstance(strategy, PhaseAttack):
-        phases = attack_phases(strategy.alpha, comb.k)
-        if strategy.placement is Placement.POST:
-            played = [phases[:, None] * u for u in played]
-        else:
-            played = [u * phases for u in played]
+    phases = attack_phases(strategy.alpha, comb.k)
+    if strategy.placement is Placement.POST:
+        played = [phases[:, None] * u for u in test.unitaries]
+    else:
+        played = [u * phases for u in test.unitaries]
     chi = test.chi
     out = _evolve(comb, played, chi.amplitudes if isinstance(chi, PureState) else chi.matrix)
     # a vector is read as <out|M|out>; M is Hermitian, so Tr(M out) is the Frobenius product
@@ -403,7 +400,7 @@ class GeneralSetup:
                 if key not in getattr(self, name):
                     raise LayoutError(f"general setup has no {name}[{key}]")
 
-    def outcome_table(self, strategy: ServerStrategy) -> RoundOutcomeTable:
+    def outcome_table(self, strategy: PhaseAttack) -> RoundOutcomeTable:
         def per_ell(n):
             # combs compare by identity, so a comb shared across ell is evaluated once
             combs = [self.combs[(n, ell)] for ell in range(1, n + 2)]
@@ -441,7 +438,7 @@ def _point_mass_setup(test: GeneralTest, comb: Comb) -> GeneralSetup:
 def bell_test_setup(n_tests: int) -> GeneralSetup:
     """Each test register is maximally entangled with a kept auxiliary qubit.
 
-    Honest tests are identities checked by the projector onto the entangled
+    The honest tests are identities checked by the projector onto the entangled
     state, which detects a single-qubit phase rotation at the generic rate.
     """
     if n_tests < 1:

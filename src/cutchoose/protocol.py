@@ -32,8 +32,8 @@ stacked ``(r, 2**k)`` arrays ``(chi, h, e, g)``: the inputs, the honest
 outputs ``U chi``, the rank-1 effects and ``U^dagger e`` (matched: ``e = h``,
 ``g = chi``). ``action`` is a trap family's one description of its
 rounds, and no ``U`` is formed or kept. With the attack as a phase vector
-``phi``, a round factor is honest ``|<e|h>|^2``, POST ``|<e|phi h>|^2`` or
-PRE ``|<g|phi chi>|^2``, all rounds in one contraction. The bank lives on the
+``phi``, a round factor is POST ``|<e|phi h>|^2`` or PRE ``|<g|phi chi>|^2``
+(honest: ``phi = 1`` POST, ``|<e|h>|^2``), all rounds in one contraction. The bank lives on the
 spec, so a report row's tables and sampler call share it, and is freed with
 the row. It holds at most ``4 * r * 2**k`` complex numbers: ``r = n + 1``,
 or ``r = 1`` (one factor, broadcast) for round-independent traps and
@@ -75,13 +75,7 @@ from .linalg import (
     tol_text,
 )
 from .states import AbortExtendedState, attack_phases
-from .strategies import (
-    Honest,
-    Placement,
-    ServerStrategy,
-    require_supported,
-    transform_round,
-)
+from .strategies import PhaseAttack, Placement, require_supported, transform_round
 
 # The sampler's sizes. A call holds ``ells`` (8 bytes) and one ``dead`` flag
 # per strategy (1 byte) for each run of a round count: 110 MB at this cap and
@@ -300,16 +294,13 @@ def _bank(spec: ProtocolSpec, n: int) -> tuple[np.ndarray, ...]:
     return spec._bank[n]
 
 
-def _round_factors(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
+def _round_factors(spec: ProtocolSpec, strategy: PhaseAttack, n: int) -> np.ndarray:
     """Per-round acceptance factors <e_i, (transformed T_i)(chi_i)> for i = 1..n+1,
     read from n's bank in one contraction: the attack is a phase vector on the
     honest output (POST) or on the input, read by the pulled-back effect (PRE)."""
     chi, h, e, g = _bank(spec, n)
-    honest = isinstance(strategy, Honest)
-    left, right = (g, chi) if not honest and strategy.placement is Placement.PRE else (e, h)
-    if not honest:
-        right = attack_phases(strategy.alpha, spec.k) * right
-    z = overlaps(left, right)
+    left, right = (g, chi) if strategy.placement is Placement.PRE else (e, h)
+    z = overlaps(left, attack_phases(strategy.alpha, spec.k) * right)
     vals = np.hypot(z.real, z.imag) ** 2  # |z| as scalar abs() gives it; np.abs may differ
     vals = snap_probability(vals, f"round factor (n={n}, i={{}})")
     return vals if vals.size == n + 1 else np.full(n + 1, vals[0])
@@ -337,7 +328,7 @@ def output_round_weights(output_round: OutputRound, n: int) -> np.ndarray:
     return probs
 
 
-def _per_ell(spec: ProtocolSpec, strategy: ServerStrategy, n: int) -> np.ndarray:
+def _per_ell(spec: ProtocolSpec, strategy: PhaseAttack, n: int) -> np.ndarray:
     """Acceptance probability for each output round ell = 1..n+1, for n >= 1."""
     factors = _round_factors(spec, strategy, n)
     m = factors.size
@@ -390,20 +381,20 @@ def outcome_table(
     return RoundOutcomeTable(omega, output_round, tuple(rows))
 
 
-def round_outcome_table(spec: ProtocolSpec, strategy: ServerStrategy) -> RoundOutcomeTable:
+def round_outcome_table(spec: ProtocolSpec, strategy: PhaseAttack) -> RoundOutcomeTable:
     """Acceptance probability per (n, output round) over the support of omega."""
     require_supported(strategy)
     return outcome_table(spec.omega, spec.output_round, lambda n: _per_ell(spec, strategy, n))
 
 
-def overall_acceptance(spec: ProtocolSpec, strategy: ServerStrategy) -> float:
+def overall_acceptance(spec: ProtocolSpec, strategy: PhaseAttack) -> float:
     """Exact acceptance probability, averaged over n and the output round."""
     return round_outcome_table(spec, strategy).acceptance
 
 
 def client_output_state(
     spec: ProtocolSpec,
-    strategy: ServerStrategy,
+    strategy: PhaseAttack,
     input_state: DensityOperator,
     target_unitary,
 ) -> AbortExtendedState:
@@ -425,7 +416,7 @@ class MonteCarloResult(NamedTuple):
 
 
 def monte_carlo_run(
-    spec: ProtocolSpec, strategies: Sequence[ServerStrategy], trials: int, seed: int
+    spec: ProtocolSpec, strategies: Sequence[PhaseAttack], trials: int, seed: int
 ) -> tuple[MonteCarloResult, ...]:
     """Sampled protocol runs, drawn as counts: how many of the ``trials`` runs
     have each n ~ omega (one multinomial draw), then per n how many of its

@@ -33,7 +33,7 @@ from .linalg import (DensityOperator, PureState, dagger, fidelity_psd, require_u
 from .protocol import (ProtocolSpec, RoundDistribution, RoundOutcomeTable, outcome_table,
                        receive_rounds)
 from .states import AbortExtendedState, PovmElement
-from .strategies import Placement, ServerStrategy
+from .strategies import PhaseAttack, Placement
 
 _GRID_POINTS = 10_001  # [0, 1] at step 1e-4, endpoints included
 _BLOCK_VALUES = 2**16  # grid values per block over all objectives: 512 KB
@@ -229,7 +229,7 @@ def action_unitary(chi: np.ndarray, h: np.ndarray, e: np.ndarray, g: np.ndarray)
 
 
 def round_outcome_table_via_combs(
-    spec: ProtocolSpec, strategy: ServerStrategy
+    spec: ProtocolSpec, strategy: PhaseAttack
 ) -> RoundOutcomeTable:
     """The per-round protocol's (n, ell) table through the general engine, the
     reference for ``protocol.round_outcome_table``. Each n's rounds are

@@ -132,7 +132,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     mc_seed = seed_override
     if mc_seed is None:
         mc_seed = monte_carlo["seed"] if monte_carlo is not None else 0
-    # an honest strategy runs as the trivial attack, at the default placement
+    # an honest strategy is the zero-angle attack (HONEST), at the default placement
     placement = Placement(doc["strategy"].get("placement", Placement.POST.value))
     alpha_override = _resolve_alpha_override(doc["strategy"])
     models = [SecurityModel(name) for name in doc["models"]]

@@ -1,9 +1,9 @@
 """Server strategies and the prescribed attack-angle choices.
 
-The strategy set is closed (honest, or a single-qubit phase rotation placed
-before or after each delegated unitary); a closed set keeps every supported
-strategy independent and identically distributed across rounds, which the
-protocol engine relies on.
+A strategy is the phase rotation: a single-qubit phase rotation by an angle
+alpha, placed before or after each delegated unitary; honest is its angle 0
+(``HONEST``). This one family keeps every supported strategy independent and
+identically distributed across rounds, which the protocol engine relies on.
 """
 
 from __future__ import annotations
@@ -37,13 +37,9 @@ class ProtocolVariant(Enum):
 
 
 @dataclass(frozen=True)
-class Honest:
-    """Server follows the protocol exactly."""
-
-
-@dataclass(frozen=True)
 class PhaseAttack:
-    """Phase rotation diag(1, e^{i alpha}) on the last qubit of every round."""
+    """Phase rotation diag(1, e^{i alpha}) on the last qubit of every round;
+    alpha is reduced into [0, 2pi), and alpha = 0 is the honest server."""
 
     alpha: float
     placement: Placement = Placement.POST
@@ -57,28 +53,23 @@ class PhaseAttack:
         object.__setattr__(self, "alpha", alpha % _TWO_PI)
 
 
-ServerStrategy = Honest | PhaseAttack
-
-HONEST = Honest()
+HONEST = PhaseAttack(0.0)  # the server follows the protocol exactly
 
 
 def require_supported(strategy) -> None:
-    if not isinstance(strategy, (Honest, PhaseAttack)):
+    if not isinstance(strategy, PhaseAttack):
         raise UnsupportedStrategyError(
-            f"unsupported server strategy {type(strategy).__name__}; "
-            "supported: Honest, PhaseAttack"
+            f"unsupported server strategy {type(strategy).__name__}; supported: PhaseAttack"
         )
 
 
-def transform_round(strategy: ServerStrategy, delegated_unitary, k: int) -> np.ndarray:
+def transform_round(strategy: PhaseAttack, delegated_unitary, k: int) -> np.ndarray:
     """Unitary the server actually applies in place of the delegated one.
 
     The dense reference: the protocol engine applies the same attack to
     vectors, as the phase vector :func:`states.attack_phases`."""
     require_supported(strategy)
     u = require_unitary(delegated_unitary, "delegated unitary", 2**k)
-    if isinstance(strategy, Honest):
-        return u
     a = attack_operator(strategy.alpha, k)
     if strategy.placement is Placement.POST:
         return a @ u

@@ -10,7 +10,7 @@ from cutchoose.config import ScenarioConfig, parse_config
 from cutchoose.errors import ConfigError
 from cutchoose.protocol import MAX_TRIALS
 from cutchoose.report import emit_bytes, run_scenario
-from cutchoose.strategies import Honest, PhaseAttack, Placement, transform_round
+from cutchoose.strategies import PhaseAttack, Placement, transform_round
 
 
 def minimal_doc(**overrides):
@@ -727,7 +727,7 @@ class TestGoldenCanonicalForm:
             general = custom_test_setup(setup)
             ((n, test),) = general.tests.items()
             comb = general.combs[(n, 1)]
-            for strategy in (Honest(), PhaseAttack(0.9), PhaseAttack(0.9, Placement.PRE)):
+            for strategy in (PhaseAttack(0.0), PhaseAttack(0.9), PhaseAttack(0.9, Placement.PRE)):
                 assert general_test_acceptance(test, comb, strategy) == pytest.approx(
                     plugged_acceptance(test, comb, strategy), abs=1e-10)
 

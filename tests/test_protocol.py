@@ -751,7 +751,8 @@ class TestMonteCarlo:
     def test_rejects_one_strategy_not_in_a_sequence(self):
         spec = plus_spec(RoundDistribution.point_mass(1))
         with pytest.raises(OutOfDomainError, match=r"^monte_carlo_run takes a non-empty sequence "
-                                                   r"of strategies, got Honest\(\)$"):
+                                                   r"of strategies, got PhaseAttack\(alpha=0\.0, "
+                                                   r"placement=<Placement\.POST: 'post'>\)$"):
             monte_carlo_run(spec, HONEST, 10, seed=0)
 
     def test_rejects_zero_trials(self):

@@ -33,7 +33,7 @@ KS_CRITICAL_1PCT = math.sqrt(-math.log(0.005) / 2.0) * math.sqrt(2.0 / DRAWS)
 
 
 def qr_factors(k, effect, rng):
-    """Honest, POST and PRE factors of DRAWS Haar traps by phase-fixed QR
+    """The honest, POST and PRE factors of DRAWS Haar traps by phase-fixed QR
     (the law of ``combs.random_unitary``) on Haar inputs."""
     d = 2**k
     ginibre = rng.standard_normal((DRAWS, d, d)) + 1j * rng.standard_normal((DRAWS, d, d))

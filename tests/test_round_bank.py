@@ -44,7 +44,6 @@ from cutchoose.protocol import (
 from cutchoose.states import attack_phases, plus_state
 from cutchoose.strategies import (
     HONEST,
-    Honest,
     PhaseAttack,
     Placement,
     SecurityModel,
@@ -104,7 +103,7 @@ def check_against_literal(spec):
         for strategy in (HONEST, PhaseAttack(0.4, placement), PhaseAttack(math.pi, placement)):
             got = protocol._round_factors(spec, strategy, N)
             dense, diagonal = literal_factors(spec, strategy, N)
-            if own and isinstance(strategy, Honest):
+            if own and strategy == HONEST:
                 np.testing.assert_array_equal(got, dense)
             elif own and placement is Placement.POST:
                 np.testing.assert_array_equal(got, diagonal)
