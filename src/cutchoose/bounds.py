@@ -17,10 +17,11 @@ honest and attacked protocol, evaluate every intermediate inequality of the
 bound derivation, and report pass/fail per step.
 
 In a trade-off check every payload is pure, so :func:`certify_tradeoff`
-reads the errors off the acceptance probabilities and one overlap of
-``2**k`` vectors. The dense functions on :class:`AbortExtendedState`
-(:func:`epsilon_h`, :func:`epsilon_d_standalone`, :func:`epsilon_d_composable`
-and ``reference``'s grids) are the reference the tests compare it against.
+reads the errors off the acceptance probabilities and the input's weight on
+the entries that the attack rotates. The dense functions on
+:class:`AbortExtendedState` (:func:`epsilon_h`, :func:`epsilon_d_standalone`,
+:func:`epsilon_d_composable` and ``reference``'s grids) are the reference
+the tests compare it against.
 """
 
 from __future__ import annotations
@@ -181,6 +182,9 @@ def certify_tradeoff(
     models. The attacked payload is the pure state ``A psi``; with
     ``c = |<psi|A psi>|^2``, ``eps_d`` is ``p_d (1 - c)`` stand-alone and
     ``p_d sqrt(1 - c)`` composable, and 0 when no payload is accepted.
+    ``A`` multiplies the entries of weight ``w`` by ``e^{i alpha}`` and leaves
+    the rest, so ``1 - c = 4 w (1 - w) sin^2(alpha/2)``, which is
+    ``sin^2(alpha/2)`` for the uniform ``psi``.
     """
     honest_rounds = table(HONEST)
     n_expected = honest_rounds.omega.mean
@@ -192,16 +196,18 @@ def certify_tradeoff(
     p_h, p_d = honest_rounds.acceptance, attacked_rounds.acceptance
 
     eps_h = 1.0 - p_h
-    psi = plus_state(k).amplitudes
-    c = min(1.0, float(abs(np.vdot(psi, attack_phases(alpha, k) * psi))) ** 2)
+    s = math.sin(alpha / 2.0)
+    # 1 - c from the phase groups: by subtraction it cancels at small angles
+    weights = np.abs(plus_state(k).amplitudes) ** 2
+    w = float(weights[attack_phases(alpha, k) != 1.0].sum() / weights.sum())
+    one_minus_c = min(1.0, 4.0 * w * (1.0 - w) * s * s)
     if p_d <= ACCEPT_FLOOR:
         eps_d = 0.0
     elif model is SecurityModel.STAND_ALONE:
-        eps_d = p_d * (1.0 - c)
+        eps_d = p_d * one_minus_c
     else:
-        eps_d = p_d * math.sqrt(1.0 - c)
+        eps_d = p_d * math.sqrt(one_minus_c)
 
-    s = math.sin(alpha / 2.0)
     disturbance = s * s if model is SecurityModel.STAND_ALONE else abs(s)
     gap = abs(p_h - p_d)
     gap_bound = acceptance_gap_bound(variant, alpha, n_expected)

@@ -482,12 +482,11 @@ def custom_test_setup(setup: dict) -> GeneralSetup:
     )
     full_dim = comb.register_dim * comb.y_dim
     if setup["state"] == "plus":
-        chi_vec = plus_state(width * k + y_qubits).amplitudes
+        chi = plus_state(width * k + y_qubits)
     elif setup["state"] == "zero":
-        chi_vec = computational_basis_state(width * k + y_qubits).amplitudes
+        chi = computational_basis_state(width * k + y_qubits)
     else:  # bell-pairs, validated y_qubits == width
-        chi_vec = _bell_pairs_register_major(width)
-    chi = PureState(chi_vec)
+        chi = PureState(_bell_pairs_register_major(width))
 
     if setup["unitaries"] == "identity":
         unitaries = tuple(np.eye(2**k, dtype=np.complex128) for _ in range(n))

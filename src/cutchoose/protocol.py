@@ -33,9 +33,9 @@ outputs ``U chi``, the rank-1 effects and ``U^dagger e`` (matched: ``e = h``,
 ``g = chi``). ``action`` is a trap family's one description of its
 rounds, and no ``U`` is formed or kept. With the attack as a phase vector
 ``phi``, a round factor is POST ``|<e|phi h>|^2`` or PRE ``|<g|phi chi>|^2``
-(honest: ``phi = 1`` POST, ``|<e|h>|^2``), all rounds in one contraction. The bank lives on the
-spec, so a report row's tables and sampler call share it, and is freed with
-the row. It holds at most ``4 * r * 2**k`` complex numbers: ``r = n + 1``,
+(honest: ``phi = 1`` POST, ``|<e|h>|^2``), all rounds in one contraction.
+The bank lives on the spec, so a report row's tables and sampler call share
+it, and is freed with the row. It holds at most ``4 * r * 2**k`` complex numbers: ``r = n + 1``,
 or ``r = 1`` (one factor, broadcast) for round-independent traps and
 effects. The client accepts iff every test round passes: a joint
 measurement on all test outputs that accepts iff every trap passes is the

@@ -50,7 +50,8 @@ class PhaseAttack:
         alpha = float(self.alpha)
         if not math.isfinite(alpha):
             raise OutOfDomainError(f"attack angle alpha must be finite, got {alpha!r}")
-        object.__setattr__(self, "alpha", alpha % _TWO_PI)
+        alpha %= _TWO_PI  # a tiny negative angle rounds up to 2pi itself: angle 0
+        object.__setattr__(self, "alpha", 0.0 if alpha == _TWO_PI else alpha)
 
 
 HONEST = PhaseAttack(0.0)  # the server follows the protocol exactly

@@ -15,9 +15,14 @@ import pytest
 from cutchoose import acceptance
 
 
+def _replaced(**fields):
+    """A wrapper that returns the real report with ``fields`` replaced."""
+    return lambda real: lambda *a, **k: dataclasses.replace(real(*a, **k), **fields)
+
+
 def _nan_field(name):
     """A wrapper that returns the real report with ``name`` set to NaN."""
-    return lambda real: lambda *a, **k: dataclasses.replace(real(*a, **k), **{name: math.nan})
+    return _replaced(**{name: math.nan})
 
 
 def _times_nan(real):
@@ -58,6 +63,8 @@ NAN_CASES = {
                            _nan_field("eps_d"), "N=1: stand-alone sum nan below 1/(7N^2)"),
     "identities/trace_norm": ("criterion_closed_form_identities", acceptance, "trace_norm",
                               _times_nan, "trace-distance trial 0: "),
+    "identities/block-fidelity": ("criterion_closed_form_identities", acceptance, "fidelity_psd",
+                                  _times_nan, "block fidelity trial 0: "),
     "identities/max_p": ("criterion_closed_form_identities", acceptance, "scan_unit_interval",
                          _nan_maxima, "max_p trial 0: "),
     "identities/numerical-range": ("criterion_closed_form_identities", acceptance,
@@ -86,6 +93,35 @@ def test_a_nan_compared_value_fails_its_criterion(monkeypatch, case):
     result = getattr(acceptance, criterion)()
     assert not result.passed
     assert result.detail.startswith(first), result.detail
+
+
+@pytest.mark.parametrize("criterion", ["criterion_stand_alone_tradeoff",
+                                       "criterion_composable_tradeoff"])
+def test_an_unsatisfied_report_fails_its_sweep(monkeypatch, criterion):
+    wrap = _replaced(satisfied=False)
+    monkeypatch.setattr(acceptance, "run_tradeoff_check", wrap(acceptance.run_tradeoff_check))
+    result = getattr(acceptance, criterion)()
+    assert not result.passed
+    assert result.detail == ("N=1: report not satisfied; N=2: report not satisfied; "
+                             "N=5: report not satisfied (+3 more)")
+
+
+def test_a_rerun_that_differs_fails_the_monte_carlo_criterion(monkeypatch):
+    real, calls = acceptance.monte_carlo_run, itertools.count()
+
+    def rerun_one_ulp_up(*a, **k):
+        results = real(*a, **k)
+        if next(calls) % 2:  # each config's second call, with its seed
+            results = tuple(r._replace(accept_rate=math.nextafter(r.accept_rate, 2.0))
+                            for r in results)
+        return results
+
+    monkeypatch.setattr(acceptance, "monte_carlo_run", rerun_one_ulp_up)
+    result = acceptance.criterion_monte_carlo()
+    assert not result.passed
+    assert result.detail == ("config 0: two runs with one seed differ; "
+                             "config 1: two runs with one seed differ; "
+                             "config 2: two runs with one seed differ (+7 more)")
 
 
 def test_the_engines_are_compared_cell_by_cell(monkeypatch):

@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cutchoose import parse_config
 from cutchoose.bounds import acceptance_gap_bound, run_tradeoff_check
@@ -275,8 +275,22 @@ def check_derivation(check):
         assert all(step.holds for step in steps), (model, steps)
 
 
+# Angles that nontrivial_angles' draws miss. There 1 - |<psi|A psi>|^2 cancels
+# if taken by subtraction: a plus point mass of 3 at 1e-6 gave the composable
+# eps_d 4.998e-7 against p_d |sin(alpha/2)| = 5e-7, and random_comb_draw(0) at
+# 1e-8, PRE, gave 0.0 against 2.26e-9.
+SMALL_ANGLES = (1e-6, 1e-8, 1e-12)
+PLUS_POINT_MASS_3 = ("plus", "plus", point_mass(plus_traps_at_mean(0.5)[2], 3))
+
+
 @RELATIONS
 @given(specs(), nontrivial_angles, placements)
+@example(PLUS_POINT_MASS_3, SMALL_ANGLES[0], Placement.POST)
+@example(PLUS_POINT_MASS_3, SMALL_ANGLES[0], Placement.PRE)
+@example(PLUS_POINT_MASS_3, SMALL_ANGLES[1], Placement.POST)
+@example(PLUS_POINT_MASS_3, SMALL_ANGLES[1], Placement.PRE)
+@example(PLUS_POINT_MASS_3, SMALL_ANGLES[2], Placement.POST)
+@example(PLUS_POINT_MASS_3, SMALL_ANGLES[2], Placement.PRE)
 def test_derivation_holds_at_any_angle(drawn, alpha, placement):
     _, _, spec = drawn
 
@@ -492,18 +506,18 @@ def check_general_derivation(setup, alpha, placement):
         model, setup, alpha_override=alpha, placement=placement))
 
 
-# The composable eps_d, p_d sqrt(1 - c) with c = |<psi|A psi>|^2, cancels at
-# small angles: seed 0 at alpha = 1e-8, PRE, gives eps_d = 0.0 against
-# p_d |sin(alpha/2)| = 2.26e-9 in security_floor. Strict, so a fix shows;
-# not shrunk, as the failing draw is known.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="composable eps_d loses its digits below alpha ~ 1e-6")
-@settings(derandomize=True, deadline=None, max_examples=1, phases=[Phase.generate])
+@settings(derandomize=True, deadline=None, max_examples=1)
 @given(st.data())
 def test_derivation_on_random_networks_at_any_angle(data):
     for seed in range(40):
         check_general_derivation(random_comb_draw(seed).setup, data.draw(nontrivial_angles),
                                  data.draw(placements))
+
+
+@pytest.mark.parametrize("placement", list(Placement))
+@pytest.mark.parametrize("alpha", SMALL_ANGLES)
+def test_derivation_on_a_random_network_at_small_angles(alpha, placement):
+    check_general_derivation(random_comb_draw(0).setup, alpha, placement)
 
 
 @NETWORKS

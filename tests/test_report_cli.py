@@ -85,6 +85,16 @@ class TestRunScenario:
         bundle = run_scenario(cfg)
         assert all(r.report.alpha == pytest.approx(0.9) for r in bundle.runs)
 
+    def test_a_tiny_negative_angle_reports_the_honest_rows(self):
+        def runs(strategy):
+            bundle = run_scenario(make_config(strategy=strategy))
+            return json.loads(emit_bytes(bundle, "json"))["runs"]
+
+        # -1e-17 % 2pi rounds to 2pi itself, which is the angle 0
+        tiny = runs({"kind": "phase-attack", "alpha": -1e-17})
+        assert [run["alpha"] for run in tiny] == [0.0, 0.0]
+        assert tiny == runs({"kind": "honest"})
+
     def test_honest_strategy_is_trivial_attack(self):
         cfg = make_config(strategy={"kind": "honest"})
         bundle = run_scenario(cfg)

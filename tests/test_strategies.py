@@ -24,7 +24,11 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 class TestTransformRound:
     def test_honest_unchanged(self):
-        np.testing.assert_allclose(transform_round(HONEST, HADAMARD, 1), HADAMARD)
+        np.testing.assert_array_equal(transform_round(HONEST, HADAMARD, 1), HADAMARD)
+
+    def test_honest_is_the_zero_angle_rotation(self):
+        assert HONEST == PhaseAttack(0.0) == PhaseAttack(0.0, Placement.POST)
+        assert HONEST != PhaseAttack(0.0, Placement.PRE)
 
     def test_post_on_identity(self):
         out = transform_round(PhaseAttack(math.pi, Placement.POST), np.eye(2), 1)
@@ -65,6 +69,17 @@ class TestTransformRound:
     def test_alpha_canonicalized(self):
         assert PhaseAttack(2 * math.pi + 0.5).alpha == pytest.approx(0.5)
         assert PhaseAttack(-0.5).alpha == pytest.approx(2 * math.pi - 0.5)
+
+    @pytest.mark.parametrize("alpha", [-1e-17, -1e-20, -0.0, 2 * math.pi, -2 * math.pi])
+    def test_alpha_lands_in_one_turn(self, alpha):
+        # alpha % 2pi rounds a tiny negative angle up to 2pi itself
+        reduced = PhaseAttack(alpha).alpha
+        assert 0.0 <= reduced < 2 * math.pi
+        assert math.copysign(1.0, reduced) == 1.0
+
+    @pytest.mark.parametrize("alpha", [-1e-17, -1e-20])
+    def test_a_tiny_negative_angle_is_the_honest_server(self, alpha):
+        assert PhaseAttack(alpha) == PhaseAttack(0.0) == HONEST
 
     @pytest.mark.parametrize("placement", ["post", "pre"])
     def test_rejects_a_placement_name(self, placement):
