@@ -11,13 +11,13 @@ import numpy as np
 from cutchoose import (
     PlusTraps,
     ProtocolSpec,
+    ProtocolVariant,
     RoundDistribution,
     SecurityModel,
     plus_acceptance,
     run_tradeoff_check,
     theorem_bound,
 )
-from cutchoose.strategies import ProtocolVariant
 
 
 def spec_for(n):

@@ -40,16 +40,7 @@ from .states import (
     phase_gate,
     plus_state,
 )
-from .strategies import (
-    HONEST,
-    PhaseAttack,
-    Placement,
-    ProtocolVariant,
-    SecurityModel,
-    attack_sine,
-    optimal_alpha,
-    transform_round,
-)
+from .strategies import HONEST, PhaseAttack, Placement, transform_round
 from .protocol import (
     PerRoundAcceptance,
     ProtocolSpec,
@@ -71,10 +62,14 @@ from .families import (
 )
 from .bounds import (
     ProofStep,
+    ProtocolVariant,
+    SecurityModel,
     TradeoffReport,
+    attack_sine,
     epsilon_d_composable,
     epsilon_d_standalone,
     epsilon_h,
+    optimal_alpha,
     run_tradeoff_check,
     theorem_bound,
 )

@@ -1,4 +1,8 @@
-"""Security errors under both definitions and trade-off bound certification.
+"""The paper's four regimes, their security errors and the trade-off certification.
+
+A regime is a security model (stand-alone or composable) crossed with a
+protocol variant (per-round or general tests); :data:`REGIMES` holds each
+one's bound-optimal attack and its floor on ``eps_h + eps_d``.
 
 Two figures of merit are computed for protocol outputs on the
 abort-extended space:
@@ -17,37 +21,76 @@ honest and attacked protocol, evaluate every intermediate inequality of the
 bound derivation, and report pass/fail per step.
 
 In a trade-off check every payload is pure, so :func:`certify_tradeoff`
-reads the errors off the acceptance probabilities and the input's weight on
-the entries that the attack rotates. The dense functions on
-:class:`AbortExtendedState` (:func:`epsilon_h`, :func:`epsilon_d_standalone`,
-:func:`epsilon_d_composable` and ``reference``'s grids) are the reference
-the tests compare it against.
+reads the errors off the honest and attacked outcome tables and the attack
+angle. The dense functions on :class:`AbortExtendedState` (:func:`epsilon_h`,
+:func:`epsilon_d_standalone`, :func:`epsilon_d_composable` and
+``reference``'s grids) are the reference the tests compare it against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
-import numpy as np
-
-from .errors import ContractViolationError
+from .errors import ContractViolationError, OutOfDomainError
 from .linalg import DensityOperator, fidelity, fidelity_psd, trace_norm
 from .protocol import (
     ProtocolSpec,
     RoundOutcomeTable,
     round_outcome_table,
 )
-from .states import ACCEPT_FLOOR, AbortExtendedState, attack_phases, plus_state
-from .strategies import (
-    HONEST,
-    PhaseAttack,
-    Placement,
-    ProtocolVariant,
-    SecurityModel,
-    expected_round_count,
-    optimal_alpha,
-)
+from .states import ACCEPT_FLOOR, AbortExtendedState
+from .strategies import HONEST, PhaseAttack, Placement
+
+
+class SecurityModel(Enum):
+    STAND_ALONE = "stand-alone"
+    COMPOSABLE = "composable"
+
+
+class ProtocolVariant(Enum):
+    PER_ROUND = "per-round"
+    GENERAL_TESTS = "general-tests"
+
+
+# per regime, as functions of the expected test-round count N: sin(alpha/2) of
+# the bound-optimal attack, and the floor on eps_h + eps_d
+REGIMES = {
+    (SecurityModel.STAND_ALONE, ProtocolVariant.PER_ROUND):
+        (lambda n: math.sqrt(4.0 / (9.0 * n)), lambda n: 1.0 / (7.0 * n)),
+    (SecurityModel.COMPOSABLE, ProtocolVariant.PER_ROUND):
+        (lambda n: 1.0 / (2.0 * math.sqrt(n)), lambda n: 1.0 / (4.0 * math.sqrt(n))),
+    (SecurityModel.STAND_ALONE, ProtocolVariant.GENERAL_TESTS):
+        (lambda n: 2.0 / (3.0 * n), lambda n: 1.0 / (7.0 * n * n)),
+    (SecurityModel.COMPOSABLE, ProtocolVariant.GENERAL_TESTS):
+        (lambda n: 1.0 / (2.0 * n), lambda n: 1.0 / (4.0 * n)),
+}
+
+
+def expected_round_count(n_expected) -> float:
+    """``N`` as a float; the prescribed angles and the bounds need ``N > 0``."""
+    if n_expected <= 0:
+        raise OutOfDomainError(f"expected test-round count must be positive, got {n_expected}")
+    return float(n_expected)
+
+
+def attack_sine(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
+    """sin(alpha/2) for the bound-optimal attack in the given regime."""
+    sine, _ = REGIMES[(model, variant)]
+    s = sine(expected_round_count(n_expected))
+    if s > 1.0:
+        raise OutOfDomainError(
+            f"N={n_expected} too small for the {model.value}/{variant.value} choice "
+            f"(sin(alpha/2)={s:.6g} > 1)"
+        )
+    return s
+
+
+def optimal_alpha(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
+    """Bound-optimal attack angle, 2*arcsin of the prescribed sine."""
+    return 2.0 * math.asin(attack_sine(model, variant, n_expected))
+
 
 STEP_TOL = 1e-10  # a proof step's rounding allowance
 _BOUND_TOL = 1e-12
@@ -103,14 +146,8 @@ def epsilon_d_composable(rho_d: AbortExtendedState, target: DensityOperator) -> 
 
 def theorem_bound(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
     """Lower bound on (correctness + security error) for the given regime."""
-    n = expected_round_count(n_expected)
-    if variant is ProtocolVariant.PER_ROUND:
-        if model is SecurityModel.STAND_ALONE:
-            return 1.0 / (7.0 * n)
-        return 1.0 / (4.0 * math.sqrt(n))
-    if model is SecurityModel.STAND_ALONE:
-        return 1.0 / (7.0 * n * n)
-    return 1.0 / (4.0 * n)
+    _, floor = REGIMES[(model, variant)]
+    return floor(expected_round_count(n_expected))
 
 
 # the steps of the bound derivation, in the order certify_tradeoff emits them
@@ -167,13 +204,12 @@ def certify_tradeoff(
     variant: ProtocolVariant,
     alpha_override: float | None,
     placement: Placement,
-    k: int,
     table,
 ) -> TradeoffReport:
     """The honest-vs-attacked certification shared by both protocol variants.
 
-    ``table(strategy)`` builds that strategy's outcome table on ``k``-qubit
-    rounds, once per strategy, honest first; ``N`` is the mean of the honest
+    ``table(strategy)`` builds that strategy's outcome table, once per
+    strategy, honest first; ``N`` is the mean of the honest
     table's ``omega``. The attacked run uses the bound-optimal angle for
     ``(model, variant)`` unless ``alpha_override`` is given. The input is the
     uniform superposition and the target computation the identity.
@@ -182,9 +218,9 @@ def certify_tradeoff(
     models. The attacked payload is the pure state ``A psi``; with
     ``c = |<psi|A psi>|^2``, ``eps_d`` is ``p_d (1 - c)`` stand-alone and
     ``p_d sqrt(1 - c)`` composable, and 0 when no payload is accepted.
-    ``A`` multiplies the entries of weight ``w`` by ``e^{i alpha}`` and leaves
-    the rest, so ``1 - c = 4 w (1 - w) sin^2(alpha/2)``, which is
-    ``sin^2(alpha/2)`` for the uniform ``psi``.
+    ``A`` multiplies half of the uniform ``psi``'s weight by ``e^{i alpha}``,
+    so ``1 - c = sin^2(alpha/2)``, with no subtraction to cancel at small
+    angles.
     """
     honest_rounds = table(HONEST)
     n_expected = honest_rounds.omega.mean
@@ -197,10 +233,7 @@ def certify_tradeoff(
 
     eps_h = 1.0 - p_h
     s = math.sin(alpha / 2.0)
-    # 1 - c from the phase groups: by subtraction it cancels at small angles
-    weights = np.abs(plus_state(k).amplitudes) ** 2
-    w = float(weights[attack_phases(alpha, k) != 1.0].sum() / weights.sum())
-    one_minus_c = min(1.0, 4.0 * w * (1.0 - w) * s * s)
+    one_minus_c = s * s
     if p_d <= ACCEPT_FLOOR:
         eps_d = 0.0
     elif model is SecurityModel.STAND_ALONE:
@@ -252,5 +285,5 @@ def run_tradeoff_check(
     """Full honest-vs-attacked evaluation of a per-round protocol instance."""
     return certify_tradeoff(
         model, ProtocolVariant.PER_ROUND, alpha_override, placement,
-        spec.k, lambda strategy: round_outcome_table(spec, strategy),
+        lambda strategy: round_outcome_table(spec, strategy),
     )

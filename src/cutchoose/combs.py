@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import TradeoffReport, certify_tradeoff
+from .bounds import ProtocolVariant, SecurityModel, TradeoffReport, certify_tradeoff
 from .errors import (
     ContractViolationError,
     DimensionCapError,
@@ -48,13 +48,7 @@ from .protocol import (
 )
 from .states import (Effect, PovmElement, RankOneEffect, attack_phases, bell_pair,
                      computational_basis_state, plus_state)
-from .strategies import (
-    PhaseAttack,
-    Placement,
-    ProtocolVariant,
-    SecurityModel,
-    require_supported,
-)
+from .strategies import PhaseAttack, Placement, require_supported
 
 
 class Channel:
@@ -387,7 +381,6 @@ class GeneralSetup:
     """
 
     omega: RoundDistribution
-    k: int
     tests: Mapping[int, GeneralTest]
     combs: Mapping[tuple[int, int], Comb]
     output_round: OutputRound = "uniform"
@@ -431,7 +424,7 @@ def _bell_pairs_register_major(pairs: int) -> np.ndarray:
 def _point_mass_setup(test: GeneralTest, comb: Comb) -> GeneralSetup:
     """Exactly ``comb.n_holes`` test rounds, one network for every output round."""
     n = comb.n_holes
-    return GeneralSetup(RoundDistribution.point_mass(n), comb.k, {n: test},
+    return GeneralSetup(RoundDistribution.point_mass(n), {n: test},
                         {(n, ell): comb for ell in range(1, n + 2)})
 
 
@@ -513,6 +506,5 @@ def general_tradeoff_check(
 ) -> TradeoffReport:
     """Trade-off certification for a general-test setup, at N = the mean of its omega."""
     return certify_tradeoff(
-        model, ProtocolVariant.GENERAL_TESTS, alpha_override, placement,
-        setup.k, setup.outcome_table,
+        model, ProtocolVariant.GENERAL_TESTS, alpha_override, placement, setup.outcome_table,
     )

@@ -17,13 +17,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .bounds import theorem_bound
+from .bounds import ProtocolVariant, SecurityModel, attack_sine, theorem_bound
 from .combs import NOISE_CHANNELS
 from .errors import ConfigError, OutOfDomainError
 from .families import ACCEPTANCE_FAMILIES, TRAP_FAMILIES
 from .linalg import COMB_DIM_CAP, DIM_CAP, tol_text
 from .protocol import MAX_TRIALS
-from .strategies import Placement, ProtocolVariant, SecurityModel, attack_sine
+from .strategies import Placement
 
 # dimension caps, checked before anything is allocated so that errors name a path
 _MAX_K = DIM_CAP.bit_length() - 1  # 2**k <= DIM_CAP

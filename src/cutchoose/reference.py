@@ -411,7 +411,7 @@ def random_comb_draw(seed: int) -> RandomCombDraw:
                 hole_registers=hole_regs,
                 teeth=tuple(random_tooth(width) for _ in range(n + 1)),
             )
-    setup = GeneralSetup(omega=omega, k=k, tests=tests, combs=combs, output_round=output_round)
+    setup = GeneralSetup(omega=omega, tests=tests, combs=combs, output_round=output_round)
     alpha = float(rng.uniform(0.0, 2.0 * math.pi))
     placement = Placement.POST if rng.integers(0, 2) == 0 else Placement.PRE
     return RandomCombDraw(setup, alpha, placement)

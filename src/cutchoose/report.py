@@ -17,7 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .bounds import PROOF_STEP_NAMES, TradeoffReport, run_tradeoff_check
+from .bounds import PROOF_STEP_NAMES, SecurityModel, TradeoffReport, run_tradeoff_check
 from .combs import GeneralSetup, bell_test_setup, custom_test_setup, general_tradeoff_check
 from .config import ScenarioConfig, sweep_rows
 from .errors import OutOfDomainError
@@ -29,7 +29,7 @@ from .protocol import (
     RoundOutcomeTable,
     monte_carlo_run,
 )
-from .strategies import HONEST, PhaseAttack, Placement, SecurityModel
+from .strategies import HONEST, PhaseAttack, Placement
 
 # the scalar fields of a report row, in CSV column order: (name, getter of a TradeoffReport)
 _FIELDS = (

@@ -1,9 +1,10 @@
-"""Server strategies and the prescribed attack-angle choices.
+"""The server's strategy: the phase rotation.
 
-A strategy is the phase rotation: a single-qubit phase rotation by an angle
-alpha, placed before or after each delegated unitary; honest is its angle 0
-(``HONEST``). This one family keeps every supported strategy independent and
-identically distributed across rounds, which the protocol engine relies on.
+A strategy is a single-qubit phase rotation by an angle alpha, placed before
+or after each delegated unitary; honest is its angle 0 (``HONEST``). This one
+family keeps every supported strategy independent and identically
+distributed across rounds, which the protocol engine relies on. The
+bound-optimal angle of each regime is in ``bounds``.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ _TWO_PI = 2.0 * math.pi
 class Placement(Enum):
     PRE = "pre"
     POST = "post"
-
-
-class SecurityModel(Enum):
-    STAND_ALONE = "stand-alone"
-    COMPOSABLE = "composable"
-
-
-class ProtocolVariant(Enum):
-    PER_ROUND = "per-round"
-    GENERAL_TESTS = "general-tests"
 
 
 @dataclass(frozen=True)
@@ -76,35 +67,3 @@ def transform_round(strategy: PhaseAttack, delegated_unitary, k: int) -> np.ndar
         return a @ u
     return u @ a
 
-
-# sin(alpha/2) prescribed for each (security model, protocol variant) pair,
-# as a function of the expected test-round count.
-_SINE_CHOICES = {
-    (SecurityModel.STAND_ALONE, ProtocolVariant.PER_ROUND): lambda n: math.sqrt(4.0 / (9.0 * n)),
-    (SecurityModel.COMPOSABLE, ProtocolVariant.PER_ROUND): lambda n: 1.0 / (2.0 * math.sqrt(n)),
-    (SecurityModel.STAND_ALONE, ProtocolVariant.GENERAL_TESTS): lambda n: 2.0 / (3.0 * n),
-    (SecurityModel.COMPOSABLE, ProtocolVariant.GENERAL_TESTS): lambda n: 1.0 / (2.0 * n),
-}
-
-
-def expected_round_count(n_expected) -> float:
-    """``N`` as a float; the prescribed angles and the bounds need ``N > 0``."""
-    if n_expected <= 0:
-        raise OutOfDomainError(f"expected test-round count must be positive, got {n_expected}")
-    return float(n_expected)
-
-
-def attack_sine(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
-    """sin(alpha/2) for the bound-optimal attack in the given regime."""
-    s = _SINE_CHOICES[(model, variant)](expected_round_count(n_expected))
-    if s > 1.0:
-        raise OutOfDomainError(
-            f"N={n_expected} too small for the {model.value}/{variant.value} choice "
-            f"(sin(alpha/2)={s:.6g} > 1)"
-        )
-    return s
-
-
-def optimal_alpha(model: SecurityModel, variant: ProtocolVariant, n_expected: float) -> float:
-    """Bound-optimal attack angle, 2*arcsin of the prescribed sine."""
-    return 2.0 * math.asin(attack_sine(model, variant, n_expected))

@@ -6,6 +6,9 @@ import pytest
 
 from cutchoose.bounds import (
     PROOF_STEP_NAMES,
+    ProtocolVariant,
+    SecurityModel,
+    attack_sine,
     epsilon_d_composable,
     epsilon_d_standalone,
     epsilon_h,
@@ -42,14 +45,7 @@ from cutchoose.states import (
     computational_basis_state,
     plus_state,
 )
-from cutchoose.strategies import (
-    HONEST,
-    PhaseAttack,
-    Placement,
-    ProtocolVariant,
-    SecurityModel,
-    attack_sine,
-)
+from cutchoose.strategies import HONEST, PhaseAttack, Placement
 from dense_rounds import played, squared_overlap
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cutchoose import combs as combs_module
+from cutchoose.bounds import SecurityModel
 from cutchoose.combs import (
     Channel,
     Comb,
@@ -57,7 +58,7 @@ from cutchoose.reference import (
     round_outcome_table_via_combs,
 )
 from cutchoose.states import PovmElement, RankOneEffect, bell_pair, phase_gate
-from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
+from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
 
 
 class TestChannel:
@@ -314,16 +315,16 @@ class TestGeneralTestAcceptance:
 
 class TestOverallGeneral:
     def test_point_mass_zero_accepts(self):
-        setup = GeneralSetup(omega=RoundDistribution.point_mass(0), k=1, tests={}, combs={})
+        setup = GeneralSetup(omega=RoundDistribution.point_mass(0), tests={}, combs={})
         assert setup.outcome_table(HONEST).acceptance == 1.0
 
     def test_rejects_missing_tests_or_combs(self):
         bell = bell_test_setup(2)
         with pytest.raises(LayoutError, match=r"no tests\[3\]"):
-            GeneralSetup(RoundDistribution.point_mass(3), 1, bell.tests, bell.combs)
+            GeneralSetup(RoundDistribution.point_mass(3), bell.tests, bell.combs)
         combs = {key: comb for key, comb in bell.combs.items() if key != (2, 2)}
         with pytest.raises(LayoutError, match=r"no combs\[\(2, 2\)\]"):
-            GeneralSetup(bell.omega, 1, bell.tests, combs)
+            GeneralSetup(bell.omega, bell.tests, combs)
 
     def test_bell_two_rounds_attack(self):
         setup = bell_test_setup(2)
@@ -778,7 +779,7 @@ class TestGeneralTradeoff:
         base = bell_test_setup(1)
         setup = GeneralSetup(
             omega=RoundDistribution.from_pairs([(0, 0.9), (1, 0.1)]),
-            k=1, tests=base.tests, combs=base.combs,
+            tests=base.tests, combs=base.combs,
         )
         with pytest.raises(OutOfDomainError):
             general_tradeoff_check(SecurityModel.STAND_ALONE, setup)

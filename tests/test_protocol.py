@@ -268,7 +268,7 @@ class TestOverallAcceptance:
         )
         one, two = bell_test_setup(1), bell_test_setup(2)
         setup = GeneralSetup(
-            omega=omega, k=1, tests={1: one.tests[1], 2: two.tests[2]},
+            omega=omega, tests={1: one.tests[1], 2: two.tests[2]},
             combs={**one.combs, **two.combs}, output_round=output_round,
         )
         evaluations = (

@@ -57,7 +57,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cutchoose import parse_config
-from cutchoose.bounds import acceptance_gap_bound, run_tradeoff_check
+from cutchoose.bounds import ProtocolVariant, SecurityModel, acceptance_gap_bound, run_tradeoff_check
 from cutchoose.combs import (
     NOISE_CHANNELS,
     Comb,
@@ -83,7 +83,7 @@ from cutchoose.protocol import (
 )
 from cutchoose.reference import random_comb_draw, round_outcome_table_via_combs
 from cutchoose.states import PovmElement, RankOneEffect
-from cutchoose.strategies import HONEST, PhaseAttack, Placement, ProtocolVariant, SecurityModel
+from cutchoose.strategies import HONEST, PhaseAttack, Placement
 from law import within_sigmas
 
 TOL = 1e-12
@@ -427,7 +427,7 @@ def test_general_mixture_is_linear(seed):
         mixed = 0.0
         for n, w in setup.omega.support:
             keep = [(n, ell) for ell in range(1, n + 2)] if n else []
-            part = GeneralSetup(RoundDistribution.point_mass(n), setup.k,
+            part = GeneralSetup(RoundDistribution.point_mass(n),
                                 {n: setup.tests[n]} if n else {},
                                 {key: setup.combs[key] for key in keep},
                                 {n: setup.output_round[n]} if n else "uniform")

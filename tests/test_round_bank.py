@@ -23,7 +23,7 @@ import pytest
 
 from cutchoose import parse_config, protocol, run_scenario
 from cutchoose import report as report_module
-from cutchoose.bounds import run_tradeoff_check
+from cutchoose.bounds import SecurityModel, run_tradeoff_check
 from cutchoose.reference import round_outcome_table_via_combs
 from cutchoose.errors import ContractViolationError
 from cutchoose.families import (
@@ -46,7 +46,6 @@ from cutchoose.strategies import (
     HONEST,
     PhaseAttack,
     Placement,
-    SecurityModel,
     transform_round,
 )
 from dense_rounds import effect_row, played, squared_overlap

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cutchoose.errors import ContractViolationError, OutOfDomainError, UnsupportedStrategyError
+from cutchoose.bounds import ProtocolVariant, SecurityModel, attack_sine, optimal_alpha
 from cutchoose.combs import random_unitary
 from cutchoose.reference import random_pure_state
 from cutchoose.states import attack_operator, phase_gate
@@ -11,10 +12,6 @@ from cutchoose.strategies import (
     HONEST,
     PhaseAttack,
     Placement,
-    ProtocolVariant,
-    SecurityModel,
-    attack_sine,
-    optimal_alpha,
     require_supported,
     transform_round,
 )

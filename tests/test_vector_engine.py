@@ -17,6 +17,7 @@ import pytest
 
 from cutchoose import protocol
 from cutchoose.bounds import (
+    SecurityModel,
     epsilon_d_composable,
     epsilon_d_standalone,
     epsilon_h,
@@ -40,7 +41,7 @@ from cutchoose.protocol import (
     round_outcome_table,
 )
 from cutchoose.states import PovmElement, plus_state
-from cutchoose.strategies import HONEST, PhaseAttack, Placement, SecurityModel, transform_round
+from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
 from dense_rounds import effect_row, played
 
 TOL = 1e-12
