@@ -39,7 +39,7 @@ attacks = [PhaseAttack(alpha) for alpha in alphas]
 runs = monte_carlo_run(spec, attacks, trials=100_000, seed=7)
 for alpha, attack, sampled in zip(alphas, attacks, runs):
     exact = overall_acceptance(spec, attack)
-    print(f"{alpha:8.2f} {exact:10.6f} {sampled.accept_rate:10.6f}"
+    print(f"{alpha:8.2f} {exact:10.6f} {sampled:10.6f}"
           f" {math.cos(alpha / 2) ** (2 * spec.omega.mean):12.6f}")
 
 # Per-(n, output round) table: with round-independent traps the position of

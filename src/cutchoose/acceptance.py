@@ -368,8 +368,8 @@ def criterion_monte_carlo():
         if repr(first) != repr(again):
             yield f"config {idx}: two runs with one seed differ"
         tolerance = _MC_SIGMAS * math.sqrt(exact * (1.0 - exact) / trials)
-        if not abs(first.accept_rate - exact) <= tolerance:
-            yield f"config {idx}: |{first.accept_rate} - {exact}| > {tolerance:.2e}"
+        if not abs(first - exact) <= tolerance:
+            yield f"config {idx}: |{first} - {exact}| > {tolerance:.2e}"
 
 
 @_criterion("per-round vs network engine (10 configs)",

@@ -1,8 +1,7 @@
 """The paper's four regimes, their security errors and the trade-off certification.
 
-A regime is a security model (stand-alone or composable) crossed with a
-protocol variant (per-round or general tests); :data:`REGIMES` holds each
-one's bound-optimal attack and its floor on ``eps_h + eps_d``.
+A regime is a security model crossed with a protocol variant; :data:`REGIMES`
+holds each one's bound-optimal attack and its floor on ``eps_h + eps_d``.
 
 Two figures of merit are computed for protocol outputs on the
 abort-extended space:
@@ -164,7 +163,8 @@ PROOF_STEP_NAMES = (
 class ProofStep:
     """One inequality of the bound derivation, stated as lhs >= rhs.
 
-    ``holds`` is None when the step does not apply (trivial attack).
+    ``holds`` is None when the step does not apply (trivial attack); the
+    ``theorem_bound`` step holds iff the report is ``satisfied``.
     """
 
     name: str
@@ -195,7 +195,8 @@ def acceptance_gap_bound(variant: ProtocolVariant, alpha: float, n_expected: flo
     """Upper bound on |p_H - p_D| available to the derivation."""
     s = math.sin(alpha / 2.0)
     if variant is ProtocolVariant.PER_ROUND:
-        return math.sqrt(max(0.0, 1.0 - (1.0 - s * s) ** n_expected))
+        # no subtraction, which cancels at small angles; log1p(-1) is undefined
+        return 1.0 if s * s >= 1.0 else math.sqrt(-math.expm1(n_expected * math.log1p(-s * s)))
     return n_expected * abs(s)
 
 
@@ -247,16 +248,17 @@ def certify_tradeoff(
     bound = theorem_bound(model, variant, n_expected)
     trivial = abs(s) < _TRIVIAL_SINE
     total = eps_h + eps_d
+    satisfied = total >= bound - _BOUND_TOL
 
-    def step(name, lhs, rhs, applicable=True):
-        return ProofStep(name, lhs, rhs, (lhs >= rhs - STEP_TOL) if applicable else None)
+    def step(name, lhs, rhs):
+        return ProofStep(name, lhs, rhs, lhs >= rhs - STEP_TOL)
 
     steps = (
         step("correctness_floor", eps_h, 1.0 - p_h),
         step("security_floor", eps_d, p_d * disturbance),
         step("sum_vs_disturbance", total, disturbance * (1.0 - gap)),
         step("acceptance_gap", gap_bound, gap),
-        step("theorem_bound", total, bound, applicable=not trivial),
+        ProofStep("theorem_bound", total, bound, None if trivial else satisfied),
     )
     return TradeoffReport(
         model=model,
@@ -268,7 +270,7 @@ def certify_tradeoff(
         eps_h=eps_h,
         eps_d=eps_d,
         bound=bound,
-        satisfied=total >= bound - _BOUND_TOL,
+        satisfied=satisfied,
         proof_steps=steps,
         trivial_attack=trivial,
         honest_rounds=honest_rounds,

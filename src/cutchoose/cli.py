@@ -96,8 +96,8 @@ def _run_command(args) -> int:
         )
         if record.mc is not None:
             line += (
-                f" | mc p_H={record.mc.honest.accept_rate:.6g}"
-                f" p_D={record.mc.attacked.accept_rate:.6g}"
+                f" | mc p_H={record.mc.honest:.6g}"
+                f" p_D={record.mc.attacked:.6g}"
             )
         print(line)
 

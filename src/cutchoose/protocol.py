@@ -55,7 +55,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -411,13 +411,9 @@ def client_output_state(
     return AbortExtendedState(overall_acceptance(spec, strategy), payload)
 
 
-class MonteCarloResult(NamedTuple):
-    accept_rate: float
-
-
 def monte_carlo_run(
     spec: ProtocolSpec, strategies: Sequence[PhaseAttack], trials: int, seed: int
-) -> tuple[MonteCarloResult, ...]:
+) -> tuple[float, ...]:
     """Sampled protocol runs, drawn as counts: how many of the ``trials`` runs
     have each n ~ omega (one multinomial draw), then per n how many of its
     runs have each output round ~ rule (one more), then, round by round, the
@@ -433,9 +429,9 @@ def monte_carlo_run(
     a uniform subset of n's runs, whether drawn in a batch of sparse rounds
     or alone, so the accept counts follow the law of a run-by-run draw.
 
-    Returns one result per strategy, in order, all read from one set of
+    Returns one accept rate per strategy, in order, all read from one set of
     uniforms (common random numbers). Only the rounds that fail the smallest
-    factor among the strategies are drawn, so a result depends on the set: it
+    factor among the strategies are drawn, so a rate depends on the set: it
     is unchanged by reordering the strategies, by duplicating one, or by
     adding one whose factors are nowhere below the set's smallest (such as
     the honest run under a matched rule), but it is not in general the result
@@ -463,7 +459,7 @@ def monte_carlo_run(
         ells = np.repeat(np.arange(n + 1), _counts(rng, m, w))  # sorted: runs are exchangeable
         factors = np.stack([_round_factors(spec, s, n) for s in strategies])
         accepted += m - _rejected_runs(rng, ells, factors)
-    return tuple(MonteCarloResult(a / int(trials)) for a in accepted.tolist())
+    return tuple(a / int(trials) for a in accepted.tolist())
 
 
 def _counts(rng: np.random.Generator, size: int, probs) -> np.ndarray:

@@ -23,7 +23,6 @@ from .config import ScenarioConfig, sweep_rows
 from .errors import OutOfDomainError
 from .families import ACCEPTANCE_FAMILIES, TRAP_FAMILIES
 from .protocol import (
-    MonteCarloResult,
     ProtocolSpec,
     RoundDistribution,
     RoundOutcomeTable,
@@ -46,8 +45,8 @@ _FIELDS = (
 )
 # the Monte-Carlo fields: (CSV column, key in the JSON "monte_carlo", getter of a McComparison)
 _MC_FIELDS = (
-    ("mc_p_H", "p_H_empirical", lambda mc: mc.honest.accept_rate),
-    ("mc_p_D", "p_D_empirical", lambda mc: mc.attacked.accept_rate),
+    ("mc_p_H", "p_H_empirical", attrgetter("honest")),
+    ("mc_p_D", "p_D_empirical", attrgetter("attacked")),
     ("mc_trials", "trials", attrgetter("trials")),
     ("mc_seed", "seed", attrgetter("seed")),
 )
@@ -57,8 +56,8 @@ _MC_FIELDS = (
 class McComparison:
     trials: int
     seed: int
-    honest: MonteCarloResult
-    attacked: MonteCarloResult
+    honest: float  # sampled accept rates
+    attacked: float
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -8,7 +9,9 @@ from cutchoose.bounds import (
     PROOF_STEP_NAMES,
     ProtocolVariant,
     SecurityModel,
+    acceptance_gap_bound,
     attack_sine,
+    certify_tradeoff,
     epsilon_d_composable,
     epsilon_d_standalone,
     epsilon_h,
@@ -29,6 +32,7 @@ from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
     client_output_state,
+    outcome_table,
 )
 from cutchoose import reference
 from cutchoose.reference import (
@@ -305,6 +309,19 @@ class TestTheoremBound:
             assert str(err.value) == f"expected test-round count must be positive, got {n}"
 
 
+class TestAcceptanceGapBound:
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-8, 1e-6, 0.3, 2.0, math.pi])
+    def test_per_round_bound_matches_a_50_digit_reference(self, alpha):
+        # sqrt(1 - (1 - s^2)^N) from the same float s, in 50 digits: in floats
+        # the subtraction cancels at small angles
+        s = decimal.Decimal(math.sin(alpha / 2.0))
+        with decimal.localcontext(decimal.Context(prec=50)):
+            for n in (1, 2.5, 3, 200):
+                exact = float((1 - (1 - s * s) ** decimal.Decimal(n)).sqrt())
+                got = acceptance_gap_bound(ProtocolVariant.PER_ROUND, alpha, n)
+                assert got == pytest.approx(exact, rel=1e-14, abs=0.0), n
+
+
 class TestElementaryInequality:
     def test_bernoulli_power_floor(self):
         # (1 - x/n)^n >= 1 - x on a grid with |x| <= n
@@ -360,6 +377,23 @@ class TestRunTradeoffCheck:
         assert report.trivial_attack is trivial
         final = [s for s in report.proof_steps if s.name == "theorem_bound"][0]
         assert final.holds is holds
+
+    def test_the_theorem_step_and_the_report_share_one_verdict(self):
+        # eps_h + eps_d sits 5e-11 below 1/70: inside a proof step's rounding
+        # allowance, outside the report's; the theorem step follows the report
+        p_h = 1.0 - (1.0 / 70.0 - 5e-11)
+
+        def table(strategy):
+            p = p_h if strategy == HONEST else 0.0
+            return outcome_table(RoundDistribution.point_mass(10), "uniform",
+                                 lambda n: [p] * (n + 1))
+
+        report = certify_tradeoff(SecurityModel.STAND_ALONE, ProtocolVariant.PER_ROUND, 0.5,
+                                  Placement.POST, table)
+        assert report.bound - (report.eps_h + report.eps_d) == pytest.approx(5e-11, rel=1e-3)
+        final = [s for s in report.proof_steps if s.name == "theorem_bound"][0]
+        assert report.satisfied is False
+        assert final.holds is False
 
     def test_satisfied_matches_definition(self):
         for n in (1, 4, 20):

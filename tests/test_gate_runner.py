@@ -112,8 +112,7 @@ def test_a_rerun_that_differs_fails_the_monte_carlo_criterion(monkeypatch):
     def rerun_one_ulp_up(*a, **k):
         results = real(*a, **k)
         if next(calls) % 2:  # each config's second call, with its seed
-            results = tuple(r._replace(accept_rate=math.nextafter(r.accept_rate, 2.0))
-                            for r in results)
+            results = tuple(math.nextafter(r, 2.0) for r in results)
         return results
 
     monkeypatch.setattr(acceptance, "monte_carlo_run", rerun_one_ulp_up)

@@ -224,7 +224,7 @@ def test_sampled_rates_lie_near_exact(drawn, alpha, placement, seed):
     strategies = (HONEST, PhaseAttack(alpha, placement))
     for strategy, sampled in zip(strategies, monte_carlo_run(spec, strategies, 2000, seed)):
         exact = overall_acceptance(spec, strategy)
-        assert within_sigmas(sampled.accept_rate, exact, 2000), (strategy, sampled, exact)
+        assert within_sigmas(sampled, exact, 2000), (strategy, sampled, exact)
 
 
 def check_theorem(check, mean, floors):

@@ -151,7 +151,7 @@ class TestRunScenario:
         cfg = make_config(monte_carlo={"trials": 5000, "seed": 11})
         bundle = run_scenario(cfg)
         assert bundle.runs[0].mc is not None
-        assert bundle.runs[0].mc.honest.accept_rate == 1.0
+        assert bundle.runs[0].mc.honest == 1.0
         header = emit_bytes(bundle, "csv").decode().splitlines()[0]
         assert "mc_p_H" in header and "mc_p_D" in header
 
@@ -176,7 +176,7 @@ class TestRunScenario:
         assert len(bundle.runs) == 6
         for r in bundle.runs:
             for sampled, exact in ((r.mc.honest, r.report.p_h), (r.mc.attacked, r.report.p_d)):
-                assert within_sigmas(sampled.accept_rate, exact, 4000), (r, sampled, exact)
+                assert within_sigmas(sampled, exact, 4000), (r, sampled, exact)
 
     def test_general_variant_rows(self):
         cfg = make_config(
