@@ -31,7 +31,6 @@ from .families import (
     plus_acceptance,
 )
 from .linalg import (
-    PureState,
     dagger,
     fidelity_psd,
     pure_trace_distance,
@@ -190,12 +189,11 @@ def _identity_cases():
     """The closed-form families' 1000 cases each, drawn family by family in
     stacks from one generator seeded 20260809: (dims, padded u, v,
     pure_trace_distance), (dims, padded P1, Q1, P2, Q2), (a, b) rows, angles.
-    The closed form is the production function on validated states, one pair
-    at a time."""
+    The closed form is the production function on the stacked states of each
+    dimension, validated once per stack."""
     rng = np.random.default_rng(20260809)
     dims, amps = _state_pairs(rng)
-    closed = np.array([pure_trace_distance(PureState(u[:d]), PureState(v[:d]))
-                       for d, u, v in zip(dims.tolist(), *amps)])
+    closed = _stacked(pure_trace_distance, dims, *amps)
     yield dims, amps, closed
     del dims, amps, closed  # not held while the other families run
     yield _psd_quadruples(rng)
@@ -228,10 +226,20 @@ def _block_additivity(p1, q1, p2, q2):
 
 def _max_p_objective(w: np.ndarray):
     """ps -> (sqrt(p) a + sqrt(1-p) b)^2, one objective per row (a, b) of ``w``:
-    ``(1, r)`` grid probes and ``(B, 33)`` refinement probes give ``(B, r)``."""
+    ``(1, r)`` grid probes and ``(B, 33)`` refinement probes give ``(B, r)``.
+    On grid probes, shared by every row, the square expands to
+    a^2 p + b^2 (1-p) + 2ab sqrt(p(1-p)): one ``(B, 3) @ (3, r)`` product."""
     w = np.asarray(w).reshape(-1, 2)
     a, b = w[:, :1], w[:, 1:]
-    return lambda ps: (a * np.sqrt(ps) + b * np.sqrt(1.0 - ps)) ** 2
+    coeffs = np.concatenate([a * a, b * b, 2.0 * a * b], axis=1)
+
+    def objective(ps):
+        if ps.shape[0] == 1:
+            p, q = ps, 1.0 - ps
+            return coeffs @ np.concatenate([p, q, np.sqrt(p * q)])
+        return (a * np.sqrt(ps) + b * np.sqrt(1.0 - ps)) ** 2
+
+    return objective
 
 
 @_criterion("closed-form identities (4 x 1000 randomized cases)",
@@ -242,7 +250,7 @@ def criterion_closed_form_identities():
     cases = _identity_cases()
     tol = tol_text(_EXACT_TOL)
 
-    # pure-state trace distance vs eigenvalue route
+    # pure-state trace distance vs singular-value route
     dims, amps, closed = next(cases)
     for trial, (c, eig) in enumerate(zip(closed, _stacked(_half_trace_norm_gap, dims, *amps))):
         if not abs(c - eig) <= _EXACT_TOL:

@@ -68,9 +68,10 @@ REGIMES = {
 
 
 def expected_round_count(n_expected) -> float:
-    """``N`` as a float; the prescribed angles and the bounds need ``N > 0``."""
-    if n_expected <= 0:
-        raise OutOfDomainError(f"expected test-round count must be positive, got {n_expected}")
+    """``N`` as a float; the prescribed angles and the bounds need a finite ``N > 0``."""
+    if not (math.isfinite(n_expected) and n_expected > 0):
+        raise OutOfDomainError(
+            f"expected test-round count must be finite and positive, got {n_expected}")
     return float(n_expected)
 
 

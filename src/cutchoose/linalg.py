@@ -5,11 +5,13 @@ layout. The typed carriers (:class:`PureState`, :class:`DensityOperator`)
 validate the invariants the protocol code relies on and are used at module
 boundaries; internal loops pass raw arrays.
 
-The measures take one matrix or a stack ``(..., d, d)``: one gives a Python
-``float``, a stack an array. Validation runs once per stack
-(:func:`as_square_matrix`, the Hermitian check of :func:`hermitian_eig`, the
-PSD floor of :func:`psd_sqrt`) and names the first bad index; floors and
-clamps apply per matrix, so a stacked matrix gets the value it gets alone.
+The measures take one matrix or a stack ``(..., d, d)``, and
+:func:`pure_trace_distance` two states or two stacks ``(..., d)`` of state
+vectors: one gives a Python ``float``, a stack an array. Validation runs once
+per stack (:func:`as_square_matrix`, :func:`as_state_vectors`, the Hermitian
+check of :func:`hermitian_eig`, the PSD floor of :func:`psd_sqrt`) and names
+the first bad index; floors and clamps apply per matrix or vector, so a
+stacked one gets the value it gets alone.
 
 The engine's tolerances are named here, once, and each check uses its name:
 
@@ -178,6 +180,14 @@ def _require_same_dim(a: int, b: int) -> None:
         raise ContractViolationError(f"dimension mismatch: {a} vs {b}")
 
 
+def require_broadcast(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise unless two stacks' shapes broadcast."""
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ContractViolationError(f"stacks of shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
 def fidelity_psd(a, b):
     """Fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 for PSD matrices, or per matrix
     of stacks (leading axes broadcast). Works on unnormalized positive
@@ -204,11 +214,37 @@ def trace_norm(a):
     return float(out) if out.ndim == 0 else out
 
 
-def pure_trace_distance(u: "PureState", v: "PureState") -> float:
-    """Trace distance of two pure states, sqrt(1 - |<u|v>|^2)."""
-    _require_same_dim(u.dim, v.dim)
-    overlap = abs(u.inner(v)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))
+def as_state_vectors(a, what: str = "state vector", stack: bool = False) -> np.ndarray:
+    """``a`` as a complex128 state vector, or with ``stack`` as a stack
+    ``(..., d)`` of them: finite entries and Euclidean norm 1 within
+    ``NORM_TOL``. Errors name ``what`` and, in a stack, the first bad index."""
+    vec = np.asarray(a, dtype=np.complex128)
+    if vec.ndim != 1 and not (stack and vec.ndim > 1):
+        raise ContractViolationError(f"expected a vector, got ndim={vec.ndim}")
+    nrm = np.sqrt((vec.real * vec.real + vec.imag * vec.imag).sum(axis=-1))
+    ok = abs(nrm - 1.0) <= NORM_TOL
+    if not ok.all():  # a non-finite entry fails the norm too; it is named first
+        bad = ~np.isfinite(vec).all(axis=-1)
+        if bad.any():
+            raise ContractViolationError(f"{what}{_first_bad(bad)[1]} has non-finite entries")
+        i, at = _first_bad(~ok)
+        raise ContractViolationError(
+            f"{what}{at} norm {float(nrm[i])!r} deviates from 1 by more than {tol_text(NORM_TOL)}")
+    return vec
+
+
+def pure_trace_distance(u, v):
+    """Trace distance sqrt(1 - |<u|v>|^2) of two pure states: two
+    :class:`PureState` give a float, two stacks ``(..., d)`` of state vectors
+    (leading axes broadcast, each stack checked by :func:`as_state_vectors`)
+    an array. Both go through one kernel, so a pair gets its stacked value."""
+    uv, vv = (x.amplitudes if isinstance(x, PureState) else as_state_vectors(x, what, stack=True)
+              for x, what in ((u, "first state vector"), (v, "second state vector")))
+    _require_same_dim(uv.shape[-1], vv.shape[-1])
+    require_broadcast(uv, vv)
+    s = (uv.conj() * vv).sum(axis=-1)
+    out = np.sqrt(np.maximum(0.0, 1.0 - (s.real**2 + s.imag**2)))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,17 +254,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=np.complex128)
-        if vec.ndim != 1:
-            raise ContractViolationError(f"expected a vector, got ndim={vec.ndim}")
-        if not np.all(np.isfinite(vec)):
-            raise ContractViolationError("state vector has non-finite entries")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ContractViolationError(
-                f"state vector norm {nrm!r} deviates from 1 by more than {tol_text(NORM_TOL)}"
-            )
-        vec = vec.copy()
+        vec = as_state_vectors(self.amplitudes).copy()
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
 

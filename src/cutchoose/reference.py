@@ -28,8 +28,8 @@ from .bounds import _check_dims
 from .combs import (NOISE_CHANNELS, Comb, GeneralSetup, GeneralTest, Tooth,
                     general_test_acceptance, random_unitary, trivial_parallel_comb)
 from .errors import ContractViolationError, DimensionCapError, OutOfDomainError
-from .linalg import (DensityOperator, PureState, dagger, fidelity_psd, require_unitary,
-                     trace_norm)
+from .linalg import (DensityOperator, PureState, dagger, fidelity_psd, require_broadcast,
+                     require_unitary, trace_norm)
 from .protocol import (ProtocolSpec, RoundDistribution, RoundOutcomeTable, outcome_table,
                        receive_rounds)
 from .states import AbortExtendedState, PovmElement
@@ -261,10 +261,7 @@ def _unitary_pair(u, v, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
     ``stack``, stacks ``(..., d, d)`` whose leading axes broadcast."""
     um = require_unitary(u, "first argument", stack=stack)
     vm = require_unitary(v, "second argument", um.shape[-1], stack=stack)
-    try:
-        np.broadcast_shapes(um.shape, vm.shape)
-    except ValueError:
-        raise ContractViolationError(f"stacks of shapes {um.shape} and {vm.shape} do not broadcast") from None
+    require_broadcast(um, vm)
     return um, vm
 
 
@@ -288,7 +285,7 @@ def diamond_distance_unitaries(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-_SEARCH_STACK = 2**13  # matrices per eigvalsh call: 2 MB at 2x2 pairs
+_SEARCH_STACK = 2**13  # matrices per eigvalsh call: 512 KB at 2x2 pairs, 2 MB at 4x4
 
 
 def diamond_distance_pure_search(u, v):
@@ -297,9 +294,12 @@ def diamond_distance_pure_search(u, v):
 
     That minimum is the distance nu from 0 to the numerical range of M, which
     is convex (Toeplitz–Hausdorff), so nu = max(0, max_θ λ_min(Re(e^{-iθ} M))).
-    The maximum is found on the grid θ/2π = 0, 1e-4, ..., 1 and refined by
-    zooming grids, whose ``(B, 33)`` probes give one row per pair, as
-    :func:`scan_unit_interval` would. Since Re(e^{-i(θ+π)} M) = -Re(e^{-iθ} M),
+    For W = u†v, Re(e^{-iθ} M) = Re(e^{-iθ} W) ⊗ 1 has the spectrum of
+    Re(e^{-iθ} W), each eigenvalue repeated d times, so the search solves the
+    d×d rotated parts of W. The maximum is found on the grid θ/2π = 0, 1e-4,
+    ..., 1 and refined by zooming grids, whose ``(B, 33)`` probes give one row
+    per pair, as :func:`scan_unit_interval` would. Since
+    Re(e^{-i(θ+π)} W) = -Re(e^{-iθ} W),
     one eigen-solve on the grid's first half gives λ_min at θ and, as -λ_max,
     at θ + π: 5,001 solves per pair cover the 10,001 points, and the first
     grid point with the largest value is the one refined.
@@ -314,19 +314,19 @@ def diamond_distance_pure_search(u, v):
     um, vm = _unitary_pair(u, v, stack=True)
     d = um.shape[-1]
     # every caller passes 2x2; at 4x4 a stack holds one pair's half grid,
-    # 5,001 16x16 matrices or 20 MB
+    # 5,001 4x4 matrices or 1.3 MB
     if d > 4:
         raise DimensionCapError(f"pure-state search takes at most 4x4, got {d}x{d}")
     w = dagger(um) @ vm
-    m = np.kron(w, np.eye(d, dtype=np.complex128)).reshape(-1, d * d, d * d)
-    # Re(e^{-iθ} M) = cos θ h1 + sin θ h2 for the Hermitian parts of M, as
-    # real (2, 2 D²) rows, so each stack's rotated parts are one matrix product
+    m = w.reshape(-1, d, d)
+    # Re(e^{-iθ} W) = cos θ h1 + sin θ h2 for the Hermitian parts of W, as
+    # real (2, 2 d²) rows, so each stack's rotated parts are one matrix product
     parts = np.stack([m + dagger(m), (m - dagger(m)) * -1j], axis=1) / 2.0
     parts = parts.reshape(len(m), 2, -1).view(np.float64)
 
     def spectra(ts):
         """Per stack of pairs, its slice and the ascending eigenvalues of
-        Re(e^{-2πit} M) at the ``(1, r)`` or ``(B, r)`` points ``ts``."""
+        Re(e^{-2πit} W) at the ``(1, r)`` or ``(B, r)`` points ``ts``."""
         theta = 2.0 * math.pi * ts
         trig = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         trig = np.broadcast_to(trig, (len(m),) + trig.shape[1:])

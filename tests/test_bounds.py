@@ -15,6 +15,7 @@ from cutchoose.bounds import (
     epsilon_d_composable,
     epsilon_d_standalone,
     epsilon_h,
+    optimal_alpha,
     run_tradeoff_check,
     theorem_bound,
 )
@@ -301,12 +302,14 @@ class TestTheoremBound:
         with pytest.raises(OutOfDomainError):
             theorem_bound(SecurityModel.STAND_ALONE, ProtocolVariant.PER_ROUND, 0.0)
 
-    @pytest.mark.parametrize("n", [0, -2.5])
+    @pytest.mark.parametrize("n", [0, -2.5, math.nan, math.inf, -math.inf])
     def test_domain_check_is_shared_with_the_angle_choice(self, n):
-        for f in (theorem_bound, attack_sine):
-            with pytest.raises(OutOfDomainError) as err:
-                f(SecurityModel.STAND_ALONE, ProtocolVariant.GENERAL_TESTS, n)
-            assert str(err.value) == f"expected test-round count must be positive, got {n}"
+        # a NaN N used to give a NaN bound and sine, an infinite one the floor 0.0
+        for f in (theorem_bound, attack_sine, optimal_alpha):
+            for model, variant in itertools.product(SecurityModel, ProtocolVariant):
+                with pytest.raises(OutOfDomainError) as err:
+                    f(model, variant, n)
+                assert str(err.value) == f"expected test-round count must be finite and positive, got {n}"
 
 
 class TestAcceptanceGapBound:

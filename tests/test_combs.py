@@ -388,6 +388,17 @@ class TestDiamondDistance:
         with pytest.raises(DimensionCapError):
             diamond_distance_pure_search(np.eye(8), np.eye(8))
 
+    def test_search_is_unchanged_by_an_idle_qubit(self):
+        # u ⊗ 1 and v ⊗ 1 have the distance of u and v (stabilization), the
+        # identity that lets the search solve u†v's own rotated parts
+        eye = np.eye(2)
+        gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
+        rng = np.random.default_rng(14)
+        u2, v2 = (np.stack([random_unitary(2, rng) for _ in range(10)]) for _ in range(2))
+        for u, v in ((np.broadcast_to(eye, gates.shape), gates), (u2, v2)):
+            wide = diamond_distance_pure_search(np.kron(u, eye), np.kron(v, eye))
+            assert np.max(np.abs(wide - diamond_distance_pure_search(u, v))) <= 1e-12
+
     def test_stacked_search_equals_each_one_pair_call(self):
         rng = np.random.default_rng(13)
         gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
@@ -412,16 +423,19 @@ class TestDiamondDistance:
 
     def test_one_eigen_solve_serves_each_antipodal_pair(self, monkeypatch):
         gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
-        solved, eigvalsh = [0], np.linalg.eigvalsh
+        solved, shapes, eigvalsh = [0], set(), np.linalg.eigvalsh
 
         def counting(a):
             solved[0] += math.prod(np.shape(a)[:-2])
+            shapes.add(np.shape(a)[-2:])
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         diamond_distance_pure_search(np.eye(2), gates)
         # per pair: θ/2π = 0, 1e-4, ..., 0.5, then at most 7 refine rounds of 33 probes
         assert 0 < solved[0] <= 50 * (5_001 + 7 * 33)
+        # the rotated parts of u†v itself, not of u†v ⊗ 1
+        assert shapes == {(2, 2)}
 
     def test_search_rejects_a_non_finite_grid_value(self, monkeypatch):
         # only the top of each spectrum is NaN: the first grid point it feeds is θ + π at j = 1
@@ -436,7 +450,7 @@ class TestDiamondDistance:
         with pytest.raises(OutOfDomainError, match=r"not finite at grid point 0\.5001$"):
             diamond_distance_pure_search(np.eye(2), phase_gate(0.6))
 
-    def test_fifty_pair_search_peaks_below_6_mb(self):
+    def test_fifty_pair_search_peaks_below_1_5_mb(self):
         # each eigvalsh stack, one pair's half grid, is reduced and freed before the next
         gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
         tracemalloc.start()
@@ -445,7 +459,7 @@ class TestDiamondDistance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 1.5e6
 
     def test_stacked_bad_input_names_the_first_bad_pair(self):
         gates = np.stack([phase_gate(a) for a in (0.1, 0.2, 0.3, 0.4)])

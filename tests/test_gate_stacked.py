@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cutchoose import acceptance, reference
-from cutchoose.linalg import trace_norm
+from cutchoose.linalg import PureState, pure_trace_distance, trace_norm
 from cutchoose.reference import (numerical_range_min_overlap, random_psd, random_pure_state,
                                  scan_unit_interval)
 from law import chi2_critical, contingency_chi2, ks_critical, ks_distance
@@ -149,6 +149,13 @@ class TestStackedEqualsOneCaseCalls:
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked, closed, rtol=0, atol=1e-9)
 
+    def test_stacked_pure_trace_distance_equals_each_one_pair_call(self, cases):
+        dims, amps, closed = cases[0]
+        single = [pure_trace_distance(PureState(amps[0, t, :d]), PureState(amps[1, t, :d]))
+                  for t, d in enumerate(dims)]
+        assert all(type(x) is float for x in single)
+        np.testing.assert_array_equal(closed, single)
+
     def test_block_additivity(self, cases):
         dims, *quads = cases[1]
         stacked = acceptance._stacked(acceptance._block_additivity, dims, *quads)
@@ -166,6 +173,20 @@ class TestStackedEqualsOneCaseCalls:
         ]
         np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stacked, (ab**2).sum(axis=1), rtol=0, atol=1e-6)
+
+    def test_max_p_grid_product_equals_the_direct_form(self, cases):
+        # the (1, r) grid probes take the expanded square as one matrix
+        # product; (B, r) probes the direct form. Over the whole grid, in
+        # blocks, they agree within a few ulps of the maximum a^2 + b^2
+        ab = cases[2]
+        objective, xs = acceptance._max_p_objective(ab), np.linspace(0.0, 1.0, 10_001)
+        ulp = np.spacing((ab**2).sum(axis=1))[:, None]
+        for start in range(0, xs.size, 1000):
+            grid = xs[None, start:start + 1000]
+            product = objective(grid)
+            direct = objective(np.broadcast_to(grid, (len(ab), grid.shape[1])))
+            assert product.shape == direct.shape == (len(ab), grid.shape[1])
+            assert np.all(np.abs(product - direct) <= 8 * ulp), start
 
     def test_numerical_range(self, cases):
         alphas = cases[3]
@@ -185,6 +206,11 @@ class TestMutationsFail:
     def test_trace_norm_off_by_1e_8(self, monkeypatch):
         real = acceptance.trace_norm
         monkeypatch.setattr(acceptance, "trace_norm", lambda a: real(a) * (1.0 + 1e-8))
+        assert self._failure().startswith("trace-distance trial 0: ")
+
+    def test_pure_trace_distance_off_by_1e_8(self, monkeypatch):
+        real = acceptance.pure_trace_distance
+        monkeypatch.setattr(acceptance, "pure_trace_distance", lambda u, v: real(u, v) * (1.0 + 1e-8))
         assert self._failure().startswith("trace-distance trial 0: ")
 
     def test_numerical_range_offset_by_2e_4(self, monkeypatch):

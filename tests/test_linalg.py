@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +271,32 @@ class TestPureTraceDistance:
         t = pure_trace_distance(u, v)
         assert abs(t**2 + abs(u.inner(v)) ** 2 - 1.0) <= 1e-9
         assert abs(t - 0.5 * trace_norm(u.projector() - v.projector())) <= 1e-9
+
+    def test_stacks_broadcast_their_leading_axes(self):
+        rng = np.random.default_rng(23)
+        u = np.stack([random_pure_state(4, rng).amplitudes for _ in range(3)])
+        v = np.stack([random_pure_state(4, rng).amplitudes for _ in range(5)])
+        table = pure_trace_distance(u[:, None], v)
+        assert table.shape == (3, 5)
+        for i, j in itertools.product(range(3), range(5)):
+            assert table[i, j] == pure_trace_distance(PureState(u[i]), PureState(v[j]))
+        assert pure_trace_distance(u[0], v).shape == (5,)
+
+    def test_a_bad_stack_is_named_by_its_index(self):
+        good = np.stack([ket(1, 0).amplitudes] * 4)
+        scaled, nan = good.copy(), good.copy()
+        scaled[2:] *= 2.0
+        nan[1, 0] = np.nan
+        cases = [
+            (good, scaled, r"^second state vector at stack index 2 norm 2\.0 deviates from 1 by more than 1e-12$"),
+            (scaled, good, r"^first state vector at stack index 2 norm 2\.0 deviates from 1 by more than 1e-12$"),
+            (good, nan, r"^second state vector at stack index 1 has non-finite entries$"),
+            (good, np.eye(4), r"^dimension mismatch: 2 vs 4$"),
+            (good, good[:3], r"^stacks of shapes \(4, 2\) and \(3, 2\) do not broadcast$"),
+        ]
+        for u, v, message in cases:
+            with pytest.raises(ContractViolationError, match=message):
+                pure_trace_distance(u, v)
 
 
 class TestOrthogonalBlocks:
