@@ -194,6 +194,7 @@ def fidelity_psd(a, b):
     operators; no clipping is applied. ``b`` gets ``a``'s Hermitian check."""
     am, bm = as_square_matrix(a, stack=True), as_square_matrix(b, stack=True)
     _require_same_dim(am.shape[-1], bm.shape[-1])
+    require_broadcast(am, bm)
     s = psd_sqrt(am)
     _require_hermitian(bm, VALIDATION_TOL)
     inner = s @ bm @ s

@@ -12,9 +12,10 @@ arrays: :func:`refine` zooms on one bracket per element, and
 :func:`scan_unit_interval` scans for the ``B`` objectives of one function in
 blocks of about ``_BLOCK_VALUES`` values, so memory does not grow with ``B``.
 :func:`diamond_distance_pure_search` scans the same grid itself, reading
-both ends of each spectrum so that one eigen-solve serves two grid points,
-and hands its first optimum to :func:`refine`. Every generator takes an
-explicit ``numpy.random.Generator``, so callers stay deterministic.
+both ends of each rotated part's spectrum (in closed form at 2×2) so that one
+part serves two grid points, and hands its first optimum to :func:`refine`.
+Every generator takes an explicit ``numpy.random.Generator``, so callers stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -285,7 +286,16 @@ def diamond_distance_unitaries(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - nu * nu))
 
 
-_SEARCH_STACK = 2**13  # matrices per eigvalsh call: 512 KB at 2x2 pairs, 2 MB at 4x4
+_SEARCH_STACK = 2**13  # rotated parts (pairs x points) per block: 64 KB an array at 2x2, 2 MB at 4x4
+
+
+def hermitian_2x2_ends(a, b, re, im):
+    """λ_min and λ_max of the Hermitian matrices [[a, c], [c*, b]], c = re + i im,
+    elementwise: mean ∓ sqrt(half_diff² + re² + im²) for mean = (a + b)/2 and
+    half_diff = (a - b)/2, the ends of the eigenvalue pair centred on the mean."""
+    mean, half = (a + b) / 2.0, (a - b) / 2.0
+    radius = np.sqrt(half * half + re * re + im * im)
+    return mean - radius, mean + radius
 
 
 def diamond_distance_pure_search(u, v):
@@ -295,60 +305,76 @@ def diamond_distance_pure_search(u, v):
     That minimum is the distance nu from 0 to the numerical range of M, which
     is convex (Toeplitz–Hausdorff), so nu = max(0, max_θ λ_min(Re(e^{-iθ} M))).
     For W = u†v, Re(e^{-iθ} M) = Re(e^{-iθ} W) ⊗ 1 has the spectrum of
-    Re(e^{-iθ} W), each eigenvalue repeated d times, so the search solves the
-    d×d rotated parts of W. The maximum is found on the grid θ/2π = 0, 1e-4,
-    ..., 1 and refined by zooming grids, whose ``(B, 33)`` probes give one row
-    per pair, as :func:`scan_unit_interval` would. Since
+    Re(e^{-iθ} W), each eigenvalue repeated d times, so the search reads the
+    d×d rotated parts of W: cos θ h1 + sin θ h2 for the Hermitian parts h1,
+    h2 of W, each entry formed elementwise at 2×2, so a pair's values do not
+    depend on its stack. A 2×2 part's ends are read in closed form
+    (:func:`hermitian_2x2_ends`), a 3×3 or 4×4 part's by ``eigvalsh``. The
+    maximum is found on the grid θ/2π = 0, 1e-4, ..., 1 and refined by
+    zooming grids, whose ``(B, 33)`` probes give one row per pair, as
+    :func:`scan_unit_interval` would. Since
     Re(e^{-i(θ+π)} W) = -Re(e^{-iθ} W),
-    one eigen-solve on the grid's first half gives λ_min at θ and, as -λ_max,
-    at θ + π: 5,001 solves per pair cover the 10,001 points, and the first
-    grid point with the largest value is the one refined.
-    The argument holds for any matrix and uses only Hermitian eigenvalues of
-    rotated parts, while :func:`diamond_distance_unitaries` reads the
-    spectrum of u†v and relies on it being normal: the two are independent.
+    the ends of one part on the grid's first half give λ_min at θ and, as
+    -λ_max, at θ + π: 5,001 parts per pair cover the 10,001 points, and the
+    first grid point with the largest value is the one refined.
+    The argument holds for any matrix and uses only the Hermitian eigenvalues
+    of rotated parts, closed form or solved, and never the spectrum of u†v,
+    while :func:`diamond_distance_unitaries` reads that spectrum and relies on
+    u†v being normal: the two are independent.
 
     ``u``, ``v``: one pair of unitaries, or stacks ``(..., d, d)`` whose
     leading axes broadcast; all pairs are scanned together. One pair gives a
-    float, stacks an array, each value the one its pair gets alone.
+    float, stacks an array, each value the one its pair gets alone; an empty
+    stack gives an empty array.
     """
     um, vm = _unitary_pair(u, v, stack=True)
     d = um.shape[-1]
-    # every caller passes 2x2; at 4x4 a stack holds one pair's half grid,
-    # 5,001 4x4 matrices or 1.3 MB
+    # every caller passes 2x2, read in closed form; at 4x4 a block holds one
+    # pair's half grid, 5,001 4x4 matrices or 1.3 MB, for eigvalsh
     if d > 4:
         raise DimensionCapError(f"pure-state search takes at most 4x4, got {d}x{d}")
     w = dagger(um) @ vm
+    if not math.prod(w.shape[:-2]):
+        return np.empty(w.shape[:-2])
     m = w.reshape(-1, d, d)
-    # Re(e^{-iθ} W) = cos θ h1 + sin θ h2 for the Hermitian parts of W, as
-    # real (2, 2 d²) rows, so each stack's rotated parts are one matrix product
-    parts = np.stack([m + dagger(m), (m - dagger(m)) * -1j], axis=1) / 2.0
-    parts = parts.reshape(len(m), 2, -1).view(np.float64)
+    # the Hermitian parts h1, h2 of each W as real (2, K) rows: the entries
+    # (a, b, Re c, Im c) of [[a, c], [c*, b]] at 2x2, all 2 d² reals above
+    h = np.stack([m + dagger(m), (m - dagger(m)) * -1j], axis=1) / 2.0
+    if d == 2:
+        parts = np.stack([h[..., 0, 0].real, h[..., 1, 1].real,
+                          h[..., 0, 1].real, h[..., 0, 1].imag], axis=-1)
+    else:
+        parts = h.reshape(len(m), 2, -1).view(np.float64)
 
-    def spectra(ts):
-        """Per stack of pairs, its slice and the ascending eigenvalues of
-        Re(e^{-2πit} W) at the ``(1, r)`` or ``(B, r)`` points ``ts``."""
+    def ends(ts):
+        """Per block of pairs, its slice and λ_min, λ_max of Re(e^{-2πit} W)
+        at the ``(1, r)`` or ``(B, r)`` points ``ts``, one block alive at a time."""
         theta = 2.0 * math.pi * ts
-        trig = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        trig = np.broadcast_to(trig, (len(m),) + trig.shape[1:])
-        step = max(1, _SEARCH_STACK // trig.shape[1])
-        shape = (-1, trig.shape[1]) + m.shape[1:]
+        cos, sin = (np.broadcast_to(f(theta), (len(m), ts.shape[1])) for f in (np.cos, np.sin))
+        step = max(1, _SEARCH_STACK // ts.shape[1])
         for j in range(0, len(m), step):
-            rotated = (trig[j:j + step] @ parts[j:j + step]).view(np.complex128).reshape(shape)
-            eigs = np.linalg.eigvalsh(rotated)
-            del rotated  # one stack alive at a time
-            yield slice(j, j + step), eigs
+            rows = slice(j, j + step)
+            c, s, p = cos[rows], sin[rows], parts[rows]
+            if d == 2:
+                entries = (c * p[:, 0, k, None] + s * p[:, 1, k, None] for k in range(4))
+                yield (rows, *hermitian_2x2_ends(*entries))
+            else:
+                rotated = (np.stack([c, s], axis=-1) @ p).view(np.complex128)
+                eigs = np.linalg.eigvalsh(rotated.reshape(c.shape + (d, d)))
+                del rotated  # one block alive at a time
+                yield rows, eigs[..., 0], eigs[..., -1]
 
     xs = np.linspace(0.0, 1.0, _GRID_POINTS)
     half = _GRID_POINTS // 2  # grid point j + half is θ + π
     best = np.empty(len(m), dtype=int)
-    for rows, eigs in spectra(xs[None, :half + 1]):
-        vals = np.concatenate([eigs[..., 0], -eigs[:, 1:, -1]], axis=1)
+    for rows, lam_min, lam_max in ends(xs[None, :half + 1]):
+        vals = np.concatenate([lam_min, -lam_max[:, 1:]], axis=1)
         bad = ~np.isfinite(vals)
         if bad.any():  # the first grid point, in grid order, with a non-finite value
             raise OutOfDomainError(f"objective is not finite at grid point {xs[bad.any(axis=0)][0]}")
         best[rows] = vals.argmax(axis=1)
     lo, hi = xs[np.maximum(best - 1, 0)], xs[np.minimum(best + 1, _GRID_POINTS - 1)]
-    _, top = refine(lambda ts: np.concatenate([eigs[..., 0] for _, eigs in spectra(ts)]),
+    _, top = refine(lambda ts: np.concatenate([lam_min for _, lam_min, _ in ends(ts)]),
                     lo, hi, minimize=False)
     nu = np.maximum(0.0, top)
     dist = np.sqrt(np.maximum(0.0, 1.0 - nu**2)).reshape(w.shape[:-2])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cutchoose import combs as combs_module
+from cutchoose import combs as combs_module, reference
 from cutchoose.bounds import SecurityModel
 from cutchoose.combs import (
     Channel,
@@ -423,35 +423,81 @@ class TestDiamondDistance:
 
     def test_one_eigen_solve_serves_each_antipodal_pair(self, monkeypatch):
         gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
-        solved, shapes, eigvalsh = [0], set(), np.linalg.eigvalsh
+        solved, shapes, parts = [0], set(), [0]
+        eigvalsh, ends = np.linalg.eigvalsh, reference.hermitian_2x2_ends
 
         def counting(a):
             solved[0] += math.prod(np.shape(a)[:-2])
             shapes.add(np.shape(a)[-2:])
             return eigvalsh(a)
 
+        def counting_ends(a, *rest):
+            parts[0] += np.size(a)
+            return ends(a, *rest)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        diamond_distance_pure_search(np.eye(2), gates)
+        monkeypatch.setattr(reference, "hermitian_2x2_ends", counting_ends)
         # per pair: θ/2π = 0, 1e-4, ..., 0.5, then at most 7 refine rounds of 33 probes
-        assert 0 < solved[0] <= 50 * (5_001 + 7 * 33)
-        # the rotated parts of u†v itself, not of u†v ⊗ 1
-        assert shapes == {(2, 2)}
+        most = 50 * (5_001 + 7 * 33)
+        # 2x2 parts, of u†v itself, are read in closed form: no eigen-solve
+        diamond_distance_pure_search(np.eye(2), gates)
+        assert solved[0] == 0 and 0 < parts[0] <= most
+        # 4x4 parts go to eigvalsh, one solve per antipodal pair of grid points
+        eye = np.eye(2)
+        diamond_distance_pure_search(np.eye(4), np.stack([np.kron(g, eye) for g in gates]))
+        assert 0 < solved[0] <= most and shapes == {(4, 4)}
 
     def test_search_rejects_a_non_finite_grid_value(self, monkeypatch):
         # only the top of each spectrum is NaN: the first grid point it feeds is θ + π at j = 1
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, ends = np.linalg.eigvalsh, reference.hermitian_2x2_ends
 
         def nan_on_top(a):
             eigs = eigvalsh(a)
             eigs[..., -1] = np.nan
             return eigs
 
+        def nan_on_top_closed(*entries):
+            low, top = ends(*entries)
+            return low, np.full_like(top, np.nan)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", nan_on_top)
-        with pytest.raises(OutOfDomainError, match=r"not finite at grid point 0\.5001$"):
-            diamond_distance_pure_search(np.eye(2), phase_gate(0.6))
+        monkeypatch.setattr(reference, "hermitian_2x2_ends", nan_on_top_closed)
+        gate = phase_gate(0.6)
+        for u, v in ((np.eye(4), np.kron(gate, np.eye(2))), (np.eye(2), gate)):
+            with pytest.raises(OutOfDomainError, match=r"not finite at grid point 0\.5001$"):
+                diamond_distance_pure_search(u, v)
+
+    def test_closed_form_ends_match_eigvalsh(self):
+        rng = np.random.default_rng(15)
+        g = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        drawn = (g + dagger(g)) / 2.0
+        diagonal, off = drawn * np.eye(2), drawn * (1.0 - np.eye(2))
+        scalar = drawn[:, :1, :1].real * np.eye(2)  # radius 0
+        for h in (drawn, diagonal, off, scalar, 1e-8 * drawn, 1e8 * drawn):
+            low, top = reference.hermitian_2x2_ends(h[:, 0, 0].real, h[:, 1, 1].real,
+                                                    h[:, 0, 1].real, h[:, 0, 1].imag)
+            eigs = np.linalg.eigvalsh(h)
+            # ulps of the matrix norm: against extended precision the closed
+            # form errs by about 2 of them, LAPACK's 2x2 solve by about 9
+            ulp = np.spacing(np.abs(eigs).max(axis=-1))
+            assert np.all(low <= top)
+            assert np.all(np.abs(low - eigs[:, 0]) <= 16 * ulp)
+            assert np.all(np.abs(top - eigs[:, 1]) <= 16 * ulp)
+        low, top = reference.hermitian_2x2_ends(scalar[:, 0, 0], scalar[:, 1, 1], 0.0, 0.0)
+        assert np.array_equal(low, scalar[:, 0, 0]) and np.array_equal(top, scalar[:, 0, 0])
+
+    def test_empty_stack_gives_an_empty_array(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an empty stack was scanned")
+
+        monkeypatch.setattr(reference, "hermitian_2x2_ends", refuse)
+        for u, v, shape in ((np.eye(2), np.empty((0, 2, 2)), (0,)),
+                            (np.empty((0, 3, 2, 2)), np.eye(2), (0, 3))):
+            out = diamond_distance_pure_search(u, v)
+            assert isinstance(out, np.ndarray) and out.shape == shape
 
     def test_fifty_pair_search_peaks_below_1_5_mb(self):
-        # each eigvalsh stack, one pair's half grid, is reduced and freed before the next
+        # each block, one pair's half grid, is reduced and freed before the next
         gates = np.stack([phase_gate(a) for a in np.linspace(0.0, 2 * math.pi, 50, endpoint=False)])
         tracemalloc.start()
         try:

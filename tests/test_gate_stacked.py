@@ -1,7 +1,8 @@
-"""The closed-form-identities criterion evaluates its cases in stacks.
+"""The closed-form-identities and diamond-distance criteria evaluate their
+cases in stacks.
 
 The stacked values must equal the production functions' one-case calls on
-every draw, and a wrong answer from any function the criterion checks must
+every draw, and a wrong answer from any function a criterion checks must
 still turn it to FAIL, naming the first failing trial.
 """
 
@@ -219,6 +220,22 @@ class TestMutationsFail:
             acceptance, "numerical_range_min_overlap", lambda *a, **k: real(*a, **k) + 2e-4
         )
         assert self._failure().startswith("numerical-range trial 0: ")
+
+    def test_closed_form_radius_off_by_1e_4_of_the_norm(self, monkeypatch):
+        # the search's 2x2 closed form with its radius off by 1e-4 of the part's
+        # norm |mean| + radius. A radius scaled by 1 + 1e-4 alone would pass:
+        # the optimum of a 2x2 unitary's search is a scalar part, of radius 0
+        real = reference.hermitian_2x2_ends
+
+        def off(*entries):
+            low, top = real(*entries)
+            mean, radius = (low + top) / 2.0, (top - low) / 2.0
+            radius = radius + 1e-4 * (np.abs(mean) + radius)
+            return mean - radius, mean + radius
+
+        monkeypatch.setattr(reference, "hermitian_2x2_ends", off)
+        result = acceptance.criterion_diamond_distance()
+        assert not result.passed and result.detail.startswith("alpha=")
 
     @pytest.mark.parametrize("cut, kinds", [
         # one round and no narrowing: a tol wider than every bracket. Its 33

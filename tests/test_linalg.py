@@ -244,6 +244,17 @@ class TestStacks:
         with pytest.raises(ContractViolationError, match=r"^matrix at stack index 1 is not Hermitian"):
             fidelity_psd(np.eye(2), b)
 
+    def test_fidelity_names_stacks_that_do_not_broadcast(self, monkeypatch):
+        # the check runs before any decomposition: none is allowed here
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed before the broadcast check")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(ContractViolationError,
+                           match=r"^stacks of shapes \(3, 2, 2\) and \(2, 2, 2\) do not broadcast$"):
+            fidelity_psd(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 2))
+
     def test_one_matrix_keeps_its_shape_check(self):
         with pytest.raises(ContractViolationError, match=r"has shape \(2, 2, 2\), expected a square matrix"):
             PovmElement(np.zeros((2, 2, 2)))
