@@ -136,7 +136,7 @@ def _pauli_channel(name, strength, qubit=0, total_qubits=1) -> Channel:
         raise ContractViolationError(f"{name} qubit {qubit} not among {total_qubits} qubits")
     w = rate * strength
     ops = (math.sqrt(1.0 - len(paulis) * w) * np.eye(2), *(math.sqrt(w) * p for p in paulis))
-    return Channel(ops)
+    return Channel(ops, check=False)  # the weights sum to 1 by construction
 
 
 # (strength, qubit=0, total_qubits=1) -> the single-qubit channel a tooth puts on that qubit

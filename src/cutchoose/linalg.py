@@ -68,12 +68,14 @@ def tol_text(tol: float) -> str:
 
 
 def as_square_matrix(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
-    """``a`` as a square complex128 matrix with finite entries, or with
-    ``stack`` as a stack ``(..., d, d)`` of them; errors name ``what`` and,
-    in a stack, the first bad index."""
+    """``a`` as a square complex128 matrix with finite entries and dimension
+    at least 1, or with ``stack`` as a stack ``(..., d, d)`` of them; errors
+    name ``what`` and, in a stack, the first bad index."""
     m = np.asarray(a, dtype=np.complex128)
     if (m.ndim != 2 and not (stack and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{what} has shape {m.shape}, expected a square matrix")
+    if m.shape[-1] == 0:  # an empty stack of d x d matrices, d >= 1, passes
+        raise ContractViolationError(f"{what} has shape {m.shape}, a matrix of dimension 0")
     if not np.all(np.isfinite(m)):
         bad = ~np.isfinite(m).all(axis=(-2, -1))
         raise ContractViolationError(f"{what}{_first_bad(bad)[1]} has non-finite entries")

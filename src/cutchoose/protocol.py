@@ -12,14 +12,14 @@ Acceptance probabilities are computed exactly and, as a stochastic
 cross-check, by a seeded round-by-round Monte-Carlo sampler. The sampler
 takes a sequence of strategies and draws once how many runs have each ``n``
 and, per ``n``, each output round (counts, not one label per run); it then
-draws only the failing test rounds, against the smallest factor among the
-strategies (sparse rounds in batches, dense ones alone), and every strategy
-reads the same uniforms (common random numbers). It reads round factors
-only, never the exact products, so it checks them independently. Each
-result follows the law of one uniform per run and round; a strategy's
-result depends on the set it is sampled with, not on the order of the set,
-on duplicates, or on strategies whose factors are nowhere below the set's
-smallest. Every exact figure goes through one engine: ``outcome_table``
+draws the failing test rounds against the smallest factor among the
+strategies (sparse rounds as Poisson marks, dense ones as one uniform per
+run), and every strategy reads the same draws (common random numbers). It
+reads round factors only, never the exact products, so it checks them
+independently. Each result follows the law of one uniform per run and
+round; a strategy's result depends on the set it is sampled with, not on
+the order of the set, on duplicates, or on strategies whose factors are
+nowhere below the set's smallest. Every exact figure goes through one engine: ``outcome_table``
 checks and builds a ``RoundOutcomeTable``, a row of p(n, output round) per
 support point of the round distribution that carries its own average
 (``.acceptance``). The general-test engine in ``combs`` builds its tables
@@ -77,14 +77,14 @@ from .linalg import (
 from .states import AbortExtendedState, attack_phases
 from .strategies import PhaseAttack, Placement, require_supported, transform_round
 
-# The sampler's sizes. A call holds ``ells`` (8 bytes) and one ``dead`` flag
-# per strategy (1 byte) for each run of a round count: 110 MB at this cap and
-# a report row's three strategies.
+# The sampler's sizes. A call holds one ``dead`` flag per strategy (1 byte)
+# for each run of a round count, 30 MB at this cap and a report row's three
+# strategies, and temporaries of at most ``_BLOCK`` draws.
 MAX_TRIALS = 10**7
-# A round with K <= m / 8 failing runs is sparse: a draw of K keys with
-# replacement repeats about K / 2m <= 1/16 of them, and only those are redrawn.
+# A round whose smallest factor fails at most 1/8 of the m runs is sparse: its
+# about -m log(floor) Poisson marks, two draws each, cost less than m uniforms.
 _SPARSE_SHARE = 8
-_BATCH_PAIRS = 2**12  # (round, run) pairs per batch of sparse rounds: 32 KB of keys
+_BLOCK = 2**14  # marks, or dense (round, run) cells, per block: 128 KB of uniforms
 
 
 def snap_probability(p, what: str, given: bool = False):
@@ -424,18 +424,17 @@ def monte_carlo_run(
     arguments before any draw.
 
     Counts carry the law of one label per run because runs are exchangeable:
-    n's runs get their output rounds in sorted order (``ells``), and nothing
-    drawn after depends on where a run sits. The failing runs of a round are
-    a uniform subset of n's runs, whether drawn in a batch of sparse rounds
-    or alone, so the accept counts follow the law of a run-by-run draw.
+    runs ``bounds[l]`` to ``bounds[l + 1] - 1``, ``bounds = [0,
+    cumsum(counts)]``, hide the output in round l, and no later draw depends
+    on where a run sits. Each run then fails each round independently.
 
     Returns one accept rate per strategy, in order, all read from one set of
-    uniforms (common random numbers). Only the rounds that fail the smallest
-    factor among the strategies are drawn, so a rate depends on the set: it
-    is unchanged by reordering the strategies, by duplicating one, or by
-    adding one whose factors are nowhere below the set's smallest (such as
-    the honest run under a matched rule), but it is not in general the result
-    of a call with that strategy alone. The law of each result is that of one
+    draws (common random numbers). The draws read only each round's smallest
+    factor among the strategies, so a rate depends on the set: it is
+    unchanged by reordering the strategies, by duplicating one, or by adding
+    one whose factors are nowhere below the set's smallest (such as the
+    honest run under a matched rule), but it is not in general the result of
+    a call with that strategy alone. The law of each result is that of one
     uniform per run and round either way. Only acceptance is sampled; the
     payload never enters the draws."""
     if not (isinstance(strategies, Sequence) and strategies):
@@ -456,9 +455,9 @@ def monte_carlo_run(
             accepted += m
             continue
         w = output_round_weights(spec.output_round, n)
-        ells = np.repeat(np.arange(n + 1), _counts(rng, m, w))  # sorted: runs are exchangeable
+        bounds = np.concatenate(([0], np.cumsum(_counts(rng, m, w))))  # runs are exchangeable
         factors = np.stack([_round_factors(spec, s, n) for s in strategies])
-        accepted += m - _rejected_runs(rng, ells, factors)
+        accepted += [m - np.count_nonzero(row) for row in _rejected_runs(rng, bounds, factors)]
     return tuple(a / int(trials) for a in accepted.tolist())
 
 
@@ -471,70 +470,60 @@ def _counts(rng: np.random.Generator, size: int, probs) -> np.ndarray:
     return rng.multinomial(size, probs / probs.sum())
 
 
-def _rejected_runs(rng: np.random.Generator, ells: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Runs each row of ``factors`` (a strategy's n + 1 round factors) rejects.
+def _rejected_runs(rng: np.random.Generator, bounds: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Which of the ``m = bounds[-1]`` runs of one n each row of ``factors``
+    (a strategy's n + 1 round factors) rejects, as a (strategies, m) bool
+    array; runs ``bounds[i]`` to ``bounds[i + 1] - 1`` hide the output in
+    round i, which tests nothing there.
 
-    A run fails round i for strategy s iff its uniform u >= f_s,i. Only the
-    uniforms at or above floor_i = min_s f_s,i are drawn: first every count
-    K_i ~ Binomial(m, 1 - floor_i), then each round's runs as a uniform
-    K_i-subset (:func:`_failing_runs`), and after each batch of sparse
-    rounds, or each dense round, one u on [floor_i, 1) per (round, run) pair.
-    This is the law of one uniform per run and round, shared by every
-    strategy. The output round is not a test: it is dropped after the draw,
-    so the stream does not depend on which runs it drops."""
-    m = ells.size
+    A run fails round i for strategy s iff its uniform u >= f_s,i, one u per
+    run and round for every strategy. The draws read only floor_i = min_s
+    f_s,i; a round with floor_i = 1 draws nothing. A dense round draws u for
+    every run. A sparse round (``1 - floor_i <= 1 / _SPARSE_SHARE``) draws
+    Poisson(-m log floor_i) marks, each on a uniform run with a label U
+    uniform on [0, 1), which fails s iff ``U < log f_s,i / log floor_i``
+    (``floor_i**U > f_s,i``; never where f_s,i = 1). That is the law of one u
+    (Poissonization): a run's marks are Poisson(-log floor_i), independent of
+    other runs', and those with ``floor_i**U > x`` for x in [floor_i, 1] are
+    Poisson(-log x), none with chance x, so the largest ``floor_i**U`` of a
+    marked run is uniform on [floor_i, 1). Two marks on one run just both
+    mark it. Draws on output runs are made and ignored. Each row of ``dead``
+    holds run r at column r + 1; what fails nothing lands in column 0."""
     floor = factors.min(axis=0)
-    dead = np.zeros((len(factors), m), dtype=bool)
-    for rounds, runs in _failing_runs(rng, m, rng.binomial(m, 1.0 - floor)):
-        u = rng.uniform(floor[rounds], 1.0, runs.size)
-        tests = ells[runs] != rounds
-        for row, f in zip(dead, factors[:, rounds]):
-            # a round that always passes never fails, whatever u rounds to
-            row[runs[(u >= f) & (f < 1.0) & tests]] = True
-    return np.count_nonzero(dead, axis=1)
+    dead = np.zeros((len(factors), int(bounds[-1]) + 1), dtype=bool)
+    dense = (1.0 - floor) * _SPARSE_SHARE > 1.0
+    _mark_rounds(rng, bounds, factors, np.flatnonzero(~dense & (floor < 1.0)), dead)
+    _uniform_rounds(rng, bounds, factors, np.flatnonzero(dense), dead)
+    return dead[:, 1:]
 
 
-def _failing_runs(rng: np.random.Generator, m: int, counts: np.ndarray):
-    """Yields each round's runs, a uniform ``counts[i]``-subset of range(m), as
-    ``(rounds, runs)``. Sparse rounds (``counts[i]`` at most ``m /
-    _SPARSE_SHARE`` and ``_BATCH_PAIRS``) come first, in round order, a batch
-    of whole rounds and at most ``_BATCH_PAIRS`` pairs at a time
-    (:func:`_distinct_runs`; ``rounds`` holds each pair's round). Then each
-    dense round comes alone (:func:`_subset`; ``rounds`` is its index): its
-    draw is O(m) anyway, or larger than a batch. Empty rounds draw nothing."""
-    sparse = (counts * _SPARSE_SHARE <= m) & (counts <= _BATCH_PAIRS)
-    rounds = np.flatnonzero(sparse & (counts > 0))
-    ends = np.cumsum(counts[rounds])  # pairs up to and including each sparse round
-    start = 0
-    while start < rounds.size:
-        done = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, done + _BATCH_PAIRS, "right"))
-        batch, runs = _distinct_runs(rng, m, counts[rounds[start:stop]])
-        yield rounds[start:stop][batch], runs
-        start = stop
-    for i in np.flatnonzero(~sparse).tolist():
-        yield i, _subset(rng, m, int(counts[i]))
+def _mark_rounds(rng, bounds, factors, rounds, dead) -> None:
+    """The sparse ``rounds``' marks: all counts in one call, then at most
+    ``_BLOCK`` marks' runs and labels at a time."""
+    m = int(bounds[-1])
+    log_floor = np.log(factors[:, rounds].min(axis=0))
+    shares = np.log(factors[:, rounds]) / log_floor  # a mark fails s iff U < share
+    lo, hi = bounds[rounds], bounds[rounds + 1]  # columns lo + 1 to hi: the output runs
+    ends = np.cumsum(rng.poisson(-m * log_floor))  # marks through each round, cumulative
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        j = np.repeat(np.arange(rounds.size), np.diff(np.clip(ends, start, stop), prepend=start))
+        columns, u = rng.integers(1, m + 1, stop - start), rng.random(stop - start)
+        columns *= (columns <= lo[j]) | (columns > hi[j])
+        for row, share in zip(dead, shares):
+            row[columns * (u < share[j])] = True
 
 
-def _distinct_runs(rng: np.random.Generator, m: int, counts: np.ndarray):
-    """A uniform ``counts[j]``-subset of range(m) for each j, as ``(j, runs)``
-    arrays of pairs sorted by j, then run: keys ``j * m + run`` drawn with
-    replacement, deduplicated by sorting, and each j's shortfall redrawn until
-    none is left. Every step treats the runs alike, so each subset is uniform."""
-    keys, short = np.empty(0, dtype=np.int64), counts
-    while short.any():
-        drawn = np.repeat(np.arange(counts.size) * m, short) + rng.integers(0, m, short.sum())
-        keys = np.sort(np.concatenate([keys, drawn]))
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-        short = counts - np.bincount(keys // m, minlength=counts.size)
-    return np.divmod(keys, m)
-
-
-def _subset(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
-    """A uniform ``size``-subset of range(m): drawn directly up to m/2, else
-    as the complement of an (m - size)-subset, so at most m/2 indices are drawn."""
-    if 2 * size <= m:
-        return rng.choice(m, size, replace=False, shuffle=False)
-    keep = np.ones(m, dtype=bool)
-    keep[rng.choice(m, m - size, replace=False, shuffle=False)] = False
-    return np.flatnonzero(keep)
+def _uniform_rounds(rng, bounds, factors, rounds, dead) -> None:
+    """The dense ``rounds``' uniforms, at most ``_BLOCK`` (round, run) cells at a time."""
+    m = int(bounds[-1])
+    width = min(m, _BLOCK)
+    for first in range(0, rounds.size, _BLOCK // width):
+        block = rounds[first:first + _BLOCK // width, None]
+        for start in range(0, m, width):
+            runs = np.arange(start, min(start + width, m))
+            u = rng.random((block.size, runs.size))
+            tested = (runs < bounds[block]) | (runs >= bounds[block + 1])
+            fails = (u >= factors[:, block]) & tested  # (strategy, round, run)
+            dead[:, 1 + start:1 + start + runs.size] |= fails.any(axis=1)

@@ -40,7 +40,7 @@ from cutchoose.families import (
     matched_acceptance,
     plus_acceptance,
 )
-from cutchoose.linalg import PureState, dagger, trace_norm
+from cutchoose.linalg import PureState, dagger, require_unitary, trace_norm
 from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
@@ -94,8 +94,11 @@ class TestChannel:
             dephasing_channel(0.2).compose(Channel.from_unitary(np.eye(4)))
 
     def test_dephasing_trace_preserving(self):
-        for chan in (dephasing_channel(0.3), depolarizing_channel(0.7)):
-            assert np.abs(sum(dagger(k) @ k for k in chan.kraus) - np.eye(2)).max() <= 1e-12
+        # the palette builds its Kraus sets without the channel's own check:
+        # the weights sum to 1 by construction, so the sum is the identity
+        for strength in (0.0, 0.3, 0.37, 0.7, 1.0):
+            for chan in (dephasing_channel(strength), depolarizing_channel(strength)):
+                assert np.abs(sum(dagger(k) @ k for k in chan.kraus) - np.eye(2)).max() <= 1e-15
 
     @pytest.mark.parametrize("qubit", (2, -1))
     def test_rejects_qubit_outside_the_stack(self, qubit):
@@ -555,6 +558,16 @@ class TestDiamondDistance:
     def test_rejects_bad_input(self, distance, u, v):
         with pytest.raises(ContractViolationError):
             distance(u, v)
+
+    @pytest.mark.parametrize("call", [
+        lambda z: require_unitary(z, "first argument"), lambda z: diamond_distance_unitaries(z, z),
+        lambda z: diamond_distance_pure_search(z, z),
+    ], ids=["require-unitary", "closed-form", "search"])
+    def test_rejects_a_matrix_of_dimension_zero(self, call):
+        # an empty stack of 2 x 2 matrices is fine (test_empty_stack_gives_an_empty_array)
+        message = r"^first argument has shape \(0, 0\), a matrix of dimension 0$"
+        with pytest.raises(ContractViolationError, match=message):
+            call(np.zeros((0, 0)))
 
 
 class TestCombContraction:

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import re
 import tracemalloc
@@ -39,7 +38,7 @@ from cutchoose.protocol import (
 from cutchoose.states import attack_operator, computational_basis_state, plus_state
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
 from dense_rounds import effect_row, played, squared_overlap
-from law import chi2_critical, chi2_statistic
+from law import chi2_critical, chi2_statistic, within_sigmas
 
 
 def plus_spec(omega, k=1):
@@ -497,7 +496,7 @@ _SHARED_DRAW_SPECS = {
         _THREE,
     ),
     "random-matched-per-round": (_random_matched_spec(), _MATCHED),
-    # every test round fails about 4 % of runs: all are sparse, drawn in batches
+    # every test round fails about 4 % of runs: all are sparse, drawn as marks
     "all-sparse": (plus_spec(RoundDistribution.from_pairs([(1, 0.3), (4, 0.7)])),
                    (HONEST, PhaseAttack(0.4), PhaseAttack(0.3, Placement.PRE))),
 }
@@ -523,8 +522,8 @@ class FailingRounds(TrapGenerator):
 
 
 _MIXED_N_TRAPS = FailingRounds([0.39, 0.41, 0.32, 0.05, 0.48, 0.03])
-# n = 5's six rounds under the attack: at 500 trials four are dense and two
-# sparse, each round's failing count at least 7 sigma from the m/8 split
+# n = 5's six rounds under the attack: four fail more than 1/8 of runs and
+# are dense, two fail less and are sparse
 _MIXED_N_SPEC = ProtocolSpec(RoundDistribution.from_pairs([(0, 0.1), (5, 0.9)]), 1,
                              _MIXED_N_TRAPS, matched_acceptance(_MIXED_N_TRAPS))
 # name -> (spec, strategies) whose sampled rates must follow the exact law
@@ -546,8 +545,8 @@ _BINOMIAL_SPECS = {
                                output_round=_SKEWED_RULE),
                   (HONEST, PhaseAttack(0.9), PhaseAttack(1.7, Placement.PRE))),
 }
-# at most 25 runs per round count: a round is sparse when 1 to 3 of them fail, which
-# 2 % failure rates make common, and mixed-n's four weak rounds are mostly dense (an
+# at most 25 runs per round count: 2 % failure rates make every round sparse, drawn
+# as a few marks or none, and mixed-n has four dense rounds and two sparse (an
 # honest run under these rules always accepts, so its count has no law to fit)
 _BINOMIAL_SPECS["sparse"] = (plus_spec(RoundDistribution.point_mass(3)),
                              (PhaseAttack(0.3), PhaseAttack(0.25, Placement.PRE)))
@@ -555,12 +554,13 @@ _BINOMIAL_SPECS["mixed-n"] = (_MIXED_N_SPEC, (PhaseAttack(math.pi),))
 
 
 def spy_on_draw_paths(monkeypatch, record):
-    """Calls ``record(name)`` whenever the sampler draws a batch of sparse
-    rounds (``_distinct_runs``) or one dense round (``_subset``)."""
-    for name in ("_distinct_runs", "_subset"):
-        def spy(*args, real=getattr(protocol, name), name=name):
-            record(name)
-            return real(*args)
+    """Calls ``record(name)`` whenever the sampler draws some sparse rounds as
+    marks (``_mark_rounds``) or some dense rounds as uniforms (``_uniform_rounds``)."""
+    for name in ("_mark_rounds", "_uniform_rounds"):
+        def spy(rng, bounds, factors, rounds, dead, real=getattr(protocol, name), name=name):
+            if rounds.size:
+                record(name)
+            return real(rng, bounds, factors, rounds, dead)
 
         monkeypatch.setattr(protocol, name, spy)
 
@@ -638,8 +638,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name", sorted(_SHARED_DRAW_SPECS))
     # runs per call: each round count's runs form one block, of about 4,000 * omega(n)
-    # runs, or of at most 8, where round counts with no runs, rounds with no failure
-    # and failure subsets larger than half their block are common
+    # runs, or of at most 8, where round counts with no runs and sparse rounds with
+    # no mark are common
     @pytest.mark.parametrize("trials", (4_000, 8), ids=("one-block", "blocks-of-8"))
     def test_strategies_share_draws_bit_identically(self, name, trials):
         spec, strategies = _SHARED_DRAW_SPECS[name]
@@ -709,11 +709,11 @@ class TestMonteCarlo:
             assert stat <= chi2_critical(df), (s, stat, df)
 
     @pytest.mark.parametrize("name, paths", [
-        ("all-sparse", ["_distinct_runs"]), ("mixed-n", ["_distinct_runs", "_subset"]),
+        ("all-sparse", ["_mark_rounds"]), ("mixed-n", ["_mark_rounds", "_uniform_rounds"]),
     ], ids=("all-sparse", "mixed-n"))
     def test_law_specs_draw_on_the_paths_they_are_named_for(self, monkeypatch, name, paths):
-        # at the law test's 500 trials each round's failing count sits at least
-        # 5 sigma from the m/8 split, so another path would mean another law
+        # the path follows each round's smallest factor alone, so every seed, with
+        # or without the honest run, takes the same paths at the law test's trials
         spec, strategies = _LAW_SPECS[name]
         used = set()
         spy_on_draw_paths(monkeypatch, used.add)
@@ -770,118 +770,146 @@ class TestMonteCarlo:
             monte_carlo_run(spec, (HONEST,), **args)
 
 
-class FixedDraws:
-    """A generator stub for ``_rejected_runs``: ``counts[i]`` failing runs in
-    round i, the first ones (a batch's keys all distinct), each with the
-    uniform exactly 1.0."""
+class ExtremeDraws:
+    """A generator stub for ``_rejected_runs``: ``marks`` marks per sparse
+    round, on columns 1, 2, ... in turn, each with the label U = 0, the mark
+    that fails the most; and every dense uniform just below 1, the largest."""
 
-    def __init__(self, counts):
-        self.counts = counts
+    def __init__(self, marks):
+        self.marks = marks
 
-    def binomial(self, m, p):
-        return np.array(self.counts)
+    def poisson(self, lam):
+        return np.full(len(lam), self.marks)
 
     def integers(self, low, high, size):
-        return np.arange(size)
+        return low + np.arange(size) % (high - low)
 
-    def choice(self, m, size, replace=True, shuffle=True):
-        return np.arange(size)
-
-    def uniform(self, low, high, size):
-        return np.ones(size)
+    def random(self, size):
+        return np.zeros(size) if np.ndim(size) == 0 else np.full(size, np.nextafter(1.0, 0.0))
 
 
 def test_a_uniform_of_one_fails_only_rounds_below_one(monkeypatch):
-    # runs 0..3 hide the output in round 1, runs 4..63 in round 3. Round 2 is
-    # sparse (4 runs of 64) and round 3 dense (all 64): runs 0..3 are tested
-    # in both, and a factor of 1 passes whatever u is drawn, on either path
+    # runs 0-1 hide the output in round 0, runs 2-4 in round 1 and runs 5-7 in
+    # round 2. Rounds 0 and 2 are sparse, round 1 dense, and strategy i fails
+    # round i only: every run but that round's own output runs, first and last
+    # included, fails it; a factor of 1 passes whatever is drawn, on either path
     paths = []
     spy_on_draw_paths(monkeypatch, paths.append)
-    factors = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [1.0, 1.0, 0.5]])
-    ells = np.repeat([0, 2], [4, 60])
-    rejected = protocol._rejected_runs(FixedDraws([0, 4, 64]), ells, factors)
-    assert rejected.tolist() == [0, 4, 4]
-    assert paths == ["_distinct_runs", "_subset"]
+    factors = np.array([[0.9, 1.0, 1.0], [1.0, 0.5, 1.0], [1.0, 1.0, 0.95], [1.0, 1.0, 1.0]])
+    dead = protocol._rejected_runs(ExtremeDraws(8), np.array([0, 2, 5, 8]), factors)
+    assert [np.flatnonzero(row).tolist() for row in dead] == [
+        [2, 3, 4, 5, 6, 7], [0, 1, 5, 6, 7], [0, 1, 2, 3, 4], []]
+    assert paths == ["_mark_rounds", "_uniform_rounds"]
 
 
-def _yields(m, counts, seed):
-    """``_failing_runs``' yields at one seed, each as (batched, round per pair,
-    runs): ``batched`` for a batch of sparse rounds, not one dense round."""
-    rng = np.random.default_rng(seed)
-    return [(np.ndim(rounds) == 1, np.broadcast_to(rounds, runs.shape), runs)
-            for rounds, runs in protocol._failing_runs(rng, m, np.array(counts))]
+class RecordedDraws:
+    """A seeded generator that records the size of every draw of the sampler's
+    failing runs, by method."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), {}
+
+    def __getattr__(self, name):
+        def draw(*args):
+            size = np.shape(args[0]) if name == "poisson" else args[-1]
+            self.sizes.setdefault(name, []).append(size)
+            return getattr(self.rng, name)(*args)
+
+        return draw
 
 
 class TestFailingRuns:
-    """Each round's failing runs, sparse rounds in batches and dense ones alone:
-    a uniform subset of the round's count."""
+    """Each round's failing runs, sparse rounds as Poisson marks and dense
+    ones as one uniform per run: each run fails with the round's chance,
+    independently of the other runs."""
 
-    # (m, counts, batch bound): every round sparse; sparse and dense mixed; and
-    # sparse rounds over several batches, at a patched and at the real bound
+    # (m, failure chance per round, block bound): every round sparse; sparse and
+    # dense mixed; marks and dense rows over several blocks at a patched bound;
+    # and at the real bound, more marks than a block and more runs than a row
     CASES = {
-        "all-sparse": (64, [8, 0, 3, 1, 8, 5], None),
-        "mixed": (64, [8, 40, 3, 64, 0, 9, 1], None),
-        "batches": (64, [5, 4, 3, 6, 2, 7, 1], 12),
-        "real-bound": (2**16, [1500, 1200, 1300, 2000, 900, 3000], None),
+        "all-sparse": (64, [0.1, 0.0, 0.05, 0.02, 0.125, 0.08], None),
+        "mixed": (64, [0.1, 0.6, 0.05, 1.0, 0.0, 0.15, 0.02], None),
+        "batches": (64, [0.1, 0.3, 0.05, 0.12, 0.5, 0.02], 12),
+        "real-bound": (2**16, [0.1, 0.05, 0.12, 0.3, 0.02], None),
     }
 
+    @staticmethod
+    def failing(rng, m, fails):
+        """Each round's failing runs as a row: strategy i fails round i alone,
+        and every run hides the output in a round that all pass."""
+        r = len(fails)
+        factors = np.ones((r, r + 1))
+        factors[np.arange(r), np.arange(1, r + 1)] = 1.0 - np.array(fails)
+        return protocol._rejected_runs(rng, np.array([0] + [m] * (r + 1)), factors)
+
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_sizes_are_exact_and_runs_distinct(self, monkeypatch, name):
-        m, counts, bound = self.CASES[name]
+    def test_draws_come_in_blocks_of_exact_sizes(self, monkeypatch, name):
+        m, fails, bound = self.CASES[name]
         if bound:
-            monkeypatch.setattr(protocol, "_BATCH_PAIRS", bound)
-        bound = protocol._BATCH_PAIRS
-        sparse = [c for c in counts if c * protocol._SPARSE_SHARE <= m and c <= bound]
-        for seed in range(20):
-            drawn, batches = {}, []
-            for batched, rounds, runs in _yields(m, counts, seed):
-                if batched:
-                    batches.append(rounds.size)
-                    keys = rounds * m + runs
-                    assert np.all(np.diff(keys) > 0)  # sorted by round, then run
-                for i in np.unique(rounds).tolist():
-                    assert i not in drawn  # every round comes whole, once
-                    drawn[i] = runs[rounds == i]
-            assert all(size <= bound for size in batches)
-            assert sum(batches) == sum(sparse)
-            assert sorted(drawn) == [i for i, c in enumerate(counts) if c]
-            for i, runs in drawn.items():
-                assert runs.size == counts[i]
-                assert np.unique(runs).size == runs.size
-                assert 0 <= runs.min() and runs.max() < m
-        if name == "batches":
-            assert len(batches) == 3  # 5 + 4 + 3, 6 + 2, 7 + 1
+            monkeypatch.setattr(protocol, "_BLOCK", bound)
+        bound = protocol._BLOCK
+        sparse = [p for p in fails if 0.0 < p * protocol._SPARSE_SHARE <= 1.0]
+        dense = [p for p in fails if p * protocol._SPARSE_SHARE > 1.0]
+        for seed in range(5):
+            rng = RecordedDraws(seed)
+            dead = self.failing(rng, m, fails)
+            assert rng.sizes.pop("poisson") == [(len(sparse),)]
+            marks, labels = rng.sizes.pop("integers", []), rng.sizes.pop("random")
+            cells = [math.prod(size) for size in labels if np.ndim(size)]
+            assert labels[:len(marks)] == marks and len(labels) == len(marks) + len(cells)
+            assert not rng.sizes and all(0 < size <= bound for size in marks + cells)
+            assert sum(cells) == len(dense) * m
+            if name == "real-bound":
+                assert len(marks) > 1 and len(cells) == len(dense) * (m // bound)
+            for row, p in zip(dead, fails):
+                if p in (0.0, 1.0):  # a round that never fails draws nothing
+                    assert np.all(row == (p == 1.0))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_run_is_equally_likely(self, monkeypatch, name):
-        m, counts, bound = self.CASES[name]
+        m, fails, bound = self.CASES[name]
         if bound:
-            monkeypatch.setattr(protocol, "_BATCH_PAIRS", bound)
-        seeds = range(1500 if m <= 64 else 60)
+            monkeypatch.setattr(protocol, "_BLOCK", bound)
+        seeds = range(1500 if m <= 64 else 40)
         bins = min(m, 64)  # equal bins of runs
-        hits = np.zeros((len(counts), bins))
-        for seed in seeds:
-            for _, rounds, runs in _yields(m, counts, seed):
-                np.add.at(hits, (rounds, runs * bins // m), 1)
-        for i, c in enumerate(counts):
-            if c:
-                stat, df = chi2_statistic(hits[i], np.full(bins, len(seeds) * c / bins))
-                assert stat <= chi2_critical(df), (name, i, stat, df)
+        hits = sum(self.failing(np.random.default_rng(seed), m, fails).reshape(len(fails), bins, -1)
+                   .sum(axis=2) for seed in seeds)
+        for i, p in enumerate(fails):
+            if 0.0 < p < 1.0:
+                # a bin's count is binomial, of variance (1 - p) times its exact
+                # mean, so every bin is a degree of freedom of the scaled statistic
+                stat, df = chi2_statistic(hits[i], np.full(bins, len(seeds) * p * m / bins))
+                assert stat / (1.0 - p) <= chi2_critical(df + 1), (name, i, stat, df)
 
     def test_every_subset_is_equally_likely(self):
-        # two sparse rounds of 2 runs in 16 (one batch): each of the 120 pairs
-        # of runs, the round's whole subset, is drawn alike
-        subsets = list(itertools.combinations(range(16), 2))
-        index = {pair: j for j, pair in enumerate(subsets)}
-        seen = np.zeros((2, len(subsets)))
-        seeds = range(3000)
+        # four runs, a sparse and a dense round: each run fails independently,
+        # so a subset of the runs is a round's failing set with chance
+        # p**size (1 - p)**(4 - size); bins in order of size, so rare ones pool
+        fails = (0.125, 0.4)
+        subsets = sorted(range(16), key=lambda s: (s.bit_count(), s))
+        seen = np.zeros((2, 16))
+        seeds = range(4000)
         for seed in seeds:
-            (_, rounds, runs), = _yields(16, [2, 2], seed)
-            for i in (0, 1):
-                seen[i, index[tuple(runs[rounds == i].tolist())]] += 1
-        for row in seen:
-            stat, df = chi2_statistic(row, np.full(len(subsets), len(seeds) / len(subsets)))
-            assert stat <= chi2_critical(df), (stat, df)
+            dead = self.failing(np.random.default_rng(seed), 4, fails)
+            seen[[0, 1], dead @ (1 << np.arange(4))] += 1
+        for row, p in zip(seen, fails):
+            law = [p ** s.bit_count() * (1.0 - p) ** (4 - s.bit_count()) for s in subsets]
+            stat, df = chi2_statistic(row[subsets], len(seeds) * np.array(law))
+            assert stat <= chi2_critical(df), (p, stat, df)
+
+    def test_a_dense_call_holds_its_dead_flags_and_one_block(self):
+        # 2 * 10**6 runs of n = 3 whose rounds all fail about 90 %: the flags are
+        # 2 MB, where one uniform per run and round at once would be 64 MB
+        spec = plus_spec(RoundDistribution.point_mass(3))
+        monte_carlo_run(spec, (PhaseAttack(2.5),), 10, seed=0)  # receive the rounds first
+        tracemalloc.start()
+        try:
+            rate, = monte_carlo_run(spec, (PhaseAttack(2.5),), 2 * 10**6, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+        assert within_sigmas(rate, overall_acceptance(spec, PhaseAttack(2.5)), 2 * 10**6)
 
 
 class TestOneWalkPerN:
