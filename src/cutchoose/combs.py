@@ -8,14 +8,17 @@ n channels into the holes yields a channel on the register stack; the client
 may additionally keep an auxiliary space that the network never touches.
 
 A comb is built once into steps on the stack's qubit axes (axis transposes,
-hole unitaries on their register, single-qubit Kraus sets): the sequential
-link product of quantum combs, one tooth at a time (Chiribella, D'Ariano,
-Perinotti, arXiv:0904.4483). A pure test state goes through a unitary network
-as a vector; otherwise the state is a density tensor whose qubits each keep
-their left and right axes side by side, and each step is one matrix product
-of its Liouville form ``Σ K ⊗ K̄`` on a reshaped view. Cost is linear in the
-hole count; :func:`plug` composes the dense network and is the
-reference. Everything is capped at a total dimension of 256: the bounds
+hole unitaries on their register, single-qubit Kraus sets with their
+Liouville forms ``Σ K ⊗ K̄``): the sequential link product of quantum combs,
+one tooth at a time (Chiribella, D'Ariano, Perinotti, arXiv:0904.4483). A
+general test holds its hole unitaries as one checked ``(n, d, d)`` stack, and
+an attack's phases meet the whole stack in one product. A pure test state
+goes through a unitary network as a vector; otherwise the state is a density
+tensor whose qubits each keep their left and right axes side by side, and
+each step is one matrix product of its Liouville form on a reshaped view (a
+tooth's built with the comb, the holes' ``u ⊗ ū`` as one stack per run).
+Cost is linear in the hole count; :func:`plug` composes the dense network
+and is the reference. Everything is capped at a total dimension of 256: the bounds
 being certified are dimension-independent. The per-round protocol through
 this engine, the diamond distances and the seeded random setups that check
 it are in ``reference``.
@@ -46,9 +49,9 @@ from .protocol import (
     require_output_round,
     snap_probability,
 )
-from .states import (Effect, PovmElement, RankOneEffect, attack_phases, bell_pair,
-                     computational_basis_state, plus_state)
-from .strategies import PhaseAttack, Placement, require_supported
+from .states import (Effect, IdentityEffect, PovmElement, RankOneEffect, attack_phases,
+                     bell_pair, computational_basis_state, plus_state)
+from .strategies import HONEST, PhaseAttack, Placement, require_supported
 
 
 class Channel:
@@ -157,12 +160,14 @@ class Tooth(NamedTuple):
 
 class Step(NamedTuple):
     """One step of a network on the register stack's qubits (qubit 0 most
-    significant): the Kraus set ``kraus`` on the consecutive qubits ``axes``;
-    hole number ``kraus`` (0-based) when it is an int; or, when it is None,
-    the wire permutation whose output qubit j is input qubit ``axes[j]``."""
+    significant): the Kraus set ``kraus`` on the consecutive qubits ``axes``,
+    with its Liouville form ``liouville`` (:func:`_liouville`); hole number
+    ``kraus`` (0-based) when it is an int; or, when it is None, the wire
+    permutation whose output qubit j is input qubit ``axes[j]``."""
 
     axes: tuple[int, ...]
     kraus: tuple[np.ndarray, ...] | int | None
+    liouville: np.ndarray | None = None
 
 
 def build_tooth(tooth: Tooth | None, width: int, k: int) -> tuple[Step, ...]:
@@ -174,7 +179,7 @@ def build_tooth(tooth: Tooth | None, width: int, k: int) -> tuple[Step, ...]:
         steps.append(Step(tuple(p * k + b for p in perm for b in range(k)), None))
     if tooth is not None and tooth.channel is not None:
         noise = _pauli_channel(tooth.channel, tooth.strength, tooth.qubit, width * k)
-        steps.append(Step((tooth.qubit,), noise.kraus))
+        steps.append(Step((tooth.qubit,), noise.kraus, _liouville(noise.kraus)))
     return tuple(steps)
 
 
@@ -251,7 +256,7 @@ def _check_holes(comb: Comb, shapes) -> None:
 def _walk(comb: Comb, hole_kraus):
     """The comb's steps with ``hole_kraus[i]`` plugged into hole ``i + 1``; the
     entry points check their layout with :func:`_check_holes`."""
-    for axes, kraus in comb.steps:
+    for axes, kraus, _ in comb.steps:
         yield (axes, hole_kraus[kraus]) if isinstance(kraus, int) else (axes, kraus)
 
 
@@ -273,45 +278,54 @@ def plug(comb: Comb, round_channels) -> Channel:
     return result
 
 
-def _liouville(kraus) -> np.ndarray:
-    """``Σ K ⊗ K̄`` of a Kraus set on m qubits, as a ``(4**m, 4**m)`` matrix whose
-    rows (and columns) run over the qubits' (left, right) index pairs in turn."""
-    ks = np.asarray(kraus)
-    dim = ks.shape[-1]
+def _paired(form: np.ndarray) -> np.ndarray:
+    """Products ``[..., i, j, k, l] = A[i, k] B̄[j, l]`` on m qubits as ``(..., 4**m, 4**m)``
+    matrices whose rows (and columns) run over the qubits' (left, right) index pairs in turn."""
+    lead, dim = form.shape[:-4], form.shape[-1]
     m = dim.bit_length() - 1
-    # one broadcast product over the stack: [i, j, k, l] = Σ K[i, k] K̄[j, l]
-    form = (ks[:, :, None, :, None] * ks.conj()[:, None, :, None, :]).sum(axis=0)
     if m > 1:  # m left bits, then m right bits -> m (left, right) bit pairs
         pairs = [b for j in range(m) for b in (j, m + j)]
-        form = form.reshape((2,) * 4 * m).transpose(pairs + [2 * m + b for b in pairs])
-    return form.reshape(dim * dim, dim * dim)
+        form = form.reshape(lead + (2,) * 4 * m).transpose(
+            list(range(len(lead))) + [len(lead) + b for b in pairs + [2 * m + b for b in pairs]])
+    return form.reshape(lead + (dim * dim, dim * dim))
+
+
+def _liouville(kraus) -> np.ndarray:
+    """``Σ K ⊗ K̄`` of a Kraus set on m qubits, as a ``(4**m, 4**m)`` matrix (:func:`_paired`)."""
+    ks = np.asarray(kraus)
+    # one broadcast product over the set: [i, j, k, l] = Σ K[i, k] K̄[j, l]
+    return _paired((ks[:, :, None, :, None] * ks.conj()[:, None, :, None, :]).sum(axis=0))
 
 
 def _evolve(comb: Comb, hole_unitaries, state: np.ndarray) -> np.ndarray:
     """Push a state on (register stack x auxiliary space) through the network
-    with ``hole_unitaries`` plugged in: a vector through a unitary network,
-    else a density matrix (a vector becomes its projector). The density
-    tensor is transposed once so that each qubit's left and right axes sit
-    side by side (q1 L, q1 R, ..., y L, y R) and act as one axis of size 4.
-    A step on consecutive qubits ``a..a+m-1`` is then one matrix product on a
-    reshaped view, ``op @ t.reshape(b**a, b**m, -1)`` with ``b`` = 2 (``op`` a
-    hole unitary) or 4 (``op`` the step's Liouville form ``Σ K ⊗ K̄``), and a
-    wire permutation is a transpose of those axes.
+    with ``hole_unitaries`` (a sequence or an ``(n, d, d)`` stack) plugged in:
+    a vector through a unitary network, else a density matrix (a vector
+    becomes its projector). The density tensor is transposed once so that
+    each qubit's left and right axes sit side by side (q1 L, q1 R, ..., y L,
+    y R) and act as one axis of size 4. A step on consecutive qubits
+    ``a..a+m-1`` is then one matrix product on a reshaped view,
+    ``op @ t.reshape(b**a, b**m, -1)`` with ``b`` = 2 (``op`` a hole unitary)
+    or 4 (``op`` the step's Liouville form: a tooth's, built with the comb, or
+    a hole's ``u ⊗ ū``, formed for all holes at once), and a wire permutation
+    is a transpose of those axes.
     The output's trace (a vector's squared norm) must be 1 within ``IDENTITY_TOL``."""
     q, y = comb.width * comb.k, comb.y_dim
     if state.ndim == 1 and any(isinstance(s.kraus, tuple) and len(s.kraus) > 1
                                for s in comb.steps):
         state = np.outer(state, state.conj())
     pure = state.ndim == 1
-    base, t = 2, state
+    holes, base, t = np.asarray(hole_unitaries, dtype=np.complex128), 2, state
     if not pure:  # (q1 L, ..., y L, q1 R, ..., y R) -> (q1 L, q1 R, ..., y L, y R)
         base, t = 4, state.reshape(((2,) * q + (y,)) * 2).transpose(
             [a for j in range(q + 1) for a in (j, q + 1 + j)])
-    for axes, kraus in _walk(comb, [(u,) for u in hole_unitaries]):
+        if len(holes):  # u ⊗ ū of every hole in one broadcast product
+            holes = _paired(holes[:, :, None, :, None] * holes.conj()[:, None, :, None, :])
+    for axes, kraus, form in comb.steps:
         if kraus is None:
             t = t.reshape((base,) * q + (-1,)).transpose(axes + (q,))
         else:
-            op = kraus[0] if pure else _liouville(kraus)
+            op = holes[kraus] if isinstance(kraus, int) else kraus[0] if pure else form
             t = op @ t.reshape(base ** axes[0], base ** len(axes), -1)
     if not pure:  # and back
         t = t.reshape((2, 2) * q + (y, y)).transpose(
@@ -325,31 +339,67 @@ def _evolve(comb: Comb, hole_unitaries, state: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unitary_stack(unitaries) -> np.ndarray:
+    """The test unitaries as one read-only ``(n, d, d)`` stack, checked in one
+    pass: finite, square, of one dim and unitary within ``VALIDATION_TOL``. A
+    failure names the first bad matrix, 1-based, as its check alone words it."""
+    shapes = {np.shape(u) for u in unitaries}
+    if not shapes:  # no holes: an empty stack that no step reads
+        return np.empty((0, 1, 1), dtype=np.complex128)
+    stack = np.array(unitaries, dtype=np.complex128) if len(shapes) == 1 else None
+    if stack is not None and stack.ndim == 3:
+        try:
+            require_unitary(stack, "test unitaries", stack=True)
+        except ContractViolationError:
+            pass  # named below, matrix by matrix
+        else:
+            stack.setflags(write=False)
+            return stack
+    for i, u in enumerate(unitaries, start=1):
+        require_unitary(u, f"test unitary {i}")
+    raise LayoutError(f"test unitaries of shapes {sorted(shapes)} do not form one stack")
+
+
+def _played(unitaries: np.ndarray, strategy: PhaseAttack, k: int) -> np.ndarray:
+    """The stack the server plays: the attack ``1 ⊗ diag(1, e^{ia})`` as a phase
+    vector, on every unitary's rows after it (POST) or its columns before it (PRE)."""
+    phases = attack_phases(strategy.alpha, k)
+    if strategy.placement is Placement.POST:
+        return phases[:, None] * unitaries
+    return unitaries * phases
+
+
+def _accept(measurement: Effect, out: np.ndarray) -> float:
+    """Acceptance probability of ``measurement`` on a network output."""
+    # a vector is read as <out|M|out>; M is Hermitian, so Tr(M out) is the Frobenius product
+    value = (measurement.value(out) if out.ndim == 1 or isinstance(measurement, IdentityEffect)
+             else float(np.vdot(measurement.matrix, out).real))
+    return snap_probability(value, "acceptance probability")
+
+
 @dataclass(frozen=True, eq=False)
 class GeneralTest:
     """Test state (possibly entangled with the kept auxiliary register), the
     delegated unitary sequence, and the joint acceptance element.
 
-    The unitaries are checked once, here: finite, square and unitary within
-    ``VALIDATION_TOL``.
+    The unitaries are checked once, here, as one stack: finite, square and
+    unitary within ``VALIDATION_TOL``; they are kept as a read-only
+    ``(n, d, d)`` array.
     """
 
     chi: PureState | DensityOperator
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     measurement: Effect
 
     def __post_init__(self):
-        unitaries = tuple(require_unitary(u, f"test unitary {i}")
-                          for i, u in enumerate(self.unitaries, start=1))
-        object.__setattr__(self, "unitaries", unitaries)
+        object.__setattr__(self, "unitaries", _unitary_stack(self.unitaries))
 
 
 def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: PhaseAttack) -> float:
     """Acceptance probability of the general test under a server strategy.
 
-    The attack is the diagonal ``1 ⊗ diag(1, e^{ia})``, applied to each hole
-    unitary as a phase vector: on its rows after it (POST), on its columns
-    before it (PRE).
+    The attack is the diagonal ``1 ⊗ diag(1, e^{ia})``, applied to the stack of
+    hole unitaries in one product (:func:`_played`).
     """
     require_supported(strategy)
     full_dim = comb.register_dim * comb.y_dim
@@ -360,17 +410,10 @@ def general_test_acceptance(test: GeneralTest, comb: Comb, strategy: PhaseAttack
             f"measurement has dim {test.measurement.dim}, network expects {full_dim}"
         )
     _check_holes(comb, [u.shape for u in test.unitaries])
-    phases = attack_phases(strategy.alpha, comb.k)
-    if strategy.placement is Placement.POST:
-        played = [phases[:, None] * u for u in test.unitaries]
-    else:
-        played = [u * phases for u in test.unitaries]
     chi = test.chi
-    out = _evolve(comb, played, chi.amplitudes if isinstance(chi, PureState) else chi.matrix)
-    # a vector is read as <out|M|out>; M is Hermitian, so Tr(M out) is the Frobenius product
-    value = (test.measurement.value(out) if out.ndim == 1
-             else float(np.vdot(test.measurement.matrix, out).real))
-    return snap_probability(value, "acceptance probability")
+    out = _evolve(comb, _played(test.unitaries, strategy, comb.k),
+                  chi.amplitudes if isinstance(chi, PureState) else chi.matrix)
+    return _accept(test.measurement, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,20 +455,31 @@ def _bell_pairs_register_major(pairs: int) -> np.ndarray:
     """``pairs`` Bell pairs with all first halves before all second halves.
 
     The pair order (X1, Y1, X2, Y2, ...) is permuted to register-major order
-    (X1, X2, ..., Y1, Y2, ...): test registers first, kept auxiliary qubits last.
+    (X1, X2, ..., Y1, Y2, ...): test registers first, kept auxiliary qubits
+    last. There the amplitude is ``(1/√2)^pairs`` wherever the test registers
+    equal the kept qubits: the flattened ``2^pairs`` identity, scaled.
     """
-    vec = np.ones(1, dtype=np.complex128)
-    for _ in range(pairs):
-        vec = np.kron(vec, bell_pair().amplitudes)
-    src = [2 * j for j in range(pairs)] + [2 * j + 1 for j in range(pairs)]
-    return vec.reshape((2,) * (2 * pairs)).transpose(src).reshape(-1)
+    pair, amplitude = bell_pair().amplitudes[0].real, 1.0
+    for _ in range(pairs):  # multiplied up in the order a Kronecker product of the pairs takes
+        amplitude *= pair
+    vec = np.zeros(4**pairs, dtype=np.complex128)
+    vec[:: 2**pairs + 1] = amplitude
+    return vec
 
 
-def _point_mass_setup(test: GeneralTest, comb: Comb) -> GeneralSetup:
-    """Exactly ``comb.n_holes`` test rounds, one network for every output round."""
+def _point_mass_setup(test: GeneralTest, comb: Comb, honest: float | None = None) -> GeneralSetup:
+    """Exactly ``comb.n_holes`` test rounds, one network for every output round.
+
+    ``honest``, when given, is that network's honest acceptance (what
+    :func:`general_test_acceptance` gives under ``HONEST``), so the honest
+    table is built without running the network again."""
     n = comb.n_holes
-    return GeneralSetup(RoundDistribution.point_mass(n), {n: test},
-                        {(n, ell): comb for ell in range(1, n + 2)})
+    setup = GeneralSetup(RoundDistribution.point_mass(n), {n: test},
+                         {(n, ell): comb for ell in range(1, n + 2)})
+    if honest is not None:
+        setup._tables[HONEST] = outcome_table(setup.omega, setup.output_round,
+                                              lambda _: (honest,) * (n + 1))
+    return setup
 
 
 def bell_test_setup(n_tests: int) -> GeneralSetup:
@@ -451,11 +505,16 @@ def _tooth(doc: dict | None) -> Tooth | None:
     return Tooth(perm, doc.get("channel"), qubit, doc.get("strength"))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def random_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix; with
+    ``count``, a stack ``(count, dim, dim)`` of them, drawn from one normal
+    block in the order ``count`` one-at-a-time calls draw (each real part,
+    then its imaginary part), with one stacked QR."""
+    g = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    return q[0] if count is None else q
 
 
 def custom_test_setup(setup: dict) -> GeneralSetup:
@@ -482,20 +541,23 @@ def custom_test_setup(setup: dict) -> GeneralSetup:
         chi = PureState(_bell_pairs_register_major(width))
 
     if setup["unitaries"] == "identity":
-        unitaries = tuple(np.eye(2**k, dtype=np.complex128) for _ in range(n))
+        unitaries = np.tile(np.eye(2**k, dtype=np.complex128), (n, 1, 1))
     else:
-        rng = np.random.default_rng(setup["unitary_seed"])
-        unitaries = tuple(random_unitary(2**k, rng) for _ in range(n))
+        unitaries = random_unitary(2**k, np.random.default_rng(setup["unitary_seed"]), n)
 
+    honest = None
     if setup["measurement"] == "identity":
-        mu = PovmElement(np.eye(full_dim, dtype=np.complex128))
+        mu = IdentityEffect(full_dim)
     else:
         # accept on the honest output: the projector onto it when the network is
-        # unitary, else the honest-evolved state, a valid effect (eigenvalues <= 1)
-        out = _evolve(comb, unitaries, chi.amplitudes)
-        mu = RankOneEffect(PureState(out)) if out.ndim == 1 else PovmElement(out)
+        # unitary, else the honest-evolved state itself, PSD by construction with
+        # its trace checked by _evolve, so a valid effect (eigenvalues <= 1). This
+        # run is the honest table's network run too.
+        out = _evolve(comb, _played(unitaries, HONEST, k), chi.amplitudes)
+        mu = RankOneEffect(PureState(out)) if out.ndim == 1 else PovmElement.of_state(out)
+        honest = _accept(mu, out)
 
-    return _point_mass_setup(GeneralTest(chi, unitaries, mu), comb)
+    return _point_mass_setup(GeneralTest(chi, unitaries, mu), comb, honest)
 
 
 def general_tradeoff_check(

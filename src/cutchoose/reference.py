@@ -424,7 +424,7 @@ def random_comb_draw(seed: int) -> RandomCombDraw:
         y_dim = int(2 ** rng.integers(0, 2))
         full_dim = d**width * y_dim
         chi = random_density(full_dim, rng)
-        unitaries = tuple(random_unitary(d, rng) for _ in range(n))
+        unitaries = random_unitary(d, rng, n)
         mu = PovmElement(random_povm_effect(full_dim, rng))
         tests[n] = GeneralTest(chi, unitaries, mu)
         hole_regs = tuple(int(x) for x in rng.integers(0, width, size=n))

@@ -1,9 +1,11 @@
 """States, gates, measurement elements, and the abort-extended output space.
 
-A measurement effect of a general test is either a :class:`PovmElement` (a
-validated dense matrix, read as a quadratic form) or a :class:`RankOneEffect`
-(a projector kept as its unit vector, read as an overlap); a per-round rule
-gives its effects as unit rows instead (``protocol.receive_rounds``).
+A measurement effect of a general test is a :class:`PovmElement` (a
+validated dense matrix, read as a quadratic form), a :class:`RankOneEffect`
+(a projector kept as its unit vector, read as an overlap) or the
+:class:`IdentityEffect` (kept as its dimension, read as a norm or trace); a
+per-round rule gives its effects as unit rows instead
+(``protocol.receive_rounds``).
 
 A protocol output is an (acceptance weight, payload) pair. Its dense form
 realizes the rejection symbol as an explicit extra Hilbert-space dimension
@@ -94,6 +96,18 @@ class PovmElement:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def of_state(cls, rho: np.ndarray) -> "PovmElement":
+        """A density matrix as an effect, with no eigenvalue check: a PSD operator
+        of trace 1 has its eigenvalues in [0, 1]. For a state whose trace was
+        checked where it was made and which is PSD by construction (a network
+        output)."""
+        m = np.array(rho, dtype=np.complex128)
+        m.setflags(write=False)
+        effect = object.__new__(cls)
+        object.__setattr__(effect, "matrix", m)
+        return effect
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -127,7 +141,24 @@ class RankOneEffect:
         return float(abs(np.vdot(self.vector.amplitudes, out)) ** 2)
 
 
-Effect = PovmElement | RankOneEffect
+@dataclass(frozen=True)
+class IdentityEffect:
+    """The effect that always accepts, kept as its dimension: acceptance is a
+    vector's squared norm or a density matrix's trace, with no matrix built;
+    :attr:`matrix` builds the dense identity for the reference paths."""
+
+    dim: int
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=np.complex128)
+
+    def value(self, out: np.ndarray) -> float:
+        """Acceptance probability: ``<out|out>`` on a vector, ``Tr out`` on a density matrix."""
+        return float(np.vdot(out, out).real if out.ndim == 1 else np.trace(out).real)
+
+
+Effect = PovmElement | RankOneEffect | IdentityEffect
 
 # accept weights at or below this leave no payload (AbortExtendedState.payload)
 ACCEPT_FLOOR = 1e-12

@@ -40,7 +40,7 @@ from cutchoose.families import (
     matched_acceptance,
     plus_acceptance,
 )
-from cutchoose.linalg import PureState, dagger, require_unitary, trace_norm
+from cutchoose.linalg import DensityOperator, PureState, dagger, require_unitary, trace_norm
 from cutchoose.protocol import (
     ProtocolSpec,
     RoundDistribution,
@@ -57,7 +57,8 @@ from cutchoose.reference import (
     random_pure_state,
     round_outcome_table_via_combs,
 )
-from cutchoose.states import PovmElement, RankOneEffect, bell_pair, phase_gate
+from cutchoose.states import (IdentityEffect, PovmElement, RankOneEffect, bell_pair, phase_gate,
+                              plus_state)
 from cutchoose.strategies import HONEST, PhaseAttack, Placement, transform_round
 
 
@@ -696,7 +697,7 @@ class TestStateEvolution:
         assert [r.report.satisfied for r in bundle.runs] == [True, True]
 
 
-def custom_setup(teeth, n=3):
+def custom_setup(teeth, n=3, measurement="match-state"):
     """A width-2 custom comb with one kept qubit and random unitaries."""
     cfg = parse_config(json.dumps({
         "protocol": {"omega": {"point_mass": n}, "k": 1,
@@ -706,7 +707,7 @@ def custom_setup(teeth, n=3):
         "variant": {"kind": "general-tests", "setup": {
             "family": "custom", "width": 2, "y_qubits": 1,
             "hole_registers": [1 + j % 2 for j in range(n)], "teeth": teeth,
-            "unitaries": "random", "unitary_seed": 2,
+            "measurement": measurement, "unitaries": "random", "unitary_seed": 2,
         }},
     }))
     return custom_test_setup(cfg.canonical()["variant"]["setup"])
@@ -802,6 +803,133 @@ class TestVectorAndDensityPaths:
         # one honest evaluation, one attacked per model (their angles differ)
         assert strategies.count(HONEST) == 1 and len(strategies) == 3
         assert reports[0].honest_rounds is reports[1].honest_rounds
+
+
+NOISY = [None, {"channel": "depolarizing", "register": 2, "strength": 0.3},
+         {"permute": [2, 1], "channel": "dephasing"}, {"channel": "dephasing", "strength": 0.2}]
+
+
+class TestEachCombsWorkOnce:
+    """Work that does not change between evaluations is done once: a tooth's
+    Liouville form per comb, the hole unitaries as one stack, the Bell register
+    in closed form, and the honest network run of a match-state setup."""
+
+    def test_each_tooth_superoperator_is_built_once_per_comb(self, monkeypatch):
+        built = []
+        liouville = combs_module._liouville
+
+        def counting(kraus):
+            built.append(len(kraus))
+            return liouville(kraus)
+
+        monkeypatch.setattr(combs_module, "_liouville", counting)
+        noise = [Tooth(None, "depolarizing", 1, 0.3), Tooth((1, 0), "dephasing", 0, 0.6), None,
+                 Tooth(None, "depolarizing", 0, 0.9)]
+        comb = Comb(n_holes=3, k=1, width=2, y_dim=2, hole_registers=(0, 1, 0), teeth=tuple(noise))
+        assert built == [4, 2, 4]  # one per channel tooth, with the comb
+        rng = np.random.default_rng(31)
+        test = GeneralTest(plus_state(3), random_unitary(2, rng, 3), PovmElement(np.eye(8)))
+        for strategy in (HONEST, PhaseAttack(0.7), PhaseAttack(1.9, Placement.PRE)):
+            assert general_test_acceptance(test, comb, strategy) == pytest.approx(1.0, abs=1e-12)
+        assert built == [4, 2, 4]
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 4])
+    def test_bell_register_equals_the_kron_loop_bit_for_bit(self, pairs):
+        vec = np.ones(1, dtype=np.complex128)
+        for _ in range(pairs):
+            vec = np.kron(vec, bell_pair().amplitudes)
+        src = [2 * j for j in range(pairs)] + [2 * j + 1 for j in range(pairs)]
+        loop = vec.reshape((2,) * (2 * pairs)).transpose(src).reshape(-1)
+        got = combs_module._bell_pairs_register_major(pairs)
+        assert got.dtype == loop.dtype and got.shape == loop.shape
+        assert got.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("dim, count", [(2, 1), (2, 7), (4, 3)])
+    def test_stacked_haar_draw_equals_the_one_at_a_time_loop_bit_for_bit(self, dim, count):
+        def one(rng):  # a Ginibre matrix's real part, then its imaginary part; phase-fixed QR
+            q, r = np.linalg.qr(rng.standard_normal((dim, dim))
+                                + 1j * rng.standard_normal((dim, dim)))
+            d = np.diagonal(r)
+            return q * (d / np.abs(d))
+
+        loop_rng, stack_rng, single_rng = (np.random.default_rng(40 + dim) for _ in range(3))
+        loop = np.stack([one(loop_rng) for _ in range(count)])
+        stack = random_unitary(dim, stack_rng, count)
+        singles = np.stack([random_unitary(dim, single_rng) for _ in range(count)])
+        assert stack.shape == (count, dim, dim)
+        assert stack.tobytes() == loop.tobytes() == singles.tobytes()
+        # and the streams stand at the same place afterwards
+        assert loop_rng.random() == stack_rng.random() == single_rng.random()
+
+    def test_test_unitaries_are_one_read_only_stack(self):
+        us = [random_unitary(2, np.random.default_rng(32)) for _ in range(3)]
+        test = GeneralTest(plus_state(2), us, IdentityEffect(4))
+        assert test.unitaries.shape == (3, 2, 2) and not test.unitaries.flags.writeable
+        assert test.unitaries.tobytes() == np.stack(us).tobytes()
+        with pytest.raises(LayoutError, match=r"^test unitaries of shapes \[\(2, 2\), \(4, 4\)\] "
+                                              r"do not form one stack$"):
+            GeneralTest(plus_state(2), (np.eye(2), np.eye(4)), IdentityEffect(4))
+
+    @pytest.mark.parametrize("chi", [plus_state(1), DensityOperator(np.diag([0.25, 0.75]))],
+                             ids=["vector", "density"])
+    def test_a_test_without_holes_evaluates(self, chi):
+        test = GeneralTest(chi, (), IdentityEffect(2))
+        assert test.unitaries.shape[0] == 0
+        for strategy in (HONEST, PhaseAttack(0.5), PhaseAttack(0.5, Placement.PRE)):
+            assert general_test_acceptance(test, trivial_parallel_comb(0), strategy) == 1.0
+
+    @pytest.mark.parametrize("teeth", [PERMUTE_ONLY, NOISY], ids=["unitary", "noisy"])
+    def test_match_state_setup_runs_the_honest_network_once(self, teeth, monkeypatch):
+        strategies = []
+        evaluate = combs_module.general_test_acceptance
+
+        def counting(test, comb, strategy):
+            strategies.append(strategy)
+            return evaluate(test, comb, strategy)
+
+        monkeypatch.setattr(combs_module, "general_test_acceptance", counting)
+        setup = custom_setup(teeth)
+        reports = [general_tradeoff_check(model, setup) for model in SecurityModel]
+        # the honest table comes from the run that built the effect
+        assert HONEST not in strategies and len(strategies) == 2
+        test, comb = setup.tests[3], setup.combs[(3, 1)]
+        direct = evaluate(test, comb, HONEST)
+        assert reports[0].honest_rounds.rows[0].tolist() == [direct] * 4
+
+    @pytest.mark.parametrize("measurement", ["match-state", "identity"])
+    def test_custom_setups_run_no_eigendecomposition(self, measurement, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigendecomposition while building or reading a custom setup")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for teeth in (PERMUTE_ONLY, NOISY):
+            setup = custom_setup(teeth, measurement=measurement)
+            for strategy in (HONEST, PhaseAttack(1.2)):
+                assert 0.0 < setup.outcome_table(strategy).acceptance <= 1.0
+
+    def test_noisy_match_state_effect_is_the_honest_output(self):
+        setup = custom_setup(NOISY)
+        test, comb = setup.tests[3], setup.combs[(3, 1)]
+        effect = test.measurement
+        assert isinstance(effect, PovmElement) and not effect.matrix.flags.writeable
+        honest = _evolve(comb, test.unitaries, test.chi.amplitudes)
+        np.testing.assert_array_equal(effect.matrix, honest)
+        # the checked constructor accepts it too
+        np.testing.assert_array_equal(PovmElement(honest).matrix, effect.matrix)
+
+    def test_identity_effect_reads_a_norm_or_a_trace(self):
+        setup = custom_setup(NOISY, measurement="identity")
+        assert setup.tests[3].measurement == IdentityEffect(8)
+        rng = np.random.default_rng(33)
+        vec = random_pure_state(8, rng).amplitudes
+        rho = random_density(8, rng).matrix
+        effect = IdentityEffect(8)
+        assert effect.value(vec) == float(np.vdot(vec, vec).real)
+        assert effect.value(rho) == float(np.trace(rho).real)
+        np.testing.assert_array_equal(effect.matrix, np.eye(8))
+        for strategy in (HONEST, PhaseAttack(2.0), PhaseAttack(2.0, Placement.PRE)):
+            assert setup.outcome_table(strategy).acceptance == pytest.approx(1.0, abs=1e-12)
 
 
 def acceptance_gap_step(setup, alpha, placement=Placement.POST):

@@ -46,7 +46,10 @@ The network engine is drawn from ``random_comb_draw`` seeds and from
 - the theorem: at the prescribed angle, under both models, the report is
   ``satisfied`` and every proof step holds; a mean below the regime's floor
   raises ``OutOfDomainError``; at a drawn angle, every step but
-  ``theorem_bound`` holds. Bell setups with N <= 4 are checked too.
+  ``theorem_bound`` holds. Bell setups with N <= 4 are checked too;
+- one honest run: a ``custom`` setup's honest table, taken from the network
+  run that built its match-state effect, equals ``general_test_acceptance``
+  under ``HONEST`` bit for bit, on unitary and noisy networks alike.
 """
 
 import json
@@ -492,6 +495,14 @@ def test_theorem_on_random_networks():
 @given(custom_setups(), placements)
 def test_theorem_on_custom_networks(setup, placement):
     check_general_theorem(setup, placement)
+
+
+@NETWORKS
+@given(custom_setups())
+def test_custom_setups_share_the_honest_network_run(setup):
+    ((n, test),) = setup.tests.items()
+    direct = general_test_acceptance(test, setup.combs[(n, 1)], HONEST)
+    assert setup.outcome_table(HONEST).rows[0].tolist() == [direct] * (n + 1)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
